@@ -568,15 +568,15 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "compression_quality": webcurate.compression_quality,
         "pack_sequences": webcurate.pack_sequences,  # greedy → rows-only
     }
-    # head-of-line rotation (see the ORDER MATTERS note above): flagship
-    # signal → every entry that runs a bucketed join primitive (all five
-    # join kinds now share one exchange + Acero reducer) → the
-    # extraction entries whose serializer/entry point moved → the
+    # head-of-line rotation (see the ORDER MATTERS note above): every
+    # entry whose exchange is stages.exchange.bucket_exchange — the page
+    # shuffles, every entry that runs a bucketed join primitive, every
+    # windows entry — then the remaining extraction entries and the
     # round-5 rotation's remaining entries. Everything else follows in
     # its round-4 order.
     prefix = [
-        # flagship byte-parity signal
-        "extract_roundtrip", "pages_roundtrip",
+        # -- page-table shuffles --
+        "pages_roundtrip", "pages_staged_roundtrip", "extract_pages",
         # -- every registry entry that calls a joins.py primitive --
         "supplier_part_join", "customers_with_orders",
         "click_purchase_matrix", "customer_order_counts",
@@ -585,8 +585,14 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "referential_integrity", "dedup_clusters", "name_entity_clusters",
         "curate_neardup", "line_dedup_docs", "dup_span_stats",
         "strip_dup_spans", "tfidf_terms", "pagerank", "minhash_pairs",
+        # -- every windows entry --
+        "user_sessions", "purchase_attribution", "events_sliding",
+        "sliding_unique_users", "latest_event_per_user",
+        "user_running_total", "late_events", "ontime_hourly",
+        "event_sequences", "event_gaps", "next_event_label",
+        "funnel_stages", "interval_join_events", "top_events_per_user",
         # -- extraction fixtures (shared layout serializer) --
-        "pages_staged_roundtrip", "headers_roundtrip",
+        "extract_roundtrip", "headers_roundtrip",
         "dehyphen_roundtrip", "pagebreak_roundtrip", "footnotes_roundtrip",
         "skipline_roundtrip", "parsr_ingest_roundtrip",
         # -- the round-5 rotation's remaining entries --
@@ -601,9 +607,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "approx_distinct_users_agg", "approx_event_quantiles",
         "bloom_membership", "cms_user_counts", "kmeans_assign",
         "kmeans_train", "compression_quality", "pack_sequences",
-        "web_corpus_pipeline", "user_sessions", "purchase_attribution",
-        "dedup_incremental", "event_value_mad", "doc_length_ntile",
-        "source_lang_matrix",
+        "web_corpus_pipeline", "dedup_incremental", "event_value_mad",
+        "doc_length_ntile", "source_lang_matrix",
     ]
     missing = [k for k in prefix if k not in reg]
     assert not missing, f"rotation prefix names unknown ops: {missing}"

@@ -3,7 +3,7 @@
 Ray-native lifecycle (SURVEY.md §3): ``read_parquet`` (column-pruned) →
 ``map_batches(ExtractDocs, concurrency=...)`` actor pool → consume
 (write_parquet / aggregate). Page-table inputs go through one
-``groupby("url")`` shuffle first. The resumable runner shards the input
+``bucket_exchange`` first. The resumable runner shards the input
 files and commits one output directory + manifest record per shard.
 """
 
@@ -15,6 +15,7 @@ import os
 import ray.data as rd
 
 from pd3f_ray.core.config import ExtractOptions
+from pd3f_ray.stages.exchange import cluster_cpus
 from pd3f_ray.stages.extract import ExtractDocs
 from pd3f_ray.stages.pages import _dumps, assemble_pages_dataset
 from pd3f_ray.state import manifest as mf
@@ -32,12 +33,7 @@ def _default_concurrency() -> int:
     tasks keep logical headroom instead of being starved onto a static
     2-CPU slice (which capped the 32-CPU read at ~½ the extraction
     throughput)."""
-    import ray
-
-    cpus = 8
-    if ray.is_initialized():
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    return max(2, cpus)
+    return max(2, cluster_cpus())
 
 
 def extract_dataset(
@@ -275,7 +271,7 @@ def pages_roundtrip(sf_dir: str):
 def pages_staged_roundtrip(sf_dir: str):
     """STAGED-plan exercise of the page-table path over the same
     fixture and oracle as ``pages_roundtrip``: the un-fused
-    ``assemble_pages_dataset`` shuffle (bucketed groupby → document
+    ``assemble_pages_dataset`` exchange (url-bucket partitions → document
     reassembly rows) followed by the ``ExtractDocs`` actor pool —
     proving the two physical plans are byte-equivalent per url, not
     just the fused one the engine defaults to."""
@@ -530,11 +526,7 @@ def run_resumable(
     # only its slice of the cluster — three full-size fixed pools in one
     # small session deadlock waiting for actors that can never schedule
     if max_parallel_shards > 1 and "concurrency" not in kw:
-        import ray as _ray
-
-        cpus = int(_ray.cluster_resources().get("CPU", 8)) \
-            if _ray.is_initialized() else 8
-        kw = dict(kw, concurrency=max(1, cpus // max_parallel_shards))
+        kw = dict(kw, concurrency=max(1, cluster_cpus() // max_parallel_shards))
 
     def run_shard(shard_id: int, shard_files: list[str]) -> dict:
         tmp = mf.shard_dir(out_dir, shard_id) + ".__tmp"

@@ -13,10 +13,10 @@ own two join strategies, both oracle-checked:
 - **bucketed join** (big ⋈ big), one plan for all five join kinds
   (inner, left outer, full outer, left semi, left anti): both sides are
   tagged, given a stable ``hash(key) % B`` bucket column, unioned, and
-  co-partitioned by ONE ``groupby(bucket)`` exchange; inside each group
-  one Acero join (``pa.Table.join``) joins the sides — pyarrow-native
-  end to end, no Arrow→pandas→Arrow block conversion. B bounds
-  per-group memory; all rows of one key share a group.
+  co-partitioned by ONE ``bucket_exchange`` (stages/exchange.py); in
+  each partition one Acero join (``pa.Table.join``) joins the sides —
+  pyarrow-native end to end. B / P buckets share a reducer call (P =
+  2 × cluster CPUs, capped at B); all rows of one key share a bucket.
 
 ``nation_revenue`` composes them: lineitem ⋈ orders and then
 per-custkey partials ⋈ customer via TWO bucketed hash joins (all three
@@ -37,6 +37,8 @@ import ray
 import ray.data as rd
 from ray.data.aggregate import Sum
 
+from pd3f_ray.stages.exchange import bucket_exchange
+
 JOIN_BUCKETS = 128
 
 
@@ -52,13 +54,13 @@ def _arrow_fields(ds: "rd.Dataset", schema, arg: str) -> dict:
     return dict(zip(schema.names, schema.types))
 
 
-def _side_table(group: pa.Table, side: str, fields: dict) -> pa.Table:
-    """One side's rows of a tagged-union group, projected onto its
+def _side_table(part: pa.Table, side: str, fields: dict) -> pa.Table:
+    """One side's rows of a tagged-union partition, projected onto its
     plan-time schema. The union pads a side's missing columns with
     typed nulls (Arrow keeps int64 integral — no pandas float
-    promotion), but a group whose blocks all came from ONE side may
+    promotion), but a partition whose blocks all came from ONE side may
     lack the other side's columns entirely — pad those here."""
-    t = group.filter(pc.equal(group.column("__side"), side))
+    t = part.filter(pc.equal(part.column("__side"), side))
     cols = {}
     for name, typ in fields.items():
         if name in t.column_names:
@@ -98,9 +100,9 @@ def _bucketed_join(left: "rd.Dataset", right: "rd.Dataset", left_key: str,
                    left_schema, right_schema) -> "rd.Dataset":
     """The one plan behind every join kind: both sides are tagged with a
     stable key-hash bucket and their side, unioned, co-partitioned by
-    ONE ``groupby("__bucket")`` exchange, and each group's two sides are
-    joined by one Acero ``pa.Table.join`` of ``join_type``. A key's rows
-    share a group, so each row meets every partner it could have and an
+    ONE ``bucket_exchange``, and each partition's two sides are joined
+    by one Acero ``pa.Table.join`` of ``join_type``. A key's rows share
+    a partition, so each row meets every partner it could have and an
     unmatched row is emitted once; a null key never matches.
 
     Column lists and Arrow types are captured at plan time. Pass
@@ -137,9 +139,9 @@ def _bucketed_join(left: "rd.Dataset", right: "rd.Dataset", left_key: str,
                 "__side", pa.array([side] * batch.num_rows, pa.string()))
         return fn
 
-    def reduce(group: pa.Table) -> pa.Table:
-        l = _side_table(group, "l", left_ft)
-        r = _side_table(group, "r", right_ft)
+    def reduce(part: pa.Table) -> pa.Table:
+        l = _side_table(part, "l", left_ft)
+        r = _side_table(part, "r", right_ft)
         if carry:
             r = r.append_column("__rk", r.column(right_key))
         out = l.join(r, keys=left_key, right_keys=right_key,
@@ -151,8 +153,7 @@ def _bucketed_join(left: "rd.Dataset", right: "rd.Dataset", left_key: str,
 
     tagged = left.map_batches(tag("l", left_key), batch_format="pyarrow").union(
         right.map_batches(tag("r", right_key), batch_format="pyarrow"))
-    return tagged.groupby("__bucket").map_groups(reduce,
-                                                 batch_format="pyarrow")
+    return bucket_exchange(tagged, "__bucket", num_buckets, reduce)
 
 
 def hash_join(left, right, left_key: str, right_key: str,

@@ -930,12 +930,9 @@ def web_corpus_pipeline(sf_dir: str):
     # the cluster's CPUs (at 0.75/actor) or the second pool can never
     # start and the pipeline deadlocks (observed in 4-CPU test sessions
     # with two 4-actor pools: 3 + 3 logical CPUs > 4)
-    import ray as _ray
+    from pd3f_ray.stages.exchange import cluster_cpus
 
-    cpus = 8
-    if _ray.is_initialized():
-        cpus = int(_ray.cluster_resources().get("CPU", 8))
-    pool = max(1, cpus // 2)
+    pool = max(1, cluster_cpus() // 2)
 
     stop = frozenset(GOPHER_STOPWORDS)
 

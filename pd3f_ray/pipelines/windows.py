@@ -2,10 +2,10 @@
 
 Ray Data has no native session windows or as-of joins; both are
 expressed here as the engine's standard bucketed-shuffle pattern: ONE
-``groupby(user_id % B)`` exchange, then vectorized per-user logic inside
-the group (sort by (ts, event_id) → gap scan / prior-index scan). The
-bucket count B bounds per-group memory at scale while keeping group
-count ≪ key cardinality (cf. stages/pages.py for the same pattern).
+``user_id % B`` ``bucket_exchange`` (stages/exchange.py), then
+vectorized per-user logic in each reducer call (sort by (ts, event_id)
+→ gap scan / prior-index scan); a call holds B / P whole buckets
+(cf. stages/pages.py for the same pattern).
 
 Both are oracle-checked against DuckDB window functions; money-like
 sums travel as integer cents so float summation order can't break the
@@ -24,6 +24,8 @@ import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 
+from pd3f_ray.stages.exchange import bucket_exchange
+
 SESSION_GAP_MIN = 30
 WINDOW_BUCKETS = 256
 
@@ -33,19 +35,20 @@ def _events(sf_dir: str, columns):
                            columns=columns)
 
 
-def _bucketed(ds, num_buckets: int = WINDOW_BUCKETS):
+def _bucketed(ds, fn, num_buckets: int = WINDOW_BUCKETS):
     def add_bucket(batch: pa.Table) -> pa.Table:
         uid = batch.column("user_id").to_numpy(zero_copy_only=False)
         b = pa.array((uid % num_buckets).astype(np.int32), pa.int32())
         return batch.append_column("bucket", b)
 
-    return ds.map_batches(add_bucket, batch_format="pyarrow").groupby("bucket")
+    return bucket_exchange(ds.map_batches(add_bucket, batch_format="pyarrow"),
+                           "bucket", num_buckets, fn)
 
 
 def _col_np(tbl: pa.Table, name: str) -> np.ndarray:
     """Arrow column → numpy (chunk-merging; timestamps come back as
     datetime64[us]). The entry point of the pyarrow-native reducers
-    below — the group table is a zero-copy block slice, so only the
+    below — the partition table is the reduce block itself, so only the
     columns actually touched are materialized, instead of the whole
     Arrow→pandas→Arrow block round-trip a pandas reducer pays."""
     return tbl.column(name).to_numpy(zero_copy_only=False)
@@ -115,7 +118,7 @@ def user_sessions(sf_dir: str, gap_min: int = SESSION_GAP_MIN):
                                         pa.int64()),
         })
 
-    return _bucketed(ds).map_groups(sessions, batch_format="pyarrow")
+    return _bucketed(ds, sessions)
 
 
 USER_SESSIONS_SQL = f"""
@@ -187,7 +190,7 @@ def purchase_attribution(sf_dir: str):
                                        pa.int64()),
         })
 
-    return _bucketed(ds).map_groups(attribute, batch_format="pyarrow")
+    return _bucketed(ds, attribute)
 
 
 PURCHASE_ATTRIBUTION_SQL = """
@@ -312,7 +315,7 @@ def latest_event_per_user(sf_dir: str):
             "last_event_type": out.column("event_type"),
         })
 
-    return _bucketed(partial).map_groups(resolve, batch_format="pyarrow")
+    return _bucketed(partial, resolve)
 
 
 LATEST_EVENT_SQL = """
@@ -358,7 +361,7 @@ def user_running_total(sf_dir: str):
             "cum_value_cents": pa.array(cum, pa.int64()),
         })
 
-    return _bucketed(ds).map_groups(running, batch_format="pyarrow")
+    return _bucketed(ds, running)
 
 
 RUNNING_TOTAL_SQL = """
@@ -416,9 +419,7 @@ def late_events(sf_dir: str):
                                     pa.int64()),
         })
 
-    return _bucketed(
-        ds.map_batches(arrival, batch_format="pyarrow")
-    ).map_groups(detect, batch_format="pyarrow")
+    return _bucketed(ds.map_batches(arrival, batch_format="pyarrow"), detect)
 
 
 LATE_EVENTS_SQL = """
@@ -447,10 +448,10 @@ def event_sequences(sf_dir: str):
     (user_id, seq = event types joined with ',' in (ts, event_id)
     order, n_events).
 
-    Plan: the standard ONE ``groupby(user_id % B)`` exchange; inside a
-    group, one vectorized sort by (user_id, ts, event_id) and a
-    per-user join of the type strings. Per-group memory is bounded by
-    users-per-bucket × events-per-user — the same contract as
+    Plan: the standard ONE ``user_id % B`` bucket exchange; inside a
+    partition, one vectorized sort by (user_id, ts, event_id) and a
+    per-user join of the type strings. Per-call memory is bounded by
+    users-per-partition × events-per-user — the same contract as
     ``user_sessions``. Oracle: string_agg ORDER BY (ts, event_id)."""
     ds = _events(sf_dir, ["event_id", "ts", "user_id", "event_type"])
 
@@ -477,7 +478,7 @@ def event_sequences(sf_dir: str):
                                  pa.int64()),
         })
 
-    return _bucketed(ds).map_groups(build, batch_format="pyarrow")
+    return _bucketed(ds, build)
 
 
 EVENT_SEQUENCES_SQL = """
@@ -667,8 +668,8 @@ def funnel_stages(sf_dir: str):
     qualifying event; ties broken by event_id). Output one row per
     user with at least one 'view': (user_id, stage ∈ {1,2,3}).
 
-    Plan: the standard ONE ``groupby(user_id % B)`` exchange; inside a
-    group one vectorized (user, ts, event_id) sort, then a three-probe
+    Plan: the standard ONE ``user_id % B`` bucket exchange; inside a
+    partition one vectorized (user, ts, event_id) sort, then a three-probe
     forward scan per user. Oracle: chained row-value-comparison argmin
     subqueries with the same interval bounds."""
     ds = _events(sf_dir, ["event_id", "ts", "user_id", "event_type"])
@@ -696,7 +697,7 @@ def funnel_stages(sf_dir: str):
             "stage": pa.array(out_s, pa.int64()),
         })
 
-    return _bucketed(ds).map_groups(scan, batch_format="pyarrow")
+    return _bucketed(ds, scan)
 
 
 FUNNEL_STAGES_SQL = f"""
@@ -784,7 +785,7 @@ def event_gaps(sf_dir: str):
                                    pa.int64()),
         })
 
-    return _bucketed(ds).map_groups(gaps, batch_format="pyarrow")
+    return _bucketed(ds, gaps)
 
 
 EVENT_GAPS_SQL = """
@@ -844,7 +845,7 @@ def next_event_label(sf_dir: str):
             "gap_us": pa.array(gap, pa.int64()),
         })
 
-    return _bucketed(ds).map_groups(label, batch_format="pyarrow")
+    return _bucketed(ds, label)
 
 
 NEXT_EVENT_LABEL_SQL = """
@@ -982,8 +983,7 @@ def ontime_hourly(sf_dir: str):
         })
 
     partials = _bucketed(
-        ds.map_batches(arrival, batch_format="pyarrow")
-    ).map_groups(ontime_partial, batch_format="pyarrow")
+        ds.map_batches(arrival, batch_format="pyarrow"), ontime_partial)
 
     return (
         partials.groupby("window_id")
@@ -1072,7 +1072,7 @@ def top_events_per_user(sf_dir: str, k: int = TOPK_PER_USER):
             "value_cents": pa.array(cents[keep], pa.int64()),
         })
 
-    return _bucketed(partial).map_groups(resolve, batch_format="pyarrow")
+    return _bucketed(partial, resolve)
 
 
 TOP_EVENTS_PER_USER_SQL = f"""

@@ -6,16 +6,15 @@ shuffled on disk. Reassembly is the engine's one real shuffle — but NOT
 ``groupby("url")`` directly: with one group per document the per-group
 Python dispatch of ``map_groups`` dominated wall time (~0.5 ms × 200 k
 groups ≈ 100 s at sf0.1). Instead pages are bucketed by a stable url
-hash (``crc32 % num_buckets``) and the shuffle groups by bucket:
-~`n_docs / num_buckets` documents per group, sorted once per bucket on
-``(url, page_idx)`` and split into documents by offset scan. Same
-exchange volume, 512 groups instead of 200 k.
+hash (``crc32 % num_buckets``) and ``stages.exchange.bucket_exchange``
+hands each reducer call a partition of ``num_buckets / P`` buckets,
+sorted once on ``(url, page_idx)`` and split into documents by offset
+scan. Same exchange volume, P reducer calls instead of 200 k.
 
-Partitioning assumptions: a bucket must fit in one group's memory
-(``num_buckets`` scales with corpus size — at 10^12 docs you'd use
-~2^20 buckets, keeping ~10^6 docs per bucket out but bounded; the knob
-is exposed). Page order is array-position semantics in the reference
-(README.md:115-119) — restored here by the in-bucket sort.
+Partitioning assumptions: a partition, ~1/P of the pages, must fit in
+one reduce task's memory (P grows with the cluster, not ``num_buckets``).
+Page order is array-position semantics in the reference
+(README.md:115-119) — restored here by the in-partition sort.
 """
 
 from __future__ import annotations
@@ -26,6 +25,8 @@ import zlib
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from pd3f_ray.stages.exchange import bucket_exchange
 
 try:
     import orjson as _fastjson
@@ -67,17 +68,17 @@ def _doc_offsets(sorted_urls: pa.ChunkedArray | pa.Array):
     return starts, ends, u
 
 
-def assemble_bucket(group: pa.Table) -> pa.Table:
-    """One group = all pages of ~(n_docs/num_buckets) urls → one
-    document row per url. Sorted once per bucket; url-run boundaries
+def assemble_bucket(part: pa.Table) -> pa.Table:
+    """All pages of a set of urls (one exchange partition) → one
+    document row per url. Sorted once per partition; url-run boundaries
     found by one vectorized adjacent-inequality; per-doc columns
     gathered with Arrow ``take`` at the run starts (the only remaining
     Python loop parses page payloads, which is inherently per-page)."""
     order = pc.sort_indices(
-        group,
+        part,
         sort_keys=[("url", "ascending"), ("page_idx", "ascending")],
     )
-    g = group.take(order)
+    g = part.take(order)
     starts, ends, u = _doc_offsets(g.column("url"))
     start_idx = pa.array(starts)
     out_url = u.take(start_idx)
@@ -114,7 +115,7 @@ def assemble_bucket(group: pa.Table) -> pa.Table:
 
 def assemble_pages_dataset(ds, num_buckets: int = DEFAULT_NUM_BUCKETS):
     """``Dataset`` of exploded page rows → ``Dataset`` of document rows
-    (the input_hint schema). One hash-bucketed shuffle."""
+    (the input_hint schema). One url-bucket range exchange."""
 
     def add_bucket(batch: pa.Table) -> pa.Table:
         buckets = pa.array(
@@ -123,19 +124,14 @@ def assemble_pages_dataset(ds, num_buckets: int = DEFAULT_NUM_BUCKETS):
         )
         return batch.append_column("bucket", buckets)
 
-    def assemble(group: pa.Table) -> pa.Table:
-        return assemble_bucket(group.drop_columns(["bucket"]))
-
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(assemble, batch_format="pyarrow")
-    )
+    return bucket_exchange(ds.map_batches(add_bucket, batch_format="pyarrow"),
+                           "bucket", num_buckets, assemble_bucket)
 
 
 def extract_pages_fused(ds, opts=None, num_buckets: int = DEFAULT_NUM_BUCKETS):
-    """Page rows → extracted document rows in ONE shuffle, with the page
-    payloads zlib-compressed across the exchange.
+    """Page rows → extracted document rows in ONE ``bucket_exchange``
+    (no sampling pass, no merge stage), with the page payloads
+    zlib-compressed across the exchange.
 
     The staged plan (assemble → object store → extract) re-serialized
     every assembled document and shipped the full corpus through the
@@ -156,19 +152,6 @@ def extract_pages_fused(ds, opts=None, num_buckets: int = DEFAULT_NUM_BUCKETS):
     from pd3f_ray.core.kernel import extract_parsed
     from pd3f_ray.core.scorer import get_scorer
     from pd3f_ray.stages.extract import EXTRACT_SCHEMA
-
-    # push-based sort shuffle is consistently ~8% faster than the
-    # pull-based default on this exchange (A/B at sf0.1, best-of-2
-    # alternating); HASH_SHUFFLE hangs on it (>500 s). Scoped to THIS
-    # pipeline's plan context (each Dataset carries its own DataContext
-    # copy from read time) so other Datasets in the process keep the
-    # strategy they were built — and A/B'd — under.
-    try:
-        from ray.data.context import ShuffleStrategy
-
-        ds.context.shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED
-    except (ImportError, AttributeError):  # pragma: no cover — Ray layouts
-        pass
 
     base = opts or ExtractOptions.experimental()
 
@@ -191,12 +174,12 @@ def extract_pages_fused(ds, opts=None, num_buckets: int = DEFAULT_NUM_BUCKETS):
             }
         )
 
-    def assemble_extract(group: pa.Table) -> pa.Table:
+    def assemble_extract(part: pa.Table) -> pa.Table:
         order = pc.sort_indices(
-            group,
+            part,
             sort_keys=[("url", "ascending"), ("page_idx", "ascending")],
         )
-        g = group.take(order)
+        g = part.take(order)
         starts, ends, u = _doc_offsets(g.column("url"))
         start_idx = pa.array(starts)
         out_url = u.take(start_idx)
@@ -253,8 +236,6 @@ def extract_pages_fused(ds, opts=None, num_buckets: int = DEFAULT_NUM_BUCKETS):
             schema=EXTRACT_SCHEMA,
         )
 
-    return (
-        ds.map_batches(add_bucket_compress, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(assemble_extract, batch_format="pyarrow")
-    )
+    return bucket_exchange(
+        ds.map_batches(add_bucket_compress, batch_format="pyarrow"),
+        "bucket", num_buckets, assemble_extract)

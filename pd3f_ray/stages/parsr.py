@@ -328,14 +328,12 @@ def parsr_ingest_roundtrip(sf_dir: str):
     """
     import os
 
-    import ray as _ray
     import ray.data as rd
 
     from pd3f_ray.pipelines.extraction import extract_dataset
+    from pd3f_ray.stages.exchange import cluster_cpus
 
-    cpus = 8
-    if _ray.is_initialized():
-        cpus = int(_ray.cluster_resources().get("CPU", 8))
+    cpus = cluster_cpus()
     ingest_pool = max(1, cpus // 4)
     extract_pool = max(1, cpus // 2)
 

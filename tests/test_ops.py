@@ -332,6 +332,76 @@ def test_pages_roundtrip_byte_identical(ray_session, con):
     _match(pages_roundtrip(SF), PAGES_ROUNDTRIP_SQL, con)
 
 
+def _executed_ops(summary) -> list:
+    """Operator stats of an executed Dataset, upstream first."""
+    ops = [op for p in summary.parents or [] for op in _executed_ops(p)]
+    return ops + list(summary.operators_stats)
+
+
+@pytest.mark.parametrize("num_buckets", [1, 7, 512])
+def test_bucket_exchange_one_call_per_bucket(ray_session, num_buckets):
+    """bucket_exchange's contract: every bucket's rows reach ``fn`` in
+    exactly one call, in at most P = min(num_buckets, 2 x CPUs) calls,
+    with one bucket skewed far above the rest and a third of the
+    buckets empty. The exchange makes exactly P partitions from 6 input
+    blocks (a sampled sort would make one per input block)."""
+    import re
+    import uuid
+
+    import pyarrow as pa
+    import ray.data as rd
+
+    from pd3f_ray.stages.exchange import bucket_exchange, cluster_cpus
+
+    rng = np.random.default_rng(num_buckets)
+    b = rng.integers(0, num_buckets, 300)
+    if num_buckets > 1:
+        b = b[b % 3 != 1]
+    b = np.concatenate([np.full(400, num_buckets // 2), b])  # spans blocks
+    blocks = [pa.table({"bucket": pa.array(c, pa.int32()),
+                        "v": pa.array(np.ones(len(c), np.int64))})
+              for c in np.array_split(b, 6)]
+
+    def fn(part: pa.Table) -> pa.Table:
+        per = part.group_by("bucket").aggregate([("v", "sum")])
+        return per.append_column(
+            "call", pa.array([uuid.uuid4().hex] * per.num_rows))
+
+    ds = bucket_exchange(rd.from_arrow(blocks), "bucket", num_buckets,
+                         fn).materialize()
+    got = ds.to_pandas()
+    want = pd.Series(b).value_counts()
+    p = min(num_buckets, 2 * cluster_cpus())
+    assert got["bucket"].is_unique  # no bucket split across two calls
+    assert dict(zip(got["bucket"], got["v_sum"])) == want.to_dict()
+    assert got["call"].nunique() <= p
+    exchange = [op for op in _executed_ops(ds._get_stats_summary())
+                if op.is_sub_operator][-1]
+    produced = re.search(r"(\d+) blocks produced",
+                         exchange.block_execution_summary_str)
+    assert int(produced.group(1)) == p
+
+
+def test_pages_exchange_has_no_sample_or_merge_stage(ray_session, tmp_path):
+    """The page shuffle range-partitions on known bucket boundaries with
+    the pull-based sort: no boundary-sampling pass, no push-based merge
+    stage among the executed sub-operators."""
+    import pyarrow.parquet as pq
+
+    from pd3f_ray.pipelines.extraction import extract_from_pages_parquet
+    from pd3f_ray.sources.synth import generate_pages_exploded
+
+    pq.write_table(generate_pages_exploded(60, seed=3),
+                   tmp_path / "pages.parquet")
+    ds = extract_from_pages_parquet(str(tmp_path / "pages.parquet"))
+    ds = ds.materialize()
+    assert ds.count() == 60
+
+    names = [op.operator_name for op in _executed_ops(ds._get_stats_summary())
+             if op.is_sub_operator]
+    assert names == ["SortMap", "SortReduce"], names
+
+
 def test_dedup_clusters_oracle(ray_session, con):
     """Connected-component labels over the exact near-dup pair set must
     match the recursive-SQL reachability oracle (min reachable doc_id
@@ -1785,10 +1855,9 @@ def test_partitioned_write_creates_lang_dirs(ray_session):
 
     from pd3f_ray.sources.evolve import partitioned_write_roundtrip
 
-    partitioned_write_roundtrip(SF).to_pandas()
-    from pd3f_ray.sources.corpus import sf_name
-
-    scratch = os.path.join("/tmp/pd3f_ray_partwrite", sf_name(SF))
+    ds = partitioned_write_roundtrip(SF)
+    # <scratch>/lang=en/<file>.parquet: the roundtrip's own fresh dir
+    scratch = os.path.dirname(os.path.dirname(ds.input_files()[0]))
     dirs = sorted(d for d in os.listdir(scratch) if d.startswith("lang="))
     assert "lang=en" in dirs and len(dirs) >= 3
 

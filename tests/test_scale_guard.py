@@ -70,9 +70,6 @@ ALLOWED_MAP_GROUPS = {
     ("dedup.py", '"bucket"'): "LSH band/hyperplane bucket, count is a dial",
     ("dedup.py", '"pbucket"'): "pair-endpoint hash bucket",
     ("dedup.py", '"gkey"'): "simhash Hamming-band key",
-    ("joins.py", '"__bucket"'):
-        "join key-hash bucket (JOIN_BUCKETS / per-call num_buckets dial); "
-        "a group holds one bucket's rows of both sides",
     ("relational.py", '"rbucket"'):
         "n_chars value-range band (RANK_BAND dial); group holds one "
         "band's rows, never the corpus",
@@ -86,12 +83,12 @@ ALLOWED_MAP_GROUPS = {
     ("textstats.py", '"lang"'):
         "input is the per-block top-k candidate table, ≤ blocks×k rows "
         "per language, not the vocabulary",
-    # windows.py mostly groups via _bucketed() (user_id % 256) — that
-    # groupby call is split from .map_groups, outside this regex's view
+    # windows.py's per-user reducers go through _bucketed() →
+    # bucket_exchange (the "exchange.py" entry below); this is its one
+    # remaining map_groups
     ("windows.py", '"bucket"'):
         "interval-join 1-hour time bucket; a group holds one hour of "
         "events + the ≤2-bucket-replicated windows touching it",
-    ("pages.py", '"bucket"'): "url-hash bucket, count is a dial",
     ("webcurate.py", '"source"'):
         "input is the per-(source, lang) aggregate table — groups are "
         "bounded by language cardinality, not corpus size",
@@ -141,20 +138,33 @@ ALLOWED_MAP_GROUPS = {
     ("chunking.py", '"dbucket"'):
         "digest-hash dedup bucket (PREP_DEDUP_BUCKETS dial); only "
         "quality-gate survivors reach it",
+    # a range partition on explicit sort boundaries handed whole to one
+    # reducer call (pages, joins, windows all reach it)
+    ("exchange.py", "key"):
+        "bucket_exchange: a partition holds num_buckets/P whole buckets "
+        "(P = min(num_buckets, 2 x cluster CPUs)), ~1/P of the exchanged "
+        "rows: per-call memory scales with rows per CPU, not with the "
+        "bucket dial",
 }
+
+# every site that hands a whole group or range partition to one reducer
+# call: groupby(key).map_groups, and sort(key, boundaries=...)
+WHOLE_GROUP_SITES = (r"\.groupby\(([^)]*)\)\s*\.map_groups\(",
+                     r"\.sort\(([^,)]*),\s*boundaries=")
 
 
 def test_map_groups_keys_are_allowlisted():
     hits = []
     for path, src in _sources():
-        for m in re.finditer(r"\.groupby\(([^)]*)\)(\s*\n?\s*)\.map_groups\(",
-                             src):
-            key = m.group(1).strip()
-            if (path.name, key) in ALLOWED_MAP_GROUPS:
-                continue
-            line = src[: m.start()].count("\n") + 1
-            hits.append(f"{path.name}:{line}: groupby({key}).map_groups — "
-                        "not in ALLOWED_MAP_GROUPS (justify boundedness)")
+        for pat in WHOLE_GROUP_SITES:
+            for m in re.finditer(pat, src):
+                key = m.group(1).strip()
+                if (path.name, key) in ALLOWED_MAP_GROUPS:
+                    continue
+                line = src[: m.start()].count("\n") + 1
+                hits.append(f"{path.name}:{line}: whole-group reducer on "
+                            f"{key} — not in ALLOWED_MAP_GROUPS (justify "
+                            "boundedness)")
     assert not hits, "\n".join(hits)
 
 
