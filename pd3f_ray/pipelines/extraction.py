@@ -14,8 +14,8 @@ import os
 
 import ray.data as rd
 
+from pd3f_ray.core.cluster import cluster_cpus
 from pd3f_ray.core.config import ExtractOptions
-from pd3f_ray.stages.exchange import cluster_cpus
 from pd3f_ray.stages.extract import ExtractDocs
 from pd3f_ray.stages.pages import _dumps, assemble_pages_dataset
 from pd3f_ray.state import manifest as mf

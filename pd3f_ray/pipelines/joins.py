@@ -15,8 +15,8 @@ own two join strategies, both oracle-checked:
   tagged, given a stable ``hash(key) % B`` bucket column, unioned, and
   co-partitioned by ONE ``bucket_exchange`` (stages/exchange.py); in
   each partition one Acero join (``pa.Table.join``) joins the sides —
-  pyarrow-native end to end. B / P buckets share a reducer call (P =
-  2 × cluster CPUs, capped at B); all rows of one key share a bucket.
+  pyarrow-native end to end. A reducer call holds ≤ 64 whole buckets,
+  so B bounds its memory; all rows of one key share a bucket.
 
 ``nation_revenue`` composes them: lineitem ⋈ orders and then
 per-custkey partials ⋈ customer via TWO bucketed hash joins (all three
@@ -54,13 +54,13 @@ def _arrow_fields(ds: "rd.Dataset", schema, arg: str) -> dict:
     return dict(zip(schema.names, schema.types))
 
 
-def _side_table(part: pa.Table, side: str, fields: dict) -> pa.Table:
+def _side_table(group: pa.Table, side: str, fields: dict) -> pa.Table:
     """One side's rows of a tagged-union partition, projected onto its
     plan-time schema. The union pads a side's missing columns with
     typed nulls (Arrow keeps int64 integral — no pandas float
     promotion), but a partition whose blocks all came from ONE side may
     lack the other side's columns entirely — pad those here."""
-    t = part.filter(pc.equal(part.column("__side"), side))
+    t = group.filter(pc.equal(group.column("__side"), side))
     cols = {}
     for name, typ in fields.items():
         if name in t.column_names:
@@ -139,9 +139,9 @@ def _bucketed_join(left: "rd.Dataset", right: "rd.Dataset", left_key: str,
                 "__side", pa.array([side] * batch.num_rows, pa.string()))
         return fn
 
-    def reduce(part: pa.Table) -> pa.Table:
-        l = _side_table(part, "l", left_ft)
-        r = _side_table(part, "r", right_ft)
+    def reduce(group: pa.Table) -> pa.Table:
+        l = _side_table(group, "l", left_ft)
+        r = _side_table(group, "r", right_ft)
         if carry:
             r = r.append_column("__rk", r.column(right_key))
         out = l.join(r, keys=left_key, right_keys=right_key,

@@ -930,7 +930,7 @@ def web_corpus_pipeline(sf_dir: str):
     # the cluster's CPUs (at 0.75/actor) or the second pool can never
     # start and the pipeline deadlocks (observed in 4-CPU test sessions
     # with two 4-actor pools: 3 + 3 logical CPUs > 4)
-    from pd3f_ray.stages.exchange import cluster_cpus
+    from pd3f_ray.core.cluster import cluster_cpus
 
     pool = max(1, cluster_cpus() // 2)
 

@@ -4,7 +4,7 @@ Ray Data has no native session windows or as-of joins; both are
 expressed here as the engine's standard bucketed-shuffle pattern: ONE
 ``user_id % B`` ``bucket_exchange`` (stages/exchange.py), then
 vectorized per-user logic in each reducer call (sort by (ts, event_id)
-→ gap scan / prior-index scan); a call holds B / P whole buckets
+→ gap scan / prior-index scan); a call holds ≤ 64 whole buckets
 (cf. stages/pages.py for the same pattern).
 
 Both are oracle-checked against DuckDB window functions; money-like

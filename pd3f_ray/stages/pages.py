@@ -7,14 +7,13 @@ shuffled on disk. Reassembly is the engine's one real shuffle — but NOT
 Python dispatch of ``map_groups`` dominated wall time (~0.5 ms × 200 k
 groups ≈ 100 s at sf0.1). Instead pages are bucketed by a stable url
 hash (``crc32 % num_buckets``) and ``stages.exchange.bucket_exchange``
-hands each reducer call a partition of ``num_buckets / P`` buckets,
-sorted once on ``(url, page_idx)`` and split into documents by offset
-scan. Same exchange volume, P reducer calls instead of 200 k.
+hands each reducer call a partition of ≤ 64 whole buckets, sorted
+once on ``(url, page_idx)`` and split into documents by offset scan.
+Same exchange volume, P reducer calls instead of 200 k.
 
-Partitioning assumptions: a partition, ~1/P of the pages, must fit in
-one reduce task's memory (P grows with the cluster, not ``num_buckets``).
-Page order is array-position semantics in the reference
-(README.md:115-119) — restored here by the in-partition sort.
+Partitioning assumptions: 64 buckets must fit in one reduce task's memory
+(``num_buckets`` scales with the corpus: ~2^20 at 10^12 docs). Page order is
+the reference's array position (README.md:115-119), restored by the sort.
 """
 
 from __future__ import annotations
@@ -68,17 +67,17 @@ def _doc_offsets(sorted_urls: pa.ChunkedArray | pa.Array):
     return starts, ends, u
 
 
-def assemble_bucket(part: pa.Table) -> pa.Table:
+def assemble_bucket(group: pa.Table) -> pa.Table:
     """All pages of a set of urls (one exchange partition) → one
     document row per url. Sorted once per partition; url-run boundaries
     found by one vectorized adjacent-inequality; per-doc columns
     gathered with Arrow ``take`` at the run starts (the only remaining
     Python loop parses page payloads, which is inherently per-page)."""
     order = pc.sort_indices(
-        part,
+        group,
         sort_keys=[("url", "ascending"), ("page_idx", "ascending")],
     )
-    g = part.take(order)
+    g = group.take(order)
     starts, ends, u = _doc_offsets(g.column("url"))
     start_idx = pa.array(starts)
     out_url = u.take(start_idx)
@@ -174,12 +173,12 @@ def extract_pages_fused(ds, opts=None, num_buckets: int = DEFAULT_NUM_BUCKETS):
             }
         )
 
-    def assemble_extract(part: pa.Table) -> pa.Table:
+    def assemble_extract(group: pa.Table) -> pa.Table:
         order = pc.sort_indices(
-            part,
+            group,
             sort_keys=[("url", "ascending"), ("page_idx", "ascending")],
         )
-        g = part.take(order)
+        g = group.take(order)
         starts, ends, u = _doc_offsets(g.column("url"))
         start_idx = pa.array(starts)
         out_url = u.take(start_idx)

@@ -331,7 +331,7 @@ def parsr_ingest_roundtrip(sf_dir: str):
     import ray.data as rd
 
     from pd3f_ray.pipelines.extraction import extract_dataset
-    from pd3f_ray.stages.exchange import cluster_cpus
+    from pd3f_ray.core.cluster import cluster_cpus
 
     cpus = cluster_cpus()
     ingest_pool = max(1, cpus // 4)

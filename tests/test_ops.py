@@ -341,7 +341,7 @@ def _executed_ops(summary) -> list:
 @pytest.mark.parametrize("num_buckets", [1, 7, 512])
 def test_bucket_exchange_one_call_per_bucket(ray_session, num_buckets):
     """bucket_exchange's contract: every bucket's rows reach ``fn`` in
-    exactly one call, in at most P = min(num_buckets, 2 x CPUs) calls,
+    exactly one call, in at most P = partition_count(num_buckets) calls,
     with one bucket skewed far above the rest and a third of the
     buckets empty. The exchange makes exactly P partitions from 6 input
     blocks (a sampled sort would make one per input block)."""
@@ -351,7 +351,7 @@ def test_bucket_exchange_one_call_per_bucket(ray_session, num_buckets):
     import pyarrow as pa
     import ray.data as rd
 
-    from pd3f_ray.stages.exchange import bucket_exchange, cluster_cpus
+    from pd3f_ray.stages.exchange import bucket_exchange, partition_count
 
     rng = np.random.default_rng(num_buckets)
     b = rng.integers(0, num_buckets, 300)
@@ -371,15 +371,34 @@ def test_bucket_exchange_one_call_per_bucket(ray_session, num_buckets):
                          fn).materialize()
     got = ds.to_pandas()
     want = pd.Series(b).value_counts()
-    p = min(num_buckets, 2 * cluster_cpus())
+    p = partition_count(num_buckets)
     assert got["bucket"].is_unique  # no bucket split across two calls
     assert dict(zip(got["bucket"], got["v_sum"])) == want.to_dict()
     assert got["call"].nunique() <= p
+    assert got["call"].value_counts().max() <= 64  # buckets in one call
     exchange = [op for op in _executed_ops(ds._get_stats_summary())
                 if op.is_sub_operator][-1]
     produced = re.search(r"(\d+) blocks produced",
                          exchange.block_execution_summary_str)
     assert int(produced.group(1)) == p
+
+
+def test_partition_count_grows_with_num_buckets(monkeypatch):
+    """P is 2 x CPUs at today's bucket counts, grows with the bucket
+    dial past 64 buckets per CPU pair, never exceeds num_buckets, and no
+    partition holds more than 64 buckets, whatever the CPU count."""
+    from pd3f_ray.stages import exchange
+
+    for cpus in (1, 4, 64):
+        monkeypatch.setattr(exchange, "cluster_cpus", lambda: cpus)
+        ps = [exchange.partition_count(b) for b in range(1, 70_000, 97)]
+        assert ps == sorted(ps)
+        for b in (1, 7, 128, 256, 512, 4096, 2**20, 2**20 + 1):
+            p = exchange.partition_count(b)
+            assert 1 <= p <= b and -(-b // p) <= 64
+    monkeypatch.setattr(exchange, "cluster_cpus", lambda: 4)
+    assert [exchange.partition_count(b) for b in (128, 256, 512)] == [8] * 3
+    assert exchange.partition_count(2**20) == 2**14
 
 
 def test_pages_exchange_has_no_sample_or_merge_stage(ray_session, tmp_path):

@@ -141,10 +141,9 @@ ALLOWED_MAP_GROUPS = {
     # a range partition on explicit sort boundaries handed whole to one
     # reducer call (pages, joins, windows all reach it)
     ("exchange.py", "key"):
-        "bucket_exchange: a partition holds num_buckets/P whole buckets "
-        "(P = min(num_buckets, 2 x cluster CPUs)), ~1/P of the exchanged "
-        "rows: per-call memory scales with rows per CPU, not with the "
-        "bucket dial",
+        "bucket_exchange: a partition holds <= MAX_BUCKETS_PER_PARTITION "
+        "(64) whole buckets (P >= ceil(num_buckets / 64)), so the bucket "
+        "dial bounds per-call memory as it scales with the corpus",
 }
 
 # every site that hands a whole group or range partition to one reducer
