@@ -27,21 +27,15 @@ families (SURVEY.md §8).
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pyarrow as pa
 import ray
-import ray.data as rd
+
+from pd3f_ray.core.cluster import read_table
 
 CHUNK_SIZE = 512
 CHUNK_STRIDE = 384  # 128-char overlap between consecutive chunks
 VOCAB_SIZE = 256
-
-
-def _docs(sf_dir: str, columns):
-    return rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=columns)
 
 
 def chunk_docs(sf_dir: str, size: int = CHUNK_SIZE,
@@ -75,7 +69,7 @@ def chunk_docs(sf_dir: str, size: int = CHUNK_SIZE,
             "n_chunk_chars": pa.array([len(c) for c in out_txt], pa.int64()),
         })
 
-    return _docs(sf_dir, ["doc_id", "text"]).map_batches(
+    return read_table(sf_dir, "documents", ["doc_id", "text"]).map_batches(
         chunk, batch_format="pyarrow")
 
 
@@ -146,7 +140,7 @@ def tokenize_docs(sf_dir: str, v: int = VOCAB_SIZE):
             "n_ids": pa.array(n_out, pa.int64()),
         })
 
-    return _docs(sf_dir, ["doc_id", "text"]).map_batches(
+    return read_table(sf_dir, "documents", ["doc_id", "text"]).map_batches(
         encode, batch_format="pyarrow")
 
 
@@ -278,7 +272,7 @@ def training_prep_pipeline(sf_dir: str, size: int = CHUNK_SIZE,
             "n_ids": pa.array(out_n, pa.int64()),
         })
 
-    return (_docs(sf_dir, ["doc_id", "text"])
+    return (read_table(sf_dir, "documents", ["doc_id", "text"])
             .map_batches(gate, batch_format="pyarrow")
             .groupby("dbucket")
             .map_groups(first_per_digest, batch_format="pyarrow")

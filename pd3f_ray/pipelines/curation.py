@@ -24,19 +24,14 @@ import zlib
 
 import numpy as np
 import pyarrow as pa
-import ray.data as rd
 
+from pd3f_ray.core.cluster import read_table
 from pd3f_ray.functions.textfns import md5_hex
 
 MIN_TOKENS = 20
 MIN_DISTINCT_RATIO = 0.3
 SAMPLE_HEX = ("0", "1", "2", "3", "4", "5", "6", "7")  # 50%
 DEDUP_BUCKETS = 256  # bounds per-group rows in the dedup exchange
-
-
-def _docs(sf_dir: str, columns):
-    return rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=columns)
 
 
 def curate_docs(sf_dir: str, num_buckets: int = DEDUP_BUCKETS):
@@ -96,7 +91,7 @@ def curate_docs(sf_dir: str, num_buckets: int = DEDUP_BUCKETS):
             pa.array(np.sort(keep)))
 
     return (
-        _docs(sf_dir, ["doc_id", "text", "lang", "n_chars"])
+        read_table(sf_dir, "documents", ["doc_id", "text", "lang", "n_chars"])
         .map_batches(digest_quality, batch_format="pyarrow")
         .groupby("bucket")
         .map_groups(pick_first, batch_format="pyarrow")
@@ -157,7 +152,7 @@ def curate_neardup(sf_dir: str):
         return pa.table({"dup_id": batch.filter(mask).column("doc_id")})
 
     dupes = labels.map_batches(dupes_only, batch_format="pyarrow")
-    docs = _docs(sf_dir, ["doc_id", "lang", "n_chars"])
+    docs = read_table(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
     return anti_join(docs, dupes, "doc_id", "dup_id", num_buckets=32)
 
 
@@ -231,9 +226,9 @@ def decontaminate_docs(sf_dir: str):
         f = batch.filter(pa.array(keep, pa.bool_()))
         return f.select(["doc_id", "lang", "n_chars"])
 
-    return _docs(sf_dir, ["doc_id", "text", "lang", "n_chars"]).map_batches(
-        keep_clean, batch_format="pyarrow"
-    )
+    return read_table(
+        sf_dir, "documents", ["doc_id", "text", "lang", "n_chars"]
+    ).map_batches(keep_clean, batch_format="pyarrow")
 
 
 DECONTAMINATE_SQL = f"""
@@ -340,7 +335,7 @@ def snapshot_diff(sf_dir: str, num_buckets: int = DIFF_BUCKETS):
             "status": pa.array(out_st.astype(object), pa.string()),
         })
 
-    ds = _docs(sf_dir, ["doc_id", "text"])
+    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
     return (ds.map_batches(derive, batch_format="pyarrow")
             .groupby("bucket")
             .map_groups(diff, batch_format="pyarrow"))
@@ -384,8 +379,7 @@ def table_checksum(sf_dir: str):
     ``bit_xor`` over the same md5-derived key."""
     from pd3f_ray.functions.textfns import md5_hex
 
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["text"])
+    docs = read_table(sf_dir, "documents", columns=["text"])
 
     def block_fold(batch: pa.Table) -> pa.Table:
         x = 0
@@ -440,7 +434,8 @@ def partition_manifest(sf_dir: str):
     Output (source, lang, n_docs, min_doc_id, max_doc_id, sum_chars)."""
     from ray.data.aggregate import Max, Min, Sum
 
-    docs = _docs(sf_dir, ["doc_id", "source", "lang", "n_chars"])
+    docs = read_table(sf_dir, "documents",
+                      ["doc_id", "source", "lang", "n_chars"])
 
     def partial(batch: pa.Table) -> pa.Table:
         g = batch.group_by(["source", "lang"]).aggregate(

@@ -25,16 +25,12 @@ import pyarrow as pa
 import ray.data as rd
 from ray.data.aggregate import Count, Min
 
+from pd3f_ray.core.cluster import read_parquet, read_table
 from pd3f_ray.functions.textfns import (
     masks_for,
     md5_hex,
     word_shingles,
 )
-
-
-def _docs(sf_dir: str, columns):
-    return rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=columns)
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +41,7 @@ def _docs(sf_dir: str, columns):
 def dedup_exact(sf_dir: str):
     """One row per distinct content hash: the kept (minimum) doc_id and
     the duplicate count. The shuffle moves 32-byte digests, never text."""
-    ds = _docs(sf_dir, ["doc_id", "text"])
+    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     def digest(batch: pa.Table) -> pa.Table:
         texts = batch.column("text").to_pylist()
@@ -81,7 +77,7 @@ def dedup_prefix(sf_dir: str):
     """Near-dedup on a normalization key: md5 of the first-8-token
     prefix. Groups documents sharing an opening — a cheap boilerplate
     detector that stays oracle-checkable."""
-    ds = _docs(sf_dir, ["doc_id", "text"])
+    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     def digest(batch: pa.Table) -> pa.Table:
         texts = batch.column("text").to_pylist()
@@ -120,7 +116,6 @@ GROUP BY prefix_hash
 JACCARD_THRESHOLD = 0.99
 CHAR_BAND = 2
 LENGTH_BAND_W = 64  # chars per length band — bounds a shuffle group
-
 
 
 def _band_rows(batch: pa.Table) -> pa.Table:
@@ -179,7 +174,7 @@ def jaccard_pairs(sf_dir: str, threshold: float = JACCARD_THRESHOLD):
     is the exact, oracle-checked variant; the MinHash-LSH path below is
     the probabilistic scale path.
     """
-    ds = _docs(sf_dir, ["doc_id", "text", "lang", "n_chars"])
+    ds = read_table(sf_dir, "documents", ["doc_id", "text", "lang", "n_chars"])
 
     def block_pairs(group: pa.Table) -> pa.Table:
         ids, chars, texts, native = _banded_group_cols(group)
@@ -240,7 +235,7 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = NGRAM_THRESHOLD,
     built once per doc and compared over the ±CHAR_BAND window.
     Oracle-checked against a substring-explosion SQL (DISTINCT
     substr(text, i, 3) per doc, intersection counts via self-join)."""
-    ds = _docs(sf_dir, ["doc_id", "text", "lang", "n_chars"])
+    ds = read_table(sf_dir, "documents", ["doc_id", "text", "lang", "n_chars"])
 
     def block_pairs(group: pa.Table) -> pa.Table:
         ids, chars, texts, native = _banded_group_cols(group)
@@ -341,7 +336,7 @@ def minhash_pairs(sf_dir: str, threshold: float = VERIFY_THRESHOLD):
     """
     from pd3f_ray.pipelines.joins import _stable_bucket, hash_join
 
-    ds = _docs(sf_dir, ["doc_id", "text"])
+    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     def band_rows(batch: pa.Table) -> pa.Table:
         from pd3f_ray.functions.textfns import (
@@ -435,7 +430,7 @@ def minhash_pairs(sf_dir: str, threshold: float = VERIFY_THRESHOLD):
     # exchange — letting hash_join sample .schema() would run candidate
     # generation twice (see hash_join docstring)
     with_text = hash_join(
-        endpoints, _docs(sf_dir, ["doc_id", "text"]),
+        endpoints, read_table(sf_dir, "documents", ["doc_id", "text"]),
         "join_id", "doc_id", num_buckets=64,
         left_schema=pa.schema([("id_a", pa.int64()), ("id_b", pa.int64()),
                                ("join_id", pa.int64())]),
@@ -523,8 +518,7 @@ def embdup_cosine(sf_dir: str, threshold: float = EMB_THRESHOLD):
     norms[norms == 0] = 1.0
     ref = ray.put((all_ids, mat / norms))
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet"),
-                         columns=["vec_id", "embedding"])
+    ds = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
 
     def batch_pairs(batch: pa.Table) -> pa.Table:
         ids_all, nm_all = ray.get(ref)
@@ -623,7 +617,7 @@ def embdup_lsh(sf_dir: str, threshold: float = EMB_THRESHOLD):
     n_rows = pq.read_metadata(path).num_rows
     n_planes, n_tables = _derive_lsh_dims(n_rows)
 
-    ds = rd.read_parquet(path, columns=["vec_id", "embedding"])
+    ds = read_parquet(path, columns=["vec_id", "embedding"])
 
     def tag_tables(batch: pa.Table) -> pa.Table:
         vids = batch.column("vec_id")
@@ -969,7 +963,7 @@ def simhash_docs(sf_dir: str, bits: int = 64):
     fingerprints within small Hamming distance. Deterministic (blake2b
     token hashes); rows-only check (bit arithmetic is not practical to
     oracle in SQL)."""
-    ds = _docs(sf_dir, ["doc_id", "text"])
+    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     shifts = np.arange(bits, dtype=np.uint64)
 
@@ -1099,7 +1093,7 @@ def dedup_incremental(sf_dir: str, num_buckets: int = INCR_BUCKETS):
     side is a column-pruned ``read_parquet`` of the previous run's
     digest table and the surviving digests are unioned back into it —
     identical plan, different source. Output (doc_id, text_hash)."""
-    ds = _docs(sf_dir, ["doc_id", "text"])
+    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     def digest_sides(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
@@ -1178,7 +1172,7 @@ def dedup_keep_best(sf_dir: str):
     oracle = the identical packing arithmetic in SQL."""
     from ray.data.aggregate import Count, Max
 
-    ds = _docs(sf_dir, ["doc_id", "text", "n_chars"])
+    ds = read_table(sf_dir, "documents", ["doc_id", "text", "n_chars"])
 
     def digest(batch: pa.Table) -> pa.Table:
         texts = batch.column("text").to_pylist()
@@ -1286,8 +1280,7 @@ def fuzzy_name_pairs(sf_dir: str, max_dist: int = EDIT_MAX):
             f"fuzzy_name_pairs: max_dist={max_dist} exceeds the shuffle "
             f"band width NAME_BAND_W={NAME_BAND_W}; pairs spanning two "
             f"bands would be missed — raise NAME_BAND_W or lower max_dist")
-    parts = rd.read_parquet(os.path.join(sf_dir, "part.parquet"),
-                            columns=["p_name"])
+    parts = read_table(sf_dir, "part", columns=["p_name"])
 
     names = (
         parts.map_batches(
@@ -1386,8 +1379,7 @@ def name_entity_clusters(sf_dir: str, max_dist: int = EDIT_MAX,
     min() over the same Levenshtein edges (both plans byte-equal)."""
     pairs = fuzzy_name_pairs(sf_dir, max_dist=max_dist)
 
-    parts = rd.read_parquet(os.path.join(sf_dir, "part.parquet"),
-                            columns=["p_name"])
+    parts = read_table(sf_dir, "part", columns=["p_name"])
     singles = (
         parts.map_batches(
             lambda b: pa.table({"p_name": b.column("p_name").unique()}),

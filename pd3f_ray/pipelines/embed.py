@@ -16,11 +16,11 @@ self-similarity pinned in tests.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pyarrow as pa
 import ray.data as rd
+
+from pd3f_ray.core.cluster import read_table
 
 EMBED_DIM = 64
 NGRAM_N = 3
@@ -80,8 +80,7 @@ def embed_docs(sf_dir: str, dim: int = EMBED_DIM,
                concurrency: int = 4, batch_size: int = 256) -> "rd.Dataset":
     """(doc_id, embedding) — unit-norm float32 vectors from the
     documents table via the actor-pool embedder."""
-    ds = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                         columns=["doc_id", "text"])
+    ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
     return ds.map_batches(
         DocEmbedder,
         fn_constructor_kwargs={"dim": dim},

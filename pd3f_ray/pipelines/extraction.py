@@ -14,7 +14,7 @@ import os
 
 import ray.data as rd
 
-from pd3f_ray.core.cluster import cluster_cpus
+from pd3f_ray.core.cluster import cluster_cpus, read_parquet, read_table
 from pd3f_ray.core.config import ExtractOptions
 from pd3f_ray.stages.extract import ExtractDocs
 from pd3f_ray.stages.pages import _dumps, assemble_pages_dataset
@@ -57,7 +57,7 @@ def extract_dataset(
 
 
 def read_documents(path: str | list[str]) -> "rd.Dataset":
-    return rd.read_parquet(path, columns=DOC_COLUMNS)
+    return read_parquet(path, columns=DOC_COLUMNS)
 
 
 def extract_from_parquet(
@@ -79,7 +79,7 @@ def extract_from_pages_parquet(
     staged assemble → actor-pool plan."""
     from pd3f_ray.stages.pages import extract_pages_fused
 
-    return extract_pages_fused(rd.read_parquet(path, columns=PAGE_COLUMNS),
+    return extract_pages_fused(read_parquet(path, columns=PAGE_COLUMNS),
                                opts)
 
 
@@ -148,8 +148,7 @@ def extract_roundtrip(sf_dir: str):
             }
         )
 
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "text", "lang"])
+    docs = read_table(sf_dir, "documents", columns=["doc_id", "text", "lang"])
     extracted = extract_dataset(docs.map_batches(wrap, batch_format="pyarrow"))
 
     def project(batch):
@@ -243,8 +242,7 @@ def _pages_roundtrip_input(sf_dir: str):
             }
         )
 
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "text", "lang"])
+    docs = read_table(sf_dir, "documents", columns=["doc_id", "text", "lang"])
     return docs.map_batches(explode, batch_format="pyarrow")
 
 
@@ -373,8 +371,8 @@ def headers_roundtrip(sf_dir: str):
             }
         )
 
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "text", "source", "lang"])
+    docs = read_table(sf_dir, "documents",
+                      columns=["doc_id", "text", "source", "lang"])
     opts = ExtractOptions.experimental().with_(remove_page_number=False)
     extracted = extract_dataset(
         docs.map_batches(wrap, batch_format="pyarrow"), opts=opts
@@ -594,12 +592,11 @@ def resumable_write_roundtrip(sf_dir: str, num_shards: int = 4,
     in_dir = os.path.join(scratch, "in")
     out_dir = os.path.join(scratch, "out")
 
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "text"])
+    docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
     docs.repartition(num_shards).write_parquet(in_dir)
 
     def transform(shard_files):
-        ds = rd.read_parquet(shard_files)
+        ds = read_parquet(shard_files)
 
         def digest(batch: pa.Table) -> pa.Table:
             texts = batch.column("text").to_pylist()
@@ -625,7 +622,7 @@ def resumable_write_roundtrip(sf_dir: str, num_shards: int = 4,
         os.path.join(out_dir, "shard=*", "bucket=*", "*.parquet")))
     if not files:
         raise AssertionError(f"no bucketed output under {out_dir}")
-    out = rd.read_parquet(files)
+    out = read_parquet(files)
     return out.map_batches(lambda b: b.select(["doc_id", "digest"]),
                            batch_format="pyarrow")
 
@@ -651,7 +648,6 @@ def compact_parquet(in_dir: str, out_dir: str,
     import glob as _glob
 
     import pyarrow.parquet as _pq
-    import ray.data as _rd
 
     files = sorted(_glob.glob(os.path.join(in_dir, "**", "*.parquet"),
                               recursive=True))
@@ -665,7 +661,7 @@ def compact_parquet(in_dir: str, out_dir: str,
         for rg in range(md.num_row_groups):
             total_bytes += md.row_group(rg).total_byte_size
     blocks = max(1, round(total_bytes / (target_mb * 1024 * 1024)))
-    ds = _rd.read_parquet(files).repartition(blocks)
+    ds = read_parquet(files).repartition(blocks)
     os.makedirs(out_dir, exist_ok=True)
     ds.write_parquet(out_dir)
     files_out = len(_glob.glob(os.path.join(out_dir, "**", "*.parquet"),
@@ -706,8 +702,7 @@ def _fixture_roundtrip(sf_dir: str, build_pages, opts: ExtractOptions | None = N
             }
         )
 
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "text", "lang"])
+    docs = read_table(sf_dir, "documents", columns=["doc_id", "text", "lang"])
     extracted = extract_dataset(
         docs.map_batches(wrap, batch_format="pyarrow"), opts=opts
     )
@@ -891,8 +886,7 @@ def deadletter_roundtrip(sf_dir: str):
             }
         )
 
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "text", "lang"])
+    docs = read_table(sf_dir, "documents", columns=["doc_id", "text", "lang"])
     extracted = extract_dataset(docs.map_batches(wrap, batch_format="pyarrow"))
 
     def project(batch):

@@ -41,7 +41,8 @@ import numpy as np
 import pyarrow as pa
 import ray.data as rd
 
-from pd3f_ray.pipelines.joins import _pq, hash_join
+from pd3f_ray.core.cluster import read_parquet, read_table
+from pd3f_ray.pipelines.joins import hash_join
 
 PR_ITERS = 3
 PR_RANK0 = 1_000_000         # micro-rank units
@@ -55,8 +56,8 @@ def _edges_with_outdeg(sf_dir: str):
     """(src, dst, outdeg) — symmetrized distinct trading-pair edges
     with the source outdegree computed in the dedup exchange."""
     pairs = hash_join(
-        _pq(sf_dir, "lineitem", ["l_orderkey", "l_suppkey"]),
-        _pq(sf_dir, "orders", ["o_orderkey", "o_custkey"]),
+        read_table(sf_dir, "lineitem", ["l_orderkey", "l_suppkey"]),
+        read_table(sf_dir, "orders", ["o_orderkey", "o_custkey"]),
         "l_orderkey", "o_orderkey",
         left_schema=pa.schema([("l_orderkey", pa.int64()),
                                ("l_suppkey", pa.int64())]),
@@ -165,7 +166,7 @@ def _commit_iteration(checkpoint_dir: str, sf_dir: str, k: int,
     with open(os.path.join(checkpoint_dir, ITER_MANIFEST), "a",
               encoding="utf-8") as f:
         f.write(json.dumps(rec) + "\n")
-    return rd.read_parquet(final).materialize()
+    return read_parquet(final).materialize()
 
 
 def pagerank(sf_dir: str, iters: int = PR_ITERS,
@@ -224,7 +225,7 @@ def pagerank(sf_dir: str, iters: int = PR_ITERS,
         usable = [k for k in done if k <= iters]
         if usable:
             start_iter = max(usable)
-            ranks = rd.read_parquet(
+            ranks = read_parquet(
                 _iter_dir(checkpoint_dir, start_iter)).materialize()
 
     if ranks is None:

@@ -37,9 +37,9 @@ from collections import Counter
 
 import numpy as np
 import pyarrow as pa
-import ray.data as rd
 from ray.data.aggregate import Sum
 
+from pd3f_ray.core.cluster import read_table
 from pd3f_ray.functions.textfns import hash_bytes
 
 _MASK63 = 0x7FFFFFFFFFFFFFFF
@@ -49,11 +49,6 @@ POSTINGS_BUCKETS = 256   # token-hash buckets (dial; scale with vocab)
 TFIDF_K = 3              # top terms kept per document
 TFIDF_BROADCAST_MAX = 5_000_000  # vocab rows; above this, join path
 DOC_BUCKETS = 256        # doc-id buckets for the join-path top-k
-
-
-def _docs(sf_dir: str, columns):
-    return rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=columns)
 
 
 def _tokens(text: str) -> list[str]:
@@ -126,7 +121,7 @@ def token_postings(sf_dir: str, k: int = POSTINGS_K,
             "postings": pa.array(out_p, pa.string()),
         })
 
-    ds = _docs(sf_dir, ["doc_id", "text"])
+    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
     return (
         ds.map_batches(partials, batch_format="pyarrow")
         .groupby("ibucket")
@@ -181,7 +176,7 @@ def _df_table(sf_dir: str):
         })
 
     return (
-        _docs(sf_dir, ["text"])
+        read_table(sf_dir, "documents", ["text"])
         .map_batches(partials, batch_format="pyarrow")
         .groupby("token")
         .aggregate(Sum("df_part", alias_name="df"))
@@ -250,7 +245,7 @@ def tfidf_terms(sf_dir: str, k: int = TFIDF_K,
                     dfs.append(dfm[tok])
             return _topk_frame(doc_ids, toks, tfs, dfs, n_docs, k)
 
-        return _docs(sf_dir, ["doc_id", "text"]).map_batches(
+        return read_table(sf_dir, "documents", ["doc_id", "text"]).map_batches(
             score, batch_format="pyarrow")
 
     # ---- join plan: vocabulary too big for any worker's heap ----
@@ -276,7 +271,7 @@ def tfidf_terms(sf_dir: str, k: int = TFIDF_K,
                         dtype=np.int64, count=len(toks))
         return batch.append_column("th", pa.array(h, pa.int64()))
 
-    pair_ds = _docs(sf_dir, ["doc_id", "text"]).map_batches(
+    pair_ds = read_table(sf_dir, "documents", ["doc_id", "text"]).map_batches(
         pairs, batch_format="pyarrow")
     df_keyed = df_tbl.map_batches(tag_df, batch_format="pyarrow")
     joined = hash_join(
@@ -378,7 +373,7 @@ def bm25_scores(sf_dir: str, query: tuple[str, ...] = BM25_QUERY):
         })
 
     stats = (
-        _docs(sf_dir, ["text"])
+        read_table(sf_dir, "documents", ["text"])
         .map_batches(stats_partial, batch_format="pyarrow")
         .materialize()
     )
@@ -426,7 +421,7 @@ def bm25_scores(sf_dir: str, query: tuple[str, ...] = BM25_QUERY):
                                      pa.int64()),
         })
 
-    return _docs(sf_dir, ["doc_id", "text"]).map_batches(
+    return read_table(sf_dir, "documents", ["doc_id", "text"]).map_batches(
         score, batch_format="pyarrow")
 
 

@@ -37,6 +37,7 @@ import ray
 import ray.data as rd
 from ray.data.aggregate import Sum
 
+from pd3f_ray.core.cluster import read_table
 from pd3f_ray.stages.exchange import bucket_exchange
 
 JOIN_BUCKETS = 128
@@ -69,11 +70,6 @@ def _side_table(group: pa.Table, side: str, fields: dict) -> pa.Table:
         else:
             cols[name] = pa.nulls(t.num_rows, typ)
     return pa.table(cols)
-
-
-def _pq(sf_dir: str, table: str, columns):
-    return rd.read_parquet(os.path.join(sf_dir, table + ".parquet"),
-                           columns=columns)
 
 
 def _stable_bucket(arr: np.ndarray, num_buckets: int) -> np.ndarray:
@@ -252,10 +248,10 @@ def nation_revenue(sf_dir: str, num_buckets: int = JOIN_BUCKETS,
     if broadcast_customer is None:
         broadcast_customer = should_broadcast(sf_dir, "customer")
 
-    orders = _pq(sf_dir, "orders", ["o_orderkey", "o_custkey"])
-    customer = _pq(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-    lineitem = _pq(sf_dir, "lineitem",
-                   ["l_orderkey", "l_extendedprice", "l_discount"])
+    orders = read_table(sf_dir, "orders", ["o_orderkey", "o_custkey"])
+    customer = read_table(sf_dir, "customer", ["c_custkey", "c_nationkey"])
+    lineitem = read_table(sf_dir, "lineitem",
+                          ["l_orderkey", "l_extendedprice", "l_discount"])
 
     # pre-aggregate lineitem revenue per orderkey inside map_batches so
     # the join exchange carries one row per (block, orderkey), not one
@@ -358,8 +354,8 @@ def supplier_part_join(sf_dir: str, num_buckets: int = 32):
     lineitem ⋈ supplier on suppkey, counting lineitems and summing
     quantity per supplier nation. Output (s_nationkey, n_lineitems,
     sum_qty)."""
-    supplier = _pq(sf_dir, "supplier", ["s_suppkey", "s_nationkey"])
-    lineitem = _pq(sf_dir, "lineitem", ["l_suppkey", "l_quantity"])
+    supplier = read_table(sf_dir, "supplier", ["s_suppkey", "s_nationkey"])
+    lineitem = read_table(sf_dir, "lineitem", ["l_suppkey", "l_quantity"])
 
     def pre(batch: pa.Table) -> pa.Table:
         sk = batch.column("l_suppkey").to_numpy(zero_copy_only=False)
@@ -407,8 +403,9 @@ def customers_with_orders(sf_dir: str, num_buckets: int = 32):
     side ships only its key column through the bucketed exchange; the
     left rows come out at most once each whatever the per-customer
     order count is. Output (c_custkey, c_name, c_acctbal)."""
-    customer = _pq(sf_dir, "customer", ["c_custkey", "c_name", "c_acctbal"])
-    orders = _pq(sf_dir, "orders", ["o_custkey"])
+    customer = read_table(sf_dir, "customer",
+                          ["c_custkey", "c_name", "c_acctbal"])
+    orders = read_table(sf_dir, "orders", ["o_custkey"])
     import pyarrow as _pa
 
     schema = _pa.schema([
@@ -437,7 +434,7 @@ def click_purchase_matrix(sf_dir: str, num_buckets: int = 32):
     from ray.data.aggregate import Count
 
     def side(event_type: str, residue: int, alias: str):
-        ds = _pq(sf_dir, "events", ["user_id", "event_type"])
+        ds = read_table(sf_dir, "events", ["user_id", "event_type"])
 
         def pick(batch: pa.Table) -> pa.Table:
             uid = batch.column("user_id").to_numpy(zero_copy_only=False)
@@ -501,10 +498,11 @@ def region_brand_revenue(sf_dir: str, num_buckets: int = 64):
     Money travels as per-row-rounded integer cents (DuckDB round() is
     half-away-from-zero) so the final small groupby is hash-exact.
     Output (r_name, p_brand, revenue_cents, n_items)."""
-    lineitem = _pq(sf_dir, "lineitem",
-                   ["l_partkey", "l_suppkey", "l_extendedprice", "l_discount"])
-    part = _pq(sf_dir, "part", ["p_partkey", "p_brand"])
-    supplier = _pq(sf_dir, "supplier", ["s_suppkey", "s_nationkey"])
+    lineitem = read_table(sf_dir, "lineitem", ["l_partkey", "l_suppkey",
+                                               "l_extendedprice",
+                                               "l_discount"])
+    part = read_table(sf_dir, "part", ["p_partkey", "p_brand"])
+    supplier = read_table(sf_dir, "supplier", ["s_suppkey", "s_nationkey"])
 
     def to_cents(batch: pa.Table) -> pa.Table:
         ep = batch.column("l_extendedprice").to_numpy(zero_copy_only=False)
@@ -630,8 +628,8 @@ def q3_shipping_priority(sf_dir: str, num_buckets: int = JOIN_BUCKETS,
 
     cutoff = _dt.datetime.fromisoformat(Q3_CUTOFF)
 
-    orders = rd.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
+    orders = read_table(
+        sf_dir, "orders",
         columns=["o_orderkey", "o_custkey", "o_orderdate"],
         filter=pads.field("o_orderdate") < cutoff,
     )
@@ -658,8 +656,8 @@ def q3_shipping_priority(sf_dir: str, num_buckets: int = JOIN_BUCKETS,
 
         orders_seg = orders.map_batches(keep_segment, batch_format="pyarrow")
     else:
-        cust = rd.read_parquet(
-            os.path.join(sf_dir, "customer.parquet"),
+        cust = read_table(
+            sf_dir, "customer",
             columns=["c_custkey"],
             filter=pads.field("c_mktsegment") == Q3_SEGMENT,
         )
@@ -670,8 +668,8 @@ def q3_shipping_priority(sf_dir: str, num_buckets: int = JOIN_BUCKETS,
                                num_buckets=num_buckets,
                                left_schema=orders_schema)
 
-    lineitem = rd.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
+    lineitem = read_table(
+        sf_dir, "lineitem",
         columns=["l_orderkey", "l_extendedprice", "l_discount"],
         filter=pads.field("l_shipdate") > cutoff,
     )
@@ -832,8 +830,8 @@ def q4_order_priority(sf_dir: str, num_buckets: int = JOIN_BUCKETS):
     lo = _dt.datetime.fromisoformat(Q4_FROM)
     hi = _dt.datetime.fromisoformat(Q4_TO)
 
-    orders = rd.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
+    orders = read_table(
+        sf_dir, "orders",
         columns=["o_orderkey", "o_orderpriority", "o_orderdate"],
         filter=(pads.field("o_orderdate") >= lo)
                & (pads.field("o_orderdate") < hi),
@@ -842,8 +840,8 @@ def q4_order_priority(sf_dir: str, num_buckets: int = JOIN_BUCKETS):
         batch_format="pyarrow",
     )
 
-    lineitem = rd.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
+    lineitem = read_table(
+        sf_dir, "lineitem",
         columns=["l_orderkey", "l_shipdate"],
         filter=pads.field("l_shipdate") >= hi,
     )

@@ -22,11 +22,12 @@ these are the scale-pipeline extensions requested alongside SURVEY.md
 from __future__ import annotations
 
 import hashlib
-import os
 
 import numpy as np
 import pyarrow as pa
 import ray.data as rd
+
+from pd3f_ray.core.cluster import read_table
 
 KINDS = ("image", "audio", "video")
 
@@ -62,8 +63,7 @@ def media_table(sf_dir: str) -> "rd.Dataset":
     width, height, sample_rate, n_frames). Streaming map; payload size
     and kind are pure functions of media_id so SQL oracles can reproduce
     them without seeing the bytes."""
-    ds = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                         columns=["doc_id"])
+    ds = read_table(sf_dir, "documents", columns=["doc_id"])
 
     def gen(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_pylist()
@@ -295,8 +295,7 @@ def media_dedup(sf_dir: str):
     Output (keep_id, n_copies)."""
     from ray.data.aggregate import Count, Min
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                         columns=["doc_id"])
+    ds = read_table(sf_dir, "documents", columns=["doc_id"])
 
     def gen_and_digest(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_pylist()

@@ -29,9 +29,7 @@ import ray
 import ray.data as rd
 from ray.data.aggregate import Count, Max, Min, Sum
 
-
-def _pq(sf_dir: str, table: str) -> str:
-    return os.path.join(sf_dir, f"{table}.parquet")
+from pd3f_ray.core.cluster import read_table
 
 
 def _round_opts() -> pc.RoundOptions:
@@ -57,8 +55,8 @@ def _cents(col: pa.ChunkedArray | pa.Array) -> pa.Array:
 def q1_pricing(sf_dir: str):
     """Per (returnflag, linestatus): row count, total quantity, gross and
     discounted revenue in integer cents. Shipdate-filtered like TPC-H Q1."""
-    ds = rd.read_parquet(
-        _pq(sf_dir, "lineitem"),
+    ds = read_table(
+        sf_dir, "lineitem",
         columns=[
             "l_returnflag", "l_linestatus", "l_quantity",
             "l_extendedprice", "l_discount", "l_shipdate",
@@ -143,8 +141,7 @@ GROUP BY l_returnflag, l_linestatus
 
 def top_orders(sf_dir: str, k: int = 15):
     """Top-k orders by total price (orderkey tie-break), integer cents."""
-    ds = rd.read_parquet(_pq(sf_dir, "orders"),
-                         columns=["o_orderkey", "o_totalprice"])
+    ds = read_table(sf_dir, "orders", columns=["o_orderkey", "o_totalprice"])
 
     def project(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -191,7 +188,7 @@ def segment_order_stats(sf_dir: str, broadcast: bool | None = None):
     if broadcast:
         import pyarrow.parquet as pq
 
-        ctbl = pq.read_table(_pq(sf_dir, "customer"),
+        ctbl = pq.read_table(os.path.join(sf_dir, "customer.parquet"),
                              columns=["c_custkey", "c_mktsegment"])
         seg_map = dict(zip(ctbl.column("c_custkey").to_pylist(),
                            ctbl.column("c_mktsegment").to_pylist()))
@@ -211,8 +208,7 @@ def segment_order_stats(sf_dir: str, broadcast: bool | None = None):
                 ["c_mktsegment", "n_orders", "sum_total_cents"])
 
         return (
-            rd.read_parquet(_pq(sf_dir, "orders"),
-                            columns=["o_custkey", "o_totalprice"])
+            read_table(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
             .map_batches(bpartial, batch_format="pyarrow")
             .groupby("c_mktsegment")
             .aggregate(
@@ -221,8 +217,7 @@ def segment_order_stats(sf_dir: str, broadcast: bool | None = None):
             )
         )
 
-    ds = rd.read_parquet(_pq(sf_dir, "orders"),
-                         columns=["o_custkey", "o_totalprice"])
+    ds = read_table(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
 
     def partial(batch: pa.Table) -> pa.Table:
         g = pa.table(
@@ -236,8 +231,8 @@ def segment_order_stats(sf_dir: str, broadcast: bool | None = None):
         return g.rename_columns(["o_custkey", "n_orders", "sum_total_cents"])
 
     per_cust = ds.map_batches(partial, batch_format="pyarrow")
-    cust = rd.read_parquet(_pq(sf_dir, "customer"),
-                           columns=["c_custkey", "c_mktsegment"])
+    cust = read_table(sf_dir, "customer",
+                      columns=["c_custkey", "c_mktsegment"])
     joined = hash_join(per_cust, cust, "o_custkey", "c_custkey",
                        num_buckets=64)
 
@@ -275,8 +270,7 @@ def events_hourly(sf_dir: str):
     """Tumbling 1-hour windows per event_type: count + value sum in
     integer micros. Window id = floor(epoch_us / 3600e6), matching the
     SQL oracle exactly."""
-    ds = rd.read_parquet(_pq(sf_dir, "events"),
-                         columns=["event_type", "ts", "value"])
+    ds = read_table(sf_dir, "events", columns=["event_type", "ts", "value"])
 
     def partial(batch: pa.Table) -> pa.Table:
         us = pc.cast(batch.column("ts"), pa.int64())
@@ -343,8 +337,7 @@ def event_value_quantiles(sf_dir: str):
     matching DuckDB."""
     from ray.data.aggregate import Sum
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["event_type", "value"])
+    ds = read_table(sf_dir, "events", columns=["event_type", "value"])
 
     def partial(batch: pa.Table) -> pa.Table:
         v = batch.column("value").to_numpy(zero_copy_only=False) * 100
@@ -413,12 +406,12 @@ def customer_order_counts(sf_dir: str):
     from pd3f_ray.pipelines.joins import left_join
 
     per_cust = (
-        rd.read_parquet(_pq(sf_dir, "orders"), columns=["o_custkey"])
+        read_table(sf_dir, "orders", columns=["o_custkey"])
         .groupby("o_custkey")
         .aggregate(Count(alias_name="n_orders"))
         .map_batches(lambda b: b, batch_format="pyarrow")  # arrow blocks
     )
-    cust = rd.read_parquet(_pq(sf_dir, "customer"), columns=["c_custkey"])
+    cust = read_table(sf_dir, "customer", columns=["c_custkey"])
     # explicit right schema: per_cust's lineage holds an aggregate
     # exchange — sampling .schema() would execute it twice
     joined = left_join(
@@ -464,8 +457,7 @@ def event_value_histogram(sf_dir: str):
     tiny groupby over (type, bin) partials — the distribution-profile
     op every ingest pipeline runs before choosing quantile cut points.
     Output (event_type, bin, n)."""
-    ds = rd.read_parquet(_pq(sf_dir, "events"),
-                         columns=["event_type", "value"])
+    ds = read_table(sf_dir, "events", columns=["event_type", "value"])
 
     def partial(batch: pa.Table) -> pa.Table:
         v = batch.column("value").to_numpy(zero_copy_only=False)
@@ -506,9 +498,8 @@ def customer_rollup(sf_dir: str):
     exchange carries ≤ 3 partial rows per (block, group) instead of
     three separate aggregation jobs. Money travels as integer cents.
     Output (nationkey, segment, n_customers, sum_acctbal_cents)."""
-    ds = rd.read_parquet(_pq(sf_dir, "customer"),
-                         columns=["c_nationkey", "c_mktsegment",
-                                  "c_acctbal"])
+    ds = read_table(sf_dir, "customer",
+                    columns=["c_nationkey", "c_mktsegment", "c_acctbal"])
 
     def partial(batch: pa.Table) -> pa.Table:
         nk = batch.column("c_nationkey").to_numpy(
@@ -580,8 +571,7 @@ def doc_length_rank(sf_dir: str, band: int = RANK_BAND):
     ``band``; a pathological single-value corpus lands in one group —
     shrink ``band`` (or pre-split ties by doc_id range) for such keys.
     Output (doc_id, n_chars, rnk), rnk = 1-based global rank."""
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "n_chars"])
+    docs = read_table(sf_dir, "documents", columns=["doc_id", "n_chars"])
 
     def count_partial(batch: pa.Table) -> pa.Table:
         nc = batch.column("n_chars").to_numpy(zero_copy_only=False)
@@ -661,8 +651,7 @@ def profile_lineitem(sf_dir: str):
     values) followed by one column-keyed aggregate over blocks×|cols|
     rows. The fact table itself never shuffles; the exchange payload is
     metadata-sized at any corpus scale."""
-    ds = rd.read_parquet(os.path.join(sf_dir, "lineitem.parquet"),
-                         columns=list(PROFILE_COLS))
+    ds = read_table(sf_dir, "lineitem", columns=list(PROFILE_COLS))
 
     def partials(batch: pa.Table) -> pa.Table:
         cols, n, nnull, mn, mx, sm = [], [], [], [], [], []
@@ -739,8 +728,7 @@ def user_favorite_event(sf_dir: str):
        construction; the dial is the shift width).
 
     Output (user_id, favorite_event, n_occurrences)."""
-    ds = rd.read_parquet(_pq(sf_dir, "events"),
-                         columns=["user_id", "event_type"])
+    ds = read_table(sf_dir, "events", columns=["user_id", "event_type"])
 
     def pair_partial(batch: pa.Table) -> pa.Table:
         g = batch.group_by(["user_id", "event_type"]).aggregate(
@@ -837,8 +825,7 @@ def event_value_mad(sf_dir: str, k: int = MAD_K):
     (event_type, n_events, median_cents, mad_cents, n_outliers)."""
     from ray.data.aggregate import Sum
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["event_type", "value"])
+    ds = read_table(sf_dir, "events", columns=["event_type", "value"])
 
     def partial(batch: pa.Table) -> pa.Table:
         v = batch.column("value").to_numpy(zero_copy_only=False) * 100
@@ -930,8 +917,7 @@ def source_lang_matrix(sf_dir: str):
     silently drop. Output (source, n_de, n_en, n_es, n_fr, n_zh)."""
     from ray.data.aggregate import Sum
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                         columns=["source", "lang"])
+    ds = read_table(sf_dir, "documents", columns=["source", "lang"])
 
     def partial(batch: pa.Table) -> pa.Table:
         g = batch.group_by(["source", "lang"]).aggregate([("lang", "count")])
@@ -994,8 +980,7 @@ def props_k_stats(sf_dir: str):
     except ImportError:  # pragma: no cover
         import json as _json
 
-    ds = rd.read_parquet(_pq(sf_dir, "events"),
-                         columns=["event_type", "props"])
+    ds = read_table(sf_dir, "events", columns=["event_type", "props"])
 
     def partial(batch: pa.Table) -> pa.Table:
         et = batch.column("event_type").to_pylist()
@@ -1120,8 +1105,7 @@ def events_cube(sf_dir: str):
     per (block, group). Output (event_type, hour, n_events,
     sum_value_cents). Precondition: ts ≥ epoch 0 (floor division here
     vs DuckDB's truncate-toward-zero ``//`` — see hourly_unique_users)."""
-    ds = rd.read_parquet(_pq(sf_dir, "events"),
-                         columns=["event_type", "ts", "value"])
+    ds = read_table(sf_dir, "events", columns=["event_type", "ts", "value"])
 
     def partial(batch: pa.Table) -> pa.Table:
         et = np.asarray(batch.column("event_type").to_pylist(),
@@ -1198,7 +1182,7 @@ def referential_integrity(sf_dir: str):
         os.path.join(sf_dir, "orders.parquet")).num_rows
 
     def distinct_col(table: str, col: str):
-        ds = rd.read_parquet(_pq(sf_dir, table), columns=[col])
+        ds = read_table(sf_dir, table, columns=[col])
 
         def uniq(batch: pa.Table) -> pa.Table:
             v = np.unique(batch.column(col).to_numpy(zero_copy_only=False))
@@ -1274,8 +1258,8 @@ def q6_forecast_revenue(sf_dir: str):
 
     lo = _dt.datetime.fromisoformat(Q6_FROM)
     hi = _dt.datetime.fromisoformat(Q6_TO)
-    ds = rd.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
+    ds = read_table(
+        sf_dir, "lineitem",
         columns=["l_extendedprice", "l_discount"],
         filter=(pads.field("l_shipdate") >= lo)
                & (pads.field("l_shipdate") < hi)
@@ -1335,8 +1319,7 @@ def orders_monthly(sf_dir: str):
     and encoded as year*100+month so the exchange key is a plain int64.
     Map-side partials as usual. Output
     (month_key, n_orders, sum_total_cents)."""
-    ds = rd.read_parquet(_pq(sf_dir, "orders"),
-                         columns=["o_orderdate", "o_totalprice"])
+    ds = read_table(sf_dir, "orders", columns=["o_orderdate", "o_totalprice"])
 
     def partial(batch: pa.Table) -> pa.Table:
         y = pc.year(batch.column("o_orderdate"))

@@ -17,15 +17,15 @@ import os
 import numpy as np
 import pyarrow as pa
 import ray
-import ray.data as rd
+
+from pd3f_ray.core.cluster import read_table
 
 N_QUERIES = 10
 TOP_K = 5
 
 
 def _emb(sf_dir: str):
-    return rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet"),
-                           columns=["vec_id", "embedding"])
+    return read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
 
 
 def _smallest_rows(sf_dir: str, n: int):
@@ -58,7 +58,6 @@ def _smallest_rows(sf_dir: str, n: int):
     vecs = _emb_matrix(tbl.column("embedding"), tbl.num_rows)
     order = np.argsort(ids)
     return ids[order], vecs[order]
-
 
 
 def _emb_matrix(col, n_rows: int) -> np.ndarray:

@@ -19,27 +19,22 @@ this is part of the engine's large-scale training-data toolkit.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 from ray.data.aggregate import Count
 
+from pd3f_ray.core.cluster import read_table
+
 HLL_P = 12  # 2^12 registers
 HLL_M = 1 << HLL_P
-
-
-def _events(sf_dir: str, columns):
-    return rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                           columns=columns)
 
 
 def distinct_users(sf_dir: str):
     """Exact distinct user_id count per event_type. Output
     (event_type, n_users)."""
-    ds = _events(sf_dir, ["event_type", "user_id"])
+    ds = read_table(sf_dir, "events", ["event_type", "user_id"])
 
     def batch_dedup(batch: pa.Table) -> pa.Table:
         # map-side pre-dedup: the exchange then moves distinct pairs
@@ -122,7 +117,7 @@ def approx_distinct_users(sf_dir: str):
     4 KB register row per event_type present; the exchange groups a few
     register rows per type and merges by elementwise max. Output
     (event_type, n_users_approx). Rows-only (sketch estimate)."""
-    ds = _events(sf_dir, ["event_type", "user_id"])
+    ds = read_table(sf_dir, "events", ["event_type", "user_id"])
 
     def batch_sketch(batch: pa.Table) -> pa.Table:
         et = batch.column("event_type").to_numpy(zero_copy_only=False)
@@ -187,7 +182,7 @@ def approx_distinct_users_agg(sf_dir: str):
     with an event count in ONE groupby exchange. Output
     (event_type, n_users_approx, n_events). Rows-only (sketch
     estimate); tests pin estimate equality with the map_groups form."""
-    ds = _events(sf_dir, ["event_type", "user_id"])
+    ds = read_table(sf_dir, "events", ["event_type", "user_id"])
     return ds.groupby("event_type").aggregate(
         hll_agg("user_id", "n_users_approx"),
         Count(alias_name="n_events"),
@@ -258,7 +253,7 @@ def approx_event_quantiles(sf_dir: str, nbins: int = QSKETCH_BINS):
     (Ben-Haim & Tom-Tov 2010, public method). Output (event_type, q,
     value_approx); rows-only — accuracy pinned by an error-bound test
     against the exact quantiles."""
-    ds = _events(sf_dir, ["event_type", "value"])
+    ds = read_table(sf_dir, "events", ["event_type", "value"])
 
     def partial(batch: pa.Table) -> pa.Table:
         df = pd.DataFrame({
@@ -375,8 +370,7 @@ def bloom_membership(sf_dir: str):
 
     from pd3f_ray.functions.textfns import hash_bytes
 
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "text"])
+    docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
 
     def key_hashes(batch: pa.Table) -> pa.Table:
         hs = [hash_bytes(t.encode()) for t in
@@ -461,8 +455,7 @@ def hourly_unique_users(sf_dir: str):
     import pyarrow.compute as pc
     from ray.data.aggregate import Sum
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["ts", "user_id", "value"])
+    ds = read_table(sf_dir, "events", columns=["ts", "user_id", "value"])
 
     def pair_partial(batch: pa.Table) -> pa.Table:
         us = pc.cast(batch.column("ts"), pa.int64())
@@ -562,7 +555,7 @@ def cms_user_counts(sf_dir: str, n_probes: int = CMS_PROBES):
     import ray
     from ray.data.aggregate import Sum as _Sum
 
-    ds = _events(sf_dir, ["user_id"])
+    ds = read_table(sf_dir, "events", ["user_id"])
 
     def partial(batch: pa.Table) -> pa.Table:
         uid = batch.column("user_id").to_numpy(zero_copy_only=False)

@@ -39,12 +39,10 @@ with the token sequence):
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pyarrow as pa
-import ray.data as rd
 
+from pd3f_ray.core.cluster import read_table
 from pd3f_ray.functions.textfns import shingle_hash_positions
 
 _MASK63 = 0x7FFFFFFFFFFFFFFF
@@ -56,11 +54,6 @@ SPAN_DOC_BUCKETS = 256   # doc-id buckets for the union-join path (dial)
 SPAN_BROADCAST_MAX = 2_000_000  # dup rows; above this, union-join path
 
 
-def _docs(sf_dir: str, columns):
-    return rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=columns)
-
-
 def _pos_hashes(text: str, w: int) -> np.ndarray:
     # raw single-space split INCLUDING empties == the oracle's
     # string_split positions
@@ -70,7 +63,7 @@ def _pos_hashes(text: str, w: int) -> np.ndarray:
 def _dup_table(sf_dir: str, w: int, num_buckets: int):
     """Pass 1: Dataset of (sh:int64) shingle hashes duplicated across
     >= SPAN_MIN_DOCS documents, materialized."""
-    docs = _docs(sf_dir, ["doc_id", "text"])
+    docs = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     def hash_pairs(batch: pa.Table) -> pa.Table:
         out_h, out_d = [], []
@@ -182,7 +175,7 @@ def _union_join_plan(sf_dir: str, dup, w: int, emit: str,
     one doc-bucketed exchange → per-doc fold."""
     from pd3f_ray.pipelines.joins import hash_join
 
-    docs = _docs(sf_dir, ["doc_id", "text"])
+    docs = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     def positions(batch: pa.Table) -> pa.Table:
         out_d, out_j, out_h = [], [], []
@@ -254,7 +247,7 @@ def _broadcast_plan(sf_dir: str, dup, w: int, emit: str):
     import ray
 
     dup_ref = ray.put(_fetch_small(dup))
-    docs = _docs(sf_dir, ["doc_id", "text"])
+    docs = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     def fold(batch: pa.Table) -> pa.Table:
         dups = ray.get(dup_ref)

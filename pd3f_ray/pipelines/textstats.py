@@ -9,14 +9,13 @@ empties; md5 of the raw text).
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 from ray.data.aggregate import Sum
 
+from pd3f_ray.core.cluster import read_table
 from pd3f_ray.functions.textfns import (
     distinct_token_count,
     md5_hex,
@@ -33,14 +32,9 @@ LANG_MARKERS: dict[str, tuple[str, ...]] = {
 }
 
 
-def _docs(sf_dir: str, columns):
-    return rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=columns)
-
-
 def token_stats(sf_dir: str):
     """Per document: token count, distinct-token count, char length."""
-    ds = _docs(sf_dir, ["doc_id", "text"])
+    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     def stats(batch: pa.Table) -> pa.Table:
         texts = batch.column("text").to_pylist()
@@ -70,7 +64,7 @@ FROM documents
 def doc_fingerprint(sf_dir: str):
     """Content fingerprint per document (md5 of the raw text — the exact
     dedup key; DuckDB md5() == hashlib md5)."""
-    ds = _docs(sf_dir, ["doc_id", "text"])
+    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     def fp(batch: pa.Table) -> pa.Table:
         texts = batch.column("text").to_pylist()
@@ -93,7 +87,7 @@ def lang_quality(sf_dir: str):
     """Per labeled language: doc count, token/char totals and a
     long-document count — the quality-scoring aggregate (integer-only so
     it hash-matches SQL exactly)."""
-    ds = _docs(sf_dir, ["doc_id", "text", "lang"])
+    ds = read_table(sf_dir, "documents", ["doc_id", "text", "lang"])
 
     def partial(batch: pa.Table) -> pa.Table:
         texts = batch.column("text").to_pylist()
@@ -141,7 +135,7 @@ def lang_id(sf_dir: str):
     language, predict the argmax (ties broken by language code order,
     'none' when no marker hits). Integer counts + string prediction so
     the SQL oracle matches exactly."""
-    ds = _docs(sf_dir, ["doc_id", "text"])
+    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
     langs = sorted(LANG_MARKERS)
 
     def predict(batch: pa.Table) -> pa.Table:
@@ -209,7 +203,7 @@ def sample_docs(sf_dir: str):
     Output (doc_id, lang, n_chars) of sampled docs."""
     from pd3f_ray.functions.textfns import md5_hex
 
-    ds = _docs(sf_dir, ["doc_id", "text", "lang", "n_chars"])
+    ds = read_table(sf_dir, "documents", ["doc_id", "text", "lang", "n_chars"])
 
     def pick(batch: pa.Table) -> pa.Table:
         texts = batch.column("text").to_pylist()
@@ -247,7 +241,7 @@ def top_tokens(sf_dir: str, k: int = TOP_TOKENS_K):
 
     from ray.data.aggregate import Sum
 
-    ds = _docs(sf_dir, ["text"])
+    ds = read_table(sf_dir, "documents", ["text"])
 
     def partial_counts(batch: pa.Table) -> pa.Table:
         c: Counter = Counter()
@@ -317,7 +311,7 @@ def token_count_regex(sf_dir: str):
     same pattern. Output (doc_id, n_tokens_ws, n_tokens_re)."""
     import re
 
-    ds = _docs(sf_dir, ["doc_id", "text"])
+    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     def stats(batch: pa.Table) -> pa.Table:
         global _BPE_RE
@@ -368,7 +362,7 @@ def stratified_sample(sf_dir: str):
     driver state. Output (doc_id, lang, n_chars)."""
     from pd3f_ray.functions.textfns import md5_hex
 
-    ds = _docs(sf_dir, ["doc_id", "text", "lang", "n_chars"])
+    ds = read_table(sf_dir, "documents", ["doc_id", "text", "lang", "n_chars"])
 
     def pick(batch: pa.Table) -> pa.Table:
         texts = batch.column("text").to_pylist()
@@ -415,7 +409,7 @@ def top_tokens_per_lang(sf_dir: str, k: int = TOP_PER_LANG_K):
 
     from ray.data.aggregate import Sum
 
-    ds = _docs(sf_dir, ["lang", "text"])
+    ds = read_table(sf_dir, "documents", ["lang", "text"])
 
     def partial_counts(batch: pa.Table) -> pa.Table:
         c: Counter = Counter()
@@ -515,7 +509,7 @@ def top_bigrams(sf_dir: str, k: int = TOP_BIGRAMS_K):
 
     import pyarrow.compute as pc
 
-    ds = _docs(sf_dir, ["text"])
+    ds = read_table(sf_dir, "documents", ["text"])
 
     def partial_counts(batch: pa.Table) -> pa.Table:
         c: Counter = Counter()
@@ -593,7 +587,7 @@ def weighted_sample(sf_dir: str, k: int = WSAMPLE_K):
 
     from pd3f_ray.functions.textfns import md5_hex
 
-    ds = _docs(sf_dir, ["doc_id", "n_chars"])
+    ds = read_table(sf_dir, "documents", ["doc_id", "n_chars"])
 
     def keyed(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_pylist()
@@ -663,7 +657,7 @@ def weighted_sample_per_lang(sf_dir: str, k: int = WSAMPLE_LANG_K):
 
     from pd3f_ray.functions.textfns import md5_hex
 
-    ds = _docs(sf_dir, ["doc_id", "lang", "n_chars"])
+    ds = read_table(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
 
     def keyed(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_pylist()
@@ -737,7 +731,7 @@ def lang_confusion_matrix(sf_dir: str):
     :func:`lang_id`; counts fold map-side per (label, pred) so the one
     exchange carries ≤ |langs|² partials per block. Output
     (lang, pred_lang, n)."""
-    ds = _docs(sf_dir, ["text", "lang"])
+    ds = read_table(sf_dir, "documents", ["text", "lang"])
     langs = sorted(LANG_MARKERS)
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -828,7 +822,7 @@ def bigram_pmi(sf_dir: str, k: int = BIGRAM_PMI_K):
     import pyarrow.compute as pc
     import ray
 
-    ds = _docs(sf_dir, ["text"])
+    ds = read_table(sf_dir, "documents", ["text"])
 
     def bigram_partials(batch: pa.Table) -> pa.Table:
         c: Counter = Counter()

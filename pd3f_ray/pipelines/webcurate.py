@@ -32,22 +32,15 @@ only — SURVEY §2.8):
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import ray.data as rd
-from ray.data.aggregate import Count, Sum
+from ray.data.aggregate import Sum
 
+from pd3f_ray.core.cluster import read_table
 from pd3f_ray.functions.textfns import hash_bytes
 
 _MASK63 = 0x7FFFFFFFFFFFFFFF
-
-
-def _docs(sf_dir: str, columns):
-    return rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=columns)
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +77,7 @@ def domain_stats(sf_dir: str):
         return pa.Table.from_pandas(g, preserve_index=False)
 
     per_lang = (
-        _docs(sf_dir, ["source", "lang", "text", "n_chars"])
+        read_table(sf_dir, "documents", ["source", "lang", "text", "n_chars"])
         .map_batches(partials, batch_format="pyarrow")
         .groupby(["source", "lang"])
         .aggregate(
@@ -180,7 +173,8 @@ def gopher_quality(sf_dir: str):
             "keep": pa.array(keep, pa.bool_()),
         })
 
-    return _docs(sf_dir, ["doc_id", "text", "n_chars"]).map_batches(
+    return read_table(sf_dir, "documents",
+                      ["doc_id", "text", "n_chars"]).map_batches(
         metrics, batch_format="pyarrow")
 
 
@@ -237,7 +231,7 @@ def pii_roundtrip(sf_dir: str):
         })
 
     return (
-        _docs(sf_dir, ["doc_id", "text"])
+        read_table(sf_dir, "documents", ["doc_id", "text"])
         .map_batches(inject, batch_format="pyarrow")
         .map_batches(PiiScrubber, batch_format="pyarrow",
                      concurrency=4, num_cpus=0.75, batch_size=1024)
@@ -305,7 +299,7 @@ def line_dedup_docs(sf_dir: str, broadcast_max: int = LINE_BROADCAST_MAX,
     there."""
     import ray
 
-    docs = _docs(sf_dir, ["doc_id", "source", "text"])
+    docs = read_table(sf_dir, "documents", ["doc_id", "source", "text"])
 
     def hash_pairs(batch: pa.Table) -> pa.Table:
         out_h, out_d = [], []
@@ -536,7 +530,7 @@ def pack_sequences(sf_dir: str, budget: int = PACK_BUDGET,
         })
 
     return (
-        _docs(sf_dir, ["doc_id", "text"])
+        read_table(sf_dir, "documents", ["doc_id", "text"])
         .map_batches(add_bucket, batch_format="pyarrow")
         .groupby("packb")
         .map_groups(pack, batch_format="pyarrow")
@@ -570,7 +564,7 @@ def balanced_mixture(sf_dir: str, budget_fraction: float = MIX_BUDGET_FRACTION):
     hash-compare is exact. Output (doc_id, lang)."""
     import ray
 
-    docs = _docs(sf_dir, ["doc_id", "lang", "text"])
+    docs = read_table(sf_dir, "documents", ["doc_id", "lang", "text"])
 
     def count_partial(batch: pa.Table) -> pa.Table:
         langs, counts = np.unique(
@@ -703,7 +697,7 @@ def shuffle_assignment(sf_dir: str, num_shards: int = SHUF_SHARDS,
 
     from pd3f_ray.functions.textfns import md5_hex
 
-    docs = _docs(sf_dir, ["doc_id", "text"])
+    docs = read_table(sf_dir, "documents", ["doc_id", "text"])
     n_bands = 16 ** band_chars
     shard_w = _shard_chars(num_shards)  # raises on num_shards > 16**4
 
@@ -814,7 +808,7 @@ def source_cap_sample(sf_dir: str, cap: int = SOURCE_CAP):
     never the full per-domain document list. Output (doc_id, source)."""
     from pd3f_ray.functions.textfns import md5_hex
 
-    docs = _docs(sf_dir, ["doc_id", "source"])
+    docs = read_table(sf_dir, "documents", ["doc_id", "source"])
 
     def partial(batch: pa.Table) -> pa.Table:
         did = batch.column("doc_id").to_numpy(zero_copy_only=False)
@@ -882,7 +876,7 @@ def nfc_normalize_docs(sf_dir: str):
     exchange. Output (doc_id, text_norm)."""
     import unicodedata
 
-    docs = _docs(sf_dir, ["doc_id", "text"])
+    docs = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     def norm(batch: pa.Table) -> pa.Table:
         texts = batch.column("text").to_pylist()
@@ -995,7 +989,7 @@ def web_corpus_pipeline(sf_dir: str):
         keep = order[np.r_[True, d_sorted[1:] != d_sorted[:-1]]]
         return group.select(["url", "text"]).take(pa.array(np.sort(keep)))
 
-    docs = _docs(sf_dir, ["doc_id", "text"])
+    docs = read_table(sf_dir, "documents", ["doc_id", "text"])
     return (
         docs.map_batches(wrap, batch_format="pyarrow")
         .map_batches(HtmlMainExtractor,
@@ -1085,7 +1079,7 @@ def doc_repetition(sf_dir: str, n: int = REP_N):
                                 pa.int64()),
         })
 
-    return _docs(sf_dir, ["doc_id", "text"]).map_batches(
+    return read_table(sf_dir, "documents", ["doc_id", "text"]).map_batches(
         metrics, batch_format="pyarrow")
 
 
@@ -1132,8 +1126,7 @@ def compression_quality(sf_dir: str):
     ratio_ppm = compressed/raw in integer parts-per-million."""
     import zlib
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                         columns=["doc_id", "text"])
+    ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
 
     def measure(batch: pa.Table) -> pa.Table:
         texts = batch.column("text").to_pylist()
@@ -1175,7 +1168,7 @@ def strip_control_chars(sf_dir: str):
     whitespace) plus DEL, via one vectorized ``str.translate``. Pure
     map, no exchange. Output (doc_id, text, n_stripped);
     oracle = the same splice + regexp_replace in SQL."""
-    docs = _docs(sf_dir, ["doc_id", "text"])
+    docs = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     def scrub(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_pylist()
@@ -1232,7 +1225,7 @@ def crawl_budget_allocation(sf_dir: str, budget: int = CRAWL_BUDGET):
     count table. Output (source, n_docs, budget)."""
     from ray.data.aggregate import Sum
 
-    docs = _docs(sf_dir, ["source"])
+    docs = read_table(sf_dir, "documents", ["source"])
 
     def count_partial(batch: pa.Table) -> pa.Table:
         g = batch.group_by("source").aggregate([("source", "count")])

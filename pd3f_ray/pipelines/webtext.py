@@ -12,11 +12,10 @@ documents``. The same stage runs unmodified over real HTML corpora.
 from __future__ import annotations
 
 import html as _html
-import os
 
 import pyarrow as pa
-import ray.data as rd
 
+from pd3f_ray.core.cluster import read_table
 from pd3f_ray.stages.htmlmain import HtmlMainExtractor
 
 CHUNK_TOKENS = 40
@@ -70,8 +69,7 @@ def html_roundtrip(sf_dir: str):
             }
         )
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                         columns=["doc_id", "text"])
+    ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
     extracted = ds.map_batches(wrap, batch_format="pyarrow").map_batches(
         HtmlMainExtractor,
         fn_constructor_kwargs={"joiner": " "},
@@ -123,8 +121,7 @@ def html_links(sf_dir: str):
             "html": pa.array(pages, pa.binary()),
         })
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                         columns=["doc_id", "text"])
+    ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
     links = ds.map_batches(wrap, batch_format="pyarrow").map_batches(
         LinkExtractor,
         batch_format="pyarrow",
@@ -267,8 +264,7 @@ def url_normalize(sf_dir: str):
             "host": pa.array([url_host(u) for u in urls], pa.string()),
         })
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                         columns=["doc_id"])
+    ds = read_table(sf_dir, "documents", columns=["doc_id"])
     return ds.map_batches(build, batch_format="pyarrow")
 
 
@@ -333,8 +329,7 @@ def url_dedup_latest(sf_dir: str):
             "packed": pa.array(np.asarray(packed, np.int64), pa.int64()),
         })
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                         columns=["doc_id"])
+    ds = read_table(sf_dir, "documents", columns=["doc_id"])
     agg = (
         ds.map_batches(explode, batch_format="pyarrow")
         .groupby("url_norm")
@@ -449,8 +444,7 @@ def crawl_consolidation_pipeline(sf_dir: str):
             "bucket", pa.array((h % _CRAWL_BUCKETS).astype(np.int64),
                                pa.int64()))
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                         columns=["doc_id", "text"])
+    ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
     winners = (
         ds.map_batches(explode, batch_format="pyarrow")
         .map_batches(add_bucket, batch_format="pyarrow")
@@ -532,8 +526,7 @@ def robots_filter(sf_dir: str):
         })
         return t.filter(pa.array(np.asarray(keep, bool)))
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                         columns=["doc_id"])
+    ds = read_table(sf_dir, "documents", columns=["doc_id"])
     return ds.map_batches(build_and_filter, batch_format="pyarrow")
 
 

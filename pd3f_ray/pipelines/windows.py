@@ -17,22 +17,15 @@ belong to the engine-level training-data op families (SURVEY.md §8).
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import ray.data as rd
 
+from pd3f_ray.core.cluster import read_table
 from pd3f_ray.stages.exchange import bucket_exchange
 
 SESSION_GAP_MIN = 30
 WINDOW_BUCKETS = 256
-
-
-def _events(sf_dir: str, columns):
-    return rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                           columns=columns)
 
 
 def _bucketed(ds, fn, num_buckets: int = WINDOW_BUCKETS):
@@ -70,7 +63,7 @@ def user_sessions(sf_dir: str, gap_min: int = SESSION_GAP_MIN):
     minutes of inactivity. Output one row per session:
     (user_id, session_id, session_start, session_end, n_events,
     sum_value_cents), session_id numbered per user in time order."""
-    ds = _events(sf_dir, ["event_id", "ts", "user_id", "value"])
+    ds = read_table(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
     gap_us = gap_min * 60 * 1_000_000
 
     def sessions(group: pa.Table) -> pa.Table:
@@ -155,7 +148,8 @@ def purchase_attribution(sf_dir: str):
     prior_event_id = -1 when no prior event exists (a sentinel instead
     of NULL so both engines emit plain int64 — nullable columns come
     back as float64 from the SQL oracle and break value-hash compares)."""
-    ds = _events(sf_dir, ["event_id", "ts", "user_id", "event_type"])
+    ds = read_table(sf_dir, "events",
+                    ["event_id", "ts", "user_id", "event_type"])
 
     def attribute(group: pa.Table) -> pa.Table:
         uid = _col_np(group, "user_id")
@@ -228,7 +222,7 @@ def events_sliding(sf_dir: str):
 
     from pd3f_ray.pipelines.relational import _round_opts
 
-    ds = _events(sf_dir, ["event_type", "ts", "value"])
+    ds = read_table(sf_dir, "events", ["event_type", "ts", "value"])
     k = SLIDE_WINDOW_US // SLIDE_US  # windows per event
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -295,7 +289,8 @@ def latest_event_per_user(sf_dir: str):
     exchange carries ≤ one row per (block, user) instead of the event
     stream; the bucketed reduce re-applies the same argmax. Output
     (user_id, last_event_id, last_ts, last_event_type)."""
-    ds = _events(sf_dir, ["event_id", "ts", "user_id", "event_type"])
+    ds = read_table(sf_dir, "events",
+                    ["event_id", "ts", "user_id", "event_type"])
 
     def keep_latest(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
@@ -336,7 +331,7 @@ def user_running_total(sf_dir: str):
     ONE user-bucket exchange, then a vectorized in-group sort + cumsum
     per user; sums travel as integer cents so the value-hash compare
     is exact. Output (event_id, user_id, cum_value_cents)."""
-    ds = _events(sf_dir, ["event_id", "ts", "user_id", "value"])
+    ds = read_table(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
 
     def running(group: pa.Table) -> pa.Table:
         uid = _col_np(group, "user_id")
@@ -387,7 +382,7 @@ def late_events(sf_dir: str):
     Output one row per late event: (event_id, user_id, lateness_us)."""
     import hashlib
 
-    ds = _events(sf_dir, ["event_id", "ts", "user_id"])
+    ds = read_table(sf_dir, "events", ["event_id", "ts", "user_id"])
 
     def arrival(batch: pa.Table) -> pa.Table:
         ids = batch.column("event_id").to_pylist()
@@ -453,7 +448,8 @@ def event_sequences(sf_dir: str):
     per-user join of the type strings. Per-call memory is bounded by
     users-per-partition × events-per-user — the same contract as
     ``user_sessions``. Oracle: string_agg ORDER BY (ts, event_id)."""
-    ds = _events(sf_dir, ["event_id", "ts", "user_id", "event_type"])
+    ds = read_table(sf_dir, "events",
+                    ["event_id", "ts", "user_id", "event_type"])
 
     def build(group: pa.Table) -> pa.Table:
         uid = _col_np(group, "user_id")
@@ -522,7 +518,7 @@ def interval_join_events(sf_dir: str):
     from ray.data.aggregate import Count, Sum
 
     win_us = IVAL_WINDOW_MIN * 60 * 1_000_000
-    ds = _events(sf_dir, ["event_id", "ts", "value"])
+    ds = read_table(sf_dir, "events", ["event_id", "ts", "value"])
 
     def explode(batch: pa.Table) -> pa.Table:
         eid = batch.column("event_id").to_numpy(zero_copy_only=False)
@@ -672,7 +668,8 @@ def funnel_stages(sf_dir: str):
     partition one vectorized (user, ts, event_id) sort, then a three-probe
     forward scan per user. Oracle: chained row-value-comparison argmin
     subqueries with the same interval bounds."""
-    ds = _events(sf_dir, ["event_id", "ts", "user_id", "event_type"])
+    ds = read_table(sf_dir, "events",
+                    ["event_id", "ts", "user_id", "event_type"])
     deadlines_us = [m * 60 * 1_000_000 for m in FUNNEL_WINDOWS_MIN]
 
     def scan(group: pa.Table) -> pa.Table:
@@ -756,7 +753,7 @@ def event_gaps(sf_dir: str):
     hash-exact. Users with a single event have no gap and are omitted
     (mirrors ``lag()`` returning NULL for the first row). Output
     (user_id, n_gaps, sum_gap_us, max_gap_us, min_gap_us)."""
-    ds = _events(sf_dir, ["event_id", "ts", "user_id"])
+    ds = read_table(sf_dir, "events", ["event_id", "ts", "user_id"])
 
     def gaps(group: pa.Table) -> pa.Table:
         uid = _col_np(group, "user_id")
@@ -822,7 +819,8 @@ def next_event_label(sf_dir: str):
     one vectorized shift per user segment. Output
     (event_id, user_id, event_type, next_type, gap_us) with gap_us = -1
     on the last event of a user."""
-    ds = _events(sf_dir, ["event_id", "ts", "user_id", "event_type"])
+    ds = read_table(sf_dir, "events",
+                    ["event_id", "ts", "user_id", "event_type"])
 
     def label(group: pa.Table) -> pa.Table:
         uid = _col_np(group, "user_id")
@@ -875,7 +873,7 @@ def sliding_unique_users(sf_dir: str):
     truncate-toward-zero ``//`` — see hourly_unique_users)."""
     from ray.data.aggregate import Count, Sum
 
-    ds = _events(sf_dir, ["ts", "user_id"])
+    ds = read_table(sf_dir, "events", ["ts", "user_id"])
     k = SLIDE_WINDOW_US // SLIDE_US
 
     def pair_partial(batch: pa.Table) -> pa.Table:
@@ -943,7 +941,7 @@ def ontime_hourly(sf_dir: str):
 
     from ray.data.aggregate import Sum
 
-    ds = _events(sf_dir, ["event_id", "ts", "user_id", "value"])
+    ds = read_table(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
 
     def arrival(batch: pa.Table) -> pa.Table:
         ids = batch.column("event_id").to_pylist()
@@ -1030,7 +1028,7 @@ def top_events_per_user(sf_dir: str, k: int = TOPK_PER_USER):
     deterministic, oracle-exact vs row_number() ... QUALIFY. Values
     travel as integer cents (DuckDB round() is half-away-from-zero).
     Output (user_id, rnk, event_id, value_cents)."""
-    ds = _events(sf_dir, ["event_id", "user_id", "value"])
+    ds = read_table(sf_dir, "events", ["event_id", "user_id", "value"])
 
     def _rank_in_user(uid, cents, eid):
         """Sort by (user, cents DESC, event_id ASC) and return

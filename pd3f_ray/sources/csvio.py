@@ -20,6 +20,8 @@ import shutil
 import pyarrow as pa
 import ray.data as rd
 
+from pd3f_ray.core.cluster import read_table
+
 
 def write_docs_csv(ds: "rd.Dataset", out_dir: str) -> None:
     ds.write_csv(out_dir)
@@ -49,8 +51,7 @@ def csv_roundtrip(sf_dir: str):
     shutil.rmtree(scratch, ignore_errors=True)
     os.makedirs(scratch, exist_ok=True)
 
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "text"])
+    docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
     write_docs_csv(docs, scratch)
     return read_docs_csv(scratch, columns=["doc_id", "text"])
 

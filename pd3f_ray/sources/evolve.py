@@ -22,7 +22,8 @@ import os
 import tempfile
 
 import pyarrow as pa
-import ray.data as rd
+
+from pd3f_ray.core.cluster import read_parquet, read_table
 
 
 def _fresh_scratch(prefix: str) -> str:
@@ -76,9 +77,8 @@ def schema_evolution_union(sf_dir: str):
     os.makedirs(v1_dir)
     os.makedirs(v2_dir)
 
-    docs = rd.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "lang", "n_chars", "source"])
+    docs = read_table(sf_dir, "documents",
+                      columns=["doc_id", "lang", "n_chars", "source"])
 
     def v1_rows(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -96,8 +96,8 @@ def schema_evolution_union(sf_dir: str):
     docs.map_batches(v2_rows, batch_format="pyarrow").write_parquet(v2_dir)
 
     align = align_to_schema(EVOLVE_TARGET)
-    v1 = rd.read_parquet(v1_dir).map_batches(align, batch_format="pyarrow")
-    v2 = rd.read_parquet(v2_dir).map_batches(align, batch_format="pyarrow")
+    v1 = read_parquet(v1_dir).map_batches(align, batch_format="pyarrow")
+    v2 = read_parquet(v2_dir).map_batches(align, batch_format="pyarrow")
     return v1.union(v2)
 
 
@@ -130,13 +130,12 @@ def partitioned_write_roundtrip(sf_dir: str, lang: str = "en"):
     # so the dir must outlive this call — /tmp reclaims it
     scratch = _fresh_scratch("pd3f_ray_partwrite_")
 
-    docs = rd.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "lang", "n_chars"])
+    docs = read_table(sf_dir, "documents",
+                      columns=["doc_id", "lang", "n_chars"])
     docs.write_parquet(scratch, partition_cols=["lang"])
 
     part_dir = os.path.join(scratch, f"lang={lang}")
-    return rd.read_parquet(part_dir, columns=["doc_id", "n_chars"])
+    return read_parquet(part_dir, columns=["doc_id", "n_chars"])
 
 
 PARTITIONED_ROUNDTRIP_SQL = """

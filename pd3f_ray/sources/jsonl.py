@@ -28,6 +28,8 @@ import shutil
 import pyarrow as pa
 import ray.data as rd
 
+from pd3f_ray.core.cluster import read_table
+
 
 def write_docs_jsonl(ds: "rd.Dataset", out_dir: str) -> None:
     ds.write_json(out_dir)
@@ -57,8 +59,7 @@ def jsonl_roundtrip(sf_dir: str):
     shutil.rmtree(scratch, ignore_errors=True)
     os.makedirs(scratch, exist_ok=True)
 
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "text"])
+    docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
     write_docs_jsonl(docs, scratch)
     return read_docs_jsonl(scratch, columns=["doc_id", "text"])
 

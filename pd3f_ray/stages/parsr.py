@@ -326,19 +326,14 @@ def parsr_ingest_roundtrip(sf_dir: str):
     real deployments), extraction cpus//2 at 0.75, which fits from the
     4-CPU test session up (same convention as web_corpus_pipeline).
     """
-    import os
-
-    import ray.data as rd
-
+    from pd3f_ray.core.cluster import cluster_cpus, read_table
     from pd3f_ray.pipelines.extraction import extract_dataset
-    from pd3f_ray.core.cluster import cluster_cpus
 
     cpus = cluster_cpus()
     ingest_pool = max(1, cpus // 4)
     extract_pool = max(1, cpus // 2)
 
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "text", "lang"])
+    docs = read_table(sf_dir, "documents", columns=["doc_id", "text", "lang"])
 
     def to_pdfs(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_pylist()

@@ -401,24 +401,61 @@ def test_partition_count_grows_with_num_buckets(monkeypatch):
     assert exchange.partition_count(2**20) == 2**14
 
 
+def _write_files(table, d, n_files: int) -> str:
+    """``table`` as a directory of ``n_files`` parquet files."""
+    import pyarrow.parquet as pq
+
+    d.mkdir()
+    step = -(-table.num_rows // n_files)
+    for i in range(n_files):
+        pq.write_table(table.slice(i * step, step), d / f"part-{i}.parquet")
+    return str(d)
+
+
+def _assert_read_fused(ds, first_map: str):
+    """The read ran as one task per CPU, unsplit, fused with the first map
+    (a split read runs as ``ReadParquet->SplitBlocks(k)`` and never fuses)."""
+    import re
+
+    from pd3f_ray.core.cluster import cluster_cpus
+
+    ops = _executed_ops(ds._get_stats_summary())
+    names = [op.operator_name for op in ops]
+    assert names[0] == f"ReadParquet->MapBatches({first_map})", names
+    assert not [n for n in names if "SplitBlocks" in n], names
+    tasks = re.search(r"(\d+) tasks executed",
+                      ops[0].block_execution_summary_str)
+    assert int(tasks.group(1)) == cluster_cpus()
+
+
 def test_pages_exchange_has_no_sample_or_merge_stage(ray_session, tmp_path):
     """The page shuffle range-partitions on known bucket boundaries with
     the pull-based sort: no boundary-sampling pass, no push-based merge
-    stage among the executed sub-operators."""
+    stage among the executed sub-operators. A table of at least as many
+    files as CPUs is read unsplit, fused with the first map: the page
+    table into the page shuffle, an events table into user_sessions'
+    window exchange."""
     import pyarrow.parquet as pq
 
     from pd3f_ray.pipelines.extraction import extract_from_pages_parquet
+    from pd3f_ray.pipelines.windows import user_sessions
     from pd3f_ray.sources.synth import generate_pages_exploded
 
-    pq.write_table(generate_pages_exploded(60, seed=3),
-                   tmp_path / "pages.parquet")
-    ds = extract_from_pages_parquet(str(tmp_path / "pages.parquet"))
-    ds = ds.materialize()
+    pages = _write_files(generate_pages_exploded(60, seed=3),
+                         tmp_path / "pages.parquet", 8)
+    ds = extract_from_pages_parquet(pages).materialize()
     assert ds.count() == 60
 
     names = [op.operator_name for op in _executed_ops(ds._get_stats_summary())
              if op.is_sub_operator]
     assert names == ["SortMap", "SortReduce"], names
+    _assert_read_fused(ds, "add_bucket_compress")
+
+    _write_files(pq.read_table(os.path.join(SF, "events.parquet")),
+                 tmp_path / "events.parquet", 4)
+    ds = user_sessions(str(tmp_path)).materialize()
+    assert ds.count() > 0
+    _assert_read_fused(ds, "add_bucket")
 
 
 def test_dedup_clusters_oracle(ray_session, con):

@@ -13,6 +13,7 @@ PIPE_DIRS = [
     pathlib.Path("/root/repo/pd3f_ray/pipelines"),
     pathlib.Path("/root/repo/pd3f_ray/stages"),
 ]
+SOURCES_DIR = PIPE_DIRS[0].parent / "sources"
 
 # patterns that at corpus scale mean "the driver holds the corpus"
 FORBIDDEN = {
@@ -39,8 +40,8 @@ ALLOWED_READS = {
 }
 
 
-def _sources():
-    for d in PIPE_DIRS:
+def _sources(dirs=PIPE_DIRS):
+    for d in dirs:
         for p in sorted(d.glob("*.py")):
             yield p, p.read_text()
 
@@ -52,6 +53,20 @@ def test_no_driver_materialization_patterns():
             for m in re.finditer(pat, src):
                 line = src[: m.start()].count("\n") + 1
                 hits.append(f"{path.name}:{line}: {pat} ({why})")
+    assert not hits, "\n".join(hits)
+
+
+def test_reads_go_through_the_cluster_sized_reader():
+    """Every parquet read goes through ``core.cluster.read_parquet`` /
+    ``read_table``: one read task per logical CPU, so the read fuses with
+    the first map. A bare Ray read splits into up to 200 blocks, and a
+    split read never fuses."""
+    hits = []
+    for path, src in _sources(PIPE_DIRS + [SOURCES_DIR]):
+        for m in re.finditer(r"\b(?:_?rd|ray\.data)\.read_parquet\(", src):
+            line = src[: m.start()].count("\n") + 1
+            hits.append(f"{path.name}:{line}: bare Ray read — use "
+                        "pd3f_ray.core.cluster.read_parquet/read_table")
     assert not hits, "\n".join(hits)
 
 
