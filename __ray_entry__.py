@@ -104,7 +104,7 @@ def _q_extract_summary(sf_dir: str):
 
     Deliberately NOT ``groupby("lang").aggregate(...)``: groupby's key
     validation fetches the dataset schema, which executes the upstream
-    actor-pool extraction once for the first block just to learn dtypes
+    extraction once for the first block just to learn dtypes
     (measured 4.4 s at sf0.1) before the real run re-executes it — the
     same ``.schema()`` re-execution trap the joins module documents.
     Instead each batch is pre-aggregated map-side into per-(block,
@@ -292,17 +292,17 @@ def queries() -> dict[str, Callable[[str], Any]]:
     reg = {
         # --- flagship signal (driver-green in r03, keep at the top) ---
         # oracle-CHECKED extraction: documents wrapped in an
-        # identity-shape layout, run through the real ExtractDocs actor
-        # pool; driver hash-compares extracted text byte-per-url
+        # identity-shape layout, run through the real ExtractDocs stage;
+        # driver hash-compares extracted text byte-per-url
         "extract_roundtrip": _q_extract_roundtrip,
         # oracle-CHECKED page-table path: two-page word-midpoint split
         # pushed through the REAL bucketed sort-shuffle + fused reduce
         # (extract_pages_fused); driver hash-compares text byte-per-url
         "pages_roundtrip": _q_pages_roundtrip,
         # oracle-CHECKED PDF-ingestion connector (new in r5): documents
-        # as fake PDFs through the REAL ParsrIngest actor pool
+        # as fake PDFs through the REAL ParsrIngest stage
         # (submit→poll→fetch→passthrough, deterministic no-network
-        # transport) then the REAL ExtractDocs pool — the reference's
+        # transport) then the REAL ExtractDocs stage — the reference's
         # full run_parsr→export lifecycle as one streaming pipeline,
         # byte-per-url oracle
         "parsr_ingest_roundtrip": _q_parsr_ingest_roundtrip,
@@ -437,7 +437,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "hourly_unique_users": sketches.hourly_unique_users,
         # similarity search (exact top-k oracle anchor)
         "knn_bruteforce": similarity.knn_bruteforce,
-        # multimodal (stub decode, real actor-pool plumbing)
+        # multimodal (stub decode, real featurizer stage)
         "media_kind_summary": multimodal.media_kind_summary,
         # exact content dedup over the BINARY media column (digest
         # grouping must coincide with the generative rule)
@@ -453,9 +453,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "partitioned_write_roundtrip": _q_partitioned_roundtrip,
         # --- driver-green in r03 (extraction / webtext roundtrips) ---
         # same fixture+oracle through the UN-fused plan (assemble
-        # shuffle → actor pool): both physical plans byte-equivalent
+        # shuffle → extraction stage): both physical plans byte-equivalent
         "pages_staged_roundtrip": _q_pages_staged_roundtrip,
-        # oracle-CHECKED decision paths through the real actor pool:
+        # oracle-CHECKED decision paths through the real ExtractDocs stage:
         # dehyphenation (L2), cross-page paragraph merge (L4+R4), and
         # footnote classify+reorder (C3/C4/R3) — fixed-geometry fixture
         # paragraphs make every decision byte-constant per document
@@ -540,7 +540,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "simhash_docs": dedup.simhash_docs,        # bit sketch → rows-only
         "simhash_pairs": dedup.simhash_pairs,      # pigeonhole-exact, rows-only
         "embdup_lsh": dedup.embdup_lsh,            # approximate → rows-only
-        # embedding generation (actor-pool inference shape; rows-only)
+        # embedding generation (batched-inference stage shape; rows-only)
         "embed_docs": embed.embed_docs_flat,
         "approx_distinct_users": sketches.approx_distinct_users,  # rows-only
         # HLL as a composable AggregateFn (same estimate, one exchange
@@ -568,17 +568,28 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "compression_quality": webcurate.compression_quality,
         "pack_sequences": webcurate.pack_sequences,  # greedy → rows-only
     }
-    # head-of-line rotation (see the ORDER MATTERS note above): every
-    # plan reads through core.cluster.read_parquet, so the lead is the
-    # plans whose read fuses into an exchange map — the page shuffles and
-    # the benchmark's six exchange queries — then every other entry whose
+    # head-of-line rotation (see the ORDER MATTERS note above): the lead
+    # is every plan whose stages turned from actor pools into fused task
+    # stages — every ExtractDocs/ExtractElements entry, the HTML, link,
+    # PII, embedding, media and Parsr stages and their composites — then
+    # the plans whose read fuses into an exchange map (the page shuffles
+    # and the benchmark's six exchange queries), every other entry whose
     # exchange is stages.exchange.bucket_exchange (bucketed joins, every
-    # windows entry), the remaining extraction entries and the round-5
-    # rotation's remaining entries. Everything else follows in its
-    # round-4 order.
+    # windows entry) and the round-5 rotation's remaining entries.
+    # Everything else follows in its round-4 order.
     prefix = [
+        # -- task stages that were actor pools --
+        "extract_roundtrip", "headers_roundtrip", "dehyphen_roundtrip",
+        "pagebreak_roundtrip", "footnotes_roundtrip", "deadletter_roundtrip",
+        "skipline_roundtrip", "pages_staged_roundtrip",
+        "parsr_ingest_roundtrip", "html_roundtrip", "html_links",
+        "crawl_consolidation_pipeline", "pii_roundtrip",
+        "web_corpus_pipeline", "embed_docs", "media_features",
+        "extract_markdown", "extract_elements", "extract_docs",
+        "extract_fast", "extract_summary", "anchor_text_corpus",
+        "media_kind_summary",
         # -- page-table shuffles --
-        "extract_pages", "pages_roundtrip", "pages_staged_roundtrip",
+        "extract_pages", "pages_roundtrip",
         # -- the benchmark's exchange queries --
         "supplier_part_join", "customers_with_orders",
         "click_purchase_matrix", "customer_order_counts", "user_sessions",
@@ -595,13 +606,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "user_running_total", "late_events", "ontime_hourly",
         "event_sequences", "event_gaps", "next_event_label",
         "funnel_stages", "interval_join_events", "top_events_per_user",
-        # -- extraction fixtures (shared layout serializer) --
-        "extract_roundtrip", "headers_roundtrip",
-        "dehyphen_roundtrip", "pagebreak_roundtrip", "footnotes_roundtrip",
-        "skipline_roundtrip", "parsr_ingest_roundtrip",
         # -- the round-5 rotation's remaining entries --
         "shuffle_assignment", "bigram_pmi", "gopher_quality",
-        "pii_roundtrip", "balanced_mixture", "crawl_budget_allocation",
+        "balanced_mixture", "crawl_budget_allocation",
         "source_cap_sample", "nfc_normalize_docs", "strip_control_chars",
         "snapshot_diff", "table_checksum", "token_postings", "bm25_scores",
         "chunk_docs", "tokenize_docs", "training_prep_pipeline",
@@ -611,7 +618,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "approx_distinct_users_agg", "approx_event_quantiles",
         "bloom_membership", "cms_user_counts", "kmeans_assign",
         "kmeans_train", "compression_quality", "pack_sequences",
-        "web_corpus_pipeline", "dedup_incremental", "event_value_mad",
+        "dedup_incremental", "event_value_mad",
         "doc_length_ntile", "source_lang_matrix",
     ]
     missing = [k for k in prefix if k not in reg]

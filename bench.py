@@ -91,7 +91,7 @@ def run_headline(passes: int = 1) -> dict:
 
     ``passes > 1`` streams the same input N times through one pipeline
     (a union of N reads) — used by ``--scaling`` so per-job fixed costs
-    (actor-pool spin-up ~5 s, read ramp) amortize the way they would in
+    (worker spin-up, read ramp) amortize the way they would in
     a real long-running job, and the efficiency number reflects
     steady-state throughput rather than startup."""
     from pd3f_ray.pipelines.extraction import extract_dataset, read_documents

@@ -6,7 +6,7 @@ re-expressed as ray.data.Dataset pipelines:
 
 - ``pd3f_ray.core``      — pure per-document extraction kernel (the oracle)
 - ``pd3f_ray.sources``   — synthetic Common-Crawl-style corpus generator + readers
-- ``pd3f_ray.stages``    — Ray Data map_batches stages (stateless + actor pools)
+- ``pd3f_ray.stages``    — Ray Data map_batches stages (stateless tasks)
 - ``pd3f_ray.pipelines`` — end-to-end pipelines (extraction, dedup, similarity, ...)
 - ``pd3f_ray.state``     — resumable sharded output (manifests, metrics)
 

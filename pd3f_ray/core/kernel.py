@@ -13,7 +13,7 @@ line-joining decision cascade (export.py:328-385), footnote detection
 It is pure Python over plain dicts (the parsed layout JSON), has no Ray
 dependency, and is deterministic given the injected scorer — it serves
 both as the single-process oracle for the test suite and as the per-row
-kernel inside the Ray Data actor stage.
+kernel inside the Ray Data extraction stage.
 
 Input layout shape (the reference's Parsr JSON, SURVEY.md §1.1):
     {"pages": [{"elements": [element...]}...], "fonts": [font...]}

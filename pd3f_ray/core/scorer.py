@@ -15,7 +15,7 @@ semantics*: a built-in frequency vocabulary, per-token costs, a
 continuation bonus for adjacent in-vocabulary tokens (so that coherent
 concatenations can out-score their parts, like a real LM), and a
 well-formed-sentence-ending bonus. The single-process oracle and the Ray
-actor pool share this exact scorer, so byte parity between them is
+extraction tasks share this exact scorer, so byte parity between them is
 well-defined. Lower score = more probable, like perplexity.
 
 Everything is pure and deterministic: same text → same float, on any
@@ -34,11 +34,11 @@ dehyphenation choice, L4 split-paragraph merge) are proven byte-exact
 against the STUB's cost model, not against Flair perplexities: with
 real weights the individual join/hyphen choices can differ wherever the
 two models rank candidate joins differently, while the surrounding
-machinery (candidate construction, tie ordering, actor-pool
+machinery (candidate construction, tie ordering, cross-process
 determinism, caching) is scorer-agnostic and is what the roundtrips
 pin. First run in a torch-capable environment: un-skip the integration
 test and add a 100-doc ``*_roundtrip`` with ``scorer_backend="flair"``
-pinning cross-actor determinism of ``single_score``.
+pinning cross-process determinism of ``single_score``.
 """
 
 from __future__ import annotations
@@ -307,12 +307,11 @@ class FlairScorerBackend(DeterministicScorer):
     text-scoring primitive and the three-candidate hyphen comparison
     are swapped for the char-LM's perplexity. Weights load ONCE per
     process in ``__init__`` (the ``get_scorer`` registry makes that
-    once per actor, mirroring the reference singleton); GPU hosting =
-    the stage's ``num_gpus`` knob (reference GPU guard,
-    export.py:78-84). Construction is import-gated: the flair/torch
-    stack is not bundled in this environment, and without it the
-    backend raises ``NotImplementedError`` at init — the wiring itself
-    is exercised by a mock-flair seam test."""
+    once per worker process, mirroring the reference singleton).
+    Construction is import-gated: the flair/torch stack is not bundled
+    in this environment, and without it the backend raises
+    ``NotImplementedError`` at init — the wiring itself is exercised by
+    a mock-flair seam test."""
 
     def __init__(self, lang: str = "multi", fast: bool | None = None):
         try:
@@ -355,7 +354,7 @@ class FlairScorerBackend(DeterministicScorer):
 
 
 # per-process scorer registry, mirroring the reference's singleton
-# (dehyphen_wrapper.py:18-31) but keyed by lang so one actor can serve a
+# (dehyphen_wrapper.py:18-31) but keyed by lang so one worker can serve a
 # mixed-language batch. Backend selection via PD3F_RAY_SCORER
 # ("deterministic" default | "flair").
 _SCORERS: dict[str, DeterministicScorer] = {}

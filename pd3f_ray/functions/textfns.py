@@ -123,7 +123,7 @@ def word_shingles(s: str, k: int = 3) -> set[int]:
 
 def hash_bytes(b: bytes) -> int:
     """Stable 64-bit hash (blake2b-8); never use Python hash() — it is
-    salted per process and would break cross-actor determinism."""
+    salted per process and would break cross-process determinism."""
     return int.from_bytes(hashlib.blake2b(b, digest_size=8).digest(), "big")
 
 

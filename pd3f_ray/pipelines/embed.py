@@ -1,12 +1,9 @@
 """Document embedding generation — the batched-model-inference stage
 shape, with a deterministic feature-hashing "model".
 
-A real deployment drops a sentence-transformer into ``DocEmbedder``
-(weights load once per actor in ``__init__``, batches hit the model in
-``__call__``); this container has no torch, so the model is a signed
-character-trigram feature-hashing projection (Weinberger et al. 2009):
-deterministic, vectorized, and shaped exactly like the real thing —
-list<float32> unit vectors out, actor-pool ``map_batches`` in the
+The model is a signed character-trigram feature-hashing projection
+(Weinberger et al. 2009) in ``DocEmbedder``: deterministic, vectorized,
+list<float32> unit vectors out, a task ``map_batches`` stage in the
 middle. Bridges the ``documents`` table to the similarity/embdup
 operators without external data.
 
@@ -27,9 +24,8 @@ NGRAM_N = 3
 
 
 class DocEmbedder:
-    """Actor-pool callable: one instance per long-lived worker. The
-    "model" here is a fixed hash projection, so __init__ only sets
-    constants — with a real encoder this is where weights load once."""
+    """Per-batch callable, run as tasks. The "model" is a fixed hash
+    projection, so ``__init__`` only sets constants."""
 
     def __init__(self, dim: int = EMBED_DIM):
         self.dim = dim
@@ -76,19 +72,12 @@ class DocEmbedder:
         )
 
 
-def embed_docs(sf_dir: str, dim: int = EMBED_DIM,
-               concurrency: int = 4, batch_size: int = 256) -> "rd.Dataset":
+def embed_docs(sf_dir: str, dim: int = EMBED_DIM) -> "rd.Dataset":
     """(doc_id, embedding) — unit-norm float32 vectors from the
-    documents table via the actor-pool embedder."""
+    documents table, one embedder call per read block."""
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-    return ds.map_batches(
-        DocEmbedder,
-        fn_constructor_kwargs={"dim": dim},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=0.75,
-    )
+    return ds.map_batches(DocEmbedder(dim), batch_format="pyarrow",
+                          batch_size=None)
 
 
 def embed_docs_flat(sf_dir: str) -> "rd.Dataset":

@@ -1,10 +1,11 @@
 """End-to-end extraction pipelines.
 
 Ray-native lifecycle (SURVEY.md §3): ``read_parquet`` (column-pruned) →
-``map_batches(ExtractDocs, concurrency=...)`` actor pool → consume
-(write_parquet / aggregate). Page-table inputs go through one
-``bucket_exchange`` first. The resumable runner shards the input
-files and commits one output directory + manifest record per shard.
+``map_batches(ExtractDocs(opts), batch_size=None)``, one task per read
+block fused into the read → consume (write_parquet / aggregate).
+Page-table inputs go through one ``bucket_exchange`` first. The
+resumable runner shards the input files and commits one output
+directory + manifest record per shard.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import os
 
 import ray.data as rd
 
-from pd3f_ray.core.cluster import cluster_cpus, read_parquet, read_table
+from pd3f_ray.core.cluster import read_parquet, read_table
 from pd3f_ray.core.config import ExtractOptions
 from pd3f_ray.stages.extract import ExtractDocs
 from pd3f_ray.stages.pages import _dumps, assemble_pages_dataset
@@ -25,34 +26,19 @@ DOC_COLUMNS = ["url", "warc_ts", "html", "lang"]
 PAGE_COLUMNS = ["url", "warc_ts", "page_idx", "page_json", "lang"]
 
 
-def _default_concurrency() -> int:
-    """Fixed actor-pool size = cluster CPUs. A fixed pool starts every
-    actor immediately — the autoscaling (1, N) pool ramped so slowly
-    that a 30 s run averaged ~9 busy actors on 32 CPUs. Paired with a
-    fractional per-actor ``num_cpus`` (see ``extract_dataset``) so read
-    tasks keep logical headroom instead of being starved onto a static
-    2-CPU slice (which capped the 32-CPU read at ~½ the extraction
-    throughput)."""
-    return max(2, cluster_cpus())
-
-
 def extract_dataset(
     ds: "rd.Dataset",
     opts: ExtractOptions | None = None,
-    concurrency: int | tuple[int, int] | None = None,
-    batch_size: int = 64,
-    num_cpus: float = 0.75,
     markdown: bool = False,
 ) -> "rd.Dataset":
-    """Document-table Dataset → extracted Dataset (EXTRACT_SCHEMA)."""
+    """Document-table Dataset → extracted Dataset (EXTRACT_SCHEMA). A
+    task stage, one call per input block: it fuses with the map or
+    cluster-sized read before it."""
     return ds.map_batches(
-        ExtractDocs,
-        fn_constructor_kwargs={"opts": opts, "markdown": markdown},
+        ExtractDocs(opts, markdown),
         batch_format="pyarrow",
         zero_copy_batch=True,
-        batch_size=batch_size,
-        concurrency=concurrency or _default_concurrency(),
-        num_cpus=num_cpus,
+        batch_size=None,
     )
 
 
@@ -63,9 +49,9 @@ def read_documents(path: str | list[str]) -> "rd.Dataset":
 def extract_from_parquet(
     path: str | list[str],
     opts: ExtractOptions | None = None,
-    **kw,
+    markdown: bool = False,
 ) -> "rd.Dataset":
-    return extract_dataset(read_documents(path), opts, **kw)
+    return extract_dataset(read_documents(path), opts, markdown)
 
 
 def extract_from_pages_parquet(
@@ -76,7 +62,7 @@ def extract_from_pages_parquet(
     order, then extraction — the fused plan (compressed exchange,
     extraction inside the shuffle-reduce tasks — see
     ``extract_pages_fused``). ``pages_staged_roundtrip`` exercises the
-    staged assemble → actor-pool plan."""
+    staged assemble → extract plan."""
     from pd3f_ray.stages.pages import extract_pages_fused
 
     return extract_pages_fused(read_parquet(path, columns=PAGE_COLUMNS),
@@ -86,30 +72,25 @@ def extract_from_pages_parquet(
 def extract_markdown_from_parquet(
     path: str | list[str],
     opts: ExtractOptions | None = None,
-    **kw,
 ) -> "rd.Dataset":
     """Markdown-render variant (reference: markdown=True at
     doc_output.py:107-125): headings prefixed with '#' * level."""
-    return extract_dataset(read_documents(path), opts, markdown=True, **kw)
+    return extract_dataset(read_documents(path), opts, markdown=True)
 
 
 def extract_elements_from_parquet(
     path: str | list[str],
     opts: ExtractOptions | None = None,
-    **kw,
 ) -> "rd.Dataset":
     """Element-level output: one row per output element in final
     document order (ELEMENTS_SCHEMA)."""
     from pd3f_ray.stages.extract import ExtractElements
 
     return read_documents(path).map_batches(
-        ExtractElements,
-        fn_constructor_kwargs={"opts": opts},
+        ExtractElements(opts),
         batch_format="pyarrow",
         zero_copy_batch=True,
-        batch_size=kw.get("batch_size", 64),
-        concurrency=kw.get("concurrency") or _default_concurrency(),
-        num_cpus=kw.get("num_cpus", 0.75),
+        batch_size=None,
     )
 
 
@@ -121,7 +102,7 @@ def extract_roundtrip(sf_dir: str):
     page-number/header-footer candidates; plus a punctuation-only
     two-line dummy paragraph that the alnum gate drops but that gives
     DocStats its required line-gap sample), pushed through the
-    ``ExtractDocs`` actor pool under the flagship experimental config,
+    ``ExtractDocs`` stage under the flagship experimental config,
     and emitted as (url, text). The oracle appends the renderer's
     per-paragraph ``\\n\\n`` to ``documents.text`` — i.e. the driver
     hash-compares the EXTRACTED text byte-for-byte per url (the north
@@ -270,7 +251,7 @@ def pages_staged_roundtrip(sf_dir: str):
     """STAGED-plan exercise of the page-table path over the same
     fixture and oracle as ``pages_roundtrip``: the un-fused
     ``assemble_pages_dataset`` exchange (url-bucket partitions → document
-    reassembly rows) followed by the ``ExtractDocs`` actor pool —
+    reassembly rows) followed by the ``ExtractDocs`` stage —
     proving the two physical plans are byte-equivalent per url, not
     just the fused one the engine defaults to."""
     assembled = assemble_pages_dataset(_pages_roundtrip_input(sf_dir))
@@ -295,7 +276,7 @@ FROM s
 
 def headers_roundtrip(sf_dir: str):
     """Oracle-checkable exercise of the HEADER/FOOTER machinery through
-    the real ``ExtractDocs`` actor pool: every ``documents`` row becomes
+    the real ``ExtractDocs`` stage: every ``documents`` row becomes
     a TWO-page layout where each page carries (a) an isHeader element
     ``Src <source>`` repeated verbatim on both pages, (b) a body
     paragraph (page 0: the full token stream as one line — the
@@ -462,7 +443,7 @@ def run_resumable(
     max_parallel_shards: int = 1,
     transform=None,
     bucket_key: str = "url",
-    **kw,
+    markdown: bool = False,
 ) -> dict:
     """Sharded, resumable extraction run.
 
@@ -474,7 +455,8 @@ def run_resumable(
     hash-partition by (an EXPLICIT knob, not probed from ``ds.schema()``
     — the schema probe would execute the pipeline's first block twice);
     the error count is 0 unless the written schema carries an ``error``
-    column. Default transform = the extraction pipeline.
+    column. Default transform = the extraction pipeline (``markdown``
+    selects its markdown render).
 
     Input parquet files are deterministically grouped into shards; each
     shard is extracted as its own streaming Dataset execution and
@@ -520,12 +502,6 @@ def run_resumable(
 
     manifest_lock = threading.Lock()
 
-    # when shards run concurrently, each shard's actor pool must claim
-    # only its slice of the cluster — three full-size fixed pools in one
-    # small session deadlock waiting for actors that can never schedule
-    if max_parallel_shards > 1 and "concurrency" not in kw:
-        kw = dict(kw, concurrency=max(1, cluster_cpus() // max_parallel_shards))
-
     def run_shard(shard_id: int, shard_files: list[str]) -> dict:
         tmp = mf.shard_dir(out_dir, shard_id) + ".__tmp"
         if os.path.exists(tmp):
@@ -533,7 +509,7 @@ def run_resumable(
 
             shutil.rmtree(tmp)
         ds = (transform(shard_files) if transform is not None
-              else extract_from_parquet(shard_files, opts, **kw))
+              else extract_from_parquet(shard_files, opts, markdown))
         if num_buckets:
             ds = ds.map_batches(_add_key_bucket(bucket_key, num_buckets),
                                 batch_format="pyarrow")
@@ -674,7 +650,7 @@ def _fixture_roundtrip(sf_dir: str, build_pages, opts: ExtractOptions | None = N
     """Shared harness for the decision-path roundtrips below: wrap every
     ``documents`` row into ``build_pages(gen, text)``-built pages (page 0
     is expected to start with the identity-shape text paragraph), push
-    through the REAL ``ExtractDocs`` actor pool, emit (url, text). The
+    through the REAL ``ExtractDocs`` stage, emit (url, text). The
     fixture paragraphs use only constant geometry (fixed tops/lefts/
     word sets), so every join-cascade / scorer decision inside them is
     byte-constant across documents and SQL-expressible as a literal."""

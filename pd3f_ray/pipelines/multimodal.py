@@ -1,11 +1,10 @@
 """Multimodal (image / audio / video) columns as opaque binary + typed
-metadata, processed by actor-pool ``map_batches`` stages.
+metadata, processed by task ``map_batches`` stages.
 
 The container has no image/audio codecs, so the *decode* step is a
 clearly-marked deterministic stub (``FakeCodec``) — but everything
-Ray-side is real and tested: the binary column schema, the actor-pool
-stage shape (decoder state built once per actor in ``__init__``), the
-small-batch sizing for large payloads, and the downstream vectorized
+Ray-side is real and tested: the binary column schema, the per-batch
+featurizer stage, and the downstream vectorized
 feature/resize/frame-sample math on the decoded arrays.
 
 Media rows are derived deterministically from ``documents.parquet``
@@ -15,8 +14,8 @@ query is oracle-checked end-to-end through the binary plumbing.
 
 Reference parity note: the reference (pd3f-core) has no media path —
 these are the scale-pipeline extensions requested alongside SURVEY.md
-§2; the actor-stage shape mirrors the extraction scorer pool
-(SURVEY.md §2.5, reference `dehyphen_wrapper.py:18-31`).
+§2; the stage shape mirrors the extraction stage (a callable instance
+handed to ``map_batches``).
 """
 
 from __future__ import annotations
@@ -118,15 +117,14 @@ class FakeCodec:
 
 
 class MediaFeaturizer:
-    """Actor-pool stage: decode → (resize | frame-sample) → feature
-    vector. Codec state is built once per actor in ``__init__`` (the
-    real-codec analogue of loading a model); ``__call__`` handles one
-    Arrow batch. Batches must stay small — payloads are the wide
-    column — so callers pass ``batch_size`` explicitly."""
+    """Per-batch callable, run as tasks: decode → (resize |
+    frame-sample) → feature vector. ``__init__`` builds the stub codec
+    and the fixed feature projection; ``__call__`` handles one Arrow
+    batch and keeps only the feature rows, never the decoded arrays."""
 
     def __init__(self) -> None:
         self.codec = FakeCodec()
-        # feature projection built once per actor (deterministic)
+        # fixed feature projection (deterministic)
         rng = np.random.RandomState(1234)
         self.proj = rng.normal(size=(TARGET_SIZE * TARGET_SIZE, FEAT_DIM))
         self.proj /= np.linalg.norm(self.proj, axis=0, keepdims=True)
@@ -188,21 +186,12 @@ class MediaFeaturizer:
         )
 
 
-def media_features(sf_dir: str, batch_size: int = 256,
-                   concurrency: int = 4) -> "rd.Dataset":
-    """Per-media feature rows via the actor-pool featurizer. Rows-only
+def media_features(sf_dir: str) -> "rd.Dataset":
+    """Per-media feature rows, one featurizer call per block. Rows-only
     check (the stub decode is not SQL-expressible); determinism and
-    schema pinned in tests. FIXED pool size: the autoscaling ``(1, N)``
-    pool ramps so slowly the run finishes before the pool fills
-    (BASELINE.md perf history); fractional num_cpus leaves read
-    headroom."""
+    schema pinned in tests."""
     return media_table(sf_dir).map_batches(
-        MediaFeaturizer,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=0.75,
-    )
+        MediaFeaturizer(), batch_format="pyarrow", batch_size=None)
 
 
 def media_features_flat(sf_dir: str) -> "rd.Dataset":
@@ -238,12 +227,12 @@ def media_kind_summary(sf_dir: str) -> "rd.Dataset":
     """Per-kind media counts and total payload bytes, measured from the
     ACTUAL binary column after the featurizer stage — oracle-checked
     against the doc_id-derived size rule, proving the binary payloads
-    round-trip through the actor pool intact."""
+    round-trip through the featurizer stage intact."""
     feats = media_features(sf_dir)
 
     # map-side pyarrow partials + probe-free repartition(1) combine
     # instead of groupby: groupby's key validation fetches the schema,
-    # which spins the featurizer actor pool once for the first block
+    # which runs the featurizer once for the first block
     # before the real run (the .schema() re-execution trap — see
     # joins.py and __ray_entry__._q_extract_summary)
     def partial(batch: pa.Table) -> pa.Table:

@@ -233,8 +233,7 @@ def pii_roundtrip(sf_dir: str):
     return (
         read_table(sf_dir, "documents", ["doc_id", "text"])
         .map_batches(inject, batch_format="pyarrow")
-        .map_batches(PiiScrubber, batch_format="pyarrow",
-                     concurrency=4, num_cpus=0.75, batch_size=1024)
+        .map_batches(PiiScrubber(), batch_format="pyarrow", batch_size=None)
     )
 
 
@@ -905,9 +904,9 @@ def web_corpus_pipeline(sf_dir: str):
     SQL oracle — the webtext-axis counterpart of ``curate_docs``:
 
       inject PII → wrap in boilerplate HTML → ``HtmlMainExtractor``
-      (main-content strip, actor pool) → ``PiiScrubber`` (actor pool)
-      → Gopher quality gate (map) → exact dedup (digest-bucketed
-      exchange, keep lowest doc_id) → (url, text)
+      (main-content strip) → ``PiiScrubber`` → Gopher quality gate
+      (map) → exact dedup (digest-bucketed exchange, keep lowest
+      doc_id) → (url, text)
 
     Every stage is the already-oracle-checked implementation; this query
     proves they COMPOSE without re-materialization (the only exchange is
@@ -919,14 +918,6 @@ def web_corpus_pipeline(sf_dir: str):
     from pd3f_ray.stages.pii import PiiScrubber
     from pd3f_ray.functions.textfns import md5_hex
     from pd3f_ray.pipelines.webtext import wrap_in_boilerplate
-
-    # TWO chained fixed actor pools must CO-schedule: each claims half
-    # the cluster's CPUs (at 0.75/actor) or the second pool can never
-    # start and the pipeline deadlocks (observed in 4-CPU test sessions
-    # with two 4-actor pools: 3 + 3 logical CPUs > 4)
-    from pd3f_ray.core.cluster import cluster_cpus
-
-    pool = max(1, cluster_cpus() // 2)
 
     stop = frozenset(GOPHER_STOPWORDS)
 
@@ -992,12 +983,9 @@ def web_corpus_pipeline(sf_dir: str):
     docs = read_table(sf_dir, "documents", ["doc_id", "text"])
     return (
         docs.map_batches(wrap, batch_format="pyarrow")
-        .map_batches(HtmlMainExtractor,
-                     fn_constructor_kwargs={"joiner": " "},
-                     batch_format="pyarrow", batch_size=128,
-                     concurrency=pool, num_cpus=0.75)
-        .map_batches(PiiScrubber, batch_format="pyarrow",
-                     concurrency=pool, num_cpus=0.75, batch_size=1024)
+        .map_batches(HtmlMainExtractor(joiner=" "), batch_format="pyarrow",
+                     batch_size=None)
+        .map_batches(PiiScrubber(), batch_format="pyarrow", batch_size=None)
         .map_batches(gate, batch_format="pyarrow")
         .groupby("dbucket")
         .map_groups(first_per_digest, batch_format="pyarrow")

@@ -71,13 +71,7 @@ def html_roundtrip(sf_dir: str):
 
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
     extracted = ds.map_batches(wrap, batch_format="pyarrow").map_batches(
-        HtmlMainExtractor,
-        fn_constructor_kwargs={"joiner": " "},
-        batch_format="pyarrow",
-        batch_size=128,
-        concurrency=4,
-        num_cpus=0.75,
-    )
+        HtmlMainExtractor(joiner=" "), batch_format="pyarrow", batch_size=None)
     return extracted.map_batches(
         lambda b: pa.table({"url": b.column("url"),
                             "text": b.column("text").cast(pa.string())}),
@@ -123,12 +117,7 @@ def html_links(sf_dir: str):
 
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
     links = ds.map_batches(wrap, batch_format="pyarrow").map_batches(
-        LinkExtractor,
-        batch_format="pyarrow",
-        batch_size=128,
-        concurrency=4,
-        num_cpus=0.75,
-    )
+        LinkExtractor(), batch_format="pyarrow", batch_size=None)
     return links.map_batches(
         lambda b: pa.table({"url": b.column("url"),
                             "pos": b.column("rank"),
@@ -388,7 +377,7 @@ def crawl_consolidation_pipeline(sf_dir: str):
        the same argmax (bucket = splitmix64(url-hash) % B bounds group
        memory);
     3. the winning snapshots' HTML goes through the
-       ``HtmlMainExtractor`` actor pool (boilerplate stripped).
+       ``HtmlMainExtractor`` stage (boilerplate stripped).
 
     Fixture: 3 dirty URL variants per document, each wrapping
     ``text + ' rev {v}'`` in full boilerplate HTML, with fetch times
@@ -459,13 +448,7 @@ def crawl_consolidation_pipeline(sf_dir: str):
                             "html": b.column("html")}),
         batch_format="pyarrow",
     ).map_batches(
-        HtmlMainExtractor,
-        fn_constructor_kwargs={"joiner": " "},
-        batch_format="pyarrow",
-        batch_size=128,
-        concurrency=4,
-        num_cpus=0.75,
-    )
+        HtmlMainExtractor(joiner=" "), batch_format="pyarrow", batch_size=None)
     return extracted.map_batches(
         lambda b: pa.table({"url_norm": b.column("url"),
                             "text": b.column("text").cast(pa.string())}),

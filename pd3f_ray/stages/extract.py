@@ -1,9 +1,9 @@
-"""The extraction stage: an actor-pool ``map_batches`` callable.
+"""The extraction stage: a ``map_batches`` callable run as plain tasks.
 
-One actor == one long-lived worker process holding the scorer state
-(with a real LM this is where weights load once; with the deterministic
-scorer it holds the per-process score LRU). Batches arrive as zero-copy
-Arrow tables; rows are independent documents, so the stage is
+The instance holds only the options; scorer state lives in the worker
+process (``core.scorer.get_scorer`` caches one scorer per language per
+process), so every task a worker runs reuses it. Batches arrive as
+zero-copy Arrow tables; rows are independent documents, so the stage is
 embarrassingly parallel and the batch loop only amortizes Python
 dispatch. Replaces the reference's single-process, one-document-at-a-
 time driver (/root/reference/pd3f/export.py:30-103) with a streaming,
@@ -43,10 +43,10 @@ TABLE_SEP = "\x1d"
 
 
 class ExtractDocs:
-    """Callable class for ``ds.map_batches(ExtractDocs(opts),
-    batch_format="pyarrow", concurrency=N)``. Scorer state is built once
-    per actor (in practice: on first use per language, cached in the
-    worker process)."""
+    """Per-batch callable for ``ds.map_batches(ExtractDocs(opts),
+    batch_format="pyarrow", batch_size=None)``: a task stage that fuses
+    with the read or map before it. Scorers come from the per-process
+    ``get_scorer`` cache, built on first use per language."""
 
     def __init__(self, opts: ExtractOptions | None = None,
                  markdown: bool = False):

@@ -18,7 +18,7 @@ et al. 2010, public method), implemented DOM-heuristically on stdlib
 Deterministic and dependency-free; used by the ``html_roundtrip``
 oracle query (wrap ``documents.text`` into an HTML page with injected
 nav/footer/sidebar boilerplate → strip → byte-identical text back) and
-available as a standalone actor-pool stage for real HTML corpora.
+available as a standalone ``map_batches`` stage for real HTML corpora.
 """
 
 from __future__ import annotations
@@ -123,10 +123,9 @@ def main_text(html: str, joiner: str = "\n\n") -> str:
 
 
 class HtmlMainExtractor:
-    """Actor-pool ``map_batches`` callable: (url, html) → (url, text,
-    n_blocks, n_main_blocks). Parser tables/thresholds are per-actor
-    state (trivial here; a learned block classifier would load in
-    __init__)."""
+    """``map_batches`` callable, run as tasks: (url, html) → (url, text,
+    n_blocks, n_main_blocks). The instance holds only the joiner; the
+    parser tables and thresholds are module constants."""
 
     def __init__(self, joiner: str = "\n\n"):
         self.joiner = joiner
@@ -201,10 +200,9 @@ def extract_links(html: str) -> list[tuple[str, str]]:
 
 
 class LinkExtractor:
-    """Actor-pool stage: (url, html:binary) → exploded outlink table
-    (url, rank, href, anchor) — the link-graph edge list a crawl
-    pipeline feeds into PageRank / seed-expansion. Stateless parse but
-    hosted like ``HtmlMainExtractor`` so the two share pool sizing."""
+    """``map_batches`` callable, run as tasks: (url, html:binary) →
+    exploded outlink table (url, rank, href, anchor) — the link-graph
+    edge list a crawl pipeline feeds into PageRank / seed-expansion."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         urls, ranks, hrefs, anchors = [], [], [], []

@@ -141,8 +141,7 @@ def extract_pages_fused(ds, opts=None, num_buckets: int = DEFAULT_NUM_BUCKETS):
     trip, and only the small result rows leave the reduce tasks.
 
     Extraction runs in shuffle-reduce tasks (stateless); scorer state is
-    per-worker-process cached, so the weights-load-once property is kept
-    without an actor pool on this path. ``payload_bytes`` is the sum of
+    per-worker-process cached, as in every extraction task. ``payload_bytes`` is the sum of
     the url's UNCOMPRESSED page blob sizes.
     """
     import zlib as _z

@@ -1,5 +1,5 @@
 """Parsr ingestion connector: real-PDF → layout-JSON rows, as a Ray
-actor-pool stage.
+task stage.
 
 The reference consumes actual PDFs by POSTing them to a Parsr HTTP
 service and polling for the layout JSON
@@ -14,14 +14,14 @@ reference has. This module provides it Ray-native:
   (parsr_wrapper.py:17-49): merge user overrides into a base config,
   patch individual cleaner-pipeline entries, drop table-detection
   unless requested, drop drawing/image detection in fast mode.
-- ``ParsrIngest`` — a callable CLASS for ``map_batches``: ONE
-  transport (HTTP session / connection state) per actor built in
-  ``__init__``, per-row submit→poll→fetch in ``__call__`` with
-  dead-letter semantics (a failed document becomes an ``error`` row;
+- ``ParsrIngest`` — a callable for ``map_batches``: ONE transport
+  (HTTP session / connection state) per task, built on the first
+  call, per-row submit→poll→fetch in ``__call__`` with dead-letter
+  semantics (a failed document becomes an ``error`` row;
   it never poisons the batch — same convention as the extraction
   stage).
 - ``ingest_pdfs`` — wires a Dataset of ``(url, pdf)`` rows through the
-  actor pool; the output ``(url, html, error)`` rows feed directly
+  stage; the output ``(url, html, error)`` rows feed directly
   into ``pipelines.extraction.extract_dataset`` (the ``html`` column
   carries the layout JSON bytes the kernel parses).
 
@@ -30,7 +30,7 @@ refuses to construct unless ``PD3F_RAY_ALLOW_NETWORK=1`` — the HTTP
 code paths are real (stdlib urllib, multipart upload, poll loop) but
 can only be exercised against a live Parsr elsewhere. Tests inject a
 deterministic in-process transport and verify the full plumbing:
-batching, per-actor transport reuse, polling, dead-lettering, and that
+batching, per-task transport reuse, polling, dead-lettering, and that
 the emitted payloads extract byte-correctly through the real kernel.
 """
 
@@ -40,6 +40,7 @@ import io
 import json
 import time
 import uuid
+from functools import partial
 from typing import Any, Callable
 
 import pyarrow as pa
@@ -128,7 +129,7 @@ class HttpParsrTransport:
     """Stdlib-urllib Parsr client: multipart POST the PDF + config to
     ``/api/v1/document``, poll ``/api/v1/queue/{id}`` until the job
     leaves the queue, GET ``/api/v1/json/{id}``. One instance per
-    actor (construction is the place for connection state); NO network
+    task (construction is the place for connection state); NO network
     exists in this sandbox, so construction refuses unless
     ``PD3F_RAY_ALLOW_NETWORK=1``."""
 
@@ -192,12 +193,14 @@ class HttpParsrTransport:
 
 
 class ParsrIngest:
-    """Actor-pool stage: ``(url, pdf)`` rows → ``(url, html, error)``.
+    """Task stage: ``(url, pdf)`` rows → ``(url, html, error)``.
 
-    ``transport_factory`` is the seam: called ONCE in ``__init__``
-    (per actor) and must return an object with the
-    ``submit / finished / result_json`` protocol above. The default
-    builds :class:`HttpParsrTransport` against ``server``.
+    ``transport_factory`` is the seam: it must return an object with
+    the ``submit / finished / result_json`` protocol above. The default
+    builds :class:`HttpParsrTransport` against ``server``. The
+    transport is built per task, on the first ``__call__`` of the copy
+    of this instance that each task unpickles, so no connection state
+    is built on the driver or shared between tasks.
 
     Per row: submit → poll (``poll_interval`` seconds between polls, at
     most ``max_polls``) → fetch layout JSON. Any exception for a row
@@ -213,8 +216,9 @@ class ParsrIngest:
                  check_tables: bool = False, fast: bool = False,
                  poll_interval: float = 0.25, max_polls: int = 2400,
                  transport_factory: Callable[[], Any] | None = None):
-        self.transport = (transport_factory() if transport_factory
-                          else HttpParsrTransport(server))
+        self.transport_factory = transport_factory or partial(
+            HttpParsrTransport, server)
+        self.transport = None
         self.config = build_parsr_config(config, adjust_cleaner_config,
                                          check_tables, fast)
         self.poll_interval = poll_interval
@@ -231,6 +235,8 @@ class ParsrIngest:
                            f"{self.max_polls} polls")
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        if self.transport is None:
+            self.transport = self.transport_factory()
         urls = batch.column("url").to_pylist()
         pdfs = batch.column("pdf").to_pylist()
         htmls: list[bytes | None] = []
@@ -252,28 +258,30 @@ class ParsrIngest:
         return out.append_column("error", pa.array(errors, pa.string()))
 
 
+# ingest tasks wait on the Parsr service, which does the compute
+INGEST_CPUS = 0.25
+
+
 def ingest_pdfs(ds, *, server: str = "localhost:3001",
-                concurrency: int = 4, batch_size: int = 16,
-                num_cpus: float = 0.25, **stage_kwargs):
-    """Wire a Dataset of ``(url, pdf binary)`` rows through a
-    :class:`ParsrIngest` actor pool. ``num_cpus`` defaults LOW because
-    the stage is network-bound (the Parsr pool does the compute) — at
-    0.25 a 32-CPU node keeps 128 in-flight documents against the
-    service while real CPU stages run beside it. Small ``batch_size``
-    bounds per-actor latency skew (one slow 500-page PDF should not
-    hold 256 fast ones hostage in the same batch).
+                batch_size: int = 16, **stage_kwargs):
+    """Wire a Dataset of ``(url, pdf binary)`` rows through
+    :class:`ParsrIngest` tasks. Each task asks for ``INGEST_CPUS``, a
+    quarter CPU, because the stage waits on the Parsr service, which
+    does the compute: a 32-CPU node keeps 128 tasks in flight against
+    the service while real CPU stages run beside them. Small
+    ``batch_size`` bounds latency skew against the service (one slow
+    500-page PDF should not hold 256 fast ones hostage in the same
+    batch).
 
     Output rows feed ``pipelines.extraction.extract_dataset`` directly:
     ``html`` carries the layout JSON, failed documents arrive as
     dead-letter rows the downstream stage passes through.
     """
     return ds.map_batches(
-        ParsrIngest,
-        fn_constructor_kwargs={"server": server, **stage_kwargs},
+        ParsrIngest(server, **stage_kwargs),
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=num_cpus,
+        num_cpus=INGEST_CPUS,
     )
 
 
@@ -313,25 +321,16 @@ class IdentityLayoutTransport:
 def parsr_ingest_roundtrip(sf_dir: str):
     """Oracle-checkable end-to-end exercise of the PDF-ingestion
     connector: every ``documents`` row becomes a fake "PDF" (its text
-    bytes), pushed through the REAL ``ParsrIngest`` actor pool (submit →
+    bytes), pushed through the REAL ``ParsrIngest`` stage (submit →
     poll → fetch → passthrough) against the deterministic
     :class:`IdentityLayoutTransport`, then through the REAL
-    ``ExtractDocs`` actor pool — the full reference ingestion lifecycle
+    ``ExtractDocs`` stage — the full reference ingestion lifecycle
     (parsr_wrapper.py:53-114 → export) as one streaming Ray pipeline.
     Emitted as (url, text); the oracle is byte-per-url identical to
     ``extract_roundtrip``'s (text + the renderer's paragraph ``\\n\\n``).
-
-    Pool sizing: two chained actor pools must CO-schedule — the ingest
-    pool takes cpus//4 actors at 0.25 CPU (the stage is service-bound in
-    real deployments), extraction cpus//2 at 0.75, which fits from the
-    4-CPU test session up (same convention as web_corpus_pipeline).
     """
-    from pd3f_ray.core.cluster import cluster_cpus, read_table
+    from pd3f_ray.core.cluster import read_table
     from pd3f_ray.pipelines.extraction import extract_dataset
-
-    cpus = cluster_cpus()
-    ingest_pool = max(1, cpus // 4)
-    extract_pool = max(1, cpus // 2)
 
     docs = read_table(sf_dir, "documents", columns=["doc_id", "text", "lang"])
 
@@ -348,10 +347,10 @@ def parsr_ingest_roundtrip(sf_dir: str):
 
     ingested = ingest_pdfs(
         docs.map_batches(to_pdfs, batch_format="pyarrow"),
-        concurrency=ingest_pool, batch_size=64, num_cpus=0.25,
-        poll_interval=0.0, transport_factory=IdentityLayoutTransport)
+        batch_size=64, poll_interval=0.0,
+        transport_factory=IdentityLayoutTransport)
 
-    extracted = extract_dataset(ingested, concurrency=extract_pool)
+    extracted = extract_dataset(ingested)
 
     def project(batch: pa.Table) -> pa.Table:
         return pa.table({

@@ -1,7 +1,8 @@
 """PII scrubbing stage: email / phone / IPv4 spans → typed
-placeholders, as a callable-class ``map_batches`` stage — the patterns
-compile ONCE per actor in ``__init__`` (the stateful-stage contract),
-and each ``__call__`` is a per-batch scrub.
+placeholders, as a callable-class ``map_batches`` stage run as tasks —
+the patterns compile in ``__init__`` (Python's ``re`` cache makes the
+copy each task unpickles cheap), and each ``__call__`` is a per-batch
+scrub.
 
 The pattern set is intentionally the standard public trio (RFC-ish
 email, NANP-style subscriber number, dotted-quad IPv4); a production

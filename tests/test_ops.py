@@ -434,12 +434,17 @@ def test_pages_exchange_has_no_sample_or_merge_stage(ray_session, tmp_path):
     stage among the executed sub-operators. A table of at least as many
     files as CPUs is read unsplit, fused with the first map: the page
     table into the page shuffle, an events table into user_sessions'
-    window exchange."""
+    window exchange, and a document table into the extraction stage,
+    which then is the whole plan."""
     import pyarrow.parquet as pq
 
-    from pd3f_ray.pipelines.extraction import extract_from_pages_parquet
+    from pd3f_ray.pipelines.extraction import (
+        extract_dataset,
+        extract_from_pages_parquet,
+        read_documents,
+    )
     from pd3f_ray.pipelines.windows import user_sessions
-    from pd3f_ray.sources.synth import generate_pages_exploded
+    from pd3f_ray.sources.synth import generate_pages_exploded, write_corpus
 
     pages = _write_files(generate_pages_exploded(60, seed=3),
                          tmp_path / "pages.parquet", 8)
@@ -456,6 +461,12 @@ def test_pages_exchange_has_no_sample_or_merge_stage(ray_session, tmp_path):
     ds = user_sessions(str(tmp_path)).materialize()
     assert ds.count() > 0
     _assert_read_fused(ds, "add_bucket")
+
+    write_corpus(str(tmp_path / "docs"), n_docs=80, seed=5, rows_per_file=10)
+    ds = extract_dataset(read_documents(str(tmp_path / "docs"))).materialize()
+    assert ds.count() == 80
+    _assert_read_fused(ds, "ExtractDocs")
+    assert len(_executed_ops(ds._get_stats_summary())) == 1
 
 
 def test_dedup_clusters_oracle(ray_session, con):
@@ -530,16 +541,20 @@ def test_approx_distinct_users_error_bound(ray_session, con):
 
 
 def test_embed_docs_deterministic_unit_norm(ray_session):
-    """Actor-pool embedding stage: unit-norm float32 vectors, identical
-    across two runs (and across batch boundaries), near-dup documents
-    land close in cosine space."""
+    """Embedding stage: unit-norm float32 vectors, identical across two
+    runs (and across block boundaries), near-dup documents land close in
+    cosine space."""
     import numpy as np
 
-    from pd3f_ray.pipelines.embed import embed_docs
+    from pd3f_ray.core.cluster import read_table
+    from pd3f_ray.pipelines.embed import DocEmbedder, embed_docs
 
     a = embed_docs(SF).to_pandas().sort_values("doc_id").reset_index(drop=True)
-    b = embed_docs(SF, batch_size=37).to_pandas().sort_values(
-        "doc_id").reset_index(drop=True)
+    # the same stage over ~37-document blocks
+    b = (read_table(SF, "documents", columns=["doc_id", "text"])
+         .repartition(14)
+         .map_batches(DocEmbedder(), batch_format="pyarrow", batch_size=None)
+         .to_pandas().sort_values("doc_id").reset_index(drop=True))
     assert len(a) == 500
     va = np.array(a["embedding"].tolist(), dtype=np.float32)
     vb = np.array(b["embedding"].tolist(), dtype=np.float32)

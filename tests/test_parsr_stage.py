@@ -1,5 +1,5 @@
 """Parsr ingestion connector: config-builder parity with the
-reference's setup_config rules, and the full actor-pool plumbing via an
+reference's setup_config rules, and the full stage plumbing via an
 injected in-process transport (no network in this sandbox — the HTTP
 transport refuses to construct here, which is itself pinned)."""
 
@@ -18,11 +18,10 @@ from pd3f_ray.stages.parsr import (
     ingest_pdfs,
 )
 
-# the fake transport class below ships to Ray actors; pytest test
+# the fake transport class below ships to Ray workers; pytest test
 # modules are not importable from worker processes, so it must pickle
 # by VALUE (the same mechanism __ray_entry__ uses for the package) —
-# without this the actor constructor fails on unpickle and the pool
-# retries forever (observed as a silent test hang)
+# without this the stage fails to unpickle in its tasks
 import sys as _sys
 
 from ray import cloudpickle as _cloudpickle
@@ -88,7 +87,7 @@ def test_http_transport_refuses_without_network(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# actor-pool plumbing via an injected transport
+# stage plumbing via an injected transport
 # ---------------------------------------------------------------------------
 
 
@@ -137,8 +136,7 @@ def _pdf_dataset(n: int):
 
 
 def test_ingest_pdfs_plumbing_and_deadletter(ray_session):
-    ds = ingest_pdfs(_pdf_dataset(20), concurrency=2, batch_size=4,
-                     poll_interval=0.0,
+    ds = ingest_pdfs(_pdf_dataset(20), batch_size=4, poll_interval=0.0,
                      transport_factory=FakeParsrTransport)
     rows = {r["url"]: r for r in ds.take_all()}  # 20 rows: tiny test table
     assert len(rows) == 20
@@ -155,7 +153,7 @@ def test_ingest_pdfs_plumbing_and_deadletter(ray_session):
 
 def test_ingest_output_extracts_byte_identical_to_kernel(ray_session):
     """ingested layout payloads pushed through the REAL ExtractDocs
-    actor pool come out byte-identical to the single-process kernel on
+    stage come out byte-identical to the single-process kernel on
     the same layouts — the connector composes with the extraction
     pipeline."""
     from pd3f_ray.core.config import ExtractOptions
@@ -164,12 +162,7 @@ def test_ingest_output_extracts_byte_identical_to_kernel(ray_session):
     from pd3f_ray.pipelines.extraction import extract_dataset
     from pd3f_ray.sources.synth import build_layout
 
-    # TWO chained actor pools must CO-schedule on the 4-CPU test
-    # session — size them explicitly (1 actor each, 1.25 CPUs total)
-    # or the second pool can never start and the pipeline deadlocks
-    # (same trap web_corpus_pipeline documents)
-    ingested = ingest_pdfs(_pdf_dataset(8), concurrency=1, batch_size=4,
-                           poll_interval=0.0,
+    ingested = ingest_pdfs(_pdf_dataset(8), batch_size=4, poll_interval=0.0,
                            transport_factory=FakeParsrTransport)
 
     def add_doc_columns(batch: pa.Table) -> pa.Table:
@@ -187,8 +180,7 @@ def test_ingest_output_extracts_byte_identical_to_kernel(ray_session):
         ).append_column("lang", pa.array(langs, pa.string()))
 
     out = extract_dataset(
-        ingested.map_batches(add_doc_columns, batch_format="pyarrow"),
-        concurrency=1, num_cpus=1.0)
+        ingested.map_batches(add_doc_columns, batch_format="pyarrow"))
     got = {r["url"]: r["text"] for r in out.take_all()}  # 8 docs: tiny
 
     opts = ExtractOptions.experimental()
@@ -213,7 +205,7 @@ def test_ingest_passes_metadata_columns_through(ray_session):
         "lang": pa.array(["de", "en"], pa.string()),
         "crawl_id": pa.array([7, 8], pa.int64()),
     }))
-    out = ingest_pdfs(ds, concurrency=1, batch_size=2, poll_interval=0.0,
+    out = ingest_pdfs(ds, batch_size=2, poll_interval=0.0,
                       transport_factory=FakeParsrTransport)
     rows = sorted(out.take_all(), key=lambda r: r["url"])
     assert [r["lang"] for r in rows] == ["de", "en"]
@@ -244,7 +236,7 @@ def test_parsr_ingest_roundtrip_matches_oracle(ray_session):
 
 
 def test_ingest_stage_config_reaches_transport(ray_session):
-    """fast/check_tables knobs flow into the per-actor config that every
+    """fast/check_tables knobs flow into the stage's config that every
     submit ships (the reference sends the config with each document)."""
     t = FakeParsrTransport()
     stage = ParsrIngest(transport_factory=lambda: t, fast=True,

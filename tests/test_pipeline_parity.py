@@ -48,14 +48,51 @@ def _collect(ds):
 
 
 def test_doc_table_parity(ray_session, small_corpus_dir, oracle):
-    from pd3f_ray.pipelines.extraction import extract_from_parquet
+    from pd3f_ray.pipelines.extraction import extract_dataset, read_documents
 
-    got = _collect(extract_from_parquet(small_corpus_dir, batch_size=7))
+    # ~7-document blocks: one ExtractDocs call per block
+    got = _collect(extract_dataset(read_documents(small_corpus_dir)
+                                   .repartition(15)))
     assert len(got) == N_DOCS
     for url, (text, error) in oracle.items():
         g_text, g_error = got[url]
         assert g_text == text, f"text mismatch for {url}"
         assert (g_error is None) == (error is None), f"error mismatch for {url}"
+
+
+def test_one_cpu_drain_completes(small_corpus_dir):
+    """With one logical CPU the extraction stage still drains: it runs
+    as tasks fused into the read, so nothing holds the only CPU while
+    the read waits for it. Own process, because this session's Ray has
+    four CPUs."""
+    import os
+    import signal
+    import subprocess
+    import sys
+    import textwrap
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = textwrap.dedent(f"""
+        import ray
+        ray.init(address="local", num_cpus=1, include_dashboard=False,
+                 logging_level="ERROR")
+        from pd3f_ray.pipelines.extraction import extract_dataset, read_documents
+        print("rows", extract_dataset(read_documents({small_corpus_dir!r})).count())
+        ray.shutdown()
+    """)
+    env = dict(os.environ, PYTHONPATH=repo)
+    env.pop("RAY_ADDRESS", None)
+    proc = subprocess.Popen([sys.executable, "-c", code], cwd=repo, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("extraction made no progress in 120 s on 1 logical CPU")
+    assert proc.returncode == 0, err[-2000:]
+    assert "rows 100" in out.splitlines(), out
 
 
 def test_page_table_parity(ray_session, tmp_path, oracle):
@@ -82,13 +119,15 @@ def test_dead_letters_present_not_fatal(ray_session, small_corpus_dir):
 
 
 def test_batch_size_invariance(ray_session, small_corpus_dir, oracle):
-    """Different batching/actor splits must not change any byte."""
-    from pd3f_ray.pipelines.extraction import extract_from_parquet
+    """Different block splits (~3-document blocks, or two blocks) must
+    not change any byte."""
+    from pd3f_ray.pipelines.extraction import extract_dataset, read_documents
 
-    got = _collect(extract_from_parquet(small_corpus_dir, batch_size=3,
-                                        concurrency=(1, 2)))
-    for url, (text, _) in oracle.items():
-        assert got[url][0] == text
+    for blocks in (34, 2):
+        got = _collect(extract_dataset(read_documents(small_corpus_dir)
+                                       .repartition(blocks)))
+        for url, (text, _) in oracle.items():
+            assert got[url][0] == text
 
 
 def test_markdown_variant(ray_session, small_corpus_dir):

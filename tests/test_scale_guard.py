@@ -239,3 +239,43 @@ def test_pandas_imports_are_allowlisted():
             hits.append(f"{path.name}:{line}: imports pandas — not in "
                         "ALLOWED_PANDAS")
     assert not hits, "\n".join(hits)
+
+
+# Every stage runs as plain tasks. An actor pool keeps its CPUs between
+# executions and, below its pool size in CPUs, deadlocks against the
+# read that feeds it; none of the stages holds anything but constants.
+# A CPU request must justify itself here, keyed by (file, value).
+ALLOWED_NUM_CPUS = {
+    ("parsr.py", "INGEST_CPUS"):
+        "ingest_pdfs asks a quarter CPU per task: the stage waits on the "
+        "Parsr service, which does the compute",
+    ("dedup.py", "0"):
+        "_mat_label_sum's zero-CPU ray.remote fold task, not a map stage: "
+        "it holds no CPU",
+}
+
+ACTOR_POOL_PATTERNS = (
+    r"\bconcurrency=",
+    r"\bfn_constructor_(?:kw)?args=",
+    r"\bcompute=",
+    # a class (not an instance) handed to map_batches runs as actors
+    r"\.map_batches\(\s*[A-Z]\w*\s*[,)]",
+)
+
+
+def test_no_actor_pools():
+    hits = []
+    for path, src in _sources(PIPE_DIRS + [SOURCES_DIR]):
+        for pat in ACTOR_POOL_PATTERNS:
+            for m in re.finditer(pat, src):
+                line = src[: m.start()].count("\n") + 1
+                hits.append(f"{path.name}:{line}: actor-pool stage "
+                            f"({' '.join(m.group(0).split())}) — pass an instance "
+                            "as a task stage")
+        for m in re.finditer(r"\bnum_cpus=([\w.]+)", src):
+            if (path.name, m.group(1)) in ALLOWED_NUM_CPUS:
+                continue
+            line = src[: m.start()].count("\n") + 1
+            hits.append(f"{path.name}:{line}: {m.group(0)} — not in "
+                        "ALLOWED_NUM_CPUS")
+    assert not hits, "\n".join(hits)
