@@ -569,31 +569,34 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "pack_sequences": webcurate.pack_sequences,  # greedy → rows-only
     }
     # head-of-line rotation (see the ORDER MATTERS note above): the lead
-    # is every plan whose stages turned from actor pools into fused task
-    # stages — every ExtractDocs/ExtractElements entry, the HTML, link,
-    # PII, embedding, media and Parsr stages and their composites — then
-    # the plans whose read fuses into an exchange map (the page shuffles
-    # and the benchmark's six exchange queries), every other entry whose
-    # exchange is stages.exchange.bucket_exchange (bucketed joins, every
-    # windows entry) and the round-5 rotation's remaining entries.
+    # is every plan whose reducer or extraction loop changed last — the
+    # page shuffles (LZ4 page codec, one page-assembly helper, corrupt
+    # pages as dead letters), user_sessions (reducer lifted to module
+    # level) and every ExtractDocs/ExtractElements entry (language
+    # options built once per batch) — then the other task stages that
+    # were actor pools (HTML, link, PII, embedding, media and their
+    # composites), the benchmark's exchange queries, every other entry
+    # whose exchange is stages.exchange.bucket_exchange (bucketed joins,
+    # every windows entry) and the round-5 rotation's remaining entries.
     # Everything else follows in its round-4 order.
     prefix = [
-        # -- task stages that were actor pools --
+        # -- page-table shuffles --
+        "extract_pages", "pages_roundtrip", "pages_staged_roundtrip",
+        # -- the session reducer --
+        "user_sessions",
+        # -- ExtractDocs / ExtractElements --
         "extract_roundtrip", "headers_roundtrip", "dehyphen_roundtrip",
         "pagebreak_roundtrip", "footnotes_roundtrip", "deadletter_roundtrip",
-        "skipline_roundtrip", "pages_staged_roundtrip",
-        "parsr_ingest_roundtrip", "html_roundtrip", "html_links",
-        "crawl_consolidation_pipeline", "pii_roundtrip",
-        "web_corpus_pipeline", "embed_docs", "media_features",
-        "extract_markdown", "extract_elements", "extract_docs",
-        "extract_fast", "extract_summary", "anchor_text_corpus",
-        "media_kind_summary",
-        # -- page-table shuffles --
-        "extract_pages", "pages_roundtrip",
+        "skipline_roundtrip", "parsr_ingest_roundtrip", "extract_markdown",
+        "extract_elements", "extract_docs", "extract_fast",
+        "extract_summary", "resumable_write_roundtrip",
+        # -- other task stages that were actor pools --
+        "html_roundtrip", "html_links", "crawl_consolidation_pipeline",
+        "pii_roundtrip", "web_corpus_pipeline", "embed_docs",
+        "media_features", "anchor_text_corpus", "media_kind_summary",
         # -- the benchmark's exchange queries --
         "supplier_part_join", "customers_with_orders",
-        "click_purchase_matrix", "customer_order_counts", "user_sessions",
-        "dedup_exact",
+        "click_purchase_matrix", "customer_order_counts", "dedup_exact",
         # -- every other registry entry that calls a joins.py primitive --
         "nation_revenue", "nation_revenue_share", "region_brand_revenue",
         "q3_shipping_priority", "q4_order_priority", "segment_order_stats",

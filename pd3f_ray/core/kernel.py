@@ -754,6 +754,18 @@ def extract_text(
     return DocumentKernel(layout, opts, scorer).text(markdown=markdown)
 
 
+def dead_letter(exc: Exception) -> dict:
+    """The record of a document that failed: no text, the exception as
+    ``"<class>: <message>"`` in ``error``."""
+    return {
+        "text": None,
+        "error": f"{type(exc).__name__}: {exc}",
+        "n_pages": 0,
+        "n_elements": 0,
+        "tables": [],
+    }
+
+
 def extract_record(
     html: bytes | str,
     opts: ExtractOptions | None = None,
@@ -771,13 +783,7 @@ def extract_record(
     try:
         layout = _json_loads(html)
     except Exception as exc:  # noqa: BLE001 — dead-letter semantics
-        return {
-            "text": None,
-            "error": f"{type(exc).__name__}: {exc}",
-            "n_pages": 0,
-            "n_elements": 0,
-            "tables": [],
-        }
+        return dead_letter(exc)
     return extract_parsed(layout, opts, scorer, markdown=markdown)
 
 
@@ -807,10 +813,4 @@ def extract_parsed(
                        if isinstance(t, str)],
         }
     except Exception as exc:  # noqa: BLE001 — dead-letter semantics
-        return {
-            "text": None,
-            "error": f"{type(exc).__name__}: {exc}",
-            "n_pages": 0,
-            "n_elements": 0,
-            "tables": [],
-        }
+        return dead_letter(exc)

@@ -17,6 +17,8 @@ belong to the engine-level training-data op families (SURVEY.md §8).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -58,60 +60,58 @@ def _latest_idx(uid: np.ndarray, ts: np.ndarray,
     return order[last]
 
 
+def session_rows(group: pa.Table,
+                 gap_min: int = SESSION_GAP_MIN) -> pa.Table:
+    """``user_sessions``' reducer: one partition's events → one row per
+    session (an empty partition gives an empty table)."""
+    if group.num_rows == 0:
+        e = pa.array(np.empty(0, np.int64), pa.int64())
+        et = pa.array(np.empty(0, "datetime64[us]"), pa.timestamp("us"))
+        return pa.table({"user_id": e, "session_id": e,
+                         "session_start": et, "session_end": et,
+                         "n_events": e, "sum_value_cents": e})
+    uid = _col_np(group, "user_id")
+    eid = _col_np(group, "event_id")
+    ts = _col_np(group, "ts").astype("datetime64[us]").astype(np.int64)
+    val = _col_np(group, "value")
+    order = np.lexsort((eid, ts, uid))
+    uid, ts, val = uid[order], ts[order], val[order]
+    v = val * 100
+    # DuckDB round() is half-away-from-zero (np.rint is half-even)
+    cents = (np.sign(v) * np.floor(np.abs(v) + 0.5)).astype(np.int64)
+    # a session starts at each user's first row or after a gap; all
+    # per-session stats are segment reduces over the sorted stream
+    new_sess = np.r_[True, uid[1:] != uid[:-1]]
+    new_sess[1:] |= ts[1:] - ts[:-1] > gap_min * 60 * 1_000_000
+    starts = np.flatnonzero(new_sess)
+    ends = np.r_[starts[1:], len(uid)]
+    # 1-based session number within each user: session index minus
+    # the index of that user's first session
+    s_user = uid[starts]
+    s_first = np.flatnonzero(np.r_[True, s_user[1:] != s_user[:-1]])
+    per_user = np.diff(np.r_[s_first, len(starts)])
+    sid = (np.arange(len(starts), dtype=np.int64)
+           - np.repeat(s_first, per_user) + 1)
+    return pa.table({
+        "user_id": pa.array(s_user, pa.int64()),
+        "session_id": pa.array(sid, pa.int64()),
+        "session_start": pa.array(
+            ts[starts].astype("datetime64[us]"), pa.timestamp("us")),
+        "session_end": pa.array(
+            ts[ends - 1].astype("datetime64[us]"), pa.timestamp("us")),
+        "n_events": pa.array((ends - starts).astype(np.int64), pa.int64()),
+        "sum_value_cents": pa.array(np.add.reduceat(cents, starts),
+                                    pa.int64()),
+    })
+
+
 def user_sessions(sf_dir: str, gap_min: int = SESSION_GAP_MIN):
     """Per-user session windows: a session breaks after ``gap_min``
     minutes of inactivity. Output one row per session:
     (user_id, session_id, session_start, session_end, n_events,
     sum_value_cents), session_id numbered per user in time order."""
     ds = read_table(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
-    gap_us = gap_min * 60 * 1_000_000
-
-    def sessions(group: pa.Table) -> pa.Table:
-        uid = _col_np(group, "user_id")
-        eid = _col_np(group, "event_id")
-        ts = _col_np(group, "ts").astype("datetime64[us]").astype(np.int64)
-        val = _col_np(group, "value")
-        order = np.lexsort((eid, ts, uid))
-        uid, ts, val = uid[order], ts[order], val[order]
-        v = val * 100
-        # DuckDB round() is half-away-from-zero (np.rint is half-even)
-        cents = (np.sign(v) * np.floor(np.abs(v) + 0.5)).astype(np.int64)
-        # a session starts at each user's first row or after a gap; all
-        # per-session stats are segment reduces over the sorted stream
-        first = np.r_[True, uid[1:] != uid[:-1]]
-        new_sess = first.copy()
-        if len(ts) > 1:
-            new_sess[1:] |= ts[1:] - ts[:-1] > gap_us
-        starts = np.flatnonzero(new_sess)
-        ends = np.r_[starts[1:], len(uid)]
-        if len(starts) == 0:
-            e = pa.array(np.empty(0, np.int64), pa.int64())
-            et = pa.array(np.empty(0, "datetime64[us]"),
-                          pa.timestamp("us"))
-            return pa.table({"user_id": e, "session_id": e,
-                             "session_start": et, "session_end": et,
-                             "n_events": e, "sum_value_cents": e})
-        # 1-based session number within each user: session index minus
-        # the index of that user's first session
-        s_user = uid[starts]
-        s_first = np.flatnonzero(np.r_[True, s_user[1:] != s_user[:-1]])
-        per_user = np.diff(np.r_[s_first, len(starts)])
-        sid = (np.arange(len(starts), dtype=np.int64)
-               - np.repeat(s_first, per_user) + 1)
-        return pa.table({
-            "user_id": pa.array(s_user, pa.int64()),
-            "session_id": pa.array(sid, pa.int64()),
-            "session_start": pa.array(
-                ts[starts].astype("datetime64[us]"), pa.timestamp("us")),
-            "session_end": pa.array(
-                ts[ends - 1].astype("datetime64[us]"), pa.timestamp("us")),
-            "n_events": pa.array((ends - starts).astype(np.int64),
-                                 pa.int64()),
-            "sum_value_cents": pa.array(np.add.reduceat(cents, starts),
-                                        pa.int64()),
-        })
-
-    return _bucketed(ds, sessions)
+    return _bucketed(ds, functools.partial(session_rows, gap_min=gap_min))
 
 
 USER_SESSIONS_SQL = f"""

@@ -42,6 +42,13 @@ EXTRACT_SCHEMA = pa.schema(
 TABLE_SEP = "\x1d"
 
 
+def lang_options(base: ExtractOptions, langs) -> dict:
+    """``base`` for each distinct language in ``langs``: built once per
+    batch instead of one ``dataclasses.replace`` per document."""
+    return {lang: base if base.lang == lang else base.with_(lang=lang)
+            for lang in set(langs)}
+
+
 class ExtractDocs:
     """Per-batch callable for ``ds.map_batches(ExtractDocs(opts),
     batch_format="pyarrow", batch_size=None)``: a task stage that fuses
@@ -68,12 +75,11 @@ class ExtractDocs:
         tables_csv: list[str] = []
         n_tables: list[int] = []
 
-        base = self.opts
-        for i in range(batch.num_rows):
-            lang = langs[i].as_py()
+        lang_list = langs.to_pylist()
+        opts_of = lang_options(self.opts, lang_list)
+        for i, lang in enumerate(lang_list):
             html = htmls[i].as_py()
-            opts = base if base.lang == lang else base.with_(lang=lang)
-            rec = extract_record(html, opts, scorer=get_scorer(lang),
+            rec = extract_record(html, opts_of[lang], scorer=get_scorer(lang),
                                  markdown=self.markdown)
             texts.append(rec["text"])
             errors.append(rec["error"])
@@ -148,11 +154,10 @@ class ExtractElements:
             cols["text"].append(text)
             cols["error"].append(err)
 
-        base = self.opts
+        opts_of = lang_options(self.opts, langs)
         for url, html, lang in zip(urls, htmls, langs):
-            opts = base if base.lang == lang else base.with_(lang=lang)
             try:
-                kern = DocumentKernel(_json_loads(html), opts,
+                kern = DocumentKernel(_json_loads(html), opts_of[lang],
                                       get_scorer(lang))
                 for section, elems in (("header", kern.header),
                                        ("body", kern.body),

@@ -158,6 +158,25 @@ def test_user_sessions_oracle(ray_session, con):
     _match(user_sessions(SF), USER_SESSIONS_SQL, con)
 
 
+def test_user_sessions_empty_partition():
+    """The session reducer on an empty events partition returns an empty
+    table of its output schema (no Ray)."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from pd3f_ray.pipelines.windows import session_rows
+
+    empty = pa.table({"event_id": pa.array([], pa.int64()),
+                      "ts": pa.array([], pa.timestamp("us")),
+                      "user_id": pa.array([], pa.int64()),
+                      "value": pa.array([], pa.float64())})
+    out = session_rows(empty)
+    assert out.num_rows == 0
+    assert out.schema == session_rows(pq.read_table(
+        os.path.join(SF, "events.parquet"),
+        columns=["event_id", "ts", "user_id", "value"])).schema
+
+
 def test_purchase_attribution_oracle(ray_session, con):
     from pd3f_ray.pipelines.windows import (
         PURCHASE_ATTRIBUTION_SQL,
