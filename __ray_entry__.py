@@ -569,60 +569,56 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "pack_sequences": webcurate.pack_sequences,  # greedy → rows-only
     }
     # head-of-line rotation (see the ORDER MATTERS note above): the lead
-    # is every plan whose reducer or extraction loop changed last — the
-    # page shuffles (LZ4 page codec, one page-assembly helper, corrupt
-    # pages as dead letters), user_sessions (reducer lifted to module
-    # level) and every ExtractDocs/ExtractElements entry (language
-    # options built once per batch) — then the other task stages that
-    # were actor pools (HTML, link, PII, embedding, media and their
-    # composites), the benchmark's exchange queries, every other entry
-    # whose exchange is stages.exchange.bucket_exchange (bucketed joins,
-    # every windows entry) and the round-5 rotation's remaining entries.
+    # is every plan whose exchange or reducer changed last — the three
+    # plans whose same-key aggregate now rides their join's cogroup
+    # exchange, every other plan that calls cogroup or a joins.py
+    # primitive, the relational partials whose outputs are now read by
+    # name, the page shuffles and every ExtractDocs/ExtractElements
+    # entry — then the previous rotation's lead in its order.
     # Everything else follows in its round-4 order.
     prefix = [
-        # -- page-table shuffles --
-        "extract_pages", "pages_roundtrip", "pages_staged_roundtrip",
-        # -- the session reducer --
-        "user_sessions",
-        # -- ExtractDocs / ExtractElements --
+        # -- same-key aggregates folded into their join's cogroup exchange --
+        "click_purchase_matrix", "customer_order_counts",
+        "q3_shipping_priority",
+        # -- every other plan that calls cogroup or a joins.py primitive --
+        "supplier_part_join", "customers_with_orders", "nation_revenue",
+        "nation_revenue_share", "region_brand_revenue", "q4_order_priority",
+        "segment_order_stats", "referential_integrity", "dedup_clusters",
+        "name_entity_clusters", "curate_neardup", "line_dedup_docs",
+        "dup_span_stats", "strip_dup_spans", "tfidf_terms", "pagerank",
+        "minhash_pairs",
+        # -- relational partials whose outputs are now read by name --
+        "q1_pricing", "events_hourly", "orders_monthly",
+        "event_value_quantiles", "event_value_histogram", "event_value_mad",
+        "source_lang_matrix", "customer_rollup", "events_cube",
+        "user_favorite_event",
+        # -- page shuffles (the staged plan dead-letters a corrupt page) --
+        "pages_staged_roundtrip", "extract_pages", "pages_roundtrip",
+        # -- ExtractDocs / ExtractElements (render's newline collapse) --
         "extract_roundtrip", "headers_roundtrip", "dehyphen_roundtrip",
         "pagebreak_roundtrip", "footnotes_roundtrip", "deadletter_roundtrip",
         "skipline_roundtrip", "parsr_ingest_roundtrip", "extract_markdown",
-        "extract_elements", "extract_docs", "extract_fast",
-        "extract_summary", "resumable_write_roundtrip",
-        # -- other task stages that were actor pools --
-        "html_roundtrip", "html_links", "crawl_consolidation_pipeline",
-        "pii_roundtrip", "web_corpus_pipeline", "embed_docs",
-        "media_features", "anchor_text_corpus", "media_kind_summary",
-        # -- the benchmark's exchange queries --
-        "supplier_part_join", "customers_with_orders",
-        "click_purchase_matrix", "customer_order_counts", "dedup_exact",
-        # -- every other registry entry that calls a joins.py primitive --
-        "nation_revenue", "nation_revenue_share", "region_brand_revenue",
-        "q3_shipping_priority", "q4_order_priority", "segment_order_stats",
-        "referential_integrity", "dedup_clusters", "name_entity_clusters",
-        "curate_neardup", "line_dedup_docs", "dup_span_stats",
-        "strip_dup_spans", "tfidf_terms", "pagerank", "minhash_pairs",
-        # -- every other windows entry --
-        "purchase_attribution", "events_sliding",
-        "sliding_unique_users", "latest_event_per_user",
+        "extract_elements", "extract_docs", "extract_fast", "extract_summary",
+        "resumable_write_roundtrip",
+        # -- the previous rotation's lead, in its order --
+        "user_sessions", "html_roundtrip", "html_links",
+        "crawl_consolidation_pipeline", "pii_roundtrip", "web_corpus_pipeline",
+        "embed_docs", "media_features", "anchor_text_corpus",
+        "media_kind_summary", "dedup_exact", "purchase_attribution",
+        "events_sliding", "sliding_unique_users", "latest_event_per_user",
         "user_running_total", "late_events", "ontime_hourly",
-        "event_sequences", "event_gaps", "next_event_label",
-        "funnel_stages", "interval_join_events", "top_events_per_user",
-        # -- the round-5 rotation's remaining entries --
-        "shuffle_assignment", "bigram_pmi", "gopher_quality",
-        "balanced_mixture", "crawl_budget_allocation",
-        "source_cap_sample", "nfc_normalize_docs", "strip_control_chars",
-        "snapshot_diff", "table_checksum", "token_postings", "bm25_scores",
-        "chunk_docs", "tokenize_docs", "training_prep_pipeline",
-        "hourly_unique_users", "media_dedup", "jsonl_roundtrip",
-        "csv_roundtrip", "schema_evolution_union",
-        "partitioned_write_roundtrip",
-        "approx_distinct_users_agg", "approx_event_quantiles",
-        "bloom_membership", "cms_user_counts", "kmeans_assign",
-        "kmeans_train", "compression_quality", "pack_sequences",
-        "dedup_incremental", "event_value_mad",
-        "doc_length_ntile", "source_lang_matrix",
+        "event_sequences", "event_gaps", "next_event_label", "funnel_stages",
+        "interval_join_events", "top_events_per_user", "shuffle_assignment",
+        "bigram_pmi", "gopher_quality", "balanced_mixture",
+        "crawl_budget_allocation", "source_cap_sample", "nfc_normalize_docs",
+        "strip_control_chars", "snapshot_diff", "table_checksum",
+        "token_postings", "bm25_scores", "chunk_docs", "tokenize_docs",
+        "training_prep_pipeline", "hourly_unique_users", "media_dedup",
+        "jsonl_roundtrip", "csv_roundtrip", "schema_evolution_union",
+        "partitioned_write_roundtrip", "approx_distinct_users_agg",
+        "approx_event_quantiles", "bloom_membership", "cms_user_counts",
+        "kmeans_assign", "kmeans_train", "compression_quality",
+        "pack_sequences", "dedup_incremental", "doc_length_ntile",
     ]
     missing = [k for k in prefix if k not in reg]
     assert not missing, f"rotation prefix names unknown ops: {missing}"

@@ -56,7 +56,7 @@ from pd3f_ray.core.textnorm import (
     strip_line_end_spaces,
 )
 
-_NL_COLLAPSE = re.compile(r"(\n){3,}")
+_NL_COLLAPSE = re.compile(r"\n{3,}")
 
 
 class DocumentError(ValueError):

@@ -10,13 +10,24 @@ own two join strategies, both oracle-checked:
   shuffle, the pattern reserved for GENUINELY small dimension tables
   (nation: 25 rows). Customer is a fact table at 100 TB-scale TPC-H
   and goes through the bucketed join instead.
-- **bucketed join** (big ⋈ big), one plan for all five join kinds
-  (inner, left outer, full outer, left semi, left anti): both sides are
-  tagged, given a stable ``hash(key) % B`` bucket column, unioned, and
-  co-partitioned by ONE ``bucket_exchange`` (stages/exchange.py); in
-  each partition one Acero join (``pa.Table.join``) joins the sides —
-  pyarrow-native end to end. A reducer call holds ≤ 64 whole buckets,
-  so B bounds its memory; all rows of one key share a bucket.
+- **cogroup** (big ⋈ big), the one co-partitioning plan: every side is
+  tagged with a stable ``hash(key) % B`` bucket column and its side
+  name, the sides are unioned, and ONE ``bucket_exchange``
+  (stages/exchange.py) hands each partition's rows to ``fn`` as
+  ``{side: pa.Table}``. A reducer call holds ≤ 64 whole buckets, so B
+  bounds its memory; all rows of one key, from every side, share a
+  bucket. The five join kinds (inner, left outer, full outer, left
+  semi, left anti) are a two-side ``cogroup`` whose ``fn`` is one Acero
+  join (``pa.Table.join``) — pyarrow-native end to end.
+
+Same-key fold: a plan that aggregates and joins on the SAME key runs
+both in one ``cogroup`` — the aggregate's partial runs map-side and its
+final ``group_by`` runs inside ``fn`` next to the join
+(``click_purchase_matrix``, ``q3_shipping_priority``,
+``relational.customer_order_counts``). Every exchange costs a fixed
+chunk of driver, raylet and worker CPU, so one fewer exchange is the
+saving on small inputs. Steps on DIFFERENT keys keep their own
+exchanges (``supplier_part_join``: suppkey join, nationkey aggregate).
 
 ``nation_revenue`` composes them: lineitem ⋈ orders and then
 per-custkey partials ⋈ customer via TWO bucketed hash joins (all three
@@ -41,6 +52,7 @@ from pd3f_ray.core.cluster import read_table
 from pd3f_ray.stages.exchange import bucket_exchange
 
 JOIN_BUCKETS = 128
+MEMBERSHIP = ("left semi", "left anti")  # join kinds that emit left rows only
 
 
 def _arrow_fields(ds: "rd.Dataset", schema, arg: str) -> dict:
@@ -91,43 +103,25 @@ def _stable_bucket(arr: np.ndarray, num_buckets: int) -> np.ndarray:
     return (x % np.uint64(num_buckets)).astype(np.int32)
 
 
-def _bucketed_join(left: "rd.Dataset", right: "rd.Dataset", left_key: str,
-                   right_key: str, join_type: str, num_buckets: int,
-                   left_schema, right_schema) -> "rd.Dataset":
-    """The one plan behind every join kind: both sides are tagged with a
-    stable key-hash bucket and their side, unioned, co-partitioned by
-    ONE ``bucket_exchange``, and each partition's two sides are joined
-    by one Acero ``pa.Table.join`` of ``join_type``. A key's rows share
-    a partition, so each row meets every partner it could have and an
-    unmatched row is emitted once; a null key never matches.
+def cogroup(sides: dict, num_buckets: int, fn) -> "rd.Dataset":
+    """Co-partition several datasets on their keys in ONE exchange and
+    call ``fn`` once per partition with ``{side: pa.Table}``.
 
-    Column lists and Arrow types are captured at plan time. Pass
-    ``left_schema``/``right_schema`` (pyarrow) when a side's lineage
-    contains an all-to-all: ``Dataset.schema()`` samples by executing
-    the first block, which for a post-shuffle side runs the ENTIRE
-    upstream exchange once just to learn dtypes — and then again for
-    real (measured 5.6 s → 21 s when chaining two joins)."""
-    membership = join_type in ("left semi", "left anti")
-    left_ft = _arrow_fields(left, left_schema, "left_schema")
-    if membership:
-        # membership needs only the right key: ship that column alone,
-        # typed like the left key, and never sample the right schema
-        right = right.select_columns([right_key])
-        right_ft = {right_key: left_ft[left_key]}
-        out_ft = left_ft
-    else:
-        right_ft = _arrow_fields(right, right_schema, "right_schema")
-        out_ft = {**left_ft, **{k: v for k, v in right_ft.items()
-                                if k not in left_ft}}
-    # Acero coalesces the key pair into the left name; pandas merge keeps
-    # both: carry a copy of the right key through (null when unmatched)
-    carry = right_key != left_key and not membership
+    ``sides`` maps a side name to ``(dataset, key column, fields)``,
+    ``fields`` being the side's plan-time ``{column: pyarrow type}``.
+    Each side is tagged with a stable key-hash bucket and its name, the
+    sides are unioned, and one ``bucket_exchange`` co-partitions them:
+    every row of a key, from every side, reaches the same ``fn`` call.
+    A side with no rows in a partition arrives as its typed empty
+    table. Null keys all land in one bucket; ``fn`` decides what they
+    mean (the joins match them with nothing)."""
+    fields = {name: ft for name, (_, _, ft) in sides.items()}
 
     def tag(side: str, key: str):
         def fn(batch: pa.Table) -> pa.Table:
             keys = batch.column(key)
             if keys.null_count and pa.types.is_integer(keys.type):
-                keys = keys.fill_null(0)  # null matches nothing: any bucket
+                keys = keys.fill_null(0)  # any bucket will do for a null
             b = _stable_bucket(keys.to_numpy(zero_copy_only=False),
                                num_buckets)
             return batch.append_column(
@@ -136,20 +130,61 @@ def _bucketed_join(left: "rd.Dataset", right: "rd.Dataset", left_key: str,
         return fn
 
     def reduce(group: pa.Table) -> pa.Table:
-        l = _side_table(group, "l", left_ft)
-        r = _side_table(group, "r", right_ft)
-        if carry:
-            r = r.append_column("__rk", r.column(right_key))
-        out = l.join(r, keys=left_key, right_keys=right_key,
-                     join_type=join_type)
-        if carry:
-            out = out.rename_columns(
-                [right_key if c == "__rk" else c for c in out.column_names])
-        return out.select(list(out_ft))
+        return fn({name: _side_table(group, name, ft)
+                   for name, ft in fields.items()})
 
-    tagged = left.map_batches(tag("l", left_key), batch_format="pyarrow").union(
-        right.map_batches(tag("r", right_key), batch_format="pyarrow"))
-    return bucket_exchange(tagged, "__bucket", num_buckets, reduce)
+    tagged = [ds.map_batches(tag(name, key), batch_format="pyarrow")
+              for name, (ds, key, _) in sides.items()]
+    union = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]
+    return bucket_exchange(union, "__bucket", num_buckets, reduce)
+
+
+def _acero_join(l: pa.Table, r: pa.Table, left_key: str, right_key: str,
+                join_type: str) -> pa.Table:
+    """One partition's Acero join. Acero coalesces the key pair into the
+    left name; pandas merge keeps both, so a distinctly named right key
+    is carried through as its own column (null when unmatched)."""
+    carry = right_key != left_key and join_type not in MEMBERSHIP
+    if carry:
+        r = r.append_column("__rk", r.column(right_key))
+    out = l.join(r, keys=left_key, right_keys=right_key, join_type=join_type)
+    if carry:
+        out = out.rename_columns(
+            [right_key if c == "__rk" else c for c in out.column_names])
+    return out
+
+
+def _bucketed_join(left: "rd.Dataset", right: "rd.Dataset", left_key: str,
+                   right_key: str, join_type: str, num_buckets: int,
+                   left_schema, right_schema) -> "rd.Dataset":
+    """The one plan behind every join kind: a two-side ``cogroup`` whose
+    ``fn`` is one Acero ``pa.Table.join`` of ``join_type``. A key's rows
+    share a partition, so each row meets every partner it could have
+    and an unmatched row is emitted once; a null key never matches.
+
+    Column lists and Arrow types are captured at plan time. Pass
+    ``left_schema``/``right_schema`` (pyarrow) when a side's lineage
+    contains an all-to-all: ``Dataset.schema()`` samples by executing
+    the first block, which for a post-shuffle side runs the ENTIRE
+    upstream exchange once just to learn dtypes — and then again for
+    real (measured 5.6 s → 21 s when chaining two joins)."""
+    left_ft = _arrow_fields(left, left_schema, "left_schema")
+    if join_type in MEMBERSHIP:
+        # membership needs only the right key: ship that column alone,
+        # typed like the left key, and never sample the right schema
+        right = right.select_columns([right_key])
+        right_ft = {right_key: left_ft[left_key]}
+        out_cols = list(left_ft)
+    else:
+        right_ft = _arrow_fields(right, right_schema, "right_schema")
+        out_cols = list(left_ft) + [k for k in right_ft if k not in left_ft]
+
+    def join(sides: dict) -> pa.Table:
+        return _acero_join(sides["l"], sides["r"], left_key, right_key,
+                           join_type).select(out_cols)
+
+    return cogroup({"l": (left, left_key, left_ft),
+                    "r": (right, right_key, right_ft)}, num_buckets, join)
 
 
 def hash_join(left, right, left_key: str, right_key: str,
@@ -428,48 +463,59 @@ def click_purchase_matrix(sf_dir: str, num_buckets: int = 32):
     """FULL-OUTER-join query: per-user click counts (even user ids) ⟗
     per-user purchase counts (user ids divisible by 3) — the residue
     filters guarantee genuinely unmatched rows on BOTH sides, which is
-    what distinguishes the operator from a left join. Each side is
-    pre-aggregated (distributive count) before the join exchange.
-    Output (user_id, n_clicks?, n_purchases?) with nullable counts."""
-    from ray.data.aggregate import Count
+    what distinguishes the operator from a left join. Both aggregates
+    and the join share the key ``user_id``, so the plan is ONE
+    ``cogroup`` exchange: each block's picked events are partially
+    counted per ``(user_id, event_type)``, and each partition finishes
+    the counts with one ``group_by`` and full-outer-joins the clicks to
+    the purchases. Output (user_id, n_clicks?, n_purchases?) with
+    nullable counts."""
+    events = read_table(sf_dir, "events", ["user_id", "event_type"])
 
-    def side(event_type: str, residue: int, alias: str):
-        ds = read_table(sf_dir, "events", ["user_id", "event_type"])
+    def divisible(uid, d: int):
+        return pc.equal(pc.subtract(uid, pc.multiply(pc.divide(uid, d), d)),
+                        0)
 
-        def pick(batch: pa.Table) -> pa.Table:
-            uid = batch.column("user_id").to_numpy(zero_copy_only=False)
-            et = np.asarray(batch.column("event_type").to_pylist(),
-                            dtype=object)
-            keep = (et == event_type) & (uid % residue == 0)
-            return batch.filter(pa.array(keep)).select(["user_id"])
+    def pick(batch: pa.Table) -> pa.Table:
+        uid = batch.column("user_id")
+        et = batch.column("event_type")
+        keep = pc.or_(pc.and_(pc.equal(et, "click"), divisible(uid, 2)),
+                      pc.and_(pc.equal(et, "purchase"), divisible(uid, 3)))
+        g = (batch.filter(keep).group_by(["user_id", "event_type"])
+             .aggregate([([], "count_all")]))
+        return pa.table({"user_id": g.column("user_id"),
+                         "event_type": g.column("event_type"),
+                         "n": g.column("count_all")})
 
-        return (ds.map_batches(pick, batch_format="pyarrow")
-                .groupby("user_id").aggregate(Count(alias_name=alias)))
+    def matrix(sides: dict) -> pa.Table:
+        g = (sides["e"].group_by(["user_id", "event_type"])
+             .aggregate([("n", "sum")]))
+        et = g.column("event_type")
 
-    schema_l = pa.schema([("user_id", pa.int64()), ("n_clicks", pa.int64())])
-    schema_r = pa.schema([("user_id", pa.int64()),
-                          ("n_purchases", pa.int64())])
-    joined = full_outer_join(
-        side("click", 2, "n_clicks"), side("purchase", 3, "n_purchases"),
-        "user_id", num_buckets=num_buckets,
-        left_schema=schema_l, right_schema=schema_r,
-    )
+        def counts(event_type: str, name: str) -> pa.Table:
+            t = g.filter(pc.equal(et, event_type))
+            return pa.table({"user_id": t.column("user_id"),
+                             name: t.column("n_sum")})
 
-    # The nullable count columns must ship in the ORACLE-STABLE dtype:
-    # DuckDB's .df() renders a nullable BIGINT as float64 with NaN, while
-    # nullable int64 Arrow blocks can surface as pandas Int64 — value-
-    # equal but hash-DIFFERENT once serialized (r03 driver: rows/schema
-    # match, hash mismatch). Cast to float64/null so both sides
-    # serialize alike (→ float64/NaN in pandas).
-    def to_oracle_dtype(batch: pa.Table) -> pa.Table:
+        out = _acero_join(counts("click", "n_clicks"),
+                          counts("purchase", "n_purchases"),
+                          "user_id", "user_id", "full outer")
+        # The nullable count columns must ship in the ORACLE-STABLE
+        # dtype: DuckDB's .df() renders a nullable BIGINT as float64
+        # with NaN, while nullable int64 Arrow blocks can surface as
+        # pandas Int64 — value-equal but hash-DIFFERENT once serialized
+        # (r03 driver: rows/schema match, hash mismatch). Cast to
+        # float64/null so both sides serialize alike.
         return pa.table({
-            "user_id": batch.column("user_id"),
-            "n_clicks": pc.cast(batch.column("n_clicks"), pa.float64()),
-            "n_purchases": pc.cast(batch.column("n_purchases"),
-                                   pa.float64()),
+            "user_id": out.column("user_id"),
+            "n_clicks": pc.cast(out.column("n_clicks"), pa.float64()),
+            "n_purchases": pc.cast(out.column("n_purchases"), pa.float64()),
         })
 
-    return joined.map_batches(to_oracle_dtype, batch_format="pyarrow")
+    fields = {"user_id": pa.int64(), "event_type": pa.string(),
+              "n": pa.int64()}
+    picked = events.map_batches(pick, batch_format="pyarrow")
+    return cogroup({"e": (picked, "user_id", fields)}, num_buckets, matrix)
 
 
 CLICK_PURCHASE_MATRIX_SQL = """
@@ -616,6 +662,8 @@ def q3_shipping_priority(sf_dir: str, num_buckets: int = JOIN_BUCKETS,
       bucketed SEMI join (both paths oracle-exact);
     - lineitem revenue is pre-aggregated per orderkey inside
       map_batches BEFORE the orders hash join ships anything;
+    - the orderkey join and the per-order totals share their key, so
+      both run in ONE ``cogroup`` exchange;
     - the final top-k uses per-block top-k partials after the orderkey
       aggregate, so the global sort only ever sees ≤ blocks×k rows.
 
@@ -624,8 +672,6 @@ def q3_shipping_priority(sf_dir: str, num_buckets: int = JOIN_BUCKETS,
 
     import pyarrow.compute as pc
     import pyarrow.dataset as pads
-    from ray.data.aggregate import Max, Sum as _Sum
-
     cutoff = _dt.datetime.fromisoformat(Q3_CUTOFF)
 
     orders = read_table(
@@ -685,28 +731,29 @@ def q3_shipping_priority(sf_dir: str, num_buckets: int = JOIN_BUCKETS,
         return pa.table({"l_orderkey": g.column("l_orderkey"),
                          "cents": g.column("cents_sum")})
 
-    li_schema = pa.schema([("l_orderkey", pa.int64()),
-                           ("cents", pa.int64())])
-
     def orders_proj(batch: pa.Table) -> pa.Table:
         date_us = pc.cast(batch.column("o_orderdate"), pa.int64())
         return pa.table({"o_orderkey": batch.column("o_orderkey"),
                          "date_us": date_us})
 
-    o_schema = pa.schema([("o_orderkey", pa.int64()),
-                          ("date_us", pa.int64())])
+    # the join and the per-order totals share the key: one exchange
+    def order_totals(sides: dict) -> pa.Table:
+        g = (_acero_join(sides["l"], sides["o"], "l_orderkey", "o_orderkey",
+                         "inner")
+             .group_by("l_orderkey")
+             .aggregate([("cents", "sum"),
+                         ("date_us", "max")]))  # constant per order
+        return pa.table({"l_orderkey": g.column("l_orderkey"),
+                         "revenue_cents": g.column("cents_sum"),
+                         "date_us": g.column("date_us_max")})
 
-    joined = hash_join(
-        lineitem.map_batches(li_partial, batch_format="pyarrow"),
-        orders_seg.map_batches(orders_proj, batch_format="pyarrow"),
-        "l_orderkey", "o_orderkey", num_buckets=num_buckets,
-        left_schema=li_schema, right_schema=o_schema,
-    )
-
-    totals = joined.groupby("l_orderkey").aggregate(
-        _Sum("cents", alias_name="revenue_cents"),
-        Max("date_us", alias_name="date_us"),  # constant per order
-    )
+    totals = cogroup(
+        {"l": (lineitem.map_batches(li_partial, batch_format="pyarrow"),
+               "l_orderkey", {"l_orderkey": pa.int64(), "cents": pa.int64()}),
+         "o": (orders_seg.map_batches(orders_proj, batch_format="pyarrow"),
+               "o_orderkey", {"o_orderkey": pa.int64(),
+                              "date_us": pa.int64()})},
+        num_buckets, order_totals)
 
     k = Q3_TOPK
 

@@ -40,6 +40,18 @@ def _round_opts() -> pc.RoundOptions:
     return pc.RoundOptions(round_mode="half_towards_infinity")
 
 
+def _agg(t: pa.Table, keys: list[str], aggs: dict) -> pa.Table:
+    """``t.group_by(keys).aggregate`` with the outputs named by
+    ``{out: (column, function)}`` and read by pyarrow's own name
+    (``<column>_<function>``; ``count_all`` for ``([], "count_all")``),
+    never by position: pyarrow versions differ on the keys-vs-aggregates
+    column order."""
+    g = t.group_by(keys).aggregate(list(aggs.values()))
+    return pa.table({**{k: g.column(k) for k in keys},
+                     **{out: g.column(f"{c}_{f}" if c else f)
+                        for out, (c, f) in aggs.items()}})
+
+
 def _cents(col: pa.ChunkedArray | pa.Array) -> pa.Array:
     return pc.cast(
         pc.round(pc.multiply(col, pa.scalar(100.0)), options=_round_opts()),
@@ -99,14 +111,10 @@ def q1_pricing(sf_dir: str):
                 "disc_cents": disc_cents,
             }
         )
-        g = t.group_by(["l_returnflag", "l_linestatus"]).aggregate(
-            [("qty", "count"), ("qty", "sum"), ("base_cents", "sum"),
-             ("disc_cents", "sum")]
-        )
-        return g.rename_columns(
-            ["l_returnflag", "l_linestatus", "n_rows", "sum_qty",
-             "sum_base_cents", "sum_disc_cents"]
-        )
+        return _agg(t, ["l_returnflag", "l_linestatus"], {
+            "n_rows": ("qty", "count"), "sum_qty": ("qty", "sum"),
+            "sum_base_cents": ("base_cents", "sum"),
+            "sum_disc_cents": ("disc_cents", "sum")})
 
     return (
         ds.map_batches(partial, batch_format="pyarrow")
@@ -198,14 +206,11 @@ def segment_order_stats(sf_dir: str, broadcast: bool | None = None):
             seg = ray.get(seg_ref)
             keys = batch.column("o_custkey").to_numpy(zero_copy_only=False)
             segs = [seg.get(int(k), "UNKNOWN") for k in keys]
-            g = pa.table(
-                {"c_mktsegment": pa.array(segs, pa.string()),
-                 "cents": _cents(batch.column("o_totalprice"))}
-            ).group_by(["c_mktsegment"]).aggregate(
-                [("cents", "count"), ("cents", "sum")]
-            )
-            return g.rename_columns(
-                ["c_mktsegment", "n_orders", "sum_total_cents"])
+            t = pa.table({"c_mktsegment": pa.array(segs, pa.string()),
+                          "cents": _cents(batch.column("o_totalprice"))})
+            return _agg(t, ["c_mktsegment"], {
+                "n_orders": ("cents", "count"),
+                "sum_total_cents": ("cents", "sum")})
 
         return (
             read_table(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
@@ -220,15 +225,10 @@ def segment_order_stats(sf_dir: str, broadcast: bool | None = None):
     ds = read_table(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
 
     def partial(batch: pa.Table) -> pa.Table:
-        g = pa.table(
-            {
-                "o_custkey": batch.column("o_custkey"),
-                "cents": _cents(batch.column("o_totalprice")),
-            }
-        ).group_by(["o_custkey"]).aggregate(
-            [("cents", "count"), ("cents", "sum")]
-        )
-        return g.rename_columns(["o_custkey", "n_orders", "sum_total_cents"])
+        t = pa.table({"o_custkey": batch.column("o_custkey"),
+                      "cents": _cents(batch.column("o_totalprice"))})
+        return _agg(t, ["o_custkey"], {"n_orders": ("cents", "count"),
+                                       "sum_total_cents": ("cents", "sum")})
 
     per_cust = ds.map_batches(partial, batch_format="pyarrow")
     cust = read_table(sf_dir, "customer",
@@ -282,17 +282,11 @@ def events_hourly(sf_dir: str):
                      options=_round_opts()),
             pa.int64(),
         )
-        g = pa.table(
-            {
-                "event_type": batch.column("event_type"),
-                "window_id": window,
-                "micros": micros,
-            }
-        ).group_by(["event_type", "window_id"]).aggregate(
-            [("micros", "count"), ("micros", "sum")]
-        )
-        return g.rename_columns(
-            ["event_type", "window_id", "n_events", "sum_value_micros"])
+        t = pa.table({"event_type": batch.column("event_type"),
+                      "window_id": window, "micros": micros})
+        return _agg(t, ["event_type", "window_id"], {
+            "n_events": ("micros", "count"),
+            "sum_value_micros": ("micros", "sum")})
 
     return (
         ds.map_batches(partial, batch_format="pyarrow")
@@ -346,8 +340,7 @@ def event_value_quantiles(sf_dir: str):
             "event_type": batch.column("event_type"),
             "cents": pa.array(cents, pa.int64()),
         })
-        g = t.group_by(["event_type", "cents"]).aggregate([("cents", "count")])
-        return g.rename_columns(["event_type", "cents", "n"])
+        return _agg(t, ["event_type", "cents"], {"n": ("cents", "count")})
 
     hist = (
         ds.map_batches(partial, batch_format="pyarrow")
@@ -398,36 +391,34 @@ GROUP BY event_type
 def customer_order_counts(sf_dir: str):
     """(n_orders, n_customers): how many customers placed exactly N
     orders, including N = 0 — the rows only a LEFT OUTER join keeps.
-    Plan: per-customer order counts (hash aggregate), LEFT join the
-    customer table onto them (bucketed co-partitioning), fill the
-    unmatched side with 0, then the tiny distribution groupby."""
-    from ray.data.aggregate import Count
+    Plan: per-block partial order counts per custkey and the customer
+    table meet in ONE ``cogroup`` exchange on the customer key; each
+    partition finishes its customers' counts, LEFT joins the customers
+    onto them, fills the unmatched with 0 and counts customers per
+    ``n_orders``. The tiny distribution groupby sums those partials."""
+    from pd3f_ray.pipelines.joins import _acero_join, cogroup
 
-    from pd3f_ray.pipelines.joins import left_join
+    def partial(batch: pa.Table) -> pa.Table:
+        return _agg(batch, ["o_custkey"], {"n": ([], "count_all")})
 
-    per_cust = (
-        read_table(sf_dir, "orders", columns=["o_custkey"])
-        .groupby("o_custkey")
-        .aggregate(Count(alias_name="n_orders"))
-        .map_batches(lambda b: b, batch_format="pyarrow")  # arrow blocks
-    )
+    def distribution(sides: dict) -> pa.Table:
+        per_cust = _agg(sides["o"], ["o_custkey"], {"n_orders": ("n", "sum")})
+        joined = _acero_join(sides["c"], per_cust, "c_custkey", "o_custkey",
+                             "left outer")
+        n = pc.fill_null(joined.column("n_orders"), 0)
+        return _agg(pa.table({"n_orders": n}), ["n_orders"],
+                    {"n_customers": ([], "count_all")})
+
+    orders = read_table(sf_dir, "orders", columns=["o_custkey"])
+    per_block = orders.map_batches(partial, batch_format="pyarrow")
     cust = read_table(sf_dir, "customer", columns=["c_custkey"])
-    # explicit right schema: per_cust's lineage holds an aggregate
-    # exchange — sampling .schema() would execute it twice
-    joined = left_join(
-        cust, per_cust, "c_custkey", "o_custkey", num_buckets=32,
-        right_schema=pa.schema([("o_custkey", pa.int64()),
-                                ("n_orders", pa.int64())]),
-    )
-
-    def fill(batch: pa.Table) -> pa.Table:
-        n = pc.fill_null(pc.cast(batch.column("n_orders"), pa.int64()), 0)
-        return pa.table({"n_orders": n})
-
     return (
-        joined.map_batches(fill, batch_format="pyarrow")
+        cogroup({"c": (cust, "c_custkey", {"c_custkey": pa.int64()}),
+                 "o": (per_block, "o_custkey",
+                       {"o_custkey": pa.int64(), "n": pa.int64()})},
+                32, distribution)
         .groupby("n_orders")
-        .aggregate(Count(alias_name="n_customers"))
+        .aggregate(Sum("n_customers", alias_name="n_customers"))
     )
 
 
@@ -466,8 +457,7 @@ def event_value_histogram(sf_dir: str):
             "bin": pa.array(np.floor(v / HIST_BIN_WIDTH).astype(np.int64),
                             pa.int64()),
         })
-        g = t.group_by(["event_type", "bin"]).aggregate([("bin", "count")])
-        return g.rename_columns(["event_type", "bin", "n"])
+        return _agg(t, ["event_type", "bin"], {"n": ("bin", "count")})
 
     return (
         ds.map_batches(partial, batch_format="pyarrow")
@@ -522,10 +512,9 @@ def customer_rollup(sf_dir: str):
             "n_customers": pa.array(np.ones(3 * len(nk), np.int64)),
             "cents": pa.array(np.tile(cents, 3), pa.int64()),
         })
-        g = t.group_by(["nationkey", "segment"]).aggregate(
-            [("n_customers", "sum"), ("cents", "sum")])
-        return g.rename_columns(
-            ["nationkey", "segment", "n_customers", "sum_acctbal_cents"])
+        return _agg(t, ["nationkey", "segment"], {
+            "n_customers": ("n_customers", "sum"),
+            "sum_acctbal_cents": ("cents", "sum")})
 
     return (
         ds.map_batches(partial, batch_format="pyarrow")
@@ -731,9 +720,8 @@ def user_favorite_event(sf_dir: str):
     ds = read_table(sf_dir, "events", columns=["user_id", "event_type"])
 
     def pair_partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(["user_id", "event_type"]).aggregate(
-            [("event_type", "count")])
-        return g.rename_columns(["user_id", "event_type", "n"])
+        return _agg(batch, ["user_id", "event_type"],
+                    {"n": ("event_type", "count")})
 
     counts = (
         ds.map_batches(pair_partial, batch_format="pyarrow")
@@ -834,8 +822,7 @@ def event_value_mad(sf_dir: str, k: int = MAD_K):
             "event_type": batch.column("event_type"),
             "cents": pa.array(cents, pa.int64()),
         })
-        g = t.group_by(["event_type", "cents"]).aggregate([("cents", "count")])
-        return g.rename_columns(["event_type", "cents", "n"])
+        return _agg(t, ["event_type", "cents"], {"n": ("cents", "count")})
 
     hist = (
         ds.map_batches(partial, batch_format="pyarrow")
@@ -920,8 +907,7 @@ def source_lang_matrix(sf_dir: str):
     ds = read_table(sf_dir, "documents", columns=["source", "lang"])
 
     def partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(["source", "lang"]).aggregate([("lang", "count")])
-        return g.rename_columns(["source", "lang", "n"])
+        return _agg(batch, ["source", "lang"], {"n": ("lang", "count")})
 
     counts = (
         ds.map_batches(partial, batch_format="pyarrow")
@@ -1127,10 +1113,9 @@ def events_cube(sf_dir: str):
             "n_events": pa.array(np.ones(4 * n, np.int64)),
             "cents": pa.array(np.tile(cents, 4), pa.int64()),
         })
-        g = t.group_by(["event_type", "hour"]).aggregate(
-            [("n_events", "sum"), ("cents", "sum")])
-        return g.rename_columns(
-            ["event_type", "hour", "n_events", "sum_value_cents"])
+        return _agg(t, ["event_type", "hour"], {
+            "n_events": ("n_events", "sum"),
+            "sum_value_cents": ("cents", "sum")})
 
     return (
         ds.map_batches(partial, batch_format="pyarrow")
@@ -1331,10 +1316,8 @@ def orders_monthly(sf_dir: str):
             "month_key": key,
             "cents": _cents(batch.column("o_totalprice")),
         })
-        g = t.group_by("month_key").aggregate(
-            [("cents", "count"), ("cents", "sum")])
-        return g.rename_columns(["month_key", "n_orders",
-                                 "sum_total_cents"])
+        return _agg(t, ["month_key"], {"n_orders": ("cents", "count"),
+                                       "sum_total_cents": ("cents", "sum")})
 
     return (
         ds.map_batches(partial, batch_format="pyarrow")

@@ -98,22 +98,24 @@ def _sorted_docs(group: pa.Table, blob_col: str):
 
 
 def _layouts(blobs: list, starts, ends, raw_lens=None):
-    """Yield each url run's layout dict, one at a time: its pages'
-    ``page`` entries in ``page_idx`` order, the first page's ``fonts``
-    and the first non-empty ``tables``. With ``raw_lens`` the blobs are
-    LZ4 frames of those sizes. A document one of whose pages fails to
-    decompress or parse is its exception instead (a dead letter, not a
-    failed task)."""
+    """Yield each url run's ``(layout, blob)``, one at a time: the layout
+    dict holds its pages' ``page`` entries in ``page_idx`` order, the
+    first page's ``fonts`` and the first non-empty ``tables``. With
+    ``raw_lens`` the blobs are LZ4 frames of those sizes. A document one
+    of whose pages fails to decompress or parse is its exception instead
+    (a dead letter, not a failed task), and ``blob`` is that page's
+    stored blob (``None`` for a document that assembled)."""
     codec = None if raw_lens is None else pa.Codec(PAGE_CODEC)
     for d in range(len(starts)):
+        blob = None
         try:
             pages = []
             fonts = None
             tables = None
             for j in range(starts[d], ends[d]):
-                blob = blobs[j] if codec is None else codec.decompress(
-                    blobs[j], decompressed_size=raw_lens[j], asbytes=True)
-                payload = _loads(blob)
+                blob = blobs[j]
+                payload = _loads(blob if codec is None else codec.decompress(
+                    blob, decompressed_size=raw_lens[j], asbytes=True))
                 pages.append(payload["page"])
                 if fonts is None:
                     fonts = payload.get("fonts", [])
@@ -122,22 +124,21 @@ def _layouts(blobs: list, starts, ends, raw_lens=None):
             doc = {"pages": pages, "fonts": fonts or []}
             if tables:
                 doc["tables"] = tables
+            blob = None
         except Exception as exc:  # noqa: BLE001 — dead-letter semantics
             doc = exc
-        yield doc
+        yield doc, blob
 
 
 def assemble_bucket(group: pa.Table) -> pa.Table:
     """All pages of a set of urls (one exchange partition) → one
-    document row per url, its layout re-serialized into ``html``. A page
-    that does not parse raises here; ``extract_pages_fused`` turns it
-    into a dead letter instead."""
+    document row per url, its layout re-serialized into ``html``. A url
+    with a page that does not assemble carries that page as its
+    ``html``, which ``ExtractDocs`` dead-letters (a page that does not
+    parse with the fused plan's error)."""
     _, blobs, starts, ends, first = _sorted_docs(group, "page_json")
-    out_html = []
-    for doc in _layouts(blobs, starts, ends):
-        if isinstance(doc, Exception):
-            raise doc
-        out_html.append(_dumps(doc))
+    out_html = [_dumps(doc) if bad is None else bad
+                for doc, bad in _layouts(blobs, starts, ends)]
     return pa.table(
         {
             "url": first.column("url"),
@@ -202,7 +203,7 @@ def assemble_extract(group: pa.Table, opts: ExtractOptions) -> pa.Table:
 
     out = {k: [] for k in ("text", "n_pages", "n_elements", "n_chars",
                            "tables_csv", "n_tables", "error")}
-    for doc, lang in zip(docs, langs):
+    for (doc, _), lang in zip(docs, langs):
         rec = (dead_letter(doc) if isinstance(doc, Exception) else
                extract_parsed(doc, opts_of[lang], scorer=get_scorer(lang)))
         out["text"].append(rec["text"])

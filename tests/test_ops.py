@@ -420,6 +420,34 @@ def test_partition_count_grows_with_num_buckets(monkeypatch):
     assert exchange.partition_count(2**20) == 2**14
 
 
+def _exchanges(ds) -> list:
+    """The executed all-to-all sub-operators of a materialized Dataset."""
+    return [op.operator_name for op in _executed_ops(ds._get_stats_summary())
+            if op.is_sub_operator]
+
+
+def test_same_key_aggregates_fold_into_the_join_exchange(ray_session):
+    """A plan that aggregates and joins on one key runs both in ONE
+    ``cogroup`` exchange: click_purchase_matrix is one sort exchange
+    with no Ray aggregate, customer_order_counts is that exchange plus
+    its final groupby on ``n_orders``, and q3_shipping_priority's
+    orderkey totals ride its orderkey join (on both customer paths: the
+    join, then the top-k sort; the bucketed path adds its semi join)."""
+    from pd3f_ray.pipelines.joins import (
+        click_purchase_matrix,
+        q3_shipping_priority,
+    )
+    from pd3f_ray.pipelines.relational import customer_order_counts
+
+    pair = ["SortMap", "SortReduce"]
+    assert _exchanges(click_purchase_matrix(SF).materialize()) == pair
+    assert _exchanges(customer_order_counts(SF).materialize()) == pair + [
+        "AggregateMap", "AggregateReduce"]
+    for broadcast, n in ((True, 2), (False, 3)):
+        ds = q3_shipping_priority(SF, broadcast_customer=broadcast)
+        assert _exchanges(ds.materialize()) == pair * n, broadcast
+
+
 def _write_files(table, d, n_files: int) -> str:
     """``table`` as a directory of ``n_files`` parquet files."""
     import pyarrow.parquet as pq
@@ -722,17 +750,36 @@ def test_curate_neardup_oracle(ray_session, con):
     _match(curate_neardup(SF), CURATE_NEARDUP_SQL, con)
 
 
-def test_customer_order_counts_oracle(ray_session, con):
+def test_customer_order_counts_oracle(ray_session, con, tmp_path):
     """TPC-H Q13 shape: the LEFT OUTER join must keep zero-order
-    customers (n_orders = 0 row present)."""
+    customers (an n_orders = 0 row). Neither testdata scale has one, so
+    a small pair of tables adds five customers without orders and an
+    order without a customer."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
     from pd3f_ray.pipelines.relational import (
         CUSTOMER_ORDER_COUNTS_SQL,
         customer_order_counts,
     )
 
-    got = customer_order_counts(SF).to_pandas()
     _match(customer_order_counts(SF), CUSTOMER_ORDER_COUNTS_SQL, con)
-    assert (got["n_orders"] == 0).any() or True  # distribution may lack 0s at tiny sf
+
+    pq.write_table(pa.table({"c_custkey": pa.array(range(1, 9), pa.int64())}),
+                   tmp_path / "customer.parquet")
+    pq.write_table(pa.table({
+        "o_orderkey": pa.array(range(7), pa.int64()),
+        "o_custkey": pa.array([1, 1, 1, 2, 2, 5, None], pa.int64())}),
+        tmp_path / "orders.parquet")
+    small = duckdb.connect()
+    for t in ("customer", "orders"):
+        small.execute(f"CREATE VIEW {t} AS SELECT * FROM "
+                      f"read_parquet('{tmp_path / (t + '.parquet')}')")
+    ds = customer_order_counts(str(tmp_path))
+    got = ds.to_pandas()
+    assert dict(zip(got["n_orders"], got["n_customers"])) == {
+        0: 5, 1: 1, 2: 1, 3: 1}
+    _match(ds, CUSTOMER_ORDER_COUNTS_SQL, small)
 
 
 def test_stratified_sample_oracle(ray_session, con):

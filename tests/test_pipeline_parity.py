@@ -254,15 +254,24 @@ def test_corrupt_page_dead_letters_its_document(ray_session, tmp_path):
     """A page that does not parse, and a page without a ``"page"`` key,
     each make their url ONE dead-letter row in the fused page-table path
     (the docs path's error string); the job completes and every other
-    url matches the kernel oracle."""
+    url matches the kernel oracle. The staged plan (assemble, then
+    ``ExtractDocs``) over four good documents and the unparseable one
+    gives five rows: the fused plan's dead letter and its four texts."""
     import random
 
     import pyarrow as pa
+    import pyarrow.compute as pc
     import pyarrow.parquet as pq
     import ray
 
-    from pd3f_ray.pipelines.extraction import extract_from_pages_parquet
+    from pd3f_ray.core.cluster import read_parquet
+    from pd3f_ray.pipelines.extraction import (
+        PAGE_COLUMNS,
+        extract_dataset,
+        extract_from_pages_parquet,
+    )
     from pd3f_ray.sources.synth import BASE_TS
+    from pd3f_ray.stages.pages import assemble_pages_dataset
 
     rows, want = [], {}
     for i in range(20):
@@ -287,13 +296,14 @@ def test_corrupt_page_dead_letters_its_document(ray_session, tmp_path):
               json.dumps({"fonts": lay["fonts"]}).encode())]
     random.Random(11).shuffle(rows)
     urls, tss, idxs, blobs = zip(*rows)
-    pq.write_table(pa.table({
+    table = pa.table({
         "url": pa.array(urls, pa.string()),
         "warc_ts": pa.array(tss, pa.timestamp("us")),
         "page_idx": pa.array(idxs, pa.int32()),
         "page_json": pa.array(blobs, pa.binary()),
         "lang": pa.array(["en"] * len(rows), pa.string()),
-    }), tmp_path / "pages.parquet")
+    })
+    pq.write_table(table, tmp_path / "pages.parquet")
 
     ds = extract_from_pages_parquet(str(tmp_path / "pages.parquet"))
     got = {r["url"]: r for ref in ds.to_arrow_refs()
@@ -309,6 +319,22 @@ def test_corrupt_page_dead_letters_its_document(ray_session, tmp_path):
     for url, text in want.items():
         assert got[url]["error"] is None
         assert got[url]["text"] == text, url
+
+    staged_urls = list(want)[:4] + ["https://example.org/bad-json"]
+    pq.write_table(table.filter(pc.is_in(table.column("url"),
+                                         pa.array(staged_urls))),
+                   tmp_path / "staged.parquet")
+    staged = extract_dataset(assemble_pages_dataset(
+        read_parquet(str(tmp_path / "staged.parquet"), columns=PAGE_COLUMNS)))
+    rows = [r for ref in staged.to_arrow_refs()
+            for r in ray.get(ref).to_pylist()]
+    assert sorted(r["url"] for r in rows) == sorted(staged_urls)
+    errors = [r["error"] for r in rows if r["error"] is not None]
+    assert errors == [got["https://example.org/bad-json"]["error"]]
+    assert errors[0].startswith("JSONDecodeError: ")
+    for r in rows:
+        if r["error"] is None:
+            assert r["text"] == got[r["url"]]["text"], r["url"]
 
 
 def test_page_codec_roundtrip_and_ratio(oracle):

@@ -4,7 +4,7 @@ the functions whose exactness the byte-parity contract rests on."""
 import string
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pd3f_ray.core.geom import bbox_similarity
@@ -168,17 +168,76 @@ _key_rows = st.lists(
     st.tuples(st.one_of(st.none(), st.integers(2**60, 2**60 + 30)),
               st.integers(0, 1000)),
     min_size=0, max_size=40)
+# every key on both sides, several rows each, and a null on each side
+_MANY_ROWS_PER_KEY = ([(2**60 + i % 5, i) for i in range(12)] + [(None, 0)],
+                      [(2**60 + i % 7, i) for i in range(10)] + [(None, 1)])
+
+
+def _check_cogroup(lds, rds, ldf, rdf):
+    """``cogroup`` of the two sides and an always-empty third: each
+    row arrives once, every non-null key's rows from both sides arrive
+    in ONE ``fn`` call, and every side comes as its declared typed
+    table, the empty one as a typed empty table in every call."""
+    import uuid
+
+    import pandas as pd
+    import pyarrow as pa
+    import ray.data as rd
+
+    from pd3f_ray.pipelines import joins
+
+    fields = {"l": {"lk": pa.int64(), "lv": pa.int64()},
+              "r": {"rk": pa.int64(), "rv": pa.int64()},
+              "x": {"xk": pa.int64(), "xv": pa.string()}}
+    xds = rd.from_arrow(pa.table({"xk": pa.array([], pa.int64()),
+                                  "xv": pa.array([], pa.string())}))
+
+    def fn(sides: dict) -> pa.Table:
+        call = uuid.uuid4().hex
+        parts = []
+        for side, t in sides.items():
+            n = max(t.num_rows, 1)  # an empty side reports one null row
+            parts.append(pa.table({
+                "call": [call] * n, "side": [side] * n,
+                "key": t.column(0) if t.num_rows else pa.nulls(1, pa.int64()),
+                "rows": pa.array([t.num_rows] * n, pa.int64()),
+                "typed": [t.schema == pa.schema(fields[side])] * n}))
+        return pa.concat_tables(parts)
+
+    ds = joins.cogroup({"l": (lds, "lk", fields["l"]),
+                        "r": (rds, "rk", fields["r"]),
+                        "x": (xds, "xk", fields["x"])}, 7, fn)
+    blocks = [b for b in ds.iter_batches(batch_format="pyarrow",
+                                         batch_size=None) if b.num_rows]
+    if not blocks:
+        assert len(ldf) == len(rdf) == 0
+        return
+    got = pa.concat_tables(blocks).to_pandas(
+        types_mapper={pa.int64(): pd.Int64Dtype()}.get)
+    assert got["typed"].all()
+    rows = got[got["rows"] > 0]
+    for side, df, key in (("l", ldf, "lk"), ("r", rdf, "rk")):
+        assert sorted(rows.loc[rows["side"] == side, "key"].tolist(),
+                      key=repr) == sorted(df[key].tolist(), key=repr)
+    keyed = rows[rows["key"].notna()]
+    assert (keyed.groupby("key")["call"].nunique() == 1).all()
+    empty = got[got["side"] == "x"]
+    assert (empty["rows"] == 0).all()
+    assert len(empty) == got["call"].nunique()
 
 
 @pytest.mark.parametrize("kind", ["inner", "left", "semi", "anti",
-                                  "full_outer"])
+                                  "full_outer", "cogroup"])
 @settings(max_examples=2, deadline=None)
 @given(_key_rows, _key_rows)
+@example(*_MANY_ROWS_PER_KEY)
 def test_hash_join_matches_pandas(ray_session, kind, left_rows, right_rows):
     """Each join kind against its pandas reference (``merge``/``isin``)
     on nullable int64 keys. A null key never matches, whereas pandas
     merge pairs nulls, so the references join the non-null rows and add
-    the null-keyed rows back wherever the kind keeps unmatched rows."""
+    the null-keyed rows back wherever the kind keeps unmatched rows.
+    ``cogroup``, the exchange under every kind, is checked for its own
+    contract (``_check_cogroup``)."""
     import pandas as pd
     import pyarrow as pa
     import ray.data as rd
@@ -188,6 +247,9 @@ def test_hash_join_matches_pandas(ray_session, kind, left_rows, right_rows):
     rk = "lk" if kind == "full_outer" else "rk"  # one shared key name
     ldf = pd.DataFrame(left_rows, columns=["lk", "lv"]).astype("Int64")
     rdf = pd.DataFrame(right_rows, columns=[rk, "rv"]).astype("Int64")
+    if kind == "cogroup":
+        _check_cogroup(rd.from_pandas(ldf), rd.from_pandas(rdf), ldf, rdf)
+        return
     lnull, rnull = ldf[ldf["lk"].isna()], rdf[rdf[rk].isna()]
     lm, rm = ldf.dropna(subset=["lk"]), rdf.dropna(subset=[rk])
     hit = ldf["lk"].notna() & ldf["lk"].isin(rm[rk])
