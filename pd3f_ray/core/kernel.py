@@ -49,14 +49,17 @@ from pd3f_ray.core.config import ExtractOptions
 from pd3f_ray.core.geom import bbox_similarity
 from pd3f_ray.core.scorer import DeterministicScorer, get_scorer
 from pd3f_ray.core.textnorm import (
+    _SUSPECT_RE,
     char_bag_jaccard,
     clean_text,
     fix_text,
     has_alnum,
+    has_ascii_alnum,
     strip_line_end_spaces,
 )
 
-_NL_COLLAPSE = re.compile(r"\n{3,}")
+# ``\n{3,}`` spelled with a literal prefix, which the regex engine scans for
+_NL_COLLAPSE = re.compile(r"\n\n\n+")
 
 
 class DocumentError(ValueError):
@@ -96,22 +99,34 @@ def roughly_same_font(f1: dict, f2: dict) -> bool:
     return abs(f1["size"] - f2["size"]) < max(f1["size"], f2["size"]) * 0.2
 
 
+def _most_common(values: list):
+    """``Counter(values).most_common(1)[0][0]`` for a non-empty list: the
+    most frequent value, the first met among equals."""
+    counts = Counter(values)
+    return max(counts, key=counts.__getitem__)
+
+
 def modal_font(element):
     """Most common font id; ties break to first-encountered, matching
     Counter.most_common (doc_info.py:63-64)."""
     return Counter(element_fonts(element)).most_common(1)[0][0]
 
 
-def gathered_text(elements) -> str:
+def gathered_text(elements, stats: "DocStats | None" = None) -> str:
     """Space-joined, unicode-fixed text of all words under the given
     elements (doc_info.py:83-88). Non-dict inputs yield nothing, which
     reproduces the reference's behavior of returning '' for already-
-    exported Element objects (see render notes below)."""
+    exported Element objects (see render notes below). With ``stats``, an
+    element of recorded word lines gives its words from their records."""
     words = []
     for e in elements:
         if isinstance(e, dict):
-            for w in walk_nodes(e, "word"):
-                words.append(w["content"].strip())
+            plain = stats.raw_words(e) if stats is not None else None
+            if plain is not None:
+                words += plain
+            else:
+                words.extend(w["content"].strip()
+                             for w in walk_nodes(e, "word"))
         # non-dict (already-exported) inputs contribute no words — the
         # reference's traverse() returns None for them (doc_info.py:44-52)
     return fix_text(" ".join(words))
@@ -153,6 +168,90 @@ def mean_word_gap(line) -> float:
     return sum(gaps) / len(gaps)
 
 
+# ---------------------------------------------------------------------------
+# the one pass per element: lines, word fonts and per-line records
+# ---------------------------------------------------------------------------
+
+
+def _line_record(line):
+    """The record of a line whose ``content`` is a non-empty list of word
+    dicts, each with a ``str`` content, a font and a box, from one read of
+    each word: ``(words, fonts, gap, alnum, raw)`` where
+
+    - ``words`` are what ``words_of_line`` gives and ``fonts`` the words'
+      fonts;
+    - ``gap`` is ``mean_word_gap(line)``;
+    - ``alnum`` is ``any(has_alnum(w) for w in words)`` when one search of
+      the line settles it, else ``None``;
+    - ``raw`` says that ``words`` are the stripped contents as they are
+      (``fix_text`` had nothing to repair).
+
+    ``None`` for any other line, whose readers then take the per-word
+    helpers (and raise where those raise)."""
+    items = line.get("content")
+    if type(items) is not list or not items:
+        return None
+    try:
+        contents, fonts, gaps = [], [], []
+        prev = None
+        for w in items:
+            if w["type"] != "word":
+                return None
+            contents.append(w["content"])
+            fonts.append(w["font"])
+            box = w["box"]
+            if prev is not None:
+                gaps.append(box["l"] - (prev["l"] + prev["w"]))
+            prev = box
+        # mean_word_gap's sum: the same gaps, left to right, after its 0
+        gap = sum(gaps) / len(items)
+        # fix_text changes only text that has a suspect character, so one
+        # search of the joined line stands for one per word (an ASCII line
+        # has none); an ASCII letter or digit is has_alnum's in any word,
+        # and an ASCII line has no other kind
+        text = " ".join(contents)
+        ascii_ = text.isascii()
+        raw = ascii_ or _SUSPECT_RE.search(text) is None
+        words = tuple(map(str.strip, contents) if raw
+                      else [fix_text(c).strip() for c in contents])
+        alnum = True if has_ascii_alnum(text) else (False if ascii_ else None)
+    except Exception:  # noqa: BLE001 — not a plain word line
+        return None
+    return words, tuple(fonts), gap, alnum, raw
+
+
+def _words_record(line):
+    """The record of a line ``_line_record`` refuses, from the per-word
+    helpers; its gap and alnum are left to the time of use."""
+    words, fonts = words_of_line(line)
+    return tuple(words), tuple(fonts), None, None, False
+
+
+def flatten(element, records: dict) -> tuple[list | None, list]:
+    """One pass over ``element``: ``(lines, fonts)`` where ``lines`` is
+    ``walk_nodes(element, "line")`` and ``fonts`` the fonts of
+    ``walk_nodes(element, "word")``; each line's record goes into
+    ``records`` under ``id(line)``. When ``element["content"]`` is a list
+    of line dicts, ``lines`` is that list itself. For any other shape the
+    fonts come from the word walk and ``lines`` is ``None``: the line walk
+    is left to the caller, where the reference walks lines."""
+    content = element.get("content")
+    if type(content) is list and element.get("type") not in ("line", "word"):
+        fonts: list = []
+        for ln in content:
+            if type(ln) is not dict or ln.get("type") != "line":
+                break
+            rec = _line_record(ln)
+            if rec is None:
+                fonts += element_fonts(ln)
+            else:
+                records[id(ln)] = rec
+                fonts += rec[1]
+        else:
+            return content, fonts
+    return None, element_fonts(element)
+
+
 def _is_flag(element, key: str) -> bool:
     props = element.get("properties", {})
     return key in props and bool(props[key])
@@ -173,6 +272,10 @@ class DocStats:
     median_line_left: float = 0.0
     order_page: list[list] = field(default_factory=list)
     id_to_elem: dict = field(default_factory=dict)
+    # id(element) -> walk_nodes(element, "line"); id(line) -> its record
+    # (``_line_record``), for every element and word line of the layout
+    lines: dict = field(default_factory=dict)
+    records: dict = field(default_factory=dict)
 
     @classmethod
     def compute(cls, layout: dict) -> "DocStats":
@@ -192,14 +295,23 @@ class DocStats:
                 per_page.append(e["id"])
             st.order_page.append(per_page)
 
-        # font stats (doc_info.py:248-266)
-        font_counter = Counter()
+        # font stats (doc_info.py:248-266), from the one pass per element
+        # that also keeps its lines and their records
+        fonts: list = []
         for page in layout["pages"]:
             for e in page["elements"]:
-                font_counter.update(element_fonts(e))
-        if not font_counter:
+                try:
+                    lines, e_fonts = flatten(e, st.records)
+                except (KeyError, RecursionError):
+                    # counted element by element, an unhashable font in an
+                    # earlier element failed before this element's walk
+                    Counter(fonts)
+                    raise
+                st.lines[id(e)] = lines
+                fonts += e_fonts
+        if not fonts:
             raise DocumentError("document has no words (broken text layer?)")
-        st.body_font = font_counter.most_common(1)[0][0]
+        st.body_font = _most_common(fonts)
         for f in layout["fonts"]:
             st.font_info[f["id"]] = f
             if f["sizeUnit"] != "px":
@@ -213,13 +325,16 @@ class DocStats:
         gaps: list[float] = []
         for idx_page, page in enumerate(layout["pages"]):
             for e in page["elements"]:
-                lines = walk_nodes(e, "line")
+                lines = st.lines[id(e)]
+                if lines is None:
+                    lines = st.lines[id(e)] = walk_nodes(e, "line")
                 for ln in lines:
                     ln["idx_page"] = idx_page
                     st.id_to_elem[ln["id"]] = ln
-                    widths.append(ln["box"]["w"])
-                    heights.append(ln["box"]["h"])
-                    lefts.append(ln["box"]["l"])
+                    box = ln["box"]
+                    widths.append(box["w"])
+                    heights.append(box["h"])
+                    lefts.append(box["l"])
                 for a, b in zip(lines, lines[1:]):
                     g = vertical_gap(a, b)
                     if g is not None:
@@ -246,10 +361,33 @@ class DocStats:
             == self.id_to_elem[l2["id"]]["idx_page"]
         )
 
+    def line_record(self, line) -> tuple:
+        """``(words, fonts, gap, alnum, raw)`` of one line: its record from
+        the statistics pass, else one made now by the per-word helpers.
+        Tuples: a reader that edits the words copies them."""
+        return self.records.get(id(line)) or _words_record(line)
+
+    def raw_words(self, element) -> list | None:
+        """The stripped texts of ``walk_nodes(element, "word")`` from the
+        line records, when ``element["content"]`` is a list of recorded
+        lines whose words are raw; else ``None``."""
+        lines = self.lines.get(id(element))
+        if lines is None or lines is not element.get("content"):
+            return None
+        words = []
+        for ln in lines:
+            rec = self.records.get(id(ln))
+            if rec is None or not rec[4]:
+                return None
+            words += rec[0]
+        return words
+
     def looks_like_body(self, element) -> bool:
         """Is the element statistically a body paragraph?
         (doc_info.py:305-321)"""
-        lines = walk_nodes(element, "line")
+        lines = self.lines.get(id(element))
+        if lines is None:
+            lines = walk_nodes(element, "line")
         widths = [ln["box"]["w"] for ln in lines]
         heights = [ln["box"]["h"] for ln in lines]
         lefts = [ln["box"]["l"] for ln in lines]
@@ -267,32 +405,42 @@ class DocStats:
 # ---------------------------------------------------------------------------
 
 
-def groups_similar(es1, es2, sim_text: float = 0.8, sim_box: float = 0.6) -> bool:
+def groups_similar(es1, es2, sim_text: float = 0.8, sim_box: float = 0.6,
+                   text=gathered_text) -> bool:
     """Two per-page element groups are near-duplicates when both the
-    character-bag Jaccard of their texts and the bbox overlap ratio clear
-    their thresholds (doc_info.py:102-123)."""
+    character-bag Jaccard of their texts (``text(group)``) and the bbox
+    overlap ratio clear their thresholds (doc_info.py:102-123)."""
     pts1, pts2 = corner_points(es1), corner_points(es2)
     if min(len(pts1), len(pts2)) < 4:
         return False
-    if char_bag_jaccard(gathered_text(es1), gathered_text(es2)) <= sim_text:
+    if char_bag_jaccard(text(es1), text(es2)) <= sim_text:
         return False
     return bbox_similarity(pts1, pts2) > sim_box
 
 
-def dedup_repeating_groups(page_groups: list[list], scorer: DeterministicScorer):
+def dedup_repeating_groups(page_groups: list[list], scorer: DeterministicScorer,
+                           stats: DocStats | None = None):
     """Sequential near-dedup of per-page header/footer groups: the first
     page's group always survives; later near-duplicate groups keep
     whichever scores better under the LM, blanking the loser with [].
-    Order-dependent by design (doc_info.py:126-152)."""
+    Order-dependent by design (doc_info.py:126-152). Each group's text is
+    gathered once, at its first use."""
+    texts: dict = {}
+
+    def text(group) -> str:
+        if id(group) not in texts:
+            texts[id(group)] = gathered_text(group, stats)
+        return texts[id(group)]
+
     kept = [page_groups[0]]
     for group in page_groups[1:]:
         survives = True
         for prior in kept:
             if len(prior) == 0:
                 continue
-            if groups_similar(prior, group):
-                if scorer.single_score(gathered_text(prior)) <= scorer.single_score(
-                    gathered_text(group)
+            if groups_similar(prior, group, text=text):
+                if scorer.single_score(text(prior)) <= scorer.single_score(
+                    text(group)
                 ):
                     survives = False
                     break
@@ -359,7 +507,7 @@ class OutElement:
             # doc_output.py:156-159: spaces before newlines are scrubbed
             fixed = [strip_line_end_spaces(" ".join(line)) for line in self.lines]
             return "".join(fixed) + "\n"
-        return "".join(" ".join(line) for line in self.lines) + "\n\n"
+        return "".join(map(" ".join, self.lines)) + "\n\n"
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +539,10 @@ class ParagraphBuilder:
     # -- the decision cascade (export.py:328-385) ---------------------------
 
     def wants_newline(self, line, next_line, text_line, text_next_line,
-                      paragraph, num_valid_lines) -> bool:
+                      paragraph, num_valid_lines, avg_space=None) -> bool:
+        """Does ``line`` end with a newline rather than a space?
+        ``avg_space`` is the line record's ``mean_word_gap(line)``, computed
+        here when the record has none."""
         # rule 0 (default OFF, like the reference): materially different
         # modal fonts between adjacent lines force a break
         # (export.py:332-339, doc_info.py:36-40). Guarded on a valid next
@@ -404,7 +555,8 @@ class ParagraphBuilder:
                     and not roughly_same_font(f1, f2):
                 return True
 
-        avg_space = mean_word_gap(line)
+        if avg_space is None:
+            avg_space = mean_word_gap(line)
         indent = line["box"]["l"] - paragraph["box"]["l"]
         available = (
             paragraph["box"]["w"] - line["box"]["w"] - avg_space - indent
@@ -440,9 +592,15 @@ class ParagraphBuilder:
 
     # -- footnote classifier (export.py:514-554) ----------------------------
 
-    def is_footnote_paragraph(self, paragraph, font_counter, idx_page,
-                              valid_lines) -> bool:
-        para_font = font_counter.most_common(1)[0][0]
+    def is_footnote_paragraph(self, paragraph, valid_recs, idx_page) -> bool:
+        """``valid_recs``: the records of the paragraph's valid lines."""
+        fonts: list = []
+        for rec in valid_recs:
+            fonts += rec[1]
+        # all in the body font: the modal font is the body font
+        if fonts.count(self.stats.body_font) == len(fonts):
+            return False
+        para_font = _most_common(fonts)
         if para_font == self.stats.body_font:
             return False
         if (
@@ -457,10 +615,10 @@ class ParagraphBuilder:
             return False
         if len(page_order) > 1:
             prev = self.stats.id_to_elem[page_order[-2]]
-            prev_words, _ = words_of_line(prev["content"][-1])
+            prev_words = self.stats.line_record(prev["content"][-1])[0]
             if prev_words[-1].endswith(":"):
                 return False
-        if not valid_lines[0][0].strip()[0].isnumeric():
+        if not valid_recs[0][0][0].strip()[0].isnumeric():
             return False
         return True
 
@@ -468,30 +626,27 @@ class ParagraphBuilder:
 
     def build(self, paragraph, idx_page, test_footnote=True) -> OutElement | None:
         raw_lines = paragraph["content"]
-        font_counter: Counter = Counter()
+        recs = [self.stats.line_record(raw) for raw in raw_lines]
+        # each valid line's words as a list of its own: the join markers
+        # below edit it
         lines: list[list[str] | None] = []
-
-        for raw in raw_lines:
-            words, fonts = words_of_line(raw)
-            if not words:
-                lines.append(None)
-            elif not self.opts.remove_punct_paragraph or any(
-                has_alnum(w) for w in words
-            ):
-                lines.append(words)
-                font_counter.update(fonts)
+        valid_idx: list[int] = []
+        for i, (words, _, _, alnum, _) in enumerate(recs):
+            if words and (not self.opts.remove_punct_paragraph or (
+                alnum if alnum is not None
+                else any(has_alnum(w) for w in words)
+            )):
+                lines.append(list(words))
+                valid_idx.append(i)
             else:
-                lines.append(None)  # punctuation-only line dropped
-
-        valid_idx = [i for i, l in enumerate(lines) if l is not None]
+                lines.append(None)  # no words, or punctuation only
         if not valid_idx:
             return None
         last_valid = valid_idx[-1]
         n_valid = len(valid_idx)
-        valid_lines = [lines[i] for i in valid_idx]
 
         if test_footnote and self.is_footnote_paragraph(
-            paragraph, font_counter, idx_page, valid_lines
+            paragraph, [recs[i] for i in valid_idx], idx_page
         ):
             # footnote variant (export.py:432-460): newline markers are
             # separate trailing words; numeric-start lines with differing
@@ -499,7 +654,7 @@ class ParagraphBuilder:
             for i in valid_idx[:-1]:
                 if self.wants_newline(
                     raw_lines[i], raw_lines[i + 1], lines[i], lines[i + 1],
-                    paragraph, n_valid,
+                    paragraph, n_valid, recs[i][2],
                 ):
                     lines[i].append("\n")
                 elif lines[i + 1] is None:
@@ -530,6 +685,7 @@ class ParagraphBuilder:
                 None if at_end else lines[i + 1],
                 paragraph,
                 n_valid,
+                recs[i][2],
             )
             if nl:
                 lines[i][-1] += "\n"
@@ -559,15 +715,12 @@ class ParagraphBuilder:
 # ---------------------------------------------------------------------------
 
 
-def _build_heading(element) -> OutElement:
+def _build_heading(element, stats: DocStats) -> OutElement:
     """Heading export (export.py:503-509). The reference passes the heading
     level into the idx_page positional slot of Element — a quirk we
     reproduce (level stays None). Headings are effectively unused: Parsr
     heading detection is disabled (reference README.md:106-109)."""
-    lines = []
-    for raw in element["content"]:
-        words, _ = words_of_line(raw)
-        lines.append(words)
+    lines = [list(stats.line_record(raw)[0]) for raw in element["content"]]
     return OutElement("heading", lines, element["id"], idx_page=element["level"])
 
 
@@ -615,8 +768,8 @@ class DocumentKernel:
             footers.append(f)
 
         if self.opts.remove_duplicate_header_footer:
-            headers = dedup_repeating_groups(headers, self.scorer)
-            footers = dedup_repeating_groups(footers, self.scorer)
+            headers = dedup_repeating_groups(headers, self.scorer, self.stats)
+            footers = dedup_repeating_groups(footers, self.scorer, self.stats)
 
         out_header, out_footer, out_footnotes = [], [], []
         for idx_page, (h_group, f_group) in enumerate(zip(headers, footers)):
@@ -654,7 +807,7 @@ class DocumentKernel:
                 ):
                     continue
                 if e["type"] == "heading":
-                    body.append(_build_heading(e))
+                    body.append(_build_heading(e, self.stats))
                 if e["type"] == "paragraph":
                     built = self.builder.build(e, idx_page)
                     if built:
@@ -731,7 +884,8 @@ class DocumentKernel:
                 parts.append("#" * e.level + " ")
             parts.append(e.render())
         parts.append("\n\n".join(e.render() for e in self.footer))
-        return _NL_COLLAPSE.sub("\n\n", "".join(parts))
+        text = "".join(parts)
+        return _NL_COLLAPSE.sub("\n\n", text) if "\n\n\n" in text else text
 
 
 # ---------------------------------------------------------------------------

@@ -236,7 +236,8 @@ class DeterministicScorer:
         i = 0
         while i < len(out) - 1:
             cur, nxt = out[i], out[i + 1]
-            if not cur or not nxt:
+            # a core ending in '-' puts one in the word's last two chars
+            if not cur or not nxt or "-" not in cur[-1][-2:]:
                 i += 1
                 continue
             core1, sep1 = self._split_suffix(cur[-1])

@@ -113,11 +113,19 @@ def char_bag_jaccard(a: str, b: str) -> float:
         return 1.0
     ca, cb = Counter(a), Counter(b)
     inter = sum((ca & cb).values())
-    union = sum((ca | cb).values())
+    # the union bag holds each char max(ca, cb) = ca + cb - min(ca, cb) times
+    union = len(a) + len(b) - inter
     return inter / union if union else 0.0
 
 
 _ASCII_ALNUM_RE = re.compile("[0-9A-Za-z]")
+
+
+def has_ascii_alnum(s: str) -> bool:
+    """Does ``s`` hold an ASCII letter or digit? Cleaning keeps every one
+    (repair, folding, lowercasing and the punctuation strip leave them
+    alphanumeric), so then ``has_alnum(s)`` is true."""
+    return _ASCII_ALNUM_RE.search(s) is not None
 
 
 def has_alnum(s: str) -> bool:
@@ -127,7 +135,7 @@ def has_alnum(s: str) -> bool:
         # cleaning never creates or destroys ASCII alphanumerics in an
         # all-ASCII string (no suspects to repair, folding is identity,
         # punctuation strip removes no alnum)
-        return _ASCII_ALNUM_RE.search(s) is not None
+        return has_ascii_alnum(s)
     t = clean_text(s, no_punct=True)
     return any(c.isalnum() for c in t)
 

@@ -25,6 +25,7 @@ import zlib
 import numpy as np
 import pyarrow as pa
 
+from pd3f_ray.core.arrowkit import agg
 from pd3f_ray.core.cluster import read_table
 from pd3f_ray.functions.textfns import md5_hex
 
@@ -438,12 +439,11 @@ def partition_manifest(sf_dir: str):
                       ["doc_id", "source", "lang", "n_chars"])
 
     def partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(["source", "lang"]).aggregate(
-            [("doc_id", "count"), ("doc_id", "min"), ("doc_id", "max"),
-             ("n_chars", "sum")])
-        return g.rename_columns(
-            ["source", "lang", "n_docs", "min_doc_id", "max_doc_id",
-             "sum_chars"])
+        return agg(batch, ["source", "lang"],
+                   {"n_docs": ("doc_id", "count"),
+                    "min_doc_id": ("doc_id", "min"),
+                    "max_doc_id": ("doc_id", "max"),
+                    "sum_chars": ("n_chars", "sum")})
 
     return (
         docs.map_batches(partial, batch_format="pyarrow")

@@ -67,20 +67,20 @@ def _arrow_fields(ds: "rd.Dataset", schema, arg: str) -> dict:
     return dict(zip(schema.names, schema.types))
 
 
-def _side_table(group: pa.Table, side: str, fields: dict) -> pa.Table:
-    """One side's rows of a tagged-union partition, projected onto its
-    plan-time schema. The union pads a side's missing columns with
-    typed nulls (Arrow keeps int64 integral — no pandas float
-    promotion), but a partition whose blocks all came from ONE side may
-    lack the other side's columns entirely — pad those here."""
+def _side_table(group: pa.Table, side: str, columns: dict,
+                fields: dict) -> pa.Table:
+    """One side's rows of a tagged-union partition under the side's own
+    column names (``columns`` maps each to its union column), typed as
+    ``fields`` declares. Every tagged block has the union schema, but an
+    empty input block reaches the exchange untagged (Ray calls no UDF
+    on it), and the partition it joins may then lack a union column or
+    carry it null-typed: that column is padded or cast here."""
     t = group.filter(pc.equal(group.column("__side"), side))
     cols = {}
-    for name, typ in fields.items():
-        if name in t.column_names:
-            c = t.column(name)
-            cols[name] = c if c.type == typ else c.cast(typ)
-        else:
-            cols[name] = pa.nulls(t.num_rows, typ)
+    for col, typ in fields.items():
+        u = columns[col]
+        c = t.column(u) if u in t.column_names else pa.nulls(t.num_rows, typ)
+        cols[col] = c if c.type == typ else c.cast(typ)
     return pa.table(cols)
 
 
@@ -114,8 +114,22 @@ def cogroup(sides: dict, num_buckets: int, fn) -> "rd.Dataset":
     every row of a key, from every side, reaches the same ``fn`` call.
     A side with no rows in a partition arrives as its typed empty
     table. Null keys all land in one bucket; ``fn`` decides what they
-    mean (the joins match them with nothing)."""
+    mean (the joins match them with nothing).
+
+    Every side is tagged onto ONE schema, so the tagged blocks of all
+    sides agree: side ``s``'s column ``c`` is the union column
+    ``__c<i>`` in its declared type, the other sides' columns are typed
+    nulls, then ``__bucket`` and ``__side``."""
     fields = {name: ft for name, (_, _, ft) in sides.items()}
+    union_fields = []  # (union column, type) in side order
+    columns = {}  # side -> {column: union column}
+    for name, ft in fields.items():
+        columns[name] = {}
+        for col, typ in ft.items():
+            columns[name][col] = f"__c{len(union_fields)}"
+            union_fields.append((columns[name][col], typ))
+    schema = pa.schema(union_fields + [("__bucket", pa.int32()),
+                                       ("__side", pa.string())])
 
     def tag(side: str, key: str):
         def fn(batch: pa.Table) -> pa.Table:
@@ -124,13 +138,21 @@ def cogroup(sides: dict, num_buckets: int, fn) -> "rd.Dataset":
                 keys = keys.fill_null(0)  # any bucket will do for a null
             b = _stable_bucket(keys.to_numpy(zero_copy_only=False),
                                num_buckets)
-            return batch.append_column(
-                "__bucket", pa.array(b, pa.int32())).append_column(
-                "__side", pa.array([side] * batch.num_rows, pa.string()))
+            n = batch.num_rows
+            own = {}
+            for col, typ in fields[side].items():
+                c = (batch.column(col) if col in batch.column_names
+                     else pa.nulls(n, typ))
+                own[columns[side][col]] = c if c.type == typ else c.cast(typ)
+            arrays = [own[u] if u in own else pa.nulls(n, typ)
+                      for u, typ in union_fields]
+            arrays += [pa.array(b, pa.int32()),
+                       pa.array([side] * n, pa.string())]
+            return pa.Table.from_arrays(arrays, schema=schema)
         return fn
 
     def reduce(group: pa.Table) -> pa.Table:
-        return fn({name: _side_table(group, name, ft)
+        return fn({name: _side_table(group, name, columns[name], ft)
                    for name, ft in fields.items()})
 
     tagged = [ds.map_batches(tag(name, key), batch_format="pyarrow")

@@ -26,6 +26,7 @@ import numpy as np
 import pyarrow as pa
 import ray.data as rd
 
+from pd3f_ray.core.arrowkit import agg
 from pd3f_ray.core.cluster import read_table
 
 KINDS = ("image", "audio", "video")
@@ -236,16 +237,13 @@ def media_kind_summary(sf_dir: str) -> "rd.Dataset":
     # before the real run (the .schema() re-execution trap — see
     # joins.py and __ray_entry__._q_extract_summary)
     def partial(batch: pa.Table) -> pa.Table:
-        g = batch.select(["kind", "n_bytes"]).group_by("kind").aggregate(
-            [("kind", "count"), ("n_bytes", "sum")]
-        )
-        return g.rename_columns(["kind", "n_media", "sum_bytes"])
+        return agg(batch.select(["kind", "n_bytes"]), ["kind"],
+                   {"n_media": ("kind", "count"),
+                    "sum_bytes": ("n_bytes", "sum")})
 
     def combine(batch: pa.Table) -> pa.Table:
-        g = batch.group_by("kind").aggregate(
-            [("n_media", "sum"), ("sum_bytes", "sum")]
-        )
-        return g.rename_columns(["kind", "n_media", "sum_bytes"])
+        return agg(batch, ["kind"], {"n_media": ("n_media", "sum"),
+                                     "sum_bytes": ("sum_bytes", "sum")})
 
     return (
         feats.map_batches(partial, batch_format="pyarrow")

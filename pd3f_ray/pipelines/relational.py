@@ -29,6 +29,7 @@ import ray
 import ray.data as rd
 from ray.data.aggregate import Count, Max, Min, Sum
 
+from pd3f_ray.core.arrowkit import agg
 from pd3f_ray.core.cluster import read_table
 
 
@@ -38,18 +39,6 @@ def _round_opts() -> pc.RoundOptions:
     (Constructed per call: pyarrow options objects are not picklable, and
     these modules ship to workers by value.)"""
     return pc.RoundOptions(round_mode="half_towards_infinity")
-
-
-def _agg(t: pa.Table, keys: list[str], aggs: dict) -> pa.Table:
-    """``t.group_by(keys).aggregate`` with the outputs named by
-    ``{out: (column, function)}`` and read by pyarrow's own name
-    (``<column>_<function>``; ``count_all`` for ``([], "count_all")``),
-    never by position: pyarrow versions differ on the keys-vs-aggregates
-    column order."""
-    g = t.group_by(keys).aggregate(list(aggs.values()))
-    return pa.table({**{k: g.column(k) for k in keys},
-                     **{out: g.column(f"{c}_{f}" if c else f)
-                        for out, (c, f) in aggs.items()}})
 
 
 def _cents(col: pa.ChunkedArray | pa.Array) -> pa.Array:
@@ -111,7 +100,7 @@ def q1_pricing(sf_dir: str):
                 "disc_cents": disc_cents,
             }
         )
-        return _agg(t, ["l_returnflag", "l_linestatus"], {
+        return agg(t, ["l_returnflag", "l_linestatus"], {
             "n_rows": ("qty", "count"), "sum_qty": ("qty", "sum"),
             "sum_base_cents": ("base_cents", "sum"),
             "sum_disc_cents": ("disc_cents", "sum")})
@@ -208,7 +197,7 @@ def segment_order_stats(sf_dir: str, broadcast: bool | None = None):
             segs = [seg.get(int(k), "UNKNOWN") for k in keys]
             t = pa.table({"c_mktsegment": pa.array(segs, pa.string()),
                           "cents": _cents(batch.column("o_totalprice"))})
-            return _agg(t, ["c_mktsegment"], {
+            return agg(t, ["c_mktsegment"], {
                 "n_orders": ("cents", "count"),
                 "sum_total_cents": ("cents", "sum")})
 
@@ -227,8 +216,8 @@ def segment_order_stats(sf_dir: str, broadcast: bool | None = None):
     def partial(batch: pa.Table) -> pa.Table:
         t = pa.table({"o_custkey": batch.column("o_custkey"),
                       "cents": _cents(batch.column("o_totalprice"))})
-        return _agg(t, ["o_custkey"], {"n_orders": ("cents", "count"),
-                                       "sum_total_cents": ("cents", "sum")})
+        return agg(t, ["o_custkey"], {"n_orders": ("cents", "count"),
+                                      "sum_total_cents": ("cents", "sum")})
 
     per_cust = ds.map_batches(partial, batch_format="pyarrow")
     cust = read_table(sf_dir, "customer",
@@ -284,7 +273,7 @@ def events_hourly(sf_dir: str):
         )
         t = pa.table({"event_type": batch.column("event_type"),
                       "window_id": window, "micros": micros})
-        return _agg(t, ["event_type", "window_id"], {
+        return agg(t, ["event_type", "window_id"], {
             "n_events": ("micros", "count"),
             "sum_value_micros": ("micros", "sum")})
 
@@ -340,7 +329,7 @@ def event_value_quantiles(sf_dir: str):
             "event_type": batch.column("event_type"),
             "cents": pa.array(cents, pa.int64()),
         })
-        return _agg(t, ["event_type", "cents"], {"n": ("cents", "count")})
+        return agg(t, ["event_type", "cents"], {"n": ("cents", "count")})
 
     hist = (
         ds.map_batches(partial, batch_format="pyarrow")
@@ -399,15 +388,15 @@ def customer_order_counts(sf_dir: str):
     from pd3f_ray.pipelines.joins import _acero_join, cogroup
 
     def partial(batch: pa.Table) -> pa.Table:
-        return _agg(batch, ["o_custkey"], {"n": ([], "count_all")})
+        return agg(batch, ["o_custkey"], {"n": ([], "count_all")})
 
     def distribution(sides: dict) -> pa.Table:
-        per_cust = _agg(sides["o"], ["o_custkey"], {"n_orders": ("n", "sum")})
+        per_cust = agg(sides["o"], ["o_custkey"], {"n_orders": ("n", "sum")})
         joined = _acero_join(sides["c"], per_cust, "c_custkey", "o_custkey",
                              "left outer")
         n = pc.fill_null(joined.column("n_orders"), 0)
-        return _agg(pa.table({"n_orders": n}), ["n_orders"],
-                    {"n_customers": ([], "count_all")})
+        return agg(pa.table({"n_orders": n}), ["n_orders"],
+                   {"n_customers": ([], "count_all")})
 
     orders = read_table(sf_dir, "orders", columns=["o_custkey"])
     per_block = orders.map_batches(partial, batch_format="pyarrow")
@@ -457,7 +446,7 @@ def event_value_histogram(sf_dir: str):
             "bin": pa.array(np.floor(v / HIST_BIN_WIDTH).astype(np.int64),
                             pa.int64()),
         })
-        return _agg(t, ["event_type", "bin"], {"n": ("bin", "count")})
+        return agg(t, ["event_type", "bin"], {"n": ("bin", "count")})
 
     return (
         ds.map_batches(partial, batch_format="pyarrow")
@@ -512,7 +501,7 @@ def customer_rollup(sf_dir: str):
             "n_customers": pa.array(np.ones(3 * len(nk), np.int64)),
             "cents": pa.array(np.tile(cents, 3), pa.int64()),
         })
-        return _agg(t, ["nationkey", "segment"], {
+        return agg(t, ["nationkey", "segment"], {
             "n_customers": ("n_customers", "sum"),
             "sum_acctbal_cents": ("cents", "sum")})
 
@@ -720,8 +709,8 @@ def user_favorite_event(sf_dir: str):
     ds = read_table(sf_dir, "events", columns=["user_id", "event_type"])
 
     def pair_partial(batch: pa.Table) -> pa.Table:
-        return _agg(batch, ["user_id", "event_type"],
-                    {"n": ("event_type", "count")})
+        return agg(batch, ["user_id", "event_type"],
+                   {"n": ("event_type", "count")})
 
     counts = (
         ds.map_batches(pair_partial, batch_format="pyarrow")
@@ -822,7 +811,7 @@ def event_value_mad(sf_dir: str, k: int = MAD_K):
             "event_type": batch.column("event_type"),
             "cents": pa.array(cents, pa.int64()),
         })
-        return _agg(t, ["event_type", "cents"], {"n": ("cents", "count")})
+        return agg(t, ["event_type", "cents"], {"n": ("cents", "count")})
 
     hist = (
         ds.map_batches(partial, batch_format="pyarrow")
@@ -907,7 +896,7 @@ def source_lang_matrix(sf_dir: str):
     ds = read_table(sf_dir, "documents", columns=["source", "lang"])
 
     def partial(batch: pa.Table) -> pa.Table:
-        return _agg(batch, ["source", "lang"], {"n": ("lang", "count")})
+        return agg(batch, ["source", "lang"], {"n": ("lang", "count")})
 
     counts = (
         ds.map_batches(partial, batch_format="pyarrow")
@@ -1113,7 +1102,7 @@ def events_cube(sf_dir: str):
             "n_events": pa.array(np.ones(4 * n, np.int64)),
             "cents": pa.array(np.tile(cents, 4), pa.int64()),
         })
-        return _agg(t, ["event_type", "hour"], {
+        return agg(t, ["event_type", "hour"], {
             "n_events": ("n_events", "sum"),
             "sum_value_cents": ("cents", "sum")})
 
@@ -1316,8 +1305,8 @@ def orders_monthly(sf_dir: str):
             "month_key": key,
             "cents": _cents(batch.column("o_totalprice")),
         })
-        return _agg(t, ["month_key"], {"n_orders": ("cents", "count"),
-                                       "sum_total_cents": ("cents", "sum")})
+        return agg(t, ["month_key"], {"n_orders": ("cents", "count"),
+                                      "sum_total_cents": ("cents", "sum")})
 
     return (
         ds.map_batches(partial, batch_format="pyarrow")

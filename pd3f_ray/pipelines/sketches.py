@@ -25,6 +25,7 @@ import pyarrow as pa
 import ray.data as rd
 from ray.data.aggregate import Count
 
+from pd3f_ray.core.arrowkit import agg
 from pd3f_ray.core.cluster import read_table
 
 HLL_P = 12  # 2^12 registers
@@ -462,14 +463,13 @@ def hourly_unique_users(sf_dir: str):
         window = pc.divide(us, pa.scalar(_HOUR_US, pa.int64()))
         v = batch.column("value").to_numpy(zero_copy_only=False) * 100.0
         cents = (np.sign(v) * np.floor(np.abs(v) + 0.5)).astype(np.int64)
-        g = pa.table({
+        t = pa.table({
             "window_id": window,
             "user_id": batch.column("user_id"),
             "cents": pa.array(cents, pa.int64()),
-        }).group_by(["window_id", "user_id"]).aggregate(
-            [("cents", "count"), ("cents", "sum")]
-        )
-        return g.rename_columns(["window_id", "user_id", "n", "cents"])
+        })
+        return agg(t, ["window_id", "user_id"],
+                   {"n": ("cents", "count"), "cents": ("cents", "sum")})
 
     pairs = (
         ds.map_batches(pair_partial, batch_format="pyarrow")
@@ -479,15 +479,9 @@ def hourly_unique_users(sf_dir: str):
     )
 
     def window_partial(batch: pa.Table) -> pa.Table:
-        g = pa.table({
-            "window_id": batch.column("window_id"),
-            "n": batch.column("n"),
-            "cents": batch.column("cents"),
-        }).group_by("window_id").aggregate(
-            [("n", "count"), ("n", "sum"), ("cents", "sum")]
-        )
-        return g.rename_columns(
-            ["window_id", "n_users", "n_events", "sum_value_cents"])
+        return agg(batch.select(["window_id", "n", "cents"]), ["window_id"],
+                   {"n_users": ("n", "count"), "n_events": ("n", "sum"),
+                    "sum_value_cents": ("cents", "sum")})
 
     return (
         pairs.map_batches(window_partial, batch_format="pyarrow")

@@ -15,6 +15,7 @@ import pyarrow as pa
 import ray.data as rd
 from ray.data.aggregate import Sum
 
+from pd3f_ray.core.arrowkit import agg
 from pd3f_ray.core.cluster import read_table
 from pd3f_ray.functions.textfns import (
     distinct_token_count,
@@ -749,8 +750,7 @@ def lang_confusion_matrix(sf_dir: str):
             "lang": pa.array(labels, pa.string()),
             "pred_lang": pa.array(preds, pa.string()),
         })
-        g = t.group_by(["lang", "pred_lang"]).aggregate([([], "count_all")])
-        return g.rename_columns(["lang", "pred_lang", "n"])
+        return agg(t, ["lang", "pred_lang"], {"n": ([], "count_all")})
 
     return (
         ds.map_batches(partial, batch_format="pyarrow")

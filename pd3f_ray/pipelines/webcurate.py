@@ -37,6 +37,7 @@ import pandas as pd
 import pyarrow as pa
 from ray.data.aggregate import Sum
 
+from pd3f_ray.core.arrowkit import agg
 from pd3f_ray.core.cluster import read_table
 from pd3f_ray.functions.textfns import hash_bytes
 
@@ -1216,8 +1217,7 @@ def crawl_budget_allocation(sf_dir: str, budget: int = CRAWL_BUDGET):
     docs = read_table(sf_dir, "documents", ["source"])
 
     def count_partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by("source").aggregate([("source", "count")])
-        return g.rename_columns(["source", "n_docs"])
+        return agg(batch, ["source"], {"n_docs": ("source", "count")})
 
     counts = (
         docs.map_batches(count_partial, batch_format="pyarrow")

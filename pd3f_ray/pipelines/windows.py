@@ -23,6 +23,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from pd3f_ray.core.arrowkit import agg
 from pd3f_ray.core.cluster import read_table
 from pd3f_ray.stages.exchange import bucket_exchange
 
@@ -242,11 +243,9 @@ def events_sliding(sf_dir: str):
                 "window_id": pa.array(w_max - off, pa.int64()),
                 "micros": pa.array(micros, pa.int64()),
             }))
-        g = pa.concat_tables(parts).group_by(
-            ["event_type", "window_id"]).aggregate(
-            [("micros", "count"), ("micros", "sum")])
-        return g.rename_columns(
-            ["event_type", "window_id", "n_events", "sum_value_micros"])
+        return agg(pa.concat_tables(parts), ["event_type", "window_id"],
+                   {"n_events": ("micros", "count"),
+                    "sum_value_micros": ("micros", "sum")})
 
     from ray.data.aggregate import Sum
 
@@ -896,9 +895,8 @@ def sliding_unique_users(sf_dir: str):
     )
 
     def window_partial(batch: pa.Table) -> pa.Table:
-        g = (batch.select(["window_id"])
-             .group_by("window_id").aggregate([([], "count_all")]))
-        return g.rename_columns(["window_id", "n_users"])
+        return agg(batch.select(["window_id"]), ["window_id"],
+                   {"n_users": ([], "count_all")})
 
     return (
         pairs.map_batches(window_partial, batch_format="pyarrow")

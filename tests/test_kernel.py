@@ -10,6 +10,7 @@ from pd3f_ray.core.kernel import (
     DocStats,
     DocumentKernel,
     dedup_repeating_groups,
+    extract_parsed,
     extract_record,
     extract_text,
 )
@@ -352,3 +353,101 @@ def test_reference_kwargs_accepted_with_warning():
 
     with _pytest.raises(TypeError):
         extract(dict(layout), lang="en", not_a_real_option=1)
+
+
+
+def test_font_errors_surface_in_element_order():
+    """A malformed font dead-letters with the error of the first element
+    that has one: an unhashable font before a later element's missing
+    font is a TypeError, the missing font alone a KeyError."""
+    def doc(unhashable: bool):
+        d = _base_doc(_IdGen())
+        first, second = d["pages"][0]["elements"][:2]
+        if unhashable:
+            first["content"][0]["content"][0]["font"] = [BODY_FONT]
+        del second["content"][1]["content"][2]["font"]
+        return d
+
+    opts = ExtractOptions.experimental()
+    assert extract_parsed(doc(True), opts)["error"] == (
+        "TypeError: unhashable type: 'list'")
+    assert extract_parsed(doc(False), opts)["error"] == "KeyError: 'font'"
+
+
+DEEP = 10_000
+
+
+_DEEP_WORD = {"type": "word", "content": "deep", "font": BODY_FONT,
+              "box": {"t": 600.0, "l": MARGIN_L, "w": 24.0, "h": 10.0}}
+_DEEP_BOX = {"t": 600.0, "l": MARGIN_L, "w": 24.0, "h": 10.0}
+
+
+def _deep_element(depth: int) -> dict:
+    """A paragraph whose one word sits ``depth`` groups deep."""
+    node = dict(_DEEP_WORD)
+    for _ in range(depth):
+        node = {"type": "group", "content": [node]}
+    return {"id": 900000, "type": "paragraph", "properties": {},
+            "box": dict(_DEEP_BOX), "content": [node]}
+
+
+def _deep_element_json(depth: int) -> str:
+    """``_deep_element(depth)`` as JSON text, spelled out because
+    ``json.dumps`` itself recurses."""
+    return ('{"id": 900000, "type": "paragraph", "properties": {}, "box": '
+            + json.dumps(_DEEP_BOX) + ', "content": ['
+            + '{"type": "group", "content": [' * depth
+            + json.dumps(_DEEP_WORD) + "]}" * depth + "]}")
+
+
+def test_deep_tree_dead_letters():
+    """A layout nested 10,000 levels through ``content`` is one dead letter
+    from the recursive tree walk's RecursionError; nothing escapes."""
+    ids = _IdGen()
+    doc = _base_doc(ids)
+    doc["pages"][0]["elements"].append(_deep_element(DEEP))
+    rec = extract_parsed(doc, ExtractOptions.experimental())
+    assert rec["text"] is None
+    assert rec["error"].split(":", 1)[0] == "RecursionError"
+
+
+def test_deep_tree_dead_letters_in_page_reducer():
+    """Through the fused page plan's reducer, the deep document's url is a
+    dead letter and every other url matches ``extract_record``."""
+    import pyarrow as pa
+
+    from pd3f_ray.sources.synth import BASE_TS
+    from pd3f_ray.stages.pages import add_bucket_compress, assemble_extract
+
+    opts = ExtractOptions.experimental()
+    rows, want = [], {}
+    for i in range(6):
+        lay, _ = build_layout(i, 42)
+        url = f"https://example.org/doc/{i}"
+        for p_idx, page in enumerate(lay["pages"]):
+            rows.append((url, p_idx, json.dumps(
+                {"page": page, "fonts": lay["fonts"]}).encode()))
+        want[url] = extract_record(json.dumps(
+            {"pages": lay["pages"], "fonts": lay["fonts"]}).encode(), opts)
+    lay, _ = build_layout(0, 42, scenario="plain")
+    deep = "https://example.org/doc/deep"
+    rows.append((deep, 0, json.dumps(
+        {"page": lay["pages"][0], "fonts": lay["fonts"]}).encode()))
+    rows.append((deep, 1, ('{"page": {"elements": [' + _deep_element_json(DEEP)
+                           + ']}, "fonts": ' + json.dumps(lay["fonts"])
+                           + "}").encode()))
+    urls, idxs, blobs = zip(*rows)
+    pages = pa.table({
+        "url": pa.array(urls, pa.string()),
+        "warc_ts": pa.array([BASE_TS] * len(rows), pa.timestamp("us")),
+        "page_idx": pa.array(idxs, pa.int32()),
+        "page_json": pa.array(blobs, pa.binary()),
+        "lang": pa.array(["multi"] * len(rows), pa.string()),
+    })
+    out = assemble_extract(add_bucket_compress(pages, 512), opts).to_pylist()
+    got = {r["url"]: r for r in out}
+    assert set(got) == set(want) | {deep}
+    assert got[deep]["text"] is None
+    assert got[deep]["error"].split(":", 1)[0] == "RecursionError"
+    for url, rec in want.items():
+        assert (got[url]["text"], got[url]["error"]) == (rec["text"], rec["error"])

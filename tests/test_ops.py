@@ -718,6 +718,62 @@ def test_hash_join_keeps_both_key_columns(ray_session):
     assert out["w"].tolist() == [20, 20, 50]
 
 
+def test_agg_names_outputs_by_pyarrow_name():
+    """``arrowkit.agg`` puts the keys first and each output under its own
+    name, read from pyarrow's ``<column>_<function>``, never by position."""
+    import pyarrow as pa
+
+    from pd3f_ray.core.arrowkit import agg
+
+    t = pa.table({"k": ["a", "b", "a"], "v": pa.array([1, 2, 3], pa.int64())})
+    out = agg(t, ["k"], {"total": ("v", "sum"), "n": ([], "count_all"),
+                         "n_k": ("k", "count")})
+    assert out.column_names == ["k", "total", "n", "n_k"]
+    assert sorted(out.to_pylist(), key=lambda r: r["k"]) == [
+        {"k": "a", "total": 4, "n": 2, "n_k": 2},
+        {"k": "b", "total": 2, "n": 1, "n_k": 1}]
+
+
+def test_hash_join_union_has_one_schema(ray_session):
+    """``cogroup`` tags both sides onto one schema, so the union's blocks
+    agree: joining two differently shaped sides logs no Ray "different
+    schema" warning, and the join is still right. Every bucket has rows
+    (an empty partition's block has an empty schema, which Ray also
+    reports)."""
+    import logging
+
+    import pyarrow as pa
+    import ray.data as rd
+
+    from pd3f_ray.pipelines.joins import hash_join
+
+    messages = []
+
+    class Grab(logging.Handler):
+        def emit(self, record):
+            messages.append(record.getMessage())
+
+    log = logging.getLogger(
+        "ray.data._internal.execution.streaming_executor_state")
+    grab, level = Grab(logging.WARNING), log.level
+    log.addHandler(grab)
+    log.setLevel(logging.WARNING)
+    try:
+        left = rd.from_arrow(pa.table(
+            {"k": pa.array(range(200), pa.int64()),
+             "v": [str(i) for i in range(200)]}))
+        right = rd.from_arrow(pa.table(
+            {"rk": pa.array(range(0, 200, 2), pa.int64()),
+             "w": pa.array([i / 2 for i in range(0, 200, 2)], pa.float64())}))
+        rows = hash_join(left, right, "k", "rk", num_buckets=7).take_all()
+    finally:
+        log.removeHandler(grab)
+        log.setLevel(level)
+    assert sorted((r["k"], r["v"], r["w"]) for r in rows) == [
+        (i, str(i), i / 2) for i in range(0, 200, 2)]
+    assert not [m for m in messages if "different schema" in m]
+
+
 def test_left_join_right_key_null_on_unmatched(ray_session):
     # the __rk carry: Acero coalesces the key pair, but pandas-merge
     # semantics keep the right key as a REAL column — null exactly on

@@ -630,3 +630,185 @@ def test_stable_bucket_strings_cross_process():
         capture_output=True, text=True, check=True)
     assert eval(out.stdout.strip()) == here
     assert all(0 <= b < 64 for b in here)
+
+
+# --- the kernel's one pass per element against the tree walk -------------
+
+_coord = st.floats(0, 500, allow_nan=False, allow_infinity=False)
+_box_st = st.fixed_dictionaries({"t": _coord, "l": _coord, "w": _coord,
+                                 "h": _coord})
+# ASCII, suspect characters (mojibake: "Ã¤" repairs to "ä", "Â" and a
+# no-break space to a no-break space), non-ASCII letters (one not in
+# Latin-1, which stops a whole-text repair) and the no-break space, which
+# str.strip removes
+_word_text = st.text(alphabet=["a", "1", " ", ":", "-", "*", "Ã", "Â", "¤", "é",
+                               "€", "\u00a0"], max_size=6)
+_plain_word = st.fixed_dictionaries(
+    {"type": st.just("word"), "content": _word_text,
+     "font": st.integers(0, 2), "box": _box_st})
+_tree_leaves = st.one_of(
+    _plain_word,
+    # no font: the word walk's KeyError
+    st.fixed_dictionaries({"type": st.just("word"), "content": _word_text,
+                           "box": _box_st}),
+    # no box: a line the one-pass record refuses
+    st.fixed_dictionaries({"type": st.just("word"), "content": _word_text,
+                           "font": st.integers(0, 2)}),
+    # no content at all
+    st.fixed_dictionaries({"type": st.sampled_from(["line", "group"])}),
+)
+
+
+def _tree_nodes(children):
+    kids = st.lists(children, max_size=4)
+    return st.one_of(
+        st.fixed_dictionaries({"type": st.just("line"),
+                               "id": st.integers(0, 99), "box": _box_st,
+                               "content": kids}),
+        st.fixed_dictionaries({"type": st.just("line"),
+                               "id": st.integers(0, 99), "box": _box_st,
+                               "content": st.lists(_plain_word, min_size=1,
+                                                   max_size=6)}),
+        # lines nested in groups, and words directly under a group
+        st.fixed_dictionaries({"type": st.just("group"), "content": kids}),
+        # list-valued word content: the line walk enters it, the word
+        # walk does not
+        st.fixed_dictionaries({"type": st.just("word"), "content": kids,
+                               "font": st.integers(0, 2), "box": _box_st}),
+        kids,
+    )
+
+
+_tree_node = st.recursive(_tree_leaves, _tree_nodes, max_leaves=20)
+_element_st = st.fixed_dictionaries(
+    {"type": st.sampled_from(["paragraph", "paragraph", "heading", "line",
+                              "word"])},
+    optional={"content": st.one_of(st.lists(_tree_node, max_size=5),
+                                   _tree_node)},
+)
+
+
+def _plain_line(ln) -> bool:
+    """A line the one-pass record must take: a non-empty list of word dicts
+    with text, font and a box with ``l`` and ``w``."""
+    items = ln.get("content")
+    return (type(items) is list and len(items) > 0 and all(
+        type(w) is dict and w.get("type") == "word"
+        and type(w.get("content")) is str and "font" in w
+        and type(w.get("box")) is dict for w in items))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_element_st)
+def test_flatten_is_the_tree_walk(element):
+    """``flatten`` gives exactly the fonts of ``walk_nodes(e, "word")``
+    (or its KeyError), the lines of ``walk_nodes(e, "line")`` whenever it
+    gives lines (always for an element whose content is a list of lines),
+    and for each plain line a record equal to the per-word helpers."""
+    from pd3f_ray.core.kernel import (
+        flatten,
+        mean_word_gap,
+        walk_nodes,
+        words_of_line,
+    )
+
+    records: dict = {}
+    try:
+        want_fonts = [w["font"] for w in walk_nodes(element, "word")]
+    except KeyError as exc:
+        with pytest.raises(KeyError) as got:
+            flatten(element, records)
+        assert got.value.args == exc.args
+        return
+    lines, fonts = flatten(element, records)
+    assert fonts == want_fonts
+
+    want_lines = walk_nodes(element, "line")
+    content = element.get("content")
+    if (type(content) is list and element["type"] not in ("line", "word")
+            and all(type(c) is dict and c.get("type") == "line"
+                    for c in content)):
+        assert lines is content
+        for ln in lines:
+            assert (id(ln) in records) == _plain_line(ln)
+    if lines is not None:
+        assert [id(x) for x in lines] == [id(x) for x in want_lines]
+    for ln in want_lines:
+        rec = records.get(id(ln))
+        if rec is None:
+            continue
+        words, word_fonts = words_of_line(ln)
+        assert rec[:3] == (tuple(words), tuple(word_fonts), mean_word_gap(ln))
+        if rec[3] is not None:
+            assert rec[3] == any(has_alnum(w) for w in words)
+
+
+@st.composite
+def _kernel_docs(draw):
+    """Synthetic-style layouts: pages of paragraphs of word lines, with
+    header/footer flags, mixed fonts, mojibake and punctuation-only words,
+    and now and then a word without a box or a font."""
+    from pd3f_ray.sources.synth import FONTS, MARGIN_L, _IdGen, _line, _paragraph
+
+    ids = _IdGen()
+    pages = []
+    for _ in range(draw(st.integers(1, 3))):
+        elements, t = [], 40.0
+        for _ in range(draw(st.integers(0, 4))):
+            font = draw(st.sampled_from([0, 0, 0, 1, 2]))
+            lines = []
+            for _ in range(draw(st.integers(1, 4))):
+                words = draw(st.lists(_word_text.filter(str.strip),
+                                      max_size=8))
+                left = MARGIN_L + draw(st.sampled_from([0.0, 0.0, 24.0]))
+                line = _line(ids, words, font, t, left)
+                if line["content"] and draw(st.integers(0, 9)) == 0:
+                    victim = draw(st.sampled_from(line["content"]))
+                    del victim[draw(st.sampled_from(["box", "font"]))]
+                lines.append(line)
+                t += 10.0 + draw(st.sampled_from([4.0, 4.0, 4.0, 40.0]))
+            flag = draw(st.sampled_from([{}, {}, {"is_header": True},
+                                         {"is_footer": True}]))
+            elements.append(_paragraph(ids, lines, **flag))
+        pages.append({"elements": elements})
+    return {"pages": pages, "fonts": [dict(f) for f in FONTS]}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kernel_docs(), st.booleans())
+def test_kernel_same_without_line_records(doc, experimental):
+    """The line records change no output: with the one-pass record turned
+    off every reader falls back to the per-word helpers, and the record
+    (text or dead letter) is the same."""
+    import copy
+    from unittest import mock
+
+    from pd3f_ray.core import kernel
+    from pd3f_ray.core.config import ExtractOptions
+
+    opts = ExtractOptions.experimental() if experimental else ExtractOptions.plain()
+    want_doc = copy.deepcopy(doc)
+    got = kernel.extract_parsed(doc, opts)
+    with mock.patch.object(kernel, "_line_record", lambda line: None):
+        want = kernel.extract_parsed(want_doc, opts)
+    assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kernel_docs())
+def test_gathered_text_from_records(doc):
+    """An element's gathered text is the same from its line records as
+    from the word walk."""
+    from pd3f_ray.core.kernel import DocStats, DocumentError, gathered_text
+
+    try:
+        stats = DocStats.compute(doc)
+    except (DocumentError, KeyError):
+        return
+    for page in doc["pages"]:
+        for e in page["elements"]:
+            try:
+                want = gathered_text([e])
+            except KeyError:
+                continue
+            assert gathered_text([e], stats) == want
