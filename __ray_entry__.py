@@ -105,54 +105,35 @@ def _q_extract_summary(sf_dir: str):
     Deliberately NOT ``groupby("lang").aggregate(...)``: groupby's key
     validation fetches the dataset schema, which executes the upstream
     extraction once for the first block just to learn dtypes
-    (measured 4.4 s at sf0.1) before the real run re-executes it — the
-    same ``.schema()`` re-execution trap the joins module documents.
+    (measured 4.4 s at sf0.1) before the real run re-executes it.
     Instead each batch is pre-aggregated map-side into per-(block,
-    lang) partial rows and the tiny partial table is combined in one
-    task behind a probe-free ``repartition(1)``.
-
-    Bound: the combine task holds ≤ blocks × |langs| partial rows —
-    fine for any real language inventory (≤ a few hundred langs). If
-    the group key ever became unbounded (e.g. per-domain), fold per
-    key-hash bucket first (``repartition(k)`` + a second combine) the
-    way textstats.top_tokens does."""
+    lang) partial rows, and ``finish_agg`` sums the tiny partial table
+    in one task. It holds ≤ blocks × |langs| rows — fine for any real
+    language inventory; an unbounded key (per-domain) would need a
+    bucketed groupby exchange instead."""
     import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from pd3f_ray.core.arrowkit import agg
+    from pd3f_ray.stages.exchange import finish_agg
 
     ds = _q_extract_docs(sf_dir)
 
     def partial(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
+        t = pa.table({
+            "lang": batch.column("lang"),
+            "n_chars": batch.column("n_chars"),
+            "is_error": pc.cast(pc.is_valid(batch.column("error")),
+                                pa.int64()),
+        })
+        return agg(t, ["lang"], {"n_docs": ("lang", "count"),
+                                 "sum_chars": ("n_chars", "sum"),
+                                 "n_errors": ("is_error", "sum")})
 
-        t = pa.table(
-            {
-                "lang": batch.column("lang"),
-                "n_chars": batch.column("n_chars"),
-                "is_error": pc.cast(
-                    pc.is_valid(batch.column("error")), pa.int64()
-                ),
-            }
-        )
-        g = t.group_by("lang").aggregate(
-            [("lang", "count"), ("n_chars", "sum"), ("is_error", "sum")]
-        )
-        return g.rename_columns(["lang", "n_docs", "sum_chars", "n_errors"])
-
-    def combine(batch: pa.Table) -> pa.Table:
-        g = batch.group_by("lang").aggregate(
-            [("n_docs", "sum"), ("sum_chars", "sum"), ("n_errors", "sum")]
-        )
-        return g.rename_columns(["lang", "n_docs", "sum_chars", "n_errors"])
-
-    # SCALE NOTE: the repartition(1) fold is bounded by blocks × |langs|
-    # partial rows (a handful of langs here), NOT by corpus size — fine
-    # for any realistic language cardinality. If the group key ever
-    # became high-cardinality (domains, users), this combine must move
-    # to a bucketed groupby exchange instead of a single-block fold.
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .repartition(1)
-        .map_batches(combine, batch_format="pyarrow", batch_size=None)
-    )
+    return finish_agg(ds.map_batches(partial, batch_format="pyarrow"),
+                      ["lang"], {"n_docs": ("n_docs", "sum"),
+                                 "sum_chars": ("sum_chars", "sum"),
+                                 "n_errors": ("n_errors", "sum")})
 
 
 def _q_extract_markdown(sf_dir: str):
@@ -577,48 +558,47 @@ def queries() -> dict[str, Callable[[str], Any]]:
     # entry — then the previous rotation's lead in its order.
     # Everything else follows in its round-4 order.
     prefix = [
-        # -- same-key aggregates folded into their join's cogroup exchange --
-        "click_purchase_matrix", "customer_order_counts",
-        "q3_shipping_priority",
-        # -- every other plan that calls cogroup or a joins.py primitive --
-        "supplier_part_join", "customers_with_orders", "nation_revenue",
-        "nation_revenue_share", "region_brand_revenue", "q4_order_priority",
-        "segment_order_stats", "referential_integrity", "dedup_clusters",
+        # -- small final aggregates finished in one task (finish_agg) --
+        "supplier_part_join", "customer_order_counts", "segment_order_stats",
+        "nation_revenue", "nation_revenue_share", "region_brand_revenue",
+        "q4_order_priority", "media_kind_summary", "extract_summary",
+        # -- every other cogroup / joins.py plan (one reduce wave, schemas
+        #    declared at plan time) --
+        "click_purchase_matrix", "q3_shipping_priority",
+        "customers_with_orders", "referential_integrity", "dedup_clusters",
         "name_entity_clusters", "curate_neardup", "line_dedup_docs",
         "dup_span_stats", "strip_dup_spans", "tfidf_terms", "pagerank",
         "minhash_pairs",
-        # -- relational partials whose outputs are now read by name --
+        # -- window exchanges (one reduce wave) --
+        "user_sessions", "purchase_attribution", "latest_event_per_user",
+        "user_running_total", "late_events", "event_sequences",
+        "funnel_stages", "event_gaps", "next_event_label", "ontime_hourly",
+        "top_events_per_user",
+        # -- page shuffles (the staged plan dead-letters a deep layout) --
+        "pages_staged_roundtrip", "extract_pages", "pages_roundtrip",
+        # -- the previous rotation's lead, in its order --
         "q1_pricing", "events_hourly", "orders_monthly",
         "event_value_quantiles", "event_value_histogram", "event_value_mad",
         "source_lang_matrix", "customer_rollup", "events_cube",
-        "user_favorite_event",
-        # -- page shuffles (the staged plan dead-letters a corrupt page) --
-        "pages_staged_roundtrip", "extract_pages", "pages_roundtrip",
-        # -- ExtractDocs / ExtractElements (render's newline collapse) --
-        "extract_roundtrip", "headers_roundtrip", "dehyphen_roundtrip",
-        "pagebreak_roundtrip", "footnotes_roundtrip", "deadletter_roundtrip",
-        "skipline_roundtrip", "parsr_ingest_roundtrip", "extract_markdown",
-        "extract_elements", "extract_docs", "extract_fast", "extract_summary",
-        "resumable_write_roundtrip",
-        # -- the previous rotation's lead, in its order --
-        "user_sessions", "html_roundtrip", "html_links",
+        "user_favorite_event", "extract_roundtrip", "headers_roundtrip",
+        "dehyphen_roundtrip", "pagebreak_roundtrip", "footnotes_roundtrip",
+        "deadletter_roundtrip", "skipline_roundtrip", "parsr_ingest_roundtrip",
+        "extract_markdown", "extract_elements", "extract_docs", "extract_fast",
+        "resumable_write_roundtrip", "html_roundtrip", "html_links",
         "crawl_consolidation_pipeline", "pii_roundtrip", "web_corpus_pipeline",
-        "embed_docs", "media_features", "anchor_text_corpus",
-        "media_kind_summary", "dedup_exact", "purchase_attribution",
-        "events_sliding", "sliding_unique_users", "latest_event_per_user",
-        "user_running_total", "late_events", "ontime_hourly",
-        "event_sequences", "event_gaps", "next_event_label", "funnel_stages",
-        "interval_join_events", "top_events_per_user", "shuffle_assignment",
-        "bigram_pmi", "gopher_quality", "balanced_mixture",
-        "crawl_budget_allocation", "source_cap_sample", "nfc_normalize_docs",
-        "strip_control_chars", "snapshot_diff", "table_checksum",
-        "token_postings", "bm25_scores", "chunk_docs", "tokenize_docs",
-        "training_prep_pipeline", "hourly_unique_users", "media_dedup",
-        "jsonl_roundtrip", "csv_roundtrip", "schema_evolution_union",
-        "partitioned_write_roundtrip", "approx_distinct_users_agg",
-        "approx_event_quantiles", "bloom_membership", "cms_user_counts",
-        "kmeans_assign", "kmeans_train", "compression_quality",
-        "pack_sequences", "dedup_incremental", "doc_length_ntile",
+        "embed_docs", "media_features", "anchor_text_corpus", "dedup_exact",
+        "events_sliding", "sliding_unique_users", "interval_join_events",
+        "shuffle_assignment", "bigram_pmi", "gopher_quality",
+        "balanced_mixture", "crawl_budget_allocation", "source_cap_sample",
+        "nfc_normalize_docs", "strip_control_chars", "snapshot_diff",
+        "table_checksum", "token_postings", "bm25_scores", "chunk_docs",
+        "tokenize_docs", "training_prep_pipeline", "hourly_unique_users",
+        "media_dedup", "jsonl_roundtrip", "csv_roundtrip",
+        "schema_evolution_union", "partitioned_write_roundtrip",
+        "approx_distinct_users_agg", "approx_event_quantiles",
+        "bloom_membership", "cms_user_counts", "kmeans_assign", "kmeans_train",
+        "compression_quality", "pack_sequences", "dedup_incremental",
+        "doc_length_ntile",
     ]
     missing = [k for k in prefix if k not in reg]
     assert not missing, f"rotation prefix names unknown ops: {missing}"

@@ -427,8 +427,8 @@ def minhash_pairs(sf_dir: str, threshold: float = VERIFY_THRESHOLD):
 
     endpoints = pairs.map_batches(explode, batch_format="pyarrow")
     # explicit left schema: endpoints' lineage contains the candidate
-    # exchange — letting hash_join sample .schema() would run candidate
-    # generation twice (see hash_join docstring)
+    # exchange, so its schema is not known without running candidate
+    # generation (see hash_join docstring)
     with_text = hash_join(
         endpoints, read_table(sf_dir, "documents", ["doc_id", "text"]),
         "join_id", "doc_id", num_buckets=64,

@@ -23,9 +23,9 @@ Plan shape (every exchange bucketed, no driver materialization):
    of a src lands in its bucket), emitting the static
    (src, dst, outdeg) table, materialized once;
 3. per iteration: ``hash_join(edges, ranks)`` on src (explicit
-   schemas — both sides are post-shuffle, the ``.schema()`` probe
-   would re-run the upstream exchange), map-side partial sums per
-   (block, dst), one groupby(dst-bucket) exchange, rank update map.
+   schemas — both sides are post-shuffle, so neither knows its schema
+   at plan time), map-side partial sums per (block, dst), one
+   groupby(dst-bucket) exchange, rank update map.
 
 K defaults to 3 iterations — the oracle unrolls the same K.
 """

@@ -27,10 +27,27 @@ final ``group_by`` runs inside ``fn`` next to the join
 ``relational.customer_order_counts``). Every exchange costs a fixed
 chunk of driver, raylet and worker CPU, so one fewer exchange is the
 saving on small inputs. Steps on DIFFERENT keys keep their own
-exchanges (``supplier_part_join``: suppkey join, nationkey aggregate).
+exchanges.
+
+Next-key fold, the mirror of the same-key fold: when the step after a
+join is an aggregate over a small fixed key domain (nations, market
+segments, order priorities), ``fn`` joins its partition and folds the
+joined rows into partials on that NEXT key, and
+``stages.exchange.finish_agg`` sums the ≤ P × |domain| partials in one
+task — no Ray sort aggregate (a sample, a map and a reduce task per
+partition) after the join (``supplier_part_join``: suppkey join,
+nationkey partials; ``nation_revenue``,
+``relational.segment_order_stats``). After a plain ``hash_join`` the
+same partial is a ``map_batches`` that fuses into the join's reduce
+task (``region_brand_revenue``, ``q4_order_priority``).
+
+Every side's schema is known at plan time: a parquet read knows its
+own, and a side behind a map or an exchange declares it
+(``left_schema=``/``right_schema=`` or ``cogroup``'s ``fields``).
+Nothing executes while a plan is built.
 
 ``nation_revenue`` composes them: lineitem ⋈ orders and then
-per-custkey partials ⋈ customer via TWO bucketed hash joins (all three
+per-custkey partials ⋈ customer via TWO bucketed exchanges (all three
 are fact tables), nation names via the one true broadcast (25 rows),
 with revenue pre-aggregated before every exchange — the
 partial-aggregation pattern that keeps the wide exchanges small.
@@ -46,10 +63,10 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data as rd
-from ray.data.aggregate import Sum
 
+from pd3f_ray.core.arrowkit import agg
 from pd3f_ray.core.cluster import read_table
-from pd3f_ray.stages.exchange import bucket_exchange
+from pd3f_ray.stages.exchange import bucket_exchange, finish_agg
 
 JOIN_BUCKETS = 128
 MEMBERSHIP = ("left semi", "left anti")  # join kinds that emit left rows only
@@ -58,11 +75,15 @@ MEMBERSHIP = ("left semi", "left anti")  # join kinds that emit left rows only
 def _arrow_fields(ds: "rd.Dataset", schema, arg: str) -> dict:
     """{column: pyarrow type} of one join side, captured at plan time —
     the input of the pyarrow-native group reducer. Without an explicit
-    schema the side's first block is sampled, and it must be Arrow."""
+    schema the side must know its own Arrow schema without running (a
+    parquet read, in-memory Arrow data). A side behind a map or an
+    exchange must declare it: ``Dataset.schema()`` would execute the
+    side's plan once just to learn its dtypes, and then again for real."""
     if schema is None:
-        schema = getattr(ds.schema(), "base_schema", None)
+        schema = getattr(ds.schema(fetch_if_missing=False), "base_schema",
+                         None)
     if not isinstance(schema, pa.Schema):
-        raise TypeError(f"join side has no pyarrow schema "
+        raise TypeError(f"join side has no plan-time pyarrow schema "
                         f"({type(schema).__name__}); pass {arg}=pa.schema(...)")
     return dict(zip(schema.names, schema.types))
 
@@ -184,12 +205,12 @@ def _bucketed_join(left: "rd.Dataset", right: "rd.Dataset", left_key: str,
     share a partition, so each row meets every partner it could have
     and an unmatched row is emitted once; a null key never matches.
 
-    Column lists and Arrow types are captured at plan time. Pass
-    ``left_schema``/``right_schema`` (pyarrow) when a side's lineage
-    contains an all-to-all: ``Dataset.schema()`` samples by executing
-    the first block, which for a post-shuffle side runs the ENTIRE
-    upstream exchange once just to learn dtypes — and then again for
-    real (measured 5.6 s → 21 s when chaining two joins)."""
+    Column lists and Arrow types are captured at plan time, and nothing
+    runs to learn them. Pass ``left_schema``/``right_schema`` (pyarrow)
+    for a side behind a map or an exchange; without it such a side
+    raises ``TypeError``. Sampling ``Dataset.schema()`` instead would run
+    the side's plan once just to learn dtypes, and then again for real
+    (measured 5.6 s → 21 s when chaining two joins)."""
     left_ft = _arrow_fields(left, left_schema, "left_schema")
     if join_type in MEMBERSHIP:
         # membership needs only the right key: ship that column alone,
@@ -290,10 +311,12 @@ def nation_revenue(sf_dir: str, num_buckets: int = JOIN_BUCKETS,
     """Revenue by customer nation:
     lineitem ⋈ orders (bucketed hash join on orderkey, revenue
     pre-aggregated per order inside map_batches) → partial per-custkey
-    revenue → SECOND bucketed hash join against customer (at TPC-H
+    revenue → SECOND bucketed exchange against customer (at TPC-H
     SF for 100 TB the customer table is terabytes — a fact table, NOT a
-    broadcastable side) → the only broadcast is the 25-row nation name
-    map → tiny groupby(n_name). Output (n_name, revenue_cents)."""
+    broadcastable side), each partition folded into per-nation partials
+    (the next-key fold) → the only broadcast is the 25-row nation name
+    map → ``finish_agg`` sums the partials in one task. Output (n_name,
+    revenue_cents)."""
     import pyarrow.parquet as pq
 
     nat = pq.read_table(os.path.join(sf_dir, "nation.parquet"),
@@ -330,24 +353,30 @@ def nation_revenue(sf_dir: str, num_buckets: int = JOIN_BUCKETS,
 
     rev = lineitem.map_batches(pre_agg, batch_format="pyarrow")
     joined = hash_join(rev, orders, "l_orderkey", "o_orderkey",
-                       num_buckets=num_buckets)
+                       num_buckets=num_buckets,
+                       left_schema=pa.schema([("l_orderkey", pa.int64()),
+                                              ("revenue_cents", pa.int64())]))
+
+    total = {"revenue_cents": ("revenue_cents", "sum")}
 
     # partial per-custkey revenue inside each batch so join #2 moves one
     # row per (block, custkey)
     def per_cust(batch: pa.Table) -> pa.Table:
-        g = batch.select(["o_custkey", "revenue_cents"]).group_by(
-            ["o_custkey"]).aggregate([("revenue_cents", "sum")])
-        return pa.table({"o_custkey": g.column("o_custkey"),
-                         "revenue_cents": g.column("revenue_cents_sum")})
+        return agg(batch, ["o_custkey"], total)
 
     cust_rev = joined.map_batches(per_cust, batch_format="pyarrow")
+
+    def by_name(nationkeys: list, cents) -> pa.Table:
+        """Revenue partials on the final key, the nation name."""
+        lookup = ray.get(lookup_ref)
+        return agg(pa.table({
+            "n_name": pa.array([lookup[n] for n in nationkeys], pa.string()),
+            "revenue_cents": cents}), ["n_name"], total)
 
     if broadcast_customer:
         # AQE-style fast path: customer fits comfortably in memory at
         # this scale (metadata byte size ≤ BROADCAST_MAX_BYTES), so probe
         # a broadcast custkey→nationkey dict — zero extra shuffle
-        import pyarrow.parquet as pq
-
         ctbl = pq.read_table(os.path.join(sf_dir, "customer.parquet"),
                              columns=["c_custkey", "c_nationkey"])
         cmap = dict(zip(ctbl.column("c_custkey").to_pylist(),
@@ -356,42 +385,28 @@ def nation_revenue(sf_dir: str, num_buckets: int = JOIN_BUCKETS,
 
         def to_nation(batch: pa.Table) -> pa.Table:
             cm = ray.get(cref)
-            lookup = ray.get(lookup_ref)
-            names = [lookup[cm[c]]
-                     for c in batch.column("o_custkey").to_pylist()]
-            return pa.table({
-                "n_name": pa.array(names, pa.string()),
-                "revenue_cents": batch.column("revenue_cents"),
-            })
+            custkeys = batch.column("o_custkey").to_pylist()
+            return by_name([cm[c] for c in custkeys],
+                           batch.column("revenue_cents"))
 
         named = cust_rev.map_batches(to_nation, batch_format="pyarrow")
     else:
-        # scale path: customer is a fact table — co-partition it.
-        # Explicit schema: cust_rev's lineage holds join #1's exchange,
-        # and letting hash_join sample .schema() would execute that
-        # exchange twice (see hash_join docstring)
-        j2 = hash_join(
-            cust_rev, customer, "o_custkey", "c_custkey",
-            num_buckets=num_buckets,
-            left_schema=pa.schema([("o_custkey", pa.int64()),
-                                   ("revenue_cents", pa.int64())]),
-        )
+        # scale path: customer is a fact table — co-partition it, and
+        # fold each partition's joined rows into nation partials
+        def to_nation(sides: dict) -> pa.Table:
+            j = _acero_join(sides["r"], sides["c"], "o_custkey", "c_custkey",
+                            "inner")
+            return by_name(j.column("c_nationkey").to_pylist(),
+                           j.column("revenue_cents"))
 
-        def to_nation(batch: pa.Table) -> pa.Table:
-            lookup = ray.get(lookup_ref)
-            names = [lookup[n]
-                     for n in batch.column("c_nationkey").to_pylist()]
-            return pa.table({
-                "n_name": pa.array(names, pa.string()),
-                "revenue_cents": batch.column("revenue_cents"),
-            })
+        named = cogroup(
+            {"r": (cust_rev, "o_custkey", {"o_custkey": pa.int64(),
+                                           "revenue_cents": pa.int64()}),
+             "c": (customer, "c_custkey",
+                   _arrow_fields(customer, None, "customer"))},
+            num_buckets, to_nation)
 
-        named = j2.map_batches(to_nation, batch_format="pyarrow")
-
-    return (
-        named.groupby("n_name")
-        .aggregate(Sum("revenue_cents", alias_name="revenue_cents"))
-    )
+    return finish_agg(named, ["n_name"], total)
 
 
 NATION_REVENUE_SQL = """
@@ -409,8 +424,11 @@ GROUP BY n.n_name
 def supplier_part_join(sf_dir: str, num_buckets: int = 32):
     """Pure bucketed hash-join exercise on two mid-size tables:
     lineitem ⋈ supplier on suppkey, counting lineitems and summing
-    quantity per supplier nation. Output (s_nationkey, n_lineitems,
-    sum_qty)."""
+    quantity per supplier nation. Per-block partials per suppkey and the
+    supplier table meet in ONE ``cogroup``; each partition joins them
+    and folds the joined rows into partials per nation (the next-key
+    fold), and ``finish_agg`` sums the ≤ P × 25 partials in one task.
+    Output (s_nationkey, n_lineitems, sum_qty)."""
     supplier = read_table(sf_dir, "supplier", ["s_suppkey", "s_nationkey"])
     lineitem = read_table(sf_dir, "lineitem", ["l_suppkey", "l_quantity"])
 
@@ -427,21 +445,22 @@ def supplier_part_join(sf_dir: str, num_buckets: int = 32):
             "sum_qty": pa.array(g["sum_qty"].to_numpy(), pa.int64()),
         })
 
-    pre_ds = lineitem.map_batches(pre, batch_format="pyarrow")
-    joined = hash_join(pre_ds, supplier, "l_suppkey", "s_suppkey",
-                       num_buckets=num_buckets)
+    sums = {"n_lineitems": ("n_lineitems", "sum"),
+            "sum_qty": ("sum_qty", "sum")}
 
-    def project(batch: pa.Table) -> pa.Table:
-        return batch.select(["s_nationkey", "n_lineitems", "sum_qty"])
+    def per_nation(sides: dict) -> pa.Table:
+        j = _acero_join(sides["l"], sides["s"], "l_suppkey", "s_suppkey",
+                        "inner")
+        return agg(j, ["s_nationkey"], sums)
 
-    return (
-        joined.map_batches(project, batch_format="pyarrow")
-        .groupby("s_nationkey")
-        .aggregate(
-            Sum("n_lineitems", alias_name="n_lineitems"),
-            Sum("sum_qty", alias_name="sum_qty"),
-        )
-    )
+    parts = cogroup(
+        {"l": (lineitem.map_batches(pre, batch_format="pyarrow"), "l_suppkey",
+               {"l_suppkey": pa.int64(), "n_lineitems": pa.int64(),
+                "sum_qty": pa.int64()}),
+         "s": (supplier, "s_suppkey",
+               _arrow_fields(supplier, None, "supplier"))},
+        num_buckets, per_nation)
+    return finish_agg(parts, ["s_nationkey"], sums)
 
 
 SUPPLIER_PART_SQL = """
@@ -564,7 +583,8 @@ def region_brand_revenue(sf_dir: str, num_buckets: int = 64):
     ≤ (suppliers × brands) per block before the second join ships
     anything; nation⋈region (25 × 5 rows) folds to ONE broadcast dict.
     Money travels as per-row-rounded integer cents (DuckDB round() is
-    half-away-from-zero) so the final small groupby is hash-exact.
+    half-away-from-zero) so the final small aggregate (≤ 5 regions × 25
+    brands, partials in the join's reduce, ``finish_agg``) is hash-exact.
     Output (r_name, p_brand, revenue_cents, n_items)."""
     lineitem = read_table(sf_dir, "lineitem", ["l_partkey", "l_suppkey",
                                                "l_extendedprice",
@@ -629,22 +649,22 @@ def region_brand_revenue(sf_dir: str, num_buckets: int = 64):
                              nation.column("n_regionkey").to_pylist())}
     n2r_ref = ray.put(n2r)
 
+    sums = {"revenue_cents": ("revenue_cents", "sum"),
+            "n_items": ("n_items", "sum")}
+
+    # partials on the final (region, brand) key, in the join's reduce task
     def to_region(batch: pa.Table) -> pa.Table:
         lookup = ray.get(n2r_ref)
         nk = batch.column("s_nationkey").to_pylist()
-        return pa.table({
+        return agg(pa.table({
             "r_name": pa.array([lookup[k] for k in nk], pa.string()),
             "p_brand": batch.column("p_brand"),
-            "cents": batch.column("cents"),
+            "revenue_cents": batch.column("cents"),
             "n_items": batch.column("n_items"),
-        })
+        }), ["r_name", "p_brand"], sums)
 
-    return (
-        j2.map_batches(to_region, batch_format="pyarrow")
-        .groupby(["r_name", "p_brand"])
-        .aggregate(Sum("cents", alias_name="revenue_cents"),
-                   Sum("n_items", alias_name="n_items"))
-    )
+    return finish_agg(j2.map_batches(to_region, batch_format="pyarrow"),
+                      ["r_name", "p_brand"], sums)
 
 
 REGION_BRAND_REVENUE_SQL = """
@@ -831,9 +851,9 @@ def nation_revenue_share(sf_dir: str):
     """Percent-of-total — every BI rollup's last mile: each nation's
     share of global revenue in integer ppm. The heavy lifting is
     :func:`nation_revenue` (pre-aggregated exchanges); the share step
-    operates on the DIMENSION-scale result (≤ |nations| rows), so one
-    ``repartition(1)`` puts the whole rollup in a single block and the
-    share is computed in-task — the corpus is never touched again.
+    operates on the DIMENSION-scale result (≤ |nations| rows), which
+    ``finish_agg`` already leaves in a single block, so the share is
+    computed in its task — the corpus is never touched again.
     Output (n_name, revenue_cents, share_ppm)."""
     rev = nation_revenue(sf_dir)
 
@@ -852,8 +872,7 @@ def nation_revenue_share(sf_dir: str):
             "share_ppm": pa.array(ppm, pa.int64()),
         })
 
-    return rev.repartition(1).map_batches(share, batch_format="pyarrow",
-                                          batch_size=None)
+    return rev.map_batches(share, batch_format="pyarrow", batch_size=None)
 
 
 NATION_REVENUE_SHARE_SQL = """
@@ -894,7 +913,6 @@ def q4_order_priority(sf_dir: str, num_buckets: int = JOIN_BUCKETS):
     import datetime as _dt
 
     import pyarrow.dataset as pads
-    from ray.data.aggregate import Count
 
     lo = _dt.datetime.fromisoformat(Q4_FROM)
     hi = _dt.datetime.fromisoformat(Q4_TO)
@@ -927,13 +945,12 @@ def q4_order_priority(sf_dir: str, num_buckets: int = JOIN_BUCKETS):
     hit = semi_join(orders, witnesses, "o_orderkey", "l_orderkey",
                     num_buckets=num_buckets, left_schema=orders_schema)
 
-    return (
-        hit.map_batches(
-            lambda b: b.select(["o_orderpriority"]),
-            batch_format="pyarrow")
-        .groupby("o_orderpriority")
-        .aggregate(Count(alias_name="n_orders"))
-    )
+    # per-partition counts on the 5 priorities, summed in one task
+    def per_priority(batch: pa.Table) -> pa.Table:
+        return agg(batch, ["o_orderpriority"], {"n_orders": ([], "count_all")})
+
+    return finish_agg(hit.map_batches(per_priority, batch_format="pyarrow"),
+                      ["o_orderpriority"], {"n_orders": ("n_orders", "sum")})
 
 
 Q4_ORDER_PRIORITY_SQL = f"""

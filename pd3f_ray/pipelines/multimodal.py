@@ -28,6 +28,7 @@ import ray.data as rd
 
 from pd3f_ray.core.arrowkit import agg
 from pd3f_ray.core.cluster import read_table
+from pd3f_ray.stages.exchange import finish_agg
 
 KINDS = ("image", "audio", "video")
 
@@ -231,25 +232,17 @@ def media_kind_summary(sf_dir: str) -> "rd.Dataset":
     round-trip through the featurizer stage intact."""
     feats = media_features(sf_dir)
 
-    # map-side pyarrow partials + probe-free repartition(1) combine
-    # instead of groupby: groupby's key validation fetches the schema,
-    # which runs the featurizer once for the first block
-    # before the real run (the .schema() re-execution trap — see
-    # joins.py and __ray_entry__._q_extract_summary)
+    # map-side pyarrow partials + the one-task ``finish_agg`` instead of
+    # groupby: groupby's key validation fetches the schema, which runs
+    # the featurizer once for the first block before the real run
     def partial(batch: pa.Table) -> pa.Table:
         return agg(batch.select(["kind", "n_bytes"]), ["kind"],
                    {"n_media": ("kind", "count"),
                     "sum_bytes": ("n_bytes", "sum")})
 
-    def combine(batch: pa.Table) -> pa.Table:
-        return agg(batch, ["kind"], {"n_media": ("n_media", "sum"),
-                                     "sum_bytes": ("sum_bytes", "sum")})
-
-    return (
-        feats.map_batches(partial, batch_format="pyarrow")
-        .repartition(1)
-        .map_batches(combine, batch_format="pyarrow", batch_size=None)
-    )
+    return finish_agg(feats.map_batches(partial, batch_format="pyarrow"),
+                      ["kind"], {"n_media": ("n_media", "sum"),
+                                 "sum_bytes": ("sum_bytes", "sum")})
 
 
 MEDIA_KIND_SUMMARY_SQL = f"""

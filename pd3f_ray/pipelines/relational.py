@@ -31,6 +31,7 @@ from ray.data.aggregate import Count, Max, Min, Sum
 
 from pd3f_ray.core.arrowkit import agg
 from pd3f_ray.core.cluster import read_table
+from pd3f_ray.stages.exchange import finish_agg
 
 
 def _round_opts() -> pc.RoundOptions:
@@ -172,15 +173,27 @@ LIMIT 15
 def segment_order_stats(sf_dir: str, broadcast: bool | None = None):
     """Per-segment order stats. Customer is a FACT table at 100 TB-scale
     TPC-H (terabytes), so the scale plan co-partitions per-customer
-    order partials against it through a bucketed hash join; when the
-    metadata byte size says customer fits in memory
+    order partials against it in one ``cogroup`` and folds each
+    partition's joined rows into per-segment partials (the next-key
+    fold); when the metadata byte size says customer fits in memory
     (≤ BROADCAST_MAX_BYTES — AQE-style planner rule, row-count
-    fallback), the broadcast-dict fast path is chosen instead. Both
-    paths oracle-exact."""
-    from pd3f_ray.pipelines.joins import hash_join, should_broadcast
+    fallback), the broadcast-dict fast path builds those partials
+    map-side instead. Either way ``finish_agg`` sums the ≤ P × 5
+    segment partials in one task. Both paths oracle-exact."""
+    from pd3f_ray.pipelines.joins import (
+        _acero_join,
+        _arrow_fields,
+        cogroup,
+        should_broadcast,
+    )
 
     if broadcast is None:
         broadcast = should_broadcast(sf_dir, "customer")
+
+    orders = read_table(sf_dir, "orders",
+                        columns=["o_custkey", "o_totalprice"])
+    sums = {"n_orders": ("n_orders", "sum"),
+            "sum_total_cents": ("sum_total_cents", "sum")}
 
     if broadcast:
         import pyarrow.parquet as pq
@@ -201,17 +214,8 @@ def segment_order_stats(sf_dir: str, broadcast: bool | None = None):
                 "n_orders": ("cents", "count"),
                 "sum_total_cents": ("cents", "sum")})
 
-        return (
-            read_table(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
-            .map_batches(bpartial, batch_format="pyarrow")
-            .groupby("c_mktsegment")
-            .aggregate(
-                Sum("n_orders", alias_name="n_orders"),
-                Sum("sum_total_cents", alias_name="sum_total_cents"),
-            )
-        )
-
-    ds = read_table(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
+        return finish_agg(orders.map_batches(bpartial, batch_format="pyarrow"),
+                          ["c_mktsegment"], sums)
 
     def partial(batch: pa.Table) -> pa.Table:
         t = pa.table({"o_custkey": batch.column("o_custkey"),
@@ -219,23 +223,20 @@ def segment_order_stats(sf_dir: str, broadcast: bool | None = None):
         return agg(t, ["o_custkey"], {"n_orders": ("cents", "count"),
                                       "sum_total_cents": ("cents", "sum")})
 
-    per_cust = ds.map_batches(partial, batch_format="pyarrow")
+    def per_segment(sides: dict) -> pa.Table:
+        j = _acero_join(sides["o"], sides["c"], "o_custkey", "c_custkey",
+                        "inner")
+        return agg(j, ["c_mktsegment"], sums)
+
     cust = read_table(sf_dir, "customer",
                       columns=["c_custkey", "c_mktsegment"])
-    joined = hash_join(per_cust, cust, "o_custkey", "c_custkey",
-                       num_buckets=64)
-
-    def project(batch: pa.Table) -> pa.Table:
-        return batch.select(["c_mktsegment", "n_orders", "sum_total_cents"])
-
-    return (
-        joined.map_batches(project, batch_format="pyarrow")
-        .groupby("c_mktsegment")
-        .aggregate(
-            Sum("n_orders", alias_name="n_orders"),
-            Sum("sum_total_cents", alias_name="sum_total_cents"),
-        )
-    )
+    parts = cogroup(
+        {"o": (orders.map_batches(partial, batch_format="pyarrow"),
+               "o_custkey", {"o_custkey": pa.int64(), "n_orders": pa.int64(),
+                             "sum_total_cents": pa.int64()}),
+         "c": (cust, "c_custkey", _arrow_fields(cust, None, "customer"))},
+        64, per_segment)
+    return finish_agg(parts, ["c_mktsegment"], sums)
 
 
 SEGMENT_ORDER_SQL = """
@@ -384,7 +385,9 @@ def customer_order_counts(sf_dir: str):
     table meet in ONE ``cogroup`` exchange on the customer key; each
     partition finishes its customers' counts, LEFT joins the customers
     onto them, fills the unmatched with 0 and counts customers per
-    ``n_orders``. The tiny distribution groupby sums those partials."""
+    ``n_orders``: per-partition partials on the final key, which
+    ``finish_agg`` sums in one task (≤ P × distinct order counts
+    rows)."""
     from pd3f_ray.pipelines.joins import _acero_join, cogroup
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -401,14 +404,12 @@ def customer_order_counts(sf_dir: str):
     orders = read_table(sf_dir, "orders", columns=["o_custkey"])
     per_block = orders.map_batches(partial, batch_format="pyarrow")
     cust = read_table(sf_dir, "customer", columns=["c_custkey"])
-    return (
+    return finish_agg(
         cogroup({"c": (cust, "c_custkey", {"c_custkey": pa.int64()}),
                  "o": (per_block, "o_custkey",
                        {"o_custkey": pa.int64(), "n": pa.int64()})},
-                32, distribution)
-        .groupby("n_orders")
-        .aggregate(Sum("n_customers", alias_name="n_customers"))
-    )
+                32, distribution),
+        ["n_orders"], {"n_customers": ("n_customers", "sum")})
 
 
 CUSTOMER_ORDER_COUNTS_SQL = """

@@ -130,14 +130,29 @@ def _layouts(blobs: list, starts, ends, raw_lens=None):
         yield doc, blob
 
 
+def _layout_html(doc, bad) -> bytes:
+    """One url's ``html`` in the staged plan: its layout re-serialized,
+    or bytes that ``ExtractDocs`` dead-letters. A page that did not
+    assemble is carried as is (it fails to parse again, with the fused
+    plan's error). A layout the serializer refuses (nested past its
+    depth limit) becomes its error as plain text, which does not parse
+    as JSON: one ``JSONDecodeError`` dead letter, not a failed job."""
+    if bad is not None:
+        return bad
+    try:
+        return _dumps(doc)
+    except (TypeError, ValueError, RecursionError) as exc:
+        msg = f"layout does not serialize: {type(exc).__name__}: {exc}"
+        return msg.encode()
+
+
 def assemble_bucket(group: pa.Table) -> pa.Table:
     """All pages of a set of urls (one exchange partition) → one
-    document row per url, its layout re-serialized into ``html``. A url
-    with a page that does not assemble carries that page as its
-    ``html``, which ``ExtractDocs`` dead-letters (a page that does not
-    parse with the fused plan's error)."""
+    document row per url, its layout re-serialized into ``html``
+    (``_layout_html``: a url that does not assemble or serialize gets
+    bytes that ``ExtractDocs`` dead-letters)."""
     _, blobs, starts, ends, first = _sorted_docs(group, "page_json")
-    out_html = [_dumps(doc) if bad is None else bad
+    out_html = [_layout_html(doc, bad)
                 for doc, bad in _layouts(blobs, starts, ends)]
     return pa.table(
         {

@@ -411,13 +411,13 @@ def test_deep_tree_dead_letters():
     assert rec["error"].split(":", 1)[0] == "RecursionError"
 
 
-def test_deep_tree_dead_letters_in_page_reducer():
-    """Through the fused page plan's reducer, the deep document's url is a
-    dead letter and every other url matches ``extract_record``."""
+def _deep_page_table():
+    """A page table of six seed-42 documents plus one two-page document
+    whose second page nests one word ``DEEP`` groups deep: ``(pages,
+    {url: extract_record of each normal document}, the deep url)``."""
     import pyarrow as pa
 
     from pd3f_ray.sources.synth import BASE_TS
-    from pd3f_ray.stages.pages import add_bucket_compress, assemble_extract
 
     opts = ExtractOptions.experimental()
     rows, want = [], {}
@@ -444,10 +444,40 @@ def test_deep_tree_dead_letters_in_page_reducer():
         "page_json": pa.array(blobs, pa.binary()),
         "lang": pa.array(["multi"] * len(rows), pa.string()),
     })
-    out = assemble_extract(add_bucket_compress(pages, 512), opts).to_pylist()
+    return pages, want, deep
+
+
+def test_deep_tree_dead_letters_in_page_reducer():
+    """Through the fused page plan's reducer, the deep document's url is a
+    dead letter and every other url matches ``extract_record``."""
+    from pd3f_ray.stages.pages import add_bucket_compress, assemble_extract
+
+    pages, want, deep = _deep_page_table()
+    out = assemble_extract(add_bucket_compress(pages, 512),
+                           ExtractOptions.experimental()).to_pylist()
     got = {r["url"]: r for r in out}
     assert set(got) == set(want) | {deep}
     assert got[deep]["text"] is None
     assert got[deep]["error"].split(":", 1)[0] == "RecursionError"
+    for url, rec in want.items():
+        assert (got[url]["text"], got[url]["error"]) == (rec["text"], rec["error"])
+
+
+def test_deep_tree_dead_letters_in_staged_page_plan(ray_session):
+    """Through the staged page plan (``assemble_pages_dataset`` then
+    ``ExtractDocs``), the deep document, whose layout the serializer
+    refuses, is one dead letter instead of a failed job, and every other
+    url matches ``extract_record``."""
+    import ray.data as rd
+
+    from pd3f_ray.pipelines.extraction import extract_dataset
+    from pd3f_ray.stages.pages import assemble_pages_dataset
+
+    pages, want, deep = _deep_page_table()
+    out = extract_dataset(assemble_pages_dataset(rd.from_arrow(pages)))
+    got = {r["url"]: r for r in out.take_all()}
+    assert set(got) == set(want) | {deep}
+    assert got[deep]["text"] is None
+    assert got[deep]["error"].split(":", 1)[0] == "JSONDecodeError"
     for url, rec in want.items():
         assert (got[url]["text"], got[url]["error"]) == (rec["text"], rec["error"])

@@ -7,6 +7,8 @@ import duckdb
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 SF = "/root/testdata/sf0.001"
 
@@ -316,7 +318,8 @@ def test_hash_join_salted_skew(ray_session):
     lds = rd.from_arrow(left).map_batches(lambda b: b, batch_size=1000,
                                           batch_format="pyarrow")
     rds = rd.from_arrow(right)
-    out = hash_join(lds, rds, "k", "rk", num_buckets=8).to_pandas()
+    out = hash_join(lds, rds, "k", "rk", num_buckets=8,
+                    left_schema=left.schema).to_pandas()
 
     want = left.to_pandas().merge(right.to_pandas(), left_on="k",
                                   right_on="rk")
@@ -403,9 +406,10 @@ def test_bucket_exchange_one_call_per_bucket(ray_session, num_buckets):
 
 
 def test_partition_count_grows_with_num_buckets(monkeypatch):
-    """P is 2 x CPUs at today's bucket counts, grows with the bucket
-    dial past 64 buckets per CPU pair, never exceeds num_buckets, and no
-    partition holds more than 64 buckets, whatever the CPU count."""
+    """P is one reduce wave (one partition per CPU) at today's bucket
+    counts, grows with the bucket dial past 64 buckets per CPU, never
+    exceeds num_buckets, and no partition holds more than 64 buckets,
+    whatever the CPU count."""
     from pd3f_ray.stages import exchange
 
     for cpus in (1, 4, 64):
@@ -416,7 +420,7 @@ def test_partition_count_grows_with_num_buckets(monkeypatch):
             p = exchange.partition_count(b)
             assert 1 <= p <= b and -(-b // p) <= 64
     monkeypatch.setattr(exchange, "cluster_cpus", lambda: 4)
-    assert [exchange.partition_count(b) for b in (128, 256, 512)] == [8] * 3
+    assert [exchange.partition_count(b) for b in (128, 256, 512)] == [4, 4, 8]
     assert exchange.partition_count(2**20) == 2**14
 
 
@@ -442,10 +446,173 @@ def test_same_key_aggregates_fold_into_the_join_exchange(ray_session):
     pair = ["SortMap", "SortReduce"]
     assert _exchanges(click_purchase_matrix(SF).materialize()) == pair
     assert _exchanges(customer_order_counts(SF).materialize()) == pair + [
-        "AggregateMap", "AggregateReduce"]
+        "RepartitionSplit", "RepartitionReduce"]
     for broadcast, n in ((True, 2), (False, 3)):
         ds = q3_shipping_priority(SF, broadcast_customer=broadcast)
         assert _exchanges(ds.materialize()) == pair * n, broadcast
+
+
+def test_small_final_aggregates_finish_in_one_task(ray_session):
+    """A plan that ends in an aggregate over a small key domain emits
+    partials on that key from its last exchange's reducer (the next-key
+    fold) and finishes them in ONE task behind ``repartition(1)``: no
+    Ray sort aggregate follows the joins."""
+    import re
+
+    from pd3f_ray.pipelines.joins import nation_revenue, supplier_part_join
+    from pd3f_ray.pipelines.relational import (
+        customer_order_counts,
+        segment_order_stats,
+    )
+
+    pair = ["SortMap", "SortReduce"]
+    one = ["RepartitionSplit", "RepartitionReduce"]
+    for ds, joins in ((supplier_part_join(SF), 1),
+                      (customer_order_counts(SF), 1),
+                      (segment_order_stats(SF, broadcast=False), 1),
+                      (nation_revenue(SF, broadcast_customer=False), 2)):
+        ds = ds.materialize()
+        assert _exchanges(ds) == pair * joins + one
+        last = _executed_ops(ds._get_stats_summary())[-1]
+        assert last.operator_name == "MapBatches(finish)"
+        tasks = re.search(r"(\d+) tasks executed",
+                          last.block_execution_summary_str)
+        assert int(tasks.group(1)) == 1
+
+
+def test_join_side_behind_a_map_needs_a_declared_schema(ray_session):
+    """A join side whose schema is unknown until it runs (here: behind a
+    ``map_batches``) is refused at plan time, naming the argument that
+    declares it, instead of being executed once to learn its schema."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from pd3f_ray.pipelines.joins import hash_join
+
+    left = rd.from_arrow(pa.table({"k": [1, 2], "v": [3, 4]})).map_batches(
+        lambda b: b, batch_format="pyarrow")
+    right = rd.from_arrow(pa.table({"rk": [1], "w": [5]}))
+    with pytest.raises(TypeError, match="left_schema"):
+        hash_join(left, right, "k", "rk")
+    out = hash_join(left, right, "k", "rk",
+                    left_schema=pa.schema([("k", pa.int64()),
+                                           ("v", pa.int64())]))
+    assert out.take_all() == [{"k": 1, "v": 3, "rk": 1, "w": 5}]
+
+
+def test_relational_plans_build_without_executing(ray_session, monkeypatch):
+    """Building a relational plan runs nothing: every join side's schema
+    is a parquet read's own or declared, and the final aggregates need no
+    schema probe. Any Dataset execution while the plans are built fails."""
+    from ray.data._internal.plan import ExecutionPlan
+
+    from pd3f_ray.pipelines.joins import (
+        nation_revenue,
+        nation_revenue_share,
+        q4_order_priority,
+        region_brand_revenue,
+        supplier_part_join,
+    )
+    from pd3f_ray.pipelines.relational import (
+        customer_order_counts,
+        segment_order_stats,
+    )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Dataset executed while its plan was built")
+
+    monkeypatch.setattr(ExecutionPlan, "execute", refuse)
+    monkeypatch.setattr(ExecutionPlan, "execute_to_iterator", refuse)
+    supplier_part_join(SF)
+    segment_order_stats(SF, broadcast=False)
+    nation_revenue(SF, broadcast_customer=False)
+    nation_revenue_share(SF)
+    region_brand_revenue(SF)
+    q4_order_priority(SF)
+    customer_order_counts(SF)
+
+
+_FINAL_AGGS = {"s": ("v", "sum"), "c": ("v", "count"), "mn": ("v", "min"),
+               "mx": ("v", "max")}
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.lists(st.lists(st.tuples(st.one_of(st.none(), st.integers(0, 4)),
+                                   st.integers(-50, 50)), max_size=8),
+                min_size=1, max_size=4))
+@example([[]])  # empty input
+@example([[(None, 1), (2, 3), (None, -4)]])  # one block, null key
+def test_finish_agg_matches_ray_aggregate(ray_session, blocks):
+    """The one-task finish equals Ray's ``groupby().aggregate()`` on
+    multi-block partial tables: Sum, Count, Min and Max, null keys
+    grouped as one key, an empty input giving no rows."""
+    import pyarrow as pa
+    import ray.data as rd
+    from ray.data.aggregate import Count, Max, Min, Sum
+
+    from pd3f_ray.stages.exchange import finish_agg
+
+    ds = rd.from_arrow([
+        pa.table({"k": pa.array([k for k, _ in b], pa.int64()),
+                  "v": pa.array([v for _, v in b], pa.int64())})
+        for b in blocks])
+    want = ds.groupby("k").aggregate(
+        Sum("v", alias_name="s"), Count("v", alias_name="c"),
+        Min("v", alias_name="mn"), Max("v", alias_name="mx")).take_all()
+    got = finish_agg(ds, ["k"], _FINAL_AGGS).take_all()
+
+    def rows(r):
+        return sorted(r, key=lambda x: (x["k"] is None, x["k"] or 0))
+
+    assert rows(got) == rows(want)
+    assert len(got) == len({k for b in blocks for k, _ in b})
+
+
+def test_supplier_part_join_fold_matches_join_then_aggregate(ray_session,
+                                                             tmp_path):
+    """The next-key fold (suppkey join and nationkey partials in one
+    ``cogroup``, one-task finish) gives the rows of the plain plan: an
+    inner ``hash_join`` of every lineitem onto its supplier, then Ray's
+    ``groupby("s_nationkey")`` aggregate. Some lineitems have no
+    supplier, one supplier has no lineitems, and quantities round half
+    away from zero."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+    from ray.data.aggregate import Count, Sum
+
+    from pd3f_ray.core.cluster import read_table
+    from pd3f_ray.pipelines.joins import hash_join, supplier_part_join
+
+    rng = np.random.default_rng(5)
+    pq.write_table(pa.table({
+        "s_suppkey": pa.array(range(30), pa.int64()),
+        "s_nationkey": pa.array(rng.integers(0, 5, 30), pa.int64())}),
+        tmp_path / "supplier.parquet")
+    pq.write_table(pa.table({
+        "l_suppkey": pa.array(rng.integers(0, 29, 500) + (
+            rng.random(500) < 0.05) * 40, pa.int64()),
+        "l_quantity": pa.array(rng.integers(1, 100, 500) / 2, pa.float64())}),
+        tmp_path / "lineitem.parquet")
+    d = str(tmp_path)
+
+    def qty(b: pa.Table) -> pa.Table:
+        q = pc.round(b.column("l_quantity"),
+                     round_mode="half_towards_infinity")
+        return pa.table({"l_suppkey": b.column("l_suppkey"),
+                         "qty": pc.cast(q, pa.int64())})
+
+    plain = hash_join(
+        read_table(d, "lineitem").map_batches(qty, batch_format="pyarrow"),
+        read_table(d, "supplier"), "l_suppkey", "s_suppkey",
+        left_schema=pa.schema([("l_suppkey", pa.int64()),
+                               ("qty", pa.int64())]),
+    ).groupby("s_nationkey").aggregate(Count(alias_name="n_lineitems"),
+                                       Sum("qty", alias_name="sum_qty"))
+    got = supplier_part_join(d).take_all()
+    assert sorted(got, key=lambda r: r["s_nationkey"]) == sorted(
+        plain.take_all(), key=lambda r: r["s_nationkey"])
+    assert sum(r["n_lineitems"] for r in got) < 500  # unmatched rows dropped
 
 
 def _write_files(table, d, n_files: int) -> str:
