@@ -102,38 +102,29 @@ def _q_extract_summary(sf_dir: str):
     """Per-language extraction metrics (streaming aggregate over the
     extraction output; no full materialization).
 
-    Deliberately NOT ``groupby("lang").aggregate(...)``: groupby's key
-    validation fetches the dataset schema, which executes the upstream
-    extraction once for the first block just to learn dtypes
-    (measured 4.4 s at sf0.1) before the real run re-executes it.
-    Instead each batch is pre-aggregated map-side into per-(block,
-    lang) partial rows, and ``finish_agg`` sums the tiny partial table
-    in one task. It holds ≤ blocks × |langs| rows — fine for any real
-    language inventory; an unbounded key (per-domain) would need a
-    bucketed groupby exchange instead."""
+    ``finish_agg`` folds each block into per-(block, lang) partial rows
+    and sums the tiny partial table in one task: ≤ blocks × |langs|
+    rows, fine for any real language inventory; an unbounded key
+    (per-domain) would go through ``hash_agg`` instead."""
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from pd3f_ray.core.arrowkit import agg
     from pd3f_ray.stages.exchange import finish_agg
 
-    ds = _q_extract_docs(sf_dir)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({
+    def flag_errors(batch: pa.Table) -> pa.Table:
+        return pa.table({
             "lang": batch.column("lang"),
             "n_chars": batch.column("n_chars"),
             "is_error": pc.cast(pc.is_valid(batch.column("error")),
                                 pa.int64()),
         })
-        return agg(t, ["lang"], {"n_docs": ("lang", "count"),
-                                 "sum_chars": ("n_chars", "sum"),
-                                 "n_errors": ("is_error", "sum")})
 
-    return finish_agg(ds.map_batches(partial, batch_format="pyarrow"),
-                      ["lang"], {"n_docs": ("n_docs", "sum"),
-                                 "sum_chars": ("sum_chars", "sum"),
-                                 "n_errors": ("n_errors", "sum")})
+    return finish_agg(
+        _q_extract_docs(sf_dir).map_batches(flag_errors,
+                                            batch_format="pyarrow"),
+        ["lang"], {"n_docs": ("lang", "count"),
+                   "sum_chars": ("n_chars", "sum"),
+                   "n_errors": ("is_error", "sum")})
 
 
 def _q_extract_markdown(sf_dir: str):
@@ -558,47 +549,57 @@ def queries() -> dict[str, Callable[[str], Any]]:
     # entry — then the previous rotation's lead in its order.
     # Everything else follows in its round-4 order.
     prefix = [
-        # -- small final aggregates finished in one task (finish_agg) --
-        "supplier_part_join", "customer_order_counts", "segment_order_stats",
-        "nation_revenue", "nation_revenue_share", "region_brand_revenue",
-        "q4_order_priority", "media_kind_summary", "extract_summary",
-        # -- every other cogroup / joins.py plan (one reduce wave, schemas
-        #    declared at plan time) --
+        # -- Sum/Count/Min/Max group-bys on the one aggregate primitive:
+        #    finish_agg (one task) --
+        "supplier_part_join", "customer_order_counts",
+        "segment_order_stats", "nation_revenue", "nation_revenue_share",
+        "region_brand_revenue", "q4_order_priority",
+        "media_kind_summary", "extract_summary", "q1_pricing",
+        "events_hourly", "orders_monthly", "customer_rollup",
+        "events_cube", "lang_quality", "lang_confusion_matrix",
+        "distinct_users", "props_k_stats", "profile_lineitem",
+        "balanced_mixture", "doc_length_rank", "doc_length_ntile",
+        # -- hash_agg (one stable_bucket exchange), and the two plans
+        #    that lost their pandas partials --
+        "dedup_exact", "dedup_prefix", "dedup_keep_best", "media_dedup",
+        "url_dedup_latest", "anchor_text_corpus",
+        "referential_integrity", "dedup_clusters",
+        "name_entity_clusters", "fuzzy_name_pairs", "minhash_pairs",
+        "simhash_pairs", "embdup_lsh", "tfidf_terms", "top_tokens",
+        "top_tokens_per_lang", "top_bigrams", "bigram_pmi",
+        "event_value_quantiles", "event_value_histogram",
+        "event_value_mad", "source_lang_matrix", "user_favorite_event",
+        "events_sliding", "sliding_unique_users",
+        "interval_join_events", "ontime_hourly", "hourly_unique_users",
+        "cms_user_counts", "domain_stats", "partition_manifest",
+        "shuffle_assignment", "crawl_budget_allocation",
+        "approx_event_quantiles", "approx_distinct_users",
+        # -- the shared url/text projection --
+        "extract_roundtrip", "headers_roundtrip",
+        # -- the previous rotation, in its order --
         "click_purchase_matrix", "q3_shipping_priority",
-        "customers_with_orders", "referential_integrity", "dedup_clusters",
-        "name_entity_clusters", "curate_neardup", "line_dedup_docs",
-        "dup_span_stats", "strip_dup_spans", "tfidf_terms", "pagerank",
-        "minhash_pairs",
-        # -- window exchanges (one reduce wave) --
-        "user_sessions", "purchase_attribution", "latest_event_per_user",
-        "user_running_total", "late_events", "event_sequences",
-        "funnel_stages", "event_gaps", "next_event_label", "ontime_hourly",
-        "top_events_per_user",
-        # -- page shuffles (the staged plan dead-letters a deep layout) --
+        "customers_with_orders", "curate_neardup", "line_dedup_docs",
+        "dup_span_stats", "strip_dup_spans", "pagerank",
+        "user_sessions", "purchase_attribution",
+        "latest_event_per_user", "user_running_total", "late_events",
+        "event_sequences", "funnel_stages", "event_gaps",
+        "next_event_label", "top_events_per_user",
         "pages_staged_roundtrip", "extract_pages", "pages_roundtrip",
-        # -- the previous rotation's lead, in its order --
-        "q1_pricing", "events_hourly", "orders_monthly",
-        "event_value_quantiles", "event_value_histogram", "event_value_mad",
-        "source_lang_matrix", "customer_rollup", "events_cube",
-        "user_favorite_event", "extract_roundtrip", "headers_roundtrip",
-        "dehyphen_roundtrip", "pagebreak_roundtrip", "footnotes_roundtrip",
-        "deadletter_roundtrip", "skipline_roundtrip", "parsr_ingest_roundtrip",
-        "extract_markdown", "extract_elements", "extract_docs", "extract_fast",
-        "resumable_write_roundtrip", "html_roundtrip", "html_links",
-        "crawl_consolidation_pipeline", "pii_roundtrip", "web_corpus_pipeline",
-        "embed_docs", "media_features", "anchor_text_corpus", "dedup_exact",
-        "events_sliding", "sliding_unique_users", "interval_join_events",
-        "shuffle_assignment", "bigram_pmi", "gopher_quality",
-        "balanced_mixture", "crawl_budget_allocation", "source_cap_sample",
-        "nfc_normalize_docs", "strip_control_chars", "snapshot_diff",
-        "table_checksum", "token_postings", "bm25_scores", "chunk_docs",
-        "tokenize_docs", "training_prep_pipeline", "hourly_unique_users",
-        "media_dedup", "jsonl_roundtrip", "csv_roundtrip",
+        "dehyphen_roundtrip", "pagebreak_roundtrip",
+        "footnotes_roundtrip", "deadletter_roundtrip",
+        "skipline_roundtrip", "parsr_ingest_roundtrip",
+        "extract_markdown", "extract_elements", "extract_docs",
+        "extract_fast", "resumable_write_roundtrip", "html_roundtrip",
+        "html_links", "crawl_consolidation_pipeline", "pii_roundtrip",
+        "web_corpus_pipeline", "embed_docs", "media_features",
+        "gopher_quality", "source_cap_sample", "nfc_normalize_docs",
+        "strip_control_chars", "snapshot_diff", "table_checksum",
+        "token_postings", "bm25_scores", "chunk_docs", "tokenize_docs",
+        "training_prep_pipeline", "jsonl_roundtrip", "csv_roundtrip",
         "schema_evolution_union", "partitioned_write_roundtrip",
-        "approx_distinct_users_agg", "approx_event_quantiles",
-        "bloom_membership", "cms_user_counts", "kmeans_assign", "kmeans_train",
-        "compression_quality", "pack_sequences", "dedup_incremental",
-        "doc_length_ntile",
+        "approx_distinct_users_agg", "bloom_membership",
+        "kmeans_assign", "kmeans_train", "compression_quality",
+        "pack_sequences", "dedup_incremental",
     ]
     missing = [k for k in prefix if k not in reg]
     assert not missing, f"rotation prefix names unknown ops: {missing}"

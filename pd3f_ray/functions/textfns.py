@@ -205,7 +205,7 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 def mix64(x: np.ndarray) -> np.ndarray:
     """Vectorized splitmix64 finalizer over a uint64 array (the same
-    stable mix as joins._stable_bucket, kept full-width)."""
+    stable mix as stages.exchange.stable_bucket, kept full-width)."""
     x = x.astype(np.uint64, copy=True)
     x ^= x >> np.uint64(30)
     x *= np.uint64(0xBF58476D1CE4E5B9)

@@ -25,9 +25,9 @@ import zlib
 import numpy as np
 import pyarrow as pa
 
-from pd3f_ray.core.arrowkit import agg
 from pd3f_ray.core.cluster import read_table
 from pd3f_ray.functions.textfns import md5_hex
+from pd3f_ray.stages.exchange import hash_agg
 
 MIN_TOKENS = 20
 MIN_DISTINCT_RATIO = 0.3
@@ -429,30 +429,18 @@ def partition_manifest(sf_dir: str):
     100 TB reader prunes on BEFORE touching data files (the moral
     equivalent of an Iceberg/Delta manifest): one row per
     (source, lang) partition with row count, doc_id min/max (file-skip
-    range predicate) and char volume (size-based planning). Plan: a
-    pyarrow ``group_by`` partial per block (≤ |partitions| rows each),
-    then ONE tiny combiner exchange — the corpus itself never shuffles.
+    range predicate) and char volume (size-based planning). Plan: one
+    ``hash_agg`` — a partial per block (≤ |partitions| rows each), then
+    one small exchange; the corpus itself never shuffles.
     Output (source, lang, n_docs, min_doc_id, max_doc_id, sum_chars)."""
-    from ray.data.aggregate import Max, Min, Sum
-
     docs = read_table(sf_dir, "documents",
                       ["doc_id", "source", "lang", "n_chars"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        return agg(batch, ["source", "lang"],
-                   {"n_docs": ("doc_id", "count"),
-                    "min_doc_id": ("doc_id", "min"),
-                    "max_doc_id": ("doc_id", "max"),
-                    "sum_chars": ("n_chars", "sum")})
-
-    return (
-        docs.map_batches(partial, batch_format="pyarrow")
-        .groupby(["source", "lang"])
-        .aggregate(Sum("n_docs", alias_name="n_docs"),
-                   Min("min_doc_id", alias_name="min_doc_id"),
-                   Max("max_doc_id", alias_name="max_doc_id"),
-                   Sum("sum_chars", alias_name="sum_chars"))
-    )
+    return hash_agg(docs, ["source", "lang"],
+                    {"n_docs": ("doc_id", "count"),
+                     "min_doc_id": ("doc_id", "min"),
+                     "max_doc_id": ("doc_id", "max"),
+                     "sum_chars": ("n_chars", "sum")})
 
 
 PARTITION_MANIFEST_SQL = """

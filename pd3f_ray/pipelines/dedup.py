@@ -23,9 +23,9 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray.data as rd
-from ray.data.aggregate import Count, Min
 
 from pd3f_ray.core.cluster import read_parquet, read_table
+from pd3f_ray.stages.exchange import hash_agg, stable_bucket
 from pd3f_ray.functions.textfns import (
     masks_for,
     md5_hex,
@@ -52,14 +52,9 @@ def dedup_exact(sf_dir: str):
             }
         )
 
-    return (
-        ds.map_batches(digest, batch_format="pyarrow")
-        .groupby("text_hash")
-        .aggregate(
-            Min("doc_id", alias_name="keep_id"),
-            Count(alias_name="n_copies"),
-        )
-    )
+    return hash_agg(ds.map_batches(digest, batch_format="pyarrow"),
+                    ["text_hash"], {"keep_id": ("doc_id", "min"),
+                                    "n_copies": ([], "count_all")})
 
 
 DEDUP_EXACT_SQL = """
@@ -89,14 +84,9 @@ def dedup_prefix(sf_dir: str):
             }
         )
 
-    return (
-        ds.map_batches(digest, batch_format="pyarrow")
-        .groupby("prefix_hash")
-        .aggregate(
-            Min("doc_id", alias_name="keep_id"),
-            Count(alias_name="n_copies"),
-        )
-    )
+    return hash_agg(ds.map_batches(digest, batch_format="pyarrow"),
+                    ["prefix_hash"], {"keep_id": ("doc_id", "min"),
+                                      "n_copies": ([], "count_all")})
 
 
 DEDUP_PREFIX_SQL = f"""
@@ -334,7 +324,7 @@ def minhash_pairs(sf_dir: str, threshold: float = VERIFY_THRESHOLD):
     No SQL oracle (candidate generation is probabilistic); tests verify
     recall against the brute-force pair set at small n.
     """
-    from pd3f_ray.pipelines.joins import _stable_bucket, hash_join
+    from pd3f_ray.pipelines.joins import hash_join
 
     ds = read_table(sf_dir, "documents", ["doc_id", "text"])
 
@@ -407,9 +397,8 @@ def minhash_pairs(sf_dir: str, threshold: float = VERIFY_THRESHOLD):
     # at corpus scale flip PRE_DEDUP_PAIRS if band collisions dominate.
     pairs = candidates
     if PRE_DEDUP_PAIRS:
-        pairs = candidates.groupby(["id_a", "id_b"]).aggregate(
-            Count(alias_name="n_bands")
-        )
+        pairs = hash_agg(candidates, ["id_a", "id_b"],
+                         {"n_bands": ([], "count_all")})
 
     # explode each pair to its two endpoints, then bucketed hash-join
     # the endpoints back to documents for the text — the inner join
@@ -444,7 +433,7 @@ def minhash_pairs(sf_dir: str, threshold: float = VERIFY_THRESHOLD):
         # 128 verify groups — candidate pairs are a small fraction of the
         # corpus, and per-group map_groups dispatch costs ~0.5 ms
         return batch.append_column(
-            "pbucket", pa.array(_stable_bucket(a, 128), pa.int32())
+            "pbucket", pa.array(stable_bucket(a, 128), pa.int32())
         )
 
     def verify_group(group: pa.Table) -> pa.Table:
@@ -667,12 +656,7 @@ def embdup_lsh(sf_dir: str, threshold: float = EMB_THRESHOLD):
         .map_groups(bucket_pairs, batch_format="pyarrow")
     )
     # dedup pairs discovered by several tables
-    deduped = found.groupby(["id_a", "id_b"]).aggregate(
-        Count(alias_name="n_tables")
-    )
-    return deduped.map_batches(
-        lambda b: b.select(["id_a", "id_b"]), batch_format="pyarrow"
-    )
+    return hash_agg(found, ["id_a", "id_b"], {})
 
 
 # ---------------------------------------------------------------------------
@@ -801,7 +785,7 @@ def dedup_clusters(sf_dir: str, threshold: float = JACCARD_THRESHOLD,
       (node ← label(peer)) and the pointer jump (node ← label(label),
       the classic doubling step), so rounds needed ≈ log2(diameter)+1
       and each round pays the join exchange once (round 2 paid it
-      twice). A groupby(node) Min collapses to the new labels;
+      twice). A ``hash_agg`` min per node collapses to the new labels;
       converged when the (sum, xor) label fingerprint stops changing
       (the integer sum decreases strictly until the fixpoint), probed
       by per-block ray tasks over the materialized label table — no
@@ -866,14 +850,9 @@ def _cc_propagate(edges, *, key_type, label_blocks: int = 4,
 
     from pd3f_ray.pipelines.joins import hash_join
 
-    def _arrow(b: pa.Table) -> pa.Table:
-        return b  # identity pass: coerces aggregate output blocks to Arrow
-
     # initial label = own id, one row per distinct node
     labels = (
-        edges.groupby("node")
-        .aggregate(Min("node", alias_name="label"))
-        .map_batches(_arrow, batch_format="pyarrow")
+        hash_agg(edges, ["node"], {"label": ("node", "min")})
         .repartition(label_blocks)
         .materialize()
     )
@@ -905,9 +884,7 @@ def _cc_propagate(edges, *, key_type, label_blocks: int = 4,
             lambda b: b.select(["node", "label"]), batch_format="pyarrow"
         ).union(labels)  # keep-own-label safety: Min includes current
         labels = (
-            prop.groupby("node")
-            .aggregate(Min("label", alias_name="label"))
-            .map_batches(_arrow, batch_format="pyarrow")
+            hash_agg(prop, ["node"], {"label": ("label", "min")})
             .repartition(label_blocks)
             .materialize()
         )
@@ -1067,9 +1044,7 @@ def simhash_pairs(sf_dir: str, max_hamming: int = SIMHASH_MAX_HAMMING):
         .groupby("gkey")
         .map_groups(group_pairs, batch_format="pyarrow")
     )
-    return found.groupby(["id_a", "id_b"]).aggregate(
-        Min("hamming", alias_name="hamming")
-    )
+    return hash_agg(found, ["id_a", "id_b"], {"hamming": ("hamming", "min")})
 
 
 # ---------------------------------------------------------------------------
@@ -1166,12 +1141,10 @@ def dedup_keep_best(sf_dir: str):
 
     Scale shape: the per-group argmax travels as ONE packed int64
     (``n_chars << 33  -  doc_id``) so the whole policy is a plain
-    ``Max`` combiner aggregate — partial-aggregated inside every map
-    task before the digest-keyed exchange, no ``map_groups``, no group
+    ``max`` in ``hash_agg`` — partial-aggregated inside every map task
+    before the digest-keyed exchange, no ``map_groups``, no group
     materialization. Output (prefix_hash, n_docs, best_id, best_chars);
     oracle = the identical packing arithmetic in SQL."""
-    from ray.data.aggregate import Count, Max
-
     ds = read_table(sf_dir, "documents", ["doc_id", "text", "n_chars"])
 
     def digest(batch: pa.Table) -> pa.Table:
@@ -1185,12 +1158,9 @@ def dedup_keep_best(sf_dir: str):
             "packed": pa.array(packed, pa.int64()),
         })
 
-    agg = (
-        ds.map_batches(digest, batch_format="pyarrow")
-        .groupby("prefix_hash")
-        .aggregate(Max("packed", alias_name="packed"),
-                   Count(alias_name="n_docs"))
-    )
+    agg = hash_agg(ds.map_batches(digest, batch_format="pyarrow"),
+                   ["prefix_hash"], {"packed": ("packed", "max"),
+                                     "n_docs": ([], "count_all")})
 
     def decode(batch: pa.Table) -> pa.Table:
         p = batch.column("packed").to_numpy(zero_copy_only=False)
@@ -1282,13 +1252,7 @@ def fuzzy_name_pairs(sf_dir: str, max_dist: int = EDIT_MAX):
             f"bands would be missed — raise NAME_BAND_W or lower max_dist")
     parts = read_table(sf_dir, "part", columns=["p_name"])
 
-    names = (
-        parts.map_batches(
-            lambda b: pa.table({"p_name": b.column("p_name").unique()}),
-            batch_format="pyarrow")
-        .groupby("p_name")
-        .aggregate(Count(alias_name="n"))
-    )
+    names = hash_agg(parts, ["p_name"], {})
 
     def band_rows(batch: pa.Table) -> pa.Table:
         nm = batch.column("p_name").to_pylist()
@@ -1381,11 +1345,7 @@ def name_entity_clusters(sf_dir: str, max_dist: int = EDIT_MAX,
 
     parts = read_table(sf_dir, "part", columns=["p_name"])
     singles = (
-        parts.map_batches(
-            lambda b: pa.table({"p_name": b.column("p_name").unique()}),
-            batch_format="pyarrow")
-        .groupby("p_name")
-        .aggregate(Count(alias_name="n"))
+        hash_agg(parts, ["p_name"], {})
         .map_batches(
             lambda b: pa.table({
                 "name_a": b.column("p_name"),

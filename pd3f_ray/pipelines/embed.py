@@ -29,7 +29,7 @@ class DocEmbedder:
 
     def __init__(self, dim: int = EMBED_DIM):
         self.dim = dim
-        # splitmix64 constants (same mix as joins._stable_bucket)
+        # splitmix64 constants (same mix as functions.textfns.mix64)
         self._c1 = np.uint64(0xBF58476D1CE4E5B9)
         self._c2 = np.uint64(0x94D049BB133111EB)
 

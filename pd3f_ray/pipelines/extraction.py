@@ -132,15 +132,7 @@ def extract_roundtrip(sf_dir: str):
     docs = read_table(sf_dir, "documents", columns=["doc_id", "text", "lang"])
     extracted = extract_dataset(docs.map_batches(wrap, batch_format="pyarrow"))
 
-    def project(batch):
-        import pyarrow as _pa
-
-        return _pa.table({
-            "url": batch.column("url"),
-            "text": batch.column("text").cast(_pa.string()),
-        })
-
-    return extracted.map_batches(project, batch_format="pyarrow")
+    return extracted.map_batches(_project_url_text, batch_format="pyarrow")
 
 
 EXTRACT_ROUNDTRIP_SQL = """
@@ -359,15 +351,7 @@ def headers_roundtrip(sf_dir: str):
         docs.map_batches(wrap, batch_format="pyarrow"), opts=opts
     )
 
-    def project(batch):
-        import pyarrow as _pa
-
-        return _pa.table({
-            "url": batch.column("url"),
-            "text": batch.column("text").cast(_pa.string()),
-        })
-
-    return extracted.map_batches(project, batch_format="pyarrow")
+    return extracted.map_batches(_project_url_text, batch_format="pyarrow")
 
 
 HEADERS_ROUNDTRIP_SQL = """
@@ -400,47 +384,12 @@ def _add_key_bucket(key: str, num_buckets: int):
     return add
 
 
-def _make_path_probe_threadsafe() -> None:
-    """Ray 2.49's ``_is_http_filesystem`` does a lazy
-    ``from fsspec.implementations.http import HTTPFileSystem`` guarded
-    only by ``except ModuleNotFoundError``. When aiohttp is absent AND
-    two Dataset executions resolve paths concurrently, the losing
-    thread sees the half-imported module as a plain ``ImportError``
-    ("cannot import name HTTPFileSystem") and the job dies. Wrap the
-    probe with a lock + ImportError tolerance once per process —
-    semantics unchanged (no aiohttp ⇒ not an HTTP filesystem)."""
-    import threading
-
-    try:
-        import ray.data.datasource.path_util as _pu
-
-        orig = _pu._is_http_filesystem
-    except (ImportError, AttributeError):
-        # private Ray internals — a Ray upgrade may move/rename them.
-        # The patch is an optimization of a rare race, not a requirement.
-        return
-    if getattr(_pu, "_pd3f_ray_threadsafe_probe", False):
-        return
-    lock = threading.Lock()
-
-    def safe(fs):
-        with lock:
-            try:
-                return orig(fs)
-            except ImportError:
-                return False
-
-    _pu._is_http_filesystem = safe
-    _pu._pd3f_ray_threadsafe_probe = True
-
-
 def run_resumable(
     input_path: str,
     out_dir: str,
     opts: ExtractOptions | None = None,
     num_shards: int = 8,
     num_buckets: int = 16,
-    max_parallel_shards: int = 1,
     transform=None,
     bucket_key: str = "url",
     markdown: bool = False,
@@ -458,19 +407,14 @@ def run_resumable(
     column. Default transform = the extraction pipeline (``markdown``
     selects its markdown render).
 
-    Input parquet files are deterministically grouped into shards; each
-    shard is extracted as its own streaming Dataset execution and
-    committed atomically (temp dir → rename → manifest append). A rerun
-    skips shards already in the manifest, so a killed job loses at most
-    ``max_parallel_shards`` shards of work. Output inside each shard is
-    hash-partitioned by url bucket (``bucket=NN/`` dirs, north_rule's
-    "partitions by url hash") — map-side column + partitioned write, no
-    shuffle. ``max_parallel_shards > 1`` runs that many shard Datasets
-    concurrently (each execution is independent; Ray Data schedules
-    them against the same cluster), amortizing the per-execution
-    startup that dominates small shards — the failure-loss bound grows
-    to the in-flight window. Manifest appends are serialized under a
-    lock. Returns summary metrics.
+    Input parquet files are deterministically grouped into shards; the
+    shards run one after another, each extracted as its own streaming
+    Dataset execution and committed atomically (temp dir → rename →
+    manifest append). A rerun skips shards already in the manifest, so
+    a killed job loses at most one shard of work. Output inside each
+    shard is hash-partitioned by url bucket (``bucket=NN/`` dirs,
+    north_rule's "partitions by url hash") — map-side column +
+    partitioned write, no shuffle. Returns summary metrics.
     """
     import pyarrow.dataset as pads
 
@@ -498,10 +442,6 @@ def run_resumable(
             total["shards_stale"] += 1  # fall through: reprocess
         todo.append((shard_id, shard_files))
 
-    import threading
-
-    manifest_lock = threading.Lock()
-
     def run_shard(shard_id: int, shard_files: list[str]) -> dict:
         tmp = mf.shard_dir(out_dir, shard_id) + ".__tmp"
         if os.path.exists(tmp):
@@ -522,21 +462,10 @@ def run_resumable(
         errors = (written.count_rows(
             filter=~pads.field("error").is_null())
             if "error" in written.schema.names else 0)
-        with manifest_lock:
-            return mf.commit_shard(
-                out_dir, shard_id, tmp, shard_files,
-                {"rows": rows, "errors": errors},
-            )
+        return mf.commit_shard(out_dir, shard_id, tmp, shard_files,
+                               {"rows": rows, "errors": errors})
 
-    if max_parallel_shards <= 1:
-        recs = [run_shard(sid, sf) for sid, sf in todo]
-    else:
-        _make_path_probe_threadsafe()
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_parallel_shards) as pool:
-            recs = list(pool.map(lambda t: run_shard(*t), todo))
-    for rec in recs:
+    for rec in (run_shard(sid, sf) for sid, sf in todo):
         total["shards_done"] += 1
         total["rows"] += rec["rows"]
         total["errors"] += rec["errors"]
@@ -683,15 +612,7 @@ def _fixture_roundtrip(sf_dir: str, build_pages, opts: ExtractOptions | None = N
         docs.map_batches(wrap, batch_format="pyarrow"), opts=opts
     )
 
-    def project(batch):
-        import pyarrow as _pa
-
-        return _pa.table({
-            "url": batch.column("url"),
-            "text": batch.column("text").cast(_pa.string()),
-        })
-
-    return extracted.map_batches(project, batch_format="pyarrow")
+    return extracted.map_batches(_project_url_text, batch_format="pyarrow")
 
 
 def _fx_identity_para(gen, text: str):

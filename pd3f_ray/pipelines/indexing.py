@@ -37,10 +37,10 @@ from collections import Counter
 
 import numpy as np
 import pyarrow as pa
-from ray.data.aggregate import Sum
 
 from pd3f_ray.core.cluster import read_table
 from pd3f_ray.functions.textfns import hash_bytes
+from pd3f_ray.stages.exchange import hash_agg
 
 _MASK63 = 0x7FFFFFFFFFFFFFFF
 
@@ -175,12 +175,9 @@ def _df_table(sf_dir: str):
             "df_part": pa.array(list(c.values()), pa.int64()),
         })
 
-    return (
-        read_table(sf_dir, "documents", ["text"])
-        .map_batches(partials, batch_format="pyarrow")
-        .groupby("token")
-        .aggregate(Sum("df_part", alias_name="df"))
-    )
+    return hash_agg(read_table(sf_dir, "documents", ["text"])
+                    .map_batches(partials, batch_format="pyarrow"),
+                    ["token"], {"df": ("df_part", "sum")})
 
 
 def _topk_frame(doc_ids, toks, tfs, dfs, n_docs: int, k: int

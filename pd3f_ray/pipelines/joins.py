@@ -31,15 +31,13 @@ exchanges.
 
 Next-key fold, the mirror of the same-key fold: when the step after a
 join is an aggregate over a small fixed key domain (nations, market
-segments, order priorities), ``fn`` joins its partition and folds the
-joined rows into partials on that NEXT key, and
-``stages.exchange.finish_agg`` sums the ≤ P × |domain| partials in one
-task — no Ray sort aggregate (a sample, a map and a reduce task per
-partition) after the join (``supplier_part_join``: suppkey join,
-nationkey partials; ``nation_revenue``,
-``relational.segment_order_stats``). After a plain ``hash_join`` the
-same partial is a ``map_batches`` that fuses into the join's reduce
-task (``region_brand_revenue``, ``q4_order_priority``).
+segments, order priorities), ``fn`` joins its partition and
+``stages.exchange.finish_agg`` folds the joined rows into partials on
+that NEXT key, fused into the same reduce task, and sums the
+≤ P × |domain| partials in one task — no second exchange after the
+join (``supplier_part_join``: suppkey join, nationkey partials;
+``nation_revenue``, ``relational.segment_order_stats``,
+``region_brand_revenue``, ``q4_order_priority``).
 
 Every side's schema is known at plan time: a parquet read knows its
 own, and a side behind a map or an exchange declares it
@@ -58,7 +56,6 @@ from __future__ import annotations
 import os
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
@@ -66,7 +63,7 @@ import ray.data as rd
 
 from pd3f_ray.core.arrowkit import agg
 from pd3f_ray.core.cluster import read_table
-from pd3f_ray.stages.exchange import bucket_exchange, finish_agg
+from pd3f_ray.stages.exchange import bucket_exchange, finish_agg, stable_bucket
 
 JOIN_BUCKETS = 128
 MEMBERSHIP = ("left semi", "left anti")  # join kinds that emit left rows only
@@ -105,25 +102,6 @@ def _side_table(group: pa.Table, side: str, columns: dict,
     return pa.table(cols)
 
 
-def _stable_bucket(arr: np.ndarray, num_buckets: int) -> np.ndarray:
-    """Deterministic cross-process bucket for join keys. Int64 keys get
-    a vectorized splitmix64-style integer mix (NOT Python hash(), which
-    is salted per process) — one multiply/shift chain over the whole
-    array. String/object keys hash via ``pd.util.hash_array`` (a fixed-
-    key 64-bit siphash: vectorized AND stable across processes), which
-    is already well-mixed, so it feeds the modulo directly."""
-    if arr.dtype == object or arr.dtype.kind in ("U", "S"):
-        x = pd.util.hash_array(arr)
-    else:
-        x = arr.astype(np.uint64, copy=True)
-        x ^= x >> np.uint64(30)
-        x *= np.uint64(0xBF58476D1CE4E5B9)
-        x ^= x >> np.uint64(27)
-        x *= np.uint64(0x94D049BB133111EB)
-        x ^= x >> np.uint64(31)
-    return (x % np.uint64(num_buckets)).astype(np.int32)
-
-
 def cogroup(sides: dict, num_buckets: int, fn) -> "rd.Dataset":
     """Co-partition several datasets on their keys in ONE exchange and
     call ``fn`` once per partition with ``{side: pa.Table}``.
@@ -154,11 +132,7 @@ def cogroup(sides: dict, num_buckets: int, fn) -> "rd.Dataset":
 
     def tag(side: str, key: str):
         def fn(batch: pa.Table) -> pa.Table:
-            keys = batch.column(key)
-            if keys.null_count and pa.types.is_integer(keys.type):
-                keys = keys.fill_null(0)  # any bucket will do for a null
-            b = _stable_bucket(keys.to_numpy(zero_copy_only=False),
-                               num_buckets)
+            b = stable_bucket(batch.column(key), num_buckets)
             n = batch.num_rows
             own = {}
             for col, typ in fields[side].items():
@@ -337,19 +311,16 @@ def nation_revenue(sf_dir: str, num_buckets: int = JOIN_BUCKETS,
     # the join exchange carries one row per (block, orderkey), not one
     # per lineitem
     def pre_agg(batch: pa.Table) -> pa.Table:
-        ok = batch.column("l_orderkey").to_numpy(zero_copy_only=False)
+        ok = batch.column("l_orderkey")
         price = batch.column("l_extendedprice").to_numpy(zero_copy_only=False)
         disc = batch.column("l_discount").to_numpy(zero_copy_only=False)
         # DuckDB round() is half-away-from-zero; np.rint is half-even —
         # match DuckDB (cf. relational._round_opts)
         v = price * (1.0 - disc) * 100
         cents = (np.sign(v) * np.floor(np.abs(v) + 0.5)).astype(np.int64)
-        df = pd.DataFrame({"l_orderkey": ok, "cents": cents})
-        g = df.groupby("l_orderkey", as_index=False)["cents"].sum()
-        return pa.table({
-            "l_orderkey": pa.array(g["l_orderkey"].to_numpy(), pa.int64()),
-            "revenue_cents": pa.array(g["cents"].to_numpy(), pa.int64()),
-        })
+        return agg(pa.table({"l_orderkey": ok,
+                             "cents": pa.array(cents, pa.int64())}),
+                   ["l_orderkey"], {"revenue_cents": ("cents", "sum")})
 
     rev = lineitem.map_batches(pre_agg, batch_format="pyarrow")
     joined = hash_join(rev, orders, "l_orderkey", "o_orderkey",
@@ -367,11 +338,11 @@ def nation_revenue(sf_dir: str, num_buckets: int = JOIN_BUCKETS,
     cust_rev = joined.map_batches(per_cust, batch_format="pyarrow")
 
     def by_name(nationkeys: list, cents) -> pa.Table:
-        """Revenue partials on the final key, the nation name."""
+        """Revenue rows on the final key, the nation name."""
         lookup = ray.get(lookup_ref)
-        return agg(pa.table({
+        return pa.table({
             "n_name": pa.array([lookup[n] for n in nationkeys], pa.string()),
-            "revenue_cents": cents}), ["n_name"], total)
+            "revenue_cents": cents})
 
     if broadcast_customer:
         # AQE-style fast path: customer fits comfortably in memory at
@@ -433,25 +404,17 @@ def supplier_part_join(sf_dir: str, num_buckets: int = 32):
     lineitem = read_table(sf_dir, "lineitem", ["l_suppkey", "l_quantity"])
 
     def pre(batch: pa.Table) -> pa.Table:
-        sk = batch.column("l_suppkey").to_numpy(zero_copy_only=False)
         q = batch.column("l_quantity").to_numpy(zero_copy_only=False)
         qty = (np.sign(q) * np.floor(np.abs(q) + 0.5)).astype(np.int64)
-        df = pd.DataFrame({"l_suppkey": sk, "qty": qty})
-        g = df.groupby("l_suppkey", as_index=False).agg(
-            n_lineitems=("qty", "size"), sum_qty=("qty", "sum"))
-        return pa.table({
-            "l_suppkey": pa.array(g["l_suppkey"].to_numpy(), pa.int64()),
-            "n_lineitems": pa.array(g["n_lineitems"].to_numpy(), pa.int64()),
-            "sum_qty": pa.array(g["sum_qty"].to_numpy(), pa.int64()),
-        })
-
-    sums = {"n_lineitems": ("n_lineitems", "sum"),
-            "sum_qty": ("sum_qty", "sum")}
+        return agg(pa.table({"l_suppkey": batch.column("l_suppkey"),
+                             "qty": pa.array(qty, pa.int64())}),
+                   ["l_suppkey"], {"n_lineitems": ([], "count_all"),
+                                   "sum_qty": ("qty", "sum")})
 
     def per_nation(sides: dict) -> pa.Table:
-        j = _acero_join(sides["l"], sides["s"], "l_suppkey", "s_suppkey",
-                        "inner")
-        return agg(j, ["s_nationkey"], sums)
+        return _acero_join(sides["l"], sides["s"], "l_suppkey", "s_suppkey",
+                           "inner").select(["s_nationkey", "n_lineitems",
+                                            "sum_qty"])
 
     parts = cogroup(
         {"l": (lineitem.map_batches(pre, batch_format="pyarrow"), "l_suppkey",
@@ -460,7 +423,9 @@ def supplier_part_join(sf_dir: str, num_buckets: int = 32):
          "s": (supplier, "s_suppkey",
                _arrow_fields(supplier, None, "supplier"))},
         num_buckets, per_nation)
-    return finish_agg(parts, ["s_nationkey"], sums)
+    return finish_agg(parts, ["s_nationkey"],
+                      {"n_lineitems": ("n_lineitems", "sum"),
+                       "sum_qty": ("sum_qty", "sum")})
 
 
 SUPPLIER_PART_SQL = """
@@ -615,14 +580,8 @@ def region_brand_revenue(sf_dir: str, num_buckets: int = 64):
     )
 
     def partial(batch: pa.Table) -> pa.Table:
-        g = (batch.select(["l_suppkey", "p_brand", "cents"])
-             .group_by(["l_suppkey", "p_brand"])
-             .aggregate([("cents", "sum"), ("cents", "count")]))
-        # by name: pyarrow versions differ on keys-vs-aggregates order
-        return pa.table({"l_suppkey": g.column("l_suppkey"),
-                         "p_brand": g.column("p_brand"),
-                         "cents": g.column("cents_sum"),
-                         "n_items": g.column("cents_count")})
+        return agg(batch, ["l_suppkey", "p_brand"],
+                   {"cents": ("cents", "sum"), "n_items": ("cents", "count")})
 
     mid_schema = pa.schema([("l_suppkey", pa.int64()),
                             ("p_brand", pa.string()),
@@ -649,22 +608,21 @@ def region_brand_revenue(sf_dir: str, num_buckets: int = 64):
                              nation.column("n_regionkey").to_pylist())}
     n2r_ref = ray.put(n2r)
 
-    sums = {"revenue_cents": ("revenue_cents", "sum"),
-            "n_items": ("n_items", "sum")}
-
-    # partials on the final (region, brand) key, in the join's reduce task
+    # rows on the final (region, brand) key, in the join's reduce task
     def to_region(batch: pa.Table) -> pa.Table:
         lookup = ray.get(n2r_ref)
         nk = batch.column("s_nationkey").to_pylist()
-        return agg(pa.table({
+        return pa.table({
             "r_name": pa.array([lookup[k] for k in nk], pa.string()),
             "p_brand": batch.column("p_brand"),
-            "revenue_cents": batch.column("cents"),
+            "cents": batch.column("cents"),
             "n_items": batch.column("n_items"),
-        }), ["r_name", "p_brand"], sums)
+        })
 
     return finish_agg(j2.map_batches(to_region, batch_format="pyarrow"),
-                      ["r_name", "p_brand"], sums)
+                      ["r_name", "p_brand"],
+                      {"revenue_cents": ("cents", "sum"),
+                       "n_items": ("n_items", "sum")})
 
 
 REGION_BRAND_REVENUE_SQL = """
@@ -945,12 +903,9 @@ def q4_order_priority(sf_dir: str, num_buckets: int = JOIN_BUCKETS):
     hit = semi_join(orders, witnesses, "o_orderkey", "l_orderkey",
                     num_buckets=num_buckets, left_schema=orders_schema)
 
-    # per-partition counts on the 5 priorities, summed in one task
-    def per_priority(batch: pa.Table) -> pa.Table:
-        return agg(batch, ["o_orderpriority"], {"n_orders": ([], "count_all")})
-
-    return finish_agg(hit.map_batches(per_priority, batch_format="pyarrow"),
-                      ["o_orderpriority"], {"n_orders": ("n_orders", "sum")})
+    # counts on the 5 priorities, finished in one task
+    return finish_agg(hit, ["o_orderpriority"],
+                      {"n_orders": ([], "count_all")})
 
 
 Q4_ORDER_PRIORITY_SQL = f"""

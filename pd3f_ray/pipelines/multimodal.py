@@ -26,9 +26,8 @@ import numpy as np
 import pyarrow as pa
 import ray.data as rd
 
-from pd3f_ray.core.arrowkit import agg
 from pd3f_ray.core.cluster import read_table
-from pd3f_ray.stages.exchange import finish_agg
+from pd3f_ray.stages.exchange import finish_agg, hash_agg
 
 KINDS = ("image", "audio", "video")
 
@@ -232,17 +231,8 @@ def media_kind_summary(sf_dir: str) -> "rd.Dataset":
     round-trip through the featurizer stage intact."""
     feats = media_features(sf_dir)
 
-    # map-side pyarrow partials + the one-task ``finish_agg`` instead of
-    # groupby: groupby's key validation fetches the schema, which runs
-    # the featurizer once for the first block before the real run
-    def partial(batch: pa.Table) -> pa.Table:
-        return agg(batch.select(["kind", "n_bytes"]), ["kind"],
-                   {"n_media": ("kind", "count"),
-                    "sum_bytes": ("n_bytes", "sum")})
-
-    return finish_agg(feats.map_batches(partial, batch_format="pyarrow"),
-                      ["kind"], {"n_media": ("n_media", "sum"),
-                                 "sum_bytes": ("sum_bytes", "sum")})
+    return finish_agg(feats, ["kind"], {"n_media": ("kind", "count"),
+                                        "sum_bytes": ("n_bytes", "sum")})
 
 
 MEDIA_KIND_SUMMARY_SQL = f"""
@@ -273,8 +263,6 @@ def media_dedup(sf_dir: str):
     grouping must coincide exactly with the generative rule — which is
     what the SQL oracle checks WITHOUT being able to hash the bytes.
     Output (keep_id, n_copies)."""
-    from ray.data.aggregate import Count, Min
-
     ds = read_table(sf_dir, "documents", columns=["doc_id"])
 
     def gen_and_digest(batch: pa.Table) -> pa.Table:
@@ -290,12 +278,9 @@ def media_dedup(sf_dir: str):
             "media_id": pa.array(ids, pa.int64()),
         })
 
-    agg = (
-        ds.map_batches(gen_and_digest, batch_format="pyarrow")
-        .groupby("digest")
-        .aggregate(Min("media_id", alias_name="keep_id"),
-                   Count(alias_name="n_copies"))
-    )
+    agg = hash_agg(ds.map_batches(gen_and_digest, batch_format="pyarrow"),
+                   ["digest"], {"keep_id": ("media_id", "min"),
+                                "n_copies": ([], "count_all")})
     return agg.map_batches(
         lambda b: b.select(["keep_id", "n_copies"]),
         batch_format="pyarrow")

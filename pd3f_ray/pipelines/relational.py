@@ -19,19 +19,18 @@ Scale conventions:
 
 from __future__ import annotations
 
+import datetime
 import os
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data as rd
-from ray.data.aggregate import Count, Max, Min, Sum
 
 from pd3f_ray.core.arrowkit import agg
 from pd3f_ray.core.cluster import read_table
-from pd3f_ray.stages.exchange import finish_agg
+from pd3f_ray.stages.exchange import finish_agg, hash_agg
 
 
 def _round_opts() -> pc.RoundOptions:
@@ -65,21 +64,10 @@ def q1_pricing(sf_dir: str):
         ],
     )
 
-    cutoff = pa.scalar(pd.Timestamp("1998-09-02"), pa.timestamp("us"))
+    cutoff = pa.scalar(datetime.datetime(1998, 9, 2), pa.timestamp("us"))
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def priced(batch: pa.Table) -> pa.Table:
         batch = batch.filter(pc.less_equal(batch.column("l_shipdate"), cutoff))
-        if batch.num_rows == 0:
-            return pa.table(
-                {
-                    "l_returnflag": pa.array([], pa.string()),
-                    "l_linestatus": pa.array([], pa.string()),
-                    "n_rows": pa.array([], pa.int64()),
-                    "sum_qty": pa.array([], pa.int64()),
-                    "sum_base_cents": pa.array([], pa.int64()),
-                    "sum_disc_cents": pa.array([], pa.int64()),
-                }
-            )
         base_cents = _cents(batch.column("l_extendedprice"))
         disc_cents = pc.cast(
             pc.round(
@@ -92,7 +80,7 @@ def q1_pricing(sf_dir: str):
             ),
             pa.int64(),
         )
-        t = pa.table(
+        return pa.table(
             {
                 "l_returnflag": batch.column("l_returnflag"),
                 "l_linestatus": batch.column("l_linestatus"),
@@ -101,21 +89,13 @@ def q1_pricing(sf_dir: str):
                 "disc_cents": disc_cents,
             }
         )
-        return agg(t, ["l_returnflag", "l_linestatus"], {
-            "n_rows": ("qty", "count"), "sum_qty": ("qty", "sum"),
-            "sum_base_cents": ("base_cents", "sum"),
-            "sum_disc_cents": ("disc_cents", "sum")})
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["l_returnflag", "l_linestatus"])
-        .aggregate(
-            Sum("n_rows", alias_name="n_rows"),
-            Sum("sum_qty", alias_name="sum_qty"),
-            Sum("sum_base_cents", alias_name="sum_base_cents"),
-            Sum("sum_disc_cents", alias_name="sum_disc_cents"),
-        )
-    )
+    return finish_agg(
+        ds.map_batches(priced, batch_format="pyarrow"),
+        ["l_returnflag", "l_linestatus"],
+        {"n_rows": ("qty", "count"), "sum_qty": ("qty", "sum"),
+         "sum_base_cents": ("base_cents", "sum"),
+         "sum_disc_cents": ("disc_cents", "sum")})
 
 
 Q1_SQL = """
@@ -204,18 +184,17 @@ def segment_order_stats(sf_dir: str, broadcast: bool | None = None):
                            ctbl.column("c_mktsegment").to_pylist()))
         seg_ref = ray.put(seg_map)
 
-        def bpartial(batch: pa.Table) -> pa.Table:
+        def segment(batch: pa.Table) -> pa.Table:
             seg = ray.get(seg_ref)
             keys = batch.column("o_custkey").to_numpy(zero_copy_only=False)
             segs = [seg.get(int(k), "UNKNOWN") for k in keys]
-            t = pa.table({"c_mktsegment": pa.array(segs, pa.string()),
-                          "cents": _cents(batch.column("o_totalprice"))})
-            return agg(t, ["c_mktsegment"], {
-                "n_orders": ("cents", "count"),
-                "sum_total_cents": ("cents", "sum")})
+            return pa.table({"c_mktsegment": pa.array(segs, pa.string()),
+                             "cents": _cents(batch.column("o_totalprice"))})
 
-        return finish_agg(orders.map_batches(bpartial, batch_format="pyarrow"),
-                          ["c_mktsegment"], sums)
+        return finish_agg(orders.map_batches(segment, batch_format="pyarrow"),
+                          ["c_mktsegment"],
+                          {"n_orders": ("cents", "count"),
+                           "sum_total_cents": ("cents", "sum")})
 
     def partial(batch: pa.Table) -> pa.Table:
         t = pa.table({"o_custkey": batch.column("o_custkey"),
@@ -224,9 +203,8 @@ def segment_order_stats(sf_dir: str, broadcast: bool | None = None):
                                       "sum_total_cents": ("cents", "sum")})
 
     def per_segment(sides: dict) -> pa.Table:
-        j = _acero_join(sides["o"], sides["c"], "o_custkey", "c_custkey",
-                        "inner")
-        return agg(j, ["c_mktsegment"], sums)
+        return _acero_join(sides["o"], sides["c"], "o_custkey", "c_custkey",
+                           "inner").select(["c_mktsegment", *sums])
 
     cust = read_table(sf_dir, "customer",
                       columns=["c_custkey", "c_mktsegment"])
@@ -262,7 +240,7 @@ def events_hourly(sf_dir: str):
     SQL oracle exactly."""
     ds = read_table(sf_dir, "events", columns=["event_type", "ts", "value"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def windowed(batch: pa.Table) -> pa.Table:
         us = pc.cast(batch.column("ts"), pa.int64())
         # integer division; timestamps are post-epoch so truncation == floor,
         # matching DuckDB's // exactly
@@ -272,20 +250,13 @@ def events_hourly(sf_dir: str):
                      options=_round_opts()),
             pa.int64(),
         )
-        t = pa.table({"event_type": batch.column("event_type"),
-                      "window_id": window, "micros": micros})
-        return agg(t, ["event_type", "window_id"], {
-            "n_events": ("micros", "count"),
-            "sum_value_micros": ("micros", "sum")})
+        return pa.table({"event_type": batch.column("event_type"),
+                         "window_id": window, "micros": micros})
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["event_type", "window_id"])
-        .aggregate(
-            Sum("n_events", alias_name="n_events"),
-            Sum("sum_value_micros", alias_name="sum_value_micros"),
-        )
-    )
+    return hash_agg(ds.map_batches(windowed, batch_format="pyarrow"),
+                    ["event_type", "window_id"],
+                    {"n_events": ("micros", "count"),
+                     "sum_value_micros": ("micros", "sum")})
 
 
 EVENTS_HOURLY_SQL = """
@@ -305,6 +276,24 @@ GROUP BY event_type, window_id
 QUANTILES = (0.25, 0.5, 0.75, 0.95)
 
 
+def _cents_histogram(sf_dir: str):
+    """(event_type, cents, n): the distinct-value table of event values
+    in integer cents, one ``hash_agg`` exchange."""
+    ds = read_table(sf_dir, "events", columns=["event_type", "value"])
+
+    def cents(batch: pa.Table) -> pa.Table:
+        v = batch.column("value").to_numpy(zero_copy_only=False) * 100
+        return pa.table({
+            "event_type": batch.column("event_type"),
+            "cents": pa.array(
+                (np.sign(v) * np.floor(np.abs(v) + 0.5)).astype(np.int64),
+                pa.int64()),
+        })
+
+    return hash_agg(ds.map_batches(cents, batch_format="pyarrow"),
+                    ["event_type", "cents"], {"n": ("cents", "count")})
+
+
 def event_value_quantiles(sf_dir: str):
     """Exact discrete quantiles of event value per event_type, with NO
     unbounded group: instead of shuffling raw values to one group per
@@ -319,24 +308,7 @@ def event_value_quantiles(sf_dir: str):
     the event count. Quantiles are ``quantile_disc`` semantics (the
     element at 1-based position ceil(q*n) of the sorted multiset),
     matching DuckDB."""
-    from ray.data.aggregate import Sum
-
-    ds = read_table(sf_dir, "events", columns=["event_type", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        v = batch.column("value").to_numpy(zero_copy_only=False) * 100
-        cents = (np.sign(v) * np.floor(np.abs(v) + 0.5)).astype(np.int64)
-        t = pa.table({
-            "event_type": batch.column("event_type"),
-            "cents": pa.array(cents, pa.int64()),
-        })
-        return agg(t, ["event_type", "cents"], {"n": ("cents", "count")})
-
-    hist = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["event_type", "cents"])
-        .aggregate(Sum("n", alias_name="n"))
-    )
+    hist = _cents_histogram(sf_dir)
 
     def per_type(group: pa.Table) -> pa.Table:
         cents = group.column("cents").to_numpy(
@@ -397,9 +369,8 @@ def customer_order_counts(sf_dir: str):
         per_cust = agg(sides["o"], ["o_custkey"], {"n_orders": ("n", "sum")})
         joined = _acero_join(sides["c"], per_cust, "c_custkey", "o_custkey",
                              "left outer")
-        n = pc.fill_null(joined.column("n_orders"), 0)
-        return agg(pa.table({"n_orders": n}), ["n_orders"],
-                   {"n_customers": ([], "count_all")})
+        return pa.table({"n_orders": pc.fill_null(joined.column("n_orders"),
+                                                  0)})
 
     orders = read_table(sf_dir, "orders", columns=["o_custkey"])
     per_block = orders.map_batches(partial, batch_format="pyarrow")
@@ -409,7 +380,7 @@ def customer_order_counts(sf_dir: str):
                  "o": (per_block, "o_custkey",
                        {"o_custkey": pa.int64(), "n": pa.int64()})},
                 32, distribution),
-        ["n_orders"], {"n_customers": ("n_customers", "sum")})
+        ["n_orders"], {"n_customers": ([], "count_all")})
 
 
 CUSTOMER_ORDER_COUNTS_SQL = """
@@ -440,20 +411,16 @@ def event_value_histogram(sf_dir: str):
     Output (event_type, bin, n)."""
     ds = read_table(sf_dir, "events", columns=["event_type", "value"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def binned(batch: pa.Table) -> pa.Table:
         v = batch.column("value").to_numpy(zero_copy_only=False)
-        t = pa.table({
+        return pa.table({
             "event_type": batch.column("event_type"),
             "bin": pa.array(np.floor(v / HIST_BIN_WIDTH).astype(np.int64),
                             pa.int64()),
         })
-        return agg(t, ["event_type", "bin"], {"n": ("bin", "count")})
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["event_type", "bin"])
-        .aggregate(Sum("n", alias_name="n"))
-    )
+    return hash_agg(ds.map_batches(binned, batch_format="pyarrow"),
+                    ["event_type", "bin"], {"n": ("bin", "count")})
 
 
 EVENT_VALUE_HISTOGRAM_SQL = f"""
@@ -481,7 +448,7 @@ def customer_rollup(sf_dir: str):
     ds = read_table(sf_dir, "customer",
                     columns=["c_nationkey", "c_mktsegment", "c_acctbal"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def rollup_rows(batch: pa.Table) -> pa.Table:
         nk = batch.column("c_nationkey").to_numpy(
             zero_copy_only=False).astype(np.int64)
         seg = np.asarray(batch.column("c_mktsegment").to_pylist(),
@@ -494,26 +461,18 @@ def customer_rollup(sf_dir: str):
             (nk, all_seg),
             (np.full(len(nk), -1, dtype=np.int64), all_seg),
         ]
-        t = pa.table({
+        return pa.table({
             "nationkey": pa.array(np.concatenate([l[0] for l in levels]),
                                   pa.int64()),
             "segment": pa.array(np.concatenate([l[1] for l in levels]),
                                 pa.string()),
-            "n_customers": pa.array(np.ones(3 * len(nk), np.int64)),
             "cents": pa.array(np.tile(cents, 3), pa.int64()),
         })
-        return agg(t, ["nationkey", "segment"], {
-            "n_customers": ("n_customers", "sum"),
-            "sum_acctbal_cents": ("cents", "sum")})
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["nationkey", "segment"])
-        .aggregate(
-            Sum("n_customers", alias_name="n_customers"),
-            Sum("sum_acctbal_cents", alias_name="sum_acctbal_cents"),
-        )
-    )
+    return finish_agg(ds.map_batches(rollup_rows, batch_format="pyarrow"),
+                      ["nationkey", "segment"],
+                      {"n_customers": ([], "count_all"),
+                       "sum_acctbal_cents": ("cents", "sum")})
 
 
 CUSTOMER_ROLLUP_SQL = """
@@ -552,20 +511,12 @@ def doc_length_rank(sf_dir: str, band: int = RANK_BAND):
     Output (doc_id, n_chars, rnk), rnk = 1-based global rank."""
     docs = read_table(sf_dir, "documents", columns=["doc_id", "n_chars"])
 
-    def count_partial(batch: pa.Table) -> pa.Table:
+    def rbucket(batch: pa.Table) -> pa.Table:
         nc = batch.column("n_chars").to_numpy(zero_copy_only=False)
-        b, counts = np.unique(nc // band, return_counts=True)
-        return pa.table({
-            "rbucket": pa.array(b.astype(np.int64), pa.int64()),
-            "n_part": pa.array(counts.astype(np.int64), pa.int64()),
-        })
+        return pa.table({"rbucket": pa.array(nc // band, pa.int64())})
 
-    counts = (
-        docs.map_batches(count_partial, batch_format="pyarrow")
-        .groupby("rbucket")
-        .aggregate(Sum("n_part", alias_name="n"))
-        .materialize()
-    )
+    counts = finish_agg(docs.map_batches(rbucket, batch_format="pyarrow"),
+                        ["rbucket"], {"n": ([], "count_all")}).materialize()
     per_bucket: dict[int, int] = {}
     for blk in ray.get(counts.to_arrow_refs()):
         if blk.num_rows == 0:  # trailing empty block has an empty schema
@@ -655,21 +606,12 @@ def profile_lineitem(sf_dir: str):
             "sum_x100": pa.array(sm, pa.int64()),
         })
 
-    agg = (ds.map_batches(partials, batch_format="pyarrow")
-           .groupby("col")
-           .aggregate(Sum("n_rows", alias_name="n_rows"),
-                      Sum("n_null", alias_name="n_null"),
-                      Min("min_x100", alias_name="min_x100"),
-                      Max("max_x100", alias_name="max_x100"),
-                      Sum("sum_x100", alias_name="sum_x100")))
-
-    def finish(batch: pa.Table) -> pa.Table:
-        out = {"col": batch.column("col")}
-        for c in ("n_rows", "n_null", "min_x100", "max_x100", "sum_x100"):
-            out[c] = batch.column(c).cast(pa.int64())
-        return pa.table(out)
-
-    return agg.map_batches(finish, batch_format="pyarrow")
+    return finish_agg(ds.map_batches(partials, batch_format="pyarrow"),
+                      ["col"], {"n_rows": ("n_rows", "sum"),
+                                "n_null": ("n_null", "sum"),
+                                "min_x100": ("min_x100", "min"),
+                                "max_x100": ("max_x100", "max"),
+                                "sum_x100": ("sum_x100", "sum")})
 
 
 PROFILE_LINEITEM_SQL = " UNION ALL ".join(
@@ -695,13 +637,12 @@ _MODE_SHIFT = 8  # ≤ 2^8 distinct event types; count < 2^54
 def user_favorite_event(sf_dir: str):
     """Grouped MODE — each user's most frequent event type (ties break
     to the lexicographically smallest type). Mode is not distributive,
-    but it decomposes into two combiner-only exchanges:
+    but it decomposes into two ``hash_agg`` exchanges:
 
-    1. ``groupby((user, type))`` over map-side pre-counted partials —
-       the standard count rollup;
+    1. a count per (user, type) — the standard count rollup;
     2. the per-user argmax travels as ONE packed int64
        (``count << 8 | (255 - type_rank)``) so picking the winner is a
-       plain ``Max`` — no per-user group materialization. The
+       plain ``max`` — no per-user group materialization. The
        type→rank dictionary is built from a metadata-cheap distinct
        pass and broadcast (event-type vocabularies are tiny by
        construction; the dial is the shift width).
@@ -709,15 +650,8 @@ def user_favorite_event(sf_dir: str):
     Output (user_id, favorite_event, n_occurrences)."""
     ds = read_table(sf_dir, "events", columns=["user_id", "event_type"])
 
-    def pair_partial(batch: pa.Table) -> pa.Table:
-        return agg(batch, ["user_id", "event_type"],
-                   {"n": ("event_type", "count")})
-
-    counts = (
-        ds.map_batches(pair_partial, batch_format="pyarrow")
-        .groupby(["user_id", "event_type"])
-        .aggregate(Sum("n", alias_name="n"))
-    )
+    counts = hash_agg(ds, ["user_id", "event_type"],
+                      {"n": ("event_type", "count")})
 
     # tiny distinct-type table → sorted rank dict, broadcast once
     types = sorted(
@@ -748,11 +682,8 @@ def user_favorite_event(sf_dir: str):
             "packed": pa.array(packed, pa.int64()),
         })
 
-    best = (
-        counts.map_batches(pack, batch_format="pyarrow")
-        .groupby("user_id")
-        .aggregate(Max("packed", alias_name="packed"))
-    )
+    best = hash_agg(counts.map_batches(pack, batch_format="pyarrow"),
+                    ["user_id"], {"packed": ("packed", "max")})
 
     def decode(batch: pa.Table) -> pa.Table:
         inv = ray.get(inv_ref)
@@ -801,24 +732,7 @@ def event_value_mad(sf_dir: str, k: int = MAD_K):
     counts where the deviation exceeds k·MAD). Group size is bounded by
     value cardinality, never event count. Output
     (event_type, n_events, median_cents, mad_cents, n_outliers)."""
-    from ray.data.aggregate import Sum
-
-    ds = read_table(sf_dir, "events", columns=["event_type", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        v = batch.column("value").to_numpy(zero_copy_only=False) * 100
-        cents = (np.sign(v) * np.floor(np.abs(v) + 0.5)).astype(np.int64)
-        t = pa.table({
-            "event_type": batch.column("event_type"),
-            "cents": pa.array(cents, pa.int64()),
-        })
-        return agg(t, ["event_type", "cents"], {"n": ("cents", "count")})
-
-    hist = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["event_type", "cents"])
-        .aggregate(Sum("n", alias_name="n"))
-    )
+    hist = _cents_histogram(sf_dir)
 
     def _disc_median(values: np.ndarray, counts: np.ndarray) -> int:
         # quantile_disc(0.5): element at 1-based position ceil(n/2) of
@@ -892,18 +806,8 @@ def source_lang_matrix(sf_dir: str):
     small exchange sums them, and the per-source reduce spreads
     languages into columns. Unknown languages would raise, not
     silently drop. Output (source, n_de, n_en, n_es, n_fr, n_zh)."""
-    from ray.data.aggregate import Sum
-
     ds = read_table(sf_dir, "documents", columns=["source", "lang"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        return agg(batch, ["source", "lang"], {"n": ("lang", "count")})
-
-    counts = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["source", "lang"])
-        .aggregate(Sum("n", alias_name="n"))
-    )
+    counts = hash_agg(ds, ["source", "lang"], {"n": ("lang", "count")})
 
     def spread(group: pa.Table) -> pa.Table:
         langs = group.column("lang").to_pylist()
@@ -949,8 +853,6 @@ def props_k_stats(sf_dir: str):
     dead-lettered here but would raise (or bucket differently) in
     DuckDB's json_extract cast. Output
     (event_type, n, n_bad, sum_k, min_k, max_k)."""
-    from ray.data.aggregate import Sum as _Sum
-
     try:
         import orjson as _json
     except ImportError:  # pragma: no cover
@@ -958,12 +860,9 @@ def props_k_stats(sf_dir: str):
 
     ds = read_table(sf_dir, "events", columns=["event_type", "props"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        et = batch.column("event_type").to_pylist()
-        ps = batch.column("props").to_pylist()
-        agg: dict[str, list[int]] = {}
-        for t, p in zip(et, ps):
-            a = agg.setdefault(t, [0, 0, 0, None, None])
+    def promote(batch: pa.Table) -> pa.Table:
+        ks = []
+        for p in batch.column("props").to_pylist():
             try:
                 k = _json.loads(p)["k"]
                 # bool is a subclass of int — JSON true/false must NOT
@@ -972,31 +871,17 @@ def props_k_stats(sf_dir: str):
                 if not isinstance(k, int) or isinstance(k, bool):
                     raise TypeError
             except Exception:
-                a[1] += 1
-                continue
-            a[0] += 1
-            a[2] += k
-            a[3] = k if a[3] is None or k < a[3] else a[3]
-            a[4] = k if a[4] is None or k > a[4] else a[4]
-        keys = list(agg)
-        return pa.table({
-            "event_type": pa.array(keys, pa.string()),
-            "n": pa.array([agg[k][0] for k in keys], pa.int64()),
-            "n_bad": pa.array([agg[k][1] for k in keys], pa.int64()),
-            "sum_k": pa.array([agg[k][2] for k in keys], pa.int64()),
-            "min_k": pa.array([agg[k][3] for k in keys], pa.int64()),
-            "max_k": pa.array([agg[k][4] for k in keys], pa.int64()),
-        })
+                k = None
+            ks.append(k)
+        k = pa.array(ks, pa.int64())
+        return pa.table({"event_type": batch.column("event_type"), "k": k,
+                         "bad": pc.cast(k.is_null(), pa.int64())})
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("event_type")
-        .aggregate(_Sum("n", alias_name="n"),
-                   _Sum("n_bad", alias_name="n_bad"),
-                   _Sum("sum_k", alias_name="sum_k"),
-                   Min("min_k", alias_name="min_k"),
-                   Max("max_k", alias_name="max_k"))
-    )
+    return finish_agg(ds.map_batches(promote, batch_format="pyarrow"),
+                      ["event_type"],
+                      {"n": ("k", "count"), "n_bad": ("bad", "sum"),
+                       "sum_k": ("k", "sum"), "min_k": ("k", "min"),
+                       "max_k": ("k", "max")})
 
 
 PROPS_K_STATS_SQL = """
@@ -1076,14 +961,14 @@ def events_cube(sf_dir: str):
     """CUBE(event_type, hour_of_day) in ONE pass — the full 2² grouping
     lattice (both keys, each alone, grand total), the other half of the
     grouping-sets family next to :func:`customer_rollup`'s ROLLUP. Same
-    plan shape: map-side 4-way explode with sentinels ('ALL' / -1) +
-    per-batch pre-aggregation, ONE exchange carrying ≤ 4 partial rows
-    per (block, group). Output (event_type, hour, n_events,
-    sum_value_cents). Precondition: ts ≥ epoch 0 (floor division here
-    vs DuckDB's truncate-toward-zero ``//`` — see hourly_unique_users)."""
+    plan shape: map-side 4-way explode with sentinels ('ALL' / -1),
+    then ``finish_agg``'s per-block pre-aggregation and one task.
+    Output (event_type, hour, n_events, sum_value_cents). Precondition:
+    ts ≥ epoch 0 (floor division here vs DuckDB's truncate-toward-zero
+    ``//`` — see hourly_unique_users)."""
     ds = read_table(sf_dir, "events", columns=["event_type", "ts", "value"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def cube_rows(batch: pa.Table) -> pa.Table:
         et = np.asarray(batch.column("event_type").to_pylist(),
                         dtype=object)
         us = pc.cast(batch.column("ts"), pa.int64()).to_numpy(
@@ -1095,26 +980,18 @@ def events_cube(sf_dir: str):
         all_t = np.full(n, "ALL", dtype=object)
         all_h = np.full(n, -1, dtype=np.int64)
         levels = [(et, hour), (et, all_h), (all_t, hour), (all_t, all_h)]
-        t = pa.table({
+        return pa.table({
             "event_type": pa.array(
                 np.concatenate([l[0] for l in levels]), pa.string()),
             "hour": pa.array(
                 np.concatenate([l[1] for l in levels]), pa.int64()),
-            "n_events": pa.array(np.ones(4 * n, np.int64)),
             "cents": pa.array(np.tile(cents, 4), pa.int64()),
         })
-        return agg(t, ["event_type", "hour"], {
-            "n_events": ("n_events", "sum"),
-            "sum_value_cents": ("cents", "sum")})
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["event_type", "hour"])
-        .aggregate(
-            Sum("n_events", alias_name="n_events"),
-            Sum("sum_value_cents", alias_name="sum_value_cents"),
-        )
-    )
+    return finish_agg(ds.map_batches(cube_rows, batch_format="pyarrow"),
+                      ["event_type", "hour"],
+                      {"n_events": ([], "count_all"),
+                       "sum_value_cents": ("cents", "sum")})
 
 
 EVENTS_CUBE_SQL = """
@@ -1148,8 +1025,7 @@ def referential_integrity(sf_dir: str):
     test proves it detects damage."""
     import pyarrow.parquet as pq
 
-    from pd3f_ray.pipelines.joins import anti_join  # noqa: F401
-    from ray.data.aggregate import Count
+    from pd3f_ray.pipelines.joins import anti_join
 
     n_li = pq.read_metadata(
         os.path.join(sf_dir, "lineitem.parquet")).num_rows
@@ -1170,8 +1046,7 @@ def referential_integrity(sf_dir: str):
         orphans = anti_join(left, right, lk, rk, left_schema=schema)
         # per-block distinct keys can repeat ACROSS blocks — count
         # distinct orphan keys, not anti-join rows
-        distinct = orphans.groupby(lk).aggregate(Count(alias_name="k"))
-        return distinct.map_batches(
+        return hash_agg(orphans, [lk], {}).map_batches(
             lambda b: pa.table({"n": pa.array([b.num_rows], pa.int64())}),
             batch_format="pyarrow")
 
@@ -1296,25 +1171,20 @@ def orders_monthly(sf_dir: str):
     (month_key, n_orders, sum_total_cents)."""
     ds = read_table(sf_dir, "orders", columns=["o_orderdate", "o_totalprice"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def month(batch: pa.Table) -> pa.Table:
         y = pc.year(batch.column("o_orderdate"))
         m = pc.month(batch.column("o_orderdate"))
         key = pc.add(pc.multiply(pc.cast(y, pa.int64()),
                                  pa.scalar(100, pa.int64())),
                      pc.cast(m, pa.int64()))
-        t = pa.table({
+        return pa.table({
             "month_key": key,
             "cents": _cents(batch.column("o_totalprice")),
         })
-        return agg(t, ["month_key"], {"n_orders": ("cents", "count"),
-                                      "sum_total_cents": ("cents", "sum")})
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("month_key")
-        .aggregate(Sum("n_orders", alias_name="n_orders"),
-                   Sum("sum_total_cents", alias_name="sum_total_cents"))
-    )
+    return finish_agg(ds.map_batches(month, batch_format="pyarrow"),
+                      ["month_key"], {"n_orders": ("cents", "count"),
+                                      "sum_total_cents": ("cents", "sum")})
 
 
 ORDERS_MONTHLY_SQL = """

@@ -20,13 +20,13 @@ this is part of the engine's large-scale training-data toolkit.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data as rd
-from ray.data.aggregate import Count
 
-from pd3f_ray.core.arrowkit import agg
 from pd3f_ray.core.cluster import read_table
+from pd3f_ray.functions.textfns import mix64 as _mix64
+from pd3f_ray.stages.exchange import finish_agg, hash_agg
 
 HLL_P = 12  # 2^12 registers
 HLL_M = 1 << HLL_P
@@ -36,27 +36,8 @@ def distinct_users(sf_dir: str):
     """Exact distinct user_id count per event_type. Output
     (event_type, n_users)."""
     ds = read_table(sf_dir, "events", ["event_type", "user_id"])
-
-    def batch_dedup(batch: pa.Table) -> pa.Table:
-        # map-side pre-dedup: the exchange then moves distinct pairs
-        # per block, not raw events
-        g = batch.group_by(["event_type", "user_id"]).aggregate([])
-        return g
-
-    pairs = (
-        ds.map_batches(batch_dedup, batch_format="pyarrow")
-        .groupby(["event_type", "user_id"])
-        .aggregate(Count(alias_name="n"))
-    )
-
-    def strip(batch: pa.Table) -> pa.Table:
-        return batch.select(["event_type"])
-
-    return (
-        pairs.map_batches(strip, batch_format="pyarrow")
-        .groupby("event_type")
-        .aggregate(Count(alias_name="n_users"))
-    )
+    pairs = hash_agg(ds, ["event_type", "user_id"], {})
+    return finish_agg(pairs, ["event_type"], {"n_users": ([], "count_all")})
 
 
 DISTINCT_USERS_SQL = """
@@ -65,18 +46,6 @@ SELECT event_type,
 FROM events
 GROUP BY event_type
 """
-
-
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer — the same stable integer mix used by the
-    join bucketing (joins._stable_bucket), kept full-width here."""
-    x = x.astype(np.uint64, copy=True)
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(0x94D049BB133111EB)
-    x ^= x >> np.uint64(31)
-    return x
 
 
 def _hll_registers(user_ids: np.ndarray) -> np.ndarray:
@@ -124,7 +93,7 @@ def approx_distinct_users(sf_dir: str):
         et = batch.column("event_type").to_numpy(zero_copy_only=False)
         uid = batch.column("user_id").to_numpy(zero_copy_only=False)
         types, out_regs = [], []
-        for t in pd.unique(et):
+        for t in pc.unique(batch.column("event_type")).to_pylist():
             types.append(t)
             out_regs.append(_hll_registers(uid[et == t]).tobytes())
         return pa.table(
@@ -183,6 +152,8 @@ def approx_distinct_users_agg(sf_dir: str):
     with an event count in ONE groupby exchange. Output
     (event_type, n_users_approx, n_events). Rows-only (sketch
     estimate); tests pin estimate equality with the map_groups form."""
+    from ray.data.aggregate import Count
+
     ds = read_table(sf_dir, "events", ["event_type", "user_id"])
     return ds.groupby("event_type").aggregate(
         hll_agg("user_id", "n_users_approx"),
@@ -257,13 +228,12 @@ def approx_event_quantiles(sf_dir: str, nbins: int = QSKETCH_BINS):
     ds = read_table(sf_dir, "events", ["event_type", "value"])
 
     def partial(batch: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            "event_type": batch.column("event_type").to_pylist(),
-            "value": batch.column("value").to_numpy(zero_copy_only=False),
-        })
+        et_col = batch.column("event_type")
+        et_all = et_col.to_numpy(zero_copy_only=False)
+        value = batch.column("value").to_numpy(zero_copy_only=False)
         types, cents, counts = [], [], []
-        for et, sub in df.groupby("event_type", sort=False):
-            c, n = _build_hist(sub["value"].to_numpy(), nbins)
+        for et in pc.unique(et_col).drop_null().to_pylist():
+            c, n = _build_hist(value[et_all == et], nbins)
             types.append(et)
             cents.append(c.tolist())
             counts.append(n.tolist())
@@ -438,14 +408,13 @@ def hourly_unique_users(sf_dir: str):
     """Per tumbling 1-hour window: event count, exact unique-user
     count, and value sum — the windowed ``COUNT(DISTINCT ...)`` every
     analytics dashboard needs, which no single combiner aggregate can
-    express. Two exchanges, both combiner-only:
+    express. Two ``hash_agg`` exchanges:
 
-    1. map-side ``group_by((window, user))`` per batch collapses raw
-       events to one partial row per (window, user, block) carrying
-       (n, cents); the exchange sums those per (window, user) —
-       distinct pairs cross the wire, never events;
-    2. a second map-side collapse counts users per (window, block) and
-       a tiny ``groupby(window)`` sums counts and re-sums (n, cents).
+    1. per (window, user): the block partials collapse raw events to
+       one row per (window, user, block) carrying (n, cents), and the
+       exchange sums them — distinct pairs cross the wire, never events;
+    2. per window: counts the users and re-sums (n, cents), its block
+       partials running in the first exchange's reduce task.
 
     Output (window_id, n_events, n_users, sum_value_cents).
 
@@ -453,43 +422,25 @@ def hourly_unique_users(sf_dir: str):
     division, while the DuckDB oracle's ``//`` truncates toward zero
     (-7//3 = -3 here vs -2 there), so pre-1970 timestamps would bucket
     differently between engine and oracle."""
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
-
     ds = read_table(sf_dir, "events", columns=["ts", "user_id", "value"])
 
-    def pair_partial(batch: pa.Table) -> pa.Table:
+    def windowed(batch: pa.Table) -> pa.Table:
         us = pc.cast(batch.column("ts"), pa.int64())
         window = pc.divide(us, pa.scalar(_HOUR_US, pa.int64()))
         v = batch.column("value").to_numpy(zero_copy_only=False) * 100.0
         cents = (np.sign(v) * np.floor(np.abs(v) + 0.5)).astype(np.int64)
-        t = pa.table({
+        return pa.table({
             "window_id": window,
             "user_id": batch.column("user_id"),
             "cents": pa.array(cents, pa.int64()),
         })
-        return agg(t, ["window_id", "user_id"],
-                   {"n": ("cents", "count"), "cents": ("cents", "sum")})
 
-    pairs = (
-        ds.map_batches(pair_partial, batch_format="pyarrow")
-        .groupby(["window_id", "user_id"])
-        .aggregate(Sum("n", alias_name="n"),
-                   Sum("cents", alias_name="cents"))
-    )
-
-    def window_partial(batch: pa.Table) -> pa.Table:
-        return agg(batch.select(["window_id", "n", "cents"]), ["window_id"],
-                   {"n_users": ("n", "count"), "n_events": ("n", "sum"),
-                    "sum_value_cents": ("cents", "sum")})
-
-    return (
-        pairs.map_batches(window_partial, batch_format="pyarrow")
-        .groupby("window_id")
-        .aggregate(Sum("n_users", alias_name="n_users"),
-                   Sum("n_events", alias_name="n_events"),
-                   Sum("sum_value_cents", alias_name="sum_value_cents"))
-    )
+    pairs = hash_agg(ds.map_batches(windowed, batch_format="pyarrow"),
+                     ["window_id", "user_id"],
+                     {"n": ("cents", "count"), "cents": ("cents", "sum")})
+    return hash_agg(pairs, ["window_id"],
+                    {"n_users": ("n", "count"), "n_events": ("n", "sum"),
+                     "sum_value_cents": ("cents", "sum")})
 
 
 HOURLY_UNIQUE_SQL = """
@@ -547,7 +498,6 @@ def cms_user_counts(sf_dir: str, n_probes: int = CMS_PROBES):
     exact truth side by side. Output (user_id, true_n, est_n);
     rows-only (the sketch bound is pinned by property tests)."""
     import ray
-    from ray.data.aggregate import Sum as _Sum
 
     ds = read_table(sf_dir, "events", ["user_id"])
 
@@ -579,20 +529,8 @@ def cms_user_counts(sf_dir: str, n_probes: int = CMS_PROBES):
               for r in b.column("sketch").to_pylist()]
     m = np.frombuffer(raw, np.int64).reshape(CMS_D, CMS_W)
 
-    # exact truth for the probe set (combiner aggregate, tiny output)
-    def truth_partial(batch: pa.Table) -> pa.Table:
-        uid = batch.column("user_id").to_numpy(zero_copy_only=False)
-        keys, counts = np.unique(uid, return_counts=True)
-        return pa.table({
-            "user_id": pa.array(keys.astype(np.int64), pa.int64()),
-            "n": pa.array(counts.astype(np.int64), pa.int64()),
-        })
-
-    truth = (
-        ds.map_batches(truth_partial, batch_format="pyarrow")
-        .groupby("user_id")
-        .aggregate(_Sum("n", alias_name="true_n"))
-    )
+    # exact truth for the probe set
+    truth = hash_agg(ds, ["user_id"], {"true_n": ([], "count_all")})
 
     def probe(batch: pa.Table) -> pa.Table:
         uid = batch.column("user_id").to_numpy(zero_copy_only=False)

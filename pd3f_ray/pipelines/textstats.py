@@ -10,18 +10,16 @@ empties; md5 of the raw text).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import ray.data as rd
-from ray.data.aggregate import Sum
 
-from pd3f_ray.core.arrowkit import agg
 from pd3f_ray.core.cluster import read_table
 from pd3f_ray.functions.textfns import (
     distinct_token_count,
     md5_hex,
     token_count,
 )
+from pd3f_ray.stages.exchange import finish_agg, hash_agg
 
 # stopword markers per language for the heuristic language identifier;
 # chosen to be expressible in the SQL oracle (list_filter membership)
@@ -90,34 +88,21 @@ def lang_quality(sf_dir: str):
     it hash-matches SQL exactly)."""
     ds = read_table(sf_dir, "documents", ["doc_id", "text", "lang"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def measure(batch: pa.Table) -> pa.Table:
         texts = batch.column("text").to_pylist()
-        df = pd.DataFrame(
-            {
-                "lang": batch.column("lang").to_pylist(),
-                "n_tokens": [token_count(t) for t in texts],
-                "n_chars": [len(t) for t in texts],
-                "is_long": [1 if len(t) > 300 else 0 for t in texts],
-            }
-        )
-        g = df.groupby("lang", as_index=False).agg(
-            n_docs=("n_tokens", "size"),
-            sum_tokens=("n_tokens", "sum"),
-            sum_chars=("n_chars", "sum"),
-            n_long=("is_long", "sum"),
-        )
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return pa.table({
+            "lang": batch.column("lang"),
+            "n_tokens": pa.array([token_count(t) for t in texts], pa.int64()),
+            "n_chars": pa.array([len(t) for t in texts], pa.int64()),
+            "is_long": pa.array([1 if len(t) > 300 else 0 for t in texts],
+                                pa.int64()),
+        })
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("lang")
-        .aggregate(
-            Sum("n_docs", alias_name="n_docs"),
-            Sum("sum_tokens", alias_name="sum_tokens"),
-            Sum("sum_chars", alias_name="sum_chars"),
-            Sum("n_long", alias_name="n_long"),
-        )
-    )
+    return finish_agg(ds.map_batches(measure, batch_format="pyarrow"),
+                      ["lang"], {"n_docs": ([], "count_all"),
+                                 "sum_tokens": ("n_tokens", "sum"),
+                                 "sum_chars": ("n_chars", "sum"),
+                                 "n_long": ("is_long", "sum")})
 
 
 LANG_QUALITY_SQL = """
@@ -240,8 +225,6 @@ def top_tokens(sf_dir: str, k: int = TOP_TOKENS_K):
     the boundary break deterministically by token ascending."""
     from collections import Counter
 
-    from ray.data.aggregate import Sum
-
     ds = read_table(sf_dir, "documents", ["text"])
 
     def partial_counts(batch: pa.Table) -> pa.Table:
@@ -256,14 +239,11 @@ def top_tokens(sf_dir: str, k: int = TOP_TOKENS_K):
             }
         )
 
-    totals = (
-        ds.map_batches(partial_counts, batch_format="pyarrow")
-        .groupby("token")
-        .aggregate(Sum("n", alias_name="n"))
-    )
+    totals = hash_agg(ds.map_batches(partial_counts, batch_format="pyarrow"),
+                      ["token"], {"n": ("n", "sum")})
 
-    # Per-block top-k partials, then a tiny resolve: after the hash
-    # aggregate each token lives in exactly one block, so any global
+    # Per-block top-k partials, then a tiny resolve: after ``hash_agg``
+    # each token lives in exactly one block, so any global
     # top-k token is in its block's top-k — keeping k rows per block is
     # EXACT, and the final sort runs over ≤ blocks×k rows instead of
     # the whole distinct-token table (billions of rows at corpus
@@ -408,8 +388,6 @@ def top_tokens_per_lang(sf_dir: str, k: int = TOP_PER_LANG_K):
     (lang, token, n, rank)."""
     from collections import Counter
 
-    from ray.data.aggregate import Sum
-
     ds = read_table(sf_dir, "documents", ["lang", "text"])
 
     def partial_counts(batch: pa.Table) -> pa.Table:
@@ -432,11 +410,8 @@ def top_tokens_per_lang(sf_dir: str, k: int = TOP_PER_LANG_K):
             }
         )
 
-    totals = (
-        ds.map_batches(partial_counts, batch_format="pyarrow")
-        .groupby(["lang", "token"])
-        .aggregate(Sum("n", alias_name="n"))
-    )
+    totals = hash_agg(ds.map_batches(partial_counts, batch_format="pyarrow"),
+                      ["lang", "token"], {"n": ("n", "sum")})
 
     # Per-block per-lang top-k partials BEFORE the per-lang reduce:
     # after the (lang, token) hash aggregate each pair lives in exactly
@@ -525,11 +500,8 @@ def top_bigrams(sf_dir: str, k: int = TOP_BIGRAMS_K):
             }
         )
 
-    totals = (
-        ds.map_batches(partial_counts, batch_format="pyarrow")
-        .groupby("bigram")
-        .aggregate(Sum("n", alias_name="n"))
-    )
+    totals = hash_agg(ds.map_batches(partial_counts, batch_format="pyarrow"),
+                      ["bigram"], {"n": ("n", "sum")})
 
     def block_topk(batch: pa.Table) -> pa.Table:
         if batch.num_rows <= k:
@@ -735,7 +707,7 @@ def lang_confusion_matrix(sf_dir: str):
     ds = read_table(sf_dir, "documents", ["text", "lang"])
     langs = sorted(LANG_MARKERS)
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def predict(batch: pa.Table) -> pa.Table:
         texts = batch.column("text").to_pylist()
         labels = batch.column("lang").to_pylist()
         preds = []
@@ -746,17 +718,13 @@ def lang_confusion_matrix(sf_dir: str):
             best = max(counts.values())
             preds.append("none" if best == 0
                          else min(l for l in langs if counts[l] == best))
-        t = pa.table({
+        return pa.table({
             "lang": pa.array(labels, pa.string()),
             "pred_lang": pa.array(preds, pa.string()),
         })
-        return agg(t, ["lang", "pred_lang"], {"n": ([], "count_all")})
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["lang", "pred_lang"])
-        .aggregate(Sum("n", alias_name="n"))
-    )
+    return finish_agg(ds.map_batches(predict, batch_format="pyarrow"),
+                      ["lang", "pred_lang"], {"n": ([], "count_all")})
 
 
 LANG_CONFUSION_SQL = f"""
@@ -838,11 +806,8 @@ def bigram_pmi(sf_dir: str, k: int = BIGRAM_PMI_K):
             "n": pa.array(list(c.values()), pa.int64()),
         })
 
-    totals = (
-        ds.map_batches(bigram_partials, batch_format="pyarrow")
-        .groupby("bigram")
-        .aggregate(Sum("n", alias_name="n"))
-    )
+    totals = hash_agg(ds.map_batches(bigram_partials, batch_format="pyarrow"),
+                      ["bigram"], {"n": ("n", "sum")})
 
     def block_topk(batch: pa.Table) -> pa.Table:
         if batch.num_rows <= k + 1:
@@ -889,12 +854,8 @@ def bigram_pmi(sf_dir: str, k: int = BIGRAM_PMI_K):
             "n": pa.array(list(c.values()), pa.int64()),
         })
 
-    uni = (
-        ds.map_batches(unigram_partials, batch_format="pyarrow")
-        .groupby("token")
-        .aggregate(Sum("n", alias_name="n"))
-        .materialize()
-    )
+    uni = hash_agg(ds.map_batches(unigram_partials, batch_format="pyarrow"),
+                   ["token"], {"n": ("n", "sum")}).materialize()
     raw: dict[str, int] = {}
     for t in ray.get(uni.to_arrow_refs()):
         if t.num_rows:

@@ -33,13 +33,11 @@ only — SURVEY §2.8):
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
-from ray.data.aggregate import Sum
 
-from pd3f_ray.core.arrowkit import agg
 from pd3f_ray.core.cluster import read_table
 from pd3f_ray.functions.textfns import hash_bytes
+from pd3f_ray.stages.exchange import finish_agg, hash_agg
 
 _MASK63 = 0x7FFFFFFFFFFFFFFF
 
@@ -53,40 +51,31 @@ def domain_stats(sf_dir: str):
     """Per-source corpus profile: (source, n_docs, sum_chars,
     sum_tokens, n_langs).
 
-    Plan: map-side partial aggregation per (source, lang) inside each
-    batch (token counts are ``count(' ')+1`` — no tokenization pass),
-    then ``groupby([source, lang])`` Sum — the exchange carries only
-    partial rows, ≤ sources × langs per block — and a final
+    Plan: token counts per document (``count(' ')+1`` — no
+    tokenization pass), then one ``hash_agg`` on (source, lang) — the
+    exchange carries only per-block partial rows, ≤ sources × langs per
+    block — and a final
     ``groupby(source)`` fold whose groups are bounded by LANGUAGE
     cardinality (≤ a few hundred), never by corpus size. n_langs is an
     exact distinct count because the (source, lang) collapse happened
     in the previous exchange."""
 
-    def partials(batch: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            "source": batch.column("source").to_pylist(),
-            "n_chars": batch.column("n_chars").to_numpy(
-                zero_copy_only=False),
-            "lang": batch.column("lang").to_pylist(),
-            "toks": [t.count(" ") + 1
-                     for t in batch.column("text").to_pylist()],
+    def tokens(batch: pa.Table) -> pa.Table:
+        return pa.table({
+            "source": batch.column("source"),
+            "lang": batch.column("lang"),
+            "n_chars": batch.column("n_chars"),
+            "toks": pa.array([t.count(" ") + 1
+                              for t in batch.column("text").to_pylist()],
+                             pa.int64()),
         })
-        g = (df.groupby(["source", "lang"], sort=False)
-             .agg(n_docs=("toks", "size"), sum_chars=("n_chars", "sum"),
-                  sum_tokens=("toks", "sum"))
-             .reset_index())
-        return pa.Table.from_pandas(g, preserve_index=False)
 
-    per_lang = (
+    per_lang = hash_agg(
         read_table(sf_dir, "documents", ["source", "lang", "text", "n_chars"])
-        .map_batches(partials, batch_format="pyarrow")
-        .groupby(["source", "lang"])
-        .aggregate(
-            Sum("n_docs", alias_name="n_docs"),
-            Sum("sum_chars", alias_name="sum_chars"),
-            Sum("sum_tokens", alias_name="sum_tokens"),
-        )
-    )
+        .map_batches(tokens, batch_format="pyarrow"),
+        ["source", "lang"],
+        {"n_docs": ([], "count_all"), "sum_chars": ("n_chars", "sum"),
+         "sum_tokens": ("toks", "sum")})
 
     def fold(group: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -566,21 +555,8 @@ def balanced_mixture(sf_dir: str, budget_fraction: float = MIX_BUDGET_FRACTION):
 
     docs = read_table(sf_dir, "documents", ["doc_id", "lang", "text"])
 
-    def count_partial(batch: pa.Table) -> pa.Table:
-        langs, counts = np.unique(
-            np.asarray(batch.column("lang").to_pylist(), dtype=object),
-            return_counts=True)
-        return pa.table({
-            "lang": pa.array(list(langs), pa.string()),
-            "n_part": pa.array(counts.astype(np.int64), pa.int64()),
-        })
-
-    counts = (
-        docs.map_batches(count_partial, batch_format="pyarrow")
-        .groupby("lang")
-        .aggregate(Sum("n_part", alias_name="n"))
-        .materialize()
-    )
+    counts = finish_agg(docs, ["lang"],
+                        {"n": ([], "count_all")}).materialize()
     blocks = ray.get(counts.to_arrow_refs())  # L rows — tiny
     n_by_lang: dict[str, int] = {}
     for b in blocks:
@@ -725,20 +701,7 @@ def shuffle_assignment(sf_dir: str, num_shards: int = SHUF_SHARDS,
 
     # pass 1: per-(shard, band) count partials → tiny combiner exchange
     # → bounded driver read → per-shard prefix offsets over bands
-    def count_partial(batch: pa.Table) -> pa.Table:
-        sb = batch.column("sband").to_numpy(zero_copy_only=False)
-        vals, counts = np.unique(sb, return_counts=True)
-        return pa.table({
-            "sband": pa.array(vals.astype(np.int64), pa.int64()),
-            "n_part": pa.array(counts.astype(np.int64), pa.int64()),
-        })
-
-    counts = (
-        keyed.map_batches(count_partial, batch_format="pyarrow")
-        .groupby("sband")
-        .aggregate(Sum("n_part", alias_name="n"))
-        .materialize()
-    )
+    counts = hash_agg(keyed, ["sband"], {"n": ([], "count_all")}).materialize()
     per_band: dict[int, int] = {}
     for blk in ray.get(counts.to_arrow_refs()):
         if blk.num_rows == 0:  # trailing empty block has an empty schema
@@ -1212,18 +1175,8 @@ def crawl_budget_allocation(sf_dir: str, budget: int = CRAWL_BUDGET):
     The count rollup is the usual partial-agg exchange; the
     apportionment itself runs in one task over the DIMENSION-scale
     count table. Output (source, n_docs, budget)."""
-    from ray.data.aggregate import Sum
-
     docs = read_table(sf_dir, "documents", ["source"])
-
-    def count_partial(batch: pa.Table) -> pa.Table:
-        return agg(batch, ["source"], {"n_docs": ("source", "count")})
-
-    counts = (
-        docs.map_batches(count_partial, batch_format="pyarrow")
-        .groupby("source")
-        .aggregate(Sum("n_docs", alias_name="n_docs"))
-    )
+    counts = hash_agg(docs, ["source"], {"n_docs": ("source", "count")})
 
     def apportion(batch: pa.Table) -> pa.Table:
         src = batch.column("source").to_pylist()

@@ -16,6 +16,7 @@ import html as _html
 import pyarrow as pa
 
 from pd3f_ray.core.cluster import read_table
+from pd3f_ray.stages.exchange import hash_agg
 from pd3f_ray.stages.htmlmain import HtmlMainExtractor
 
 CHUNK_TOKENS = 40
@@ -160,36 +161,19 @@ def anchor_text_corpus(sf_dir: str):
     (href, n_links, n_pages, top_anchor).
 
     Plan: runs the REAL ``LinkExtractor`` stage (same wrapped corpus as
-    ``html_links``), then pre-aggregates map-side per (href, url) —
-    link count + min anchor per batch — so the single ``groupby(href)``
-    exchanges move one row per distinct (href, source page), never one
-    per link occurrence; a (href, url)-keyed merge of the batch
-    partials makes each pair exactly one row (a page's links can split
-    across batch boundaries), so the final ``groupby(href)`` Count is
-    an EXACT distinct-page count (Sum/Count/Min are all
+    ``html_links``), then a ``hash_agg`` per (href, url) — link count +
+    min anchor, partial-aggregated per block, so its exchange moves one
+    row per distinct (href, source page) and block, never one per link
+    occurrence — makes each pair exactly one row (a page's links can
+    split across blocks), so the second ``hash_agg``'s per-href row
+    count is an EXACT distinct-page count (sum/count/min are all
     distributive)."""
-    from ray.data.aggregate import Count, Min, Sum
-
     links = html_links(sf_dir)
-
-    def pair_partials(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(["href", "url"]).aggregate(
-            [("anchor", "count"), ("anchor", "min")])
-        return pa.table({
-            "href": g.column("href"),
-            "url": g.column("url"),
-            "n": g.column("anchor_count").cast(pa.int64()),
-            "a": g.column("anchor_min"),
-        })
-
-    pairs = (links.map_batches(pair_partials, batch_format="pyarrow")
-             .groupby(["href", "url"])
-             .aggregate(Sum("n", alias_name="n"),
-                        Min("a", alias_name="a")))
-    agg = (pairs.groupby("href")
-           .aggregate(Sum("n", alias_name="n_links"),
-                      Count(alias_name="n_pages"),
-                      Min("a", alias_name="top_anchor")))
+    pairs = hash_agg(links, ["href", "url"], {"n": ("anchor", "count"),
+                                              "a": ("anchor", "min")})
+    agg = hash_agg(pairs, ["href"], {"n_links": ("n", "sum"),
+                                     "n_pages": ([], "count_all"),
+                                     "top_anchor": ("a", "min")})
 
     def finish(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
@@ -287,15 +271,14 @@ def url_dedup_latest(sf_dir: str):
     Fixture: each document yields 3 deterministic dirty variants that
     all canonicalize (via the real ``functions.urls.normalize_url``) to
     the same key, each with a distinct fetch_time whose winner varies
-    by doc. Plan: map-side explode + normalize, then ONE
-    ``groupby(url_norm)`` exchange carrying (key, packed) — the winning
+    by doc. Plan: map-side explode + normalize, then ONE ``hash_agg``
+    exchange on url_norm carrying (key, packed) — the winning
     (fetch_time, variant) travels as a single packed int64 so the
-    argmax is a plain ``Max`` combiner aggregate (no map_groups, no
-    per-group state). Output (url_norm, n_snapshots, latest_fetch_time,
-    latest_variant); oracle = the same 3-variant snapshot table built
-    in SQL + ``max``/``arg_max``."""
+    argmax is a plain ``max`` (no map_groups, no per-group state).
+    Output (url_norm, n_snapshots, latest_fetch_time, latest_variant);
+    oracle = the same 3-variant snapshot table built in SQL +
+    ``max``/``arg_max``."""
     import numpy as np
-    from ray.data.aggregate import Count, Max
 
     from pd3f_ray.functions.urls import normalize_url
 
@@ -319,12 +302,9 @@ def url_dedup_latest(sf_dir: str):
         })
 
     ds = read_table(sf_dir, "documents", columns=["doc_id"])
-    agg = (
-        ds.map_batches(explode, batch_format="pyarrow")
-        .groupby("url_norm")
-        .aggregate(Max("packed", alias_name="packed"),
-                   Count(alias_name="n_snapshots"))
-    )
+    agg = hash_agg(ds.map_batches(explode, batch_format="pyarrow"),
+                   ["url_norm"], {"packed": ("packed", "max"),
+                                  "n_snapshots": ([], "count_all")})
 
     def decode(batch: pa.Table) -> pa.Table:
         p = batch.column("packed").to_numpy(zero_copy_only=False)

@@ -23,9 +23,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from pd3f_ray.core.arrowkit import agg
 from pd3f_ray.core.cluster import read_table
-from pd3f_ray.stages.exchange import bucket_exchange
+from pd3f_ray.stages.exchange import bucket_exchange, hash_agg
 
 SESSION_GAP_MIN = 30
 WINDOW_BUCKETS = 256
@@ -213,12 +212,12 @@ def events_sliding(sf_dir: str):
     """Sliding 1-hour windows advancing every 15 minutes, per
     event_type: each event contributes to WINDOW/SLIDE = 4 consecutive
     windows (window w covers [w*SLIDE, w*SLIDE + WINDOW)). The map side
-    explodes each event into its 4 (event_type, window_id) partials and
-    pre-aggregates within the batch, so the one exchange carries
-    per-(batch, type, window) partials — the replication factor never
-    reaches the shuffle. Output (event_type, window_id, n_events,
-    sum_value_micros); oracle-checked against a generate_series
-    LATERAL join."""
+    explodes each event into its 4 (event_type, window_id) rows and
+    ``hash_agg`` pre-aggregates them within the block, so the one
+    exchange carries per-(block, type, window) partials — the
+    replication factor never reaches the shuffle. Output (event_type,
+    window_id, n_events, sum_value_micros); oracle-checked against a
+    generate_series LATERAL join."""
     import pyarrow.compute as pc
 
     from pd3f_ray.pipelines.relational import _round_opts
@@ -226,7 +225,7 @@ def events_sliding(sf_dir: str):
     ds = read_table(sf_dir, "events", ["event_type", "ts", "value"])
     k = SLIDE_WINDOW_US // SLIDE_US  # windows per event
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def explode(batch: pa.Table) -> pa.Table:
         us = pc.cast(batch.column("ts"), pa.int64()).to_numpy(
             zero_copy_only=False)
         micros = pc.cast(
@@ -243,20 +242,12 @@ def events_sliding(sf_dir: str):
                 "window_id": pa.array(w_max - off, pa.int64()),
                 "micros": pa.array(micros, pa.int64()),
             }))
-        return agg(pa.concat_tables(parts), ["event_type", "window_id"],
-                   {"n_events": ("micros", "count"),
-                    "sum_value_micros": ("micros", "sum")})
+        return pa.concat_tables(parts)
 
-    from ray.data.aggregate import Sum
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["event_type", "window_id"])
-        .aggregate(
-            Sum("n_events", alias_name="n_events"),
-            Sum("sum_value_micros", alias_name="sum_value_micros"),
-        )
-    )
+    return hash_agg(ds.map_batches(explode, batch_format="pyarrow"),
+                    ["event_type", "window_id"],
+                    {"n_events": ("micros", "count"),
+                     "sum_value_micros": ("micros", "sum")})
 
 
 EVENTS_SLIDING_SQL = f"""
@@ -511,10 +502,8 @@ def interval_join_events(sf_dir: str):
     give the value sums — no per-pair work. An event lives in exactly
     one bucket, so each (window, event) match is found exactly once;
     per-bucket partial rows then fold in a second, window-scale
-    ``groupby(win_id)`` (the anchor event itself always matches, so no
-    window is lost to an empty-partial edge)."""
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Count, Sum
+    ``hash_agg`` on win_id (the anchor event itself always matches, so
+    no window is lost to an empty-partial edge)."""
 
     win_us = IVAL_WINDOW_MIN * 60 * 1_000_000
     ds = read_table(sf_dir, "events", ["event_id", "ts", "value"])
@@ -588,23 +577,9 @@ def interval_join_events(sf_dir: str):
     partials = (ds.map_batches(explode, batch_format="pyarrow")
                 .groupby("bucket")
                 .map_groups(match, batch_format="pyarrow"))
-    folded = partials.groupby("win_id").aggregate(
-        Sum("n", alias_name="n_events"),
-        Sum("cents", alias_name="sum_value_cents"),
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table({"win_id": pa.array([], pa.int64()),
-                             "n_events": pa.array([], pa.int64()),
-                             "sum_value_cents": pa.array([], pa.int64())})
-        return pa.table({
-            "win_id": batch.column("win_id").cast(pa.int64()),
-            "n_events": batch.column("n_events").cast(pa.int64()),
-            "sum_value_cents": batch.column("sum_value_cents").cast(pa.int64()),
-        })
-
-    return folded.map_batches(finish, batch_format="pyarrow")
+    return hash_agg(partials, ["win_id"],
+                    {"n_events": ("n", "sum"),
+                     "sum_value_cents": ("cents", "sum")})
 
 
 INTERVAL_JOIN_SQL = f"""
@@ -864,45 +839,30 @@ def sliding_unique_users(sf_dir: str):
     """Unique users per sliding 1-hour window (15-minute slide) — the
     windowed COUNT DISTINCT composed with window replication: an event
     contributes to 4 windows, so the map side explodes to (window,
-    user) pairs but DEDUPES them within the batch before anything
-    ships; the first exchange then carries distinct pairs per block,
-    the second counts per window over one-row-per-(pair) survivors.
-    Both exchanges are combiner-only. Output (window_id, n_users).
+    user) pairs and ``hash_agg`` DEDUPES them within the block before
+    anything ships; the first exchange then carries distinct pairs per
+    block, the second counts per window over one-row-per-(pair)
+    survivors. Output (window_id, n_users).
     Precondition: ts ≥ epoch 0 (floor division here vs DuckDB's
     truncate-toward-zero ``//`` — see hourly_unique_users)."""
-    from ray.data.aggregate import Count, Sum
-
     ds = read_table(sf_dir, "events", ["ts", "user_id"])
     k = SLIDE_WINDOW_US // SLIDE_US
 
-    def pair_partial(batch: pa.Table) -> pa.Table:
+    def explode(batch: pa.Table) -> pa.Table:
         us = (batch.column("ts").cast(pa.int64())
               .to_numpy(zero_copy_only=False))
         uid = batch.column("user_id").to_numpy(zero_copy_only=False)
         w_max = us // SLIDE_US
         wins = np.concatenate([w_max - off for off in range(k)])
         users = np.tile(uid, k)
-        t = pa.table({
+        return pa.table({
             "window_id": pa.array(wins, pa.int64()),
             "user_id": pa.array(users, pa.int64()),
         })
-        return t.group_by(["window_id", "user_id"]).aggregate([])
 
-    pairs = (
-        ds.map_batches(pair_partial, batch_format="pyarrow")
-        .groupby(["window_id", "user_id"])
-        .aggregate(Count(alias_name="n"))
-    )
-
-    def window_partial(batch: pa.Table) -> pa.Table:
-        return agg(batch.select(["window_id"]), ["window_id"],
-                   {"n_users": ([], "count_all")})
-
-    return (
-        pairs.map_batches(window_partial, batch_format="pyarrow")
-        .groupby("window_id")
-        .aggregate(Sum("n_users", alias_name="n_users"))
-    )
+    pairs = hash_agg(ds.map_batches(explode, batch_format="pyarrow"),
+                     ["window_id", "user_id"], {})
+    return hash_agg(pairs, ["window_id"], {"n_users": ([], "count_all")})
 
 
 SLIDING_UNIQUE_SQL = f"""
@@ -930,14 +890,13 @@ def ontime_hourly(sf_dir: str):
     behavior 'drop late data, aggregate the rest': events flagged LATE
     by the per-user watermark scan of :func:`late_events` are excluded,
     the survivors roll up per tumbling hour. ONE user-bucket exchange
-    does the lateness classification AND the in-group hourly partials;
-    the second (tiny) exchange sums per window. Output
+    does the lateness classification, and ``hash_agg``'s partials in
+    the same reduce task fold the survivors per hour; its exchange sums
+    per window. Output
     (window_id, n_events, sum_value_cents). Precondition: ts ≥ epoch 0
     (floor division here vs DuckDB's truncate-toward-zero ``//`` — see
     hourly_unique_users)."""
     import hashlib
-
-    from ray.data.aggregate import Sum
 
     ds = read_table(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
 
@@ -946,7 +905,7 @@ def ontime_hourly(sf_dir: str):
         key = [hashlib.md5(str(i).encode()).hexdigest() for i in ids]
         return batch.append_column("arrival", pa.array(key, pa.string()))
 
-    def ontime_partial(group: pa.Table) -> pa.Table:
+    def ontime_events(group: pa.Table) -> pa.Table:
         uid = _col_np(group, "user_id")
         eid = _col_np(group, "event_id")
         arr = _col_np(group, "arrival")
@@ -956,36 +915,23 @@ def ontime_hourly(sf_dir: str):
         uid, ts, val = uid[order], ts[order], val[order]
         if len(uid) == 0:
             e = pa.array(np.empty(0, np.int64), pa.int64())
-            return pa.table({"window_id": e, "n_events": e,
-                             "sum_value_cents": e})
+            return pa.table({"window_id": e, "cents": e})
         prev = np.roll(pd.Series(ts).groupby(uid, sort=False)
                        .cummax().to_numpy(np.int64), 1)
         first = np.r_[True, uid[1:] != uid[:-1]]
         ontime = first | (ts >= prev)
         v = val[ontime] * 100
         cents = (np.sign(v) * np.floor(np.abs(v) + 0.5)).astype(np.int64)
-        win = ts[ontime] // 3_600_000_000
-        # per-window partial: sort by window, segment reduce
-        o2 = np.argsort(win, kind="stable")
-        win, cents = win[o2], cents[o2]
-        starts = np.flatnonzero(np.r_[True, win[1:] != win[:-1]])
         return pa.table({
-            "window_id": pa.array(win[starts], pa.int64()),
-            "n_events": pa.array(
-                np.diff(np.r_[starts, len(win)]).astype(np.int64),
-                pa.int64()),
-            "sum_value_cents": pa.array(np.add.reduceat(cents, starts),
-                                        pa.int64()),
+            "window_id": pa.array(ts[ontime] // 3_600_000_000, pa.int64()),
+            "cents": pa.array(cents, pa.int64()),
         })
 
-    partials = _bucketed(
-        ds.map_batches(arrival, batch_format="pyarrow"), ontime_partial)
-
-    return (
-        partials.groupby("window_id")
-        .aggregate(Sum("n_events", alias_name="n_events"),
-                   Sum("sum_value_cents", alias_name="sum_value_cents"))
-    )
+    ontime = _bucketed(ds.map_batches(arrival, batch_format="pyarrow"),
+                       ontime_events)
+    return hash_agg(ontime, ["window_id"],
+                    {"n_events": ([], "count_all"),
+                     "sum_value_cents": ("cents", "sum")})
 
 
 ONTIME_HOURLY_SQL = """

@@ -1,7 +1,10 @@
-"""Sampling-free bucket exchange for pre-bucketed reducers (pages, joins,
-windows): int bucket ids in ``[0, num_buckets)`` are range-partitioned on
-explicit sort boundaries (no sampling pass) into P partitions, whatever
-the upstream block count, and ``fn`` runs once per non-empty partition.
+"""The library's one exchange and its one aggregate primitive.
+
+``bucket_exchange``: int bucket ids in ``[0, num_buckets)`` are
+range-partitioned on explicit sort boundaries (no sampling pass) into P
+partitions, whatever the upstream block count, and ``fn`` runs once per
+non-empty partition. Pages, joins (``joins.cogroup``), windows and
+``hash_agg`` all reach it.
 
 P is one reduce wave: min(B, max(cluster CPUs, ⌈B/64⌉)). Every task of
 an exchange (sort map, sort reduce, ``fn``) costs a fixed chunk of
@@ -11,14 +14,32 @@ reducer at once, and a second wave only adds tasks. The bucket dial
 still bounds a reducer call, at ≤ 64 buckets, so a large B raises P past
 the CPU count (2^20 buckets → 2^14 partitions at any CPU count).
 
-``finish_agg`` is the other half of a plan that ends in an aggregate
-over a small key domain: the step before it emits per-partition partials
-on the final key, and one task sums them."""
+Every ``Sum``/``Count``/``Min``/``Max`` group-by in the library is one of
+two finishes of the same aggregate, both fed raw rows:
+
+- ``finish_agg`` for a small fixed key domain (a language, an event
+  type, a nation): per-block partials, then ONE task sums them.
+- ``hash_agg`` for a large domain (a token, a digest, a user): per-block
+  partials tagged with a stable key-hash bucket, then one
+  ``bucket_exchange`` whose reducer finishes each bucket's keys.
+
+Each runs ``arrowkit.agg`` per block first, fused into the upstream map,
+and decomposes every aggregate for the final step (``_FINAL``)."""
+
+import numpy as np
+import pandas as pd
+import pyarrow as pa
 
 from pd3f_ray.core.arrowkit import agg
 from pd3f_ray.core.cluster import cluster_cpus
+from pd3f_ray.functions.textfns import mix64
 
 MAX_BUCKETS_PER_PARTITION = 64  # the bucket dial bounds a reducer call
+AGG_BUCKETS = 256  # hash_agg's bucket dial
+
+# how each per-block partial folds into the final value
+_FINAL = {"sum": "sum", "count": "sum", "count_all": "sum",
+          "min": "min", "max": "max"}
 
 
 def partition_count(num_buckets: int) -> int:
@@ -38,22 +59,109 @@ def bucket_exchange(ds, key: str, num_buckets: int, fn):
     return shuffled.map_batches(fn, batch_size=None, batch_format="pyarrow")
 
 
+def _hash64(col) -> np.ndarray:
+    """A uint64 hash per value of one key column (numpy or Arrow), the
+    same in every process: Python's ``hash()`` is salted per process.
+    Strings hash via ``pd.util.hash_array`` (a fixed-key siphash), other
+    values via a splitmix64 integer mix. Nulls all hash to 0."""
+    nulls = None
+    if isinstance(col, (pa.Array, pa.ChunkedArray)):
+        if pa.types.is_null(col.type):
+            return np.zeros(len(col), np.uint64)
+        if col.null_count:
+            nulls = col.is_null().to_numpy(zero_copy_only=False)
+            if not (pa.types.is_string(col.type)
+                    or pa.types.is_large_string(col.type)
+                    or pa.types.is_binary(col.type)):
+                # a typed fill keeps the column's numpy dtype, so a key
+                # hashes alike in blocks with and without nulls
+                col = col.fill_null(pa.scalar(0).cast(col.type))
+        col = col.to_numpy(zero_copy_only=False)
+    if col.dtype == object or col.dtype.kind in ("U", "S"):
+        # categorize=False: the categorizing path factorizes first, and
+        # its factorize treats strings equal up to a NUL, so a key's hash
+        # would depend on the other keys in its array
+        x = pd.util.hash_array(col, categorize=False)
+    else:
+        x = mix64(col)
+    if nulls is not None:
+        x[nulls] = 0
+    return x
+
+
+def stable_bucket(keys, num_buckets: int) -> np.ndarray:
+    """Deterministic cross-process bucket in ``[0, num_buckets)`` per
+    row of one key column, or of a list of them (a multi-column key
+    combines the per-column hashes). Null keys share one bucket."""
+    cols = keys if isinstance(keys, list) else [keys]
+    h = _hash64(cols[0])
+    for c in cols[1:]:
+        h = h * np.uint64(0x9E3779B97F4A7C15) + _hash64(c)
+    return (h % np.uint64(num_buckets)).astype(np.int32)
+
+
+def _final_aggs(aggs: dict) -> dict:
+    """The final step of ``aggs`` over its per-block partials, whose
+    columns carry the output names. Refuses, at plan time, a function
+    that does not decompose that way."""
+    bad = {out: f for out, (_, f) in aggs.items() if f not in _FINAL}
+    if bad:
+        raise ValueError(f"not decomposable into per-block partials: {bad}; "
+                         f"supported: {sorted(_FINAL)}")
+    return {out: (out, _FINAL[f]) for out, (_, f) in aggs.items()}
+
+
 def finish_agg(ds, keys: list[str], aggs: dict):
-    """The final ``arrowkit.agg(t, keys, aggs)`` of a small aggregate in
-    ONE task: ``repartition(1)`` and one ``map_batches`` call, instead of
-    Ray's sampled sort aggregate (a sample, a map and a reduce task per
+    """``arrowkit.agg(rows, keys, aggs)`` over a small key domain:
+    per-block partials fused into the upstream map, then
+    ``repartition(1)`` and ONE task finishes them, instead of Ray's
+    sampled sort aggregate (a sample, a map and a reduce task per
     partition).
 
-    Contract: ``ds`` already holds per-partition partials on ``keys``,
-    at most P × (distinct final keys) rows, so the one task's input is
-    small whatever the corpus size. ``aggs`` must be decomposable over
-    those partials (sum of sums or counts, min of mins, max of maxes). A
-    large key domain (an exact dedup, a per-user count) keeps Ray's
-    distributed ``groupby().aggregate()``. The result is one block, so
-    a step that needs all of it (a share of the total) is one more
-    ``map_batches(..., batch_size=None)``, fused into the same task."""
-    def finish(t):
+    ``ds`` holds raw rows. ``aggs`` is ``{out: (column, function)}``
+    with sum, count, count_all, min or max; anything else raises
+    ``ValueError``. The one task holds ≤ blocks × (distinct keys) rows,
+    so the key domain must be small whatever the corpus size (a
+    language, an event type, a nation, a month); a large one (a token,
+    a digest, a user) goes through ``hash_agg``. The result is one
+    block, so a step that needs all of it (a share of the total) is one
+    more ``map_batches(..., batch_size=None)``, fused into the same
+    task."""
+    final = _final_aggs(aggs)
+
+    def partial(t):
         return agg(t, keys, aggs)
 
-    return ds.repartition(1).map_batches(finish, batch_size=None,
-                                         batch_format="pyarrow")
+    def finish(t):
+        return agg(t, keys, final)
+
+    return (ds.map_batches(partial, batch_size=None, batch_format="pyarrow")
+            .repartition(1)
+            .map_batches(finish, batch_size=None, batch_format="pyarrow"))
+
+
+def hash_agg(ds, keys: list[str], aggs: dict):
+    """``arrowkit.agg(rows, keys, aggs)`` over a large key domain, in
+    one ``bucket_exchange``: each block's partials (fused into the
+    upstream map) are tagged with the ``stable_bucket`` of their key,
+    and each partition's reducer finishes the keys of its buckets.
+    ``AGG_BUCKETS`` buckets, P partitions of ≤ 64 buckets each, as in
+    ``joins.cogroup``. ``aggs`` as in ``finish_agg``; an empty ``aggs``
+    is a distinct over ``keys``.
+
+    Invariant: every key's output row is in exactly one output block,
+    so a per-block top-k over the output is exact. Null keys group as
+    one key, as in ``arrowkit.agg``."""
+    final = _final_aggs(aggs)
+
+    def partial(t):
+        p = agg(t, keys, aggs)
+        b = stable_bucket([p.column(k) for k in keys], AGG_BUCKETS)
+        return p.append_column("__bucket", pa.array(b, pa.int32()))
+
+    def finish(t):
+        return agg(t, keys, final)
+
+    return bucket_exchange(
+        ds.map_batches(partial, batch_size=None, batch_format="pyarrow"),
+        "__bucket", AGG_BUCKETS, finish)

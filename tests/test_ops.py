@@ -533,39 +533,81 @@ def test_relational_plans_build_without_executing(ray_session, monkeypatch):
 
 
 _FINAL_AGGS = {"s": ("v", "sum"), "c": ("v", "count"), "mn": ("v", "min"),
-               "mx": ("v", "max")}
+               "mx": ("v", "max"), "n": ([], "count_all")}
 
 
 @settings(max_examples=12, deadline=None)
 @given(st.lists(st.lists(st.tuples(st.one_of(st.none(), st.integers(0, 4)),
-                                   st.integers(-50, 50)), max_size=8),
+                                   st.sampled_from("ab"),
+                                   st.one_of(st.none(), st.integers(-50, 50))),
+                         max_size=8),
                 min_size=1, max_size=4))
 @example([[]])  # empty input
-@example([[(None, 1), (2, 3), (None, -4)]])  # one block, null key
+@example([[(None, "a", 1), (2, "a", 3), (None, "b", -4), (2, "a", None)]])
 def test_finish_agg_matches_ray_aggregate(ray_session, blocks):
-    """The one-task finish equals Ray's ``groupby().aggregate()`` on
-    multi-block partial tables: Sum, Count, Min and Max, null keys
-    grouped as one key, an empty input giving no rows."""
+    """Both finishes of the aggregate primitive (``finish_agg`` and
+    ``hash_agg``) equal a plain-Python fold of the rows, and so does
+    Ray's ``groupby().aggregate()`` on one-column keys, over raw
+    multi-block rows: Sum, Count, Min and Max of a nullable column and a
+    row count, so count and count_all finish as a sum of per-block
+    partials. Int, string and two-column keys; null keys grouped as one
+    key; an empty input gives no rows; one block. Ray's sort aggregate
+    is no reference for the two-column key: it emits a group twice when
+    the key's first column is null and the input has three blocks. The
+    string key has no nulls: Ray's sort aggregate fails comparing a null
+    with a string when it samples its boundaries."""
     import pyarrow as pa
     import ray.data as rd
     from ray.data.aggregate import Count, Max, Min, Sum
 
-    from pd3f_ray.stages.exchange import finish_agg
+    from pd3f_ray.stages.exchange import finish_agg, hash_agg
 
     ds = rd.from_arrow([
-        pa.table({"k": pa.array([k for k, _ in b], pa.int64()),
-                  "v": pa.array([v for _, v in b], pa.int64())})
+        pa.table({"k": pa.array([k for k, _, _ in b], pa.int64()),
+                  "g": pa.array([g for _, g, _ in b], pa.string()),
+                  "v": pa.array([v for _, _, v in b], pa.int64())})
         for b in blocks])
-    want = ds.groupby("k").aggregate(
-        Sum("v", alias_name="s"), Count("v", alias_name="c"),
-        Min("v", alias_name="mn"), Max("v", alias_name="mx")).take_all()
-    got = finish_agg(ds, ["k"], _FINAL_AGGS).take_all()
 
-    def rows(r):
-        return sorted(r, key=lambda x: (x["k"] is None, x["k"] or 0))
+    def rows(r, keys):
+        return sorted(r, key=lambda x: [(x[k] is None, x[k] or 0)
+                                        for k in keys])
 
-    assert rows(got) == rows(want)
-    assert len(got) == len({k for b in blocks for k, _ in b})
+    def fold(keys):
+        groups = {}
+        for r in (dict(zip("kgv", r)) for b in blocks for r in b):
+            groups.setdefault(tuple(r[k] for k in keys), []).append(r["v"])
+        out = []
+        for key, vs in groups.items():
+            nn = [v for v in vs if v is not None]
+            out.append({**dict(zip(keys, key)), "s": sum(nn) if nn else None,
+                        "c": len(nn), "mn": min(nn, default=None),
+                        "mx": max(nn, default=None), "n": len(vs)})
+        return rows(out, keys)
+
+    for keys in (["k"], ["g"], ["k", "g"]):
+        want = fold(keys)
+        if len(keys) == 1:
+            assert rows(ds.groupby(keys).aggregate(
+                Sum("v", alias_name="s"),
+                Count("v", ignore_nulls=True, alias_name="c"),
+                Min("v", alias_name="mn"), Max("v", alias_name="mx"),
+                Count(alias_name="n")).take_all(), keys) == want
+        for got in (finish_agg(ds, keys, _FINAL_AGGS).take_all(),
+                    hash_agg(ds, keys, _FINAL_AGGS).take_all()):
+            assert rows(got, keys) == want
+
+
+def test_aggregate_primitive_refuses_non_decomposable(ray_session):
+    """A function with no per-block partial form raises at plan time."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from pd3f_ray.stages.exchange import finish_agg, hash_agg
+
+    ds = rd.from_arrow(pa.table({"k": [1], "v": [2]}))
+    for finish in (finish_agg, hash_agg):
+        with pytest.raises(ValueError, match="mean"):
+            finish(ds, ["k"], {"m": ("v", "mean")})
 
 
 def test_supplier_part_join_fold_matches_join_then_aggregate(ray_session,

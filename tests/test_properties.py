@@ -366,10 +366,10 @@ def test_hll_registers_merge_equals_union(ids):
 def test_stable_bucket_in_range_and_deterministic(keys):
     import numpy as np
 
-    from pd3f_ray.pipelines.joins import _stable_bucket
+    from pd3f_ray.stages.exchange import stable_bucket
 
-    a = _stable_bucket(np.array(keys, dtype=np.int64), 128)
-    b = _stable_bucket(np.array(keys, dtype=np.int64), 128)
+    a = stable_bucket(np.array(keys, dtype=np.int64), 128)
+    b = stable_bucket(np.array(keys, dtype=np.int64), 128)
     assert np.array_equal(a, b)
     assert ((a >= 0) & (a < 128)).all()
 
@@ -616,17 +616,17 @@ def test_stable_bucket_strings_cross_process():
 
     import numpy as np
 
-    from pd3f_ray.pipelines.joins import _stable_bucket
+    from pd3f_ray.stages.exchange import stable_bucket
 
     keys = ["red bolt", "old bolt", "", "Ünïcode näme", "a" * 200]
-    here = _stable_bucket(np.array(keys, dtype=object), 64).tolist()
+    here = stable_bucket(np.array(keys, dtype=object), 64).tolist()
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys; sys.path.insert(0, '/root/repo')\n"
          "import numpy as np\n"
-         "from pd3f_ray.pipelines.joins import _stable_bucket\n"
+         "from pd3f_ray.stages.exchange import stable_bucket\n"
          "keys = ['red bolt', 'old bolt', '', 'Ünïcode näme', 'a' * 200]\n"
-         "print(_stable_bucket(np.array(keys, dtype=object), 64).tolist())"],
+         "print(stable_bucket(np.array(keys, dtype=object), 64).tolist())"],
         capture_output=True, text=True, check=True)
     assert eval(out.stdout.strip()) == here
     assert all(0 <= b < 64 for b in here)

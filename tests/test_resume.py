@@ -137,22 +137,6 @@ def test_cli_query_subcommand(tmp_path):
     assert rec["rows"] == 500 and rec["out"] == d
 
 
-def test_parallel_shards_match_sequential(ray_session, small_corpus_dir,
-                                          tmp_path):
-    """max_parallel_shards=3 must produce byte-identical output to the
-    sequential run (manifest complete, all rows present)."""
-    from pd3f_ray.pipelines.extraction import run_resumable
-
-    seq_dir = str(tmp_path / "seq")
-    par_dir = str(tmp_path / "par")
-    s1 = run_resumable(small_corpus_dir, seq_dir, num_shards=3)
-    s2 = run_resumable(small_corpus_dir, par_dir, num_shards=3,
-                       max_parallel_shards=3)
-    assert s1["rows"] == s2["rows"] == 100
-    assert s2["shards_done"] == 3
-    assert _read_sorted(seq_dir) == _read_sorted(par_dir)
-
-
 def test_resumable_runner_generic_transform(ray_session, tmp_path):
     """The sharded resume runner generalizes beyond extraction: a custom
     transform (token-stats projection over the documents table) gets the
