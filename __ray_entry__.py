@@ -541,17 +541,21 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "pack_sequences": webcurate.pack_sequences,  # greedy → rows-only
     }
     # head-of-line rotation (see the ORDER MATTERS note above): the lead
-    # is every plan whose exchange or reducer changed last — the three
-    # plans whose same-key aggregate now rides their join's cogroup
-    # exchange, every other plan that calls cogroup or a joins.py
-    # primitive, the relational partials whose outputs are now read by
-    # name, the page shuffles and every ExtractDocs/ExtractElements
-    # entry — then the previous rotation's lead in its order.
-    # Everything else follows in its round-4 order.
+    # is the plans the last change touched most — the six ops_exchange
+    # queries and the plans that read back output they wrote — then the
+    # previous rotation's lead in its order. Everything else follows in
+    # its round-4 order.
     prefix = [
+        # -- every read is now footer-planned: the six ops_exchange
+        #    queries, then the plans that read back their own written
+        #    output (hive-partitioned and multi-generation) --
+        "supplier_part_join", "customers_with_orders",
+        "click_purchase_matrix", "customer_order_counts", "user_sessions",
+        "dedup_exact", "resumable_write_roundtrip",
+        "partitioned_write_roundtrip", "schema_evolution_union",
+        "dedup_incremental", "jsonl_roundtrip", "csv_roundtrip",
         # -- Sum/Count/Min/Max group-bys on the one aggregate primitive:
         #    finish_agg (one task) --
-        "supplier_part_join", "customer_order_counts",
         "segment_order_stats", "nation_revenue", "nation_revenue_share",
         "region_brand_revenue", "q4_order_priority",
         "media_kind_summary", "extract_summary", "q1_pricing",
@@ -561,7 +565,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "balanced_mixture", "doc_length_rank", "doc_length_ntile",
         # -- hash_agg (one stable_bucket exchange), and the two plans
         #    that lost their pandas partials --
-        "dedup_exact", "dedup_prefix", "dedup_keep_best", "media_dedup",
+        "dedup_prefix", "dedup_keep_best", "media_dedup",
         "url_dedup_latest", "anchor_text_corpus",
         "referential_integrity", "dedup_clusters",
         "name_entity_clusters", "fuzzy_name_pairs", "minhash_pairs",
@@ -577,11 +581,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # -- the shared url/text projection --
         "extract_roundtrip", "headers_roundtrip",
         # -- the previous rotation, in its order --
-        "click_purchase_matrix", "q3_shipping_priority",
-        "customers_with_orders", "curate_neardup", "line_dedup_docs",
+        "q3_shipping_priority", "curate_neardup", "line_dedup_docs",
         "dup_span_stats", "strip_dup_spans", "pagerank",
-        "user_sessions", "purchase_attribution",
-        "latest_event_per_user", "user_running_total", "late_events",
+        "purchase_attribution", "latest_event_per_user",
+        "user_running_total", "late_events",
         "event_sequences", "funnel_stages", "event_gaps",
         "next_event_label", "top_events_per_user",
         "pages_staged_roundtrip", "extract_pages", "pages_roundtrip",
@@ -589,17 +592,15 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "footnotes_roundtrip", "deadletter_roundtrip",
         "skipline_roundtrip", "parsr_ingest_roundtrip",
         "extract_markdown", "extract_elements", "extract_docs",
-        "extract_fast", "resumable_write_roundtrip", "html_roundtrip",
-        "html_links", "crawl_consolidation_pipeline", "pii_roundtrip",
+        "extract_fast", "html_roundtrip", "html_links",
+        "crawl_consolidation_pipeline", "pii_roundtrip",
         "web_corpus_pipeline", "embed_docs", "media_features",
         "gopher_quality", "source_cap_sample", "nfc_normalize_docs",
         "strip_control_chars", "snapshot_diff", "table_checksum",
         "token_postings", "bm25_scores", "chunk_docs", "tokenize_docs",
-        "training_prep_pipeline", "jsonl_roundtrip", "csv_roundtrip",
-        "schema_evolution_union", "partitioned_write_roundtrip",
-        "approx_distinct_users_agg", "bloom_membership",
-        "kmeans_assign", "kmeans_train", "compression_quality",
-        "pack_sequences", "dedup_incremental",
+        "training_prep_pipeline", "approx_distinct_users_agg",
+        "bloom_membership", "kmeans_assign", "kmeans_train",
+        "compression_quality", "pack_sequences",
     ]
     missing = [k for k in prefix if k not in reg]
     assert not missing, f"rotation prefix names unknown ops: {missing}"

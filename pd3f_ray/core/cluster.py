@@ -1,4 +1,5 @@
-"""Cluster sizing shared by stages and pipelines (imports Ray lazily)."""
+"""Cluster sizing shared by stages and pipelines, and the library's one
+parquet read (imports Ray lazily)."""
 
 import os
 
@@ -11,17 +12,26 @@ def cluster_cpus() -> int:
 
 
 def read_parquet(path, columns=None, filter=None):
-    """Every parquet read of the library: one read task per logical CPU.
+    """Every parquet read of the library, planned from the footers
+    (``core.parquet``): no Ray task runs before the plan executes.
 
-    With at least as many files as CPUs each task reads whole files, so
-    nothing is split and the first map fuses into the read; with fewer
-    files Ray still splits, but into one block per CPU instead of its
-    default of up to 200. A split read never fuses with the map after
-    it, and the exchanges downstream re-partition anyway."""
+    k = max(1, min(CPUs, footer bytes // ``target_min_block_size``)),
+    Ray's 1 MiB block floor, and the read runs min(k, row groups) tasks
+    over contiguous row-group slices of about equal bytes. A table below
+    2 MiB is one task; a table of at least CPUs MiB over at least CPUs
+    row groups is one task per CPU. Either way nothing is split, so the
+    first map fuses into the read. With fewer row groups than k, Ray
+    splits each task's output to k blocks; a split read never fuses with
+    the map after it, and the exchanges downstream re-partition anyway."""
     import ray.data as rd
 
-    return rd.read_parquet(path, columns=columns, filter=filter,
-                           override_num_blocks=cluster_cpus())
+    from pd3f_ray.core.parquet import FooterParquet
+
+    source = FooterParquet(path, columns, filter)
+    floor = rd.DataContext.get_current().target_min_block_size
+    k = max(1, min(cluster_cpus(),
+                   source.estimate_inmemory_data_size() // floor))
+    return rd.read_datasource(source, override_num_blocks=k)
 
 
 def read_table(sf_dir: str, name: str, columns=None, filter=None):

@@ -750,8 +750,10 @@ def _mat_label_sum(labels_mat) -> tuple[int, int]:
             words = (col.to_numpy(zero_copy_only=False)
                      .astype(np.uint64, copy=False))
         else:
+            # categorize=True factorizes first and treats strings equal
+            # up to a NUL, so a label's hash would follow its block-mates
             words = pd.util.hash_array(
-                np.asarray(col.to_pylist(), dtype=object))
+                np.asarray(col.to_pylist(), dtype=object), categorize=False)
         return (int(words.sum(dtype=np.uint64)),
                 int(np.bitwise_xor.reduce(words)))
 

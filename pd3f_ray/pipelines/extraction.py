@@ -33,7 +33,7 @@ def extract_dataset(
 ) -> "rd.Dataset":
     """Document-table Dataset → extracted Dataset (EXTRACT_SCHEMA). A
     task stage, one call per input block: it fuses with the map or
-    cluster-sized read before it."""
+    unsplit read before it."""
     return ds.map_batches(
         ExtractDocs(opts, markdown),
         batch_format="pyarrow",

@@ -668,12 +668,26 @@ def _write_files(table, d, n_files: int) -> str:
     return str(d)
 
 
-def _assert_read_fused(ds, first_map: str):
-    """The read ran as one task per CPU, unsplit, fused with the first map
-    (a split read runs as ``ReadParquet->SplitBlocks(k)`` and never fuses)."""
-    import re
+def footer_read_tasks(path) -> int:
+    """Read tasks of the footer rule: min(row groups, max(1, min(CPUs,
+    footer bytes // Ray's ``target_min_block_size``)))."""
+    import pyarrow.dataset as pads
+    from ray.data import DataContext
 
     from pd3f_ray.core.cluster import cluster_cpus
+
+    row_groups = [rg for f in pads.dataset(path, format="parquet")
+                  .get_fragments() for rg in f.row_groups]
+    nbytes = sum(rg.total_byte_size for rg in row_groups)
+    floor = DataContext.get_current().target_min_block_size
+    return min(len(row_groups), max(1, min(cluster_cpus(), nbytes // floor)))
+
+
+def _assert_read_fused(ds, first_map: str, path):
+    """The read of ``path`` ran the footer rule's task count, unsplit,
+    fused with the first map (a split read runs as
+    ``ReadParquet->SplitBlocks(k)`` and never fuses)."""
+    import re
 
     ops = _executed_ops(ds._get_stats_summary())
     names = [op.operator_name for op in ops]
@@ -681,17 +695,17 @@ def _assert_read_fused(ds, first_map: str):
     assert not [n for n in names if "SplitBlocks" in n], names
     tasks = re.search(r"(\d+) tasks executed",
                       ops[0].block_execution_summary_str)
-    assert int(tasks.group(1)) == cluster_cpus()
+    assert int(tasks.group(1)) == footer_read_tasks(path)
 
 
 def test_pages_exchange_has_no_sample_or_merge_stage(ray_session, tmp_path):
     """The page shuffle range-partitions on known bucket boundaries with
     the pull-based sort: no boundary-sampling pass, no push-based merge
-    stage among the executed sub-operators. A table of at least as many
-    files as CPUs is read unsplit, fused with the first map: the page
-    table into the page shuffle, an events table into user_sessions'
-    window exchange, and a document table into the extraction stage,
-    which then is the whole plan."""
+    stage among the executed sub-operators. A many-file table is read
+    unsplit in the footer rule's task count, fused with the first map:
+    the page table into the page shuffle, an events table into
+    user_sessions' window exchange, and a document table into the
+    extraction stage, which then is the whole plan."""
     import pyarrow.parquet as pq
 
     from pd3f_ray.pipelines.extraction import (
@@ -710,19 +724,86 @@ def test_pages_exchange_has_no_sample_or_merge_stage(ray_session, tmp_path):
     names = [op.operator_name for op in _executed_ops(ds._get_stats_summary())
              if op.is_sub_operator]
     assert names == ["SortMap", "SortReduce"], names
-    _assert_read_fused(ds, "add_bucket_compress")
+    _assert_read_fused(ds, "add_bucket_compress", pages)
 
-    _write_files(pq.read_table(os.path.join(SF, "events.parquet")),
-                 tmp_path / "events.parquet", 4)
+    events = _write_files(pq.read_table(os.path.join(SF, "events.parquet")),
+                          tmp_path / "events.parquet", 4)
     ds = user_sessions(str(tmp_path)).materialize()
     assert ds.count() > 0
-    _assert_read_fused(ds, "add_bucket")
+    _assert_read_fused(ds, "add_bucket", events)
 
     write_corpus(str(tmp_path / "docs"), n_docs=80, seed=5, rows_per_file=10)
     ds = extract_dataset(read_documents(str(tmp_path / "docs"))).materialize()
     assert ds.count() == 80
-    _assert_read_fused(ds, "ExtractDocs")
+    _assert_read_fused(ds, "ExtractDocs", str(tmp_path / "docs"))
     assert len(_executed_ops(ds._get_stats_summary())) == 1
+
+
+def _int_table(path, n_rows: int, seed: int, row_group_size=None):
+    """``n_rows`` of incompressible int64 pairs, 16 footer bytes a row."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    rng = np.random.default_rng(seed)
+    pq.write_table(pa.table({"id": np.arange(n_rows, dtype=np.int64),
+                             "v": rng.integers(0, 1 << 62, n_rows)}),
+                   path, row_group_size=row_group_size, use_dictionary=False)
+
+
+def _read_ops(path):
+    """(operator names, tasks of the first operator) of the read of
+    ``path`` followed by one map."""
+    import re
+
+    from pd3f_ray.core.cluster import read_parquet
+
+    ds = read_parquet(str(path)).map_batches(
+        lambda t: t, batch_format="pyarrow").materialize()
+    ops = _executed_ops(ds._get_stats_summary())
+    tasks = re.search(r"(\d+) tasks executed",
+                      ops[0].block_execution_summary_str)
+    return [op.operator_name for op in ops], int(tasks.group(1))
+
+
+def test_read_tasks_follow_the_footer_rule(ray_session, tmp_path):
+    """k = max(1, min(CPUs, footer bytes // 1 MiB)) blocks, from
+    min(k, row groups) read tasks over contiguous row-group slices: a
+    small table is one task, a table of at least CPUs MiB over at least
+    CPUs row groups is one task per CPU (one file or many), and only a
+    table with fewer row groups than k is split, by Ray, as before."""
+    import pyarrow.parquet as pq
+
+    from pd3f_ray.core.cluster import cluster_cpus
+    from pd3f_ray.core.parquet import FooterParquet
+
+    cpus = cluster_cpus()
+    fused = "ReadParquet->MapBatches(<lambda>)"
+    rows = (6 << 20) // 160  # 0.6 MiB per row group
+
+    small = tmp_path / "small"
+    small.mkdir()
+    for i in range(4):
+        _int_table(small / f"part-{i}.parquet", 1000, i)
+    assert _read_ops(small) == ([fused], 1)
+
+    many = tmp_path / "many"
+    many.mkdir()
+    for i in range(2 * cpus):
+        _int_table(many / f"part-{i:02d}.parquet", rows, i)
+    assert _read_ops(many) == ([fused], cpus)
+
+    one = tmp_path / "one.parquet"
+    _int_table(one, 2 * cpus * rows, 7, row_group_size=rows)
+    assert pq.ParquetFile(one).metadata.num_row_groups == 2 * cpus
+    assert _read_ops(one) == ([fused], cpus)
+    tasks = FooterParquet(str(one)).get_read_tasks(cpus)
+    assert [t.metadata.num_rows for t in tasks] == [2 * rows] * cpus
+    assert all(t.metadata.input_files == [str(one)] for t in tasks)
+
+    big = tmp_path / "big.parquet"
+    _int_table(big, (5 << 20) // 32, 8)  # one 2.5 MiB row group
+    assert _read_ops(big) == ([f"ReadParquet->SplitBlocks({min(cpus, 2)})",
+                               "MapBatches(<lambda>)"], 1)
 
 
 def test_dedup_clusters_oracle(ray_session, con):
@@ -741,6 +822,23 @@ def test_dedup_clusters_distributed_path_oracle(ray_session, con):
     from pd3f_ray.pipelines.dedup import dedup_clusters, dedup_clusters_sql
 
     _match(dedup_clusters(SF, local_max_edges=0), dedup_clusters_sql(), con)
+
+
+def test_label_fingerprint_ignores_the_block_split(ray_session):
+    """dedup's convergence fingerprint folds each string label's own
+    hash, so the same labels give the same fingerprint however they are
+    split into blocks, labels that differ after a NUL included."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from pd3f_ray.pipelines.dedup import _mat_label_sum
+
+    def fingerprint(*blocks):
+        return _mat_label_sum(rd.from_arrow(
+            [pa.table({"label": b}) for b in blocks]).materialize())
+
+    assert fingerprint(["\x00total", "\x00total x", "y z"]) == fingerprint(
+        ["\x00total x", "\x00total"], ["y z"])
 
 
 def test_dedup_clusters_chain_convergence(ray_session, tmp_path):

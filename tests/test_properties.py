@@ -374,6 +374,25 @@ def test_stable_bucket_in_range_and_deterministic(keys):
     assert ((a >= 0) & (a < 128)).all()
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=1 << 30), min_size=1,
+                max_size=60), st.data())
+def test_balanced_runs_cover_in_order(sizes, data):
+    """The read planner's row-group slices: ``n`` contiguous, non-empty
+    runs covering every row group once, in order, none holding more than
+    an equal share plus one row group."""
+    from pd3f_ray.core.parquet import balanced_runs
+
+    n = data.draw(st.integers(min_value=1, max_value=len(sizes)))
+    runs = balanced_runs(sizes, n)
+    assert len(runs) == n
+    assert runs[0][0] == 0 and runs[-1][1] == len(sizes)
+    assert all(a < b for a, b in runs)
+    assert all(b == c for (_, b), (c, _) in zip(runs, runs[1:]))
+    for a, b in runs:
+        assert sum(sizes[a:b]) * n <= sum(sizes) + n * max(sizes)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.lists(st.integers(min_value=0, max_value=2**61 - 2),
                          min_size=0, max_size=40),

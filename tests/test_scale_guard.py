@@ -60,9 +60,10 @@ def test_no_driver_materialization_patterns():
 
 def test_reads_go_through_the_cluster_sized_reader():
     """Every parquet read goes through ``core.cluster.read_parquet`` /
-    ``read_table``: one read task per logical CPU, so the read fuses with
-    the first map. A bare Ray read splits into up to 200 blocks, and a
-    split read never fuses."""
+    ``read_table``: planned from the footers, at most one read task per
+    logical CPU, so the read fuses with the first map. A bare Ray read
+    runs sampling tasks and splits into up to 200 blocks, and a split
+    read never fuses."""
     hits = []
     for path, src in _sources(PIPE_DIRS + [SOURCES_DIR]):
         for m in re.finditer(r"\b(?:_?rd|ray\.data)\.read_parquet\(", src):
