@@ -541,66 +541,57 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "pack_sequences": webcurate.pack_sequences,  # greedy → rows-only
     }
     # head-of-line rotation (see the ORDER MATTERS note above): the lead
-    # is the plans the last change touched most — the six ops_exchange
-    # queries and the plans that read back output they wrote — then the
-    # previous rotation's lead in its order. Everything else follows in
-    # its round-4 order.
+    # is the plans the last change touched most — every plan that moved
+    # off Ray's groupby().map_groups onto the library's one exchange —
+    # then the previous rotation's lead in its order. Everything else
+    # follows in its round-4 order.
     prefix = [
-        # -- every read is now footer-planned: the six ops_exchange
-        #    queries, then the plans that read back their own written
-        #    output (hive-partitioned and multi-generation) --
-        "supplier_part_join", "customers_with_orders",
-        "click_purchase_matrix", "customer_order_counts", "user_sessions",
-        "dedup_exact", "resumable_write_roundtrip",
-        "partitioned_write_roundtrip", "schema_evolution_union",
-        "dedup_incremental", "jsonl_roundtrip", "csv_roundtrip",
-        # -- Sum/Count/Min/Max group-bys on the one aggregate primitive:
-        #    finish_agg (one task) --
-        "segment_order_stats", "nation_revenue", "nation_revenue_share",
-        "region_brand_revenue", "q4_order_priority",
-        "media_kind_summary", "extract_summary", "q1_pricing",
-        "events_hourly", "orders_monthly", "customer_rollup",
-        "events_cube", "lang_quality", "lang_confusion_matrix",
-        "distinct_users", "props_k_stats", "profile_lineitem",
-        "balanced_mixture", "doc_length_rank", "doc_length_ntile",
-        # -- hash_agg (one stable_bucket exchange), and the two plans
-        #    that lost their pandas partials --
-        "dedup_prefix", "dedup_keep_best", "media_dedup",
-        "url_dedup_latest", "anchor_text_corpus",
-        "referential_integrity", "dedup_clusters",
-        "name_entity_clusters", "fuzzy_name_pairs", "minhash_pairs",
-        "simhash_pairs", "embdup_lsh", "tfidf_terms", "top_tokens",
-        "top_tokens_per_lang", "top_bigrams", "bigram_pmi",
-        "event_value_quantiles", "event_value_histogram",
-        "event_value_mad", "source_lang_matrix", "user_favorite_event",
-        "events_sliding", "sliding_unique_users",
-        "interval_join_events", "ontime_hourly", "hourly_unique_users",
-        "cms_user_counts", "domain_stats", "partition_manifest",
-        "shuffle_assignment", "crawl_budget_allocation",
-        "approx_event_quantiles", "approx_distinct_users",
-        # -- the shared url/text projection --
-        "extract_roundtrip", "headers_roundtrip",
+        # -- one grouping path: plans whose Ray groupby().map_groups
+        #    became a bucket_exchange (a plan-computed bucket) --
+        "curate_docs", "snapshot_diff", "training_prep_pipeline",
+        "minhash_pairs", "dedup_incremental", "simhash_pairs", "pagerank",
+        "token_postings", "tfidf_terms", "dup_span_stats", "strip_dup_spans",
+        "crawl_consolidation_pipeline", "line_dedup_docs",
+        "web_corpus_pipeline",
+        #    ... or a group_map (one group per reducer call) --
+        "approx_distinct_users", "approx_event_quantiles", "jaccard_pairs",
+        "ngram_jaccard_pairs", "embdup_lsh", "fuzzy_name_pairs",
+        "name_entity_clusters", "interval_join_events", "top_tokens_per_lang",
+        "weighted_sample_per_lang", "event_value_quantiles", "event_value_mad",
+        "source_lang_matrix", "doc_length_rank", "doc_length_ntile",
+        "knn_bruteforce", "knn_lsh", "knn_ivf", "domain_stats",
+        "pack_sequences", "shuffle_assignment", "source_cap_sample",
+        #    ... and the bucketed reducers that lost an empty-input guard --
+        "anchor_text_corpus", "latest_event_per_user", "event_sequences",
+        "funnel_stages", "ontime_hourly",
         # -- the previous rotation, in its order --
-        "q3_shipping_priority", "curate_neardup", "line_dedup_docs",
-        "dup_span_stats", "strip_dup_spans", "pagerank",
-        "purchase_attribution", "latest_event_per_user",
-        "user_running_total", "late_events",
-        "event_sequences", "funnel_stages", "event_gaps",
-        "next_event_label", "top_events_per_user",
+        "supplier_part_join", "customers_with_orders", "click_purchase_matrix",
+        "customer_order_counts", "user_sessions", "dedup_exact",
+        "resumable_write_roundtrip", "partitioned_write_roundtrip",
+        "schema_evolution_union", "jsonl_roundtrip", "csv_roundtrip",
+        "segment_order_stats", "nation_revenue", "nation_revenue_share",
+        "region_brand_revenue", "q4_order_priority", "media_kind_summary",
+        "extract_summary", "q1_pricing", "events_hourly", "orders_monthly",
+        "customer_rollup", "events_cube", "lang_quality",
+        "lang_confusion_matrix", "distinct_users", "props_k_stats",
+        "profile_lineitem", "balanced_mixture", "dedup_prefix",
+        "dedup_keep_best", "media_dedup", "url_dedup_latest",
+        "referential_integrity", "dedup_clusters", "top_tokens", "top_bigrams",
+        "bigram_pmi", "event_value_histogram", "user_favorite_event",
+        "events_sliding", "sliding_unique_users", "hourly_unique_users",
+        "cms_user_counts", "partition_manifest", "crawl_budget_allocation",
+        "extract_roundtrip", "headers_roundtrip", "q3_shipping_priority",
+        "curate_neardup", "purchase_attribution", "user_running_total",
+        "late_events", "event_gaps", "next_event_label", "top_events_per_user",
         "pages_staged_roundtrip", "extract_pages", "pages_roundtrip",
-        "dehyphen_roundtrip", "pagebreak_roundtrip",
-        "footnotes_roundtrip", "deadletter_roundtrip",
-        "skipline_roundtrip", "parsr_ingest_roundtrip",
-        "extract_markdown", "extract_elements", "extract_docs",
-        "extract_fast", "html_roundtrip", "html_links",
-        "crawl_consolidation_pipeline", "pii_roundtrip",
-        "web_corpus_pipeline", "embed_docs", "media_features",
-        "gopher_quality", "source_cap_sample", "nfc_normalize_docs",
-        "strip_control_chars", "snapshot_diff", "table_checksum",
-        "token_postings", "bm25_scores", "chunk_docs", "tokenize_docs",
-        "training_prep_pipeline", "approx_distinct_users_agg",
-        "bloom_membership", "kmeans_assign", "kmeans_train",
-        "compression_quality", "pack_sequences",
+        "dehyphen_roundtrip", "pagebreak_roundtrip", "footnotes_roundtrip",
+        "deadletter_roundtrip", "skipline_roundtrip", "parsr_ingest_roundtrip",
+        "extract_markdown", "extract_elements", "extract_docs", "extract_fast",
+        "html_roundtrip", "html_links", "pii_roundtrip", "embed_docs",
+        "media_features", "gopher_quality", "nfc_normalize_docs",
+        "strip_control_chars", "table_checksum", "bm25_scores", "chunk_docs",
+        "tokenize_docs", "approx_distinct_users_agg", "bloom_membership",
+        "kmeans_assign", "kmeans_train", "compression_quality",
     ]
     missing = [k for k in prefix if k not in reg]
     assert not missing, f"rotation prefix names unknown ops: {missing}"

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 
 def agg(t: pa.Table, keys: list[str], aggs: dict) -> pa.Table:
@@ -15,3 +17,27 @@ def agg(t: pa.Table, keys: list[str], aggs: dict) -> pa.Table:
     return pa.table({**{k: g.column(k) for k in keys},
                      **{out: g.column(f"{c}_{f}" if c else f)
                         for out, (c, f) in aggs.items()}})
+
+
+def run_offsets(t: pa.Table, keys: list[str]):
+    """(starts, ends) row offsets of each run of equal ``keys`` in a
+    table already sorted on them: a vectorized adjacent-inequality scan,
+    not a per-row Python loop. Nulls equal each other, so a null key is
+    one run."""
+    n = t.num_rows
+    if n == 0:
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    change = np.zeros(n - 1, bool)
+    for k in keys:
+        c = t.column(k).combine_chunks()
+        if pa.types.is_null(c.type):  # all null: one run
+            continue
+        a, b = c.slice(1), c.slice(0, n - 1)
+        neq = pc.not_equal(a, b)
+        if c.null_count:
+            neq = pc.fill_null(neq, pc.not_equal(a.is_null(), b.is_null()))
+        change |= neq.to_numpy(zero_copy_only=False)
+    bounds = np.flatnonzero(change) + 1
+    starts = np.concatenate([[0], bounds]).astype(np.int64)
+    ends = np.concatenate([bounds, [n]]).astype(np.int64)
+    return starts, ends

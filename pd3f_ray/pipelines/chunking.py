@@ -32,6 +32,7 @@ import pyarrow as pa
 import ray
 
 from pd3f_ray.core.cluster import read_table
+from pd3f_ray.stages.exchange import bucket_exchange
 
 CHUNK_SIZE = 512
 CHUNK_STRIDE = 384  # 128-char overlap between consecutive chunks
@@ -246,8 +247,7 @@ def training_prep_pipeline(sf_dir: str, size: int = CHUNK_SIZE,
         dig = group.column("digest").to_numpy(zero_copy_only=False)
         did = group.column("doc_id").to_numpy(zero_copy_only=False)
         order = np.lexsort((did, dig))
-        keep = order[np.r_[True, dig[order][1:] != dig[order][:-1]]] \
-            if len(dig) else order
+        keep = order[np.r_[True, dig[order][1:] != dig[order][:-1]]]
         return group.select(["doc_id", "text"]).take(
             pa.array(np.sort(keep)))
 
@@ -272,10 +272,10 @@ def training_prep_pipeline(sf_dir: str, size: int = CHUNK_SIZE,
             "n_ids": pa.array(out_n, pa.int64()),
         })
 
-    return (read_table(sf_dir, "documents", ["doc_id", "text"])
-            .map_batches(gate, batch_format="pyarrow")
-            .groupby("dbucket")
-            .map_groups(first_per_digest, batch_format="pyarrow")
+    gated = (read_table(sf_dir, "documents", ["doc_id", "text"])
+             .map_batches(gate, batch_format="pyarrow"))
+    return (bucket_exchange(gated, "dbucket", PREP_DEDUP_BUCKETS,
+                            first_per_digest)
             .map_batches(chunk_encode, batch_format="pyarrow"))
 
 

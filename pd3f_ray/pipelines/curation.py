@@ -9,7 +9,7 @@ Stages (all over the ``documents`` table so DuckDB can replay them):
 3. exact dedup — md5(text) digest per row; the ONE exchange is a
    hash-bucketed shuffle of (digest, doc_id, lang, n_chars, n_tokens)
    rows — 32-byte digests plus small metadata, never text — and the
-   in-group pick-first is a vectorized pandas drop_duplicates.
+   pick-first per digest is one vectorized lexsort per reducer call.
 
 Everything else is map-side: no ``take_all``, no driver-side id set,
 no second pass over the corpus. The output metadata rides through the
@@ -27,7 +27,7 @@ import pyarrow as pa
 
 from pd3f_ray.core.cluster import read_table
 from pd3f_ray.functions.textfns import md5_hex
-from pd3f_ray.stages.exchange import hash_agg
+from pd3f_ray.stages.exchange import bucket_exchange, hash_agg
 
 MIN_TOKENS = 20
 MIN_DISTINCT_RATIO = 0.3
@@ -35,16 +35,16 @@ SAMPLE_HEX = ("0", "1", "2", "3", "4", "5", "6", "7")  # 50%
 DEDUP_BUCKETS = 256  # bounds per-group rows in the dedup exchange
 
 
-def curate_docs(sf_dir: str, num_buckets: int = DEDUP_BUCKETS):
+def curate_docs(sf_dir: str):
     """Documents surviving quality gate → exact dedup → 50% hash sample.
     Output (doc_id, lang, n_chars, n_tokens), oracle-checked.
 
     The kept rows' metadata rides THROUGH the dedup exchange (digest +
     doc_id + small metadata per row, never text), so there is no second
     corpus pass and nothing is materialized on the driver — the round-1
-    ``take_all()`` id-set broadcast is gone. The digest groupby is
-    bucketed (``crc32(digest) % num_buckets``) so the in-group
-    pick-smallest-doc_id is one vectorized drop_duplicates per bucket
+    ``take_all()`` id-set broadcast is gone. The digest exchange is
+    bucketed (``crc32(digest) % DEDUP_BUCKETS``) so the in-group
+    pick-smallest-doc_id is one vectorized lexsort per reducer call
     instead of one Python dispatch per distinct digest."""
 
     def digest_quality(batch: pa.Table) -> pa.Table:
@@ -64,7 +64,7 @@ def curate_docs(sf_dir: str, num_buckets: int = DEDUP_BUCKETS):
             h = md5_hex(t)
             if h[0] not in SAMPLE_HEX:
                 continue
-            out["bucket"].append(zlib.crc32(h.encode()) % num_buckets)
+            out["bucket"].append(zlib.crc32(h.encode()) % DEDUP_BUCKETS)
             out["text_hash"].append(h)
             out["doc_id"].append(did)
             out["lang"].append(lg)
@@ -86,17 +86,14 @@ def curate_docs(sf_dir: str, num_buckets: int = DEDUP_BUCKETS):
         th = group.column("text_hash").to_numpy(zero_copy_only=False)
         did = group.column("doc_id").to_numpy(zero_copy_only=False)
         order = np.lexsort((did, th))
-        keep = order[np.r_[True, th[order][1:] != th[order][:-1]]] \
-            if len(th) else order
+        keep = order[np.r_[True, th[order][1:] != th[order][:-1]]]
         return group.select(["doc_id", "lang", "n_chars", "n_tokens"]).take(
             pa.array(np.sort(keep)))
 
-    return (
+    return bucket_exchange(
         read_table(sf_dir, "documents", ["doc_id", "text", "lang", "n_chars"])
-        .map_batches(digest_quality, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(pick_first, batch_format="pyarrow")
-    )
+        .map_batches(digest_quality, batch_format="pyarrow"),
+        "bucket", DEDUP_BUCKETS, pick_first)
 
 
 CURATE_DOCS_SQL = f"""
@@ -266,7 +263,7 @@ _DIFF_REMOVED_MOD = 4  # docs absent from the NEW snapshot (dropped)
 _DIFF_CHANGED_MOD = 3  # docs whose text changed between snapshots
 
 
-def snapshot_diff(sf_dir: str, num_buckets: int = DIFF_BUCKETS):
+def snapshot_diff(sf_dir: str):
     """Corpus-snapshot delta — the incremental-crawl bookkeeping step:
     given two crawl snapshots, classify every url as added / removed /
     changed (unchanged rows, the overwhelming majority at scale, are
@@ -276,10 +273,11 @@ def snapshot_diff(sf_dir: str, num_buckets: int = DIFF_BUCKETS):
     the new snapshot) so DuckDB can replay the exact construction.
 
     Plan: both snapshots reduce map-side to (doc_id, md5 digest, side)
-    rows — text never travels — and ONE ``groupby(doc_id % B)``
-    exchange co-locates each id's two sides; the in-group compare is a
-    vectorized pandas outer merge. This is the digest-diff shape of
-    ``dedup_incremental`` generalized to a three-way status. Output
+    rows — text never travels — and ONE ``doc_id % B``
+    ``bucket_exchange`` co-locates each id's two sides; the in-call
+    compare is one vectorized segment scan per doc_id. This is the
+    digest-diff shape of ``dedup_incremental`` generalized to a
+    three-way status. Output
     (doc_id, status ∈ {'added','removed','changed'})."""
 
     def derive(batch: pa.Table) -> pa.Table:
@@ -305,7 +303,7 @@ def snapshot_diff(sf_dir: str, num_buckets: int = DIFF_BUCKETS):
             "doc_id": pa.array(arr, pa.int64()),
             "dig": pa.array(out_dig, pa.string()),
             "side": pa.array(out_side, pa.int8()),
-            "bucket": pa.array(arr % num_buckets, pa.int64()),
+            "bucket": pa.array(arr % DIFF_BUCKETS, pa.int64()),
         })
 
     def diff(group: pa.Table) -> pa.Table:
@@ -314,9 +312,6 @@ def snapshot_diff(sf_dir: str, num_buckets: int = DIFF_BUCKETS):
         did = group.column("doc_id").to_numpy(zero_copy_only=False)
         dig = group.column("dig").to_numpy(zero_copy_only=False)
         side = group.column("side").to_numpy(zero_copy_only=False)
-        if len(did) == 0:
-            return pa.table({"doc_id": pa.array([], pa.int64()),
-                             "status": pa.array([], pa.string())})
         # a doc_id appears once (old-only / new-only) or twice (old row
         # then new row after the sort) — classify per segment, vectorized
         order = np.lexsort((side, did))
@@ -337,9 +332,8 @@ def snapshot_diff(sf_dir: str, num_buckets: int = DIFF_BUCKETS):
         })
 
     ds = read_table(sf_dir, "documents", ["doc_id", "text"])
-    return (ds.map_batches(derive, batch_format="pyarrow")
-            .groupby("bucket")
-            .map_groups(diff, batch_format="pyarrow"))
+    return bucket_exchange(ds.map_batches(derive, batch_format="pyarrow"),
+                           "bucket", DIFF_BUCKETS, diff)
 
 
 SNAPSHOT_DIFF_SQL = f"""

@@ -25,7 +25,12 @@ import pyarrow as pa
 import ray.data as rd
 
 from pd3f_ray.core.cluster import read_parquet, read_table
-from pd3f_ray.stages.exchange import hash_agg, stable_bucket
+from pd3f_ray.stages.exchange import (
+    bucket_exchange,
+    group_map,
+    hash_agg,
+    stable_bucket,
+)
 from pd3f_ray.functions.textfns import (
     masks_for,
     md5_hex,
@@ -193,11 +198,8 @@ def jaccard_pairs(sf_dir: str, threshold: float = JACCARD_THRESHOLD):
                 out_b.append(max(a, b))
         return _pairs_table(out_a, out_b)
 
-    return (
-        ds.map_batches(_band_rows, batch_format="pyarrow")
-        .groupby(["lang", "band"])
-        .map_groups(block_pairs, batch_format="pyarrow")
-    )
+    return group_map(ds.map_batches(_band_rows, batch_format="pyarrow"),
+                     ["lang", "band"], block_pairs)
 
 
 def jaccard_pairs_sql(threshold: float = JACCARD_THRESHOLD) -> str:
@@ -248,11 +250,8 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = NGRAM_THRESHOLD,
                 j += 1
         return _pairs_table(out_a, out_b)
 
-    return (
-        ds.map_batches(_band_rows, batch_format="pyarrow")
-        .groupby(["lang", "band"])
-        .map_groups(block_pairs, batch_format="pyarrow")
-    )
+    return group_map(ds.map_batches(_band_rows, batch_format="pyarrow"),
+                     ["lang", "band"], block_pairs)
 
 
 def ngram_jaccard_sql(threshold: float = NGRAM_THRESHOLD,
@@ -299,6 +298,7 @@ VERIFY_THRESHOLD = 0.5
 
 
 MINHASH_BUCKETS = 1024
+PAIR_BUCKETS = 128  # verify buckets: candidate pairs are a small fraction
 PRE_DEDUP_PAIRS = False  # see minhash_pairs: skip the pair-dedup exchange
 
 
@@ -308,16 +308,16 @@ def minhash_pairs(sf_dir: str, threshold: float = VERIFY_THRESHOLD):
 
     Stages: (1) per-batch shingle+sign (stateless, vectorized minhash),
     exploded to (band_id, band_hash, doc_id) rows; (2) ONE shuffle
-    grouped by ``band_hash % MINHASH_BUCKETS`` (grouping by the raw
-    band key made one map_groups group per distinct hash — hundreds of
-    thousands of sub-millisecond Python dispatches); inside a bucket the
-    exact-key pairing is a vectorized pandas groupby; (3) candidate
+    bucketed by ``band_hash % MINHASH_BUCKETS`` (grouping by the raw
+    band key made one group per distinct hash — hundreds of thousands
+    of sub-millisecond Python dispatches); inside a reducer call the
+    exact-key pairing is one vectorized segment scan; (3) candidate
     pairs are deduped (a pair can collide in several bands) and each
     pair's two texts are fetched by a bucketed hash-join of the pair
     ENDPOINTS back to the documents table — no driver-side text map, no
     whole-corpus broadcast; the documents text crosses one bucketed
     exchange and only candidate texts survive the inner join; (4) a
-    final pair-bucketed groupby brings both endpoints of a pair
+    final pair-bucketed exchange brings both endpoints of a pair
     together for exact word-shingle Jaccard verification (shingle sets
     cached per doc within a group).
 
@@ -364,8 +364,6 @@ def minhash_pairs(sf_dir: str, threshold: float = VERIFY_THRESHOLD):
         bid = group.column("band_id").to_numpy(zero_copy_only=False)
         bh = group.column("band_hash").to_numpy(zero_copy_only=False)
         did = group.column("doc_id").to_numpy(zero_copy_only=False)
-        if len(did) == 0:
-            return _pairs_table([], [])
         order = np.lexsort((did, bh, bid))
         bid, bh, did = bid[order], bh[order], did[order]
         starts = np.flatnonzero(np.r_[True, (bid[1:] != bid[:-1])
@@ -384,11 +382,9 @@ def minhash_pairs(sf_dir: str, threshold: float = VERIFY_THRESHOLD):
             out_b.extend(ids[jj].tolist())
         return _pairs_table(out_a, out_b)
 
-    candidates = (
-        ds.map_batches(band_rows, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(bucket_pairs, batch_format="pyarrow")
-    )
+    candidates = bucket_exchange(
+        ds.map_batches(band_rows, batch_format="pyarrow"),
+        "bucket", MINHASH_BUCKETS, bucket_pairs)
 
     # a pair can collide in multiple bands; the verify groups dedup
     # exactly (drop_duplicates), so candidates go STRAIGHT to the text
@@ -427,13 +423,11 @@ def minhash_pairs(sf_dir: str, threshold: float = VERIFY_THRESHOLD):
 
     # co-locate the two endpoints of each pair: bucket on id_a (pairs
     # sharing an anchor land together, which also warms the shingle
-    # cache), groupby bucket, verify in-group
+    # cache), one exchange, verify per reducer call
     def pair_bucket(batch: pa.Table) -> pa.Table:
         a = batch.column("id_a").to_numpy(zero_copy_only=False)
-        # 128 verify groups — candidate pairs are a small fraction of the
-        # corpus, and per-group map_groups dispatch costs ~0.5 ms
         return batch.append_column(
-            "pbucket", pa.array(stable_bucket(a, 128), pa.int32())
+            "pbucket", pa.array(stable_bucket(a, PAIR_BUCKETS), pa.int32())
         )
 
     def verify_group(group: pa.Table) -> pa.Table:
@@ -452,29 +446,26 @@ def minhash_pairs(sf_dir: str, threshold: float = VERIFY_THRESHOLD):
         pa_ = group.column("id_a").to_numpy(zero_copy_only=False)
         pb_ = group.column("id_b").to_numpy(zero_copy_only=False)
         id_a, id_b, sims = [], [], []
-        if len(pa_):
-            order = np.lexsort((pb_, pa_))
-            a_s, b_s = pa_[order], pb_[order]
-            uniq = np.r_[True, (a_s[1:] != a_s[:-1]) | (b_s[1:] != b_s[:-1])]
-            for a, b in zip(a_s[uniq], b_s[uniq]):
-                sa, sb = sh(int(a)), sh(int(b))
-                union = len(sa | sb)
-                j = len(sa & sb) / union if union else 0.0
-                if j >= threshold:
-                    id_a.append(int(a))
-                    id_b.append(int(b))
-                    sims.append(int(round(j, 6) * 1e6))
+        order = np.lexsort((pb_, pa_))
+        a_s, b_s = pa_[order], pb_[order]
+        uniq = np.r_[True, (a_s[1:] != a_s[:-1]) | (b_s[1:] != b_s[:-1])]
+        for a, b in zip(a_s[uniq], b_s[uniq]):
+            sa, sb = sh(int(a)), sh(int(b))
+            union = len(sa | sb)
+            j = len(sa & sb) / union if union else 0.0
+            if j >= threshold:
+                id_a.append(int(a))
+                id_b.append(int(b))
+                sims.append(int(round(j, 6) * 1e6))
         return pa.table({
             "id_a": pa.array(id_a, pa.int64()),
             "id_b": pa.array(id_b, pa.int64()),
             "jaccard_x1e6": pa.array(sims, pa.int64()),
         })
 
-    return (
-        with_text.map_batches(pair_bucket, batch_format="pyarrow")
-        .groupby("pbucket")
-        .map_groups(verify_group, batch_format="pyarrow")
-    )
+    return bucket_exchange(
+        with_text.map_batches(pair_bucket, batch_format="pyarrow"),
+        "pbucket", PAIR_BUCKETS, verify_group)
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +579,7 @@ def embdup_lsh(sf_dir: str, threshold: float = EMB_THRESHOLD):
 
     Plan: each vector is replicated into EMBLSH_TABLES rows, one per
     hash table, keyed ``bucket = table * 2^planes + hyperplane_code``;
-    ONE groupby(bucket) exchange co-locates candidate vectors; inside a
+    ONE ``group_map`` on bucket co-locates candidate vectors; inside a
     bucket an all-pairs float64 matmul emits (id_a < id_b) pairs above
     the threshold — every emitted pair is exact (no false positives),
     recall ≈ 1-(1-p^planes)^tables where p = 1 - angle/π. A final tiny
@@ -631,8 +622,6 @@ def embdup_lsh(sf_dir: str, threshold: float = EMB_THRESHOLD):
     def bucket_pairs(group: pa.Table) -> pa.Table:
         ids = group.column("vec_id").to_numpy(
             zero_copy_only=False).astype(np.int64)
-        if len(ids) == 0:
-            return _pairs_table([], [])
         # flatten the fixed-width list column straight to numpy — no
         # per-row Python list materialization
         emb = group.column("embedding").combine_chunks()
@@ -650,11 +639,8 @@ def embdup_lsh(sf_dir: str, threshold: float = EMB_THRESHOLD):
         return pa.table({"id_a": pa.array(a, pa.int64()),
                          "id_b": pa.array(b, pa.int64())})
 
-    found = (
-        ds.map_batches(tag_tables, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(bucket_pairs, batch_format="pyarrow")
-    )
+    found = group_map(ds.map_batches(tag_tables, batch_format="pyarrow"),
+                      "bucket", bucket_pairs)
     # dedup pairs discovered by several tables
     return hash_agg(found, ["id_a", "id_b"], {})
 
@@ -976,6 +962,7 @@ def simhash_docs(sf_dir: str, bits: int = 64):
 
 SIMHASH_MAX_HAMMING = 3
 SIMHASH_BANDS = 4  # 4 × 16-bit bands: pigeonhole ⇒ exact for distance ≤ 3
+SIMHASH_BUCKETS = 256  # exchange buckets over the band keys
 
 
 def simhash_pairs(sf_dir: str, max_hamming: int = SIMHASH_MAX_HAMMING):
@@ -984,7 +971,7 @@ def simhash_pairs(sf_dir: str, max_hamming: int = SIMHASH_MAX_HAMMING):
     Jain & Das Sarma, WWW 2007, public method). Each fingerprint is
     split into SIMHASH_BANDS 16-bit bands; by pigeonhole, any pair
     within distance SIMHASH_BANDS-1 agrees exactly on ≥1 band, so one
-    groupby on (band, band_value) finds EVERY qualifying pair (recall
+    exchange on (band, band_value) finds EVERY qualifying pair (recall
     1.0, no probabilistic slack); an in-bucket vectorized XOR-popcount
     verifies the distance, and a final tiny pair groupby dedups
     multi-band collisions. Rows-only (the token-hash fingerprints are
@@ -1000,11 +987,10 @@ def simhash_pairs(sf_dir: str, max_hamming: int = SIMHASH_MAX_HAMMING):
             key = ((fp >> np.uint64(16 * b)) & np.uint64(0xFFFF)) \
                 .astype(np.int64)
             band_key = (b << 16) | key
-            # coarse shuffle key: one map_groups group per ~many exact
-            # band keys (per-group dispatch is ~0.5 ms); the exact-key
-            # split happens vectorized inside the group
+            # coarse shuffle key over many exact band keys; the
+            # exact-key split happens vectorized in the reducer
             parts.append(pa.table({
-                "gkey": pa.array(band_key % 256, pa.int32()),
+                "gkey": pa.array(band_key % SIMHASH_BUCKETS, pa.int32()),
                 "band_key": pa.array(band_key, pa.int32()),
                 "doc_id": pa.array(ids, pa.int64()),
                 "simhash": batch.column("simhash"),
@@ -1020,32 +1006,28 @@ def simhash_pairs(sf_dir: str, max_hamming: int = SIMHASH_MAX_HAMMING):
         sh_ = group.column("simhash").to_numpy(
             zero_copy_only=False).astype(np.uint64)
         out_a, out_b, out_h = [], [], []
-        if len(bk):
-            order = np.lexsort((did, bk))
-            bk, did, sh_ = bk[order], did[order], sh_[order]
-            starts = np.flatnonzero(np.r_[True, bk[1:] != bk[:-1]])
-            ends = np.r_[starts[1:], len(bk)]
-            for s, e in zip(starts, ends):
-                ids, fp = did[s:e], sh_[s:e]
-                _, first = np.unique(ids, return_index=True)
-                ids, fp = ids[first], fp[first]
-                if len(ids) < 2:
-                    continue
-                x = (fp[:, None] ^ fp[None, :]).reshape(-1, 1)
-                ham = popcount64(x).sum(axis=1).reshape(len(ids), len(ids))
-                ii, jj = np.nonzero(np.triu(ham <= max_hamming, k=1))
-                out_a.extend(np.minimum(ids[ii], ids[jj]).tolist())
-                out_b.extend(np.maximum(ids[ii], ids[jj]).tolist())
-                out_h.extend(ham[ii, jj].astype(np.int64).tolist())
+        order = np.lexsort((did, bk))
+        bk, did, sh_ = bk[order], did[order], sh_[order]
+        starts = np.flatnonzero(np.r_[True, bk[1:] != bk[:-1]])
+        ends = np.r_[starts[1:], len(bk)]
+        for s, e in zip(starts, ends):
+            ids, fp = did[s:e], sh_[s:e]
+            _, first = np.unique(ids, return_index=True)
+            ids, fp = ids[first], fp[first]
+            if len(ids) < 2:
+                continue
+            x = (fp[:, None] ^ fp[None, :]).reshape(-1, 1)
+            ham = popcount64(x).sum(axis=1).reshape(len(ids), len(ids))
+            ii, jj = np.nonzero(np.triu(ham <= max_hamming, k=1))
+            out_a.extend(np.minimum(ids[ii], ids[jj]).tolist())
+            out_b.extend(np.maximum(ids[ii], ids[jj]).tolist())
+            out_h.extend(ham[ii, jj].astype(np.int64).tolist())
         return pa.table({"id_a": pa.array(out_a, pa.int64()),
                          "id_b": pa.array(out_b, pa.int64()),
                          "hamming": pa.array(out_h, pa.int64())})
 
-    found = (
-        fps.map_batches(band_rows, batch_format="pyarrow")
-        .groupby("gkey")
-        .map_groups(group_pairs, batch_format="pyarrow")
-    )
+    found = bucket_exchange(fps.map_batches(band_rows, batch_format="pyarrow"),
+                            "gkey", SIMHASH_BUCKETS, group_pairs)
     return hash_agg(found, ["id_a", "id_b"], {"hamming": ("hamming", "min")})
 
 
@@ -1056,7 +1038,7 @@ def simhash_pairs(sf_dir: str, max_hamming: int = SIMHASH_MAX_HAMMING):
 INCR_BUCKETS = 256
 
 
-def dedup_incremental(sf_dir: str, num_buckets: int = INCR_BUCKETS):
+def dedup_incremental(sf_dir: str):
     """Daily-increment crawl dedup: dedup TODAY's batch against
     YESTERDAY's digest state AND within itself, keeping the minimum
     doc_id per new digest. The split is deterministic so the op is
@@ -1082,7 +1064,7 @@ def dedup_incremental(sf_dir: str, num_buckets: int = INCR_BUCKETS):
             "doc_id": pa.array(ids, pa.int64()),
             "text_hash": pa.array(hashes, pa.string()),
             "is_state": pa.array(ids % 2 == 0, pa.bool_()),
-            "hbucket": pa.array((h64 % num_buckets).astype(np.int32),
+            "hbucket": pa.array((h64 % INCR_BUCKETS).astype(np.int32),
                                 pa.int32()),
         })
 
@@ -1107,11 +1089,9 @@ def dedup_incremental(sf_dir: str, num_buckets: int = INCR_BUCKETS):
             "text_hash": pa.array(th[keep], pa.string()),
         })
 
-    return (
-        ds.map_batches(digest_sides, batch_format="pyarrow")
-        .groupby("hbucket")
-        .map_groups(fold, batch_format="pyarrow")
-    )
+    return bucket_exchange(
+        ds.map_batches(digest_sides, batch_format="pyarrow"),
+        "hbucket", INCR_BUCKETS, fold)
 
 
 DEDUP_INCREMENTAL_SQL = """
@@ -1298,11 +1278,8 @@ def fuzzy_name_pairs(sf_dir: str, max_dist: int = EDIT_MAX):
                          "name_b": pa.array(out_b, pa.string()),
                          "dist": pa.array(out_d, pa.int64())})
 
-    return (
-        names.map_batches(band_rows, batch_format="pyarrow")
-        .groupby("band")
-        .map_groups(block_pairs, batch_format="pyarrow")
-    )
+    return group_map(names.map_batches(band_rows, batch_format="pyarrow"),
+                     "band", block_pairs)
 
 
 FUZZY_NAME_PAIRS_SQL = f"""
@@ -1366,13 +1343,9 @@ def name_entity_clusters(sf_dir: str, max_dist: int = EDIT_MAX,
             "peer": pa.array(b + a, pa.string()),
         })
 
-    # pairs blocks are pandas (map_groups output); singles are arrow —
-    # normalize before union, repartition's block builder refuses a mix
-    pairs_arrow = pairs.map_batches(lambda b: b, batch_format="pyarrow")
-
     label_blocks = 4
     edges = (
-        pairs_arrow.union(singles)
+        pairs.union(singles)
         .map_batches(symmetrize, batch_format="pyarrow")
         .repartition(label_blocks)
         .materialize()

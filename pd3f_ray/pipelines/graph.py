@@ -25,7 +25,7 @@ Plan shape (every exchange bucketed, no driver materialization):
 3. per iteration: ``hash_join(edges, ranks)`` on src (explicit
    schemas — both sides are post-shuffle, so neither knows its schema
    at plan time), map-side partial sums per (block, dst), one
-   groupby(dst-bucket) exchange, rank update map.
+   dst-bucketed exchange, rank update in the reducer.
 
 K defaults to 3 iterations — the oracle unrolls the same K.
 """
@@ -43,6 +43,7 @@ import ray.data as rd
 
 from pd3f_ray.core.cluster import read_parquet, read_table
 from pd3f_ray.pipelines.joins import hash_join
+from pd3f_ray.stages.exchange import bucket_exchange
 
 PR_ITERS = 3
 PR_RANK0 = 1_000_000         # micro-rank units
@@ -81,9 +82,6 @@ def _edges_with_outdeg(sf_dir: str):
     def dedup_and_degree(group: pa.Table) -> pa.Table:
         src = group.column("src").to_numpy(zero_copy_only=False)
         dst = group.column("dst").to_numpy(zero_copy_only=False)
-        if len(src) == 0:
-            e = pa.array(np.empty(0, np.int64), pa.int64())
-            return pa.table({"src": e, "dst": e, "outdeg": e})
         order = np.lexsort((dst, src))
         s, d = src[order], dst[order]
         keep = np.r_[True, (s[1:] != s[:-1]) | (d[1:] != d[:-1])]
@@ -97,12 +95,9 @@ def _edges_with_outdeg(sf_dir: str):
                                pa.int64()),
         })
 
-    return (
-        pairs.map_batches(symmetrize, batch_format="pyarrow")
-        .groupby("gbucket")
-        .map_groups(dedup_and_degree, batch_format="pyarrow")
-        .materialize()
-    )
+    return bucket_exchange(
+        pairs.map_batches(symmetrize, batch_format="pyarrow"),
+        "gbucket", PR_BUCKETS, dedup_and_degree).materialize()
 
 
 ITER_MANIFEST = "_ITERS.jsonl"
@@ -229,12 +224,9 @@ def pagerank(sf_dir: str, iters: int = PR_ITERS,
                 _iter_dir(checkpoint_dir, start_iter)).materialize()
 
     if ranks is None:
-        ranks = (
-            edges.map_batches(block_nodes, batch_format="pyarrow")
-            .groupby("nbucket")
-            .map_groups(nodes_unique, batch_format="pyarrow")
-            .materialize()
-        )
+        ranks = bucket_exchange(
+            edges.map_batches(block_nodes, batch_format="pyarrow"),
+            "nbucket", PR_BUCKETS, nodes_unique).materialize()
     ranks_schema = pa.schema([("node", pa.int64()), ("rank", pa.int64())])
 
     def _partial_table(dst: np.ndarray, contrib: np.ndarray) -> pa.Table:
@@ -254,9 +246,6 @@ def pagerank(sf_dir: str, iters: int = PR_ITERS,
     def rank_update(group: pa.Table) -> pa.Table:
         dst = group.column("dst").to_numpy(zero_copy_only=False)
         contrib = group.column("contrib").to_numpy(zero_copy_only=False)
-        if len(dst) == 0:
-            e = pa.array(np.empty(0, np.int64), pa.int64())
-            return pa.table({"node": e, "rank": e})
         order = np.argsort(dst, kind="stable")
         dst, contrib = dst[order], contrib[order]
         starts = np.flatnonzero(np.r_[True, dst[1:] != dst[:-1]])
@@ -305,11 +294,8 @@ def pagerank(sf_dir: str, iters: int = PR_ITERS,
             stream = joined.map_batches(contrib_join,
                                         batch_format="pyarrow")
 
-        ranks = (
-            stream.groupby("nbucket")
-            .map_groups(rank_update, batch_format="pyarrow")
-            .materialize()
-        )
+        ranks = bucket_exchange(stream, "nbucket", PR_BUCKETS,
+                                rank_update).materialize()
         if checkpoint_dir:
             ranks = _commit_iteration(checkpoint_dir, sf_dir, it + 1, ranks)
 

@@ -40,7 +40,7 @@ import pyarrow as pa
 
 from pd3f_ray.core.cluster import read_table
 from pd3f_ray.functions.textfns import hash_bytes
-from pd3f_ray.stages.exchange import hash_agg
+from pd3f_ray.stages.exchange import bucket_exchange, hash_agg
 
 _MASK63 = 0x7FFFFFFFFFFFFFFF
 
@@ -102,19 +102,18 @@ def token_postings(sf_dir: str, k: int = POSTINGS_K,
         dfp = group.column("df_part").to_numpy(zero_copy_only=False)
         csvs = group.column("ids_csv").to_numpy(zero_copy_only=False)
         out_t, out_df, out_p = [], [], []
-        if len(tok):
-            order = np.argsort(tok, kind="stable")
-            tok, dfp, csvs = tok[order], dfp[order], csvs[order]
-            starts = np.flatnonzero(np.r_[True, tok[1:] != tok[:-1]])
-            ends = np.r_[starts[1:], len(tok)]
-            for s, e in zip(starts, ends):
-                merged: list[int] = []
-                for csv in csvs[s:e]:
-                    merged.extend(int(x) for x in csv.split(","))
-                merged.sort()
-                out_t.append(tok[s])
-                out_df.append(int(dfp[s:e].sum()))
-                out_p.append(",".join(map(str, merged[:k])))
+        order = np.argsort(tok, kind="stable")
+        tok, dfp, csvs = tok[order], dfp[order], csvs[order]
+        starts = np.flatnonzero(np.r_[True, tok[1:] != tok[:-1]])
+        ends = np.r_[starts[1:], len(tok)]
+        for s, e in zip(starts, ends):
+            merged: list[int] = []
+            for csv in csvs[s:e]:
+                merged.extend(int(x) for x in csv.split(","))
+            merged.sort()
+            out_t.append(tok[s])
+            out_df.append(int(dfp[s:e].sum()))
+            out_p.append(",".join(map(str, merged[:k])))
         return pa.table({
             "token": pa.array(out_t, pa.string()),
             "df": pa.array(out_df, pa.int64()),
@@ -122,11 +121,8 @@ def token_postings(sf_dir: str, k: int = POSTINGS_K,
         })
 
     ds = read_table(sf_dir, "documents", ["doc_id", "text"])
-    return (
-        ds.map_batches(partials, batch_format="pyarrow")
-        .groupby("ibucket")
-        .map_groups(resolve, batch_format="pyarrow")
-    )
+    return bucket_exchange(ds.map_batches(partials, batch_format="pyarrow"),
+                           "ibucket", num_buckets, resolve)
 
 
 def token_postings_sql(k: int = POSTINGS_K) -> str:
@@ -292,11 +288,9 @@ def tfidf_terms(sf_dir: str, k: int = TFIDF_K,
             group.column("df").to_pylist(),
             n_docs, k)
 
-    return (
-        joined.map_batches(add_dbucket, batch_format="pyarrow")
-        .groupby("tbucket")
-        .map_groups(group_topk, batch_format="pyarrow")
-    )
+    return bucket_exchange(
+        joined.map_batches(add_dbucket, batch_format="pyarrow"),
+        "tbucket", DOC_BUCKETS, group_topk)
 
 
 def tfidf_terms_sql(k: int = TFIDF_K) -> str:

@@ -30,7 +30,7 @@ import ray.data as rd
 
 from pd3f_ray.core.arrowkit import agg
 from pd3f_ray.core.cluster import read_table
-from pd3f_ray.stages.exchange import finish_agg, hash_agg
+from pd3f_ray.stages.exchange import finish_agg, group_map, hash_agg
 
 
 def _round_opts() -> pc.RoundOptions:
@@ -328,8 +328,7 @@ def event_value_quantiles(sf_dir: str):
                                                      pa.int64())
         return pa.table(row)
 
-    return hist.groupby("event_type").map_groups(per_type,
-                                                 batch_format="pyarrow")
+    return group_map(hist, "event_type", per_type)
 
 
 EVENT_QUANTILES_SQL = f"""
@@ -548,11 +547,8 @@ def doc_length_rank(sf_dir: str, band: int = RANK_BAND):
                                              dtype=np.int64), pa.int64()),
         })
 
-    return (
-        docs.map_batches(tag, batch_format="pyarrow")
-        .groupby("rbucket")
-        .map_groups(rank_group, batch_format="pyarrow")
-    )
+    return group_map(docs.map_batches(tag, batch_format="pyarrow"),
+                     "rbucket", rank_group)
 
 
 DOC_LENGTH_RANK_SQL = """
@@ -761,8 +757,7 @@ def event_value_mad(sf_dir: str, k: int = MAD_K):
             "n_outliers": pa.array([n_out], pa.int64()),
         })
 
-    return hist.groupby("event_type").map_groups(per_type,
-                                                 batch_format="pyarrow")
+    return group_map(hist, "event_type", per_type)
 
 
 EVENT_VALUE_MAD_SQL = f"""
@@ -821,8 +816,7 @@ def source_lang_matrix(sf_dir: str):
             row[f"n_{lg}"] = pa.array([int(by.get(lg, 0))], pa.int64())
         return pa.table(row)
 
-    return counts.groupby("source").map_groups(spread,
-                                               batch_format="pyarrow")
+    return group_map(counts, "source", spread)
 
 
 SOURCE_LANG_MATRIX_SQL = f"""

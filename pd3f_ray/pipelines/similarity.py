@@ -19,6 +19,7 @@ import pyarrow as pa
 import ray
 
 from pd3f_ray.core.cluster import read_table
+from pd3f_ray.stages.exchange import group_map
 
 N_QUERIES = 10
 TOP_K = 5
@@ -124,11 +125,8 @@ def knn_bruteforce(sf_dir: str, k: int = TOP_K, n_queries: int = N_QUERIES):
         return group.select(["query_id", "neighbor_id"]).take(
             pa.array(order))
 
-    return (
-        ds.map_batches(batch_topk, batch_format="pyarrow")
-        .groupby("query_id")
-        .map_groups(reduce_topk, batch_format="pyarrow")
-    )
+    return group_map(ds.map_batches(batch_topk, batch_format="pyarrow"),
+                     "query_id", reduce_topk)
 
 
 def knn_sql(k: int = TOP_K, n_queries: int = N_QUERIES) -> str:
@@ -251,11 +249,8 @@ def knn_lsh(sf_dir: str, k: int = TOP_K, n_queries: int = N_QUERIES):
         return group.select(["query_id", "neighbor_id"]).take(
             pa.array(order))
 
-    return (
-        ds.map_batches(batch_topk, batch_format="pyarrow")
-        .groupby("query_id")
-        .map_groups(reduce_topk, batch_format="pyarrow")
-    )
+    return group_map(ds.map_batches(batch_topk, batch_format="pyarrow"),
+                     "query_id", reduce_topk)
 
 
 # ---------------------------------------------------------------------------
@@ -364,11 +359,8 @@ def knn_ivf(sf_dir: str, k: int = TOP_K, n_queries: int = N_QUERIES,
         return group.select(["query_id", "neighbor_id"]).take(
             pa.array(order))
 
-    return (
-        ds.map_batches(batch_topk, batch_format="pyarrow")
-        .groupby("query_id")
-        .map_groups(reduce_topk, batch_format="pyarrow")
-    )
+    return group_map(ds.map_batches(batch_topk, batch_format="pyarrow"),
+                     "query_id", reduce_topk)
 
 
 def kmeans_assign(sf_dir: str, n_clusters: int = IVF_CLUSTERS):

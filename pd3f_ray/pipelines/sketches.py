@@ -26,7 +26,7 @@ import ray.data as rd
 
 from pd3f_ray.core.cluster import read_table
 from pd3f_ray.functions.textfns import mix64 as _mix64
-from pd3f_ray.stages.exchange import finish_agg, hash_agg
+from pd3f_ray.stages.exchange import finish_agg, group_map, hash_agg
 
 HLL_P = 12  # 2^12 registers
 HLL_M = 1 << HLL_P
@@ -113,11 +113,8 @@ def approx_distinct_users(sf_dir: str):
             "n_users_approx": pa.array([_hll_estimate(regs)], pa.int64()),
         })
 
-    return (
-        ds.map_batches(batch_sketch, batch_format="pyarrow")
-        .groupby("event_type")
-        .map_groups(merge, batch_format="pyarrow")
-    )
+    return group_map(ds.map_batches(batch_sketch, batch_format="pyarrow"),
+                     "event_type", merge)
 
 
 def hll_agg(on: str = "user_id", alias_name: str = "n_users_approx"):
@@ -125,7 +122,7 @@ def hll_agg(on: str = "user_id", alias_name: str = "n_users_approx"):
     accumulator is the 4096-byte register array, accumulation is
     vectorized over each Arrow block, merge is elementwise max, finalize
     is the bias-corrected estimate. Unlike ``approx_distinct_users``'s
-    map_groups plan, this form COMPOSES with other aggregates in the
+    ``group_map`` plan, this form COMPOSES with other aggregates in the
     same ``groupby(...).aggregate(...)`` exchange — one shuffle yields
     the sketch alongside counts/sums."""
     from ray.data.aggregate import AggregateFn
@@ -151,7 +148,7 @@ def approx_distinct_users_agg(sf_dir: str):
     aggregate — same registers, hence the SAME estimate, but composed
     with an event count in ONE groupby exchange. Output
     (event_type, n_users_approx, n_events). Rows-only (sketch
-    estimate); tests pin estimate equality with the map_groups form."""
+    estimate); tests pin estimate equality with the group_map form."""
     from ray.data.aggregate import Count
 
     ds = read_table(sf_dir, "events", ["event_type", "user_id"])
@@ -259,11 +256,8 @@ def approx_event_quantiles(sf_dir: str, nbins: int = QSKETCH_BINS):
                 pa.float64()),
         })
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("event_type")
-        .map_groups(resolve, batch_format="pyarrow")
-    )
+    return group_map(ds.map_batches(partial, batch_format="pyarrow"),
+                     "event_type", resolve)
 
 
 # ---------------------------------------------------------------------------

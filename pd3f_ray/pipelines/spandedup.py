@@ -44,13 +44,14 @@ import pyarrow as pa
 
 from pd3f_ray.core.cluster import read_table
 from pd3f_ray.functions.textfns import shingle_hash_positions
+from pd3f_ray.stages.exchange import bucket_exchange
 
 _MASK63 = 0x7FFFFFFFFFFFFFFF
 
 SPAN_W = 8               # shingle width in tokens
 SPAN_MIN_DOCS = 2        # duplicated = seen in >= this many docs
-SPAN_BUCKETS = 256       # shingle-hash buckets for pass 1 (dial)
-SPAN_DOC_BUCKETS = 256   # doc-id buckets for the union-join path (dial)
+SPAN_BUCKETS = 256       # shingle-hash buckets for pass 1
+SPAN_DOC_BUCKETS = 256   # doc-id buckets for the union-join path
 SPAN_BROADCAST_MAX = 2_000_000  # dup rows; above this, union-join path
 
 
@@ -60,7 +61,7 @@ def _pos_hashes(text: str, w: int) -> np.ndarray:
     return shingle_hash_positions(text.split(" "), w)
 
 
-def _dup_table(sf_dir: str, w: int, num_buckets: int):
+def _dup_table(sf_dir: str, w: int):
     """Pass 1: Dataset of (sh:int64) shingle hashes duplicated across
     >= SPAN_MIN_DOCS documents, materialized."""
     docs = read_table(sf_dir, "documents", ["doc_id", "text"])
@@ -79,15 +80,13 @@ def _dup_table(sf_dir: str, w: int, num_buckets: int):
         return pa.table({
             "sh": pa.array(h, pa.int64()),
             "doc_id": pa.array(d, pa.int64()),
-            "sbucket": pa.array((h % num_buckets).astype(np.int32),
+            "sbucket": pa.array((h % SPAN_BUCKETS).astype(np.int32),
                                 pa.int32()),
         })
 
     def dup_hashes(group: pa.Table) -> pa.Table:
         sh = group.column("sh").to_numpy(zero_copy_only=False)
         did = group.column("doc_id").to_numpy(zero_copy_only=False)
-        if len(sh) == 0:
-            return pa.table({"sh": pa.array([], pa.int64())})
         order = np.lexsort((did, sh))
         sh_s, did_s = sh[order], did[order]
         new_pair = np.r_[True, (sh_s[1:] != sh_s[:-1])
@@ -98,12 +97,9 @@ def _dup_table(sf_dir: str, w: int, num_buckets: int):
         return pa.table({"sh": pa.array(
             sh_u[starts][n >= SPAN_MIN_DOCS].astype(np.int64), pa.int64())})
 
-    return (
-        docs.map_batches(hash_pairs, batch_format="pyarrow")
-        .groupby("sbucket")
-        .map_groups(dup_hashes, batch_format="pyarrow")
-        .materialize()
-    )
+    return bucket_exchange(
+        docs.map_batches(hash_pairs, batch_format="pyarrow"),
+        "sbucket", SPAN_BUCKETS, dup_hashes).materialize()
 
 
 def _coverage(n_toks: int, starts: np.ndarray, w: int) -> np.ndarray:
@@ -140,26 +136,25 @@ def _doc_frames(group: pa.Table, w: int, emit: str) -> pa.Table:
     jj = group.column("j").to_numpy(zero_copy_only=False)
     kind = group.column("kind").to_numpy(zero_copy_only=False)
     toks = group.column("tok").to_numpy(zero_copy_only=False)
-    if len(did):
-        order = np.lexsort((jj, kind, did))
-        did, jj, kind, toks = did[order], jj[order], kind[order], toks[order]
-        seg_s = np.flatnonzero(np.r_[True, did[1:] != did[:-1]])
-        seg_e = np.r_[seg_s[1:], len(did)]
-        for s, e in zip(seg_s, seg_e):
-            m0 = kind[s:e] == 0
-            starts = jj[s:e][~m0].astype(np.int64)
-            n = int(m0.sum())
-            cov = _coverage(n, starts, w)
-            if emit == "stats":
+    order = np.lexsort((jj, kind, did))
+    did, jj, kind, toks = did[order], jj[order], kind[order], toks[order]
+    seg_s = np.flatnonzero(np.r_[True, did[1:] != did[:-1]])
+    seg_e = np.r_[seg_s[1:], len(did)]
+    for s, e in zip(seg_s, seg_e):
+        m0 = kind[s:e] == 0
+        starts = jj[s:e][~m0].astype(np.int64)
+        n = int(m0.sum())
+        cov = _coverage(n, starts, w)
+        if emit == "stats":
+            out["doc_id"].append(int(did[s]))
+            out["n_positions"].append(max(0, n - w + 1))
+            out["n_dup_positions"].append(int(len(starts)))
+            out["n_dup_tokens"].append(int(cov.sum()))
+        else:
+            kept = toks[s:e][m0][~cov]
+            if len(kept):
                 out["doc_id"].append(int(did[s]))
-                out["n_positions"].append(max(0, n - w + 1))
-                out["n_dup_positions"].append(int(len(starts)))
-                out["n_dup_tokens"].append(int(cov.sum()))
-            else:
-                kept = toks[s:e][m0][~cov]
-                if len(kept):
-                    out["doc_id"].append(int(did[s]))
-                    out["text"].append(" ".join(kept))
+                out["text"].append(" ".join(kept))
     cols = {"doc_id": pa.array(out["doc_id"], pa.int64())}
     for c, v in out.items():
         if c == "doc_id":
@@ -169,8 +164,7 @@ def _doc_frames(group: pa.Table, w: int, emit: str) -> pa.Table:
     return pa.table(cols)
 
 
-def _union_join_plan(sf_dir: str, dup, w: int, emit: str,
-                     doc_buckets: int):
+def _union_join_plan(sf_dir: str, dup, w: int, emit: str):
     """Scale path shared by both ops: token rows ∪ dup-start rows →
     one doc-bucketed exchange → per-doc fold."""
     from pd3f_ray.pipelines.joins import hash_join
@@ -210,7 +204,7 @@ def _union_join_plan(sf_dir: str, dup, w: int, emit: str,
             "j": batch.column("j"),
             "tok": pa.array([None] * n, pa.string()),
             "kind": pa.array(np.ones(n, np.int8), pa.int8()),
-            "dbucket": pa.array((did % doc_buckets).astype(np.int32),
+            "dbucket": pa.array((did % SPAN_DOC_BUCKETS).astype(np.int32),
                                 pa.int32()),
         })
 
@@ -228,7 +222,7 @@ def _union_join_plan(sf_dir: str, dup, w: int, emit: str,
             "j": pa.array(np.asarray(out_j, np.int64), pa.int64()),
             "tok": pa.array(out_t, pa.string()),
             "kind": pa.array(np.zeros(len(did), np.int8), pa.int8()),
-            "dbucket": pa.array((did % doc_buckets).astype(np.int32),
+            "dbucket": pa.array((did % SPAN_DOC_BUCKETS).astype(np.int32),
                                 pa.int32()),
         })
 
@@ -236,11 +230,8 @@ def _union_join_plan(sf_dir: str, dup, w: int, emit: str,
         docs.map_batches(token_rows, batch_format="pyarrow")
         .union(dup_pos.map_batches(tag_starts, batch_format="pyarrow"))
     )
-    return (
-        unioned.groupby("dbucket")
-        .map_groups(lambda g: _doc_frames(g, w, emit),
-                    batch_format="pyarrow")
-    )
+    return bucket_exchange(unioned, "dbucket", SPAN_DOC_BUCKETS,
+                           lambda g: _doc_frames(g, w, emit))
 
 
 def _broadcast_plan(sf_dir: str, dup, w: int, emit: str):
@@ -283,27 +274,23 @@ def _broadcast_plan(sf_dir: str, dup, w: int, emit: str):
 
 
 def dup_span_stats(sf_dir: str, w: int = SPAN_W,
-                   broadcast_max: int = SPAN_BROADCAST_MAX,
-                   num_buckets: int = SPAN_BUCKETS,
-                   doc_buckets: int = SPAN_DOC_BUCKETS):
+                   broadcast_max: int = SPAN_BROADCAST_MAX):
     """Per document: (n_positions, n_dup_positions, n_dup_tokens) for
     ``w``-token shingles duplicated across documents."""
-    dup = _dup_table(sf_dir, w, num_buckets)
+    dup = _dup_table(sf_dir, w)
     if dup.count() <= broadcast_max:
         return _broadcast_plan(sf_dir, dup, w, "stats")
-    return _union_join_plan(sf_dir, dup, w, "stats", doc_buckets)
+    return _union_join_plan(sf_dir, dup, w, "stats")
 
 
 def strip_dup_spans(sf_dir: str, w: int = SPAN_W,
-                    broadcast_max: int = SPAN_BROADCAST_MAX,
-                    num_buckets: int = SPAN_BUCKETS,
-                    doc_buckets: int = SPAN_DOC_BUCKETS):
+                    broadcast_max: int = SPAN_BROADCAST_MAX):
     """Per document: text with every token covered by a duplicated
     ``w``-token shingle removed; fully-covered documents disappear."""
-    dup = _dup_table(sf_dir, w, num_buckets)
+    dup = _dup_table(sf_dir, w)
     if dup.count() <= broadcast_max:
         return _broadcast_plan(sf_dir, dup, w, "strip")
-    return _union_join_plan(sf_dir, dup, w, "strip", doc_buckets)
+    return _union_join_plan(sf_dir, dup, w, "strip")
 
 
 def _span_cte(w: int) -> str:

@@ -19,7 +19,7 @@ from pd3f_ray.functions.textfns import (
     md5_hex,
     token_count,
 )
-from pd3f_ray.stages.exchange import finish_agg, hash_agg
+from pd3f_ray.stages.exchange import finish_agg, group_map, hash_agg
 
 # stopword markers per language for the heuristic language identifier;
 # chosen to be expressible in the SQL oracle (list_filter membership)
@@ -416,12 +416,10 @@ def top_tokens_per_lang(sf_dir: str, k: int = TOP_PER_LANG_K):
     # Per-block per-lang top-k partials BEFORE the per-lang reduce:
     # after the (lang, token) hash aggregate each pair lives in exactly
     # one block, so keeping k rows per (block, lang) is EXACT for the
-    # per-lang top-k — the final groupby("lang") then holds ≤ blocks×k
+    # per-lang top-k — the final group_map on lang then holds ≤ blocks×k
     # candidate rows per language, bounded by the block count, never by
     # the language's vocabulary size.
     def block_topk(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch
         lang = batch.column("lang").to_numpy(zero_copy_only=False)
         tok = batch.column("token").to_numpy(zero_copy_only=False)
         n = batch.column("n").to_numpy(zero_copy_only=False)
@@ -443,8 +441,7 @@ def top_tokens_per_lang(sf_dir: str, k: int = TOP_PER_LANG_K):
             "rank", pa.array(np.arange(1, len(order) + 1, dtype=np.int64),
                              pa.int64()))
 
-    return candidates.groupby("lang").map_groups(per_lang_topk,
-                                                 batch_format="pyarrow")
+    return group_map(candidates, "lang", per_lang_topk)
 
 
 def top_tokens_per_lang_sql(k: int = TOP_PER_LANG_K) -> str:
@@ -624,7 +621,7 @@ def weighted_sample_per_lang(sf_dir: str, k: int = WSAMPLE_LANG_K):
     docs per lang), the shape a balanced multilingual training mix
     actually draws. Scale plan = the ``top_tokens_per_lang`` pattern:
     per-block per-lang top-k partials first, so the final
-    ``groupby(lang)`` resolve sees ≤ blocks×k rows per language, never
+    ``group_map`` resolve sees ≤ blocks×k rows per language, never
     the corpus. Output (lang, doc_id, n_chars)."""
     import math
 
@@ -646,8 +643,6 @@ def weighted_sample_per_lang(sf_dir: str, k: int = WSAMPLE_LANG_K):
         })
 
     def block_topk(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch
         lang = batch.column("lang").to_numpy(zero_copy_only=False)
         key = batch.column("key").to_numpy(zero_copy_only=False)
         did = batch.column("doc_id").to_numpy(zero_copy_only=False)
@@ -665,12 +660,9 @@ def weighted_sample_per_lang(sf_dir: str, k: int = WSAMPLE_LANG_K):
         out = group.select(["lang", "doc_id", "n_chars"])
         return out.take(pa.array(order))
 
-    return (
-        ds.map_batches(keyed, batch_format="pyarrow")
-        .map_batches(block_topk, batch_format="pyarrow")
-        .groupby("lang")
-        .map_groups(resolve, batch_format="pyarrow")
-    )
+    return group_map(ds.map_batches(keyed, batch_format="pyarrow")
+                     .map_batches(block_topk, batch_format="pyarrow"),
+                     "lang", resolve)
 
 
 def weighted_sample_per_lang_sql(k: int = WSAMPLE_LANG_K) -> str:

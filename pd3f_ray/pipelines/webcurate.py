@@ -37,7 +37,12 @@ import pyarrow as pa
 
 from pd3f_ray.core.cluster import read_table
 from pd3f_ray.functions.textfns import hash_bytes
-from pd3f_ray.stages.exchange import finish_agg, hash_agg
+from pd3f_ray.stages.exchange import (
+    bucket_exchange,
+    finish_agg,
+    group_map,
+    hash_agg,
+)
 
 _MASK63 = 0x7FFFFFFFFFFFFFFF
 
@@ -55,7 +60,7 @@ def domain_stats(sf_dir: str):
     tokenization pass), then one ``hash_agg`` on (source, lang) — the
     exchange carries only per-block partial rows, ≤ sources × langs per
     block — and a final
-    ``groupby(source)`` fold whose groups are bounded by LANGUAGE
+    ``group_map`` fold per source whose groups are bounded by LANGUAGE
     cardinality (≤ a few hundred), never by corpus size. n_langs is an
     exact distinct count because the (source, lang) collapse happened
     in the previous exchange."""
@@ -93,8 +98,7 @@ def domain_stats(sf_dir: str):
                 pa.int64()),
         })
 
-    return per_lang.groupby("source").map_groups(fold,
-                                                 batch_format="pyarrow")
+    return group_map(per_lang, "source", fold)
 
 
 DOMAIN_STATS_SQL = """
@@ -278,7 +282,7 @@ def line_dedup_docs(sf_dir: str, broadcast_max: int = LINE_BROADCAST_MAX,
     - **anti-join** (the scale path): exploded lines (text + position)
       anti-joined against the dup table on line_hash (one bucketed
       exchange), then reassembled per document via a doc-id-bucketed
-      ``map_groups`` (second exchange; groups bounded by the bucket
+      ``bucket_exchange`` (second exchange; calls bounded by the bucket
       dial). Corpus text crosses the wire twice — the price of a dup
       set too big for any worker's heap.
 
@@ -309,8 +313,6 @@ def line_dedup_docs(sf_dir: str, broadcast_max: int = LINE_BROADCAST_MAX,
     def dup_hashes(group: pa.Table) -> pa.Table:
         lh = group.column("lh").to_numpy(zero_copy_only=False)
         did = group.column("doc_id").to_numpy(zero_copy_only=False)
-        if len(lh) == 0:
-            return pa.table({"lh": pa.array([], pa.int64())})
         # distinct (lh, doc_id) pairs, then a segment count per lh
         order = np.lexsort((did, lh))
         lh_s, did_s = lh[order], did[order]
@@ -322,12 +324,9 @@ def line_dedup_docs(sf_dir: str, broadcast_max: int = LINE_BROADCAST_MAX,
         return pa.table({"lh": pa.array(
             lh_u[starts][n >= LINE_MIN_DOCS].astype(np.int64), pa.int64())})
 
-    dup = (
-        docs.map_batches(hash_pairs, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(dup_hashes, batch_format="pyarrow")
-        .materialize()
-    )
+    dup = bucket_exchange(
+        docs.map_batches(hash_pairs, batch_format="pyarrow"),
+        "bucket", num_buckets, dup_hashes).materialize()
 
     if dup.count() <= broadcast_max:
         # ---- broadcast plan: corpus pass is map-only ----
@@ -401,9 +400,6 @@ def line_dedup_docs(sf_dir: str, broadcast_max: int = LINE_BROADCAST_MAX,
         lines = group.column("line").to_numpy(zero_copy_only=False)
         order = np.lexsort((lno, did))
         did, lines = did[order], lines[order]
-        if len(did) == 0:
-            return pa.table({"doc_id": pa.array([], pa.int64()),
-                             "text": pa.array([], pa.string())})
         starts = np.flatnonzero(np.r_[True, did[1:] != did[:-1]])
         ends = np.r_[starts[1:], len(did)]
         return pa.table({
@@ -412,11 +408,9 @@ def line_dedup_docs(sf_dir: str, broadcast_max: int = LINE_BROADCAST_MAX,
                               for s, e in zip(starts, ends)], pa.string()),
         })
 
-    return (
-        kept.map_batches(add_dbucket, batch_format="pyarrow")
-        .groupby("dbucket")
-        .map_groups(reassemble, batch_format="pyarrow")
-    )
+    return bucket_exchange(
+        kept.map_batches(add_dbucket, batch_format="pyarrow"),
+        "dbucket", num_buckets, reassemble)
 
 
 LINE_DEDUP_SQL = f"""
@@ -518,12 +512,9 @@ def pack_sequences(sf_dir: str, budget: int = PACK_BUDGET,
                                  pa.int64()),
         })
 
-    return (
-        read_table(sf_dir, "documents", ["doc_id", "text"])
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("packb")
-        .map_groups(pack, batch_format="pyarrow")
-    )
+    return group_map(read_table(sf_dir, "documents", ["doc_id", "text"])
+                     .map_batches(add_bucket, batch_format="pyarrow"),
+                     "packb", pack)
 
 
 # ---------------------------------------------------------------------------
@@ -730,7 +721,7 @@ def shuffle_assignment(sf_dir: str, num_shards: int = SHUF_SHARDS,
                                              dtype=np.int64), pa.int64()),
         })
 
-    return keyed.groupby("sband").map_groups(number, batch_format="pyarrow")
+    return group_map(keyed, "sband", number)
 
 
 def shuffle_assignment_sql(num_shards: int = SHUF_SHARDS) -> str:
@@ -767,7 +758,7 @@ def source_cap_sample(sf_dir: str, cap: int = SOURCE_CAP):
     Scale plan — the same per-block top-k partial pattern as
     ``textstats.top_tokens``: each BLOCK keeps its own ``cap`` best rows
     per source (vectorized groupby head after a sort), so the single
-    ``groupby(source)`` resolve sees ≤ blocks × cap rows per source,
+    ``group_map`` resolve per source sees ≤ blocks × cap rows per source,
     never the full per-domain document list. Output (doc_id, source)."""
     from pd3f_ray.functions.textfns import md5_hex
 
@@ -800,11 +791,8 @@ def source_cap_sample(sf_dir: str, cap: int = SOURCE_CAP):
             "source": pa.array(src[order], pa.string()),
         })
 
-    return (
-        docs.map_batches(partial, batch_format="pyarrow")
-        .groupby("source")
-        .map_groups(resolve, batch_format="pyarrow")
-    )
+    return group_map(docs.map_batches(partial, batch_format="pyarrow"),
+                     "source", resolve)
 
 
 def source_cap_sample_sql(cap: int = SOURCE_CAP) -> str:
@@ -933,9 +921,6 @@ def web_corpus_pipeline(sf_dir: str):
         # variable-length ids ('doc://9' > 'doc://10'): rank numerically.
         # The winner rows are taken straight off the Arrow group slice —
         # the text payload never round-trips through pandas/numpy.
-        if group.num_rows == 0:
-            return pa.table({"url": pa.array([], pa.string()),
-                             "text": pa.array([], pa.string())})
         ids = pc.cast(pc.utf8_slice_codeunits(group.column("url"), 6),
                       pa.int64()).to_numpy(zero_copy_only=False)
         digest = group.column("digest").to_numpy(zero_copy_only=False)
@@ -945,15 +930,15 @@ def web_corpus_pipeline(sf_dir: str):
         return group.select(["url", "text"]).take(pa.array(np.sort(keep)))
 
     docs = read_table(sf_dir, "documents", ["doc_id", "text"])
-    return (
+    gated = (
         docs.map_batches(wrap, batch_format="pyarrow")
         .map_batches(HtmlMainExtractor(joiner=" "), batch_format="pyarrow",
                      batch_size=None)
         .map_batches(PiiScrubber(), batch_format="pyarrow", batch_size=None)
         .map_batches(gate, batch_format="pyarrow")
-        .groupby("dbucket")
-        .map_groups(first_per_digest, batch_format="pyarrow")
     )
+    return bucket_exchange(gated, "dbucket", WEBPIPE_DEDUP_BUCKETS,
+                           first_per_digest)
 
 
 WEB_CORPUS_PIPELINE_SQL = f"""

@@ -16,7 +16,7 @@ import html as _html
 import pyarrow as pa
 
 from pd3f_ray.core.cluster import read_table
-from pd3f_ray.stages.exchange import hash_agg
+from pd3f_ray.stages.exchange import bucket_exchange, hash_agg
 from pd3f_ray.stages.htmlmain import HtmlMainExtractor
 
 CHUNK_TOKENS = 40
@@ -176,11 +176,6 @@ def anchor_text_corpus(sf_dir: str):
                                      "top_anchor": ("a", "min")})
 
     def finish(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table({"href": pa.array([], pa.string()),
-                             "n_links": pa.array([], pa.int64()),
-                             "n_pages": pa.array([], pa.int64()),
-                             "top_anchor": pa.array([], pa.string())})
         return pa.table({
             "href": batch.column("href"),
             "n_links": batch.column("n_links").cast(pa.int64()),
@@ -395,8 +390,6 @@ def crawl_consolidation_pipeline(sf_dir: str):
     def keep_latest(t: pa.Table) -> pa.Table:
         # argmax(packed) per url on the zero-copy Arrow slice — the
         # html BINARY payload never round-trips through a pandas block
-        if t.num_rows == 0:
-            return t
         urls = t.column("url_norm").to_numpy(zero_copy_only=False)
         packed = t.column("packed").to_numpy(zero_copy_only=False)
         order = np.lexsort((packed, urls))
@@ -414,14 +407,11 @@ def crawl_consolidation_pipeline(sf_dir: str):
                                pa.int64()))
 
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-    winners = (
+    winners = bucket_exchange(
         ds.map_batches(explode, batch_format="pyarrow")
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(
-            lambda g: keep_latest(g).select(["url_norm", "html"]),
-            batch_format="pyarrow")
-    )
+        .map_batches(add_bucket, batch_format="pyarrow"),
+        "bucket", _CRAWL_BUCKETS,
+        lambda g: keep_latest(g).select(["url_norm", "html"]))
 
     extracted = winners.map_batches(
         lambda b: pa.table({"url": b.column("url_norm"),

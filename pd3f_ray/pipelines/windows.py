@@ -24,20 +24,20 @@ import pandas as pd
 import pyarrow as pa
 
 from pd3f_ray.core.cluster import read_table
-from pd3f_ray.stages.exchange import bucket_exchange, hash_agg
+from pd3f_ray.stages.exchange import bucket_exchange, group_map, hash_agg
 
 SESSION_GAP_MIN = 30
 WINDOW_BUCKETS = 256
 
 
-def _bucketed(ds, fn, num_buckets: int = WINDOW_BUCKETS):
+def _bucketed(ds, fn):
     def add_bucket(batch: pa.Table) -> pa.Table:
         uid = batch.column("user_id").to_numpy(zero_copy_only=False)
-        b = pa.array((uid % num_buckets).astype(np.int32), pa.int32())
+        b = pa.array((uid % WINDOW_BUCKETS).astype(np.int32), pa.int32())
         return batch.append_column("bucket", b)
 
     return bucket_exchange(ds.map_batches(add_bucket, batch_format="pyarrow"),
-                           "bucket", num_buckets, fn)
+                           "bucket", WINDOW_BUCKETS, fn)
 
 
 def _col_np(tbl: pa.Table, name: str) -> np.ndarray:
@@ -283,8 +283,6 @@ def latest_event_per_user(sf_dir: str):
                     ["event_id", "ts", "user_id", "event_type"])
 
     def keep_latest(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch
         idx = _latest_idx(_col_np(batch, "user_id"), _col_np(batch, "ts"),
                           _col_np(batch, "event_id"))
         return batch.take(pa.array(np.sort(idx)))
@@ -448,10 +446,6 @@ def event_sequences(sf_dir: str):
         types = _col_np(group, "event_type")
         order = np.lexsort((eid, ts, uid))
         uid, types = uid[order], types[order]
-        if len(uid) == 0:
-            e = pa.array(np.empty(0, np.int64), pa.int64())
-            return pa.table({"user_id": e, "seq": pa.array([], pa.string()),
-                             "n_events": e})
         # user boundaries in the sorted stream → one python join per user
         # (the string concat itself IS the computation here)
         starts = np.flatnonzero(np.r_[True, uid[1:] != uid[:-1]])
@@ -495,8 +489,8 @@ def interval_join_events(sf_dir: str):
     time-bucketed overlap join: each EVENT is keyed by its own 1-hour
     bucket; each WINDOW row is REPLICATED into every hour bucket its
     interval covers (≤ 2 for a 30-min window — replication factor =
-    window/bucket + 1, a constant); ONE ``groupby(bucket)`` exchange
-    co-locates candidates, and the in-group match is fully vectorized:
+    window/bucket + 1, a constant); ONE ``group_map`` on the hour
+    co-locates candidates, and the per-hour match is fully vectorized:
     events sorted by ts once, ``np.searchsorted`` of window edges gives
     each window's [lo, hi) slice, prefix sums of the sorted cent values
     give the value sums — no per-pair work. An event lives in exactly
@@ -574,9 +568,8 @@ def interval_join_events(sf_dir: str):
                               pa.int64()),
         })
 
-    partials = (ds.map_batches(explode, batch_format="pyarrow")
-                .groupby("bucket")
-                .map_groups(match, batch_format="pyarrow"))
+    partials = group_map(ds.map_batches(explode, batch_format="pyarrow"),
+                         "bucket", match)
     return hash_agg(partials, ["win_id"],
                     {"n_events": ("n", "sum"),
                      "sum_value_cents": ("cents", "sum")})
@@ -654,15 +647,14 @@ def funnel_stages(sf_dir: str):
         order = np.lexsort((eid, ts, uid))
         uid, et, ts = uid[order], et[order], ts[order]
         out_u, out_s = [], []
-        if len(uid):
-            starts = np.flatnonzero(np.r_[True, uid[1:] != uid[:-1]])
-            ends = np.r_[starts[1:], len(uid)]
-            # the three-probe forward scan per user IS the computation
-            for s, e in zip(starts, ends):
-                stage = _funnel_user_stage(et[s:e], ts[s:e], deadlines_us)
-                if stage >= 1:
-                    out_u.append(int(uid[s]))
-                    out_s.append(stage)
+        starts = np.flatnonzero(np.r_[True, uid[1:] != uid[:-1]])
+        ends = np.r_[starts[1:], len(uid)]
+        # the three-probe forward scan per user IS the computation
+        for s, e in zip(starts, ends):
+            stage = _funnel_user_stage(et[s:e], ts[s:e], deadlines_us)
+            if stage >= 1:
+                out_u.append(int(uid[s]))
+                out_s.append(stage)
         return pa.table({
             "user_id": pa.array(out_u, pa.int64()),
             "stage": pa.array(out_s, pa.int64()),
@@ -913,9 +905,6 @@ def ontime_hourly(sf_dir: str):
         val = _col_np(group, "value")
         order = np.lexsort((eid, arr, uid))
         uid, ts, val = uid[order], ts[order], val[order]
-        if len(uid) == 0:
-            e = pa.array(np.empty(0, np.int64), pa.int64())
-            return pa.table({"window_id": e, "cents": e})
         prev = np.roll(pd.Series(ts).groupby(uid, sort=False)
                        .cummax().to_numpy(np.int64), 1)
         first = np.r_[True, uid[1:] != uid[:-1]]

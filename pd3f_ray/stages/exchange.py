@@ -1,41 +1,54 @@
-"""The library's one exchange and its one aggregate primitive.
+"""The library's one exchange, behind four entry points.
 
-``bucket_exchange``: int bucket ids in ``[0, num_buckets)`` are
+The exchange: rows carry an int bucket id in ``[0, B)``; the ids are
 range-partitioned on explicit sort boundaries (no sampling pass) into P
-partitions, whatever the upstream block count, and ``fn`` runs once per
-non-empty partition. Pages, joins (``joins.cogroup``), windows and
-``hash_agg`` all reach it.
-
+partitions, whatever the upstream block count, and a reducer runs once
+per non-empty partition with every bucket's rows in exactly that call.
 P is one reduce wave: min(B, max(cluster CPUs, ⌈B/64⌉)). Every task of
-an exchange (sort map, sort reduce, ``fn``) costs a fixed chunk of
+an exchange (sort map, sort reduce, reducer) costs a fixed chunk of
 driver, raylet and worker CPU whatever it holds, and on a small input
 that fixed cost is the exchange: one partition per CPU runs every
 reducer at once, and a second wave only adds tasks. The bucket dial
 still bounds a reducer call, at ≤ 64 buckets, so a large B raises P past
 the CPU count (2^20 buckets → 2^14 partitions at any CPU count).
 
-Every ``Sum``/``Count``/``Min``/``Max`` group-by in the library is one of
-two finishes of the same aggregate, both fed raw rows:
+The entry points:
 
-- ``finish_agg`` for a small fixed key domain (a language, an event
-  type, a nation): per-block partials, then ONE task sums them.
-- ``hash_agg`` for a large domain (a token, a digest, a user): per-block
-  partials tagged with a stable key-hash bucket, then one
-  ``bucket_exchange`` whose reducer finishes each bucket's keys.
+- ``bucket_exchange(ds, key, B, fn)``: the plan already computed the
+  bucket (a url crc, a digest prefix, ``doc_id % B``), and ``fn``
+  groups on its own real key, so a call over several buckets returns
+  the union of their outputs. Pages, ``joins.cogroup`` and the
+  hash-bucketed pipeline reducers use it.
+- ``group_map(ds, keys, fn)``: ``fn`` sees exactly one group. Rows are
+  tagged with the ``stable_bucket`` of ``keys``, and each reduce task
+  sorts on ``keys`` and calls ``fn`` once per key run. For natural keys
+  (a language, an event type, a source) and for reducers that read the
+  group's key or treat their input as one group (range bands, LSH
+  buckets).
+- ``finish_agg(ds, keys, aggs)``: a Sum/Count/Min/Max over a small key
+  domain (a language, an event type, a nation): per-block partials,
+  then ONE task sums them.
+- ``hash_agg(ds, keys, aggs)``: the same aggregate over a large domain
+  (a token, a digest, a user): per-block partials tagged with a
+  ``stable_bucket``, then one ``bucket_exchange`` whose reducer
+  finishes each bucket's keys.
 
-Each runs ``arrowkit.agg`` per block first, fused into the upstream map,
-and decomposes every aggregate for the final step (``_FINAL``)."""
+Every key hash is ``stable_bucket``, and every group-by treats a null
+key as one key. The aggregates run ``arrowkit.agg`` per block first,
+fused into the upstream map, and decompose every aggregate for the
+final step (``_FINAL``)."""
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from pd3f_ray.core.arrowkit import agg
+from pd3f_ray.core.arrowkit import agg, run_offsets
 from pd3f_ray.core.cluster import cluster_cpus
 from pd3f_ray.functions.textfns import mix64
 
 MAX_BUCKETS_PER_PARTITION = 64  # the bucket dial bounds a reducer call
-AGG_BUCKETS = 256  # hash_agg's bucket dial
+AGG_BUCKETS = 256  # the bucket dial of group_map and hash_agg
 
 # how each per-block partial folds into the final value
 _FINAL = {"sum": "sum", "count": "sum", "count_all": "sum",
@@ -100,6 +113,40 @@ def stable_bucket(keys, num_buckets: int) -> np.ndarray:
     return (h % np.uint64(num_buckets)).astype(np.int32)
 
 
+def _tag_buckets(keys: list[str]):
+    """A batch → the batch plus a ``__bucket`` column: the
+    ``stable_bucket`` of ``keys`` over ``AGG_BUCKETS``."""
+    def tag(t):
+        b = stable_bucket([t.column(k) for k in keys], AGG_BUCKETS)
+        return t.append_column("__bucket", pa.array(b, pa.int32()))
+
+    return tag
+
+
+def group_map(ds, keys, fn):
+    """``fn(pa.Table)`` once per distinct value of ``keys`` (one column
+    name or a list), each group whole and alone, in one
+    ``bucket_exchange``: rows are tagged with the ``stable_bucket`` of
+    their key, and each reduce task sorts its rows on ``keys`` and calls
+    ``fn`` per key run, without the tag column. Null keys form one
+    group, as in ``hash_agg``. The outputs of a task's calls are one
+    block, so they must share a schema. A group must fit one call: the
+    key bounds it (a language, a range band), not the corpus."""
+    keys = keys if isinstance(keys, list) else [keys]
+    order = [(k, "ascending") for k in keys]
+
+    def per_key(t):
+        t = t.drop_columns(["__bucket"])
+        t = t.take(pc.sort_indices(t, sort_keys=order))
+        return pa.concat_tables([fn(t.slice(s, e - s))
+                                 for s, e in zip(*run_offsets(t, keys))])
+
+    return bucket_exchange(
+        ds.map_batches(_tag_buckets(keys), batch_size=None,
+                       batch_format="pyarrow"),
+        "__bucket", AGG_BUCKETS, per_key)
+
+
 def _final_aggs(aggs: dict) -> dict:
     """The final step of ``aggs`` over its per-block partials, whose
     columns carry the output names. Refuses, at plan time, a function
@@ -153,11 +200,10 @@ def hash_agg(ds, keys: list[str], aggs: dict):
     so a per-block top-k over the output is exact. Null keys group as
     one key, as in ``arrowkit.agg``."""
     final = _final_aggs(aggs)
+    tag = _tag_buckets(keys)
 
     def partial(t):
-        p = agg(t, keys, aggs)
-        b = stable_bucket([p.column(k) for k in keys], AGG_BUCKETS)
-        return p.append_column("__bucket", pa.array(b, pa.int32()))
+        return tag(agg(t, keys, aggs))
 
     def finish(t):
         return agg(t, keys, final)

@@ -29,6 +29,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from pd3f_ray.core.arrowkit import run_offsets
 from pd3f_ray.core.config import ExtractOptions
 from pd3f_ray.core.kernel import dead_letter, extract_parsed
 from pd3f_ray.core.scorer import get_scorer
@@ -63,22 +64,6 @@ def url_bucket(url: str, num_buckets: int = DEFAULT_NUM_BUCKETS) -> int:
     return zlib.crc32(url.encode()) % num_buckets
 
 
-def _doc_offsets(sorted_urls: pa.ChunkedArray | pa.Array):
-    """(starts, ends) row offsets of each url run in an already-sorted
-    url column — vectorized adjacent-inequality instead of a per-row
-    Python comparison loop."""
-    u = (sorted_urls.combine_chunks()
-         if isinstance(sorted_urls, pa.ChunkedArray) else sorted_urls)
-    n = len(u)
-    if n == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    neq = pc.not_equal(u.slice(1), u.slice(0, n - 1))
-    bounds = np.flatnonzero(neq.to_numpy(zero_copy_only=False)) + 1
-    starts = np.concatenate([[0], bounds]).astype(np.int64)
-    ends = np.concatenate([bounds, [n]]).astype(np.int64)
-    return starts, ends
-
-
 def _sorted_docs(group: pa.Table, blob_col: str):
     """A partition's pages sorted once on ``(url, page_idx)``: the sorted
     table without ``blob_col``, that column as Python bytes in the same
@@ -92,7 +77,7 @@ def _sorted_docs(group: pa.Table, blob_col: str):
     g = group.drop_columns([blob_col]).take(order)
     unsorted = group.column(blob_col).to_pylist()
     blobs = [unsorted[i] for i in order.to_pylist()]
-    starts, ends = _doc_offsets(g.column("url"))
+    starts, ends = run_offsets(g, ["url"])
     first = g.select(["url", "warc_ts", "lang"]).take(pa.array(starts))
     return g, blobs, starts, ends, first
 

@@ -610,6 +610,91 @@ def test_aggregate_primitive_refuses_non_decomposable(ray_session):
             finish(ds, ["k"], {"m": ("v", "mean")})
 
 
+@settings(max_examples=12, deadline=None)
+@given(st.lists(st.lists(st.tuples(st.one_of(st.none(), st.integers(0, 4)),
+                                   st.one_of(st.none(), st.sampled_from("ab")),
+                                   st.integers(-50, 50)),
+                         max_size=8),
+                min_size=1, max_size=4))
+@example([[]])  # empty input
+@example([[], [], [(None, "a", 1), (None, "a", 2), (None, "b", 3)]])
+@example([[(1, "a", 1)], [(2, "b", 2), (1, "a", 3)], [(2, "b", 4)]])
+def test_group_map_one_call_per_key(ray_session, blocks):
+    """``group_map`` calls its reducer once per distinct key, with that
+    key's rows and only them: a plain-Python grouping of the rows over
+    several blocks (some empty), one-column and two-column keys, and
+    string keys holding nulls, where a null key is one group. Ray's
+    ``groupby().map_groups`` is the reference too where no key is null;
+    its sort fails on a null string key, and it splits the two-column
+    key ``(None, "a")`` over blocks ``[], [], [(None, "a"), (None, "a"),
+    (None, "b")]`` into two groups."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from pd3f_ray.stages.exchange import group_map
+
+    ds = rd.from_arrow([
+        pa.table({"k": pa.array([k for k, _, _ in b], pa.int64()),
+                  "g": pa.array([g for _, g, _ in b], pa.string()),
+                  "v": pa.array([v for _, _, v in b], pa.int64())})
+        for b in blocks])
+
+    def rows(r, keys):
+        return sorted(r, key=lambda x: [(x[k] is None, x[k] or 0)
+                                        for k in keys])
+
+    for keys in (["g"], ["k", "g"]):
+        groups = {}
+        for r in (dict(zip("kgv", r)) for b in blocks for r in b):
+            groups.setdefault(tuple(r[k] for k in keys), []).append(r["v"])
+        want = rows([{**dict(zip(keys, key)), "n": len(vs),
+                      "vs": ",".join(map(str, sorted(vs)))}
+                     for key, vs in groups.items()], keys)
+
+        def per_group(t, keys=keys):
+            for k in keys:  # one key per call
+                assert len(set(t.column(k).to_pylist())) == 1, t
+            return pa.table({
+                **{k: t.column(k).slice(0, 1) for k in keys},
+                "n": pa.array([t.num_rows], pa.int64()),
+                "vs": pa.array([",".join(map(str, sorted(
+                    t.column("v").to_pylist())))], pa.string())})
+
+        assert rows(group_map(ds, keys, per_group).take_all(), keys) == want
+        if want and not any(None in key for key in groups):
+            assert rows(ds.groupby(keys).map_groups(
+                per_group, batch_format="pyarrow").take_all(), keys) == want
+
+
+def test_null_event_type_is_one_group(ray_session, tmp_path):
+    """A registry query on ``group_map`` (``event_value_quantiles``)
+    over an events table where a quarter of the ``event_type`` values
+    are null completes and matches its DuckDB oracle, whose GROUP BY
+    makes the null type one group. On Ray's sorted groupby it raised
+    ``TypeError`` comparing a null with a string."""
+    import duckdb
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    import __ray_entry__
+
+    events = pq.read_table(os.path.join(SF, "events.parquet"))
+    null = pc.equal(pc.bit_wise_and(events.column("event_id"), 3), 0)
+    et = pc.if_else(null, pa.scalar(None, pa.string()),
+                    events.column("event_type"))
+    events = events.set_column(events.schema.get_field_index("event_type"),
+                               "event_type", et)
+    pq.write_table(events, tmp_path / "events.parquet")
+    con = duckdb.connect()
+    con.execute("CREATE VIEW events AS SELECT * FROM "
+                f"read_parquet('{tmp_path / 'events.parquet'}')")
+
+    got = __ray_entry__.queries()["event_value_quantiles"](str(tmp_path))
+    _match(got, __ray_entry__.oracle_sql()["event_value_quantiles"], con)
+    assert got.to_pandas()["event_type"].isna().sum() == 1
+
+
 def test_supplier_part_join_fold_matches_join_then_aggregate(ray_session,
                                                              tmp_path):
     """The next-key fold (suppkey join and nationkey partials in one

@@ -73,21 +73,20 @@ def test_reads_go_through_the_cluster_sized_reader():
     assert not hits, "\n".join(hits)
 
 
-# Every groupby(...).map_groups site must justify why its groups stay
-# BOUNDED at corpus scale (the round-2 unbounded-group findings:
-# event_value_quantiles held every value of a type in one group;
-# top_tokens_per_lang held a language's whole vocabulary). Keyed by
-# (file, groupby-key literal); a new map_groups on an unbounded key
-# requires consciously editing this list.
+# Every site that hands a whole group to one reducer call must justify
+# why its groups stay BOUNDED at corpus scale (the round-2
+# unbounded-group findings: event_value_quantiles held every value of a
+# type in one group; top_tokens_per_lang held a language's whole
+# vocabulary). Keyed by (file, key literal); a new group_map on an
+# unbounded key requires consciously editing this list. A site whose
+# plan computed an int bucket and whose reducer groups on its own key
+# calls bucket_exchange, under the one "exchange.py" entry.
 ALLOWED_MAP_GROUPS = {
-    ("curation.py", '"bucket"'): "hash bucket, count is a dial",
-    ("webcurate.py", '"dbucket"'):
-        "digest hash bucket (WEBPIPE_DEDUP_BUCKETS dial); only "
-        "quality-gate survivors' (digest, url, text) rows reach it",
     ("dedup.py", '["lang", "band"]'): "n_chars//64 band + ghost overlap",
-    ("dedup.py", '"bucket"'): "LSH band/hyperplane bucket, count is a dial",
-    ("dedup.py", '"pbucket"'): "pair-endpoint hash bucket",
-    ("dedup.py", '"gkey"'): "simhash Hamming-band key",
+    ("dedup.py", '"bucket"'):
+        "embdup_lsh (table, hyperplane code) bucket; _derive_lsh_dims "
+        "grows the plane count with the row count to bound its expected "
+        "size",
     ("relational.py", '"rbucket"'):
         "n_chars value-range band (RANK_BAND dial); group holds one "
         "band's rows, never the corpus",
@@ -101,20 +100,13 @@ ALLOWED_MAP_GROUPS = {
     ("textstats.py", '"lang"'):
         "input is the per-block top-k candidate table, ≤ blocks×k rows "
         "per language, not the vocabulary",
-    # windows.py's per-user reducers go through _bucketed() →
-    # bucket_exchange (the "exchange.py" entry below); this is its one
-    # remaining map_groups
     ("windows.py", '"bucket"'):
         "interval-join 1-hour time bucket; a group holds one hour of "
         "events + the ≤2-bucket-replicated windows touching it",
     ("webcurate.py", '"source"'):
-        "input is the per-(source, lang) aggregate table — groups are "
-        "bounded by language cardinality, not corpus size",
-    ("webcurate.py", '"bucket"'):
-        "line-hash bucket over hash+doc_id pairs, count is a dial",
-    ("webcurate.py", '"dbucket"'):
-        "doc-id reassembly bucket on the anti-join scale path, count "
-        "is a dial",
+        "input is the per-(source, lang) aggregate table or the "
+        "per-block top-cap table — groups are bounded by language "
+        "cardinality or blocks × cap, not corpus size",
     ("webcurate.py", '"packb"'):
         "doc_id // PACK_BUCKET_DOCS range bucket — ≤ bucket_docs rows "
         "per group by construction",
@@ -125,54 +117,40 @@ ALLOWED_MAP_GROUPS = {
     ("relational.py", '"source"'):
         "source_lang_matrix input is the (source, lang) aggregate — "
         "groups bounded by |langs|, never corpus size",
-    ("webtext.py", '"bucket"'):
-        "crawl_consolidation splitmix64(url-hash) % 256 keep-latest "
-        "bucket; map-side partial argmax drops in-block losers before "
-        "the exchange, bucket count is a dial",
-    ("indexing.py", '"ibucket"'):
-        "token-hash bucket over per-(block, token) partial rows (count "
-        "+ min-k posting head), never raw pairs; bucket count is a dial",
-    ("indexing.py", '"tbucket"'):
-        "doc-id bucket on the tfidf join path; per-doc rows are the "
-        "doc's distinct tokens, bucket count is a dial",
-    ("spandedup.py", '"sbucket"'):
-        "shingle-hash bucket over (hash, doc_id) pairs, count is a dial",
-    ("spandedup.py", '"dbucket"'):
-        "doc-id reassembly bucket on the union-join scale path, count "
-        "is a dial",
-    ("graph.py", '"gbucket"'):
-        "src-hash bucket; a node's full edge set lands in one group "
-        "(needed for exact outdegree), bucket count is a dial",
-    ("graph.py", '"nbucket"'):
-        "node-hash bucket over per-(block, dst) partial contribution "
-        "sums, not raw edges; bucket count is a dial",
     ("webcurate.py", '"sband"'):
         "shuffle_assignment (shard, digest-prefix band) group — bounded "
         "by corpus / 16**band_chars (md5-uniform), band_chars is a "
         "dial; shard count never bounds a group (two-pass rank plan)",
-    ("dedup.py", '"hbucket"'):
-        "digest-hash bucket over (digest, doc_id) rows — text never "
-        "shuffles, bucket count is a dial",
-    ("chunking.py", '"dbucket"'):
-        "digest-hash dedup bucket (PREP_DEDUP_BUCKETS dial); only "
-        "quality-gate survivors reach it",
     # a range partition on explicit sort boundaries handed whole to one
-    # reducer call (pages, joins, windows all reach it)
+    # reducer call (pages, joins, windows and every hash-bucketed
+    # pipeline reducer reach it)
     ("exchange.py", "key"):
         "bucket_exchange: a partition holds <= MAX_BUCKETS_PER_PARTITION "
         "(64) whole buckets (P >= ceil(num_buckets / 64)), so the bucket "
         "dial bounds per-call memory as it scales with the corpus",
 }
 
+# a group_map call: not its definition, nor a ``group_map(...)``
+# mention in a docstring
+_GROUP_MAP_CALL = r"(?<!def )(?<!`)\bgroup_map\("
+# a call argument with up to two levels of nested parentheses
+_ARG = r"(?:[^(),]|\((?:[^()]|\([^()]*\))*\))+"
 # every site that hands a whole group or range partition to one reducer
-# call: groupby(key).map_groups, and sort(key, boundaries=...)
+# call: groupby(key).map_groups, group_map(ds, key, fn), and
+# sort(key, boundaries=...)
 WHOLE_GROUP_SITES = (r"\.groupby\(([^)]*)\)\s*\.map_groups\(",
+                     _GROUP_MAP_CALL + r"\s*" + _ARG
+                     + r",\s*(\[[^\]]*\]|[^,()]+),",
                      r"\.sort\(([^,)]*),\s*boundaries=")
 
 
 def test_map_groups_keys_are_allowlisted():
     hits = []
     for path, src in _sources():
+        # the key pattern must see every group_map call, or a call it
+        # cannot parse would go unchecked
+        assert (len(re.findall(_GROUP_MAP_CALL, src))
+                == len(re.findall(WHOLE_GROUP_SITES[1], src))), path.name
         for pat in WHOLE_GROUP_SITES:
             for m in re.finditer(pat, src):
                 key = m.group(1).strip()
