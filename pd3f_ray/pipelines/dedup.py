@@ -24,6 +24,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 
+from pd3f_ray.core.arrowkit import run_offsets
 from pd3f_ray.core.cluster import read_parquet, read_table
 from pd3f_ray.stages.exchange import (
     bucket_exchange,
@@ -579,15 +580,20 @@ def embdup_lsh(sf_dir: str, threshold: float = EMB_THRESHOLD):
 
     Plan: each vector is replicated into EMBLSH_TABLES rows, one per
     hash table, keyed ``bucket = table * 2^planes + hyperplane_code``;
-    ONE ``group_map`` on bucket co-locates candidate vectors; inside a
-    bucket an all-pairs float64 matmul emits (id_a < id_b) pairs above
-    the threshold — every emitted pair is exact (no false positives),
-    recall ≈ 1-(1-p^planes)^tables where p = 1 - angle/π. A final tiny
-    groupby dedups pairs found by several tables. Partitioning
-    assumption: a (table, code) bucket must fit one group — enforced by
+    ONE ``bucket_exchange`` over the tables × 2^planes buckets
+    co-locates candidate vectors; inside a bucket an all-pairs float64
+    matmul emits (id_a < id_b) pairs above the threshold — every
+    emitted pair is exact (no false positives), recall ≈
+    1-(1-p^planes)^tables where p = 1 - angle/π. A final tiny
+    ``hash_agg`` dedups pairs found by several tables. Partitioning
+    assumption: a (table, code) bucket must fit one call — enforced by
     the ``_derive_lsh_dims`` planner, which grows the plane count with
     the metadata row count so the EXPECTED bucket stays bounded (and
-    grows the table count to hold recall). Exchange volume = tables ×
+    grows the table count to hold recall). The bucket count grows with
+    both, so a reducer call holds ≤ 64 buckets of expected size ≤
+    EMBLSH_TARGET_BUCKET whatever the table's size, and the exchange
+    makes more partitions as the replicated rows grow, which sizing
+    from the read's bytes alone would not. Exchange volume = tables ×
     the embeddings table; embeddings are the small derived table, not
     the corpus text. Rows-only check (probabilistic recall); tests pin
     recall against ``embdup_cosine`` and the planner's bucket bound."""
@@ -619,7 +625,7 @@ def embdup_lsh(sf_dir: str, threshold: float = EMB_THRESHOLD):
             }))
         return pa.concat_tables(parts)
 
-    def bucket_pairs(group: pa.Table) -> pa.Table:
+    def pairs_in(group: pa.Table) -> pa.Table:
         ids = group.column("vec_id").to_numpy(
             zero_copy_only=False).astype(np.int64)
         # flatten the fixed-width list column straight to numpy — no
@@ -639,8 +645,14 @@ def embdup_lsh(sf_dir: str, threshold: float = EMB_THRESHOLD):
         return pa.table({"id_a": pa.array(a, pa.int64()),
                          "id_b": pa.array(b, pa.int64())})
 
-    found = group_map(ds.map_batches(tag_tables, batch_format="pyarrow"),
-                      "bucket", bucket_pairs)
+    def bucket_pairs(part: pa.Table) -> pa.Table:
+        part = part.sort_by("bucket")
+        return pa.concat_tables([pairs_in(part.slice(s, e - s)) for s, e
+                                 in zip(*run_offsets(part, ["bucket"]))])
+
+    found = bucket_exchange(
+        ds.map_batches(tag_tables, batch_format="pyarrow"), "bucket",
+        n_tables << n_planes, bucket_pairs)
     # dedup pairs discovered by several tables
     return hash_agg(found, ["id_a", "id_b"], {})
 

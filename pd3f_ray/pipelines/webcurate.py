@@ -258,8 +258,7 @@ def _line_hash(source: str, line: str) -> int:
     return hash_bytes((source + "\x00" + line).encode()) & _MASK63
 
 
-def line_dedup_docs(sf_dir: str, broadcast_max: int = LINE_BROADCAST_MAX,
-                    num_buckets: int = LINE_BUCKETS):
+def line_dedup_docs(sf_dir: str, broadcast_max: int = LINE_BROADCAST_MAX):
     """CCNet-style boilerplate removal: drop every LINE (fixed
     LINE_TOKENS-token chunk — the corpus is newline-free) that appears
     in ≥ LINE_MIN_DOCS distinct documents of the same source; emit each
@@ -306,7 +305,7 @@ def line_dedup_docs(sf_dir: str, broadcast_max: int = LINE_BROADCAST_MAX,
         return pa.table({
             "lh": pa.array(h, pa.int64()),
             "doc_id": pa.array(out_d, pa.int64()),
-            "bucket": pa.array((h % num_buckets).astype(np.int32),
+            "bucket": pa.array((h % LINE_BUCKETS).astype(np.int32),
                                pa.int32()),
         })
 
@@ -326,7 +325,7 @@ def line_dedup_docs(sf_dir: str, broadcast_max: int = LINE_BROADCAST_MAX,
 
     dup = bucket_exchange(
         docs.map_batches(hash_pairs, batch_format="pyarrow"),
-        "bucket", num_buckets, dup_hashes).materialize()
+        "bucket", LINE_BUCKETS, dup_hashes).materialize()
 
     if dup.count() <= broadcast_max:
         # ---- broadcast plan: corpus pass is map-only ----
@@ -385,13 +384,13 @@ def line_dedup_docs(sf_dir: str, broadcast_max: int = LINE_BROADCAST_MAX,
     ])
     kept = anti_join(
         docs.map_batches(explode, batch_format="pyarrow"), dup,
-        "lh", "lh", num_buckets=num_buckets, left_schema=line_schema,
+        "lh", "lh", num_buckets=LINE_BUCKETS, left_schema=line_schema,
     )
 
     def add_dbucket(batch: pa.Table) -> pa.Table:
         d = batch.column("doc_id").to_numpy(zero_copy_only=False)
         return batch.append_column(
-            "dbucket", pa.array((d % num_buckets).astype(np.int32),
+            "dbucket", pa.array((d % LINE_BUCKETS).astype(np.int32),
                                 pa.int32()))
 
     def reassemble(group: pa.Table) -> pa.Table:
@@ -410,7 +409,7 @@ def line_dedup_docs(sf_dir: str, broadcast_max: int = LINE_BROADCAST_MAX,
 
     return bucket_exchange(
         kept.map_batches(add_dbucket, batch_format="pyarrow"),
-        "dbucket", num_buckets, reassemble)
+        "dbucket", LINE_BUCKETS, reassemble)
 
 
 LINE_DEDUP_SQL = f"""

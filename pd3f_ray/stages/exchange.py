@@ -4,13 +4,16 @@ The exchange: rows carry an int bucket id in ``[0, B)``; the ids are
 range-partitioned on explicit sort boundaries (no sampling pass) into P
 partitions, whatever the upstream block count, and a reducer runs once
 per non-empty partition with every bucket's rows in exactly that call.
-P is one reduce wave: min(B, max(cluster CPUs, ⌈B/64⌉)). Every task of
-an exchange (sort map, sort reduce, reducer) costs a fixed chunk of
-driver, raylet and worker CPU whatever it holds, and on a small input
-that fixed cost is the exchange: one partition per CPU runs every
-reducer at once, and a second wave only adds tasks. The bucket dial
-still bounds a reducer call, at ≤ 64 buckets, so a large B raises P past
-the CPU count (2^20 buckets → 2^14 partitions at any CPU count).
+P is one reduce wave, min(B, max(cluster CPUs, ⌈B/64⌉)), raised with
+the input to one partition per Ray block (``target_max_block_size``,
+128 MiB) of its sources' estimated bytes, as Ray's sort made one
+partition per block. Every task of an exchange (sort map, sort reduce,
+reducer) costs a fixed chunk of driver, raylet and worker CPU whatever
+it holds, and on a small input that fixed cost is the exchange: one
+partition per CPU runs every reducer at once, and a second wave only
+adds tasks. The bucket dial still bounds a reducer call, at ≤ 64
+buckets, so a large B raises P past the CPU count (2^20 buckets → 2^14
+partitions at any CPU count).
 
 The entry points:
 
@@ -18,13 +21,16 @@ The entry points:
   bucket (a url crc, a digest prefix, ``doc_id % B``), and ``fn``
   groups on its own real key, so a call over several buckets returns
   the union of their outputs. Pages, ``joins.cogroup`` and the
-  hash-bucketed pipeline reducers use it.
+  hash-bucketed pipeline reducers use it, embdup_lsh too: its rows are
+  replicated per hash table, and its planner's bucket count grows with
+  them where the read's bytes would not.
 - ``group_map(ds, keys, fn)``: ``fn`` sees exactly one group. Rows are
-  tagged with the ``stable_bucket`` of ``keys``, and each reduce task
+  tagged with the ``stable_bucket`` of ``keys`` over one bucket per
+  partition, P sized from the input alone (a one-block table is one
+  partition, as Ray's sampled sort made it), and each reduce task
   sorts on ``keys`` and calls ``fn`` once per key run. For natural keys
   (a language, an event type, a source) and for reducers that read the
-  group's key or treat their input as one group (range bands, LSH
-  buckets).
+  group's key or treat their input as one group (range bands).
 - ``finish_agg(ds, keys, aggs)``: a Sum/Count/Min/Max over a small key
   domain (a language, an event type, a nation): per-block partials,
   then ONE task sums them.
@@ -48,11 +54,32 @@ from pd3f_ray.core.cluster import cluster_cpus
 from pd3f_ray.functions.textfns import mix64
 
 MAX_BUCKETS_PER_PARTITION = 64  # the bucket dial bounds a reducer call
-AGG_BUCKETS = 256  # the bucket dial of group_map and hash_agg
+AGG_BUCKETS = 256  # hash_agg's bucket count, until its input needs more
 
 # how each per-block partial folds into the final value
 _FINAL = {"sum": "sum", "count": "sum", "count_all": "sum",
           "min": "min", "max": "max"}
+
+
+def _source_bytes(op) -> int:
+    """Estimated in-memory bytes of the sources under a logical
+    operator: a read's own estimate (the footers, for the library's
+    parquet read), or the metadata of in-memory blocks; 0 if unknown."""
+    if op.input_dependencies:
+        return sum(_source_bytes(d) for d in op.input_dependencies)
+    source = getattr(op, "_datasource", None)
+    size = (source.estimate_inmemory_data_size() if source is not None
+            else op.infer_metadata().size_bytes)
+    return size or 0
+
+
+def byte_partitions(ds) -> int:
+    """One partition per Ray block (``target_max_block_size``) of the
+    estimated bytes of ``ds``'s sources, as planned."""
+    from ray.data import DataContext
+
+    block = DataContext.get_current().target_max_block_size
+    return -(-_source_bytes(ds._logical_plan.dag) // block)
 
 
 def partition_count(num_buckets: int) -> int:
@@ -64,8 +91,11 @@ def partition_count(num_buckets: int) -> int:
 
 def bucket_exchange(ds, key: str, num_buckets: int, fn):
     """Rows with an int ``key`` in ``[0, num_buckets)`` → ``fn(pa.Table)``
-    once per partition: each bucket in exactly one call, ≤ P calls."""
-    p = partition_count(num_buckets)
+    once per partition: each bucket in exactly one call, ≤ P calls, P =
+    ``partition_count(num_buckets)`` raised to ``byte_partitions(ds)``,
+    ≤ num_buckets."""
+    p = min(num_buckets, max(partition_count(num_buckets),
+                             byte_partitions(ds)))
     # empty boundaries would make Ray's sort sample, 1 partition/block
     shuffled = ds.repartition(1) if p == 1 else ds.sort(
         key, boundaries=[-(-i * num_buckets // p) for i in range(1, p)])
@@ -113,11 +143,11 @@ def stable_bucket(keys, num_buckets: int) -> np.ndarray:
     return (h % np.uint64(num_buckets)).astype(np.int32)
 
 
-def _tag_buckets(keys: list[str]):
+def _tag_buckets(keys: list[str], num_buckets: int):
     """A batch → the batch plus a ``__bucket`` column: the
-    ``stable_bucket`` of ``keys`` over ``AGG_BUCKETS``."""
+    ``stable_bucket`` of ``keys`` over ``num_buckets``."""
     def tag(t):
-        b = stable_bucket([t.column(k) for k in keys], AGG_BUCKETS)
+        b = stable_bucket([t.column(k) for k in keys], num_buckets)
         return t.append_column("__bucket", pa.array(b, pa.int32()))
 
     return tag
@@ -130,21 +160,31 @@ def group_map(ds, keys, fn):
     their key, and each reduce task sorts its rows on ``keys`` and calls
     ``fn`` per key run, without the tag column. Null keys form one
     group, as in ``hash_agg``. The outputs of a task's calls are one
-    block, so they must share a schema. A group must fit one call: the
-    key bounds it (a language, a range band), not the corpus."""
+    block, so they must share a schema.
+
+    A reduce task holds its partition, on average at most 128 MiB of
+    the sources' bytes times what the maps before the exchange multiply
+    them by, plus one group's copy. A group must fit one call: the key
+    bounds it (a language, a range band), not the corpus."""
     keys = keys if isinstance(keys, list) else [keys]
     order = [(k, "ascending") for k in keys]
 
     def per_key(t):
         t = t.drop_columns(["__bucket"])
-        t = t.take(pc.sort_indices(t, sort_keys=order))
-        return pa.concat_tables([fn(t.slice(s, e - s))
-                                 for s, e in zip(*run_offsets(t, keys))])
+        idx = pc.sort_indices(t, sort_keys=order)
+        # one group's rows at a time, not a sorted copy of the partition
+        starts, ends = run_offsets(t.select(keys).take(idx), keys)
+        return pa.concat_tables([fn(t.take(idx.slice(s, e - s)))
+                                 for s, e in zip(starts, ends)])
 
+    # one bucket per partition: one per input block, at most one per
+    # CPU, and at least one per Ray block of the sources' bytes
+    blocks = ds._plan.initial_num_blocks() or cluster_cpus()
+    num_buckets = max(1, min(cluster_cpus(), blocks), byte_partitions(ds))
     return bucket_exchange(
-        ds.map_batches(_tag_buckets(keys), batch_size=None,
+        ds.map_batches(_tag_buckets(keys, num_buckets), batch_size=None,
                        batch_format="pyarrow"),
-        "__bucket", AGG_BUCKETS, per_key)
+        "__bucket", num_buckets, per_key)
 
 
 def _final_aggs(aggs: dict) -> dict:
@@ -192,15 +232,17 @@ def hash_agg(ds, keys: list[str], aggs: dict):
     one ``bucket_exchange``: each block's partials (fused into the
     upstream map) are tagged with the ``stable_bucket`` of their key,
     and each partition's reducer finishes the keys of its buckets.
-    ``AGG_BUCKETS`` buckets, P partitions of ≤ 64 buckets each, as in
-    ``joins.cogroup``. ``aggs`` as in ``finish_agg``; an empty ``aggs``
-    is a distinct over ``keys``.
+    ``AGG_BUCKETS`` buckets, or one per ``byte_partitions(ds)`` if that
+    is more, P partitions of ≤ 64 buckets each, as in ``joins.cogroup``.
+    ``aggs`` as in ``finish_agg``; an empty ``aggs`` is a distinct over
+    ``keys``.
 
     Invariant: every key's output row is in exactly one output block,
     so a per-block top-k over the output is exact. Null keys group as
     one key, as in ``arrowkit.agg``."""
     final = _final_aggs(aggs)
-    tag = _tag_buckets(keys)
+    num_buckets = max(AGG_BUCKETS, byte_partitions(ds))
+    tag = _tag_buckets(keys, num_buckets)
 
     def partial(t):
         return tag(agg(t, keys, aggs))
@@ -210,4 +252,4 @@ def hash_agg(ds, keys: list[str], aggs: dict):
 
     return bucket_exchange(
         ds.map_batches(partial, batch_size=None, batch_format="pyarrow"),
-        "__bucket", AGG_BUCKETS, finish)
+        "__bucket", num_buckets, finish)

@@ -424,6 +424,56 @@ def test_partition_count_grows_with_num_buckets(monkeypatch):
     assert exchange.partition_count(2**20) == 2**14
 
 
+def test_exchange_partitions_follow_the_input(ray_session, monkeypatch):
+    """``group_map`` makes one partition per input block, at most one
+    per CPU, so a one-block table is one reduce task, as Ray's sampled
+    sort made it. Every exchange makes at least one partition per Ray
+    block (``target_max_block_size``) of its sources' estimated bytes,
+    as Ray's sort made one per block, up to its bucket count."""
+    import re
+
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import ray.data as rd
+
+    from pd3f_ray.stages import exchange
+
+    monkeypatch.setattr(exchange, "cluster_cpus", lambda: 4)
+    t = pa.table({"k": pa.array(np.arange(4000) % 7),
+                  "v": pa.array(np.ones(4000, np.int64))})
+
+    def per_key(g: pa.Table) -> pa.Table:
+        return pa.table({"k": g.column("k").slice(0, 1),
+                         "n": pa.array([g.num_rows], pa.int64())})
+
+    def partitions(ds) -> int:
+        out = exchange.group_map(ds, "k", per_key).materialize()
+        got = out.to_pandas().sort_values("k")
+        assert got["k"].tolist() == list(range(7))
+        assert got["n"].tolist() == [572] * 3 + [571] * 4
+        return out.num_blocks()
+
+    one = rd.from_arrow([t])
+    six = rd.from_arrow([t.slice(i * 700, 700) for i in range(6)])
+    assert exchange.byte_partitions(one) == 1
+    assert partitions(one) == 1
+    assert partitions(six) == 4
+    ctx = rd.DataContext.get_current()
+    monkeypatch.setattr(ctx, "target_max_block_size", -(-t.nbytes // 10))
+    assert exchange.byte_partitions(one) == 10
+    assert partitions(one) == 10
+    for num_buckets, p in ((8, 8), (128, 10), (1024, 16)):
+        out = exchange.bucket_exchange(
+            one.map_batches(lambda t: t.append_column(
+                "b", pc.cast(t.column("k"), pa.int32())),
+                batch_format="pyarrow"),
+            "b", num_buckets, lambda t: t).materialize()
+        shuffle = [op for op in _executed_ops(out._get_stats_summary())
+                   if op.is_sub_operator][-1]
+        assert re.search(r"(\d+) blocks produced",
+                         shuffle.block_execution_summary_str).group(1) == str(p)
+
+
 def _exchanges(ds) -> list:
     """The executed all-to-all sub-operators of a materialized Dataset."""
     return [op.operator_name for op in _executed_ops(ds._get_stats_summary())

@@ -81,53 +81,62 @@ def test_reads_go_through_the_cluster_sized_reader():
 # unbounded key requires consciously editing this list. A site whose
 # plan computed an int bucket and whose reducer groups on its own key
 # calls bucket_exchange, under the one "exchange.py" entry.
+#
+# Per reduce task, a group_map holds one partition: P grows with the
+# sources' estimated bytes (one partition per 128 MiB block of them),
+# so a task holds about 128 MiB of source rows (≲ below: hashing
+# spreads keys evenly, not exactly) times the fan-out of the maps
+# before the exchange, and calls fn on one group at a time. Each reason
+# states that fan-out and what bounds one group.
 ALLOWED_MAP_GROUPS = {
-    ("dedup.py", '["lang", "band"]'): "n_chars//64 band + ghost overlap",
-    ("dedup.py", '"bucket"'):
-        "embdup_lsh (table, hyperplane code) bucket; _derive_lsh_dims "
-        "grows the plane count with the row count to bound its expected "
-        "size",
+    ("dedup.py", '["lang", "band"]'):
+        "fan-out ≤ 2 (ghost rows): ≲ 2 × 128 MiB of documents per task; "
+        "a group is one n_chars//64 band of one language",
     ("relational.py", '"rbucket"'):
-        "n_chars value-range band (RANK_BAND dial); group holds one "
-        "band's rows, never the corpus",
+        "fan-out 1: ≲ 128 MiB of documents per task; a group is one "
+        "n_chars value-range band (RANK_BAND dial), never the corpus",
     ("relational.py", '"event_type"'):
         "input is the DISTINCT-value count table, bounded by value "
-        "cardinality, not event count",
+        "cardinality, not event count; a task holds ≤ its share of it",
     ("similarity.py", '"query_id"'):
-        "per-query candidate lists are ≤ blocks×k after per-block top-k",
+        "input is ≤ blocks × k candidates per query after per-block "
+        "top-k; a task holds ≲ 128 MiB of them",
     ("sketches.py", '"event_type"'):
         "input is one 4 KB HLL register row per (block, type)",
     ("textstats.py", '"lang"'):
         "input is the per-block top-k candidate table, ≤ blocks×k rows "
         "per language, not the vocabulary",
     ("windows.py", '"bucket"'):
-        "interval-join 1-hour time bucket; a group holds one hour of "
-        "events + the ≤2-bucket-replicated windows touching it",
+        "fan-out ≤ 2 (windows replicated over ≤ 2 hours; 1.6× in bytes "
+        "at sf0.1): ≲ 2 × 128 MiB of events per task; a group is one "
+        "hour of events + the windows touching it",
     ("webcurate.py", '"source"'):
         "input is the per-(source, lang) aggregate table or the "
         "per-block top-cap table — groups are bounded by language "
         "cardinality or blocks × cap, not corpus size",
     ("webcurate.py", '"packb"'):
-        "doc_id // PACK_BUCKET_DOCS range bucket — ≤ bucket_docs rows "
-        "per group by construction",
+        "fan-out 1: ≲ 128 MiB of documents per task; a group is one "
+        "doc_id // PACK_BUCKET_DOCS range, ≤ bucket_docs rows",
     ("dedup.py", '"band"'):
-        "fuzzy_name_pairs len//8 band over the DISTINCT-NAME vocabulary "
-        "rollup (bounded by the name domain, not the parts table) + "
-        "ghost overlap",
+        "fan-out ≤ 2 (ghost rows) over the DISTINCT-NAME vocabulary "
+        "rollup (bounded by the name domain, not the parts table); a "
+        "group is one len//8 band",
     ("relational.py", '"source"'):
         "source_lang_matrix input is the (source, lang) aggregate — "
         "groups bounded by |langs|, never corpus size",
     ("webcurate.py", '"sband"'):
-        "shuffle_assignment (shard, digest-prefix band) group — bounded "
-        "by corpus / 16**band_chars (md5-uniform), band_chars is a "
-        "dial; shard count never bounds a group (two-pass rank plan)",
+        "fan-out 1: ≲ 128 MiB of documents per task; a group is one "
+        "(shard, digest-prefix band), bounded by corpus / "
+        "16**band_chars (md5-uniform), band_chars is a dial; shard count "
+        "never bounds a group (two-pass rank plan)",
     # a range partition on explicit sort boundaries handed whole to one
     # reducer call (pages, joins, windows and every hash-bucketed
     # pipeline reducer reach it)
     ("exchange.py", "key"):
         "bucket_exchange: a partition holds <= MAX_BUCKETS_PER_PARTITION "
         "(64) whole buckets (P >= ceil(num_buckets / 64)), so the bucket "
-        "dial bounds per-call memory as it scales with the corpus",
+        "dial bounds per-call memory as it scales with the corpus, and P "
+        "grows with the sources' bytes (one partition per 128 MiB)",
 }
 
 # a group_map call: not its definition, nor a ``group_map(...)``
