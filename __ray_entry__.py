@@ -541,13 +541,21 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "pack_sequences": webcurate.pack_sequences,  # greedy → rows-only
     }
     # head-of-line rotation (see the ORDER MATTERS note above): the lead
-    # is the plans the last change touched most — every plan that moved
-    # off Ray's groupby().map_groups onto the library's one exchange —
-    # then the previous rotation's lead in its order. Everything else
-    # follows in its round-4 order.
+    # is the plans the last change touched most — every plan whose rows
+    # come out of the one per-document extraction step — then the
+    # previous rotations in their order. Everything else follows in its
+    # round-4 order.
     prefix = [
-        # -- one grouping path: plans whose Ray groupby().map_groups
-        #    became a bucket_exchange (a plan-computed bucket) --
+        # -- one per-document extraction path: every plan whose rows come
+        #    from ExtractDocs, ExtractElements or assemble_extract --
+        "extract_docs", "extract_fast", "extract_summary", "extract_pages",
+        "pages_roundtrip", "pages_staged_roundtrip", "extract_elements",
+        "extract_markdown", "extract_roundtrip", "headers_roundtrip",
+        "deadletter_roundtrip", "dehyphen_roundtrip", "pagebreak_roundtrip",
+        "footnotes_roundtrip", "skipline_roundtrip", "parsr_ingest_roundtrip",
+        # -- the previous rotation. One grouping path: plans whose Ray
+        #    groupby().map_groups became a bucket_exchange (a
+        #    plan-computed bucket) --
         "curate_docs", "snapshot_diff", "training_prep_pipeline",
         "minhash_pairs", "dedup_incremental", "simhash_pairs", "pagerank",
         "token_postings", "tfidf_terms", "dup_span_stats", "strip_dup_spans",
@@ -564,29 +572,24 @@ def queries() -> dict[str, Callable[[str], Any]]:
         #    ... and the bucketed reducers that lost an empty-input guard --
         "anchor_text_corpus", "latest_event_per_user", "event_sequences",
         "funnel_stages", "ontime_hourly",
-        # -- the previous rotation, in its order --
+        # -- the rotation before it, in its order --
         "supplier_part_join", "customers_with_orders", "click_purchase_matrix",
         "customer_order_counts", "user_sessions", "dedup_exact",
         "resumable_write_roundtrip", "partitioned_write_roundtrip",
         "schema_evolution_union", "jsonl_roundtrip", "csv_roundtrip",
         "segment_order_stats", "nation_revenue", "nation_revenue_share",
         "region_brand_revenue", "q4_order_priority", "media_kind_summary",
-        "extract_summary", "q1_pricing", "events_hourly", "orders_monthly",
-        "customer_rollup", "events_cube", "lang_quality",
-        "lang_confusion_matrix", "distinct_users", "props_k_stats",
-        "profile_lineitem", "balanced_mixture", "dedup_prefix",
-        "dedup_keep_best", "media_dedup", "url_dedup_latest",
-        "referential_integrity", "dedup_clusters", "top_tokens", "top_bigrams",
-        "bigram_pmi", "event_value_histogram", "user_favorite_event",
-        "events_sliding", "sliding_unique_users", "hourly_unique_users",
-        "cms_user_counts", "partition_manifest", "crawl_budget_allocation",
-        "extract_roundtrip", "headers_roundtrip", "q3_shipping_priority",
-        "curate_neardup", "purchase_attribution", "user_running_total",
-        "late_events", "event_gaps", "next_event_label", "top_events_per_user",
-        "pages_staged_roundtrip", "extract_pages", "pages_roundtrip",
-        "dehyphen_roundtrip", "pagebreak_roundtrip", "footnotes_roundtrip",
-        "deadletter_roundtrip", "skipline_roundtrip", "parsr_ingest_roundtrip",
-        "extract_markdown", "extract_elements", "extract_docs", "extract_fast",
+        "q1_pricing", "events_hourly", "orders_monthly", "customer_rollup",
+        "events_cube", "lang_quality", "lang_confusion_matrix",
+        "distinct_users", "props_k_stats", "profile_lineitem",
+        "balanced_mixture", "dedup_prefix", "dedup_keep_best", "media_dedup",
+        "url_dedup_latest", "referential_integrity", "dedup_clusters",
+        "top_tokens", "top_bigrams", "bigram_pmi", "event_value_histogram",
+        "user_favorite_event", "events_sliding", "sliding_unique_users",
+        "hourly_unique_users", "cms_user_counts", "partition_manifest",
+        "crawl_budget_allocation", "q3_shipping_priority", "curate_neardup",
+        "purchase_attribution", "user_running_total", "late_events",
+        "event_gaps", "next_event_label", "top_events_per_user",
         "html_roundtrip", "html_links", "pii_roundtrip", "embed_docs",
         "media_features", "gopher_quality", "nfc_normalize_docs",
         "strip_control_chars", "table_checksum", "bm25_scores", "chunk_docs",

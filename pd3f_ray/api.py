@@ -14,6 +14,8 @@ from __future__ import annotations
 import os
 from typing import Any
 
+import orjson
+
 from pd3f_ray.core.config import ExtractOptions, normalize_reference_kwargs
 from pd3f_ray.core.kernel import DocumentKernel, extract_parsed, extract_record
 from pd3f_ray.core.scorer import get_scorer
@@ -73,9 +75,7 @@ class Export:
             if isinstance(payload, (str, os.PathLike)) and os.path.exists(str(payload)):
                 with open(payload, "rb") as f:
                     payload = f.read()
-            from pd3f_ray.core.kernel import _json_loads
-
-            layout = _json_loads(payload)
+            layout = orjson.loads(payload)
         self._kernel = DocumentKernel(layout, self.opts,
                                       get_scorer(self.opts.lang))
 

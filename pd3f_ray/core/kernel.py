@@ -32,18 +32,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from statistics import median
 
-try:  # orjson parses bytes directly, ~6× faster than stdlib json
-    import orjson as _fastjson
-
-    def _json_loads(payload):
-        return _fastjson.loads(payload)
-except ImportError:  # pragma: no cover - stdlib fallback
-    import json as _stdjson
-
-    def _json_loads(payload):
-        if isinstance(payload, bytes):
-            payload = payload.decode()
-        return _stdjson.loads(payload)
+import orjson
 
 from pd3f_ray.core.config import ExtractOptions
 from pd3f_ray.core.geom import bbox_similarity
@@ -935,7 +924,7 @@ def extract_record(
     """
     opts = opts or ExtractOptions()
     try:
-        layout = _json_loads(html)
+        layout = orjson.loads(html)
     except Exception as exc:  # noqa: BLE001 — dead-letter semantics
         return dead_letter(exc)
     return extract_parsed(layout, opts, scorer, markdown=markdown)

@@ -13,12 +13,21 @@ from __future__ import annotations
 import glob
 import os
 
+import orjson
 import ray.data as rd
 
 from pd3f_ray.core.cluster import read_parquet, read_table
 from pd3f_ray.core.config import ExtractOptions
+from pd3f_ray.sources.synth import (
+    _IdGen,
+    fixture_layout,
+    fixture_table,
+    gap_dummy,
+    identity_layout,
+    identity_paragraph,
+)
 from pd3f_ray.stages.extract import ExtractDocs
-from pd3f_ray.stages.pages import _dumps, assemble_pages_dataset
+from pd3f_ray.stages.pages import assemble_pages_dataset
 from pd3f_ray.state import manifest as mf
 
 # columns the extraction stage needs — never read the rest off storage
@@ -110,24 +119,12 @@ def extract_roundtrip(sf_dir: str):
     rows-only count."""
     import pyarrow as pa
 
-    from pd3f_ray.sources.synth import identity_layout
-
     def wrap(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_pylist()
-        texts = batch.column("text").to_pylist()
-        langs = batch.column("lang").to_pylist()
-        urls, htmls = [], []
-        for did, text in zip(ids, texts):
-            urls.append(f"doc://{did}")
-            htmls.append(_dumps(identity_layout(text)))
-        return pa.table(
-            {
-                "url": pa.array(urls, pa.string()),
-                "warc_ts": pa.array([0] * len(urls), pa.timestamp("us")),
-                "html": pa.array(htmls, pa.binary()),
-                "lang": pa.array(langs, pa.string()),
-            }
-        )
+        return fixture_table(
+            batch.column("doc_id").to_pylist(),
+            batch.column("lang").to_pylist(),
+            [orjson.dumps(identity_layout(text))
+             for text in batch.column("text").to_pylist()])
 
     docs = read_table(sf_dir, "documents", columns=["doc_id", "text", "lang"])
     extracted = extract_dataset(docs.map_batches(wrap, batch_format="pyarrow"))
@@ -162,22 +159,13 @@ def _pages_roundtrip_input(sf_dir: str):
     same word-midpoint split. Docs with <2 words stay one page."""
     import pyarrow as pa
 
-    from pd3f_ray.sources.synth import (
-        BODY_FONT,
-        FONTS,
-        LINE_GAP,
-        LINE_H,
-        MARGIN_L,
-        _IdGen,
-        _line,
-        _paragraph,
-    )
+    from pd3f_ray.sources.synth import FONTS
 
     def explode(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_pylist()
         texts = batch.column("text").to_pylist()
         langs = batch.column("lang").to_pylist()
-        urls, idxs, blobs, out_langs = [], [], [], []
+        out_ids, idxs, blobs, out_langs = [], [], [], []
         for did, text, lang in zip(ids, texts, langs):
             words = text.split(" ")
             if len(words) < 2:
@@ -187,33 +175,19 @@ def _pages_roundtrip_input(sf_dir: str):
                 halves = [words[:h], words[h:]]
             gen = _IdGen()
             fonts = [dict(f) for f in FONTS]
-            url = f"doc://{did}"
             payloads = []
             for pi, part in enumerate(halves):
-                line = _line(gen, part, BODY_FONT, 90.0, MARGIN_L)
-                elements = [_paragraph(gen, [line])]
+                elements = [identity_paragraph(gen, part)]
                 if pi == 0:
-                    d1 = _line(gen, ["..."], BODY_FONT, 500.0, MARGIN_L)
-                    d2 = _line(gen, ["..."], BODY_FONT,
-                               500.0 + LINE_H + LINE_GAP, MARGIN_L)
-                    elements.append(_paragraph(gen, [d1, d2]))
-                payloads.append(
-                    _dumps({"page": {"elements": elements}, "fonts": fonts})
-                )
+                    elements.append(gap_dummy(gen))
+                payloads.append(orjson.dumps(
+                    {"page": {"elements": elements}, "fonts": fonts}))
             for pi in reversed(range(len(payloads))):
-                urls.append(url)
+                out_ids.append(did)
                 idxs.append(pi)
                 blobs.append(payloads[pi])
                 out_langs.append(lang)
-        return pa.table(
-            {
-                "url": pa.array(urls, pa.string()),
-                "warc_ts": pa.array([0] * len(urls), pa.timestamp("us")),
-                "page_idx": pa.array(idxs, pa.int32()),
-                "page_json": pa.array(blobs, pa.binary()),
-                "lang": pa.array(out_langs, pa.string()),
-            }
-        )
+        return fixture_table(out_ids, out_langs, blobs, page_idx=idxs)
 
     docs = read_table(sf_dir, "documents", columns=["doc_id", "text", "lang"])
     return docs.map_batches(explode, batch_format="pyarrow")
@@ -289,26 +263,15 @@ def headers_roundtrip(sf_dir: str):
     ``Src <source>\n\n<text>\n\nend\n\nPage of <source>\n\n``."""
     import pyarrow as pa
 
-    from pd3f_ray.sources.synth import (
-        BODY_FONT,
-        FONTS,
-        LINE_GAP,
-        LINE_H,
-        MARGIN_L,
-        _IdGen,
-        _line,
-        _paragraph,
-    )
+    from pd3f_ray.sources.synth import BODY_FONT, MARGIN_L, _line, _paragraph
 
     hf_left = MARGIN_L + 200.0
 
     def wrap(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_pylist()
         texts = batch.column("text").to_pylist()
         srcs = batch.column("source").to_pylist()
-        langs = batch.column("lang").to_pylist()
-        urls, htmls = [], []
-        for did, text, source in zip(ids, texts, srcs):
+        htmls = []
+        for text, source in zip(texts, srcs):
             gen = _IdGen()
 
             def flagged(words, top, header):
@@ -319,30 +282,15 @@ def headers_roundtrip(sf_dir: str):
 
             pages = []
             for pi, body_words in enumerate([text.split(" "), ["end"]]):
-                els = [
-                    flagged(["Src", source], 20.0, True),
-                    _paragraph(
-                        gen, [_line(gen, body_words, BODY_FONT, 90.0, MARGIN_L)]
-                    ),
-                ]
+                els = [flagged(["Src", source], 20.0, True),
+                       identity_paragraph(gen, body_words)]
                 if pi == 0:
-                    d1 = _line(gen, ["..."], BODY_FONT, 500.0, MARGIN_L)
-                    d2 = _line(gen, ["..."], BODY_FONT,
-                               500.0 + LINE_H + LINE_GAP, MARGIN_L)
-                    els.append(_paragraph(gen, [d1, d2]))
+                    els.append(gap_dummy(gen))
                 els.append(flagged(["Page", "of", source], 700.0, False))
                 pages.append({"elements": els})
-            urls.append(f"doc://{did}")
-            htmls.append(_dumps({"pages": pages,
-                                 "fonts": [dict(f) for f in FONTS]}))
-        return pa.table(
-            {
-                "url": pa.array(urls, pa.string()),
-                "warc_ts": pa.array([0] * len(urls), pa.timestamp("us")),
-                "html": pa.array(htmls, pa.binary()),
-                "lang": pa.array(langs, pa.string()),
-            }
-        )
+            htmls.append(orjson.dumps(fixture_layout(pages)))
+        return fixture_table(batch.column("doc_id").to_pylist(),
+                             batch.column("lang").to_pylist(), htmls)
 
     docs = read_table(sf_dir, "documents",
                       columns=["doc_id", "text", "source", "lang"])
@@ -585,27 +533,12 @@ def _fixture_roundtrip(sf_dir: str, build_pages, opts: ExtractOptions | None = N
     byte-constant across documents and SQL-expressible as a literal."""
     import pyarrow as pa
 
-    from pd3f_ray.sources.synth import FONTS, _IdGen
-
     def wrap(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_pylist()
-        texts = batch.column("text").to_pylist()
-        langs = batch.column("lang").to_pylist()
-        urls, htmls = [], []
-        for did, text in zip(ids, texts):
-            gen = _IdGen()
-            layout = {"pages": build_pages(gen, text),
-                      "fonts": [dict(f) for f in FONTS]}
-            urls.append(f"doc://{did}")
-            htmls.append(_dumps(layout))
-        return pa.table(
-            {
-                "url": pa.array(urls, pa.string()),
-                "warc_ts": pa.array([0] * len(urls), pa.timestamp("us")),
-                "html": pa.array(htmls, pa.binary()),
-                "lang": pa.array(langs, pa.string()),
-            }
-        )
+        return fixture_table(
+            batch.column("doc_id").to_pylist(),
+            batch.column("lang").to_pylist(),
+            [orjson.dumps(fixture_layout(build_pages(_IdGen(), text)))
+             for text in batch.column("text").to_pylist()])
 
     docs = read_table(sf_dir, "documents", columns=["doc_id", "text", "lang"])
     extracted = extract_dataset(
@@ -613,22 +546,6 @@ def _fixture_roundtrip(sf_dir: str, build_pages, opts: ExtractOptions | None = N
     )
 
     return extracted.map_batches(_project_url_text, batch_format="pyarrow")
-
-
-def _fx_identity_para(gen, text: str):
-    from pd3f_ray.sources.synth import BODY_FONT, MARGIN_L, _line, _paragraph
-
-    return _paragraph(gen, [_line(gen, text.split(" "), BODY_FONT, 90.0,
-                                  MARGIN_L)])
-
-
-def _fx_dummy(gen):
-    from pd3f_ray.sources.synth import (BODY_FONT, LINE_GAP, LINE_H, MARGIN_L,
-                                        _line, _paragraph)
-
-    d1 = _line(gen, ["..."], BODY_FONT, 500.0, MARGIN_L)
-    d2 = _line(gen, ["..."], BODY_FONT, 500.0 + LINE_H + LINE_GAP, MARGIN_L)
-    return _paragraph(gen, [d1, d2])
 
 
 def dehyphen_roundtrip(sf_dir: str):
@@ -649,8 +566,8 @@ def dehyphen_roundtrip(sf_dir: str):
                    BODY_FONT, 200.0, MARGIN_L)
         l2 = _line(gen, ["struction", "of", "the", "continuation", "value."],
                    BODY_FONT, 200.0 + LINE_H + LINE_GAP, MARGIN_L)
-        return [{"elements": [_fx_identity_para(gen, text),
-                              _paragraph(gen, [l1, l2]), _fx_dummy(gen)]}]
+        return [{"elements": [identity_paragraph(gen, text.split(" ")),
+                              _paragraph(gen, [l1, l2]), gap_dummy(gen)]}]
 
     return _fixture_roundtrip(sf_dir, pages)
 
@@ -683,8 +600,8 @@ def pagebreak_roundtrip(sf_dir: str):
         n1 = _line(gen, ["was", "a", "reconstruction", "of", "the", "value."],
                    BODY_FONT, 90.0, MARGIN_L)
         return [
-            {"elements": [_fx_identity_para(gen, text), _fx_dummy(gen),
-                          _paragraph(gen, [m1, m2])]},
+            {"elements": [identity_paragraph(gen, text.split(" ")),
+                          gap_dummy(gen), _paragraph(gen, [m1, m2])]},
             {"elements": [_paragraph(gen, [n1])]},
         ]
 
@@ -726,8 +643,8 @@ def footnotes_roundtrip(sf_dir: str):
                    700.0 + LINE_H + LINE_GAP, MARGIN_L)
         p2 = _paragraph(gen, [_line(gen, ["end."], BODY_FONT, 90.0, MARGIN_L)])
         return [
-            {"elements": [_fx_identity_para(gen, text), filler,
-                          _fx_dummy(gen), _paragraph(gen, [f1, f2])]},
+            {"elements": [identity_paragraph(gen, text.split(" ")), filler,
+                          gap_dummy(gen), _paragraph(gen, [f1, f2])]},
             {"elements": [p2]},
         ]
 
@@ -756,32 +673,15 @@ def deadletter_roundtrip(sf_dir: str):
     (url, text?, failed)."""
     import pyarrow as pa
 
-    def pages(gen, text):
-        return [{"elements": [_fx_identity_para(gen, text), _fx_dummy(gen)]}]
-
     def wrap(batch: pa.Table) -> pa.Table:
-        from pd3f_ray.sources.synth import FONTS, _IdGen
-
         ids = batch.column("doc_id").to_pylist()
         texts = batch.column("text").to_pylist()
-        langs = batch.column("lang").to_pylist()
-        urls, htmls = [], []
+        htmls = []
         for did, text in zip(ids, texts):
-            gen = _IdGen()
-            blob = _dumps({"pages": pages(gen, text),
-                              "fonts": [dict(f) for f in FONTS]})
-            if did % 7 == 0:
-                blob = blob[:25]  # mid-token truncation: unparseable
-            urls.append(f"doc://{did}")
-            htmls.append(blob)
-        return pa.table(
-            {
-                "url": pa.array(urls, pa.string()),
-                "warc_ts": pa.array([0] * len(urls), pa.timestamp("us")),
-                "html": pa.array(htmls, pa.binary()),
-                "lang": pa.array(langs, pa.string()),
-            }
-        )
+            blob = orjson.dumps(identity_layout(text))
+            # mid-token truncation: unparseable
+            htmls.append(blob[:25] if did % 7 == 0 else blob)
+        return fixture_table(ids, batch.column("lang").to_pylist(), htmls)
 
     docs = read_table(sf_dir, "documents", columns=["doc_id", "text", "lang"])
     extracted = extract_dataset(docs.map_batches(wrap, batch_format="pyarrow"))
@@ -827,8 +727,8 @@ def skipline_roundtrip(sf_dir: str):
                      200.0 + LINE_H + LINE_GAP, MARGIN_L)
         b = _line(gen, ["the", "value", "of", "the", "merge", "batch."],
                   BODY_FONT, 200.0 + 2 * (LINE_H + LINE_GAP), MARGIN_L)
-        return [{"elements": [_fx_identity_para(gen, text),
-                              _paragraph(gen, [a, junk, b]), _fx_dummy(gen)]}]
+        return [{"elements": [identity_paragraph(gen, text.split(" ")),
+                              _paragraph(gen, [a, junk, b]), gap_dummy(gen)]}]
 
     return _fixture_roundtrip(sf_dir, pages)
 

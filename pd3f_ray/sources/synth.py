@@ -354,24 +354,51 @@ def _doc_tables(doc_idx: int, rng: random.Random) -> list[str]:
     return tables
 
 
-def identity_layout(text: str) -> dict:
-    """Layout the extraction kernel is IDENTITY on for ``text``: one
-    page, one paragraph holding the whole token stream as a single line
-    (no join-cascade decisions, no dedup / page-number / header-footer
-    candidates), plus a punctuation-only two-line dummy paragraph that
-    the alnum gate drops but that gives DocStats its required line-gap
-    sample. Extracted output is exactly ``text + "\\n\\n"`` — the wrap
-    behind ``extract_roundtrip`` and ``parsr_ingest_roundtrip``'s
-    byte-per-url oracles."""
-    gen = _IdGen()
-    line = _line(gen, text.split(" "), BODY_FONT, 90.0, MARGIN_L)
-    para = _paragraph(gen, [line])
+def identity_paragraph(gen: _IdGen, words: list[str]) -> dict:
+    """One body paragraph holding ``words`` as a single line: a shape
+    the extraction kernel renders verbatim (no join-cascade decisions,
+    no dedup / page-number / header-footer candidates)."""
+    return _paragraph(gen, [_line(gen, words, BODY_FONT, 90.0, MARGIN_L)])
+
+
+def gap_dummy(gen: _IdGen) -> dict:
+    """A punctuation-only two-line paragraph: the alnum gate drops it,
+    but it gives DocStats its required line-gap sample."""
     d1 = _line(gen, ["..."], BODY_FONT, 500.0, MARGIN_L)
     d2 = _line(gen, ["..."], BODY_FONT, 500.0 + LINE_H + LINE_GAP, MARGIN_L)
-    return {
-        "pages": [{"elements": [para, _paragraph(gen, [d1, d2])]}],
-        "fonts": [dict(f) for f in FONTS],
-    }
+    return _paragraph(gen, [d1, d2])
+
+
+def fixture_layout(pages: list[dict]) -> dict:
+    return {"pages": pages, "fonts": [dict(f) for f in FONTS]}
+
+
+def identity_layout(text: str) -> dict:
+    """Layout the extraction kernel is IDENTITY on for ``text``: one
+    page holding ``text``'s ``identity_paragraph`` and the
+    ``gap_dummy``. Extracted output is exactly ``text + "\\n\\n"`` —
+    the wrap behind ``extract_roundtrip`` and
+    ``parsr_ingest_roundtrip``'s byte-per-url oracles."""
+    gen = _IdGen()
+    return fixture_layout([{"elements": [
+        identity_paragraph(gen, text.split(" ")), gap_dummy(gen)]}])
+
+
+def fixture_table(doc_ids: list, langs: list, blobs: list,
+                  page_idx: list | None = None) -> pa.Table:
+    """The rows a roundtrip fixture feeds the extraction stages: url
+    ``doc://<id>``, warc_ts 0 and ``lang`` per row, and ``blobs`` as the
+    document table's ``html`` or, with ``page_idx``, as the page table's
+    ``page_json``."""
+    cols = {"url": pa.array([f"doc://{d}" for d in doc_ids], pa.string()),
+            "warc_ts": pa.array([0] * len(doc_ids), pa.timestamp("us"))}
+    if page_idx is None:
+        cols["html"] = pa.array(blobs, pa.binary())
+    else:
+        cols["page_idx"] = pa.array(page_idx, pa.int32())
+        cols["page_json"] = pa.array(blobs, pa.binary())
+    cols["lang"] = pa.array(langs, pa.string())
+    return pa.table(cols)
 
 
 def build_layout(doc_idx: int, seed: int = 42, scenario: str | None = None) -> tuple[dict, str]:

@@ -12,10 +12,16 @@ horizontally scalable stage.
 
 from __future__ import annotations
 
+import orjson
 import pyarrow as pa
 
 from pd3f_ray.core.config import ExtractOptions
-from pd3f_ray.core.kernel import extract_record
+from pd3f_ray.core.kernel import (
+    DocumentKernel,
+    dead_letter,
+    extract_parsed,
+    extract_record,
+)
 from pd3f_ray.core.scorer import get_scorer
 
 # output schema of the extraction stage — large_string for text so very
@@ -42,18 +48,69 @@ EXTRACT_SCHEMA = pa.schema(
 TABLE_SEP = "\x1d"
 
 
+def null_input(column: str) -> ValueError:
+    """The dead-letter cause of a document whose ``column`` is null."""
+    return ValueError(f"null {column}")
+
+
 def lang_options(base: ExtractOptions, langs) -> dict:
-    """``base`` for each distinct language in ``langs``: built once per
-    batch instead of one ``dataclasses.replace`` per document."""
-    return {lang: base if base.lang == lang else base.with_(lang=lang)
-            for lang in set(langs)}
+    """Each distinct non-null language in ``langs`` → its ``(options,
+    scorer)``: built once per batch instead of per document. A scorer
+    backend that cannot be built raises here and fails the task: that is
+    a configuration fault, not a poison row."""
+    return {lang: (base if base.lang == lang else base.with_(lang=lang),
+                   get_scorer(lang))
+            for lang in set(langs) if lang is not None}
+
+
+def extract_rows(keys: pa.Table, docs, payload_bytes,
+                 opts: ExtractOptions, markdown: bool = False) -> pa.Table:
+    """The kernel over one batch's documents → its ``EXTRACT_SCHEMA``
+    table. ``keys`` holds each document's ``url``, ``warc_ts`` and
+    ``lang``; ``docs`` (iterated once, so a caller can assemble layouts
+    one at a time) its serialized layout, its assembled layout dict, or
+    the exception that stopped its assembly; ``payload_bytes`` its input
+    size. An exception or a null ``lang`` makes the document a dead
+    letter."""
+    langs = keys.column("lang").to_pylist()
+    kernel_of = lang_options(opts, langs)
+    recs = []
+    for doc, lang in zip(docs, langs):
+        if lang is None and not isinstance(doc, Exception):
+            doc = null_input("lang")
+        if isinstance(doc, Exception):
+            rec = dead_letter(doc)
+        elif isinstance(doc, dict):
+            rec = extract_parsed(doc, *kernel_of[lang], markdown=markdown)
+        else:
+            rec = extract_record(doc, *kernel_of[lang], markdown=markdown)
+        recs.append(rec)
+    texts = [r["text"] for r in recs]
+    tables = [r["tables"] for r in recs]
+    return pa.table(
+        {
+            "url": keys.column("url"),
+            "warc_ts": keys.column("warc_ts"),
+            "lang": keys.column("lang"),
+            "text": texts,
+            "n_pages": [r["n_pages"] for r in recs],
+            "n_elements": [r["n_elements"] for r in recs],
+            "n_chars": [0 if t is None else len(t) for t in texts],
+            "payload_bytes": payload_bytes,
+            "tables_csv": [TABLE_SEP.join(t) for t in tables],
+            "n_tables": [len(t) for t in tables],
+            "error": [r["error"] for r in recs],
+        },
+        schema=EXTRACT_SCHEMA,
+    )
 
 
 class ExtractDocs:
     """Per-batch callable for ``ds.map_batches(ExtractDocs(opts),
     batch_format="pyarrow", batch_size=None)``: a task stage that fuses
     with the read or map before it. Scorers come from the per-process
-    ``get_scorer`` cache, built on first use per language."""
+    ``get_scorer`` cache, built on first use per language. A null
+    ``html`` is a dead letter with ``payload_bytes`` 0."""
 
     def __init__(self, opts: ExtractOptions | None = None,
                  markdown: bool = False):
@@ -61,52 +118,11 @@ class ExtractDocs:
         self.markdown = markdown
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        urls = batch.column("url")
-        tss = batch.column("warc_ts")
-        htmls = batch.column("html")
-        langs = batch.column("lang")
-
-        texts: list[str | None] = []
-        errors: list[str | None] = []
-        n_pages: list[int] = []
-        n_elements: list[int] = []
-        n_chars: list[int] = []
-        payload: list[int] = []
-        tables_csv: list[str] = []
-        n_tables: list[int] = []
-
-        lang_list = langs.to_pylist()
-        opts_of = lang_options(self.opts, lang_list)
-        for i, lang in enumerate(lang_list):
-            html = htmls[i].as_py()
-            rec = extract_record(html, opts_of[lang], scorer=get_scorer(lang),
-                                 markdown=self.markdown)
-            texts.append(rec["text"])
-            errors.append(rec["error"])
-            n_pages.append(rec["n_pages"])
-            n_elements.append(rec["n_elements"])
-            n_chars.append(len(rec["text"]) if rec["text"] is not None else 0)
-            payload.append(len(html))
-            tbls = rec.get("tables") or []
-            tables_csv.append(TABLE_SEP.join(tbls))
-            n_tables.append(len(tbls))
-
-        return pa.table(
-            {
-                "url": urls,
-                "warc_ts": tss,
-                "lang": langs,
-                "text": pa.array(texts, pa.large_string()),
-                "n_pages": pa.array(n_pages, pa.int32()),
-                "n_elements": pa.array(n_elements, pa.int32()),
-                "n_chars": pa.array(n_chars, pa.int64()),
-                "payload_bytes": pa.array(payload, pa.int64()),
-                "tables_csv": pa.array(tables_csv, pa.large_string()),
-                "n_tables": pa.array(n_tables, pa.int32()),
-                "error": pa.array(errors, pa.string()),
-            },
-            schema=EXTRACT_SCHEMA,
-        )
+        htmls = batch.column("html").to_pylist()
+        return extract_rows(
+            batch, [null_input("html") if h is None else h for h in htmls],
+            [0 if h is None else len(h) for h in htmls],
+            self.opts, self.markdown)
 
 
 # output schema of the element-level stage: one row per output element,
@@ -129,56 +145,32 @@ ELEMENTS_SCHEMA = pa.schema(
 class ExtractElements:
     """Element-level extraction: explodes each document into its output
     elements (flat_map shape: one input row → N output rows). Same
-    dead-letter contract as ExtractDocs — a failed document yields one
-    row with the error set."""
+    dead-letter rule as ExtractDocs: a failed document, or one with a
+    null ``html`` or ``lang``, yields one row with the error set."""
 
     def __init__(self, opts: ExtractOptions | None = None):
         self.opts = opts or ExtractOptions.experimental()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from pd3f_ray.core.kernel import DocumentKernel, _json_loads
-
-        urls = batch.column("url").to_pylist()
-        htmls = batch.column("html").to_pylist()
         langs = batch.column("lang").to_pylist()
-
-        cols = {k: [] for k in ("url", "section", "kind", "elem_idx",
-                                "idx_page", "text", "error")}
-
-        def emit(url, section, kind, idx, page, text, err=None):
-            cols["url"].append(url)
-            cols["section"].append(section)
-            cols["kind"].append(kind)
-            cols["elem_idx"].append(idx)
-            cols["idx_page"].append(page)
-            cols["text"].append(text)
-            cols["error"].append(err)
-
-        opts_of = lang_options(self.opts, langs)
-        for url, html, lang in zip(urls, htmls, langs):
+        kernel_of = lang_options(self.opts, langs)
+        rows = []
+        for url, html, lang in zip(batch.column("url").to_pylist(),
+                                   batch.column("html").to_pylist(), langs):
             try:
-                kern = DocumentKernel(_json_loads(html), opts_of[lang],
-                                      get_scorer(lang))
-                for section, elems in (("header", kern.header),
-                                       ("body", kern.body),
-                                       ("footer", kern.footer)):
-                    for i, e in enumerate(elems):
-                        emit(url, section, e.kind, i,
-                             -1 if e.idx_page is None else e.idx_page,
-                             e.render(), None)
+                if html is None or lang is None:
+                    raise null_input("html" if html is None else "lang")
+                kern = DocumentKernel(orjson.loads(html), *kernel_of[lang])
+                rows += [(url, section, e.kind, i,
+                          -1 if e.idx_page is None else e.idx_page,
+                          e.render(), None)
+                         for section, elems in (("header", kern.header),
+                                                ("body", kern.body),
+                                                ("footer", kern.footer))
+                         for i, e in enumerate(elems)]
             except Exception as exc:  # noqa: BLE001 — dead-letter semantics
-                emit(url, "error", "error", 0, -1, None,
-                     f"{type(exc).__name__}: {exc}")
-
-        return pa.table(
-            {
-                "url": pa.array(cols["url"], pa.string()),
-                "section": pa.array(cols["section"], pa.string()),
-                "kind": pa.array(cols["kind"], pa.string()),
-                "elem_idx": pa.array(cols["elem_idx"], pa.int32()),
-                "idx_page": pa.array(cols["idx_page"], pa.int32()),
-                "text": pa.array(cols["text"], pa.large_string()),
-                "error": pa.array(cols["error"], pa.string()),
-            },
-            schema=ELEMENTS_SCHEMA,
-        )
+                rows.append((url, "error", "error", 0, -1, None,
+                             dead_letter(exc)["error"]))
+        cols = zip(*rows) if rows else [[]] * len(ELEMENTS_SCHEMA)
+        return pa.table(dict(zip(ELEMENTS_SCHEMA.names, cols)),
+                        schema=ELEMENTS_SCHEMA)

@@ -21,35 +21,18 @@ the reference's array position (README.md:115-119), restored by the sort.
 
 from __future__ import annotations
 
-import json
 import zlib
 from functools import partial
 
 import numpy as np
+import orjson
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from pd3f_ray.core.arrowkit import run_offsets
 from pd3f_ray.core.config import ExtractOptions
-from pd3f_ray.core.kernel import dead_letter, extract_parsed
-from pd3f_ray.core.scorer import get_scorer
 from pd3f_ray.stages.exchange import bucket_exchange
-from pd3f_ray.stages.extract import EXTRACT_SCHEMA, TABLE_SEP, lang_options
-
-try:
-    import orjson as _fastjson
-
-    def _loads(b):
-        return _fastjson.loads(b)
-
-    def _dumps(obj) -> bytes:
-        return _fastjson.dumps(obj)
-except ImportError:  # pragma: no cover
-    def _loads(b):
-        return json.loads(b.decode() if isinstance(b, bytes) else b)
-
-    def _dumps(obj) -> bytes:
-        return json.dumps(obj, ensure_ascii=False).encode()
+from pd3f_ray.stages.extract import extract_rows, null_input
 
 DEFAULT_NUM_BUCKETS = 512
 # page blobs cross the fused exchange as LZ4 frames (``extract_pages_fused``);
@@ -87,9 +70,9 @@ def _layouts(blobs: list, starts, ends, raw_lens=None):
     dict holds its pages' ``page`` entries in ``page_idx`` order, the
     first page's ``fonts`` and the first non-empty ``tables``. With
     ``raw_lens`` the blobs are LZ4 frames of those sizes. A document one
-    of whose pages fails to decompress or parse is its exception instead
-    (a dead letter, not a failed task), and ``blob`` is that page's
-    stored blob (``None`` for a document that assembled)."""
+    of whose pages is null or fails to decompress or parse is its
+    exception instead (a dead letter, not a failed task), and ``blob`` is
+    that page's stored blob (``None`` for a document that assembled)."""
     codec = None if raw_lens is None else pa.Codec(PAGE_CODEC)
     for d in range(len(starts)):
         blob = None
@@ -99,8 +82,11 @@ def _layouts(blobs: list, starts, ends, raw_lens=None):
             tables = None
             for j in range(starts[d], ends[d]):
                 blob = blobs[j]
-                payload = _loads(blob if codec is None else codec.decompress(
-                    blob, decompressed_size=raw_lens[j], asbytes=True))
+                if blob is None:
+                    raise null_input("page_json")
+                payload = orjson.loads(
+                    blob if codec is None else codec.decompress(
+                        blob, decompressed_size=raw_lens[j], asbytes=True))
                 pages.append(payload["page"])
                 if fonts is None:
                     fonts = payload.get("fonts", [])
@@ -115,17 +101,18 @@ def _layouts(blobs: list, starts, ends, raw_lens=None):
         yield doc, blob
 
 
-def _layout_html(doc, bad) -> bytes:
+def _layout_html(doc, bad) -> bytes | None:
     """One url's ``html`` in the staged plan: its layout re-serialized,
-    or bytes that ``ExtractDocs`` dead-letters. A page that did not
-    assemble is carried as is (it fails to parse again, with the fused
-    plan's error). A layout the serializer refuses (nested past its
-    depth limit) becomes its error as plain text, which does not parse
-    as JSON: one ``JSONDecodeError`` dead letter, not a failed job."""
-    if bad is not None:
+    or what ``ExtractDocs`` dead-letters. A page that did not assemble is
+    carried as is (it fails to parse again, with the fused plan's error;
+    a null page is a null ``html``). A layout the serializer refuses
+    (nested past its depth limit) becomes its error as plain text, which
+    does not parse as JSON: one ``JSONDecodeError`` dead letter, not a
+    failed job."""
+    if isinstance(doc, Exception):
         return bad
     try:
-        return _dumps(doc)
+        return orjson.dumps(doc)
     except (TypeError, ValueError, RecursionError) as exc:
         msg = f"layout does not serialize: {type(exc).__name__}: {exc}"
         return msg.encode()
@@ -167,7 +154,8 @@ def assemble_pages_dataset(ds, num_buckets: int = DEFAULT_NUM_BUCKETS):
 
 def add_bucket_compress(batch: pa.Table, num_buckets: int) -> pa.Table:
     """Map side of ``extract_pages_fused``: each page row's url bucket,
-    its ``page_json`` as an LZ4 frame and the raw size."""
+    its ``page_json`` as an LZ4 frame and the raw size (a null page
+    stays null, with size 0)."""
     urls = batch.column("url").to_pylist()
     buckets = pa.array([url_bucket(u, num_buckets) for u in urls], pa.int32())
     blobs = batch.column("page_json").to_pylist()
@@ -179,9 +167,11 @@ def add_bucket_compress(batch: pa.Table, num_buckets: int) -> pa.Table:
             "page_idx": batch.column("page_idx"),
             "lang": batch.column("lang"),
             "page_lz4": pa.array(
-                [codec.compress(b, asbytes=True) for b in blobs],
+                [None if b is None else codec.compress(b, asbytes=True)
+                 for b in blobs],
                 pa.binary()),
-            "page_raw_len": pa.array([len(b) for b in blobs], pa.int64()),
+            "page_raw_len": pa.array([0 if b is None else len(b)
+                                      for b in blobs], pa.int64()),
             "bucket": buckets,
         }
     )
@@ -190,47 +180,14 @@ def add_bucket_compress(batch: pa.Table, num_buckets: int) -> pa.Table:
 def assemble_extract(group: pa.Table, opts: ExtractOptions) -> pa.Table:
     """Reduce side of ``extract_pages_fused``: one partition's pages →
     one extracted row per url, the kernel run on the assembled layout
-    dict. A url with a page that does not decompress or parse is one
-    dead-letter row (``text`` None, the exception in ``error``)."""
+    dict. A url with a page that is null or does not decompress or parse
+    is one dead-letter row (``text`` None, the exception in ``error``)."""
     g, blobs, starts, ends, first = _sorted_docs(group, "page_lz4")
-    langs = first.column("lang").to_pylist()
     raw_lens = g.column("page_raw_len").to_numpy(zero_copy_only=False)
     # per-doc uncompressed payload size: one vectorized segment sum
-    payloads = (np.add.reduceat(raw_lens, starts).astype(np.int64)
-                if len(starts) else np.empty(0, np.int64))
+    payloads = np.add.reduceat(raw_lens, starts) if len(starts) else []
     docs = _layouts(blobs, starts, ends, raw_lens.tolist())
-    opts_of = lang_options(opts, langs)
-
-    out = {k: [] for k in ("text", "n_pages", "n_elements", "n_chars",
-                           "tables_csv", "n_tables", "error")}
-    for (doc, _), lang in zip(docs, langs):
-        rec = (dead_letter(doc) if isinstance(doc, Exception) else
-               extract_parsed(doc, opts_of[lang], scorer=get_scorer(lang)))
-        out["text"].append(rec["text"])
-        out["n_pages"].append(rec["n_pages"])
-        out["n_elements"].append(rec["n_elements"])
-        out["n_chars"].append(len(rec["text"]) if rec["text"] is not None
-                              else 0)
-        tbls = rec.get("tables") or []
-        out["tables_csv"].append(TABLE_SEP.join(tbls))
-        out["n_tables"].append(len(tbls))
-        out["error"].append(rec["error"])
-    return pa.table(
-        {
-            "url": first.column("url"),
-            "warc_ts": first.column("warc_ts").cast(pa.timestamp("us")),
-            "lang": pa.array(langs, pa.string()),
-            "text": pa.array(out["text"], pa.large_string()),
-            "n_pages": pa.array(out["n_pages"], pa.int32()),
-            "n_elements": pa.array(out["n_elements"], pa.int32()),
-            "n_chars": pa.array(out["n_chars"], pa.int64()),
-            "payload_bytes": pa.array(payloads, pa.int64()),
-            "tables_csv": pa.array(out["tables_csv"], pa.large_string()),
-            "n_tables": pa.array(out["n_tables"], pa.int32()),
-            "error": pa.array(out["error"], pa.string()),
-        },
-        schema=EXTRACT_SCHEMA,
-    )
+    return extract_rows(first, (doc for doc, _ in docs), payloads, opts)
 
 
 def extract_pages_fused(ds, opts=None, num_buckets: int = DEFAULT_NUM_BUCKETS):

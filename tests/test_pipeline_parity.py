@@ -397,3 +397,133 @@ def test_page_plan_functions_pickle_by_value():
     finally:
         if not registered:
             cloudpickle.unregister_pickle_by_value(pages)
+
+
+def test_doc_and_page_plans_agree_on_every_column():
+    """The doc plan's stage (``ExtractDocs``) and the fused page plan's
+    two halves (``add_bucket_compress``, then ``assemble_extract``), in
+    process over the same 120 documents, give equal rows per url on
+    every ``EXTRACT_SCHEMA`` column but ``payload_bytes``: the doc plan
+    counts the serialized document, the page plan its raw pages."""
+    from pd3f_ray.sources.synth import generate_corpus
+    from pd3f_ray.stages.extract import EXTRACT_SCHEMA, ExtractDocs
+    from pd3f_ray.stages.pages import (
+        DEFAULT_NUM_BUCKETS,
+        add_bucket_compress,
+        assemble_extract,
+    )
+
+    docs = ExtractDocs()(generate_corpus(120, 42))
+    pages = assemble_extract(
+        add_bucket_compress(generate_pages_exploded(120, 42),
+                            DEFAULT_NUM_BUCKETS),
+        ExtractOptions.experimental())
+    assert docs.schema == pages.schema == EXTRACT_SCHEMA
+    cols = [c for c in EXTRACT_SCHEMA.names if c != "payload_bytes"]
+
+    def by_url(t):
+        return {r["url"]: r for r in t.select(cols).to_pylist()}
+
+    got = by_url(docs)
+    assert len(got) == 120
+    assert got == by_url(pages)
+    # the columns compared are not trivially empty
+    assert any(r["error"] for r in got.values())
+    assert any(r["n_tables"] for r in got.values())
+
+
+def _null_rows(table, col, urls, page_idx=None):
+    """``table`` with ``col`` set null on the rows of ``urls`` (with
+    ``page_idx``, only on that page of each)."""
+    import pyarrow as pa
+
+    idxs = (table.column("page_idx").to_pylist() if page_idx is not None
+            else [None] * table.num_rows)
+    vals = [None if u in urls and i == page_idx else v
+            for u, i, v in zip(table.column("url").to_pylist(), idxs,
+                               table.column(col).to_pylist())]
+    return table.set_column(table.schema.get_field_index(col), col,
+                            pa.array(vals, table.schema.field(col).type))
+
+
+def _write(table, path):
+    import pyarrow.parquet as pq
+
+    pq.write_table(table, path)
+    return str(path)
+
+
+def test_null_inputs_dead_letter(ray_session, tmp_path):
+    """A null ``html`` or ``lang`` in a doc table, and a null ``page_json``
+    (one page of a url) or ``lang`` in a page table, make their url
+    exactly one dead-letter row naming the null column, through
+    ``extract_dataset``, ``extract_elements_from_parquet`` and
+    ``extract_from_pages_parquet``. Every other url matches
+    ``extract_record``."""
+    import ray.data as rd
+
+    from pd3f_ray.pipelines.extraction import (
+        extract_dataset,
+        extract_elements_from_parquet,
+        extract_from_pages_parquet,
+    )
+    from pd3f_ray.sources.synth import generate_corpus
+
+    n = 30
+    want = _oracle_texts(n)
+    assert any(err for _, err in want.values())
+    url = [doc_url(i) for i in range(n)]
+    docs = _null_rows(_null_rows(generate_corpus(n, 42), "html", {url[1]}),
+                      "lang", {url[2]})
+    pages = _null_rows(generate_pages_exploded(n, 42), "page_json",
+                       {url[1]}, page_idx=0)
+    pages = _null_rows(pages, "lang", {url[2]})
+    dead = {url[1]: "ValueError: null html", url[2]: "ValueError: null lang"}
+
+    def check(rows, dead):
+        got = {}
+        for r in rows:
+            got.setdefault(r["url"], []).append(r)
+        assert set(got) == set(want)
+        for u, error in dead.items():
+            (r,) = got[u]
+            assert (r["text"], r["n_pages"], r["n_elements"], r["n_chars"],
+                    r["error"]) == (None, 0, 0, 0, error), r
+        for u, (text, error) in want.items():
+            if u not in dead:
+                (r,) = got[u]
+                assert (r["text"], r["error"]) == (text, error), u
+        return got
+
+    got = check(extract_dataset(rd.from_arrow(docs)).take_all(), dead)
+    assert got[url[1]][0]["payload_bytes"] == 0
+    check(extract_from_pages_parquet(
+        _write(pages, tmp_path / "pages.parquet")).take_all(),
+        {**dead, url[1]: "ValueError: null page_json"})
+
+    elems = {}
+    for r in extract_elements_from_parquet(
+            _write(docs, tmp_path / "docs.parquet")).take_all():
+        elems.setdefault(r["url"], []).append(r)
+    assert set(elems) == set(want)
+    for u, (_, error) in want.items():
+        errors = [r["error"] for r in elems[u] if r["error"] is not None]
+        if u in dead or error is not None:
+            assert [r["error"] for r in elems[u]] == [dead.get(u, error)], u
+        else:
+            assert not errors and elems[u], u
+
+
+def test_unbuildable_scorer_fails_the_task(monkeypatch):
+    """A scorer backend that cannot be built is a configuration fault:
+    both doc-row stages raise instead of dead-lettering every row."""
+    from pd3f_ray.core import scorer
+    from pd3f_ray.sources.synth import generate_corpus
+    from pd3f_ray.stages.extract import ExtractDocs, ExtractElements
+
+    monkeypatch.setenv("PD3F_RAY_SCORER", "flair")
+    monkeypatch.setattr(scorer, "_SCORERS", {})
+    batch = generate_corpus(3, 42)
+    for stage in (ExtractDocs(), ExtractElements()):
+        with pytest.raises(NotImplementedError):
+            stage(batch)
