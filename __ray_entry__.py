@@ -515,8 +515,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # embedding generation (batched-inference stage shape; rows-only)
         "embed_docs": embed.embed_docs_flat,
         "approx_distinct_users": sketches.approx_distinct_users,  # rows-only
-        # HLL as a composable AggregateFn (same estimate, one exchange
-        # with a Count) — rows-only
+        # the same HLL registers with each type's event count, in one
+        # fold (same estimate) — rows-only
         "approx_distinct_users_agg": sketches.approx_distinct_users_agg,
         # mergeable streaming-histogram quantile sketch — rows-only
         "approx_event_quantiles": sketches.approx_event_quantiles,
@@ -541,19 +541,31 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "pack_sequences": webcurate.pack_sequences,  # greedy → rows-only
     }
     # head-of-line rotation (see the ORDER MATTERS note above): the lead
-    # is the plans the last change touched most — every plan whose rows
-    # come out of the one per-document extraction step — then the
-    # previous rotations in their order. Everything else follows in its
-    # round-4 order.
+    # is the plans the last change touched most — every plan whose
+    # one-task finish became an exchange.fold or exchange.top_k — then
+    # the previous rotations in their order. Everything else follows in
+    # its round-4 order.
     prefix = [
-        # -- one per-document extraction path: every plan whose rows come
-        #    from ExtractDocs, ExtractElements or assemble_extract --
+        # -- one-task finish: Ray's sort/limit, unique, AggregateFn and
+        #    hand-written repartition(1) finishes became fold / top_k --
+        "top_orders", "q3_shipping_priority", "top_tokens", "top_bigrams",
+        "weighted_sample", "bigram_pmi", "approx_distinct_users",
+        "approx_distinct_users_agg", "bloom_membership", "user_favorite_event",
+        "q6_forecast_revenue", "table_checksum", "kmeans_train",
+        "cms_user_counts", "crawl_budget_allocation",
+        #    ... and the per-run rank helper's two per-language top-k
+        #    plans and per-user ranks --
+        "top_tokens_per_lang", "weighted_sample_per_lang",
+        "top_events_per_user",
+        # -- the rotation before it. One per-document extraction path:
+        #    every plan whose rows come from ExtractDocs, ExtractElements
+        #    or assemble_extract --
         "extract_docs", "extract_fast", "extract_summary", "extract_pages",
         "pages_roundtrip", "pages_staged_roundtrip", "extract_elements",
         "extract_markdown", "extract_roundtrip", "headers_roundtrip",
         "deadletter_roundtrip", "dehyphen_roundtrip", "pagebreak_roundtrip",
         "footnotes_roundtrip", "skipline_roundtrip", "parsr_ingest_roundtrip",
-        # -- the previous rotation. One grouping path: plans whose Ray
+        # -- the rotation before that. One grouping path: plans whose Ray
         #    groupby().map_groups became a bucket_exchange (a
         #    plan-computed bucket) --
         "curate_docs", "snapshot_diff", "training_prep_pipeline",
@@ -562,10 +574,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "crawl_consolidation_pipeline", "line_dedup_docs",
         "web_corpus_pipeline",
         #    ... or a group_map (one group per reducer call) --
-        "approx_distinct_users", "approx_event_quantiles", "jaccard_pairs",
-        "ngram_jaccard_pairs", "embdup_lsh", "fuzzy_name_pairs",
-        "name_entity_clusters", "interval_join_events", "top_tokens_per_lang",
-        "weighted_sample_per_lang", "event_value_quantiles", "event_value_mad",
+        "approx_event_quantiles", "jaccard_pairs", "ngram_jaccard_pairs",
+        "embdup_lsh", "fuzzy_name_pairs", "name_entity_clusters",
+        "interval_join_events", "event_value_quantiles", "event_value_mad",
         "source_lang_matrix", "doc_length_rank", "doc_length_ntile",
         "knn_bruteforce", "knn_lsh", "knn_ivf", "domain_stats",
         "pack_sequences", "shuffle_assignment", "source_cap_sample",
@@ -584,17 +595,13 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "distinct_users", "props_k_stats", "profile_lineitem",
         "balanced_mixture", "dedup_prefix", "dedup_keep_best", "media_dedup",
         "url_dedup_latest", "referential_integrity", "dedup_clusters",
-        "top_tokens", "top_bigrams", "bigram_pmi", "event_value_histogram",
-        "user_favorite_event", "events_sliding", "sliding_unique_users",
-        "hourly_unique_users", "cms_user_counts", "partition_manifest",
-        "crawl_budget_allocation", "q3_shipping_priority", "curate_neardup",
+        "event_value_histogram", "events_sliding", "sliding_unique_users",
+        "hourly_unique_users", "partition_manifest", "curate_neardup",
         "purchase_attribution", "user_running_total", "late_events",
-        "event_gaps", "next_event_label", "top_events_per_user",
-        "html_roundtrip", "html_links", "pii_roundtrip", "embed_docs",
-        "media_features", "gopher_quality", "nfc_normalize_docs",
-        "strip_control_chars", "table_checksum", "bm25_scores", "chunk_docs",
-        "tokenize_docs", "approx_distinct_users_agg", "bloom_membership",
-        "kmeans_assign", "kmeans_train", "compression_quality",
+        "event_gaps", "next_event_label", "html_roundtrip", "html_links",
+        "pii_roundtrip", "embed_docs", "media_features", "gopher_quality",
+        "nfc_normalize_docs", "strip_control_chars", "bm25_scores",
+        "chunk_docs", "tokenize_docs", "kmeans_assign", "compression_quality",
     ]
     missing = [k for k in prefix if k not in reg]
     assert not missing, f"rotation prefix names unknown ops: {missing}"

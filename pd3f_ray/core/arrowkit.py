@@ -41,3 +41,15 @@ def run_offsets(t: pa.Table, keys: list[str]):
     starts = np.concatenate([[0], bounds]).astype(np.int64)
     ends = np.concatenate([bounds, [n]]).astype(np.int64)
     return starts, ends
+
+
+def run_rank(sort_keys) -> tuple[np.ndarray, np.ndarray]:
+    """``np.lexsort(sort_keys)``, and each sorted row's 0-based rank in
+    its run of equal ``sort_keys[-1]`` (the primary key): the per-run
+    top-k is ``order[rank < k]``."""
+    order = np.lexsort(sort_keys)
+    run = sort_keys[-1][order]
+    starts = np.flatnonzero(np.r_[True, run[1:] != run[:-1]])
+    counts = np.diff(np.r_[starts, len(run)])
+    rank = np.arange(len(run), dtype=np.int64) - np.repeat(starts, counts)
+    return order, rank

@@ -27,7 +27,7 @@ import pyarrow as pa
 
 from pd3f_ray.core.cluster import read_table
 from pd3f_ray.functions.textfns import md5_hex
-from pd3f_ray.stages.exchange import bucket_exchange, hash_agg
+from pd3f_ray.stages.exchange import bucket_exchange, fold, hash_agg
 
 MIN_TOKENS = 20
 MIN_DISTINCT_RATIO = 0.3
@@ -368,10 +368,10 @@ def table_checksum(sf_dir: str):
     agree, no row ordering or partitioning assumptions. Per-row key =
     the first 60 bits of md5(text); the fold is XOR, which is
     commutative + associative, so each block reduces to ONE (xor, n)
-    row map-side and the combine is a single probe-free
-    ``repartition(1)`` over blocks×1 rows — no exchange of data rows
-    at all. Output one row (n_rows, checksum); oracle = DuckDB's
-    ``bit_xor`` over the same md5-derived key."""
+    row map-side and one task combines the blocks×1 rows
+    (``exchange.fold``) — no exchange of data rows at all. Output one
+    row (n_rows, checksum); oracle = DuckDB's ``bit_xor`` over the same
+    md5-derived key."""
     from pd3f_ray.functions.textfns import md5_hex
 
     docs = read_table(sf_dir, "documents", columns=["text"])
@@ -398,11 +398,7 @@ def table_checksum(sf_dir: str):
             "checksum": pa.array([x], pa.int64()),
         })
 
-    return (
-        docs.map_batches(block_fold, batch_format="pyarrow")
-        .repartition(1)
-        .map_batches(combine, batch_format="pyarrow", batch_size=None)
-    )
+    return fold(docs, block_fold, combine)
 
 
 TABLE_CHECKSUM_SQL = """

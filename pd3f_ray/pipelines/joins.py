@@ -63,7 +63,12 @@ import ray.data as rd
 
 from pd3f_ray.core.arrowkit import agg
 from pd3f_ray.core.cluster import read_table
-from pd3f_ray.stages.exchange import bucket_exchange, finish_agg, stable_bucket
+from pd3f_ray.stages.exchange import (
+    bucket_exchange,
+    finish_agg,
+    stable_bucket,
+    top_k,
+)
 
 JOIN_BUCKETS = 128
 MEMBERSHIP = ("left semi", "left anti")  # join kinds that emit left rows only
@@ -664,8 +669,8 @@ def q3_shipping_priority(sf_dir: str, num_buckets: int = JOIN_BUCKETS,
       map_batches BEFORE the orders hash join ships anything;
     - the orderkey join and the per-order totals share their key, so
       both run in ONE ``cogroup`` exchange;
-    - the final top-k uses per-block top-k partials after the orderkey
-      aggregate, so the global sort only ever sees ≤ blocks×k rows.
+    - the final ``top_k`` keeps k rows per block of the per-order
+      totals, so its one finishing task sorts ≤ blocks×k rows.
 
     Output (l_orderkey, o_orderdate, revenue_cents)."""
     import datetime as _dt
@@ -755,18 +760,6 @@ def q3_shipping_priority(sf_dir: str, num_buckets: int = JOIN_BUCKETS,
                               "date_us": pa.int64()})},
         num_buckets, order_totals)
 
-    k = Q3_TOPK
-
-    def block_topk(batch: pa.Table) -> pa.Table:
-        if batch.num_rows <= k:
-            return batch
-        order = pc.sort_indices(
-            batch,
-            sort_keys=[("revenue_cents", "descending"),
-                       ("l_orderkey", "ascending")],
-        )
-        return batch.take(order[:k])
-
     def finish(batch: pa.Table) -> pa.Table:
         return pa.table({
             "l_orderkey": batch.column("l_orderkey"),
@@ -775,12 +768,9 @@ def q3_shipping_priority(sf_dir: str, num_buckets: int = JOIN_BUCKETS,
             "revenue_cents": batch.column("revenue_cents"),
         })
 
-    return (
-        totals.map_batches(block_topk, batch_format="pyarrow")
-        .sort(["revenue_cents", "l_orderkey"], descending=[True, False])
-        .limit(k)
-        .map_batches(finish, batch_format="pyarrow")
-    )
+    return top_k(totals, [("revenue_cents", "descending"),
+                          ("l_orderkey", "ascending")],
+                 Q3_TOPK).map_batches(finish, batch_format="pyarrow")
 
 
 Q3_SHIPPING_SQL = f"""

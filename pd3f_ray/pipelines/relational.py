@@ -30,7 +30,13 @@ import ray.data as rd
 
 from pd3f_ray.core.arrowkit import agg
 from pd3f_ray.core.cluster import read_table
-from pd3f_ray.stages.exchange import finish_agg, group_map, hash_agg
+from pd3f_ray.stages.exchange import (
+    finish_agg,
+    fold,
+    group_map,
+    hash_agg,
+    top_k,
+)
 
 
 def _round_opts() -> pc.RoundOptions:
@@ -113,7 +119,7 @@ GROUP BY l_returnflag, l_linestatus
 
 
 # ---------------------------------------------------------------------------
-# global top-k (sort-limit)
+# global top-k
 # ---------------------------------------------------------------------------
 
 
@@ -129,11 +135,9 @@ def top_orders(sf_dir: str, k: int = 15):
             }
         )
 
-    return (
-        ds.map_batches(project, batch_format="pyarrow")
-        .sort(["total_cents", "o_orderkey"], descending=[True, False])
-        .limit(k)
-    )
+    return top_k(ds.map_batches(project, batch_format="pyarrow"),
+                 [("total_cents", "descending"), ("o_orderkey", "ascending")],
+                 k)
 
 
 TOP_ORDERS_SQL = """
@@ -632,33 +636,30 @@ _MODE_SHIFT = 8  # ≤ 2^8 distinct event types; count < 2^54
 
 def user_favorite_event(sf_dir: str):
     """Grouped MODE — each user's most frequent event type (ties break
-    to the lexicographically smallest type). Mode is not distributive,
-    but it decomposes into two ``hash_agg`` exchanges:
+    to the lexicographically smallest type, a null type last, as
+    DuckDB's ``ASC`` orders it). Mode is not distributive, but it
+    decomposes into two ``hash_agg`` exchanges:
 
-    1. a count per (user, type) — the standard count rollup;
+    1. a count per (user, type) — the standard count rollup, a null
+       type one type;
     2. the per-user argmax travels as ONE packed int64
        (``count << 8 | (255 - type_rank)``) so picking the winner is a
        plain ``max`` — no per-user group materialization. The
-       type→rank dictionary is built from a metadata-cheap distinct
-       pass and broadcast (event-type vocabularies are tiny by
-       construction; the dial is the shift width).
+       type→rank dictionary comes from a distinct over the types
+       (``finish_agg``, one task) and is broadcast (event-type
+       vocabularies are tiny by construction; the dial is the shift
+       width).
 
     Output (user_id, favorite_event, n_occurrences)."""
     ds = read_table(sf_dir, "events", columns=["user_id", "event_type"])
 
     counts = hash_agg(ds, ["user_id", "event_type"],
-                      {"n": ("event_type", "count")})
+                      {"n": ([], "count_all")})
 
     # tiny distinct-type table → sorted rank dict, broadcast once
-    types = sorted(
-        ds.map_batches(
-            lambda b: pa.table(
-                {"event_type": b.column("event_type").unique()}),
-            batch_format="pyarrow",
-        )
-        .unique("event_type")
-    )
-    types = [t["event_type"] if isinstance(t, dict) else t for t in types]
+    types = sorted((r["event_type"] for r in finish_agg(
+        ds, ["event_type"], {}).take(1 << _MODE_SHIFT)),
+        key=lambda t: (t is None, t or ""))
     rank = {t: i for i, t in enumerate(types)}
     if len(rank) >= (1 << _MODE_SHIFT):
         raise ValueError("event-type vocabulary exceeds the pack width; "
@@ -1131,11 +1132,7 @@ def q6_forecast_revenue(sf_dir: str):
                 [pc.sum(batch.column("n_items")).as_py() or 0], pa.int64()),
         })
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .repartition(1)
-        .map_batches(combine, batch_format="pyarrow", batch_size=None)
-    )
+    return fold(ds, partial, combine)
 
 
 Q6_FORECAST_SQL = f"""

@@ -19,7 +19,7 @@ import pyarrow as pa
 import ray
 
 from pd3f_ray.core.cluster import read_table
-from pd3f_ray.stages.exchange import group_map
+from pd3f_ray.stages.exchange import fold, group_map
 
 N_QUERIES = 10
 TOP_K = 5
@@ -412,10 +412,10 @@ def kmeans_train(sf_dir: str, n_clusters: int = IVF_CLUSTERS,
       ``ray.put``; each batch assigns its vectors (one matmul) and
       folds per-centroid partials (count + vector sum via a one-hot
       matmul) to ≤ k rows per block — the corpus never shuffles;
-    - the partial table (blocks × k rows of dim-length sums) is folded
-      behind a probe-free ``repartition(1)`` combine (same bound
-      discipline as extract_summary: blocks × k × dim doubles; at
-      extreme block counts fold per cluster-hash bucket first);
+    - the partial table (blocks × k rows of dim-length sums) is
+      combined in one task (``exchange.fold``; same bound discipline
+      as extract_summary: blocks × k × dim doubles; at extreme block
+      counts fold per cluster-hash bucket first);
     - new centroid = renormalized mean (cosine geometry, identical
       update rule to ``_ivf_centroids``); empty clusters keep their
       previous centroid. Seeds are the deterministic evenly spaced
@@ -479,13 +479,7 @@ def kmeans_train(sf_dir: str, n_clusters: int = IVF_CLUSTERS,
     folded = None
     for _ in range(iters):
         ref = _ray.put(centroids)
-        folded = (
-            _emb(sf_dir)
-            .map_batches(partial_table(ref), batch_format="pyarrow")
-            .repartition(1)
-            .map_batches(combine, batch_format="pyarrow", batch_size=None)
-            .materialize()
-        )
+        folded = fold(_emb(sf_dir), partial_table(ref), combine).materialize()
         blk = [t for t in _ray.get(folded.to_arrow_refs()) if t.num_rows]
         tbl = pa.concat_tables(blk)
         counts = tbl.column("n").to_numpy(zero_copy_only=False)

@@ -6,12 +6,12 @@ Two implementations of per-event-type distinct-user counting:
   (map-side), one hash-aggregate exchange on (event_type, user_id),
   then a tiny per-type count. The exchange carries distinct pairs only.
 - **approx_distinct_users** — HyperLogLog (Flajolet et al. 2007,
-  p=12 → 4096 registers, ~1.6% standard error): each batch reduces to
-  ONE 4 KB register row per event_type present, the only exchange
-  groups a handful of register rows per type, and registers merge by
-  elementwise max — the constant-size-sketch pattern that replaces the
-  exact plan when the distinct set itself is too big to shuffle.
-  Rows-only check; relative error pinned against the exact op in tests.
+  p=12 → 4096 registers, ~1.6% standard error): each block reduces to
+  ONE 4 KB register row per event_type present, and one task merges
+  them by elementwise max (``exchange.fold``) — the constant-size-sketch
+  pattern that replaces the exact plan when the distinct set itself is
+  too big to shuffle. Rows-only check; relative error pinned against
+  the exact op in tests.
 
 No reference counterpart (the reference is a single-document extractor);
 this is part of the engine's large-scale training-data toolkit.
@@ -24,9 +24,10 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
+from pd3f_ray.core.arrowkit import run_offsets
 from pd3f_ray.core.cluster import read_table
 from pd3f_ray.functions.textfns import mix64 as _mix64
-from pd3f_ray.stages.exchange import finish_agg, group_map, hash_agg
+from pd3f_ray.stages.exchange import finish_agg, fold, group_map, hash_agg
 
 HLL_P = 12  # 2^12 registers
 HLL_M = 1 << HLL_P
@@ -82,80 +83,59 @@ def _hll_estimate(regs: np.ndarray) -> int:
     return int(round(est))
 
 
+def _hll_partial(t: pa.Table) -> pa.Table:
+    """One block → one row per event type present (a null type is one
+    type): the type, its 4 KB HLL registers and its event count."""
+    codes = pc.dictionary_encode(t.column("event_type").combine_chunks(),
+                                 null_encoding="encode")
+    idx = codes.indices.to_numpy(zero_copy_only=False)
+    uid = t.column("user_id").to_numpy(zero_copy_only=False)
+    rows = [idx == i for i in range(len(codes.dictionary))]
+    return pa.table({
+        "event_type": codes.dictionary.cast(pa.string()),
+        "regs": pa.array([_hll_registers(uid[r]).tobytes() for r in rows],
+                         pa.binary()),
+        "n_events": pa.array([int(r.sum()) for r in rows], pa.int64()),
+    })
+
+
+def _hll_merge(t: pa.Table) -> pa.Table:
+    """The partials of every block → one row per event type: registers
+    merged by elementwise max, counts by sum, then the estimate. Types
+    ascending, a null type last."""
+    order = pc.sort_indices(t, sort_keys=[("event_type", "ascending")])
+    t = t.take(order)
+    starts, ends = run_offsets(t, ["event_type"])
+    regs = np.frombuffer(b"".join(t.column("regs").to_pylist()),
+                         np.uint8).reshape(-1, HLL_M)
+    n = t.column("n_events").to_numpy(zero_copy_only=False)
+    runs = list(zip(starts, ends))
+    return pa.table({
+        "event_type": t.column("event_type").take(pa.array(starts)),
+        "n_users_approx": pa.array(
+            [_hll_estimate(regs[s:e].max(axis=0)) for s, e in runs],
+            pa.int64()),
+        "n_events": pa.array([int(n[s:e].sum()) for s, e in runs],
+                             pa.int64()),
+    })
+
+
 def approx_distinct_users(sf_dir: str):
-    """HLL distinct user_id count per event_type. Each batch emits one
-    4 KB register row per event_type present; the exchange groups a few
-    register rows per type and merges by elementwise max. Output
-    (event_type, n_users_approx). Rows-only (sketch estimate)."""
-    ds = read_table(sf_dir, "events", ["event_type", "user_id"])
-
-    def batch_sketch(batch: pa.Table) -> pa.Table:
-        et = batch.column("event_type").to_numpy(zero_copy_only=False)
-        uid = batch.column("user_id").to_numpy(zero_copy_only=False)
-        types, out_regs = [], []
-        for t in pc.unique(batch.column("event_type")).to_pylist():
-            types.append(t)
-            out_regs.append(_hll_registers(uid[et == t]).tobytes())
-        return pa.table(
-            {
-                "event_type": pa.array(types, pa.string()),
-                "regs": pa.array(out_regs, pa.binary()),
-            }
-        )
-
-    def merge(group: pa.Table) -> pa.Table:
-        regs = np.maximum.reduce(
-            [np.frombuffer(b, dtype=np.uint8)
-             for b in group.column("regs").to_pylist()]
-        )
-        return pa.table({
-            "event_type": group.column("event_type").slice(0, 1),
-            "n_users_approx": pa.array([_hll_estimate(regs)], pa.int64()),
-        })
-
-    return group_map(ds.map_batches(batch_sketch, batch_format="pyarrow"),
-                     "event_type", merge)
-
-
-def hll_agg(on: str = "user_id", alias_name: str = "n_users_approx"):
-    """HyperLogLog as a first-class Ray Data ``AggregateFn``: the
-    accumulator is the 4096-byte register array, accumulation is
-    vectorized over each Arrow block, merge is elementwise max, finalize
-    is the bias-corrected estimate. Unlike ``approx_distinct_users``'s
-    ``group_map`` plan, this form COMPOSES with other aggregates in the
-    same ``groupby(...).aggregate(...)`` exchange — one shuffle yields
-    the sketch alongside counts/sums."""
-    from ray.data.aggregate import AggregateFn
-
-    def _acc_block(regs: np.ndarray, block) -> np.ndarray:
-        if hasattr(block, "column"):  # pyarrow.Table
-            uids = block.column(on).to_numpy(zero_copy_only=False)
-        else:  # pandas.DataFrame
-            uids = block[on].to_numpy()
-        return np.maximum(regs, _hll_registers(uids.astype(np.int64)))
-
-    return AggregateFn(
-        init=lambda k: np.zeros(HLL_M, dtype=np.uint8),
-        merge=lambda a, b: np.maximum(a, b),
-        accumulate_block=_acc_block,
-        finalize=lambda regs: int(_hll_estimate(regs)),
-        name=alias_name,
-    )
+    """HLL distinct user_id count per event_type: each block emits one
+    4 KB register row per event_type present, and one task merges them
+    by elementwise max. Output (event_type, n_users_approx). Rows-only
+    (sketch estimate)."""
+    return approx_distinct_users_agg(sf_dir).drop_columns(["n_events"])
 
 
 def approx_distinct_users_agg(sf_dir: str):
-    """``approx_distinct_users`` re-expressed through the ``hll_agg``
-    aggregate — same registers, hence the SAME estimate, but composed
-    with an event count in ONE groupby exchange. Output
-    (event_type, n_users_approx, n_events). Rows-only (sketch
-    estimate); tests pin estimate equality with the group_map form."""
-    from ray.data.aggregate import Count
-
+    """``approx_distinct_users`` with each type's event count next to
+    its estimate: the count rides the same register row and the same
+    one-task merge. Output (event_type, n_users_approx, n_events).
+    Rows-only (sketch estimate); tests pin estimate equality with
+    ``approx_distinct_users``."""
     ds = read_table(sf_dir, "events", ["event_type", "user_id"])
-    return ds.groupby("event_type").aggregate(
-        hll_agg("user_id", "n_users_approx"),
-        Count(alias_name="n_events"),
-    )
+    return fold(ds, _hll_partial, _hll_merge)
 
 
 # ---------------------------------------------------------------------------
@@ -292,30 +272,6 @@ def _bloom_test(bits: np.ndarray, h: np.ndarray) -> np.ndarray:
     return (probe != 0).all(axis=1)
 
 
-def bloom_agg(on: str = "key_hash", alias_name: str = "bloom"):
-    """Bloom filter as a composable Ray Data ``AggregateFn``: the
-    accumulator is the m/8-byte bitmap, accumulation sets k bits per
-    key vectorized over the block, merge is elementwise OR — the same
-    distributive-register shape as ``hll_agg``, so ONE exchange of
-    one bitmap row per block builds the corpus filter."""
-    from ray.data.aggregate import AggregateFn
-
-    def _acc_block(bits: np.ndarray, block) -> np.ndarray:
-        if hasattr(block, "column"):
-            h = block.column(on).to_numpy(zero_copy_only=False)
-        else:
-            h = block[on].to_numpy()
-        return _bloom_set(bits.copy(), h.astype(np.uint64))
-
-    return AggregateFn(
-        init=lambda k: np.zeros(BLOOM_M_BITS // 8, dtype=np.uint8),
-        merge=lambda a, b: np.bitwise_or(a, b),
-        accumulate_block=_acc_block,
-        finalize=lambda bits: bits.tobytes(),
-        name=alias_name,
-    )
-
-
 BLOOM_NEG_PROBES = 2000  # synthetic non-member probes
 
 
@@ -323,28 +279,32 @@ def bloom_membership(sf_dir: str):
     """Approximate set membership over the corpus — the streaming
     pre-filter a 100 TB incremental dedup runs before the exact
     digest join (a Bloom 'no' is definitive; only 'maybe' rows pay the
-    exchange). Build: every document's text digest is hashed into ONE
-    shared 128 KB bitmap via a global ``bloom_agg`` aggregate (one
-    bitmap row per block crosses the exchange). Probe: every 10th
-    document (true members) plus BLOOM_NEG_PROBES synthetic
-    non-members, tested map-side against the ``ray.put``-broadcast
-    filter. Output (probe_id, is_member_truth, maybe). Sketch op →
-    rows-only; the no-false-negative and FP-bound properties are
-    pinned by tests."""
+    exchange). Build: each block hashes its documents' text digests
+    into one 128 KB bitmap, and one task ORs the blocks' bitmaps
+    (``exchange.fold``). Probe: every 10th document (true members) plus
+    BLOOM_NEG_PROBES synthetic non-members, tested map-side against the
+    ``ray.put``-broadcast filter. Output (probe_id, is_member_truth,
+    maybe). Sketch op → rows-only; the no-false-negative and FP-bound
+    properties are pinned by tests."""
     import ray
 
     from pd3f_ray.functions.textfns import hash_bytes
 
     docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
 
-    def key_hashes(batch: pa.Table) -> pa.Table:
-        hs = [hash_bytes(t.encode()) for t in
-              batch.column("text").to_pylist()]
-        return pa.table({"key_hash": pa.array(
-            np.asarray(hs, np.uint64).view(np.int64), pa.int64())})
+    def block_bitmap(batch: pa.Table) -> pa.Table:
+        h = np.asarray([hash_bytes(t.encode()) for t in
+                        batch.column("text").to_pylist()], np.uint64)
+        bits = _bloom_set(np.zeros(BLOOM_M_BITS // 8, np.uint8), h)
+        return pa.table({"bloom": pa.array([bits.tobytes()], pa.binary())})
 
-    built = docs.map_batches(key_hashes, batch_format="pyarrow") \
-                .aggregate(bloom_agg("key_hash", "bloom"))
+    def union(t: pa.Table) -> pa.Table:
+        bits = np.bitwise_or.reduce(np.frombuffer(
+            b"".join(t.column("bloom").to_pylist()), np.uint8).reshape(
+                -1, BLOOM_M_BITS // 8), axis=0)
+        return pa.table({"bloom": pa.array([bits.tobytes()], pa.binary())})
+
+    (built,) = fold(docs, block_bitmap, union).take(1)
     bits_ref = ray.put(np.frombuffer(built["bloom"], dtype=np.uint8))
 
     def probe(batch: pa.Table) -> pa.Table:
@@ -491,8 +451,6 @@ def cms_user_counts(sf_dir: str, n_probes: int = CMS_PROBES):
     probes the ``n_probes`` smallest user_ids and returns estimate vs
     exact truth side by side. Output (user_id, true_n, est_n);
     rows-only (the sketch bound is pinned by property tests)."""
-    import ray
-
     ds = read_table(sf_dir, "events", ["user_id"])
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -510,18 +468,11 @@ def cms_user_counts(sf_dir: str, n_probes: int = CMS_PROBES):
     # two-level tree combine: at corpus scale the per-block sketch rows
     # number in the millions (64 KB each) — summing them on the driver
     # is an OOM. Level 1 sums within CMS_COMBINE_FANIN fixed partitions
-    # (workers), level 2 sums the ≤fan-in survivors in one task; only
-    # ONE 64 KB matrix ever reaches the driver.
-    merged = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .repartition(CMS_COMBINE_FANIN)
-        .map_batches(combine, batch_format="pyarrow", batch_size=None)
-        .repartition(1)
-        .map_batches(combine, batch_format="pyarrow", batch_size=None)
-    )
-    (raw,) = [r for b in ray.get(merged.to_arrow_refs())
-              for r in b.column("sketch").to_pylist()]
-    m = np.frombuffer(raw, np.int64).reshape(CMS_D, CMS_W)
+    # (workers), level 2 (``fold``) sums the ≤fan-in survivors in one
+    # task; only ONE 64 KB matrix ever reaches the driver.
+    (merged,) = fold(ds.map_batches(partial, batch_format="pyarrow")
+                     .repartition(CMS_COMBINE_FANIN), combine, combine).take(1)
+    m = np.frombuffer(merged["sketch"], np.int64).reshape(CMS_D, CMS_W)
 
     # exact truth for the probe set
     truth = hash_agg(ds, ["user_id"], {"true_n": ([], "count_all")})

@@ -13,13 +13,14 @@ import numpy as np
 import pyarrow as pa
 import ray.data as rd
 
+from pd3f_ray.core.arrowkit import run_rank
 from pd3f_ray.core.cluster import read_table
 from pd3f_ray.functions.textfns import (
     distinct_token_count,
     md5_hex,
     token_count,
 )
-from pd3f_ray.stages.exchange import finish_agg, group_map, hash_agg
+from pd3f_ray.stages.exchange import finish_agg, group_map, hash_agg, top_k
 
 # stopword markers per language for the heuristic language identifier;
 # chosen to be expressible in the SQL oracle (list_filter membership)
@@ -241,27 +242,10 @@ def top_tokens(sf_dir: str, k: int = TOP_TOKENS_K):
 
     totals = hash_agg(ds.map_batches(partial_counts, batch_format="pyarrow"),
                       ["token"], {"n": ("n", "sum")})
-
-    # Per-block top-k partials, then a tiny resolve: after ``hash_agg``
-    # each token lives in exactly one block, so any global
-    # top-k token is in its block's top-k — keeping k rows per block is
-    # EXACT, and the final sort runs over ≤ blocks×k rows instead of
-    # the whole distinct-token table (billions of rows at corpus
-    # scale). Tie order (n desc, token asc) is applied identically in
-    # both passes.
-    import pyarrow.compute as pc
-
-    def block_topk(batch: pa.Table) -> pa.Table:
-        if batch.num_rows <= k:
-            return batch
-        order = pc.sort_indices(
-            batch,
-            sort_keys=[("n", "descending"), ("token", "ascending")],
-        )
-        return batch.take(order[:k])
-
-    candidates = totals.map_batches(block_topk, batch_format="pyarrow")
-    return candidates.sort(["n", "token"], descending=[True, False]).limit(k)
+    # after ``hash_agg`` each token's total is in one block, so the
+    # top-k's per-block partials see whole totals: ≤ blocks×k rows meet
+    # in the one finishing task, never the distinct-token table
+    return top_k(totals, [("n", "descending"), ("token", "ascending")], k)
 
 
 def top_tokens_sql(k: int = TOP_TOKENS_K) -> str:
@@ -380,7 +364,7 @@ TOP_PER_LANG_K = 5
 
 def top_tokens_per_lang(sf_dir: str, k: int = TOP_PER_LANG_K):
     """The k most frequent tokens WITHIN each language — the group-wise
-    top-k pattern (vs ``top_tokens``' global sort-limit): per-batch
+    top-k pattern (vs ``top_tokens``' global ``top_k``): per-batch
     Counter pre-aggregation keyed (lang, token), one hash-aggregate
     exchange on the pair, then a bucketed per-lang reduce that does a
     vectorized nlargest inside each group — no global sort. Ties break
@@ -423,12 +407,8 @@ def top_tokens_per_lang(sf_dir: str, k: int = TOP_PER_LANG_K):
         lang = batch.column("lang").to_numpy(zero_copy_only=False)
         tok = batch.column("token").to_numpy(zero_copy_only=False)
         n = batch.column("n").to_numpy(zero_copy_only=False)
-        order = np.lexsort((tok, -n, lang))
-        ls = lang[order]
-        starts = np.flatnonzero(np.r_[True, ls[1:] != ls[:-1]])
-        counts = np.diff(np.r_[starts, len(ls)])
-        pos = np.arange(len(ls), dtype=np.int64) - np.repeat(starts, counts)
-        return batch.take(pa.array(np.sort(order[pos < k])))
+        order, rank = run_rank((tok, -n, lang))
+        return batch.take(pa.array(np.sort(order[rank < k])))
 
     candidates = totals.map_batches(block_topk, batch_format="pyarrow")
 
@@ -475,12 +455,10 @@ def top_bigrams(sf_dir: str, k: int = TOP_BIGRAMS_K):
     """The k most frequent adjacent token PAIRS across the corpus — the
     n-gram extension of ``top_tokens`` with the same scale-safe plan:
     per-batch Counter partials (one row per (block, bigram) crosses the
-    exchange, never one per occurrence), hash aggregate, per-block
-    top-k partials, tiny global resolve. A pair counts only when both
-    tokens are non-empty, matching the SQL oracle's position join."""
+    exchange, never one per occurrence), hash aggregate, ``top_k``. A
+    pair counts only when both tokens are non-empty, matching the SQL
+    oracle's position join."""
     from collections import Counter
-
-    import pyarrow.compute as pc
 
     ds = read_table(sf_dir, "documents", ["text"])
 
@@ -499,18 +477,7 @@ def top_bigrams(sf_dir: str, k: int = TOP_BIGRAMS_K):
 
     totals = hash_agg(ds.map_batches(partial_counts, batch_format="pyarrow"),
                       ["bigram"], {"n": ("n", "sum")})
-
-    def block_topk(batch: pa.Table) -> pa.Table:
-        if batch.num_rows <= k:
-            return batch
-        order = pc.sort_indices(
-            batch,
-            sort_keys=[("n", "descending"), ("bigram", "ascending")],
-        )
-        return batch.take(order[:k])
-
-    candidates = totals.map_batches(block_topk, batch_format="pyarrow")
-    return candidates.sort(["n", "bigram"], descending=[True, False]).limit(k)
+    return top_k(totals, [("n", "descending"), ("bigram", "ascending")], k)
 
 
 def top_bigrams_sql(k: int = TOP_BIGRAMS_K) -> str:
@@ -544,16 +511,14 @@ def weighted_sample(sf_dir: str, k: int = WSAMPLE_K):
     weight-proportional sample, and because u comes from md5(doc_id)
     the draw is reproducible across runs AND engines.
 
-    Scale shape: key computation is map-only; per-block top-k partials
-    feed a final sort over ≤ blocks×k rows (the ``top_tokens`` resolve
-    pattern) — no global sort of the corpus. Float parity with the SQL
-    oracle holds bit-exactly: u is a 52-bit-integer divide by 2^52
-    (exact in double), ln is the same libm call both engines make (see
+    Scale shape: key computation is map-only, fused with the per-block
+    partials of ``top_k``; one task sorts ≤ blocks×k rows — no global
+    sort of the corpus. Float parity with the SQL oracle holds
+    bit-exactly: u is a 52-bit-integer divide by 2^52 (exact in double),
+    ln is the same libm call both engines make (see
     ``indexing.tfidf_terms``), and the key division is one IEEE op.
     Output (doc_id, n_chars)."""
     import math
-
-    import pyarrow.compute as pc
 
     from pd3f_ray.functions.textfns import md5_hex
 
@@ -572,22 +537,10 @@ def weighted_sample(sf_dir: str, k: int = WSAMPLE_K):
             "key": pa.array(keys, pa.float64()),
         })
 
-    def block_topk(batch: pa.Table) -> pa.Table:
-        if batch.num_rows <= k:
-            return batch
-        order = pc.sort_indices(
-            batch, sort_keys=[("key", "descending"),
-                              ("doc_id", "ascending")])
-        return batch.take(order[:k])
-
-    return (
-        ds.map_batches(keyed, batch_format="pyarrow")
-        .map_batches(block_topk, batch_format="pyarrow")
-        .sort(["key", "doc_id"], descending=[True, False])
-        .limit(k)
-        .map_batches(lambda b: b.select(["doc_id", "n_chars"]),
-                     batch_format="pyarrow")
-    )
+    return top_k(ds.map_batches(keyed, batch_format="pyarrow"),
+                 [("key", "descending"), ("doc_id", "ascending")],
+                 k).map_batches(lambda b: b.select(["doc_id", "n_chars"]),
+                                batch_format="pyarrow")
 
 
 def weighted_sample_sql(k: int = WSAMPLE_K) -> str:
@@ -646,12 +599,8 @@ def weighted_sample_per_lang(sf_dir: str, k: int = WSAMPLE_LANG_K):
         lang = batch.column("lang").to_numpy(zero_copy_only=False)
         key = batch.column("key").to_numpy(zero_copy_only=False)
         did = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        order = np.lexsort((did, -key, lang))
-        ls = lang[order]
-        starts = np.flatnonzero(np.r_[True, ls[1:] != ls[:-1]])
-        counts = np.diff(np.r_[starts, len(ls)])
-        pos = np.arange(len(ls), dtype=np.int64) - np.repeat(starts, counts)
-        return batch.take(pa.array(np.sort(order[pos < k])))
+        order, rank = run_rank((did, -key, lang))
+        return batch.take(pa.array(np.sort(order[rank < k])))
 
     def resolve(group: pa.Table) -> pa.Table:
         key = group.column("key").to_numpy(zero_copy_only=False)
@@ -766,7 +715,7 @@ def bigram_pmi(sf_dir: str, k: int = BIGRAM_PMI_K):
     1. bigram pass = ``top_bigrams``'s per-block Counter partials + ONE
        hash aggregate; the TOTAL bigram count rides the same exchange
        as a sentinel key (it sorts first — its count ≥ any bigram's —
-       so ``limit(k+1)`` keeps sentinel + top-k);
+       so a ``top_k`` of k+1 keeps sentinel + top-k);
     2. unigram pass counts ONLY the ≤ 2k member tokens (set broadcast
        via ``ray.put``) plus the sentinel token total — the exchange
        carries ≤ (2k+1) rows per block regardless of vocabulary size.
@@ -779,7 +728,6 @@ def bigram_pmi(sf_dir: str, k: int = BIGRAM_PMI_K):
     import math
     from collections import Counter
 
-    import pyarrow.compute as pc
     import ray
 
     ds = read_table(sf_dir, "documents", ["text"])
@@ -800,29 +748,13 @@ def bigram_pmi(sf_dir: str, k: int = BIGRAM_PMI_K):
 
     totals = hash_agg(ds.map_batches(bigram_partials, batch_format="pyarrow"),
                       ["bigram"], {"n": ("n", "sum")})
-
-    def block_topk(batch: pa.Table) -> pa.Table:
-        if batch.num_rows <= k + 1:
-            return batch
-        order = pc.sort_indices(
-            batch, sort_keys=[("n", "descending"), ("bigram", "ascending")])
-        return batch.take(order[: k + 1])
-
-    head = (
-        totals.map_batches(block_topk, batch_format="pyarrow")
-        .sort(["n", "bigram"], descending=[True, False])
-        .limit(k + 1)
-        .materialize()
-    )
-    rows = [t for t in ray.get(head.to_arrow_refs()) if t.num_rows]
-    head_tbl = pa.concat_tables(rows)
-    bigrams = head_tbl.column("bigram").to_pylist()
-    counts = head_tbl.column("n").to_pylist()
-    if _PMI_SENTINEL not in bigrams:
+    head = {r["bigram"]: r["n"] for r in top_k(
+        totals, [("n", "descending"), ("bigram", "ascending")],
+        k + 1).take(k + 1)}
+    if _PMI_SENTINEL not in head:
         raise AssertionError("bigram total sentinel lost in the exchange")
-    si = bigrams.index(_PMI_SENTINEL)
-    n_bi = counts[si]
-    top = [(b, c) for b, c in zip(bigrams, counts) if b != _PMI_SENTINEL]
+    n_bi = head.pop(_PMI_SENTINEL)
+    top = list(head.items())
 
     members = sorted({tok for b, _ in top for tok in b.split(" ")})
     mem_ref = ray.put(frozenset(members))

@@ -40,6 +40,7 @@ from pd3f_ray.functions.textfns import hash_bytes
 from pd3f_ray.stages.exchange import (
     bucket_exchange,
     finish_agg,
+    fold,
     group_map,
     hash_agg,
 )
@@ -1158,7 +1159,8 @@ def crawl_budget_allocation(sf_dir: str, budget: int = CRAWL_BUDGET):
     leftover seats go to the largest remainders, host-name tiebreak).
     The count rollup is the usual partial-agg exchange; the
     apportionment itself runs in one task over the DIMENSION-scale
-    count table. Output (source, n_docs, budget)."""
+    count table (a ``fold`` whose partial passes each block through).
+    Output (source, n_docs, budget)."""
     docs = read_table(sf_dir, "documents", ["source"])
     counts = hash_agg(docs, ["source"], {"n_docs": ("source", "count")})
 
@@ -1180,8 +1182,7 @@ def crawl_budget_allocation(sf_dir: str, budget: int = CRAWL_BUDGET):
             "budget": pa.array(alloc, pa.int64()),
         })
 
-    return counts.repartition(1).map_batches(
-        apportion, batch_format="pyarrow", batch_size=None)
+    return fold(counts, lambda t: t, apportion)
 
 
 def crawl_budget_sql(budget: int = CRAWL_BUDGET) -> str:

@@ -23,6 +23,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from pd3f_ray.core.arrowkit import run_rank
 from pd3f_ray.core.cluster import read_table
 from pd3f_ray.stages.exchange import bucket_exchange, group_map, hash_agg
 
@@ -963,22 +964,12 @@ def top_events_per_user(sf_dir: str, k: int = TOPK_PER_USER):
     Output (user_id, rnk, event_id, value_cents)."""
     ds = read_table(sf_dir, "events", ["event_id", "user_id", "value"])
 
-    def _rank_in_user(uid, cents, eid):
-        """Sort by (user, cents DESC, event_id ASC) and return
-        (order, 0-based rank within user)."""
-        order = np.lexsort((eid, -cents, uid))
-        us = uid[order]
-        starts = np.flatnonzero(np.r_[True, us[1:] != us[:-1]])
-        counts = np.diff(np.r_[starts, len(us)])
-        pos = np.arange(len(us), dtype=np.int64) - np.repeat(starts, counts)
-        return order, pos
-
     def topk(batch: pa.Table) -> pa.Table:
         uid = _col_np(batch, "user_id")
         eid = _col_np(batch, "event_id")
         v = _col_np(batch, "value") * 100
         cents = (np.sign(v) * np.floor(np.abs(v) + 0.5)).astype(np.int64)
-        order, pos = _rank_in_user(uid, cents, eid)
+        order, pos = run_rank((eid, -cents, uid))
         keep = order[pos < k]
         return pa.table({
             "event_id": pa.array(eid[keep], pa.int64()),
@@ -993,7 +984,7 @@ def top_events_per_user(sf_dir: str, k: int = TOPK_PER_USER):
         uid = _col_np(group, "user_id")
         eid = _col_np(group, "event_id")
         cents = _col_np(group, "value_cents")
-        order, pos = _rank_in_user(uid, cents, eid)
+        order, pos = run_rank((eid, -cents, uid))
         m = pos < k
         keep = order[m]
         return pa.table({

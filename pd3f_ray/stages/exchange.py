@@ -1,4 +1,4 @@
-"""The library's one exchange, behind four entry points.
+"""The library's one exchange, behind six entry points.
 
 The exchange: rows carry an int bucket id in ``[0, B)``; the ids are
 range-partitioned on explicit sort boundaries (no sampling pass) into P
@@ -31,9 +31,15 @@ The entry points:
   sorts on ``keys`` and calls ``fn`` once per key run. For natural keys
   (a language, an event type, a source) and for reducers that read the
   group's key or treat their input as one group (range bands).
+- ``fold(ds, partial, merge)``: the one-task finish. ``partial`` runs
+  per block, fused into the upstream map, then ``repartition(1)`` and
+  ONE ``merge`` task over the partials: a register sketch (HLL max,
+  Bloom OR, Count-Min sum), a checksum, a k-means step.
 - ``finish_agg(ds, keys, aggs)``: a Sum/Count/Min/Max over a small key
-  domain (a language, an event type, a nation): per-block partials,
-  then ONE task sums them.
+  domain (a language, an event type, a nation): a ``fold`` whose
+  partial and merge are ``arrowkit.agg``.
+- ``top_k(ds, sort_keys, k)``: the first k rows in ``sort_keys`` order,
+  a ``fold`` that keeps k rows per block and k of their union.
 - ``hash_agg(ds, keys, aggs)``: the same aggregate over a large domain
   (a token, a digest, a user): per-block partials tagged with a
   ``stable_bucket``, then one ``bucket_exchange`` whose reducer
@@ -198,22 +204,37 @@ def _final_aggs(aggs: dict) -> dict:
     return {out: (out, _FINAL[f]) for out, (_, f) in aggs.items()}
 
 
+def fold(ds, partial, merge):
+    """``merge(pa.Table)`` once, over the rows ``partial(pa.Table)``
+    makes of each block: the partials run fused into the upstream map
+    (``batch_size=None``), then ``repartition(1)`` hands all of them to
+    ONE task. No sample, no sort, no partition per block. The result is
+    one block, so ``merge``'s output is in the order it makes. Ray hands
+    ``partial`` no empty block, so an empty input gives no rows.
+
+    The one task holds ≤ blocks × (one block's partial) rows, so a
+    partial must be small whatever the corpus size: a fixed-size
+    register row, k rows, one row per key of a small domain."""
+    return (ds.map_batches(partial, batch_size=None, batch_format="pyarrow")
+            .repartition(1)
+            .map_batches(merge, batch_size=None, batch_format="pyarrow"))
+
+
 def finish_agg(ds, keys: list[str], aggs: dict):
-    """``arrowkit.agg(rows, keys, aggs)`` over a small key domain:
-    per-block partials fused into the upstream map, then
-    ``repartition(1)`` and ONE task finishes them, instead of Ray's
-    sampled sort aggregate (a sample, a map and a reduce task per
-    partition).
+    """``arrowkit.agg(rows, keys, aggs)`` over a small key domain, as a
+    ``fold``: per-block partials, then ONE task finishes them, instead
+    of Ray's sampled sort aggregate (a sample, a map and a reduce task
+    per partition).
 
     ``ds`` holds raw rows. ``aggs`` is ``{out: (column, function)}``
     with sum, count, count_all, min or max; anything else raises
-    ``ValueError``. The one task holds ≤ blocks × (distinct keys) rows,
-    so the key domain must be small whatever the corpus size (a
-    language, an event type, a nation, a month); a large one (a token,
-    a digest, a user) goes through ``hash_agg``. The result is one
-    block, so a step that needs all of it (a share of the total) is one
-    more ``map_batches(..., batch_size=None)``, fused into the same
-    task."""
+    ``ValueError``; an empty ``aggs`` is a distinct over ``keys``. The
+    one task holds ≤ blocks × (distinct keys) rows, so the key domain
+    must be small whatever the corpus size (a language, an event type,
+    a nation, a month); a large one (a token, a digest, a user) goes
+    through ``hash_agg``. The result is one block, so a step that needs
+    all of it (a share of the total) is one more ``map_batches(...,
+    batch_size=None)``, fused into the same task."""
     final = _final_aggs(aggs)
 
     def partial(t):
@@ -222,9 +243,21 @@ def finish_agg(ds, keys: list[str], aggs: dict):
     def finish(t):
         return agg(t, keys, final)
 
-    return (ds.map_batches(partial, batch_size=None, batch_format="pyarrow")
-            .repartition(1)
-            .map_batches(finish, batch_size=None, batch_format="pyarrow"))
+    return fold(ds, partial, finish)
+
+
+def top_k(ds, sort_keys: list, k: int):
+    """The first ``k`` rows of ``ds`` in ``sort_keys`` order (pyarrow's
+    ``[(column, "ascending" | "descending"), ...]``, nulls last) as one
+    ordered block: a ``fold`` whose partial and merge both keep a
+    table's first k rows, since the first k of a union are among the
+    first k of its parts. Each block ships ≤ k rows and one task sorts
+    ≤ blocks × k. Ties beyond ``sort_keys`` come out in no fixed order,
+    so a deterministic top-k ends its keys on a unique column."""
+    def best(t):
+        return t.take(pc.sort_indices(t, sort_keys=sort_keys)[:k])
+
+    return fold(ds, best, best)
 
 
 def hash_agg(ds, keys: list[str], aggs: dict):

@@ -70,13 +70,16 @@ def extract_rows(keys: pa.Table, docs, payload_bytes,
     ``lang``; ``docs`` (iterated once, so a caller can assemble layouts
     one at a time) its serialized layout, its assembled layout dict, or
     the exception that stopped its assembly; ``payload_bytes`` its input
-    size. An exception or a null ``lang`` makes the document a dead
-    letter."""
+    size. A null ``url``, an exception or a null ``lang`` makes the
+    document a dead letter, naming the first of them."""
+    urls = keys.column("url").to_pylist()
     langs = keys.column("lang").to_pylist()
     kernel_of = lang_options(opts, langs)
     recs = []
-    for doc, lang in zip(docs, langs):
-        if lang is None and not isinstance(doc, Exception):
+    for doc, url, lang in zip(docs, urls, langs):
+        if url is None:
+            doc = null_input("url")
+        elif lang is None and not isinstance(doc, Exception):
             doc = null_input("lang")
         if isinstance(doc, Exception):
             rec = dead_letter(doc)
@@ -146,7 +149,8 @@ class ExtractElements:
     """Element-level extraction: explodes each document into its output
     elements (flat_map shape: one input row → N output rows). Same
     dead-letter rule as ExtractDocs: a failed document, or one with a
-    null ``html`` or ``lang``, yields one row with the error set."""
+    null ``url``, ``html`` or ``lang``, yields one row with the error
+    set."""
 
     def __init__(self, opts: ExtractOptions | None = None):
         self.opts = opts or ExtractOptions.experimental()
@@ -158,8 +162,9 @@ class ExtractElements:
         for url, html, lang in zip(batch.column("url").to_pylist(),
                                    batch.column("html").to_pylist(), langs):
             try:
-                if html is None or lang is None:
-                    raise null_input("html" if html is None else "lang")
+                for col, v in (("url", url), ("html", html), ("lang", lang)):
+                    if v is None:
+                        raise null_input(col)
                 kern = DocumentKernel(orjson.loads(html), *kernel_of[lang])
                 rows += [(url, section, e.kind, i,
                           -1 if e.idx_page is None else e.idx_page,

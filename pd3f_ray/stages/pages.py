@@ -41,10 +41,12 @@ DEFAULT_NUM_BUCKETS = 512
 PAGE_CODEC = "lz4"
 
 
-def url_bucket(url: str, num_buckets: int = DEFAULT_NUM_BUCKETS) -> int:
+def url_bucket(url: str | None, num_buckets: int = DEFAULT_NUM_BUCKETS) -> int:
     """Stable cross-process url hash bucket (crc32 — NOT Python hash(),
-    which is salted per process and would break the shuffle key)."""
-    return zlib.crc32(url.encode()) % num_buckets
+    which is salted per process and would break the shuffle key). A
+    null url takes bucket 0: its pages meet in one reducer call as one
+    run, which ``extract_rows`` dead-letters."""
+    return 0 if url is None else zlib.crc32(url.encode()) % num_buckets
 
 
 def _sorted_docs(group: pa.Table, blob_col: str):

@@ -486,7 +486,8 @@ def test_same_key_aggregates_fold_into_the_join_exchange(ray_session):
     with no Ray aggregate, customer_order_counts is that exchange plus
     its final groupby on ``n_orders``, and q3_shipping_priority's
     orderkey totals ride its orderkey join (on both customer paths: the
-    join, then the top-k sort; the bucketed path adds its semi join)."""
+    join, then the one-task ``top_k``; the bucketed path adds its semi
+    join)."""
     from pd3f_ray.pipelines.joins import (
         click_purchase_matrix,
         q3_shipping_priority,
@@ -497,9 +498,10 @@ def test_same_key_aggregates_fold_into_the_join_exchange(ray_session):
     assert _exchanges(click_purchase_matrix(SF).materialize()) == pair
     assert _exchanges(customer_order_counts(SF).materialize()) == pair + [
         "RepartitionSplit", "RepartitionReduce"]
-    for broadcast, n in ((True, 2), (False, 3)):
+    for broadcast, n in ((True, 1), (False, 2)):
         ds = q3_shipping_priority(SF, broadcast_customer=broadcast)
-        assert _exchanges(ds.materialize()) == pair * n, broadcast
+        assert _exchanges(ds.materialize()) == pair * n + [
+            "RepartitionSplit", "RepartitionReduce"], broadcast
 
 
 def test_small_final_aggregates_finish_in_one_task(ray_session):
@@ -716,11 +718,61 @@ def test_group_map_one_call_per_key(ray_session, blocks):
                 per_group, batch_format="pyarrow").take_all(), keys) == want
 
 
+@settings(max_examples=12, deadline=None)
+@given(st.lists(st.lists(st.tuples(st.integers(0, 3), st.one_of(
+                             st.none(), st.sampled_from("abc"))),
+                         max_size=8),
+                min_size=1, max_size=4),
+       st.integers(1, 12))
+@example([[]], 3)  # empty input
+@example([[], [(1, "b"), (1, "a"), (2, None)], []], 2)  # empty blocks
+@example([[(3, "a")], [(3, "a"), (0, "c")]], 20)  # k ≥ rows
+def test_top_k_is_sorted_prefix(ray_session, blocks, k):
+    """``top_k`` over several blocks (some empty) gives exactly the
+    first ``k`` rows of a Python ``sorted`` of all rows, in that order:
+    a descending int key whose ties break on an ascending string key
+    (nulls last), then on a unique row id; ``k`` may exceed the row
+    count. The ``fold`` under it hands ``merge`` one partial per
+    non-empty block."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from pd3f_ray.stages.exchange import fold, top_k
+
+    rows, tables = [], []
+    for b in blocks:
+        ids = range(len(rows), len(rows) + len(b))
+        rows += [{"n": n, "s": s, "i": i} for (n, s), i in zip(b, ids)]
+        tables.append(pa.table({"n": pa.array([n for n, _ in b], pa.int64()),
+                                "s": pa.array([s for _, s in b], pa.string()),
+                                "i": pa.array(ids, pa.int64())}))
+    ds = rd.from_arrow(tables)
+    want = sorted(rows, key=lambda r: (-r["n"], r["s"] is None, r["s"] or "",
+                                       r["i"]))[:k]
+    got = top_k(ds, [("n", "descending"), ("s", "ascending"),
+                     ("i", "ascending")], k).take_all()
+    assert got == want
+
+    def count(t):
+        return pa.table({"n": [t.num_rows]})
+
+    def total(t):
+        return pa.table({"n": [sum(t.column("n").to_pylist())],
+                         "parts": [t.num_rows]})
+
+    nonempty = sum(1 for b in blocks if b)
+    assert fold(ds, count, total).take_all() == (
+        [{"n": len(rows), "parts": nonempty}] if rows else [])
+
+
 def test_null_event_type_is_one_group(ray_session, tmp_path):
-    """A registry query on ``group_map`` (``event_value_quantiles``)
-    over an events table where a quarter of the ``event_type`` values
-    are null completes and matches its DuckDB oracle, whose GROUP BY
-    makes the null type one group. On Ray's sorted groupby it raised
+    """Registry queries over an events table where a quarter of the
+    ``event_type`` values are null complete, and the null type is one
+    type. ``event_value_quantiles`` (``group_map``) and
+    ``user_favorite_event`` (a null type ranks last in a tie, as DuckDB's
+    ``ASC`` orders it) match their DuckDB oracles; both HLL queries give
+    one null-type row each, with equal estimates. On Ray's sorted
+    groupby, and on ``sorted()`` over ``Dataset.unique``, they raised
     ``TypeError`` comparing a null with a string."""
     import duckdb
     import pyarrow as pa
@@ -740,9 +792,22 @@ def test_null_event_type_is_one_group(ray_session, tmp_path):
     con.execute("CREATE VIEW events AS SELECT * FROM "
                 f"read_parquet('{tmp_path / 'events.parquet'}')")
 
-    got = __ray_entry__.queries()["event_value_quantiles"](str(tmp_path))
-    _match(got, __ray_entry__.oracle_sql()["event_value_quantiles"], con)
+    reg, sql = __ray_entry__.queries(), __ray_entry__.oracle_sql()
+    got = reg["event_value_quantiles"](str(tmp_path))
+    _match(got, sql["event_value_quantiles"], con)
     assert got.to_pandas()["event_type"].isna().sum() == 1
+    got = reg["user_favorite_event"](str(tmp_path))
+    _match(got, sql["user_favorite_event"], con)
+    assert got.to_pandas()["favorite_event"].isna().any()
+
+    hll = [reg[q](str(tmp_path)).to_pandas() for q in
+           ("approx_distinct_users", "approx_distinct_users_agg")]
+    for h in hll:
+        assert h["event_type"].isna().sum() == 1
+    assert (hll[0].fillna({"event_type": ""}).set_index("event_type")
+            ["n_users_approx"].sort_index().equals(
+                hll[1].fillna({"event_type": ""}).set_index("event_type")
+                ["n_users_approx"].sort_index()))
 
 
 def test_supplier_part_join_fold_matches_join_then_aggregate(ray_session,
@@ -1390,9 +1455,9 @@ def test_dedup_clusters_warns_on_iter_exhaustion(ray_session):
 
 
 def test_hll_agg_matches_map_groups_form(ray_session):
-    """VERDICT r2 item 8: the AggregateFn register-column variant must
-    reproduce the map_groups sketch EXACTLY (same registers -> same
-    estimate), while composing with a Count in one exchange."""
+    """``approx_distinct_users_agg`` reproduces ``approx_distinct_users``
+    EXACTLY (same registers -> same estimate), with each type's event
+    count from the same one-task merge."""
     from pd3f_ray.pipelines.sketches import (
         approx_distinct_users,
         approx_distinct_users_agg,
@@ -1403,7 +1468,11 @@ def test_hll_agg_matches_map_groups_form(ray_session):
     assert set(a.index) == set(b.index)
     for et in a.index:
         assert a.loc[et, "n_users_approx"] == b.loc[et, "n_users_approx"], et
-    assert (b["n_events"] > 0).all()
+    import pyarrow.parquet as pq
+
+    counts = pq.read_table(os.path.join(SF, "events.parquet"),
+                           columns=["event_type"]).to_pandas()["event_type"]
+    assert b["n_events"].to_dict() == counts.value_counts().to_dict()
 
 
 def test_jsonl_roundtrip_oracle(ray_session, con):

@@ -458,8 +458,9 @@ def test_null_inputs_dead_letter(ray_session, tmp_path):
     (one page of a url) or ``lang`` in a page table, make their url
     exactly one dead-letter row naming the null column, through
     ``extract_dataset``, ``extract_elements_from_parquet`` and
-    ``extract_from_pages_parquet``. Every other url matches
-    ``extract_record``."""
+    ``extract_from_pages_parquet``. A null ``url`` (every page of one
+    document in a page table) is one dead-letter row with a null url.
+    Every other url matches ``extract_record``."""
     import ray.data as rd
 
     from pd3f_ray.pipelines.extraction import (
@@ -475,22 +476,25 @@ def test_null_inputs_dead_letter(ray_session, tmp_path):
     url = [doc_url(i) for i in range(n)]
     docs = _null_rows(_null_rows(generate_corpus(n, 42), "html", {url[1]}),
                       "lang", {url[2]})
+    docs = _null_rows(docs, "url", {url[3]})
     pages = _null_rows(generate_pages_exploded(n, 42), "page_json",
                        {url[1]}, page_idx=0)
-    pages = _null_rows(pages, "lang", {url[2]})
-    dead = {url[1]: "ValueError: null html", url[2]: "ValueError: null lang"}
+    pages = _null_rows(_null_rows(pages, "lang", {url[2]}), "url", {url[3]})
+    dead = {url[1]: "ValueError: null html", url[2]: "ValueError: null lang",
+            None: "ValueError: null url"}
+    urls = set(want) - {url[3]} | {None}
 
     def check(rows, dead):
         got = {}
         for r in rows:
             got.setdefault(r["url"], []).append(r)
-        assert set(got) == set(want)
+        assert set(got) == urls
         for u, error in dead.items():
             (r,) = got[u]
             assert (r["text"], r["n_pages"], r["n_elements"], r["n_chars"],
                     r["error"]) == (None, 0, 0, 0, error), r
         for u, (text, error) in want.items():
-            if u not in dead:
+            if u not in dead and u in urls:
                 (r,) = got[u]
                 assert (r["text"], r["error"]) == (text, error), u
         return got
@@ -505,13 +509,14 @@ def test_null_inputs_dead_letter(ray_session, tmp_path):
     for r in extract_elements_from_parquet(
             _write(docs, tmp_path / "docs.parquet")).take_all():
         elems.setdefault(r["url"], []).append(r)
-    assert set(elems) == set(want)
-    for u, (_, error) in want.items():
-        errors = [r["error"] for r in elems[u] if r["error"] is not None]
-        if u in dead or error is not None:
-            assert [r["error"] for r in elems[u]] == [dead.get(u, error)], u
+    assert set(elems) == urls
+    for u in urls:
+        errors = [r["error"] for r in elems[u]]
+        error = dead.get(u) or want[u][1]
+        if error is not None:
+            assert errors == [error], u
         else:
-            assert not errors and elems[u], u
+            assert elems[u] and not any(errors), u
 
 
 def test_unbuildable_scorer_fails_the_task(monkeypatch):

@@ -10,10 +10,8 @@ import ast
 import pathlib
 import re
 
-PIPE_DIRS = [
-    pathlib.Path("/root/repo/pd3f_ray/pipelines"),
-    pathlib.Path("/root/repo/pd3f_ray/stages"),
-]
+PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "pd3f_ray"
+PIPE_DIRS = [PACKAGE / "pipelines", PACKAGE / "stages"]
 SOURCES_DIR = PIPE_DIRS[0].parent / "sources"
 RAY_ENTRY = PIPE_DIRS[0].parents[1] / "__ray_entry__.py"
 
@@ -102,7 +100,8 @@ ALLOWED_MAP_GROUPS = {
         "input is ≤ blocks × k candidates per query after per-block "
         "top-k; a task holds ≲ 128 MiB of them",
     ("sketches.py", '"event_type"'):
-        "input is one 4 KB HLL register row per (block, type)",
+        "input is one ≤ QSKETCH_BINS-centroid histogram row per (block, "
+        "type) (approx_event_quantiles)",
     ("textstats.py", '"lang"'):
         "input is the per-block top-k candidate table, ≤ blocks×k rows "
         "per language, not the vocabulary",
@@ -145,10 +144,9 @@ _GROUP_MAP_CALL = r"(?<!def )(?<!`)\bgroup_map\("
 # a call argument with up to two levels of nested parentheses
 _ARG = r"(?:[^(),]|\((?:[^()]|\([^()]*\))*\))+"
 # every site that hands a whole group or range partition to one reducer
-# call: groupby(key).map_groups, group_map(ds, key, fn), and
-# sort(key, boundaries=...)
-WHOLE_GROUP_SITES = (r"\.groupby\(([^)]*)\)\s*\.map_groups\(",
-                     _GROUP_MAP_CALL + r"\s*" + _ARG
+# call: group_map(ds, key, fn) and sort(key, boundaries=...) (Ray's
+# groupby is refused outright, by test_ray_all_to_all_only_in_exchange)
+WHOLE_GROUP_SITES = (_GROUP_MAP_CALL + r"\s*" + _ARG
                      + r",\s*(\[[^\]]*\]|[^,()]+),",
                      r"\.sort\(([^,)]*),\s*boundaries=")
 
@@ -159,7 +157,7 @@ def test_map_groups_keys_are_allowlisted():
         # the key pattern must see every group_map call, or a call it
         # cannot parse would go unchecked
         assert (len(re.findall(_GROUP_MAP_CALL, src))
-                == len(re.findall(WHOLE_GROUP_SITES[1], src))), path.name
+                == len(re.findall(WHOLE_GROUP_SITES[0], src))), path.name
         for pat in WHOLE_GROUP_SITES:
             for m in re.finditer(pat, src):
                 key = m.group(1).strip()
@@ -266,52 +264,80 @@ def test_no_actor_pools():
     assert not hits, "\n".join(hits)
 
 
-# Every Sum/Count/Min/Max group-by goes through stages.exchange
-# (finish_agg / hash_agg). Ray's own aggregate stays only where the
-# aggregate is not one of those four, keyed by (file, enclosing
-# top-level function).
-ALLOWED_RAY_AGGREGATE = {
-    ("sketches.py", "hll_agg"):
-        "HyperLogLog registers as a Ray AggregateFn: the merge is an "
-        "elementwise max over 4 KB register arrays, not a column min/max",
-    ("sketches.py", "approx_distinct_users_agg"):
-        "the hll_agg site: the query exists to compose the AggregateFn "
-        "with a Count in one Ray groupby",
-    ("sketches.py", "bloom_agg"):
-        "Bloom bitmap as a Ray AggregateFn: the merge is an elementwise "
-        "OR over 128 KB bitmaps",
-}
+# Every all-to-all in the library is a stages.exchange entry point:
+# bucket_exchange, group_map, fold, finish_agg, top_k or hash_agg. Ray's
+# own sort, unique, aggregate, groupby and one-task repartition stay in
+# exchange.py. A call on numpy, pyarrow.compute or pandas (``np.sort``,
+# ``pc.unique``, ``pd.Series(...).groupby``) is not a Dataset call, nor
+# is a ``list.sort()`` (it takes no positional argument, where
+# ``Dataset.sort`` and ``Dataset.unique`` take a key) or pyarrow's
+# ``group_by(...).aggregate([...])``.
+RAY_ALL_TO_ALL = ("sort", "unique", "aggregate", "groupby", "repartition")
+NOT_A_DATASET = {"np", "pc", "pd"}
 
 
-def _ray_aggregate_sites(path: pathlib.Path):
-    """(top-level function or "<module>", line) of every
-    ``ray.data.aggregate`` import and ``.groupby(...).aggregate(`` call."""
-    tree = ast.parse(path.read_text())
-    for top in tree.body:
-        name = getattr(top, "name", "<module>")
-        for node in ast.walk(top):
-            if (isinstance(node, ast.ImportFrom)
-                    and node.module == "ray.data.aggregate") or (
-                    isinstance(node, ast.Import) and any(
-                        a.name.startswith("ray.data.aggregate")
-                        for a in node.names)):
-                yield name, node.lineno, "ray.data.aggregate import"
-            elif (isinstance(node, ast.Call)
-                  and isinstance(node.func, ast.Attribute)
-                  and node.func.attr == "aggregate"
-                  and isinstance(node.func.value, ast.Call)
-                  and isinstance(node.func.value.func, ast.Attribute)
-                  and node.func.value.func.attr == "groupby"):
-                yield name, node.lineno, ".groupby(...).aggregate("
+def _root(node):
+    """The name an attribute/call chain starts from (``np`` for
+    ``np.sort(x)``, ``pd`` for ``pd.Series(x).groupby(...)``)."""
+    while isinstance(node, (ast.Attribute, ast.Call, ast.Subscript)):
+        node = node.func if isinstance(node, ast.Call) else node.value
+    return getattr(node, "id", None)
 
 
-def test_ray_aggregate_is_allowlisted():
+def _ray_all_to_all_sites(src: str):
+    """(line, method) of every Ray Dataset all-to-all call in ``src``."""
+    for node in ast.walk(ast.parse(src)):
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in RAY_ALL_TO_ALL
+                and _root(node.func.value) not in NOT_A_DATASET):
+            continue
+        recv, name = node.func.value, node.func.attr
+        if name in ("sort", "unique") and not node.args:
+            continue  # list.sort(), pa.Array.unique()
+        if name == "aggregate" and isinstance(recv, ast.Call) and (
+                getattr(recv.func, "attr", None) == "group_by"):
+            continue  # pyarrow's TableGroupBy.aggregate
+        if name == "repartition" and not (
+                node.args and getattr(node.args[0], "value", None) == 1):
+            continue  # a fan-in to N > 1 partitions is a map-side step
+        yield node.lineno, name
+
+
+def test_ray_all_to_all_only_in_exchange():
     hits = []
     paths = [p for p, _ in _sources(PIPE_DIRS + [SOURCES_DIR])] + [RAY_ENTRY]
     for path in paths:
-        for func, line, what in _ray_aggregate_sites(path):
-            if (path.name, func) not in ALLOWED_RAY_AGGREGATE:
-                hits.append(f"{path.name}:{line}: {what} in {func} — use "
-                            "stages.exchange.finish_agg/hash_agg, or add "
-                            "it to ALLOWED_RAY_AGGREGATE with a reason")
+        if path.name == "exchange.py":
+            continue
+        for line, name in _ray_all_to_all_sites(path.read_text()):
+            hits.append(f"{path.name}:{line}: Ray Dataset .{name}( — use a "
+                        "stages.exchange entry point (fold, top_k, "
+                        "finish_agg, hash_agg, group_map, bucket_exchange)")
     assert not hits, "\n".join(hits)
+
+
+def test_all_to_all_rule_sees_dataset_calls_only():
+    """The rule flags the Ray calls and passes the look-alikes."""
+    flagged = """
+ds.sort(["n", "token"], descending=[True, False]).limit(k)
+ds.map_batches(f).sort("k")
+ds.unique("event_type")
+ds.groupby("k").map_groups(f)
+ds.aggregate(bloom_agg("h"))
+ds.repartition(1).map_batches(f)
+"""
+    passed = """
+np.sort(x)
+np.unique(x, return_counts=True)
+pc.unique(col)
+b.column("t").unique()
+merged.sort()
+ids.sort(key=len)
+pd.Series(ts).groupby(uid, sort=False).cummax()
+t.group_by(["k"]).aggregate([("v", "sum")])
+ds.repartition(CMS_COMBINE_FANIN)
+"""
+    assert [n for _, n in sorted(_ray_all_to_all_sites(flagged))] == [
+        "sort", "sort", "unique", "groupby", "aggregate", "repartition"]
+    assert not list(_ray_all_to_all_sites(passed))
