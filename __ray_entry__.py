@@ -541,22 +541,32 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "pack_sequences": webcurate.pack_sequences,  # greedy → rows-only
     }
     # head-of-line rotation (see the ORDER MATTERS note above): the lead
-    # is the plans the last change touched most — every plan whose
-    # one-task finish became an exchange.fold or exchange.top_k — then
-    # the previous rotations in their order. Everything else follows in
-    # its round-4 order.
+    # is the plans the last change touched most — every exchange now
+    # sized by its input — then the previous rotations in their order.
+    # Everything else follows in its round-4 order.
     prefix = [
-        # -- one-task finish: Ray's sort/limit, unique, AggregateFn and
-        #    hand-written repartition(1) finishes became fold / top_k --
+        # -- exchanges sized by their input: the six ops_exchange
+        #    queries, every window exchange, the Count-Min combine
+        #    level and the chunking plans (vocabulary read once) --
+        "supplier_part_join", "customers_with_orders", "click_purchase_matrix",
+        "customer_order_counts", "user_sessions", "dedup_exact",
+        "purchase_attribution", "events_sliding", "sliding_unique_users",
+        "latest_event_per_user", "user_running_total", "late_events",
+        "ontime_hourly", "event_sequences", "event_gaps", "next_event_label",
+        "funnel_stages", "interval_join_events", "top_events_per_user",
+        "cms_user_counts", "chunk_docs", "tokenize_docs",
+        "training_prep_pipeline",
+        # -- the rotation before it. One-task finish: Ray's sort/limit,
+        #    unique, AggregateFn and hand-written repartition(1)
+        #    finishes became fold / top_k --
         "top_orders", "q3_shipping_priority", "top_tokens", "top_bigrams",
         "weighted_sample", "bigram_pmi", "approx_distinct_users",
         "approx_distinct_users_agg", "bloom_membership", "user_favorite_event",
         "q6_forecast_revenue", "table_checksum", "kmeans_train",
-        "cms_user_counts", "crawl_budget_allocation",
+        "crawl_budget_allocation",
         #    ... and the per-run rank helper's two per-language top-k
-        #    plans and per-user ranks --
+        #    plans --
         "top_tokens_per_lang", "weighted_sample_per_lang",
-        "top_events_per_user",
         # -- the rotation before it. One per-document extraction path:
         #    every plan whose rows come from ExtractDocs, ExtractElements
         #    or assemble_extract --
@@ -568,24 +578,20 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # -- the rotation before that. One grouping path: plans whose Ray
         #    groupby().map_groups became a bucket_exchange (a
         #    plan-computed bucket) --
-        "curate_docs", "snapshot_diff", "training_prep_pipeline",
-        "minhash_pairs", "dedup_incremental", "simhash_pairs", "pagerank",
-        "token_postings", "tfidf_terms", "dup_span_stats", "strip_dup_spans",
-        "crawl_consolidation_pipeline", "line_dedup_docs",
-        "web_corpus_pipeline",
+        "curate_docs", "snapshot_diff", "minhash_pairs", "dedup_incremental",
+        "simhash_pairs", "pagerank", "token_postings", "tfidf_terms",
+        "dup_span_stats", "strip_dup_spans", "crawl_consolidation_pipeline",
+        "line_dedup_docs", "web_corpus_pipeline",
         #    ... or a group_map (one group per reducer call) --
         "approx_event_quantiles", "jaccard_pairs", "ngram_jaccard_pairs",
         "embdup_lsh", "fuzzy_name_pairs", "name_entity_clusters",
-        "interval_join_events", "event_value_quantiles", "event_value_mad",
-        "source_lang_matrix", "doc_length_rank", "doc_length_ntile",
-        "knn_bruteforce", "knn_lsh", "knn_ivf", "domain_stats",
-        "pack_sequences", "shuffle_assignment", "source_cap_sample",
+        "event_value_quantiles", "event_value_mad", "source_lang_matrix",
+        "doc_length_rank", "doc_length_ntile", "knn_bruteforce", "knn_lsh",
+        "knn_ivf", "domain_stats", "pack_sequences", "shuffle_assignment",
+        "source_cap_sample",
         #    ... and the bucketed reducers that lost an empty-input guard --
-        "anchor_text_corpus", "latest_event_per_user", "event_sequences",
-        "funnel_stages", "ontime_hourly",
+        "anchor_text_corpus",
         # -- the rotation before it, in its order --
-        "supplier_part_join", "customers_with_orders", "click_purchase_matrix",
-        "customer_order_counts", "user_sessions", "dedup_exact",
         "resumable_write_roundtrip", "partitioned_write_roundtrip",
         "schema_evolution_union", "jsonl_roundtrip", "csv_roundtrip",
         "segment_order_stats", "nation_revenue", "nation_revenue_share",
@@ -595,13 +601,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "distinct_users", "props_k_stats", "profile_lineitem",
         "balanced_mixture", "dedup_prefix", "dedup_keep_best", "media_dedup",
         "url_dedup_latest", "referential_integrity", "dedup_clusters",
-        "event_value_histogram", "events_sliding", "sliding_unique_users",
-        "hourly_unique_users", "partition_manifest", "curate_neardup",
-        "purchase_attribution", "user_running_total", "late_events",
-        "event_gaps", "next_event_label", "html_roundtrip", "html_links",
-        "pii_roundtrip", "embed_docs", "media_features", "gopher_quality",
-        "nfc_normalize_docs", "strip_control_chars", "bm25_scores",
-        "chunk_docs", "tokenize_docs", "kmeans_assign", "compression_quality",
+        "event_value_histogram", "hourly_unique_users", "partition_manifest",
+        "curate_neardup", "html_roundtrip", "html_links", "pii_roundtrip",
+        "embed_docs", "media_features", "gopher_quality", "nfc_normalize_docs",
+        "strip_control_chars", "bm25_scores", "kmeans_assign",
+        "compression_quality",
     ]
     missing = [k for k in prefix if k not in reg]
     assert not missing, f"rotation prefix names unknown ops: {missing}"

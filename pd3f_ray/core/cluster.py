@@ -11,6 +11,15 @@ def cluster_cpus() -> int:
     return int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
 
 
+def min_block_partitions(nbytes: int) -> int:
+    """The read's task count and every exchange's floor: one per Ray
+    minimum block (1 MiB) of ``nbytes``, at most one per CPU, at least 1."""
+    from ray.data import DataContext
+
+    floor = DataContext.get_current().target_min_block_size
+    return max(1, min(cluster_cpus(), nbytes // floor))
+
+
 def read_parquet(path, columns=None, filter=None):
     """Every parquet read of the library, planned from the footers
     (``core.parquet``): no Ray task runs before the plan executes.
@@ -28,9 +37,7 @@ def read_parquet(path, columns=None, filter=None):
     from pd3f_ray.core.parquet import FooterParquet
 
     source = FooterParquet(path, columns, filter)
-    floor = rd.DataContext.get_current().target_min_block_size
-    k = max(1, min(cluster_cpus(),
-                   source.estimate_inmemory_data_size() // floor))
+    k = min_block_partitions(source.estimate_inmemory_data_size())
     return rd.read_datasource(source, override_num_blocks=k)
 
 

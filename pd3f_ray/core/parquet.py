@@ -2,10 +2,10 @@
 the files' footers on the driver, with no Ray task.
 
 Discovery lists the files with ``pyarrow.dataset`` and reads each footer
-once: per row group, its row count and its uncompressed byte size. The
-read tasks are contiguous (file, row-group range) slices of about equal
-bytes, so the schema, the row count and the size of every task are known
-before anything executes. Ray's own ``ParquetDatasource`` instead runs
+once: per row group, its row count and the uncompressed bytes of the columns
+read. The read tasks are contiguous (file, row-group range) slices of about
+equal bytes, so the schema, the row count and the size of every task are
+known before anything executes. Ray's own ``ParquetDatasource`` instead runs
 ``_sample_fragment`` tasks to estimate the in-memory size, on every read.
 
 ``key=value`` directories in a file's path become string columns, as
@@ -41,6 +41,13 @@ def balanced_runs(sizes: list, n: int) -> list:
             cuts.append(i + 1)
     cuts.append(len(sizes))
     return list(zip(cuts, cuts[1:]))
+
+
+def _column_bytes(row_group, columns) -> int:
+    """Uncompressed bytes of ``columns`` in one row group's footer."""
+    chunks = map(row_group.column, range(row_group.num_columns))
+    return sum(c.total_uncompressed_size for c in chunks
+               if c.path_in_schema.split(".")[0] in columns)
 
 
 def _read(pieces, filesystem, columns, part_keys, filter):
@@ -83,9 +90,11 @@ class FooterParquet(Datasource):
         self._filesystem = dataset.filesystem
         self._columns = None if columns is None else list(columns)
         self._filter = filter
-        # (path, row-group id, rows, bytes) in file order
+        # (path, row-group id, rows, bytes of the columns read) in file order
         self._row_groups = [
-            (frag.path, rg.id, rg.num_rows, rg.total_byte_size)
+            (frag.path, rg.id, rg.num_rows,
+             rg.total_byte_size if columns is None
+             else _column_bytes(frag.metadata.row_group(rg.id), columns))
             for frag in dataset.get_fragments() for rg in frag.row_groups]
 
     def get_name(self) -> str:

@@ -43,7 +43,6 @@ pinning cross-process determinism of ``single_score``.
 
 from __future__ import annotations
 
-import math
 import string
 
 # ---------------------------------------------------------------------------

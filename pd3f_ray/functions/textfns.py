@@ -59,21 +59,6 @@ def popcount64(arr: np.ndarray) -> np.ndarray:
     return _POPCNT[a].sum(axis=-1).astype(np.int64)
 
 
-def pairwise_byteset_jaccard(masks: np.ndarray) -> np.ndarray:
-    """(n, n) Jaccard matrix over byte-set masks (DuckDB semantics).
-    O(n²) by design — the oracle-checkable exact variant; the scale path
-    is MinHash-LSH (pd3f_ray.pipelines.dedup)."""
-    n = masks.shape[0]
-    sizes = popcount64(masks).sum(axis=1)  # |set| per row
-    sim = np.zeros((n, n), dtype=np.float64)
-    for i in range(n):
-        inter = popcount64(masks[i] & masks).sum(axis=1)
-        union = sizes[i] + sizes - inter
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sim[i] = np.where(union > 0, inter / union, 0.0)
-    return sim
-
-
 # --- word shingles / MinHash -------------------------------------------------
 
 _MERSENNE = (1 << 61) - 1

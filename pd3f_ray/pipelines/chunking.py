@@ -98,7 +98,7 @@ def _top_vocab(sf_dir: str, v: int):
     resolved to a v-row table and fetched block-wise."""
     from pd3f_ray.pipelines.textstats import top_tokens
 
-    vocab_ds = top_tokens(sf_dir, k=v)
+    vocab_ds = top_tokens(sf_dir, k=v).materialize()  # runs once
     blocks = [b for b in ray.get(vocab_ds.to_arrow_refs())  # v rows — tiny
               if b.num_rows]
     if not blocks:  # empty corpus → empty vocabulary

@@ -27,7 +27,13 @@ import ray.data as rd
 from pd3f_ray.core.arrowkit import run_offsets
 from pd3f_ray.core.cluster import read_table
 from pd3f_ray.functions.textfns import mix64 as _mix64
-from pd3f_ray.stages.exchange import finish_agg, fold, group_map, hash_agg
+from pd3f_ray.stages.exchange import (
+    finish_agg,
+    fold,
+    group_map,
+    hash_agg,
+    input_partitions,
+)
 
 HLL_P = 12  # 2^12 registers
 HLL_M = 1 << HLL_P
@@ -415,7 +421,6 @@ GROUP BY window_id
 CMS_W = 2048          # counters per row
 CMS_D = 4             # hash rows
 CMS_PROBES = 20       # users probed in the demo query
-CMS_COMBINE_FANIN = 32  # level-1 tree-combine partitions (dial)
 _CMS_SEEDS = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F,
                        0x165667B19E3779F9, 0x27D4EB2F165667C5],
                       dtype=np.uint64)
@@ -467,11 +472,14 @@ def cms_user_counts(sf_dir: str, n_probes: int = CMS_PROBES):
 
     # two-level tree combine: at corpus scale the per-block sketch rows
     # number in the millions (64 KB each) — summing them on the driver
-    # is an OOM. Level 1 sums within CMS_COMBINE_FANIN fixed partitions
-    # (workers), level 2 (``fold``) sums the ≤fan-in survivors in one
-    # task; only ONE 64 KB matrix ever reaches the driver.
-    (merged,) = fold(ds.map_batches(partial, batch_format="pyarrow")
-                     .repartition(CMS_COMBINE_FANIN), combine, combine).take(1)
+    # is an OOM. Level 1 sums within the input's partitions (workers),
+    # level 2 (``fold``) sums the survivors in one task; only ONE 64 KB
+    # matrix ever reaches the driver. A one-partition input is the fold.
+    sketches = ds.map_batches(partial, batch_format="pyarrow")
+    fan_in = input_partitions(ds)
+    if fan_in > 1:
+        sketches = sketches.repartition(fan_in)
+    (merged,) = fold(sketches, combine, combine).take(1)
     m = np.frombuffer(merged["sketch"], np.int64).reshape(CMS_D, CMS_W)
 
     # exact truth for the probe set

@@ -195,11 +195,8 @@ def sample_docs(sf_dir: str):
     def pick(batch: pa.Table) -> pa.Table:
         texts = batch.column("text").to_pylist()
         keep = [md5_hex(t)[0] in SAMPLE_HEX for t in texts]
-        import pyarrow.compute as pc
-
-        mask = pa.array(keep, pa.bool_())
-        f = batch.filter(mask)
-        return f.select(["doc_id", "lang", "n_chars"])
+        return batch.filter(pa.array(keep, pa.bool_())).select(
+            ["doc_id", "lang", "n_chars"])
 
     return ds.map_batches(pick, batch_format="pyarrow")
 

@@ -254,7 +254,6 @@ FROM documents
 # ---------------------------------------------------------------------------
 
 _SNAP_BASE = 1_600_000_000  # fixture epoch base (sec)
-_SNAP_VARIANTS = 3
 
 
 def url_dedup_latest(sf_dir: str):

@@ -2,10 +2,9 @@
 
 Ray Data has no native session windows or as-of joins; both are
 expressed here as the engine's standard bucketed-shuffle pattern: ONE
-``user_id % B`` ``bucket_exchange`` (stages/exchange.py), then
-vectorized per-user logic in each reducer call (sort by (ts, event_id)
-→ gap scan / prior-index scan); a call holds ≤ 64 whole buckets
-(cf. stages/pages.py for the same pattern).
+``user_id % B`` ``bucket_exchange`` (stages/exchange.py), one bucket
+per partition, then vectorized per-user logic in each reducer call
+(sort by (ts, event_id) → gap scan / prior-index scan).
 
 Both are oracle-checked against DuckDB window functions; money-like
 sums travel as integer cents so float summation order can't break the
@@ -25,20 +24,27 @@ import pyarrow as pa
 
 from pd3f_ray.core.arrowkit import run_rank
 from pd3f_ray.core.cluster import read_table
-from pd3f_ray.stages.exchange import bucket_exchange, group_map, hash_agg
+from pd3f_ray.stages.exchange import (
+    bucket_exchange,
+    group_map,
+    hash_agg,
+    input_partitions,
+)
 
 SESSION_GAP_MIN = 30
-WINDOW_BUCKETS = 256
 
 
 def _bucketed(ds, fn):
+    """``fn`` over whole users: one ``user_id`` bucket per partition."""
+    num_buckets = input_partitions(ds)
+
     def add_bucket(batch: pa.Table) -> pa.Table:
         uid = batch.column("user_id").to_numpy(zero_copy_only=False)
-        b = pa.array((uid % WINDOW_BUCKETS).astype(np.int32), pa.int32())
+        b = pa.array((uid % num_buckets).astype(np.int32), pa.int32())
         return batch.append_column("bucket", b)
 
     return bucket_exchange(ds.map_batches(add_bucket, batch_format="pyarrow"),
-                           "bucket", WINDOW_BUCKETS, fn)
+                           "bucket", num_buckets, fn)
 
 
 def _col_np(tbl: pa.Table, name: str) -> np.ndarray:

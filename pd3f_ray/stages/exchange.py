@@ -4,16 +4,17 @@ The exchange: rows carry an int bucket id in ``[0, B)``; the ids are
 range-partitioned on explicit sort boundaries (no sampling pass) into P
 partitions, whatever the upstream block count, and a reducer runs once
 per non-empty partition with every bucket's rows in exactly that call.
-P is one reduce wave, min(B, max(cluster CPUs, ⌈B/64⌉)), raised with
-the input to one partition per Ray block (``target_max_block_size``,
-128 MiB) of its sources' estimated bytes, as Ray's sort made one
-partition per block. Every task of an exchange (sort map, sort reduce,
-reducer) costs a fixed chunk of driver, raylet and worker CPU whatever
-it holds, and on a small input that fixed cost is the exchange: one
-partition per CPU runs every reducer at once, and a second wave only
-adds tasks. The bucket dial still bounds a reducer call, at ≤ 64
-buckets, so a large B raises P past the CPU count (2^20 buckets → 2^14
-partitions at any CPU count).
+P is sized by its input, as the read is: ``input_partitions(ds)``, one
+partition per 1 MiB (``target_min_block_size``) of the sources' planned
+bytes, at most one per CPU, raised to one per 128 MiB Ray block, as
+Ray's sort made one partition per block. Each exchange task (sort map,
+sort reduce, reducer) costs a fixed chunk of driver, raylet and worker
+CPU whatever it holds, so a table under 2 MiB is one partition (a
+``repartition(1)``, no sort), and from CPUs MiB up P is one reduce
+wave, one partition per CPU: a second wave only adds tasks. The bucket
+dial still bounds a reducer call at ≤ 64 buckets, so a large B raises P
+to ⌈B/64⌉ (2^20 buckets → 2^14 partitions). A source with no size
+estimate keeps one partition per CPU.
 
 The entry points:
 
@@ -26,11 +27,10 @@ The entry points:
   them where the read's bytes would not.
 - ``group_map(ds, keys, fn)``: ``fn`` sees exactly one group. Rows are
   tagged with the ``stable_bucket`` of ``keys`` over one bucket per
-  partition, P sized from the input alone (a one-block table is one
-  partition, as Ray's sampled sort made it), and each reduce task
-  sorts on ``keys`` and calls ``fn`` once per key run. For natural keys
-  (a language, an event type, a source) and for reducers that read the
-  group's key or treat their input as one group (range bands).
+  partition, and each reduce task sorts on ``keys`` and calls ``fn``
+  once per key run. For natural keys (a language, an event type, a
+  source) and for reducers that read the group's key or treat their
+  input as one group (range bands).
 - ``fold(ds, partial, merge)``: the one-task finish. ``partial`` runs
   per block, fused into the upstream map, then ``repartition(1)`` and
   ONE ``merge`` task over the partials: a register sketch (HLL max,
@@ -56,52 +56,47 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from pd3f_ray.core.arrowkit import agg, run_offsets
-from pd3f_ray.core.cluster import cluster_cpus
+from pd3f_ray.core.cluster import cluster_cpus, min_block_partitions
 from pd3f_ray.functions.textfns import mix64
 
 MAX_BUCKETS_PER_PARTITION = 64  # the bucket dial bounds a reducer call
-AGG_BUCKETS = 256  # hash_agg's bucket count, until its input needs more
 
 # how each per-block partial folds into the final value
 _FINAL = {"sum": "sum", "count": "sum", "count_all": "sum",
           "min": "min", "max": "max"}
 
 
-def _source_bytes(op) -> int:
-    """Estimated in-memory bytes of the sources under a logical
-    operator: a read's own estimate (the footers, for the library's
-    parquet read), or the metadata of in-memory blocks; 0 if unknown."""
+def _source_bytes(op):
+    """Planned in-memory bytes of the sources under a logical operator:
+    a read's own estimate (the footers, for the library's parquet read),
+    or the metadata of in-memory blocks; None if any source has none."""
     if op.input_dependencies:
-        return sum(_source_bytes(d) for d in op.input_dependencies)
+        sizes = [_source_bytes(d) for d in op.input_dependencies]
+        return None if None in sizes else sum(sizes)
     source = getattr(op, "_datasource", None)
-    size = (source.estimate_inmemory_data_size() if source is not None
+    return (source.estimate_inmemory_data_size() if source is not None
             else op.infer_metadata().size_bytes)
-    return size or 0
 
 
-def byte_partitions(ds) -> int:
-    """One partition per Ray block (``target_max_block_size``) of the
-    estimated bytes of ``ds``'s sources, as planned."""
+def input_partitions(ds) -> int:
+    """The read's task count over ``ds``'s planned source bytes, raised
+    to one per Ray block (128 MiB); CPUs if any source has no size."""
     from ray.data import DataContext
 
+    nbytes = _source_bytes(ds._logical_plan.dag)
+    if nbytes is None:
+        return cluster_cpus()
     block = DataContext.get_current().target_max_block_size
-    return -(-_source_bytes(ds._logical_plan.dag) // block)
-
-
-def partition_count(num_buckets: int) -> int:
-    """P: one partition per cluster CPU, raised to ≤ 64 buckets each,
-    ≤ num_buckets."""
-    return min(num_buckets, max(cluster_cpus(),
-                                -(-num_buckets // MAX_BUCKETS_PER_PARTITION)))
+    return max(min_block_partitions(nbytes), -(-nbytes // block))
 
 
 def bucket_exchange(ds, key: str, num_buckets: int, fn):
     """Rows with an int ``key`` in ``[0, num_buckets)`` → ``fn(pa.Table)``
     once per partition: each bucket in exactly one call, ≤ P calls, P =
-    ``partition_count(num_buckets)`` raised to ``byte_partitions(ds)``,
-    ≤ num_buckets."""
-    p = min(num_buckets, max(partition_count(num_buckets),
-                             byte_partitions(ds)))
+    ``input_partitions(ds)`` raised to ≤ 64 buckets per partition, ≤
+    num_buckets."""
+    p = min(num_buckets, max(-(-num_buckets // MAX_BUCKETS_PER_PARTITION),
+                             input_partitions(ds)))
     # empty boundaries would make Ray's sort sample, 1 partition/block
     shuffled = ds.repartition(1) if p == 1 else ds.sort(
         key, boundaries=[-(-i * num_buckets // p) for i in range(1, p)])
@@ -183,10 +178,7 @@ def group_map(ds, keys, fn):
         return pa.concat_tables([fn(t.take(idx.slice(s, e - s)))
                                  for s, e in zip(starts, ends)])
 
-    # one bucket per partition: one per input block, at most one per
-    # CPU, and at least one per Ray block of the sources' bytes
-    blocks = ds._plan.initial_num_blocks() or cluster_cpus()
-    num_buckets = max(1, min(cluster_cpus(), blocks), byte_partitions(ds))
+    num_buckets = input_partitions(ds)  # one bucket per partition
     return bucket_exchange(
         ds.map_batches(_tag_buckets(keys, num_buckets), batch_size=None,
                        batch_format="pyarrow"),
@@ -264,17 +256,15 @@ def hash_agg(ds, keys: list[str], aggs: dict):
     """``arrowkit.agg(rows, keys, aggs)`` over a large key domain, in
     one ``bucket_exchange``: each block's partials (fused into the
     upstream map) are tagged with the ``stable_bucket`` of their key,
-    and each partition's reducer finishes the keys of its buckets.
-    ``AGG_BUCKETS`` buckets, or one per ``byte_partitions(ds)`` if that
-    is more, P partitions of ≤ 64 buckets each, as in ``joins.cogroup``.
-    ``aggs`` as in ``finish_agg``; an empty ``aggs`` is a distinct over
-    ``keys``.
+    and each partition's reducer finishes its bucket's keys, one bucket
+    per partition, as in ``group_map``. ``aggs`` as in ``finish_agg``;
+    an empty ``aggs`` is a distinct over ``keys``.
 
     Invariant: every key's output row is in exactly one output block,
     so a per-block top-k over the output is exact. Null keys group as
     one key, as in ``arrowkit.agg``."""
     final = _final_aggs(aggs)
-    num_buckets = max(AGG_BUCKETS, byte_partitions(ds))
+    num_buckets = input_partitions(ds)
     tag = _tag_buckets(keys, num_buckets)
 
     def partial(t):

@@ -360,20 +360,71 @@ def _executed_ops(summary) -> list:
     return ops + list(summary.operators_stats)
 
 
+def _lower_min_block(monkeypatch, nbytes: int = 1):
+    """Ray's minimum block size set to ``nbytes``: a small input is then
+    worth one partition per CPU, and the exchanges sort."""
+    import ray.data as rd
+
+    monkeypatch.setattr(rd.DataContext.get_current(), "target_min_block_size",
+                        nbytes)
+
+
+def _set_cpus(monkeypatch, cpus: int):
+    """``cluster_cpus()`` reads ``cpus`` in the read and the exchange."""
+    from pd3f_ray.core import cluster
+    from pd3f_ray.stages import exchange
+
+    monkeypatch.setattr(cluster, "cluster_cpus", lambda: cpus)
+    monkeypatch.setattr(exchange, "cluster_cpus", lambda: cpus)
+
+
+def _planned_partitions(out) -> int:
+    """P of the ``bucket_exchange`` that made ``out``, read off the plan
+    without running it: the sort's boundaries + 1, or 1 for the
+    ``repartition(1)``."""
+    from ray.data._internal.logical.operators.all_to_all_operator import (
+        Repartition,
+    )
+
+    op = out._logical_plan.dag.input_dependencies[0]
+    if isinstance(op, Repartition):
+        return op._num_outputs
+    return len(op._sort_key.boundaries) + 1
+
+
+def _sized(nbytes):
+    """A dataset read from a ``Datasource`` of no rows whose planned size
+    is ``nbytes`` (None: no estimate)."""
+    import ray.data as rd
+
+    class Sized(rd.Datasource):
+        def estimate_inmemory_data_size(self):
+            return nbytes
+
+        def get_read_tasks(self, parallelism):
+            return []
+
+    return rd.read_datasource(Sized())
+
+
 @pytest.mark.parametrize("num_buckets", [1, 7, 512])
-def test_bucket_exchange_one_call_per_bucket(ray_session, num_buckets):
+def test_bucket_exchange_one_call_per_bucket(ray_session, monkeypatch,
+                                             num_buckets):
     """bucket_exchange's contract: every bucket's rows reach ``fn`` in
-    exactly one call, in at most P = partition_count(num_buckets) calls,
-    with one bucket skewed far above the rest and a third of the
-    buckets empty. The exchange makes exactly P partitions from 6 input
-    blocks (a sampled sort would make one per input block)."""
+    exactly one call, ≤ 64 buckets per call, in at most P ≤ num_buckets
+    calls, with one bucket skewed far above the rest and a third of the
+    buckets empty. The exchange makes exactly P = min(B, max(⌈B/64⌉,
+    ``input_partitions``)) partitions from 6 input blocks (a sampled
+    sort would make one per input block): 1 for these few KB, and again
+    with Ray's minimum block size lowered so that they are worth one
+    partition per CPU and the exchange sorts."""
     import re
     import uuid
 
     import pyarrow as pa
     import ray.data as rd
 
-    from pd3f_ray.stages.exchange import bucket_exchange, partition_count
+    from pd3f_ray.stages.exchange import bucket_exchange, input_partitions
 
     rng = np.random.default_rng(num_buckets)
     b = rng.integers(0, num_buckets, 300)
@@ -389,47 +440,88 @@ def test_bucket_exchange_one_call_per_bucket(ray_session, num_buckets):
         return per.append_column(
             "call", pa.array([uuid.uuid4().hex] * per.num_rows))
 
-    ds = bucket_exchange(rd.from_arrow(blocks), "bucket", num_buckets,
-                         fn).materialize()
-    got = ds.to_pandas()
-    want = pd.Series(b).value_counts()
-    p = partition_count(num_buckets)
-    assert got["bucket"].is_unique  # no bucket split across two calls
-    assert dict(zip(got["bucket"], got["v_sum"])) == want.to_dict()
-    assert got["call"].nunique() <= p
-    assert got["call"].value_counts().max() <= 64  # buckets in one call
-    exchange = [op for op in _executed_ops(ds._get_stats_summary())
-                if op.is_sub_operator][-1]
-    produced = re.search(r"(\d+) blocks produced",
-                         exchange.block_execution_summary_str)
-    assert int(produced.group(1)) == p
+    for lowered in (False, True):
+        if lowered:
+            _lower_min_block(monkeypatch)
+        src = rd.from_arrow(blocks)
+        ds = bucket_exchange(src, "bucket", num_buckets, fn).materialize()
+        got = ds.to_pandas()
+        want = pd.Series(b).value_counts()
+        assert input_partitions(src) == (4 if lowered else 1)  # 4 CPUs
+        p = min(num_buckets,
+                max(-(-num_buckets // 64), input_partitions(src)))
+        assert got["bucket"].is_unique  # no bucket split across two calls
+        assert dict(zip(got["bucket"], got["v_sum"])) == want.to_dict()
+        assert got["call"].nunique() <= p <= num_buckets
+        assert got["call"].value_counts().max() <= 64  # buckets in one call
+        exchange = [op for op in _executed_ops(ds._get_stats_summary())
+                    if op.is_sub_operator]
+        assert [op.operator_name for op in exchange] == (
+            ["SortMap", "SortReduce"] if p > 1
+            else ["RepartitionSplit", "RepartitionReduce"])
+        produced = re.search(r"(\d+) blocks produced",
+                             exchange[-1].block_execution_summary_str)
+        assert int(produced.group(1)) == p
 
 
-def test_partition_count_grows_with_num_buckets(monkeypatch):
-    """P is one reduce wave (one partition per CPU) at today's bucket
-    counts, grows with the bucket dial past 64 buckets per CPU, never
-    exceeds num_buckets, and no partition holds more than 64 buckets,
-    whatever the CPU count."""
-    from pd3f_ray.stages import exchange
+def test_input_partitions_follow_the_bytes(ray_session, monkeypatch):
+    """``input_partitions`` is the read's task count (one per 1 MiB of
+    planned bytes, at most one per CPU, at least 1) raised to one per
+    128 MiB Ray block: it never falls as the bytes grow, whatever the
+    CPU count, and a source with no size estimate keeps the CPU floor,
+    alone or unioned with a sized one."""
+    from pd3f_ray.core.cluster import min_block_partitions
+    from pd3f_ray.stages.exchange import input_partitions
+
+    mib = 1 << 20
+
+    def ip(nbytes) -> int:
+        return input_partitions(_sized(nbytes))
 
     for cpus in (1, 4, 64):
-        monkeypatch.setattr(exchange, "cluster_cpus", lambda: cpus)
-        ps = [exchange.partition_count(b) for b in range(1, 70_000, 97)]
-        assert ps == sorted(ps)
-        for b in (1, 7, 128, 256, 512, 4096, 2**20, 2**20 + 1):
-            p = exchange.partition_count(b)
-            assert 1 <= p <= b and -(-b // p) <= 64
-    monkeypatch.setattr(exchange, "cluster_cpus", lambda: 4)
-    assert [exchange.partition_count(b) for b in (128, 256, 512)] == [4, 4, 8]
-    assert exchange.partition_count(2**20) == 2**14
+        _set_cpus(monkeypatch, cpus)
+        sizes = [0, 1, mib - 1, mib, 2 * mib, 3 * mib + 5, cpus * mib,
+                 128 * mib * cpus, 128 * mib * cpus + 1, 1 << 40]
+        ps = [ip(n) for n in sorted(sizes)]
+        assert ps == sorted(ps) and ps[0] == 1
+        for n in sizes:
+            want = max(1, min(cpus, n // mib), -(-n // (128 * mib)))
+            assert ip(n) == want, (cpus, n)
+            if n < 128 * mib * cpus:
+                assert ip(n) == min_block_partitions(n)  # the read's k
+        assert ip(None) == cpus
+        assert input_partitions(_sized(0).union(_sized(None))) == cpus
+
+
+@pytest.mark.parametrize("cpus", [1, 4, 64])
+def test_exchange_partitions_match_the_cpu_floor_from_cpus_mib(
+        ray_session, monkeypatch, cpus):
+    """For a source of at least CPUs MiB, every bucket count's P is the
+    CPU-floor rule min(B, max(CPUs, ⌈B/64⌉, ⌈bytes/128 MiB⌉)): sizing
+    the exchange by its input changes nothing there. A source with no
+    size estimate keeps P ≥ CPUs (≤ B) at any size."""
+    from pd3f_ray.stages.exchange import bucket_exchange
+
+    mib = 1 << 20
+    _set_cpus(monkeypatch, cpus)
+    for nbytes in (cpus * mib, cpus * mib + 1, 200 * mib, 40 << 30, None):
+        src = _sized(nbytes)
+        for b in (1, 7, 32, 256, 512, 1024, 2**20):
+            p = _planned_partitions(bucket_exchange(src, "k", b,
+                                                    lambda t: t))
+            byte_floor = -(-(nbytes or 0) // (128 * mib))
+            assert p == min(b, max(cpus, -(-b // 64), byte_floor)), (nbytes, b)
+            assert p >= min(b, cpus)
 
 
 def test_exchange_partitions_follow_the_input(ray_session, monkeypatch):
-    """``group_map`` makes one partition per input block, at most one
-    per CPU, so a one-block table is one reduce task, as Ray's sampled
-    sort made it. Every exchange makes at least one partition per Ray
-    block (``target_max_block_size``) of its sources' estimated bytes,
-    as Ray's sort made one per block, up to its bucket count."""
+    """``group_map`` makes one partition per 1 MiB of its input's
+    planned bytes, at most one per CPU, so six blocks of ~11 KB are one
+    reduce task, as is a one-block table (Ray's sampled sort made one
+    per block). With Ray's minimum block size lowered to 16 KB the same
+    64 KB are 4 partitions. Every exchange makes at least one partition
+    per Ray block (``target_max_block_size``) of its sources' estimated
+    bytes, as Ray's sort made one per block, up to its bucket count."""
     import re
 
     import pyarrow as pa
@@ -438,7 +530,7 @@ def test_exchange_partitions_follow_the_input(ray_session, monkeypatch):
 
     from pd3f_ray.stages import exchange
 
-    monkeypatch.setattr(exchange, "cluster_cpus", lambda: 4)
+    _set_cpus(monkeypatch, 4)
     t = pa.table({"k": pa.array(np.arange(4000) % 7),
                   "v": pa.array(np.ones(4000, np.int64))})
 
@@ -455,12 +547,16 @@ def test_exchange_partitions_follow_the_input(ray_session, monkeypatch):
 
     one = rd.from_arrow([t])
     six = rd.from_arrow([t.slice(i * 700, 700) for i in range(6)])
-    assert exchange.byte_partitions(one) == 1
+    assert exchange.input_partitions(one) == 1
     assert partitions(one) == 1
-    assert partitions(six) == 4
+    assert partitions(six) == 1
+    _lower_min_block(monkeypatch, 16 << 10)
+    assert exchange.input_partitions(six) == 3
+    assert partitions(six) == 3
+    _lower_min_block(monkeypatch, 1 << 20)
     ctx = rd.DataContext.get_current()
     monkeypatch.setattr(ctx, "target_max_block_size", -(-t.nbytes // 10))
-    assert exchange.byte_partitions(one) == 10
+    assert exchange.input_partitions(one) == 10
     assert partitions(one) == 10
     for num_buckets, p in ((8, 8), (128, 10), (1024, 16)):
         out = exchange.bucket_exchange(
@@ -480,35 +576,45 @@ def _exchanges(ds) -> list:
             if op.is_sub_operator]
 
 
-def test_same_key_aggregates_fold_into_the_join_exchange(ray_session):
+PAIR = ["SortMap", "SortReduce"]  # an exchange of P > 1 partitions
+ONE = ["RepartitionSplit", "RepartitionReduce"]  # P = 1, or a fold
+
+
+def test_same_key_aggregates_fold_into_the_join_exchange(ray_session,
+                                                         monkeypatch):
     """A plan that aggregates and joins on one key runs both in ONE
-    ``cogroup`` exchange: click_purchase_matrix is one sort exchange
-    with no Ray aggregate, customer_order_counts is that exchange plus
-    its final groupby on ``n_orders``, and q3_shipping_priority's
-    orderkey totals ride its orderkey join (on both customer paths: the
-    join, then the one-task ``top_k``; the bucketed path adds its semi
-    join)."""
+    ``cogroup`` exchange: click_purchase_matrix is one exchange with no
+    Ray aggregate, customer_order_counts is that exchange plus its
+    one-task finish on ``n_orders``, and q3_shipping_priority's orderkey
+    totals ride its orderkey join (on both customer paths: the join,
+    then the one-task ``top_k``; the bucketed path adds its semi join).
+    At ``SF`` the first two exchanges are one partition; q3's 128
+    buckets keep ⌈128/64⌉ = 2 sorted partitions. With Ray's minimum
+    block size lowered, every join exchange sorts."""
     from pd3f_ray.pipelines.joins import (
         click_purchase_matrix,
         q3_shipping_priority,
     )
     from pd3f_ray.pipelines.relational import customer_order_counts
 
-    pair = ["SortMap", "SortReduce"]
-    assert _exchanges(click_purchase_matrix(SF).materialize()) == pair
-    assert _exchanges(customer_order_counts(SF).materialize()) == pair + [
-        "RepartitionSplit", "RepartitionReduce"]
-    for broadcast, n in ((True, 1), (False, 2)):
-        ds = q3_shipping_priority(SF, broadcast_customer=broadcast)
-        assert _exchanges(ds.materialize()) == pair * n + [
-            "RepartitionSplit", "RepartitionReduce"], broadcast
+    for join in (ONE, PAIR):
+        if join == PAIR:
+            _lower_min_block(monkeypatch)
+        assert _exchanges(click_purchase_matrix(SF).materialize()) == join
+        assert _exchanges(customer_order_counts(SF).materialize()) == (
+            join + ONE)
+        for broadcast, n in ((True, 1), (False, 2)):
+            ds = q3_shipping_priority(SF, broadcast_customer=broadcast)
+            assert _exchanges(ds.materialize()) == PAIR * n + ONE, broadcast
 
 
-def test_small_final_aggregates_finish_in_one_task(ray_session):
+def test_small_final_aggregates_finish_in_one_task(ray_session, monkeypatch):
     """A plan that ends in an aggregate over a small key domain emits
     partials on that key from its last exchange's reducer (the next-key
     fold) and finishes them in ONE task behind ``repartition(1)``: no
-    Ray sort aggregate follows the joins."""
+    Ray sort aggregate follows the joins, whether the joins are one
+    partition (``SF``) or sort (Ray's minimum block size lowered);
+    nation_revenue's 128 join buckets always sort."""
     import re
 
     from pd3f_ray.pipelines.joins import nation_revenue, supplier_part_join
@@ -517,19 +623,21 @@ def test_small_final_aggregates_finish_in_one_task(ray_session):
         segment_order_stats,
     )
 
-    pair = ["SortMap", "SortReduce"]
-    one = ["RepartitionSplit", "RepartitionReduce"]
-    for ds, joins in ((supplier_part_join(SF), 1),
-                      (customer_order_counts(SF), 1),
-                      (segment_order_stats(SF, broadcast=False), 1),
-                      (nation_revenue(SF, broadcast_customer=False), 2)):
-        ds = ds.materialize()
-        assert _exchanges(ds) == pair * joins + one
-        last = _executed_ops(ds._get_stats_summary())[-1]
-        assert last.operator_name == "MapBatches(finish)"
-        tasks = re.search(r"(\d+) tasks executed",
-                          last.block_execution_summary_str)
-        assert int(tasks.group(1)) == 1
+    for join in (ONE, PAIR):
+        if join == PAIR:
+            _lower_min_block(monkeypatch)
+        for ds, joins in ((supplier_part_join(SF), join),
+                          (customer_order_counts(SF), join),
+                          (segment_order_stats(SF, broadcast=False), join),
+                          (nation_revenue(SF, broadcast_customer=False),
+                           PAIR * 2)):
+            ds = ds.materialize()
+            assert _exchanges(ds) == joins + ONE
+            last = _executed_ops(ds._get_stats_summary())[-1]
+            assert last.operator_name == "MapBatches(finish)"
+            tasks = re.search(r"(\d+) tasks executed",
+                              last.block_execution_summary_str)
+            assert int(tasks.group(1)) == 1
 
 
 def test_join_side_behind_a_map_needs_a_declared_schema(ray_session):
@@ -808,6 +916,43 @@ def test_null_event_type_is_one_group(ray_session, tmp_path):
             ["n_users_approx"].sort_index().equals(
                 hll[1].fillna({"event_type": ""}).set_index("event_type")
                 ["n_users_approx"].sort_index()))
+
+
+def test_to_arrow_refs_only_on_computed_plans(ray_session, monkeypatch):
+    """``Dataset.to_arrow_refs()`` on a plan with no computed output runs
+    the plan twice in Ray 2.49 (it executes, then its schema lookup
+    executes it again), so the library calls it on materialized
+    datasets only. Every registry query of a module that calls it runs
+    at ``SF`` with the call wrapped to refuse a plan that has not run,
+    and each such module reaches the call at least once."""
+    import collections
+    import inspect
+    import sys
+
+    import ray.data as rd
+
+    import __ray_entry__
+
+    real = rd.Dataset.to_arrow_refs
+    calls = collections.Counter()
+    module = None
+
+    def computed_only(self, *args, **kwargs):
+        assert self._plan.has_computed_output(), module
+        calls[module] += 1
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(rd.Dataset, "to_arrow_refs", computed_only)
+    modules = set()
+    for name, fn in __ray_entry__.queries().items():
+        module = fn.__module__
+        if ".to_arrow_refs(" not in inspect.getsource(sys.modules[module]):
+            continue
+        modules.add(module)
+        out = fn(SF)
+        if isinstance(out, rd.Dataset):
+            out.materialize()
+    assert len(modules) >= 9 and set(calls) == modules, (modules, calls)
 
 
 def test_supplier_part_join_fold_matches_join_then_aggregate(ray_session,

@@ -89,3 +89,33 @@ def test_read_parquet_hive_output_keeps_string_partitions(ray_session,
     assert _rows(ds.take_all()) == _rows(expected.to_table())
     assert _rows(read_parquet(out, columns=["bucket", "doc_id"]).take_all()) \
         == _rows(expected.to_table(columns=["bucket", "doc_id"]))
+
+
+def test_planned_bytes_count_only_the_columns_read(tmp_path):
+    """The planned size is the uncompressed footer bytes of the columns
+    read: the whole row groups' ``total_byte_size`` with ``columns=None``,
+    and the projected columns' ``total_uncompressed_size`` otherwise,
+    with 0 for a hive partition column (no Ray)."""
+    from pd3f_ray.core.parquet import FooterParquet
+
+    d = tmp_path / "src=web"
+    d.mkdir()
+    n = 5000
+    pq.write_table(pa.table({"a": pa.array(range(n), pa.int64()),
+                             "b": [f"text {i}" * 20 for i in range(n)],
+                             "c": pa.array(range(n), pa.int32())}),
+                   d / "part-0.parquet", row_group_size=2000)
+    meta = pq.ParquetFile(d / "part-0.parquet").metadata
+    groups = [meta.row_group(i) for i in range(meta.num_row_groups)]
+    assert len(groups) == 3
+
+    def column_bytes(j: int) -> int:
+        return sum(g.column(j).total_uncompressed_size for g in groups)
+
+    def planned(columns) -> int:
+        return FooterParquet(str(d), columns).estimate_inmemory_data_size()
+
+    assert planned(None) == sum(g.total_byte_size for g in groups)
+    assert planned(["a", "c"]) == column_bytes(0) + column_bytes(2)
+    assert planned(["c", "src"]) == column_bytes(2)
+    assert planned(["b"]) == column_bytes(1) > 10 * planned(["a", "c"])

@@ -336,7 +336,7 @@ merged.sort()
 ids.sort(key=len)
 pd.Series(ts).groupby(uid, sort=False).cummax()
 t.group_by(["k"]).aggregate([("v", "sum")])
-ds.repartition(CMS_COMBINE_FANIN)
+ds.repartition(fan_in)
 """
     assert [n for _, n in sorted(_ray_all_to_all_sites(flagged))] == [
         "sort", "sort", "unique", "groupby", "aggregate", "repartition"]
