@@ -541,26 +541,38 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "pack_sequences": webcurate.pack_sequences,  # greedy → rows-only
     }
     # head-of-line rotation (see the ORDER MATTERS note above): the lead
-    # is the plans the last change touched most — every exchange now
-    # sized by its input — then the previous rotations in their order.
-    # Everything else follows in its round-4 order.
+    # is the plans the last change touched most — every bucket_exchange
+    # caller now tags its rows over the exchange's input-sized P — then
+    # the previous rotations in their order. Everything else follows in
+    # its round-4 order.
     prefix = [
-        # -- exchanges sized by their input: the six ops_exchange
-        #    queries, every window exchange, the Count-Min combine
-        #    level and the chunking plans (vocabulary read once) --
+        # -- no bucket dial: the page exchanges, every cogroup and join
+        #    plan, the hash-bucketed pipeline reducers and the window
+        #    exchanges --
+        "extract_pages", "pages_roundtrip", "pages_staged_roundtrip",
         "supplier_part_join", "customers_with_orders", "click_purchase_matrix",
         "customer_order_counts", "user_sessions", "dedup_exact",
-        "purchase_attribution", "events_sliding", "sliding_unique_users",
-        "latest_event_per_user", "user_running_total", "late_events",
-        "ontime_hourly", "event_sequences", "event_gaps", "next_event_label",
-        "funnel_stages", "interval_join_events", "top_events_per_user",
+        "segment_order_stats", "referential_integrity", "nation_revenue",
+        "nation_revenue_share", "region_brand_revenue", "q3_shipping_priority",
+        "q4_order_priority", "curate_docs", "curate_neardup", "snapshot_diff",
+        "minhash_pairs", "embdup_lsh", "simhash_pairs", "dedup_incremental",
+        "dedup_clusters", "pagerank", "token_postings", "tfidf_terms",
+        "dup_span_stats", "strip_dup_spans", "line_dedup_docs",
+        "web_corpus_pipeline", "crawl_consolidation_pipeline",
+        "training_prep_pipeline", "resumable_write_roundtrip",
+        "purchase_attribution", "latest_event_per_user", "user_running_total",
+        "late_events", "ontime_hourly", "event_sequences", "event_gaps",
+        "next_event_label", "funnel_stages", "top_events_per_user",
+        # -- the rotation before it. Exchanges sized by their input: the
+        #    other window exchanges, the Count-Min combine level and the
+        #    chunking plans (vocabulary read once) --
+        "events_sliding", "sliding_unique_users", "interval_join_events",
         "cms_user_counts", "chunk_docs", "tokenize_docs",
-        "training_prep_pipeline",
-        # -- the rotation before it. One-task finish: Ray's sort/limit,
+        # -- the rotation before that. One-task finish: Ray's sort/limit,
         #    unique, AggregateFn and hand-written repartition(1)
         #    finishes became fold / top_k --
-        "top_orders", "q3_shipping_priority", "top_tokens", "top_bigrams",
-        "weighted_sample", "bigram_pmi", "approx_distinct_users",
+        "top_orders", "top_tokens", "top_bigrams", "weighted_sample",
+        "bigram_pmi", "approx_distinct_users",
         "approx_distinct_users_agg", "bloom_membership", "user_favorite_event",
         "q6_forecast_revenue", "table_checksum", "kmeans_train",
         "crawl_budget_allocation",
@@ -570,39 +582,30 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # -- the rotation before it. One per-document extraction path:
         #    every plan whose rows come from ExtractDocs, ExtractElements
         #    or assemble_extract --
-        "extract_docs", "extract_fast", "extract_summary", "extract_pages",
-        "pages_roundtrip", "pages_staged_roundtrip", "extract_elements",
+        "extract_docs", "extract_fast", "extract_summary", "extract_elements",
         "extract_markdown", "extract_roundtrip", "headers_roundtrip",
         "deadletter_roundtrip", "dehyphen_roundtrip", "pagebreak_roundtrip",
         "footnotes_roundtrip", "skipline_roundtrip", "parsr_ingest_roundtrip",
         # -- the rotation before that. One grouping path: plans whose Ray
-        #    groupby().map_groups became a bucket_exchange (a
-        #    plan-computed bucket) --
-        "curate_docs", "snapshot_diff", "minhash_pairs", "dedup_incremental",
-        "simhash_pairs", "pagerank", "token_postings", "tfidf_terms",
-        "dup_span_stats", "strip_dup_spans", "crawl_consolidation_pipeline",
-        "line_dedup_docs", "web_corpus_pipeline",
-        #    ... or a group_map (one group per reducer call) --
+        #    groupby().map_groups became a group_map (one group per
+        #    reducer call) --
         "approx_event_quantiles", "jaccard_pairs", "ngram_jaccard_pairs",
-        "embdup_lsh", "fuzzy_name_pairs", "name_entity_clusters",
-        "event_value_quantiles", "event_value_mad", "source_lang_matrix",
+        "fuzzy_name_pairs", "name_entity_clusters", "event_value_quantiles",
+        "event_value_mad", "source_lang_matrix",
         "doc_length_rank", "doc_length_ntile", "knn_bruteforce", "knn_lsh",
         "knn_ivf", "domain_stats", "pack_sequences", "shuffle_assignment",
         "source_cap_sample",
         #    ... and the bucketed reducers that lost an empty-input guard --
         "anchor_text_corpus",
         # -- the rotation before it, in its order --
-        "resumable_write_roundtrip", "partitioned_write_roundtrip",
-        "schema_evolution_union", "jsonl_roundtrip", "csv_roundtrip",
-        "segment_order_stats", "nation_revenue", "nation_revenue_share",
-        "region_brand_revenue", "q4_order_priority", "media_kind_summary",
+        "partitioned_write_roundtrip", "schema_evolution_union",
+        "jsonl_roundtrip", "csv_roundtrip", "media_kind_summary",
         "q1_pricing", "events_hourly", "orders_monthly", "customer_rollup",
         "events_cube", "lang_quality", "lang_confusion_matrix",
         "distinct_users", "props_k_stats", "profile_lineitem",
         "balanced_mixture", "dedup_prefix", "dedup_keep_best", "media_dedup",
-        "url_dedup_latest", "referential_integrity", "dedup_clusters",
-        "event_value_histogram", "hourly_unique_users", "partition_manifest",
-        "curate_neardup", "html_roundtrip", "html_links", "pii_roundtrip",
+        "url_dedup_latest", "event_value_histogram", "hourly_unique_users",
+        "partition_manifest", "html_roundtrip", "html_links", "pii_roundtrip",
         "embed_docs", "media_features", "gopher_quality", "nfc_normalize_docs",
         "strip_control_chars", "bm25_scores", "kmeans_assign",
         "compression_quality",

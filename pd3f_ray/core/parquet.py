@@ -60,7 +60,8 @@ def _read(pieces, filesystem, columns, part_keys, filter):
         parts = _hive_values(path)
         frag = fmt.make_fragment(path, filesystem, row_groups=row_groups)
         for row_group in frag.split_by_row_group(filter):
-            table = row_group.to_table(columns=data_columns, filter=filter)
+            table = row_group.to_table(columns=data_columns, filter=filter
+                                       ).replace_schema_metadata(None)
             if not table.num_rows:
                 continue
             for key in part_keys:
@@ -78,14 +79,15 @@ class FooterParquet(Datasource):
 
     def __init__(self, path, columns=None, filter=None):
         dataset = pads.dataset(path, format="parquet")
-        schema = dataset.schema
+        # no schema metadata (a pandas footer's), here and in ``_read``:
+        # Ray hashes block schemas, and one with metadata does not hash
+        schema = dataset.schema.remove_metadata()
         self._part_keys = [k for k in _hive_values(dataset.files[0])
                            if k not in schema.names] if dataset.files else []
         for key in self._part_keys:
             schema = schema.append(pa.field(key, pa.string()))
         if columns is not None:
-            schema = pa.schema([schema.field(c) for c in columns],
-                               schema.metadata)
+            schema = pa.schema([schema.field(c) for c in columns])
         self._schema = schema
         self._filesystem = dataset.filesystem
         self._columns = None if columns is None else list(columns)

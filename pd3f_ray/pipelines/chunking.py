@@ -32,7 +32,7 @@ import pyarrow as pa
 import ray
 
 from pd3f_ray.core.cluster import read_table
-from pd3f_ray.stages.exchange import bucket_exchange
+from pd3f_ray.stages.exchange import bucket_exchange, input_partitions
 
 CHUNK_SIZE = 512
 CHUNK_STRIDE = 384  # 128-char overlap between consecutive chunks
@@ -180,9 +180,6 @@ GROUP BY t.doc_id
 # composed flagship: training-prep pipeline
 # ---------------------------------------------------------------------------
 
-PREP_DEDUP_BUCKETS = 256
-
-
 def training_prep_pipeline(sf_dir: str, size: int = CHUNK_SIZE,
                            stride: int = CHUNK_STRIDE, v: int = VOCAB_SIZE):
     """The composed TRAINING-PREP flagship: raw documents → model-ready
@@ -216,6 +213,8 @@ def training_prep_pipeline(sf_dir: str, size: int = CHUNK_SIZE,
 
     vocab_ref = ray.put(_top_vocab(sf_dir, v))
     stop = frozenset(GOPHER_STOPWORDS)
+    docs = read_table(sf_dir, "documents", ["doc_id", "text"])
+    p = input_partitions(docs)
 
     def gate(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_pylist()
@@ -235,7 +234,7 @@ def training_prep_pipeline(sf_dir: str, size: int = CHUNK_SIZE,
             out_id.append(d)
             out_txt.append(t)
             out_dig.append(dig)
-            out_b.append(int(dig[:8], 16) % PREP_DEDUP_BUCKETS)
+            out_b.append(int(dig[:8], 16) % p)
         return pa.table({
             "doc_id": pa.array(out_id, pa.int64()),
             "text": pa.array(out_txt, pa.string()),
@@ -272,10 +271,8 @@ def training_prep_pipeline(sf_dir: str, size: int = CHUNK_SIZE,
             "n_ids": pa.array(out_n, pa.int64()),
         })
 
-    gated = (read_table(sf_dir, "documents", ["doc_id", "text"])
-             .map_batches(gate, batch_format="pyarrow"))
-    return (bucket_exchange(gated, "dbucket", PREP_DEDUP_BUCKETS,
-                            first_per_digest)
+    gated = docs.map_batches(gate, batch_format="pyarrow")
+    return (bucket_exchange(gated, "dbucket", first_per_digest)
             .map_batches(chunk_encode, batch_format="pyarrow"))
 
 

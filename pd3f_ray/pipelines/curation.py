@@ -27,12 +27,17 @@ import pyarrow as pa
 
 from pd3f_ray.core.cluster import read_table
 from pd3f_ray.functions.textfns import md5_hex
-from pd3f_ray.stages.exchange import bucket_exchange, fold, hash_agg
+from pd3f_ray.stages.exchange import (
+    bucket_exchange,
+    fold,
+    hash_agg,
+    input_partitions,
+    stable_bucket,
+)
 
 MIN_TOKENS = 20
 MIN_DISTINCT_RATIO = 0.3
 SAMPLE_HEX = ("0", "1", "2", "3", "4", "5", "6", "7")  # 50%
-DEDUP_BUCKETS = 256  # bounds per-group rows in the dedup exchange
 
 
 def curate_docs(sf_dir: str):
@@ -43,9 +48,12 @@ def curate_docs(sf_dir: str):
     doc_id + small metadata per row, never text), so there is no second
     corpus pass and nothing is materialized on the driver — the round-1
     ``take_all()`` id-set broadcast is gone. The digest exchange is
-    bucketed (``crc32(digest) % DEDUP_BUCKETS``) so the in-group
+    bucketed (``crc32(digest) % P``) so the in-group
     pick-smallest-doc_id is one vectorized lexsort per reducer call
     instead of one Python dispatch per distinct digest."""
+    docs = read_table(sf_dir, "documents",
+                      ["doc_id", "text", "lang", "n_chars"])
+    p = input_partitions(docs)
 
     def digest_quality(batch: pa.Table) -> pa.Table:
         texts = batch.column("text").to_pylist()
@@ -64,7 +72,7 @@ def curate_docs(sf_dir: str):
             h = md5_hex(t)
             if h[0] not in SAMPLE_HEX:
                 continue
-            out["bucket"].append(zlib.crc32(h.encode()) % DEDUP_BUCKETS)
+            out["bucket"].append(zlib.crc32(h.encode()) % p)
             out["text_hash"].append(h)
             out["doc_id"].append(did)
             out["lang"].append(lg)
@@ -91,9 +99,8 @@ def curate_docs(sf_dir: str):
             pa.array(np.sort(keep)))
 
     return bucket_exchange(
-        read_table(sf_dir, "documents", ["doc_id", "text", "lang", "n_chars"])
-        .map_batches(digest_quality, batch_format="pyarrow"),
-        "bucket", DEDUP_BUCKETS, pick_first)
+        docs.map_batches(digest_quality, batch_format="pyarrow"),
+        "bucket", pick_first)
 
 
 CURATE_DOCS_SQL = f"""
@@ -151,7 +158,7 @@ def curate_neardup(sf_dir: str):
 
     dupes = labels.map_batches(dupes_only, batch_format="pyarrow")
     docs = read_table(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
-    return anti_join(docs, dupes, "doc_id", "dup_id", num_buckets=32)
+    return anti_join(docs, dupes, "doc_id", "dup_id")
 
 
 CURATE_NEARDUP_SQL = """
@@ -257,7 +264,6 @@ WHERE d.doc_id NOT IN (SELECT doc_id FROM contaminated)
 # snapshot diff (incremental-crawl delta)
 # ---------------------------------------------------------------------------
 
-DIFF_BUCKETS = 128
 _DIFF_ADDED_MOD = 7    # docs absent from the OLD snapshot (added later)
 _DIFF_REMOVED_MOD = 4  # docs absent from the NEW snapshot (dropped)
 _DIFF_CHANGED_MOD = 3  # docs whose text changed between snapshots
@@ -273,12 +279,14 @@ def snapshot_diff(sf_dir: str):
     the new snapshot) so DuckDB can replay the exact construction.
 
     Plan: both snapshots reduce map-side to (doc_id, md5 digest, side)
-    rows — text never travels — and ONE ``doc_id % B``
+    rows — text never travels — and ONE doc_id-hash
     ``bucket_exchange`` co-locates each id's two sides; the in-call
     compare is one vectorized segment scan per doc_id. This is the
     digest-diff shape of ``dedup_incremental`` generalized to a
     three-way status. Output
     (doc_id, status ∈ {'added','removed','changed'})."""
+    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
+    p = input_partitions(ds)
 
     def derive(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_pylist()
@@ -303,7 +311,7 @@ def snapshot_diff(sf_dir: str):
             "doc_id": pa.array(arr, pa.int64()),
             "dig": pa.array(out_dig, pa.string()),
             "side": pa.array(out_side, pa.int8()),
-            "bucket": pa.array(arr % DIFF_BUCKETS, pa.int64()),
+            "bucket": pa.array(stable_bucket(arr, p), pa.int32()),
         })
 
     def diff(group: pa.Table) -> pa.Table:
@@ -331,9 +339,8 @@ def snapshot_diff(sf_dir: str):
             "status": pa.array(out_st.astype(object), pa.string()),
         })
 
-    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
     return bucket_exchange(ds.map_batches(derive, batch_format="pyarrow"),
-                           "bucket", DIFF_BUCKETS, diff)
+                           "bucket", diff)
 
 
 SNAPSHOT_DIFF_SQL = f"""

@@ -30,6 +30,7 @@ from pd3f_ray.stages.exchange import (
     bucket_exchange,
     group_map,
     hash_agg,
+    input_partitions,
     stable_bucket,
 )
 from pd3f_ray.functions.textfns import (
@@ -298,29 +299,25 @@ SHINGLE_K = 3
 VERIFY_THRESHOLD = 0.5
 
 
-MINHASH_BUCKETS = 1024
-PAIR_BUCKETS = 128  # verify buckets: candidate pairs are a small fraction
-PRE_DEDUP_PAIRS = False  # see minhash_pairs: skip the pair-dedup exchange
-
 
 def minhash_pairs(sf_dir: str, threshold: float = VERIFY_THRESHOLD):
     """MinHash-LSH near-duplicate pairs verified by exact word-shingle
     Jaccard.
 
     Stages: (1) per-batch shingle+sign (stateless, vectorized minhash),
-    exploded to (band_id, band_hash, doc_id) rows; (2) ONE shuffle
-    bucketed by ``band_hash % MINHASH_BUCKETS`` (grouping by the raw
-    band key made one group per distinct hash — hundreds of thousands
-    of sub-millisecond Python dispatches); inside a reducer call the
-    exact-key pairing is one vectorized segment scan; (3) candidate
-    pairs are deduped (a pair can collide in several bands) and each
-    pair's two texts are fetched by a bucketed hash-join of the pair
-    ENDPOINTS back to the documents table — no driver-side text map, no
-    whole-corpus broadcast; the documents text crosses one bucketed
-    exchange and only candidate texts survive the inner join; (4) a
-    final pair-bucketed exchange brings both endpoints of a pair
-    together for exact word-shingle Jaccard verification (shingle sets
-    cached per doc within a group).
+    exploded to (band_id, band_hash, doc_id) rows; (2) ONE shuffle bucketed
+    by the band key's hash over the exchange's P partitions (grouping by
+    the raw band key made one group per distinct hash — hundreds of
+    thousands of sub-millisecond Python dispatches); inside a reducer call
+    the exact-key pairing is one vectorized segment scan (a reduce task
+    holds ``NUM_BANDS`` × its share of the read); (3) candidate pairs are
+    deduped (a pair can collide in several bands) and each pair's two texts
+    are fetched by a bucketed hash-join of the pair ENDPOINTS back to the
+    documents table — no driver-side text map, no whole-corpus broadcast;
+    the documents text crosses one bucketed exchange and only candidate
+    texts survive the inner join; (4) a final pair-bucketed exchange brings
+    both endpoints of a pair together for exact word-shingle Jaccard
+    verification (shingle sets cached per doc within a group).
 
     No SQL oracle (candidate generation is probabilistic); tests verify
     recall against the brute-force pair set at small n.
@@ -328,6 +325,7 @@ def minhash_pairs(sf_dir: str, threshold: float = VERIFY_THRESHOLD):
     from pd3f_ray.pipelines.joins import hash_join
 
     ds = read_table(sf_dir, "documents", ["doc_id", "text"])
+    p = input_partitions(ds)
 
     def band_rows(batch: pa.Table) -> pa.Table:
         from pd3f_ray.functions.textfns import (
@@ -350,8 +348,7 @@ def minhash_pairs(sf_dir: str, threshold: float = VERIFY_THRESHOLD):
         n = len(doc_ids)
         bands = np.tile(np.arange(NUM_BANDS, dtype=np.int64), n)
         out_hash = bh.reshape(-1)
-        bucket = ((out_hash ^ (bands << 48)) % MINHASH_BUCKETS) \
-            .astype(np.int32)
+        bucket = ((out_hash ^ (bands << 48)) % p).astype(np.int32)
         return pa.table(
             {
                 "doc_id": pa.array(np.repeat(doc_ids, NUM_BANDS), pa.int64()),
@@ -385,17 +382,12 @@ def minhash_pairs(sf_dir: str, threshold: float = VERIFY_THRESHOLD):
 
     candidates = bucket_exchange(
         ds.map_batches(band_rows, batch_format="pyarrow"),
-        "bucket", MINHASH_BUCKETS, bucket_pairs)
+        "bucket", bucket_pairs)
 
     # a pair can collide in multiple bands; the verify groups dedup
     # exactly (drop_duplicates), so candidates go STRAIGHT to the text
     # join — skipping a whole all-to-all dedup exchange. The join ships
-    # at most NUM_BANDS copies of a pair's endpoints (typically 2-3);
-    # at corpus scale flip PRE_DEDUP_PAIRS if band collisions dominate.
-    pairs = candidates
-    if PRE_DEDUP_PAIRS:
-        pairs = hash_agg(candidates, ["id_a", "id_b"],
-                         {"n_bands": ([], "count_all")})
+    # at most NUM_BANDS copies of a pair's endpoints (typically 2-3).
 
     # explode each pair to its two endpoints, then bucketed hash-join
     # the endpoints back to documents for the text — the inner join
@@ -411,13 +403,13 @@ def minhash_pairs(sf_dir: str, threshold: float = VERIFY_THRESHOLD):
             }
         )
 
-    endpoints = pairs.map_batches(explode, batch_format="pyarrow")
+    endpoints = candidates.map_batches(explode, batch_format="pyarrow")
     # explicit left schema: endpoints' lineage contains the candidate
     # exchange, so its schema is not known without running candidate
     # generation (see hash_join docstring)
     with_text = hash_join(
         endpoints, read_table(sf_dir, "documents", ["doc_id", "text"]),
-        "join_id", "doc_id", num_buckets=64,
+        "join_id", "doc_id",
         left_schema=pa.schema([("id_a", pa.int64()), ("id_b", pa.int64()),
                                ("join_id", pa.int64())]),
     )
@@ -425,11 +417,12 @@ def minhash_pairs(sf_dir: str, threshold: float = VERIFY_THRESHOLD):
     # co-locate the two endpoints of each pair: bucket on id_a (pairs
     # sharing an anchor land together, which also warms the shingle
     # cache), one exchange, verify per reducer call
+    pair_p = input_partitions(with_text)
+
     def pair_bucket(batch: pa.Table) -> pa.Table:
         a = batch.column("id_a").to_numpy(zero_copy_only=False)
         return batch.append_column(
-            "pbucket", pa.array(stable_bucket(a, PAIR_BUCKETS), pa.int32())
-        )
+            "pbucket", pa.array(stable_bucket(a, pair_p), pa.int32()))
 
     def verify_group(group: pa.Table) -> pa.Table:
         jid = group.column("join_id").to_numpy(zero_copy_only=False)
@@ -466,7 +459,7 @@ def minhash_pairs(sf_dir: str, threshold: float = VERIFY_THRESHOLD):
 
     return bucket_exchange(
         with_text.map_batches(pair_bucket, batch_format="pyarrow"),
-        "pbucket", PAIR_BUCKETS, verify_group)
+        "pbucket", verify_group)
 
 
 # ---------------------------------------------------------------------------
@@ -580,8 +573,9 @@ def embdup_lsh(sf_dir: str, threshold: float = EMB_THRESHOLD):
 
     Plan: each vector is replicated into EMBLSH_TABLES rows, one per
     hash table, keyed ``bucket = table * 2^planes + hyperplane_code``;
-    ONE ``bucket_exchange`` over the tables × 2^planes buckets
-    co-locates candidate vectors; inside a bucket an all-pairs float64
+    ONE ``bucket_exchange`` on ``stable_bucket(bucket, P)`` co-locates
+    candidate vectors, and each reducer call splits its partition into
+    its (table, code) buckets; inside a bucket an all-pairs float64
     matmul emits (id_a < id_b) pairs above the threshold — every
     emitted pair is exact (no false positives), recall ≈
     1-(1-p^planes)^tables where p = 1 - angle/π. A final tiny
@@ -589,13 +583,11 @@ def embdup_lsh(sf_dir: str, threshold: float = EMB_THRESHOLD):
     assumption: a (table, code) bucket must fit one call — enforced by
     the ``_derive_lsh_dims`` planner, which grows the plane count with
     the metadata row count so the EXPECTED bucket stays bounded (and
-    grows the table count to hold recall). The bucket count grows with
-    both, so a reducer call holds ≤ 64 buckets of expected size ≤
-    EMBLSH_TARGET_BUCKET whatever the table's size, and the exchange
-    makes more partitions as the replicated rows grow, which sizing
-    from the read's bytes alone would not. Exchange volume = tables ×
-    the embeddings table; embeddings are the small derived table, not
-    the corpus text. Rows-only check (probabilistic recall); tests pin
+    grows the table count to hold recall). P is sized by the embeddings'
+    bytes, and the tables replicate each row, so a reduce task holds
+    about tables × its share of the read. Exchange volume = tables × the
+    embeddings table; embeddings are the small derived table, not the
+    corpus text. Rows-only check (probabilistic recall); tests pin
     recall against ``embdup_cosine`` and the planner's bucket bound."""
     import pyarrow.parquet as pq
 
@@ -604,6 +596,7 @@ def embdup_lsh(sf_dir: str, threshold: float = EMB_THRESHOLD):
     n_planes, n_tables = _derive_lsh_dims(n_rows)
 
     ds = read_parquet(path, columns=["vec_id", "embedding"])
+    p = input_partitions(ds)
 
     def tag_tables(batch: pa.Table) -> pa.Table:
         vids = batch.column("vec_id")
@@ -619,6 +612,7 @@ def embdup_lsh(sf_dir: str, threshold: float = EMB_THRESHOLD):
             codes = _emb_lsh_codes(nm, t, n_planes)
             bucket = t * (1 << n_planes) + codes
             parts.append(pa.table({
+                "xbucket": pa.array(stable_bucket(bucket, p), pa.int32()),
                 "bucket": pa.array(bucket, pa.int32()),
                 "vec_id": vids,
                 "embedding": emb,
@@ -651,8 +645,8 @@ def embdup_lsh(sf_dir: str, threshold: float = EMB_THRESHOLD):
                                  in zip(*run_offsets(part, ["bucket"]))])
 
     found = bucket_exchange(
-        ds.map_batches(tag_tables, batch_format="pyarrow"), "bucket",
-        n_tables << n_planes, bucket_pairs)
+        ds.map_batches(tag_tables, batch_format="pyarrow"), "xbucket",
+        bucket_pairs)
     # dedup pairs discovered by several tables
     return hash_agg(found, ["id_a", "id_b"], {})
 
@@ -878,7 +872,7 @@ def _cc_propagate(edges, *, key_type, label_blocks: int = 4,
         probe = edges.map_batches(hop_probe, batch_format="pyarrow").union(
             labels.map_batches(jump_probe, batch_format="pyarrow")
         )
-        hop = hash_join(probe, lab_r, "pkey", "lnode", num_buckets=16,
+        hop = hash_join(probe, lab_r, "pkey", "lnode",
                         left_schema=probe_schema, right_schema=lab_schema)
         prop = hop.map_batches(
             lambda b: b.select(["node", "label"]), batch_format="pyarrow"
@@ -974,7 +968,6 @@ def simhash_docs(sf_dir: str, bits: int = 64):
 
 SIMHASH_MAX_HAMMING = 3
 SIMHASH_BANDS = 4  # 4 × 16-bit bands: pigeonhole ⇒ exact for distance ≤ 3
-SIMHASH_BUCKETS = 256  # exchange buckets over the band keys
 
 
 def simhash_pairs(sf_dir: str, max_hamming: int = SIMHASH_MAX_HAMMING):
@@ -989,6 +982,7 @@ def simhash_pairs(sf_dir: str, max_hamming: int = SIMHASH_MAX_HAMMING):
     multi-band collisions. Rows-only (the token-hash fingerprints are
     not SQL-expressible); exactness vs brute force pinned in tests."""
     fps = simhash_docs(sf_dir)
+    p = input_partitions(fps)
 
     def band_rows(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
@@ -1002,7 +996,7 @@ def simhash_pairs(sf_dir: str, max_hamming: int = SIMHASH_MAX_HAMMING):
             # coarse shuffle key over many exact band keys; the
             # exact-key split happens vectorized in the reducer
             parts.append(pa.table({
-                "gkey": pa.array(band_key % SIMHASH_BUCKETS, pa.int32()),
+                "gkey": pa.array(stable_bucket(band_key, p), pa.int32()),
                 "band_key": pa.array(band_key, pa.int32()),
                 "doc_id": pa.array(ids, pa.int64()),
                 "simhash": batch.column("simhash"),
@@ -1039,16 +1033,13 @@ def simhash_pairs(sf_dir: str, max_hamming: int = SIMHASH_MAX_HAMMING):
                          "hamming": pa.array(out_h, pa.int64())})
 
     found = bucket_exchange(fps.map_batches(band_rows, batch_format="pyarrow"),
-                            "gkey", SIMHASH_BUCKETS, group_pairs)
+                            "gkey", group_pairs)
     return hash_agg(found, ["id_a", "id_b"], {"hamming": ("hamming", "min")})
 
 
 # ---------------------------------------------------------------------------
 # incremental (cross-run) dedup
 # ---------------------------------------------------------------------------
-
-INCR_BUCKETS = 256
-
 
 def dedup_incremental(sf_dir: str):
     """Daily-increment crawl dedup: dedup TODAY's batch against
@@ -1065,6 +1056,7 @@ def dedup_incremental(sf_dir: str):
     digest table and the surviving digests are unioned back into it —
     identical plan, different source. Output (doc_id, text_hash)."""
     ds = read_table(sf_dir, "documents", ["doc_id", "text"])
+    p = input_partitions(ds)
 
     def digest_sides(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
@@ -1076,7 +1068,7 @@ def dedup_incremental(sf_dir: str):
             "doc_id": pa.array(ids, pa.int64()),
             "text_hash": pa.array(hashes, pa.string()),
             "is_state": pa.array(ids % 2 == 0, pa.bool_()),
-            "hbucket": pa.array((h64 % INCR_BUCKETS).astype(np.int32),
+            "hbucket": pa.array((h64 % p).astype(np.int32),
                                 pa.int32()),
         })
 
@@ -1103,7 +1095,7 @@ def dedup_incremental(sf_dir: str):
 
     return bucket_exchange(
         ds.map_batches(digest_sides, batch_format="pyarrow"),
-        "hbucket", INCR_BUCKETS, fold)
+        "hbucket", fold)
 
 
 DEDUP_INCREMENTAL_SQL = """

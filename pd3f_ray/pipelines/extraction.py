@@ -420,8 +420,7 @@ def run_resumable(
     return total
 
 
-def resumable_write_roundtrip(sf_dir: str, num_shards: int = 4,
-                              num_buckets: int = 8):
+def resumable_write_roundtrip(sf_dir: str, num_shards: int = 4):
     """Driver-checkable roundtrip of the resumable-sink machinery
     (S4/S5: sharded ``run_resumable`` + shard manifests + input-lineage
     check + key-hash bucketed partitioned write + resume skip): the
@@ -461,7 +460,7 @@ def resumable_write_roundtrip(sf_dir: str, num_shards: int = 4,
 
         return ds.map_batches(digest, batch_format="pyarrow")
 
-    kw = dict(num_shards=num_shards, num_buckets=num_buckets,
+    kw = dict(num_shards=num_shards, num_buckets=8,
               transform=transform, bucket_key="doc_id")
     first = run_resumable(in_dir, out_dir, **kw)
     second = run_resumable(in_dir, out_dir, **kw)  # resume: all skipped

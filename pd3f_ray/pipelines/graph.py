@@ -43,13 +43,16 @@ import ray.data as rd
 
 from pd3f_ray.core.cluster import read_parquet, read_table
 from pd3f_ray.pipelines.joins import hash_join
-from pd3f_ray.stages.exchange import bucket_exchange
+from pd3f_ray.stages.exchange import (
+    bucket_exchange,
+    input_partitions,
+    stable_bucket,
+)
 
 PR_ITERS = 3
 PR_RANK0 = 1_000_000         # micro-rank units
 PR_BASE = 150_000            # (1 - d) * rank-unit with d = 0.85
 PR_DAMP_NUM, PR_DAMP_DEN = 85, 100
-PR_BUCKETS = 128
 PR_BROADCAST_MAX = 5_000_000  # rank rows; above this, hash_join path
 
 
@@ -65,6 +68,7 @@ def _edges_with_outdeg(sf_dir: str):
         right_schema=pa.schema([("o_orderkey", pa.int64()),
                                 ("o_custkey", pa.int64())]),
     )
+    p = input_partitions(pairs)
 
     def symmetrize(batch: pa.Table) -> pa.Table:
         c = batch.column("o_custkey").to_numpy(zero_copy_only=False)
@@ -75,8 +79,7 @@ def _edges_with_outdeg(sf_dir: str):
         return pa.table({
             "src": pa.array(src, pa.int64()),
             "dst": pa.array(dst, pa.int64()),
-            "gbucket": pa.array((src % PR_BUCKETS).astype(np.int32),
-                                pa.int32()),
+            "gbucket": pa.array(stable_bucket(src, p), pa.int32()),
         })
 
     def dedup_and_degree(group: pa.Table) -> pa.Table:
@@ -97,7 +100,7 @@ def _edges_with_outdeg(sf_dir: str):
 
     return bucket_exchange(
         pairs.map_batches(symmetrize, batch_format="pyarrow"),
-        "gbucket", PR_BUCKETS, dedup_and_degree).materialize()
+        "gbucket", dedup_and_degree).materialize()
 
 
 ITER_MANIFEST = "_ITERS.jsonl"
@@ -196,12 +199,13 @@ def pagerank(sf_dir: str, iters: int = PR_ITERS,
     # rank_0 table: per-block distinct srcs, then one node-bucketed
     # exchange for global distinctness (a materialized edge bucket can
     # span several blocks)
+    edges_p = input_partitions(edges)
+
     def block_nodes(batch: pa.Table) -> pa.Table:
         src = np.unique(batch.column("src").to_numpy(zero_copy_only=False))
         return pa.table({
             "node": pa.array(src, pa.int64()),
-            "nbucket": pa.array((src % PR_BUCKETS).astype(np.int32),
-                                pa.int32()),
+            "nbucket": pa.array(stable_bucket(src, edges_p), pa.int32()),
         })
 
     def nodes_unique(group: pa.Table) -> pa.Table:
@@ -226,10 +230,11 @@ def pagerank(sf_dir: str, iters: int = PR_ITERS,
     if ranks is None:
         ranks = bucket_exchange(
             edges.map_batches(block_nodes, batch_format="pyarrow"),
-            "nbucket", PR_BUCKETS, nodes_unique).materialize()
+            "nbucket", nodes_unique).materialize()
     ranks_schema = pa.schema([("node", pa.int64()), ("rank", pa.int64())])
 
-    def _partial_table(dst: np.ndarray, contrib: np.ndarray) -> pa.Table:
+    def _partial_table(dst: np.ndarray, contrib: np.ndarray,
+                       p: int) -> pa.Table:
         t = pa.table({
             "dst": pa.array(dst, pa.int64()),
             "contrib": pa.array(contrib, pa.int64()),
@@ -239,8 +244,7 @@ def pagerank(sf_dir: str, iters: int = PR_ITERS,
         return pa.table({
             "dst": g.column("dst"),
             "contrib": g.column("contrib_sum"),
-            "nbucket": pa.array((d % PR_BUCKETS).astype(np.int32),
-                                pa.int32()),
+            "nbucket": pa.array(stable_bucket(d, p), pa.int32()),
         })
 
     def rank_update(group: pa.Table) -> pa.Table:
@@ -275,7 +279,7 @@ def pagerank(sf_dir: str, iters: int = PR_ITERS,
                 dst = batch.column("dst").to_numpy(zero_copy_only=False)
                 deg = batch.column("outdeg").to_numpy(zero_copy_only=False)
                 rank = ranks_s[np.searchsorted(nodes_s, src)]
-                return _partial_table(dst, rank // deg)
+                return _partial_table(dst, rank // deg, edges_p)
 
             stream = edges.map_batches(contrib_bc, batch_format="pyarrow")
         else:
@@ -285,17 +289,17 @@ def pagerank(sf_dir: str, iters: int = PR_ITERS,
                 left_schema=edges_schema, right_schema=ranks_schema,
             )
 
-            def contrib_join(batch: pa.Table) -> pa.Table:
+            def contrib_join(batch: pa.Table,
+                             _p=input_partitions(joined)) -> pa.Table:
                 dst = batch.column("dst").to_numpy(zero_copy_only=False)
                 rank = batch.column("rank").to_numpy(zero_copy_only=False)
                 deg = batch.column("outdeg").to_numpy(zero_copy_only=False)
-                return _partial_table(dst, rank // deg)
+                return _partial_table(dst, rank // deg, _p)
 
             stream = joined.map_batches(contrib_join,
                                         batch_format="pyarrow")
 
-        ranks = bucket_exchange(stream, "nbucket", PR_BUCKETS,
-                                rank_update).materialize()
+        ranks = bucket_exchange(stream, "nbucket", rank_update).materialize()
         if checkpoint_dir:
             ranks = _commit_iteration(checkpoint_dir, sf_dir, it + 1, ranks)
 

@@ -40,15 +40,18 @@ import pyarrow as pa
 
 from pd3f_ray.core.cluster import read_table
 from pd3f_ray.functions.textfns import hash_bytes
-from pd3f_ray.stages.exchange import bucket_exchange, hash_agg
+from pd3f_ray.stages.exchange import (
+    bucket_exchange,
+    hash_agg,
+    input_partitions,
+    stable_bucket,
+)
 
 _MASK63 = 0x7FFFFFFFFFFFFFFF
 
 POSTINGS_K = 50          # posting-list head kept per token
-POSTINGS_BUCKETS = 256   # token-hash buckets (dial; scale with vocab)
 TFIDF_K = 3              # top terms kept per document
 TFIDF_BROADCAST_MAX = 5_000_000  # vocab rows; above this, join path
-DOC_BUCKETS = 256        # doc-id buckets for the join-path top-k
 
 
 def _tokens(text: str) -> list[str]:
@@ -69,13 +72,14 @@ def _n_docs(sf_dir: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def token_postings(sf_dir: str, k: int = POSTINGS_K,
-                   num_buckets: int = POSTINGS_BUCKETS):
+def token_postings(sf_dir: str, k: int = POSTINGS_K):
     """Per token: exact df + the first ``k`` doc_ids ascending as a
     csv string. Map-side partials keep (count, k smallest ids) per
     (block, token); the reduce sums counts and re-merges the min-k —
     both distributive, so the result is exact while no group ever
     holds more than blocks × k ids per token."""
+    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
+    p = input_partitions(ds)
 
     def partials(batch: pa.Table) -> pa.Table:
         df_part: Counter = Counter()
@@ -94,7 +98,7 @@ def token_postings(sf_dir: str, k: int = POSTINGS_K,
             "ids_csv": pa.array(
                 [",".join(map(str, sorted(ids[t])[:k])) for t in toks],
                 pa.string()),
-            "ibucket": pa.array(h % num_buckets, pa.int64()),
+            "ibucket": pa.array(h % p, pa.int64()),
         })
 
     def resolve(group: pa.Table) -> pa.Table:
@@ -120,9 +124,8 @@ def token_postings(sf_dir: str, k: int = POSTINGS_K,
             "postings": pa.array(out_p, pa.string()),
         })
 
-    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
     return bucket_exchange(ds.map_batches(partials, batch_format="pyarrow"),
-                           "ibucket", num_buckets, resolve)
+                           "ibucket", resolve)
 
 
 def token_postings_sql(k: int = POSTINGS_K) -> str:
@@ -275,10 +278,11 @@ def tfidf_terms(sf_dir: str, k: int = TFIDF_K,
                                 ("th", pa.int64())]),
     )
 
+    p = input_partitions(joined)
+
     def add_dbucket(batch: pa.Table) -> pa.Table:
-        did = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "tbucket", pa.array((did % DOC_BUCKETS).astype(np.int64)))
+        return batch.append_column("tbucket", pa.array(
+            stable_bucket(batch.column("doc_id"), p), pa.int32()))
 
     def group_topk(group: pa.Table) -> pa.Table:
         return _topk_frame(
@@ -290,7 +294,7 @@ def tfidf_terms(sf_dir: str, k: int = TFIDF_K,
 
     return bucket_exchange(
         joined.map_batches(add_dbucket, batch_format="pyarrow"),
-        "tbucket", DOC_BUCKETS, group_topk)
+        "tbucket", group_topk)
 
 
 def tfidf_terms_sql(k: int = TFIDF_K) -> str:

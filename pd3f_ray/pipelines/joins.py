@@ -11,14 +11,14 @@ own two join strategies, both oracle-checked:
   (nation: 25 rows). Customer is a fact table at 100 TB-scale TPC-H
   and goes through the bucketed join instead.
 - **cogroup** (big ⋈ big), the one co-partitioning plan: every side is
-  tagged with a stable ``hash(key) % B`` bucket column and its side
-  name, the sides are unioned, and ONE ``bucket_exchange``
-  (stages/exchange.py) hands each partition's rows to ``fn`` as
-  ``{side: pa.Table}``. A reducer call holds ≤ 64 whole buckets, so B
-  bounds its memory; all rows of one key, from every side, share a
-  bucket. The five join kinds (inner, left outer, full outer, left
-  semi, left anti) are a two-side ``cogroup`` whose ``fn`` is one Acero
-  join (``pa.Table.join``) — pyarrow-native end to end.
+  tagged with a stable ``hash(key) % P`` bucket column and its side
+  name, P sized over all the sides' input (``input_partitions``), the
+  sides are unioned, and ONE ``bucket_exchange`` (stages/exchange.py)
+  hands each partition's rows to ``fn`` as ``{side: pa.Table}``; all
+  rows of one key, from every side, share a partition. The five join
+  kinds (inner, left outer, full outer, left semi, left anti) are a
+  two-side ``cogroup`` whose ``fn`` is one Acero join
+  (``pa.Table.join``) — pyarrow-native end to end.
 
 Same-key fold: a plan that aggregates and joins on the SAME key runs
 both in one ``cogroup`` — the aggregate's partial runs map-side and its
@@ -66,11 +66,11 @@ from pd3f_ray.core.cluster import read_table
 from pd3f_ray.stages.exchange import (
     bucket_exchange,
     finish_agg,
+    input_partitions,
     stable_bucket,
     top_k,
 )
 
-JOIN_BUCKETS = 128
 MEMBERSHIP = ("left semi", "left anti")  # join kinds that emit left rows only
 
 
@@ -107,15 +107,16 @@ def _side_table(group: pa.Table, side: str, columns: dict,
     return pa.table(cols)
 
 
-def cogroup(sides: dict, num_buckets: int, fn) -> "rd.Dataset":
+def cogroup(sides: dict, fn) -> "rd.Dataset":
     """Co-partition several datasets on their keys in ONE exchange and
     call ``fn`` once per partition with ``{side: pa.Table}``.
 
     ``sides`` maps a side name to ``(dataset, key column, fields)``,
     ``fields`` being the side's plan-time ``{column: pyarrow type}``.
-    Each side is tagged with a stable key-hash bucket and its name, the
-    sides are unioned, and one ``bucket_exchange`` co-partitions them:
-    every row of a key, from every side, reaches the same ``fn`` call.
+    Each side is tagged with a stable key-hash bucket over the P of all
+    the sides' input and with its name, the sides are unioned, and one
+    ``bucket_exchange`` co-partitions them: every row of a key, from
+    every side, reaches the same ``fn`` call.
     A side with no rows in a partition arrives as its typed empty
     table. Null keys all land in one bucket; ``fn`` decides what they
     mean (the joins match them with nothing).
@@ -134,10 +135,11 @@ def cogroup(sides: dict, num_buckets: int, fn) -> "rd.Dataset":
             union_fields.append((columns[name][col], typ))
     schema = pa.schema(union_fields + [("__bucket", pa.int32()),
                                        ("__side", pa.string())])
+    p = input_partitions(*(ds for ds, _, _ in sides.values()))
 
     def tag(side: str, key: str):
         def fn(batch: pa.Table) -> pa.Table:
-            b = stable_bucket(batch.column(key), num_buckets)
+            b = stable_bucket(batch.column(key), p)
             n = batch.num_rows
             own = {}
             for col, typ in fields[side].items():
@@ -158,7 +160,7 @@ def cogroup(sides: dict, num_buckets: int, fn) -> "rd.Dataset":
     tagged = [ds.map_batches(tag(name, key), batch_format="pyarrow")
               for name, (ds, key, _) in sides.items()]
     union = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]
-    return bucket_exchange(union, "__bucket", num_buckets, reduce)
+    return bucket_exchange(union, "__bucket", reduce)
 
 
 def _acero_join(l: pa.Table, r: pa.Table, left_key: str, right_key: str,
@@ -177,8 +179,8 @@ def _acero_join(l: pa.Table, r: pa.Table, left_key: str, right_key: str,
 
 
 def _bucketed_join(left: "rd.Dataset", right: "rd.Dataset", left_key: str,
-                   right_key: str, join_type: str, num_buckets: int,
-                   left_schema, right_schema) -> "rd.Dataset":
+                   right_key: str, join_type: str, left_schema,
+                   right_schema) -> "rd.Dataset":
     """The one plan behind every join kind: a two-side ``cogroup`` whose
     ``fn`` is one Acero ``pa.Table.join`` of ``join_type``. A key's rows
     share a partition, so each row meets every partner it could have
@@ -206,53 +208,49 @@ def _bucketed_join(left: "rd.Dataset", right: "rd.Dataset", left_key: str,
                            join_type).select(out_cols)
 
     return cogroup({"l": (left, left_key, left_ft),
-                    "r": (right, right_key, right_ft)}, num_buckets, join)
+                    "r": (right, right_key, right_ft)}, join)
 
 
 def hash_join(left, right, left_key: str, right_key: str,
-              num_buckets: int = JOIN_BUCKETS, left_schema=None,
-              right_schema=None) -> "rd.Dataset":
+              left_schema=None, right_schema=None) -> "rd.Dataset":
     """INNER join (one bucketed shuffle). Column names must be disjoint
     apart from the keys; distinct key names keep both key columns."""
     return _bucketed_join(left, right, left_key, right_key, "inner",
-                          num_buckets, left_schema, right_schema)
+                          left_schema, right_schema)
 
 
 def left_join(left, right, left_key: str, right_key: str,
-              num_buckets: int = JOIN_BUCKETS, left_schema=None,
-              right_schema=None) -> "rd.Dataset":
+              left_schema=None, right_schema=None) -> "rd.Dataset":
     """LEFT OUTER join. Unmatched right-side columns (right key included)
     come back as typed nulls, so every group emits the same schema."""
     return _bucketed_join(left, right, left_key, right_key, "left outer",
-                          num_buckets, left_schema, right_schema)
+                          left_schema, right_schema)
 
 
 def anti_join(left, right, left_key: str, right_key: str,
-              num_buckets: int = JOIN_BUCKETS,
               left_schema=None) -> "rd.Dataset":
     """LEFT ANTI join: left rows whose key does NOT appear on the right
     (a null left key never matches, so it stays). Output = left schema."""
     return _bucketed_join(left, right, left_key, right_key, "left anti",
-                          num_buckets, left_schema, None)
+                          left_schema, None)
 
 
 def semi_join(left, right, left_key: str, right_key: str,
-              num_buckets: int = JOIN_BUCKETS,
               left_schema=None) -> "rd.Dataset":
     """LEFT SEMI join: left rows whose key DOES appear on the right,
     each at most once whatever the right-side multiplicity —
     ``WHERE key IN (...)`` semantics. Output = the left schema."""
     return _bucketed_join(left, right, left_key, right_key, "left semi",
-                          num_buckets, left_schema, None)
+                          left_schema, None)
 
 
-def full_outer_join(left, right, key: str, num_buckets: int = JOIN_BUCKETS,
-                    left_schema=None, right_schema=None) -> "rd.Dataset":
+def full_outer_join(left, right, key: str, left_schema=None,
+                    right_schema=None) -> "rd.Dataset":
     """FULL OUTER join on a key column named alike on both sides. The key
     is coalesced (COALESCE(l.key, r.key)); unmatched columns come back as
     typed nulls — int64 stays integral, no pandas float promotion."""
     return _bucketed_join(left, right, key, key, "full outer",
-                          num_buckets, left_schema, right_schema)
+                          left_schema, right_schema)
 
 
 BROADCAST_MAX_BYTES = 256 << 20  # AQE broadcast-vs-shuffle threshold
@@ -285,8 +283,7 @@ def should_broadcast(sf_dir: str, table: str) -> bool:
     return md.num_rows <= BROADCAST_MAX_ROWS
 
 
-def nation_revenue(sf_dir: str, num_buckets: int = JOIN_BUCKETS,
-                   broadcast_customer: bool | None = None):
+def nation_revenue(sf_dir: str, broadcast_customer: bool | None = None):
     """Revenue by customer nation:
     lineitem ⋈ orders (bucketed hash join on orderkey, revenue
     pre-aggregated per order inside map_batches) → partial per-custkey
@@ -329,7 +326,6 @@ def nation_revenue(sf_dir: str, num_buckets: int = JOIN_BUCKETS,
 
     rev = lineitem.map_batches(pre_agg, batch_format="pyarrow")
     joined = hash_join(rev, orders, "l_orderkey", "o_orderkey",
-                       num_buckets=num_buckets,
                        left_schema=pa.schema([("l_orderkey", pa.int64()),
                                               ("revenue_cents", pa.int64())]))
 
@@ -379,8 +375,7 @@ def nation_revenue(sf_dir: str, num_buckets: int = JOIN_BUCKETS,
             {"r": (cust_rev, "o_custkey", {"o_custkey": pa.int64(),
                                            "revenue_cents": pa.int64()}),
              "c": (customer, "c_custkey",
-                   _arrow_fields(customer, None, "customer"))},
-            num_buckets, to_nation)
+                   _arrow_fields(customer, None, "customer"))}, to_nation)
 
     return finish_agg(named, ["n_name"], total)
 
@@ -397,7 +392,7 @@ GROUP BY n.n_name
 """
 
 
-def supplier_part_join(sf_dir: str, num_buckets: int = 32):
+def supplier_part_join(sf_dir: str):
     """Pure bucketed hash-join exercise on two mid-size tables:
     lineitem ⋈ supplier on suppkey, counting lineitems and summing
     quantity per supplier nation. Per-block partials per suppkey and the
@@ -426,8 +421,7 @@ def supplier_part_join(sf_dir: str, num_buckets: int = 32):
                {"l_suppkey": pa.int64(), "n_lineitems": pa.int64(),
                 "sum_qty": pa.int64()}),
          "s": (supplier, "s_suppkey",
-               _arrow_fields(supplier, None, "supplier"))},
-        num_buckets, per_nation)
+               _arrow_fields(supplier, None, "supplier"))}, per_nation)
     return finish_agg(parts, ["s_nationkey"],
                       {"n_lineitems": ("n_lineitems", "sum"),
                        "sum_qty": ("sum_qty", "sum")})
@@ -443,7 +437,7 @@ GROUP BY s.s_nationkey
 """
 
 
-def customers_with_orders(sf_dir: str, num_buckets: int = 32):
+def customers_with_orders(sf_dir: str):
     """SEMI-join query: customers that placed at least one order —
     ``WHERE c_custkey IN (SELECT o_custkey FROM orders)``. The right
     side ships only its key column through the bucketed exchange; the
@@ -460,7 +454,7 @@ def customers_with_orders(sf_dir: str, num_buckets: int = 32):
         ("c_acctbal", _pa.float64()),
     ])
     return semi_join(customer, orders, "c_custkey", "o_custkey",
-                     num_buckets=num_buckets, left_schema=schema)
+                     left_schema=schema)
 
 
 CUSTOMERS_WITH_ORDERS_SQL = """
@@ -470,7 +464,7 @@ WHERE c_custkey IN (SELECT o_custkey FROM orders)
 """
 
 
-def click_purchase_matrix(sf_dir: str, num_buckets: int = 32):
+def click_purchase_matrix(sf_dir: str):
     """FULL-OUTER-join query: per-user click counts (even user ids) ⟗
     per-user purchase counts (user ids divisible by 3) — the residue
     filters guarantee genuinely unmatched rows on BOTH sides, which is
@@ -526,7 +520,7 @@ def click_purchase_matrix(sf_dir: str, num_buckets: int = 32):
     fields = {"user_id": pa.int64(), "event_type": pa.string(),
               "n": pa.int64()}
     picked = events.map_batches(pick, batch_format="pyarrow")
-    return cogroup({"e": (picked, "user_id", fields)}, num_buckets, matrix)
+    return cogroup({"e": (picked, "user_id", fields)}, matrix)
 
 
 CLICK_PURCHASE_MATRIX_SQL = """
@@ -545,7 +539,7 @@ FROM c FULL OUTER JOIN p ON c.user_id = p.user_id
 """
 
 
-def region_brand_revenue(sf_dir: str, num_buckets: int = 64):
+def region_brand_revenue(sf_dir: str):
     """Deepest join chain in the engine (TPC-H Q5-flavor): revenue per
     (region, part brand) — lineitem ⋈ part ⋈ supplier ⋈ nation ⋈ region.
     Plan: two bucketed fact⋈fact exchanges (partkey, then suppkey), with
@@ -580,8 +574,8 @@ def region_brand_revenue(sf_dir: str, num_buckets: int = 64):
                              ("p_brand", pa.string())])
     j1 = hash_join(
         lineitem.map_batches(to_cents, batch_format="pyarrow"), part,
-        "l_partkey", "p_partkey", num_buckets=num_buckets,
-        left_schema=li_schema, right_schema=part_schema,
+        "l_partkey", "p_partkey", left_schema=li_schema,
+        right_schema=part_schema,
     )
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -596,8 +590,8 @@ def region_brand_revenue(sf_dir: str, num_buckets: int = 64):
                              ("s_nationkey", pa.int64())])
     j2 = hash_join(
         j1.map_batches(partial, batch_format="pyarrow"), supplier,
-        "l_suppkey", "s_suppkey", num_buckets=num_buckets,
-        left_schema=mid_schema, right_schema=supp_schema,
+        "l_suppkey", "s_suppkey", left_schema=mid_schema,
+        right_schema=supp_schema,
     )
 
     # nation ⋈ region is 25 × 5 rows — the one true broadcast
@@ -653,8 +647,7 @@ Q3_CUTOFF = "1998-07-01"
 Q3_TOPK = 10
 
 
-def q3_shipping_priority(sf_dir: str, num_buckets: int = JOIN_BUCKETS,
-                         broadcast_customer: bool | None = None):
+def q3_shipping_priority(sf_dir: str, broadcast_customer: bool | None = None):
     """TPC-H Q3-flavor: the k highest-revenue orders from one market
     segment that were placed before the cutoff but (partly) shipped
     after it. The plan is the selective-filter showcase:
@@ -716,7 +709,6 @@ def q3_shipping_priority(sf_dir: str, num_buckets: int = JOIN_BUCKETS,
                                    ("o_custkey", pa.int64()),
                                    ("o_orderdate", pa.timestamp("us"))])
         orders_seg = semi_join(orders, cust, "o_custkey", "c_custkey",
-                               num_buckets=num_buckets,
                                left_schema=orders_schema)
 
     lineitem = read_table(
@@ -757,8 +749,7 @@ def q3_shipping_priority(sf_dir: str, num_buckets: int = JOIN_BUCKETS,
                "l_orderkey", {"l_orderkey": pa.int64(), "cents": pa.int64()}),
          "o": (orders_seg.map_batches(orders_proj, batch_format="pyarrow"),
                "o_orderkey", {"o_orderkey": pa.int64(),
-                              "date_us": pa.int64()})},
-        num_buckets, order_totals)
+                              "date_us": pa.int64()})}, order_totals)
 
     def finish(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -849,7 +840,7 @@ Q4_FROM = "1999-01-01"
 Q4_TO = "1999-07-01"
 
 
-def q4_order_priority(sf_dir: str, num_buckets: int = JOIN_BUCKETS):
+def q4_order_priority(sf_dir: str):
     """TPC-H Q4-flavor: how many orders per priority, in a date window,
     have AT LEAST ONE late line (l_shipdate after the order quarter's
     end) — the EXISTS-correlated-subquery shape, expressed as the
@@ -891,7 +882,7 @@ def q4_order_priority(sf_dir: str, num_buckets: int = JOIN_BUCKETS):
     orders_schema = pa.schema([("o_orderkey", pa.int64()),
                                ("o_orderpriority", pa.string())])
     hit = semi_join(orders, witnesses, "o_orderkey", "l_orderkey",
-                    num_buckets=num_buckets, left_schema=orders_schema)
+                    left_schema=orders_schema)
 
     # counts on the 5 priorities, finished in one task
     return finish_agg(hit, ["o_orderpriority"],

@@ -217,7 +217,7 @@ def segment_order_stats(sf_dir: str, broadcast: bool | None = None):
                "o_custkey", {"o_custkey": pa.int64(), "n_orders": pa.int64(),
                              "sum_total_cents": pa.int64()}),
          "c": (cust, "c_custkey", _arrow_fields(cust, None, "customer"))},
-        64, per_segment)
+        per_segment)
     return finish_agg(parts, ["c_mktsegment"], sums)
 
 
@@ -382,7 +382,7 @@ def customer_order_counts(sf_dir: str):
         cogroup({"c": (cust, "c_custkey", {"c_custkey": pa.int64()}),
                  "o": (per_block, "o_custkey",
                        {"o_custkey": pa.int64(), "n": pa.int64()})},
-                32, distribution),
+                distribution),
         ["n_orders"], {"n_customers": ([], "count_all")})
 
 

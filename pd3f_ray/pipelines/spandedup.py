@@ -44,14 +44,16 @@ import pyarrow as pa
 
 from pd3f_ray.core.cluster import read_table
 from pd3f_ray.functions.textfns import shingle_hash_positions
-from pd3f_ray.stages.exchange import bucket_exchange
+from pd3f_ray.stages.exchange import (
+    bucket_exchange,
+    input_partitions,
+    stable_bucket,
+)
 
 _MASK63 = 0x7FFFFFFFFFFFFFFF
 
 SPAN_W = 8               # shingle width in tokens
 SPAN_MIN_DOCS = 2        # duplicated = seen in >= this many docs
-SPAN_BUCKETS = 256       # shingle-hash buckets for pass 1
-SPAN_DOC_BUCKETS = 256   # doc-id buckets for the union-join path
 SPAN_BROADCAST_MAX = 2_000_000  # dup rows; above this, union-join path
 
 
@@ -65,6 +67,7 @@ def _dup_table(sf_dir: str, w: int):
     """Pass 1: Dataset of (sh:int64) shingle hashes duplicated across
     >= SPAN_MIN_DOCS documents, materialized."""
     docs = read_table(sf_dir, "documents", ["doc_id", "text"])
+    p = input_partitions(docs)
 
     def hash_pairs(batch: pa.Table) -> pa.Table:
         out_h, out_d = [], []
@@ -80,8 +83,7 @@ def _dup_table(sf_dir: str, w: int):
         return pa.table({
             "sh": pa.array(h, pa.int64()),
             "doc_id": pa.array(d, pa.int64()),
-            "sbucket": pa.array((h % SPAN_BUCKETS).astype(np.int32),
-                                pa.int32()),
+            "sbucket": pa.array((h % p).astype(np.int32), pa.int32()),
         })
 
     def dup_hashes(group: pa.Table) -> pa.Table:
@@ -99,7 +101,7 @@ def _dup_table(sf_dir: str, w: int):
 
     return bucket_exchange(
         docs.map_batches(hash_pairs, batch_format="pyarrow"),
-        "sbucket", SPAN_BUCKETS, dup_hashes).materialize()
+        "sbucket", dup_hashes).materialize()
 
 
 def _coverage(n_toks: int, starts: np.ndarray, w: int) -> np.ndarray:
@@ -195,6 +197,7 @@ def _union_join_plan(sf_dir: str, dup, w: int, emit: str):
                                ("sh", pa.int64())]),
         right_schema=pa.schema([("sh", pa.int64())]),
     )
+    p = input_partitions(docs, dup_pos)
 
     def tag_starts(batch: pa.Table) -> pa.Table:
         did = batch.column("doc_id").to_numpy(zero_copy_only=False)
@@ -204,8 +207,7 @@ def _union_join_plan(sf_dir: str, dup, w: int, emit: str):
             "j": batch.column("j"),
             "tok": pa.array([None] * n, pa.string()),
             "kind": pa.array(np.ones(n, np.int8), pa.int8()),
-            "dbucket": pa.array((did % SPAN_DOC_BUCKETS).astype(np.int32),
-                                pa.int32()),
+            "dbucket": pa.array(stable_bucket(did, p), pa.int32()),
         })
 
     def token_rows(batch: pa.Table) -> pa.Table:
@@ -222,15 +224,14 @@ def _union_join_plan(sf_dir: str, dup, w: int, emit: str):
             "j": pa.array(np.asarray(out_j, np.int64), pa.int64()),
             "tok": pa.array(out_t, pa.string()),
             "kind": pa.array(np.zeros(len(did), np.int8), pa.int8()),
-            "dbucket": pa.array((did % SPAN_DOC_BUCKETS).astype(np.int32),
-                                pa.int32()),
+            "dbucket": pa.array(stable_bucket(did, p), pa.int32()),
         })
 
     unioned = (
         docs.map_batches(token_rows, batch_format="pyarrow")
         .union(dup_pos.map_batches(tag_starts, batch_format="pyarrow"))
     )
-    return bucket_exchange(unioned, "dbucket", SPAN_DOC_BUCKETS,
+    return bucket_exchange(unioned, "dbucket",
                            lambda g: _doc_frames(g, w, emit))
 
 

@@ -43,6 +43,8 @@ from pd3f_ray.stages.exchange import (
     fold,
     group_map,
     hash_agg,
+    input_partitions,
+    stable_bucket,
 )
 
 _MASK63 = 0x7FFFFFFFFFFFFFFF
@@ -245,7 +247,6 @@ FROM documents
 
 LINE_TOKENS = 10          # tokens per "line" (the corpus has no \n)
 LINE_MIN_DOCS = 2         # a line in ≥ this many docs of a source is dup
-LINE_BUCKETS = 256        # dup-count exchange buckets
 LINE_BROADCAST_MAX = 2_000_000  # dup-hash broadcast gate (rows)
 
 
@@ -282,9 +283,8 @@ def line_dedup_docs(sf_dir: str, broadcast_max: int = LINE_BROADCAST_MAX):
     - **anti-join** (the scale path): exploded lines (text + position)
       anti-joined against the dup table on line_hash (one bucketed
       exchange), then reassembled per document via a doc-id-bucketed
-      ``bucket_exchange`` (second exchange; calls bounded by the bucket
-      dial). Corpus text crosses the wire twice — the price of a dup
-      set too big for any worker's heap.
+      ``bucket_exchange`` (second exchange). Corpus text crosses the
+      wire twice — the price of a dup set too big for any worker's heap.
 
     64-bit line hashes stand in for (source, line) equality on both
     paths — a collision (~2^-63 per distinct-line pair) could drop one
@@ -293,6 +293,7 @@ def line_dedup_docs(sf_dir: str, broadcast_max: int = LINE_BROADCAST_MAX):
     import ray
 
     docs = read_table(sf_dir, "documents", ["doc_id", "source", "text"])
+    p = input_partitions(docs)
 
     def hash_pairs(batch: pa.Table) -> pa.Table:
         out_h, out_d = [], []
@@ -306,8 +307,7 @@ def line_dedup_docs(sf_dir: str, broadcast_max: int = LINE_BROADCAST_MAX):
         return pa.table({
             "lh": pa.array(h, pa.int64()),
             "doc_id": pa.array(out_d, pa.int64()),
-            "bucket": pa.array((h % LINE_BUCKETS).astype(np.int32),
-                               pa.int32()),
+            "bucket": pa.array((h % p).astype(np.int32), pa.int32()),
         })
 
     def dup_hashes(group: pa.Table) -> pa.Table:
@@ -326,7 +326,7 @@ def line_dedup_docs(sf_dir: str, broadcast_max: int = LINE_BROADCAST_MAX):
 
     dup = bucket_exchange(
         docs.map_batches(hash_pairs, batch_format="pyarrow"),
-        "bucket", LINE_BUCKETS, dup_hashes).materialize()
+        "bucket", dup_hashes).materialize()
 
     if dup.count() <= broadcast_max:
         # ---- broadcast plan: corpus pass is map-only ----
@@ -385,14 +385,13 @@ def line_dedup_docs(sf_dir: str, broadcast_max: int = LINE_BROADCAST_MAX):
     ])
     kept = anti_join(
         docs.map_batches(explode, batch_format="pyarrow"), dup,
-        "lh", "lh", num_buckets=LINE_BUCKETS, left_schema=line_schema,
+        "lh", "lh", left_schema=line_schema,
     )
+    kept_p = input_partitions(kept)
 
     def add_dbucket(batch: pa.Table) -> pa.Table:
-        d = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "dbucket", pa.array((d % LINE_BUCKETS).astype(np.int32),
-                                pa.int32()))
+        return batch.append_column("dbucket", pa.array(
+            stable_bucket(batch.column("doc_id"), kept_p), pa.int32()))
 
     def reassemble(group: pa.Table) -> pa.Table:
         did = group.column("doc_id").to_numpy(zero_copy_only=False)
@@ -410,7 +409,7 @@ def line_dedup_docs(sf_dir: str, broadcast_max: int = LINE_BROADCAST_MAX):
 
     return bucket_exchange(
         kept.map_batches(add_dbucket, batch_format="pyarrow"),
-        "dbucket", LINE_BUCKETS, reassemble)
+        "dbucket", reassemble)
 
 
 LINE_DEDUP_SQL = f"""
@@ -847,9 +846,6 @@ FROM documents
 """
 
 
-WEBPIPE_DEDUP_BUCKETS = 256
-
-
 def web_corpus_pipeline(sf_dir: str):
     """The composed WEB-CORPUS flagship: dirty HTML pages → training
     text, as ONE streaming Dataset pipeline with a single end-to-end
@@ -872,6 +868,8 @@ def web_corpus_pipeline(sf_dir: str):
     from pd3f_ray.pipelines.webtext import wrap_in_boilerplate
 
     stop = frozenset(GOPHER_STOPWORDS)
+    docs = read_table(sf_dir, "documents", ["doc_id", "text"])
+    p = input_partitions(docs)
 
     def wrap(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_pylist()
@@ -906,7 +904,7 @@ def web_corpus_pipeline(sf_dir: str):
             keep_urls.append(u)
             keep_texts.append(t)
             digests.append(dig)
-            buckets.append(int(dig[:8], 16) % WEBPIPE_DEDUP_BUCKETS)
+            buckets.append(int(dig[:8], 16) % p)
         return pa.table({
             "url": pa.array(keep_urls, pa.string()),
             "text": pa.array(keep_texts, pa.string()),
@@ -929,7 +927,6 @@ def web_corpus_pipeline(sf_dir: str):
         keep = order[np.r_[True, d_sorted[1:] != d_sorted[:-1]]]
         return group.select(["url", "text"]).take(pa.array(np.sort(keep)))
 
-    docs = read_table(sf_dir, "documents", ["doc_id", "text"])
     gated = (
         docs.map_batches(wrap, batch_format="pyarrow")
         .map_batches(HtmlMainExtractor(joiner=" "), batch_format="pyarrow",
@@ -937,8 +934,7 @@ def web_corpus_pipeline(sf_dir: str):
         .map_batches(PiiScrubber(), batch_format="pyarrow", batch_size=None)
         .map_batches(gate, batch_format="pyarrow")
     )
-    return bucket_exchange(gated, "dbucket", WEBPIPE_DEDUP_BUCKETS,
-                           first_per_digest)
+    return bucket_exchange(gated, "dbucket", first_per_digest)
 
 
 WEB_CORPUS_PIPELINE_SQL = f"""

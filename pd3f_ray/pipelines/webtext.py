@@ -16,7 +16,11 @@ import html as _html
 import pyarrow as pa
 
 from pd3f_ray.core.cluster import read_table
-from pd3f_ray.stages.exchange import bucket_exchange, hash_agg
+from pd3f_ray.stages.exchange import (
+    bucket_exchange,
+    hash_agg,
+    input_partitions,
+)
 from pd3f_ray.stages.htmlmain import HtmlMainExtractor
 
 CHUNK_TOKENS = 40
@@ -334,9 +338,6 @@ GROUP BY url_norm
 # snapshots → canonicalize → keep-latest → boilerplate strip
 # ---------------------------------------------------------------------------
 
-_CRAWL_BUCKETS = 256
-
-
 def crawl_consolidation_pipeline(sf_dir: str):
     """The crawl-side composed flagship: a multi-crawl snapshot table
     (the same logical page fetched repeatedly under noisy URLs, each
@@ -348,8 +349,8 @@ def crawl_consolidation_pipeline(sf_dir: str):
        ``latest_event_per_user``: a map-side partial keeps one winner
        per (block, url) BEFORE the exchange, so loser payloads that
        co-occur in a block never ship; the bucketed reduce re-applies
-       the same argmax (bucket = splitmix64(url-hash) % B bounds group
-       memory);
+       the same argmax (bucket = url hash % P, the exchange's
+       partitions);
     3. the winning snapshots' HTML goes through the
        ``HtmlMainExtractor`` stage (boilerplate stripped).
 
@@ -396,20 +397,21 @@ def crawl_consolidation_pipeline(sf_dir: str):
         last = np.flatnonzero(np.r_[u_s[1:] != u_s[:-1], True])
         return t.take(pa.array(np.sort(order[last])))
 
+    ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
+    p = input_partitions(ds)
+
     def add_bucket(t: pa.Table) -> pa.Table:
         t = keep_latest(t)  # map-side partial: losers in-block never ship
         urls = t.column("url_norm").to_numpy(zero_copy_only=False)
         h = np.fromiter((hash_bytes(u.encode()) for u in urls),
                         dtype=np.uint64, count=len(urls))
         return t.append_column(
-            "bucket", pa.array((h % _CRAWL_BUCKETS).astype(np.int64),
-                               pa.int64()))
+            "bucket", pa.array((h % p).astype(np.int64), pa.int64()))
 
-    ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
     winners = bucket_exchange(
         ds.map_batches(explode, batch_format="pyarrow")
         .map_batches(add_bucket, batch_format="pyarrow"),
-        "bucket", _CRAWL_BUCKETS,
+        "bucket",
         lambda g: keep_latest(g).select(["url_norm", "html"]))
 
     extracted = winners.map_batches(

@@ -2,7 +2,7 @@
 
 Ray Data has no native session windows or as-of joins; both are
 expressed here as the engine's standard bucketed-shuffle pattern: ONE
-``user_id % B`` ``bucket_exchange`` (stages/exchange.py), one bucket
+``user_id``-hash ``bucket_exchange`` (stages/exchange.py), one bucket
 per partition, then vectorized per-user logic in each reducer call
 (sort by (ts, event_id) → gap scan / prior-index scan).
 
@@ -29,6 +29,7 @@ from pd3f_ray.stages.exchange import (
     group_map,
     hash_agg,
     input_partitions,
+    stable_bucket,
 )
 
 SESSION_GAP_MIN = 30
@@ -36,15 +37,14 @@ SESSION_GAP_MIN = 30
 
 def _bucketed(ds, fn):
     """``fn`` over whole users: one ``user_id`` bucket per partition."""
-    num_buckets = input_partitions(ds)
+    p = input_partitions(ds)
 
     def add_bucket(batch: pa.Table) -> pa.Table:
-        uid = batch.column("user_id").to_numpy(zero_copy_only=False)
-        b = pa.array((uid % num_buckets).astype(np.int32), pa.int32())
-        return batch.append_column("bucket", b)
+        b = stable_bucket(batch.column("user_id"), p)
+        return batch.append_column("bucket", pa.array(b, pa.int32()))
 
     return bucket_exchange(ds.map_batches(add_bucket, batch_format="pyarrow"),
-                           "bucket", num_buckets, fn)
+                           "bucket", fn)
 
 
 def _col_np(tbl: pa.Table, name: str) -> np.ndarray:
@@ -438,7 +438,7 @@ def event_sequences(sf_dir: str):
     (user_id, seq = event types joined with ',' in (ts, event_id)
     order, n_events).
 
-    Plan: the standard ONE ``user_id % B`` bucket exchange; inside a
+    Plan: the standard ONE ``user_id``-hash bucket exchange; inside a
     partition, one vectorized sort by (user_id, ts, event_id) and a
     per-user join of the type strings. Per-call memory is bounded by
     users-per-partition × events-per-user — the same contract as
@@ -638,7 +638,7 @@ def funnel_stages(sf_dir: str):
     qualifying event; ties broken by event_id). Output one row per
     user with at least one 'view': (user_id, stage ∈ {1,2,3}).
 
-    Plan: the standard ONE ``user_id % B`` bucket exchange; inside a
+    Plan: the standard ONE ``user_id``-hash bucket exchange; inside a
     partition one vectorized (user, ts, event_id) sort, then a three-probe
     forward scan per user. Oracle: chained row-value-comparison argmin
     subqueries with the same interval bounds."""
@@ -720,7 +720,7 @@ def event_gaps(sf_dir: str):
     """Per-user inter-arrival gap statistics — the ``lag()`` window
     primitive as a distributed op (think: time-between-fetches per
     crawl host, or inter-action dwell time per user). Same single
-    ``user_id % B`` bucketed exchange as the rest of this module; the
+    ``user_id``-hash bucketed exchange as the rest of this module; the
     in-group scan is one vectorized ``np.diff`` over the (ts, event_id)
     sort per user. Gaps travel as integer microseconds so the sums are
     hash-exact. Users with a single event have no gap and are omitted

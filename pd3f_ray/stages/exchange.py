@@ -1,36 +1,39 @@
 """The library's one exchange, behind six entry points.
 
-The exchange: rows carry an int bucket id in ``[0, B)``; the ids are
-range-partitioned on explicit sort boundaries (no sampling pass) into P
-partitions, whatever the upstream block count, and a reducer runs once
-per non-empty partition with every bucket's rows in exactly that call.
-P is sized by its input, as the read is: ``input_partitions(ds)``, one
-partition per 1 MiB (``target_min_block_size``) of the sources' planned
-bytes, at most one per CPU, raised to one per 128 MiB Ray block, as
-Ray's sort made one partition per block. Each exchange task (sort map,
-sort reduce, reducer) costs a fixed chunk of driver, raylet and worker
-CPU whatever it holds, so a table under 2 MiB is one partition (a
-``repartition(1)``, no sort), and from CPUs MiB up P is one reduce
-wave, one partition per CPU: a second wave only adds tasks. The bucket
-dial still bounds a reducer call at ≤ 64 buckets, so a large B raises P
-to ⌈B/64⌉ (2^20 buckets → 2^14 partitions). A source with no size
-estimate keeps one partition per CPU.
+The exchange: P = ``input_partitions(ds)`` partitions, sized by the
+input as the read is: one partition per 1 MiB (``target_min_block_size``)
+of the sources' planned bytes, at most one per CPU, raised to one per
+128 MiB Ray block, as Ray's sort made one partition per block. A source
+with no size estimate gives one partition per CPU. Rows carry an int
+bucket in ``[0, P)`` that the caller tagged in a map it already runs
+(``stable_bucket(key, P)``, or ``h % P`` of a 64-bit hash it has); the
+exchange range-partitions them on the explicit boundaries ``1 … P−1``
+(no sampling pass), whatever the upstream block count, and a reducer
+runs once per non-empty partition with every bucket's rows in exactly
+that call. Each exchange task (sort map, sort reduce, reducer) costs a
+fixed chunk of driver, raylet and worker CPU whatever it holds, so a
+table under 2 MiB is one partition (a ``repartition(1)``, no sort),
+and from CPUs MiB up P is one reduce wave, one partition per CPU: a
+second wave only adds tasks.
+
+A reduce task holds its partition: on average at most 128 MiB of the
+sources' bytes times what the maps before the exchange multiply them
+by (the band count for minhash's band explode, the table count for
+embdup's tables).
 
 The entry points:
 
-- ``bucket_exchange(ds, key, B, fn)``: the plan already computed the
-  bucket (a url crc, a digest prefix, ``doc_id % B``), and ``fn``
-  groups on its own real key, so a call over several buckets returns
-  the union of their outputs. Pages, ``joins.cogroup`` and the
-  hash-bucketed pipeline reducers use it, embdup_lsh too: its rows are
-  replicated per hash table, and its planner's bucket count grows with
-  them where the read's bytes would not.
+- ``bucket_exchange(ds, key, fn)``: the plan already computed the
+  bucket (a url crc, a digest prefix, a key hash, each modulo P), and
+  ``fn`` groups on its own real key, so a call over several buckets
+  returns the union of their outputs. Pages, ``joins.cogroup`` and the
+  hash-bucketed pipeline reducers use it.
 - ``group_map(ds, keys, fn)``: ``fn`` sees exactly one group. Rows are
-  tagged with the ``stable_bucket`` of ``keys`` over one bucket per
-  partition, and each reduce task sorts on ``keys`` and calls ``fn``
-  once per key run. For natural keys (a language, an event type, a
-  source) and for reducers that read the group's key or treat their
-  input as one group (range bands).
+  tagged with the ``stable_bucket`` of ``keys`` over P, and each
+  reduce task sorts on ``keys`` and calls ``fn`` once per key run. For
+  natural keys (a language, an event type, a source) and for reducers
+  that read the group's key or treat their input as one group (range
+  bands).
 - ``fold(ds, partial, merge)``: the one-task finish. ``partial`` runs
   per block, fused into the upstream map, then ``repartition(1)`` and
   ONE ``merge`` task over the partials: a register sketch (HLL max,
@@ -59,8 +62,6 @@ from pd3f_ray.core.arrowkit import agg, run_offsets
 from pd3f_ray.core.cluster import cluster_cpus, min_block_partitions
 from pd3f_ray.functions.textfns import mix64
 
-MAX_BUCKETS_PER_PARTITION = 64  # the bucket dial bounds a reducer call
-
 # how each per-block partial folds into the final value
 _FINAL = {"sum": "sum", "count": "sum", "count_all": "sum",
           "min": "min", "max": "max"}
@@ -78,28 +79,30 @@ def _source_bytes(op):
             else op.infer_metadata().size_bytes)
 
 
-def input_partitions(ds) -> int:
-    """The read's task count over ``ds``'s planned source bytes, raised
-    to one per Ray block (128 MiB); CPUs if any source has no size."""
+def input_partitions(*datasets) -> int:
+    """The read's task count over the planned source bytes of
+    ``datasets`` together, raised to one per Ray block (128 MiB); CPUs
+    if any source has no size. A map keeps its input's sources, so a
+    tagged dataset has the P of the one it was tagged from."""
     from ray.data import DataContext
 
-    nbytes = _source_bytes(ds._logical_plan.dag)
-    if nbytes is None:
+    sizes = [_source_bytes(ds._logical_plan.dag) for ds in datasets]
+    if None in sizes:
         return cluster_cpus()
+    nbytes = sum(sizes)
     block = DataContext.get_current().target_max_block_size
     return max(min_block_partitions(nbytes), -(-nbytes // block))
 
 
-def bucket_exchange(ds, key: str, num_buckets: int, fn):
-    """Rows with an int ``key`` in ``[0, num_buckets)`` → ``fn(pa.Table)``
-    once per partition: each bucket in exactly one call, ≤ P calls, P =
-    ``input_partitions(ds)`` raised to ≤ 64 buckets per partition, ≤
-    num_buckets."""
-    p = min(num_buckets, max(-(-num_buckets // MAX_BUCKETS_PER_PARTITION),
-                             input_partitions(ds)))
+def bucket_exchange(ds, key: str, fn):
+    """Rows with an int ``key`` in ``[0, P)``, P = ``input_partitions(ds)``
+    → ``fn(pa.Table)`` once per non-empty partition, bucket i in
+    partition i: each bucket in exactly one call. A key outside
+    ``[0, P)`` still lands in exactly one call (the first or the last)."""
+    p = input_partitions(ds)
     # empty boundaries would make Ray's sort sample, 1 partition/block
     shuffled = ds.repartition(1) if p == 1 else ds.sort(
-        key, boundaries=[-(-i * num_buckets // p) for i in range(1, p)])
+        key, boundaries=list(range(1, p)))
     return shuffled.map_batches(fn, batch_size=None, batch_format="pyarrow")
 
 
@@ -133,22 +136,22 @@ def _hash64(col) -> np.ndarray:
     return x
 
 
-def stable_bucket(keys, num_buckets: int) -> np.ndarray:
-    """Deterministic cross-process bucket in ``[0, num_buckets)`` per
+def stable_bucket(keys, p: int) -> np.ndarray:
+    """Deterministic cross-process bucket in ``[0, p)`` per
     row of one key column, or of a list of them (a multi-column key
     combines the per-column hashes). Null keys share one bucket."""
     cols = keys if isinstance(keys, list) else [keys]
     h = _hash64(cols[0])
     for c in cols[1:]:
         h = h * np.uint64(0x9E3779B97F4A7C15) + _hash64(c)
-    return (h % np.uint64(num_buckets)).astype(np.int32)
+    return (h % np.uint64(p)).astype(np.int32)
 
 
-def _tag_buckets(keys: list[str], num_buckets: int):
+def _tag_buckets(keys: list[str], p: int):
     """A batch → the batch plus a ``__bucket`` column: the
-    ``stable_bucket`` of ``keys`` over ``num_buckets``."""
+    ``stable_bucket`` of ``keys`` over ``p``."""
     def tag(t):
-        b = stable_bucket([t.column(k) for k in keys], num_buckets)
+        b = stable_bucket([t.column(k) for k in keys], p)
         return t.append_column("__bucket", pa.array(b, pa.int32()))
 
     return tag
@@ -163,10 +166,9 @@ def group_map(ds, keys, fn):
     group, as in ``hash_agg``. The outputs of a task's calls are one
     block, so they must share a schema.
 
-    A reduce task holds its partition, on average at most 128 MiB of
-    the sources' bytes times what the maps before the exchange multiply
-    them by, plus one group's copy. A group must fit one call: the key
-    bounds it (a language, a range band), not the corpus."""
+    A reduce task holds its partition (see above) plus one group's
+    copy. A group must fit one call: the key bounds it (a language, a
+    range band), not the corpus."""
     keys = keys if isinstance(keys, list) else [keys]
     order = [(k, "ascending") for k in keys]
 
@@ -178,11 +180,10 @@ def group_map(ds, keys, fn):
         return pa.concat_tables([fn(t.take(idx.slice(s, e - s)))
                                  for s, e in zip(starts, ends)])
 
-    num_buckets = input_partitions(ds)  # one bucket per partition
     return bucket_exchange(
-        ds.map_batches(_tag_buckets(keys, num_buckets), batch_size=None,
-                       batch_format="pyarrow"),
-        "__bucket", num_buckets, per_key)
+        ds.map_batches(_tag_buckets(keys, input_partitions(ds)),
+                       batch_size=None, batch_format="pyarrow"),
+        "__bucket", per_key)
 
 
 def _final_aggs(aggs: dict) -> dict:
@@ -264,8 +265,7 @@ def hash_agg(ds, keys: list[str], aggs: dict):
     so a per-block top-k over the output is exact. Null keys group as
     one key, as in ``arrowkit.agg``."""
     final = _final_aggs(aggs)
-    num_buckets = input_partitions(ds)
-    tag = _tag_buckets(keys, num_buckets)
+    tag = _tag_buckets(keys, input_partitions(ds))
 
     def partial(t):
         return tag(agg(t, keys, aggs))
@@ -275,4 +275,4 @@ def hash_agg(ds, keys: list[str], aggs: dict):
 
     return bucket_exchange(
         ds.map_batches(partial, batch_size=None, batch_format="pyarrow"),
-        "__bucket", num_buckets, finish)
+        "__bucket", finish)

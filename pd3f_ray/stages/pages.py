@@ -6,17 +6,19 @@ shuffled on disk. Reassembly is the engine's one real shuffle — but NOT
 ``groupby("url")`` directly: with one group per document the per-group
 Python dispatch of ``map_groups`` dominated wall time (~0.5 ms × 200 k
 groups ≈ 100 s at sf0.1). Instead pages are bucketed by a stable url
-hash (``crc32 % num_buckets``) and ``stages.exchange.bucket_exchange``
-hands each reducer call a partition of ≤ 64 whole buckets, sorted
-once on ``(url, page_idx)`` and split into documents by offset scan.
+hash over the exchange's P partitions (``url_bucket(url, P)``, P =
+``stages.exchange.input_partitions``) and ``bucket_exchange`` hands each
+reducer call one partition, sorted once on ``(url, page_idx)`` and split
+into documents by offset scan.
 Same exchange volume, P reducer calls instead of 200 k. The fused plan
 (``extract_pages_fused``) ships each page blob as an LZ4 frame: 6.2 of
 29.8 MB on the seed-1 page table, for 0.08 s of codec CPU per pass
 (zlib level 1: 4.2 MB for 0.42 s).
 
-Partitioning assumptions: 64 buckets must fit in one reduce task's memory
-(``num_buckets`` scales with the corpus: ~2^20 at 10^12 docs). Page order is
-the reference's array position (README.md:115-119), restored by the sort.
+Partitioning assumptions: one partition, on average at most 128 MiB of
+the page table's bytes (P grows with the input), must fit in one reduce
+task's memory. Page order is the reference's array position
+(README.md:115-119), restored by the sort.
 """
 
 from __future__ import annotations
@@ -31,10 +33,10 @@ import pyarrow.compute as pc
 
 from pd3f_ray.core.arrowkit import run_offsets
 from pd3f_ray.core.config import ExtractOptions
-from pd3f_ray.stages.exchange import bucket_exchange
+from pd3f_ray.stages.exchange import bucket_exchange, input_partitions
 from pd3f_ray.stages.extract import extract_rows, null_input
 
-DEFAULT_NUM_BUCKETS = 512
+DEFAULT_NUM_BUCKETS = 512  # url_bucket's default range
 # page blobs cross the fused exchange as LZ4 frames (``extract_pages_fused``);
 # a codec name, because a ``pa.Codec`` does not pickle and the package may be
 # shipped to workers by value
@@ -139,27 +141,28 @@ def assemble_bucket(group: pa.Table) -> pa.Table:
     )
 
 
-def assemble_pages_dataset(ds, num_buckets: int = DEFAULT_NUM_BUCKETS):
+def assemble_pages_dataset(ds):
     """``Dataset`` of exploded page rows → ``Dataset`` of document rows
     (the input_hint schema). One url-bucket range exchange."""
+    p = input_partitions(ds)
 
     def add_bucket(batch: pa.Table) -> pa.Table:
         buckets = pa.array(
-            [url_bucket(u, num_buckets) for u in batch.column("url").to_pylist()],
+            [url_bucket(u, p) for u in batch.column("url").to_pylist()],
             pa.int32(),
         )
         return batch.append_column("bucket", buckets)
 
     return bucket_exchange(ds.map_batches(add_bucket, batch_format="pyarrow"),
-                           "bucket", num_buckets, assemble_bucket)
+                           "bucket", assemble_bucket)
 
 
-def add_bucket_compress(batch: pa.Table, num_buckets: int) -> pa.Table:
-    """Map side of ``extract_pages_fused``: each page row's url bucket,
-    its ``page_json`` as an LZ4 frame and the raw size (a null page
-    stays null, with size 0)."""
+def add_bucket_compress(batch: pa.Table, p: int) -> pa.Table:
+    """Map side of ``extract_pages_fused``: each page row's url bucket
+    over ``p`` partitions, its ``page_json`` as an LZ4 frame and the raw
+    size (a null page stays null, with size 0)."""
     urls = batch.column("url").to_pylist()
-    buckets = pa.array([url_bucket(u, num_buckets) for u in urls], pa.int32())
+    buckets = pa.array([url_bucket(u, p) for u in urls], pa.int32())
     blobs = batch.column("page_json").to_pylist()
     codec = pa.Codec(PAGE_CODEC)
     return pa.table(
@@ -192,7 +195,7 @@ def assemble_extract(group: pa.Table, opts: ExtractOptions) -> pa.Table:
     return extract_rows(first, (doc for doc, _ in docs), payloads, opts)
 
 
-def extract_pages_fused(ds, opts=None, num_buckets: int = DEFAULT_NUM_BUCKETS):
+def extract_pages_fused(ds, opts=None):
     """Page rows → extracted document rows in ONE ``bucket_exchange``
     (no sampling pass, no merge stage), with the page payloads
     LZ4-compressed across the exchange.
@@ -214,7 +217,7 @@ def extract_pages_fused(ds, opts=None, num_buckets: int = DEFAULT_NUM_BUCKETS):
     the url's UNCOMPRESSED page blob sizes.
     """
     return bucket_exchange(
-        ds.map_batches(partial(add_bucket_compress, num_buckets=num_buckets),
+        ds.map_batches(partial(add_bucket_compress, p=input_partitions(ds)),
                        batch_format="pyarrow"),
-        "bucket", num_buckets,
+        "bucket",
         partial(assemble_extract, opts=opts or ExtractOptions.experimental()))

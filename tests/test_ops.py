@@ -7,6 +7,7 @@ import duckdb
 import numpy as np
 import pandas as pd
 import pytest
+from conftest import lower_min_block
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -296,7 +297,7 @@ def test_jaccard_band_edge_pairs(ray_session):
     assert len(got) == len(got.drop_duplicates()), "duplicate pairs emitted"
 
 
-def test_hash_join_salted_skew(ray_session):
+def test_hash_join_salted_skew(ray_session, monkeypatch):
     """A deliberately skewed left side (one hot key with most rows)
     joined through hash_join must produce the exact inner-join result:
     the hot key's probe rows all land in one bucket's group."""
@@ -318,7 +319,8 @@ def test_hash_join_salted_skew(ray_session):
     lds = rd.from_arrow(left).map_batches(lambda b: b, batch_size=1000,
                                           batch_format="pyarrow")
     rds = rd.from_arrow(right)
-    out = hash_join(lds, rds, "k", "rk", num_buckets=8,
+    lower_min_block(monkeypatch)  # P > 1: the exchange sorts
+    out = hash_join(lds, rds, "k", "rk",
                     left_schema=left.schema).to_pandas()
 
     want = left.to_pandas().merge(right.to_pandas(), left_on="k",
@@ -360,15 +362,6 @@ def _executed_ops(summary) -> list:
     return ops + list(summary.operators_stats)
 
 
-def _lower_min_block(monkeypatch, nbytes: int = 1):
-    """Ray's minimum block size set to ``nbytes``: a small input is then
-    worth one partition per CPU, and the exchanges sort."""
-    import ray.data as rd
-
-    monkeypatch.setattr(rd.DataContext.get_current(), "target_min_block_size",
-                        nbytes)
-
-
 def _set_cpus(monkeypatch, cpus: int):
     """``cluster_cpus()`` reads ``cpus`` in the read and the exchange."""
     from pd3f_ray.core import cluster
@@ -407,53 +400,58 @@ def _sized(nbytes):
     return rd.read_datasource(Sized())
 
 
-@pytest.mark.parametrize("num_buckets", [1, 7, 512])
+@pytest.mark.parametrize("n_keys", [1, 7, 512])
 def test_bucket_exchange_one_call_per_bucket(ray_session, monkeypatch,
-                                             num_buckets):
-    """bucket_exchange's contract: every bucket's rows reach ``fn`` in
-    exactly one call, ≤ 64 buckets per call, in at most P ≤ num_buckets
-    calls, with one bucket skewed far above the rest and a third of the
-    buckets empty. The exchange makes exactly P = min(B, max(⌈B/64⌉,
-    ``input_partitions``)) partitions from 6 input blocks (a sampled
-    sort would make one per input block): 1 for these few KB, and again
-    with Ray's minimum block size lowered so that they are worth one
-    partition per CPU and the exchange sorts."""
+                                             n_keys):
+    """bucket_exchange's contract: rows tagged with the ``stable_bucket``
+    of their key over P = ``input_partitions`` reach ``fn`` with every
+    bucket, and so every key, in exactly one call, one key skewed far
+    above the rest. The exchange makes exactly P partitions from 6 input
+    blocks (a sampled sort would make one per input block): 1 for these
+    few KB, and again with Ray's minimum block size lowered so that they
+    are worth one partition per CPU and the exchange sorts."""
     import re
     import uuid
 
     import pyarrow as pa
     import ray.data as rd
 
-    from pd3f_ray.stages.exchange import bucket_exchange, input_partitions
+    from pd3f_ray.stages.exchange import (
+        bucket_exchange,
+        input_partitions,
+        stable_bucket,
+    )
 
-    rng = np.random.default_rng(num_buckets)
-    b = rng.integers(0, num_buckets, 300)
-    if num_buckets > 1:
-        b = b[b % 3 != 1]
-    b = np.concatenate([np.full(400, num_buckets // 2), b])  # spans blocks
-    blocks = [pa.table({"bucket": pa.array(c, pa.int32()),
+    rng = np.random.default_rng(n_keys)
+    k = rng.integers(0, n_keys, 300)
+    k = np.concatenate([np.full(400, n_keys // 2), k])  # spans blocks
+    blocks = [pa.table({"key": pa.array(c, pa.int64()),
                         "v": pa.array(np.ones(len(c), np.int64))})
-              for c in np.array_split(b, 6)]
+              for c in np.array_split(k, 6)]
 
     def fn(part: pa.Table) -> pa.Table:
-        per = part.group_by("bucket").aggregate([("v", "sum")])
+        per = part.group_by(["key", "bucket"]).aggregate([("v", "sum")])
         return per.append_column(
             "call", pa.array([uuid.uuid4().hex] * per.num_rows))
 
     for lowered in (False, True):
         if lowered:
-            _lower_min_block(monkeypatch)
+            lower_min_block(monkeypatch)
         src = rd.from_arrow(blocks)
-        ds = bucket_exchange(src, "bucket", num_buckets, fn).materialize()
+        p = input_partitions(src)
+        assert p == (4 if lowered else 1)  # 4 CPUs
+        tagged = src.map_batches(
+            lambda t: t.append_column("bucket", pa.array(
+                stable_bucket(t.column("key"), p), pa.int32())),
+            batch_format="pyarrow")
+        ds = bucket_exchange(tagged, "bucket", fn).materialize()
         got = ds.to_pandas()
-        want = pd.Series(b).value_counts()
-        assert input_partitions(src) == (4 if lowered else 1)  # 4 CPUs
-        p = min(num_buckets,
-                max(-(-num_buckets // 64), input_partitions(src)))
-        assert got["bucket"].is_unique  # no bucket split across two calls
-        assert dict(zip(got["bucket"], got["v_sum"])) == want.to_dict()
-        assert got["call"].nunique() <= p <= num_buckets
-        assert got["call"].value_counts().max() <= 64  # buckets in one call
+        want = pd.Series(k).value_counts()
+        assert got["key"].is_unique  # no key split across two calls
+        assert (got.groupby("bucket")["call"].nunique() == 1).all()
+        assert dict(zip(got["key"], got["v_sum"])) == want.to_dict()
+        assert got["bucket"].between(0, p - 1).all()
+        assert got["call"].nunique() <= p
         exchange = [op for op in _executed_ops(ds._get_stats_summary())
                     if op.is_sub_operator]
         assert [op.operator_name for op in exchange] == (
@@ -496,22 +494,18 @@ def test_input_partitions_follow_the_bytes(ray_session, monkeypatch):
 @pytest.mark.parametrize("cpus", [1, 4, 64])
 def test_exchange_partitions_match_the_cpu_floor_from_cpus_mib(
         ray_session, monkeypatch, cpus):
-    """For a source of at least CPUs MiB, every bucket count's P is the
-    CPU-floor rule min(B, max(CPUs, ⌈B/64⌉, ⌈bytes/128 MiB⌉)): sizing
-    the exchange by its input changes nothing there. A source with no
-    size estimate keeps P ≥ CPUs (≤ B) at any size."""
+    """For a source of at least CPUs MiB, P is one partition per CPU,
+    raised to one per 128 MiB Ray block: max(CPUs, ⌈bytes/128 MiB⌉). A
+    source with no size estimate gives CPUs at any size."""
     from pd3f_ray.stages.exchange import bucket_exchange
 
     mib = 1 << 20
     _set_cpus(monkeypatch, cpus)
     for nbytes in (cpus * mib, cpus * mib + 1, 200 * mib, 40 << 30, None):
-        src = _sized(nbytes)
-        for b in (1, 7, 32, 256, 512, 1024, 2**20):
-            p = _planned_partitions(bucket_exchange(src, "k", b,
-                                                    lambda t: t))
-            byte_floor = -(-(nbytes or 0) // (128 * mib))
-            assert p == min(b, max(cpus, -(-b // 64), byte_floor)), (nbytes, b)
-            assert p >= min(b, cpus)
+        p = _planned_partitions(bucket_exchange(_sized(nbytes), "k",
+                                                lambda t: t))
+        byte_floor = -(-(nbytes or 0) // (128 * mib))
+        assert p == max(cpus, byte_floor), nbytes
 
 
 def test_exchange_partitions_follow_the_input(ray_session, monkeypatch):
@@ -521,11 +515,8 @@ def test_exchange_partitions_follow_the_input(ray_session, monkeypatch):
     per block). With Ray's minimum block size lowered to 16 KB the same
     64 KB are 4 partitions. Every exchange makes at least one partition
     per Ray block (``target_max_block_size``) of its sources' estimated
-    bytes, as Ray's sort made one per block, up to its bucket count."""
-    import re
-
+    bytes, as Ray's sort made one per block."""
     import pyarrow as pa
-    import pyarrow.compute as pc
     import ray.data as rd
 
     from pd3f_ray.stages import exchange
@@ -550,24 +541,14 @@ def test_exchange_partitions_follow_the_input(ray_session, monkeypatch):
     assert exchange.input_partitions(one) == 1
     assert partitions(one) == 1
     assert partitions(six) == 1
-    _lower_min_block(monkeypatch, 16 << 10)
+    lower_min_block(monkeypatch, 16 << 10)
     assert exchange.input_partitions(six) == 3
     assert partitions(six) == 3
-    _lower_min_block(monkeypatch, 1 << 20)
+    lower_min_block(monkeypatch, 1 << 20)
     ctx = rd.DataContext.get_current()
     monkeypatch.setattr(ctx, "target_max_block_size", -(-t.nbytes // 10))
     assert exchange.input_partitions(one) == 10
     assert partitions(one) == 10
-    for num_buckets, p in ((8, 8), (128, 10), (1024, 16)):
-        out = exchange.bucket_exchange(
-            one.map_batches(lambda t: t.append_column(
-                "b", pc.cast(t.column("k"), pa.int32())),
-                batch_format="pyarrow"),
-            "b", num_buckets, lambda t: t).materialize()
-        shuffle = [op for op in _executed_ops(out._get_stats_summary())
-                   if op.is_sub_operator][-1]
-        assert re.search(r"(\d+) blocks produced",
-                         shuffle.block_execution_summary_str).group(1) == str(p)
 
 
 def _exchanges(ds) -> list:
@@ -588,8 +569,7 @@ def test_same_key_aggregates_fold_into_the_join_exchange(ray_session,
     one-task finish on ``n_orders``, and q3_shipping_priority's orderkey
     totals ride its orderkey join (on both customer paths: the join,
     then the one-task ``top_k``; the bucketed path adds its semi join).
-    At ``SF`` the first two exchanges are one partition; q3's 128
-    buckets keep ⌈128/64⌉ = 2 sorted partitions. With Ray's minimum
+    At ``SF`` every join exchange is one partition; with Ray's minimum
     block size lowered, every join exchange sorts."""
     from pd3f_ray.pipelines.joins import (
         click_purchase_matrix,
@@ -599,13 +579,13 @@ def test_same_key_aggregates_fold_into_the_join_exchange(ray_session,
 
     for join in (ONE, PAIR):
         if join == PAIR:
-            _lower_min_block(monkeypatch)
+            lower_min_block(monkeypatch)
         assert _exchanges(click_purchase_matrix(SF).materialize()) == join
         assert _exchanges(customer_order_counts(SF).materialize()) == (
             join + ONE)
         for broadcast, n in ((True, 1), (False, 2)):
             ds = q3_shipping_priority(SF, broadcast_customer=broadcast)
-            assert _exchanges(ds.materialize()) == PAIR * n + ONE, broadcast
+            assert _exchanges(ds.materialize()) == join * n + ONE, broadcast
 
 
 def test_small_final_aggregates_finish_in_one_task(ray_session, monkeypatch):
@@ -613,8 +593,7 @@ def test_small_final_aggregates_finish_in_one_task(ray_session, monkeypatch):
     partials on that key from its last exchange's reducer (the next-key
     fold) and finishes them in ONE task behind ``repartition(1)``: no
     Ray sort aggregate follows the joins, whether the joins are one
-    partition (``SF``) or sort (Ray's minimum block size lowered);
-    nation_revenue's 128 join buckets always sort."""
+    partition (``SF``) or sort (Ray's minimum block size lowered)."""
     import re
 
     from pd3f_ray.pipelines.joins import nation_revenue, supplier_part_join
@@ -625,12 +604,12 @@ def test_small_final_aggregates_finish_in_one_task(ray_session, monkeypatch):
 
     for join in (ONE, PAIR):
         if join == PAIR:
-            _lower_min_block(monkeypatch)
+            lower_min_block(monkeypatch)
         for ds, joins in ((supplier_part_join(SF), join),
                           (customer_order_counts(SF), join),
                           (segment_order_stats(SF, broadcast=False), join),
                           (nation_revenue(SF, broadcast_customer=False),
-                           PAIR * 2)):
+                           join * 2)):
             ds = ds.materialize()
             assert _exchanges(ds) == joins + ONE
             last = _executed_ops(ds._get_stats_summary())[-1]
@@ -1046,10 +1025,12 @@ def _assert_read_fused(ds, first_map: str, path):
 def test_pages_exchange_has_no_sample_or_merge_stage(ray_session, tmp_path):
     """The page shuffle range-partitions on known bucket boundaries with
     the pull-based sort: no boundary-sampling pass, no push-based merge
-    stage among the executed sub-operators. A many-file table is read
-    unsplit in the footer rule's task count, fused with the first map:
-    the page table into the page shuffle, an events table into
-    user_sessions' window exchange, and a document table into the
+    stage among the executed sub-operators. 60 documents are one
+    partition (a ``repartition(1)``); with Ray's minimum block size
+    lowered they are one per CPU, and the exchange sorts. A many-file
+    table is read unsplit in the footer rule's task count, fused with
+    the first map: the page table into the page shuffle, an events table
+    into user_sessions' window exchange, and a document table into the
     extraction stage, which then is the whole plan."""
     import pyarrow.parquet as pq
 
@@ -1063,13 +1044,14 @@ def test_pages_exchange_has_no_sample_or_merge_stage(ray_session, tmp_path):
 
     pages = _write_files(generate_pages_exploded(60, seed=3),
                          tmp_path / "pages.parquet", 8)
-    ds = extract_from_pages_parquet(pages).materialize()
-    assert ds.count() == 60
-
-    names = [op.operator_name for op in _executed_ops(ds._get_stats_summary())
-             if op.is_sub_operator]
-    assert names == ["SortMap", "SortReduce"], names
-    _assert_read_fused(ds, "add_bucket_compress", pages)
+    for exchange in (ONE, PAIR):
+        with pytest.MonkeyPatch.context() as mp:
+            if exchange == PAIR:
+                lower_min_block(mp)
+            ds = extract_from_pages_parquet(pages).materialize()
+            assert ds.count() == 60
+            assert _exchanges(ds) == exchange
+            _assert_read_fused(ds, "add_bucket_compress", pages)
 
     events = _write_files(pq.read_table(os.path.join(SF, "events.parquet")),
                           tmp_path / "events.parquet", 4)
@@ -1330,7 +1312,7 @@ def test_join_side_without_arrow_schema_raises(ray_session):
         hash_join(left, right, "k", "rk")
 
 
-def test_join_null_key_keeps_other_int_keys_exact(ray_session):
+def test_join_null_key_keeps_other_int_keys_exact(ray_session, monkeypatch):
     # a null in an int64 key column must not send the batch's other keys
     # through float64: 2**60 + 1 would round to 2**60, land in another
     # bucket than its right-side partner, and silently lose the match
@@ -1343,7 +1325,8 @@ def test_join_null_key_keeps_other_int_keys_exact(ray_session):
     left = rd.from_arrow(pa.table({"k": pa.array([big, None], pa.int64()),
                                    "v": ["a", "b"]}))
     right = rd.from_arrow(pa.table({"rk": pa.array([big], pa.int64())}))
-    out = hash_join(left, right, "k", "rk", num_buckets=7).to_pandas()
+    lower_min_block(monkeypatch)  # P > 1: the exchange sorts
+    out = hash_join(left, right, "k", "rk").to_pandas()
     assert out["v"].tolist() == ["a"]
     assert out["rk"].tolist() == [big]
 
@@ -1386,7 +1369,7 @@ def test_agg_names_outputs_by_pyarrow_name():
         {"k": "b", "total": 2, "n": 1, "n_k": 1}]
 
 
-def test_hash_join_union_has_one_schema(ray_session):
+def test_hash_join_union_has_one_schema(ray_session, monkeypatch):
     """``cogroup`` tags both sides onto one schema, so the union's blocks
     agree: joining two differently shaped sides logs no Ray "different
     schema" warning, and the join is still right. Every bucket has rows
@@ -1417,7 +1400,8 @@ def test_hash_join_union_has_one_schema(ray_session):
         right = rd.from_arrow(pa.table(
             {"rk": pa.array(range(0, 200, 2), pa.int64()),
              "w": pa.array([i / 2 for i in range(0, 200, 2)], pa.float64())}))
-        rows = hash_join(left, right, "k", "rk", num_buckets=7).take_all()
+        lower_min_block(monkeypatch)  # P > 1: the exchange sorts
+        rows = hash_join(left, right, "k", "rk").take_all()
     finally:
         log.removeHandler(grab)
         log.setLevel(level)
@@ -1653,14 +1637,15 @@ def test_token_postings_oracle(ray_session, con):
     _match(token_postings(SF), TOKEN_POSTINGS_SQL, con)
 
 
-def test_token_postings_head_exact_across_block_sizes(ray_session):
+def test_token_postings_head_exact_across_block_sizes(ray_session, monkeypatch):
     """min-k distributivity: the posting head must be independent of
     how documents are batched into blocks (k smaller than any block's
     contribution forces real cross-block merging)."""
     from pd3f_ray.pipelines.indexing import token_postings
 
     a = token_postings(SF, k=3).to_pandas().set_index("token")
-    b = token_postings(SF, k=3, num_buckets=7).to_pandas().set_index("token")
+    lower_min_block(monkeypatch)  # P > 1: other blocks, other partitions
+    b = token_postings(SF, k=3).to_pandas().set_index("token")
     assert set(a.index) == set(b.index)
     for t in a.index:
         assert a.loc[t, "postings"] == b.loc[t, "postings"], t

@@ -119,3 +119,25 @@ def test_planned_bytes_count_only_the_columns_read(tmp_path):
     assert planned(["a", "c"]) == column_bytes(0) + column_bytes(2)
     assert planned(["c", "src"]) == column_bytes(2)
     assert planned(["b"]) == column_bytes(1) > 10 * planned(["a", "c"])
+
+
+def test_pandas_footer_schemas_hash(tmp_path):
+    """A pandas-written footer carries ``b"pandas"`` schema metadata,
+    and a pyarrow schema with metadata does not hash, which Ray's block
+    schema dedup logs as a warning. The planned schema and every table
+    a read task yields carry none, so all of them hash (no Ray)."""
+    import pandas as pd
+
+    from pd3f_ray.core.parquet import FooterParquet
+
+    path = tmp_path / "pandas.parquet"
+    df = pd.DataFrame({"doc_id": range(90), "tag": ["a", "b", "c"] * 30})
+    df.to_parquet(path, row_group_size=30)
+    assert pq.read_schema(path).metadata  # the case under test
+    for columns in (None, ["tag", "doc_id"]):
+        tasks = FooterParquet(str(path), columns).get_read_tasks(2)
+        tables = [t for task in tasks for t in task()]
+        assert sum(t.num_rows for t in tables) == 90
+        for schema in [task.schema for task in tasks] + [t.schema
+                                                         for t in tables]:
+            hash(schema)

@@ -389,7 +389,7 @@ def test_page_plan_functions_pickle_by_value():
     registered = pages.__name__ in cloudpickle.list_registry_pickle_by_value()
     cloudpickle.register_pickle_by_value(pages)
     try:
-        for fn in (partial(pages.add_bucket_compress, num_buckets=8),
+        for fn in (partial(pages.add_bucket_compress, p=8),
                    partial(pages.assemble_extract,
                            opts=ExtractOptions.experimental()),
                    pages.assemble_bucket):

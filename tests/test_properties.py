@@ -4,6 +4,7 @@ the functions whose exactness the byte-parity contract rests on."""
 import string
 
 import pytest
+from conftest import lower_min_block
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -204,11 +205,13 @@ def _check_cogroup(lds, rds, ldf, rdf):
                 "typed": [t.schema == pa.schema(fields[side])] * n}))
         return pa.concat_tables(parts)
 
-    ds = joins.cogroup({"l": (lds, "lk", fields["l"]),
-                        "r": (rds, "rk", fields["r"]),
-                        "x": (xds, "xk", fields["x"])}, 7, fn)
-    blocks = [b for b in ds.iter_batches(batch_format="pyarrow",
-                                         batch_size=None) if b.num_rows]
+    with pytest.MonkeyPatch.context() as mp:
+        lower_min_block(mp)  # P > 1: the exchange sorts
+        ds = joins.cogroup({"l": (lds, "lk", fields["l"]),
+                            "r": (rds, "rk", fields["r"]),
+                            "x": (xds, "xk", fields["x"])}, fn)
+        blocks = [b for b in ds.iter_batches(batch_format="pyarrow",
+                                             batch_size=None) if b.num_rows]
     if not blocks:
         assert len(ldf) == len(rdf) == 0
         return
@@ -266,20 +269,21 @@ def test_hash_join_matches_pandas(ray_session, kind, left_rows, right_rows):
     lds, rds = rd.from_pandas(ldf), rd.from_pandas(rdf)
     ls = pa.schema([("lk", pa.int64()), ("lv", pa.int64())])
     rs = pa.schema([(rk, pa.int64()), ("rv", pa.int64())])
-    if kind in ("semi", "anti"):
-        fn = joins.semi_join if kind == "semi" else joins.anti_join
-        ds = fn(lds, rds, "lk", "rk", num_buckets=7, left_schema=ls)
-    elif kind == "full_outer":
-        ds = joins.full_outer_join(lds, rds, "lk", num_buckets=7,
-                                   left_schema=ls, right_schema=rs)
-    else:
-        fn = joins.hash_join if kind == "inner" else joins.left_join
-        ds = fn(lds, rds, "lk", "rk", num_buckets=7, left_schema=ls,
-                right_schema=rs)
-    # read through Arrow: Dataset.to_pandas turns a nullable int64
-    # column into float64, which rounds these 2**60-sized keys
-    blocks = [b for b in ds.iter_batches(batch_format="pyarrow",
-                                         batch_size=None) if b.num_rows]
+    with pytest.MonkeyPatch.context() as mp:
+        lower_min_block(mp)  # P > 1: the exchange sorts
+        if kind in ("semi", "anti"):
+            fn = joins.semi_join if kind == "semi" else joins.anti_join
+            ds = fn(lds, rds, "lk", "rk", left_schema=ls)
+        elif kind == "full_outer":
+            ds = joins.full_outer_join(lds, rds, "lk", left_schema=ls,
+                                       right_schema=rs)
+        else:
+            fn = joins.hash_join if kind == "inner" else joins.left_join
+            ds = fn(lds, rds, "lk", "rk", left_schema=ls, right_schema=rs)
+        # read through Arrow: Dataset.to_pandas turns a nullable int64
+        # column into float64, which rounds these 2**60-sized keys
+        blocks = [b for b in ds.iter_batches(batch_format="pyarrow",
+                                             batch_size=None) if b.num_rows]
     if not blocks:
         assert len(want) == 0
         return

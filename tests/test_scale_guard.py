@@ -132,11 +132,84 @@ ALLOWED_MAP_GROUPS = {
     # reducer call (pages, joins, windows and every hash-bucketed
     # pipeline reducer reach it)
     ("exchange.py", "key"):
-        "bucket_exchange: a partition holds <= MAX_BUCKETS_PER_PARTITION "
-        "(64) whole buckets (P >= ceil(num_buckets / 64)), so the bucket "
-        "dial bounds per-call memory as it scales with the corpus, and P "
-        "grows with the sources' bytes (one partition per 128 MiB)",
+        "bucket_exchange: a reducer call holds one of P = "
+        "input_partitions partitions, and P grows with the sources' "
+        "bytes (one partition per 128 MiB), so a call holds ≲ 128 MiB of "
+        "source rows times the fan-out of the maps before the exchange "
+        "(NUM_BANDS for minhash's band explode, the table count for "
+        "embdup_lsh)",
 }
+
+# The exchange's partition count is worked out from its input
+# (``exchange.input_partitions``), never chosen: no ``*_BUCKETS`` module
+# constant, no ``MAX_BUCKETS_PER_PARTITION``, no ``num_buckets``
+# parameter. Keyed by (file, constant or function name).
+ALLOWED_BUCKET_COUNTS = {
+    ("extraction.py", "_add_key_bucket"):
+        "the resumable sink's output file layout (bucket=NN/ dirs), not "
+        "an exchange",
+    ("extraction.py", "run_resumable"):
+        "the resumable sink's output file layout (bucket=NN/ dirs), not "
+        "an exchange",
+    ("pages.py", "url_bucket"):
+        "the url hash's default range; the page exchanges pass their P",
+    ("pages.py", "DEFAULT_NUM_BUCKETS"): "url_bucket's default range",
+}
+
+
+def _bucket_counts(src: str):
+    """(line, name) of every ``*_BUCKETS`` module constant, every
+    ``MAX_BUCKETS_PER_PARTITION`` and every function with a
+    ``num_buckets`` parameter in ``src``."""
+    tree = ast.parse(src)
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign)
+                   else [])
+        for t in targets:
+            if getattr(t, "id", "").endswith("_BUCKETS"):
+                yield node.lineno, t.id
+    for node in ast.walk(tree):
+        if getattr(node, "id", None) == "MAX_BUCKETS_PER_PARTITION":
+            yield node.lineno, node.id
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            a = node.args
+            if "num_buckets" in [x.arg for x in (a.posonlyargs + a.args
+                                                 + a.kwonlyargs)]:
+                yield node.lineno, getattr(node, "name", "<lambda>")
+
+
+def test_exchanges_have_no_bucket_dial():
+    hits = []
+    for path, src in _sources():
+        for line, name in _bucket_counts(src):
+            if (path.name, name) not in ALLOWED_BUCKET_COUNTS:
+                hits.append(f"{path.name}:{line}: {name} — a caller-set "
+                            "bucket count; size the exchange with "
+                            "exchange.input_partitions")
+    assert not hits, "\n".join(hits)
+
+
+def test_bucket_dial_rule_sees_each_form():
+    """The rule flags a bucket constant, the per-partition cap and a
+    ``num_buckets`` parameter, and passes the exchange's P."""
+    flagged = """
+JOIN_BUCKETS = 128
+MAX_BUCKETS_PER_PARTITION: int = 64
+def hash_join(left, right, num_buckets=JOIN_BUCKETS): pass
+tag = lambda t, num_buckets: t
+"""
+    passed = """
+p = input_partitions(ds)
+def stable_bucket(keys, p): pass
+run_resumable(d, out, num_buckets=8)
+"""
+    assert [n for _, n in sorted(_bucket_counts(flagged))] == [
+        "JOIN_BUCKETS", "MAX_BUCKETS_PER_PARTITION", "hash_join",
+        "<lambda>"]
+    assert not list(_bucket_counts(passed))
+
 
 # a group_map call: not its definition, nor a ``group_map(...)``
 # mention in a docstring
