@@ -546,36 +546,46 @@ def queries() -> dict[str, Callable[[str], Any]]:
     # the previous rotations in their order. Everything else follows in
     # its round-4 order.
     prefix = [
-        # -- no bucket dial: the page exchanges, every cogroup and join
-        #    plan, the hash-bucketed pipeline reducers and the window
-        #    exchanges --
+        # -- one segment toolkit: every plan whose reducer moved onto
+        #    arrowkit.sort_runs / runs / run_rank or round_half_away (all
+        #    window queries; the dedup, curation, webcurate, spandedup,
+        #    graph, indexing, chunking and webtext reducers; the money
+        #    columns of relational, joins and sketches), the three kNN
+        #    plans on one top-k reducer, and both connected-component
+        #    queries without their repartition --
+        "user_sessions", "purchase_attribution", "latest_event_per_user",
+        "user_running_total", "late_events", "ontime_hourly",
+        "event_sequences", "event_gaps", "next_event_label", "funnel_stages",
+        "top_events_per_user", "interval_join_events", "events_sliding",
+        "sliding_unique_users", "dedup_clusters", "name_entity_clusters",
+        "minhash_pairs", "simhash_pairs", "dedup_incremental", "curate_docs",
+        "snapshot_diff", "line_dedup_docs", "source_cap_sample",
+        "web_corpus_pipeline", "dup_span_stats", "strip_dup_spans", "pagerank",
+        "token_postings", "training_prep_pipeline",
+        "crawl_consolidation_pipeline", "knn_bruteforce", "knn_lsh", "knn_ivf",
+        "event_value_histogram", "event_value_mad", "customer_rollup",
+        "events_cube", "profile_lineitem", "q6_forecast_revenue",
+        "nation_revenue", "nation_revenue_share", "q3_shipping_priority",
+        "region_brand_revenue", "supplier_part_join", "hourly_unique_users",
+        # -- the rotation before it. No bucket dial: the page exchanges,
+        #    every cogroup and join plan, the hash-bucketed pipeline
+        #    reducers and the window exchanges --
         "extract_pages", "pages_roundtrip", "pages_staged_roundtrip",
-        "supplier_part_join", "customers_with_orders", "click_purchase_matrix",
-        "customer_order_counts", "user_sessions", "dedup_exact",
-        "segment_order_stats", "referential_integrity", "nation_revenue",
-        "nation_revenue_share", "region_brand_revenue", "q3_shipping_priority",
-        "q4_order_priority", "curate_docs", "curate_neardup", "snapshot_diff",
-        "minhash_pairs", "embdup_lsh", "simhash_pairs", "dedup_incremental",
-        "dedup_clusters", "pagerank", "token_postings", "tfidf_terms",
-        "dup_span_stats", "strip_dup_spans", "line_dedup_docs",
-        "web_corpus_pipeline", "crawl_consolidation_pipeline",
-        "training_prep_pipeline", "resumable_write_roundtrip",
-        "purchase_attribution", "latest_event_per_user", "user_running_total",
-        "late_events", "ontime_hourly", "event_sequences", "event_gaps",
-        "next_event_label", "funnel_stages", "top_events_per_user",
+        "customers_with_orders", "click_purchase_matrix",
+        "customer_order_counts", "dedup_exact", "segment_order_stats",
+        "referential_integrity", "q4_order_priority", "curate_neardup",
+        "embdup_lsh", "tfidf_terms", "resumable_write_roundtrip",
         # -- the rotation before it. Exchanges sized by their input: the
         #    other window exchanges, the Count-Min combine level and the
         #    chunking plans (vocabulary read once) --
-        "events_sliding", "sliding_unique_users", "interval_join_events",
         "cms_user_counts", "chunk_docs", "tokenize_docs",
         # -- the rotation before that. One-task finish: Ray's sort/limit,
         #    unique, AggregateFn and hand-written repartition(1)
         #    finishes became fold / top_k --
         "top_orders", "top_tokens", "top_bigrams", "weighted_sample",
-        "bigram_pmi", "approx_distinct_users",
-        "approx_distinct_users_agg", "bloom_membership", "user_favorite_event",
-        "q6_forecast_revenue", "table_checksum", "kmeans_train",
-        "crawl_budget_allocation",
+        "bigram_pmi", "approx_distinct_users", "approx_distinct_users_agg",
+        "bloom_membership", "user_favorite_event", "table_checksum",
+        "kmeans_train", "crawl_budget_allocation",
         #    ... and the per-run rank helper's two per-language top-k
         #    plans --
         "top_tokens_per_lang", "weighted_sample_per_lang",
@@ -590,25 +600,21 @@ def queries() -> dict[str, Callable[[str], Any]]:
         #    groupby().map_groups became a group_map (one group per
         #    reducer call) --
         "approx_event_quantiles", "jaccard_pairs", "ngram_jaccard_pairs",
-        "fuzzy_name_pairs", "name_entity_clusters", "event_value_quantiles",
-        "event_value_mad", "source_lang_matrix",
-        "doc_length_rank", "doc_length_ntile", "knn_bruteforce", "knn_lsh",
-        "knn_ivf", "domain_stats", "pack_sequences", "shuffle_assignment",
-        "source_cap_sample",
+        "fuzzy_name_pairs", "event_value_quantiles", "source_lang_matrix",
+        "doc_length_rank", "doc_length_ntile", "domain_stats",
+        "pack_sequences", "shuffle_assignment",
         #    ... and the bucketed reducers that lost an empty-input guard --
         "anchor_text_corpus",
         # -- the rotation before it, in its order --
         "partitioned_write_roundtrip", "schema_evolution_union",
-        "jsonl_roundtrip", "csv_roundtrip", "media_kind_summary",
-        "q1_pricing", "events_hourly", "orders_monthly", "customer_rollup",
-        "events_cube", "lang_quality", "lang_confusion_matrix",
-        "distinct_users", "props_k_stats", "profile_lineitem",
+        "jsonl_roundtrip", "csv_roundtrip", "media_kind_summary", "q1_pricing",
+        "events_hourly", "orders_monthly", "lang_quality",
+        "lang_confusion_matrix", "distinct_users", "props_k_stats",
         "balanced_mixture", "dedup_prefix", "dedup_keep_best", "media_dedup",
-        "url_dedup_latest", "event_value_histogram", "hourly_unique_users",
-        "partition_manifest", "html_roundtrip", "html_links", "pii_roundtrip",
-        "embed_docs", "media_features", "gopher_quality", "nfc_normalize_docs",
-        "strip_control_chars", "bm25_scores", "kmeans_assign",
-        "compression_quality",
+        "url_dedup_latest", "partition_manifest", "html_roundtrip",
+        "html_links", "pii_roundtrip", "embed_docs", "media_features",
+        "gopher_quality", "nfc_normalize_docs", "strip_control_chars",
+        "bm25_scores", "kmeans_assign", "compression_quality",
     ]
     missing = [k for k in prefix if k not in reg]
     assert not missing, f"rotation prefix names unknown ops: {missing}"

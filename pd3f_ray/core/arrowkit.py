@@ -1,4 +1,15 @@
-"""Small pyarrow helpers shared by the pipelines."""
+"""Small pyarrow and numpy helpers shared by the pipelines.
+
+Most reducers sort on a key, find where each key's rows start and end,
+then take the first or last row per key, a rank or a segment reduce.
+``sort_runs`` is that one boundary scan:
+
+- first row per key under a tiebreak: ``order[starts]``
+- last row per key: ``order[ends - 1]``
+- per-run reduce: ``ufunc.reduceat(x[order], starts)``
+- per-run loop: ``zip(starts, ends)``
+
+``run_offsets`` is its Arrow, null-aware form over a sorted table."""
 
 from __future__ import annotations
 
@@ -43,13 +54,39 @@ def run_offsets(t: pa.Table, keys: list[str]):
     return starts, ends
 
 
+def runs(*cols) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, ends) offsets of the runs of numpy ``cols`` that are
+    already sorted: a new run starts wherever any column changes."""
+    n = len(cols[0])
+    if n == 0:
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    change = np.zeros(n - 1, bool)
+    for c in cols:
+        change |= c[1:] != c[:-1]
+    bounds = np.flatnonzero(change) + 1
+    return np.r_[0, bounds], np.r_[bounds, n]
+
+
+def sort_runs(sort_keys, by: int = 1):
+    """``np.lexsort(sort_keys)``, then the runs of its ``by`` most
+    significant keys (numpy's convention: the last key is primary) in
+    that order. Returns (order, starts, ends)."""
+    order = np.lexsort(sort_keys)
+    starts, ends = runs(*(k[order] for k in sort_keys[len(sort_keys) - by:]))
+    return order, starts, ends
+
+
 def run_rank(sort_keys) -> tuple[np.ndarray, np.ndarray]:
     """``np.lexsort(sort_keys)``, and each sorted row's 0-based rank in
     its run of equal ``sort_keys[-1]`` (the primary key): the per-run
     top-k is ``order[rank < k]``."""
-    order = np.lexsort(sort_keys)
-    run = sort_keys[-1][order]
-    starts = np.flatnonzero(np.r_[True, run[1:] != run[:-1]])
-    counts = np.diff(np.r_[starts, len(run)])
-    rank = np.arange(len(run), dtype=np.int64) - np.repeat(starts, counts)
+    order, starts, ends = sort_runs(sort_keys)
+    rank = np.arange(len(order), dtype=np.int64) - np.repeat(starts,
+                                                             ends - starts)
     return order, rank
+
+
+def round_half_away(x) -> np.ndarray:
+    """``x`` rounded to int64 as DuckDB's ``round()`` rounds: half away
+    from zero (``np.rint`` rounds half to even)."""
+    return (np.sign(x) * np.floor(np.abs(x) + 0.5)).astype(np.int64)

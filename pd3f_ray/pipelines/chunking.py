@@ -31,6 +31,7 @@ import numpy as np
 import pyarrow as pa
 import ray
 
+from pd3f_ray.core.arrowkit import sort_runs
 from pd3f_ray.core.cluster import read_table
 from pd3f_ray.stages.exchange import bucket_exchange, input_partitions
 
@@ -245,8 +246,8 @@ def training_prep_pipeline(sf_dir: str, size: int = CHUNK_SIZE,
     def first_per_digest(group: pa.Table) -> pa.Table:
         dig = group.column("digest").to_numpy(zero_copy_only=False)
         did = group.column("doc_id").to_numpy(zero_copy_only=False)
-        order = np.lexsort((did, dig))
-        keep = order[np.r_[True, dig[order][1:] != dig[order][:-1]]]
+        order, starts, _ = sort_runs((did, dig))
+        keep = order[starts]
         return group.select(["doc_id", "text"]).take(
             pa.array(np.sort(keep)))
 

@@ -25,6 +25,7 @@ import zlib
 import numpy as np
 import pyarrow as pa
 
+from pd3f_ray.core.arrowkit import sort_runs
 from pd3f_ray.core.cluster import read_table
 from pd3f_ray.functions.textfns import md5_hex
 from pd3f_ray.stages.exchange import (
@@ -93,8 +94,8 @@ def curate_docs(sf_dir: str):
     def pick_first(group: pa.Table) -> pa.Table:
         th = group.column("text_hash").to_numpy(zero_copy_only=False)
         did = group.column("doc_id").to_numpy(zero_copy_only=False)
-        order = np.lexsort((did, th))
-        keep = order[np.r_[True, th[order][1:] != th[order][:-1]]]
+        order, starts, _ = sort_runs((did, th))
+        keep = order[starts]
         return group.select(["doc_id", "lang", "n_chars", "n_tokens"]).take(
             pa.array(np.sort(keep)))
 
@@ -322,11 +323,9 @@ def snapshot_diff(sf_dir: str):
         side = group.column("side").to_numpy(zero_copy_only=False)
         # a doc_id appears once (old-only / new-only) or twice (old row
         # then new row after the sort) — classify per segment, vectorized
-        order = np.lexsort((side, did))
+        order, starts, ends = sort_runs((side, did))
         did, dig, side = did[order], dig[order], side[order]
-        starts = np.flatnonzero(np.r_[True, did[1:] != did[:-1]])
-        counts = np.diff(np.r_[starts, len(did)])
-        one = counts == 1
+        one = ends - starts == 1
         s1 = starts[one]
         st1 = np.where(side[s1] == 0, "removed", "added")
         s2 = starts[~one]

@@ -20,15 +20,15 @@ from __future__ import annotations
 import os
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 
-from pd3f_ray.core.arrowkit import run_offsets
+from pd3f_ray.core.arrowkit import run_offsets, sort_runs
 from pd3f_ray.core.cluster import read_parquet, read_table
 from pd3f_ray.stages.exchange import (
     bucket_exchange,
     group_map,
+    hash64,
     hash_agg,
     input_partitions,
     stable_bucket,
@@ -362,11 +362,8 @@ def minhash_pairs(sf_dir: str, threshold: float = VERIFY_THRESHOLD):
         bid = group.column("band_id").to_numpy(zero_copy_only=False)
         bh = group.column("band_hash").to_numpy(zero_copy_only=False)
         did = group.column("doc_id").to_numpy(zero_copy_only=False)
-        order = np.lexsort((did, bh, bid))
-        bid, bh, did = bid[order], bh[order], did[order]
-        starts = np.flatnonzero(np.r_[True, (bid[1:] != bid[:-1])
-                                      | (bh[1:] != bh[:-1])])
-        ends = np.r_[starts[1:], len(did)]
+        order, starts, ends = sort_runs((did, bh, bid), by=2)
+        did = did[order]
         out_a: list[int] = []
         out_b: list[int] = []
         for s, e in zip(starts, ends):
@@ -440,10 +437,9 @@ def minhash_pairs(sf_dir: str, threshold: float = VERIFY_THRESHOLD):
         pa_ = group.column("id_a").to_numpy(zero_copy_only=False)
         pb_ = group.column("id_b").to_numpy(zero_copy_only=False)
         id_a, id_b, sims = [], [], []
-        order = np.lexsort((pb_, pa_))
-        a_s, b_s = pa_[order], pb_[order]
-        uniq = np.r_[True, (a_s[1:] != a_s[:-1]) | (b_s[1:] != b_s[:-1])]
-        for a, b in zip(a_s[uniq], b_s[uniq]):
+        order, starts, _ = sort_runs((pb_, pa_), by=2)
+        first = order[starts]
+        for a, b in zip(pa_[first], pb_[first]):
             sa, sb = sh(int(a)), sh(int(b))
             union = len(sa | sb)
             j = len(sa & sb) / union if union else 0.0
@@ -722,7 +718,7 @@ def _mat_label_sum(labels_mat) -> tuple[int, int]:
     convergence probe paid the 2–4 s fixed execution/aggregate barrier
     per round on KB of data. Integer labels fold to their exact sum
     (strictly decreasing until the fixpoint); string labels fold to a
-    sum of fixed-key 64-bit siphashes (``pd.util.hash_array`` —
+    sum of fixed-key 64-bit siphashes (``exchange.hash64`` —
     deterministic across processes), which changes whenever any label
     changes. BOTH paths additionally carry an independent XOR fold of
     the same per-row words: for the fixpoint test to falsely fire, a
@@ -742,10 +738,7 @@ def _mat_label_sum(labels_mat) -> tuple[int, int]:
             words = (col.to_numpy(zero_copy_only=False)
                      .astype(np.uint64, copy=False))
         else:
-            # categorize=True factorizes first and treats strings equal
-            # up to a NUL, so a label's hash would follow its block-mates
-            words = pd.util.hash_array(
-                np.asarray(col.to_pylist(), dtype=object), categorize=False)
+            words = hash64(col)
         return (int(words.sum(dtype=np.uint64)),
                 int(np.bitwise_xor.reduce(words)))
 
@@ -784,10 +777,10 @@ def dedup_clusters(sf_dir: str, threshold: float = JACCARD_THRESHOLD,
       (the integer sum decreases strictly until the fixpoint), probed
       by per-block ray tasks over the materialized label table — no
       extra Dataset execution. The
-      per-iteration label table is materialized to keep lineage flat
-      AND repartitioned to a fixed block count — without that, each
-      union+groupby round multiplies tiny blocks and per-task dispatch
-      swamps the iteration (measured 2.3 s → 134 s by iteration 4).
+      per-iteration label table is materialized to keep lineage flat;
+      its ``hash_agg`` exchange leaves it P = ``input_partitions``
+      blocks, so the rounds do not multiply tiny blocks (a union+groupby
+      round that did measured 2.3 s → 134 s by iteration 4).
       Exhausting ``max_iters`` without the fixpoint warns instead of
       returning silently-split clusters.
 
@@ -805,19 +798,12 @@ def dedup_clusters(sf_dir: str, threshold: float = JACCARD_THRESHOLD,
             }
         )
 
-    # the edge/label tables are PAIR-scale (nodes with a near-dup), not
-    # corpus-scale — repartition both to a handful of blocks so each
-    # propagation round launches a handful of tasks, not one per
-    # upstream bucket; at corpus scale set blocks ≈ rows / 1e6
-    label_blocks = 4
-    edges = (pairs.map_batches(symmetrize, batch_format="pyarrow")
-             .repartition(label_blocks).materialize())
+    edges = pairs.map_batches(symmetrize, batch_format="pyarrow").materialize()
 
     if edges.count() <= local_max_edges:  # metadata count: materialized
         return _cc_local(edges)
 
-    labels = _cc_propagate(edges, key_type=pa.int64(),
-                           label_blocks=label_blocks, max_iters=max_iters,
+    labels = _cc_propagate(edges, key_type=pa.int64(), max_iters=max_iters,
                            opname="dedup_clusters")
     return labels.map_batches(
         lambda b: b.rename_columns(["doc_id", "cluster_id"]),
@@ -825,8 +811,7 @@ def dedup_clusters(sf_dir: str, threshold: float = JACCARD_THRESHOLD,
     )
 
 
-def _cc_propagate(edges, *, key_type, label_blocks: int = 4,
-                  max_iters: int = CC_MAX_ITERS,
+def _cc_propagate(edges, *, key_type, max_iters: int = CC_MAX_ITERS,
                   opname: str = "dedup_clusters"):
     """The distributed min-label-propagation plan shared by
     :func:`dedup_clusters` (int64 doc ids) and
@@ -845,11 +830,8 @@ def _cc_propagate(edges, *, key_type, label_blocks: int = 4,
     from pd3f_ray.pipelines.joins import hash_join
 
     # initial label = own id, one row per distinct node
-    labels = (
-        hash_agg(edges, ["node"], {"label": ("node", "min")})
-        .repartition(label_blocks)
-        .materialize()
-    )
+    labels = hash_agg(edges, ["node"],
+                      {"label": ("node", "min")}).materialize()
     prev_fp = _mat_label_sum(labels)
 
     probe_schema = pa.schema([("node", key_type), ("pkey", key_type)])
@@ -877,11 +859,8 @@ def _cc_propagate(edges, *, key_type, label_blocks: int = 4,
         prop = hop.map_batches(
             lambda b: b.select(["node", "label"]), batch_format="pyarrow"
         ).union(labels)  # keep-own-label safety: Min includes current
-        labels = (
-            hash_agg(prop, ["node"], {"label": ("label", "min")})
-            .repartition(label_blocks)
-            .materialize()
-        )
+        labels = hash_agg(prop, ["node"],
+                          {"label": ("label", "min")}).materialize()
         cur_fp = _mat_label_sum(labels)
         if cur_fp == prev_fp:
             converged = True
@@ -1012,10 +991,8 @@ def simhash_pairs(sf_dir: str, max_hamming: int = SIMHASH_MAX_HAMMING):
         sh_ = group.column("simhash").to_numpy(
             zero_copy_only=False).astype(np.uint64)
         out_a, out_b, out_h = [], [], []
-        order = np.lexsort((did, bk))
-        bk, did, sh_ = bk[order], did[order], sh_[order]
-        starts = np.flatnonzero(np.r_[True, bk[1:] != bk[:-1]])
-        ends = np.r_[starts[1:], len(bk)]
+        order, starts, ends = sort_runs((did, bk))
+        did, sh_ = did[order], sh_[order]
         for s, e in zip(starts, ends):
             ids, fp = did[s:e], sh_[s:e]
             _, first = np.unique(ids, return_index=True)
@@ -1085,9 +1062,8 @@ def dedup_incremental(sf_dir: str):
         if len(th) == 0:
             return pa.table({"doc_id": pa.array([], pa.int64()),
                              "text_hash": pa.array([], pa.string())})
-        order = np.lexsort((did, th))
-        th, did = th[order], did[order]
-        keep = np.r_[True, th[1:] != th[:-1]]
+        order, starts, _ = sort_runs((did, th))
+        keep = order[starts]
         return pa.table({
             "doc_id": pa.array(did[keep].astype(np.int64), pa.int64()),
             "text_hash": pa.array(th[keep], pa.string()),
@@ -1347,20 +1323,14 @@ def name_entity_clusters(sf_dir: str, max_dist: int = EDIT_MAX,
             "peer": pa.array(b + a, pa.string()),
         })
 
-    label_blocks = 4
-    edges = (
-        pairs.union(singles)
-        .map_batches(symmetrize, batch_format="pyarrow")
-        .repartition(label_blocks)
-        .materialize()
-    )
+    edges = (pairs.union(singles)
+             .map_batches(symmetrize, batch_format="pyarrow").materialize())
 
     if edges.count() <= local_max_edges:  # metadata count: materialized
         return _cc_local(edges, out_cols=("name", "canonical"),
                          key_type=pa.string())
 
     labels = _cc_propagate(edges, key_type=pa.string(),
-                           label_blocks=label_blocks,
                            opname="name_entity_clusters")
     return labels.map_batches(
         lambda b: b.rename_columns(["name", "canonical"]),

@@ -41,6 +41,7 @@ import numpy as np
 import pyarrow as pa
 import ray.data as rd
 
+from pd3f_ray.core.arrowkit import runs, sort_runs
 from pd3f_ray.core.cluster import read_parquet, read_table
 from pd3f_ray.pipelines.joins import hash_join
 from pd3f_ray.stages.exchange import (
@@ -85,12 +86,11 @@ def _edges_with_outdeg(sf_dir: str):
     def dedup_and_degree(group: pa.Table) -> pa.Table:
         src = group.column("src").to_numpy(zero_copy_only=False)
         dst = group.column("dst").to_numpy(zero_copy_only=False)
-        order = np.lexsort((dst, src))
-        s, d = src[order], dst[order]
-        keep = np.r_[True, (s[1:] != s[:-1]) | (d[1:] != d[:-1])]
-        s, d = s[keep], d[keep]
-        starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
-        counts = np.diff(np.r_[starts, len(s)])
+        # distinct (src, dst) edges, then a segment count per src
+        order, pairs, _ = sort_runs((dst, src), by=2)
+        s, d = src[order[pairs]], dst[order[pairs]]
+        starts, ends = runs(s)
+        counts = ends - starts
         return pa.table({
             "src": pa.array(s.astype(np.int64), pa.int64()),
             "dst": pa.array(d.astype(np.int64), pa.int64()),
@@ -250,12 +250,11 @@ def pagerank(sf_dir: str, iters: int = PR_ITERS,
     def rank_update(group: pa.Table) -> pa.Table:
         dst = group.column("dst").to_numpy(zero_copy_only=False)
         contrib = group.column("contrib").to_numpy(zero_copy_only=False)
-        order = np.argsort(dst, kind="stable")
-        dst, contrib = dst[order], contrib[order]
-        starts = np.flatnonzero(np.r_[True, dst[1:] != dst[:-1]])
-        s = np.add.reduceat(contrib, starts)
+        order, starts, _ = sort_runs((dst,))
+        s = np.add.reduceat(contrib[order], starts)
         return pa.table({
-            "node": pa.array(dst[starts].astype(np.int64), pa.int64()),
+            "node": pa.array(dst[order[starts]].astype(np.int64),
+                             pa.int64()),
             "rank": pa.array(
                 (PR_BASE + (PR_DAMP_NUM * s.astype(np.int64))
                  // PR_DAMP_DEN).astype(np.int64), pa.int64()),

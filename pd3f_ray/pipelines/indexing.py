@@ -38,6 +38,7 @@ from collections import Counter
 import numpy as np
 import pyarrow as pa
 
+from pd3f_ray.core.arrowkit import sort_runs
 from pd3f_ray.core.cluster import read_table
 from pd3f_ray.functions.textfns import hash_bytes
 from pd3f_ray.stages.exchange import (
@@ -106,10 +107,8 @@ def token_postings(sf_dir: str, k: int = POSTINGS_K):
         dfp = group.column("df_part").to_numpy(zero_copy_only=False)
         csvs = group.column("ids_csv").to_numpy(zero_copy_only=False)
         out_t, out_df, out_p = [], [], []
-        order = np.argsort(tok, kind="stable")
+        order, starts, ends = sort_runs((tok,))
         tok, dfp, csvs = tok[order], dfp[order], csvs[order]
-        starts = np.flatnonzero(np.r_[True, tok[1:] != tok[:-1]])
-        ends = np.r_[starts[1:], len(tok)]
         for s, e in zip(starts, ends):
             merged: list[int] = []
             for csv in csvs[s:e]:

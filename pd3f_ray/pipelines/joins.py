@@ -61,7 +61,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
-from pd3f_ray.core.arrowkit import agg
+from pd3f_ray.core.arrowkit import agg, round_half_away
 from pd3f_ray.core.cluster import read_table
 from pd3f_ray.stages.exchange import (
     bucket_exchange,
@@ -316,10 +316,7 @@ def nation_revenue(sf_dir: str, broadcast_customer: bool | None = None):
         ok = batch.column("l_orderkey")
         price = batch.column("l_extendedprice").to_numpy(zero_copy_only=False)
         disc = batch.column("l_discount").to_numpy(zero_copy_only=False)
-        # DuckDB round() is half-away-from-zero; np.rint is half-even —
-        # match DuckDB (cf. relational._round_opts)
-        v = price * (1.0 - disc) * 100
-        cents = (np.sign(v) * np.floor(np.abs(v) + 0.5)).astype(np.int64)
+        cents = round_half_away(price * (1.0 - disc) * 100)
         return agg(pa.table({"l_orderkey": ok,
                              "cents": pa.array(cents, pa.int64())}),
                    ["l_orderkey"], {"revenue_cents": ("cents", "sum")})
@@ -405,7 +402,7 @@ def supplier_part_join(sf_dir: str):
 
     def pre(batch: pa.Table) -> pa.Table:
         q = batch.column("l_quantity").to_numpy(zero_copy_only=False)
-        qty = (np.sign(q) * np.floor(np.abs(q) + 0.5)).astype(np.int64)
+        qty = round_half_away(q)
         return agg(pa.table({"l_suppkey": batch.column("l_suppkey"),
                              "qty": pa.array(qty, pa.int64())}),
                    ["l_suppkey"], {"n_lineitems": ([], "count_all"),
@@ -559,8 +556,7 @@ def region_brand_revenue(sf_dir: str):
     def to_cents(batch: pa.Table) -> pa.Table:
         ep = batch.column("l_extendedprice").to_numpy(zero_copy_only=False)
         dc = batch.column("l_discount").to_numpy(zero_copy_only=False)
-        v = ep * (1.0 - dc) * 100.0
-        cents = (np.sign(v) * np.floor(np.abs(v) + 0.5)).astype(np.int64)
+        cents = round_half_away(ep * (1.0 - dc) * 100.0)
         return pa.table({
             "l_partkey": batch.column("l_partkey"),
             "l_suppkey": batch.column("l_suppkey"),
@@ -720,8 +716,7 @@ def q3_shipping_priority(sf_dir: str, broadcast_customer: bool | None = None):
     def li_partial(batch: pa.Table) -> pa.Table:
         ep = batch.column("l_extendedprice").to_numpy(zero_copy_only=False)
         dc = batch.column("l_discount").to_numpy(zero_copy_only=False)
-        v = ep * (1.0 - dc) * 100.0
-        cents = (np.sign(v) * np.floor(np.abs(v) + 0.5)).astype(np.int64)
+        cents = round_half_away(ep * (1.0 - dc) * 100.0)
         t = pa.table({"l_orderkey": batch.column("l_orderkey"),
                       "cents": pa.array(cents, pa.int64())})
         g = t.group_by("l_orderkey").aggregate([("cents", "sum")])

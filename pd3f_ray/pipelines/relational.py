@@ -28,7 +28,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
-from pd3f_ray.core.arrowkit import agg
+from pd3f_ray.core.arrowkit import agg, round_half_away
 from pd3f_ray.core.cluster import read_table
 from pd3f_ray.stages.exchange import (
     finish_agg,
@@ -290,7 +290,7 @@ def _cents_histogram(sf_dir: str):
         return pa.table({
             "event_type": batch.column("event_type"),
             "cents": pa.array(
-                (np.sign(v) * np.floor(np.abs(v) + 0.5)).astype(np.int64),
+                round_half_away(v),
                 pa.int64()),
         })
 
@@ -457,7 +457,7 @@ def customer_rollup(sf_dir: str):
         seg = np.asarray(batch.column("c_mktsegment").to_pylist(),
                          dtype=object)
         v = batch.column("c_acctbal").to_numpy(zero_copy_only=False) * 100
-        cents = (np.sign(v) * np.floor(np.abs(v) + 0.5)).astype(np.int64)
+        cents = round_half_away(v)
         all_seg = np.full(len(nk), "ALL", dtype=object)
         levels = [
             (nk, seg),
@@ -589,8 +589,7 @@ def profile_lineitem(sf_dir: str):
             arr = batch.column(c)
             v = arr.to_numpy(zero_copy_only=False).astype(np.float64)
             null_mask = np.isnan(v)
-            vv = v[~null_mask] * 100
-            cents = (np.sign(vv) * np.floor(np.abs(vv) + 0.5)).astype(np.int64)
+            cents = round_half_away(v[~null_mask] * 100)
             cols.append(c)
             n.append(len(v))
             nnull.append(int(null_mask.sum()))
@@ -970,7 +969,7 @@ def events_cube(sf_dir: str):
             zero_copy_only=False)
         hour = ((us // 3_600_000_000) % 24).astype(np.int64)
         v = batch.column("value").to_numpy(zero_copy_only=False) * 100
-        cents = (np.sign(v) * np.floor(np.abs(v) + 0.5)).astype(np.int64)
+        cents = round_half_away(v)
         n = len(et)
         all_t = np.full(n, "ALL", dtype=object)
         all_h = np.full(n, -1, dtype=np.int64)
@@ -1116,8 +1115,7 @@ def q6_forecast_revenue(sf_dir: str):
     def partial(batch: pa.Table) -> pa.Table:
         ep = batch.column("l_extendedprice").to_numpy(zero_copy_only=False)
         dc = batch.column("l_discount").to_numpy(zero_copy_only=False)
-        v = ep * dc * 100.0
-        cents = (np.sign(v) * np.floor(np.abs(v) + 0.5)).astype(np.int64)
+        cents = round_half_away(ep * dc * 100.0)
         return pa.table({
             "revenue_cents": pa.array([int(cents.sum())], pa.int64()),
             "n_items": pa.array([len(cents)], pa.int64()),

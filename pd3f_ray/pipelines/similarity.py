@@ -12,12 +12,14 @@
 
 from __future__ import annotations
 
+import functools
 import os
 
 import numpy as np
 import pyarrow as pa
 import ray
 
+from pd3f_ray.core.arrowkit import sort_runs
 from pd3f_ray.core.cluster import read_table
 from pd3f_ray.stages.exchange import fold, group_map
 
@@ -76,6 +78,38 @@ def _query_matrix(sf_dir: str, n_queries: int):
     return _smallest_rows(sf_dir, n_queries)
 
 
+def _candidates(per_query, k: int) -> pa.Table:
+    """One batch's candidate table from ``per_query``, an iterable of
+    (query_id, neighbor_ids, sims): each query keeps its k best under
+    the reducer's tiebreak (sim desc, neighbor_id asc). A plain
+    argpartition on sim could drop a boundary candidate tied at the
+    k-th place that the reducer would have kept — real with duplicate
+    embeddings."""
+    out_q, out_n, out_s = [], [], []
+    for qid, cid, cs in per_query:
+        idx = np.lexsort((cid, -cs))[:k]
+        out_q.extend([int(qid)] * len(idx))
+        out_n.extend(cid[idx].tolist())
+        out_s.extend(cs[idx].tolist())
+    return pa.table({
+        "query_id": pa.array(out_q, pa.int64()),
+        "neighbor_id": pa.array(out_n, pa.int64()),
+        "sim": pa.array(out_s, pa.float64()),
+    })
+
+
+def _reduce_topk(group: pa.Table, k: int) -> pa.Table:
+    """One query's top-k from its candidates: one row per neighbor (a
+    neighbor hit by several LSH tables or IVF probes repeats with the
+    same sim), then the k best by (sim desc, neighbor_id asc)."""
+    sim = group.column("sim").to_numpy(zero_copy_only=False)
+    nid = group.column("neighbor_id").to_numpy(zero_copy_only=False)
+    order, starts, _ = sort_runs((-sim, nid))
+    keep = order[starts]
+    top = keep[np.lexsort((nid[keep], -sim[keep]))[:k]]
+    return group.select(["query_id", "neighbor_id"]).take(pa.array(top))
+
+
 def knn_bruteforce(sf_dir: str, k: int = TOP_K, n_queries: int = N_QUERIES):
     """(query_id, neighbor_id) for the exact top-k cosine neighbors of
     each query vector (queries = the n smallest vec_ids; self excluded;
@@ -93,40 +127,18 @@ def knn_bruteforce(sf_dir: str, k: int = TOP_K, n_queries: int = N_QUERIES):
         norms = np.linalg.norm(mat, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
         sims = (mat / norms) @ qmat.T  # (n_batch, n_q)
-        out_q, out_n, out_s = [], [], []
-        for qi, qid in enumerate(ids_q):
-            col = sims[:, qi]
-            valid = vids != qid
-            cand_ids = vids[valid]
-            cand_sims = col[valid]
-            if len(cand_ids) == 0:
-                continue
-            take = min(k, len(cand_ids))
-            # within-batch top-k with the GLOBAL tiebreak (sim desc,
-            # neighbor_id asc): a plain argpartition on sim could drop a
-            # boundary candidate tied at the k-th place that the final
-            # reduce would have kept — real with duplicate embeddings
-            idx = np.lexsort((cand_ids, -cand_sims))[:take]
-            out_q.extend([int(qid)] * take)
-            out_n.extend(cand_ids[idx].tolist())
-            out_s.extend(cand_sims[idx].tolist())
-        return pa.table(
-            {
-                "query_id": pa.array(out_q, pa.int64()),
-                "neighbor_id": pa.array(out_n, pa.int64()),
-                "sim": pa.array(out_s, pa.float64()),
-            }
-        )
 
-    def reduce_topk(group: pa.Table) -> pa.Table:
-        sim = group.column("sim").to_numpy(zero_copy_only=False)
-        nid = group.column("neighbor_id").to_numpy(zero_copy_only=False)
-        order = np.lexsort((nid, -sim))[:k]
-        return group.select(["query_id", "neighbor_id"]).take(
-            pa.array(order))
+        def per_query():
+            for qi, qid in enumerate(ids_q):
+                valid = vids != qid
+                yield qid, vids[valid], sims[valid, qi]
 
+        return _candidates(per_query(), k)
+
+    # each vec_id is one batch's row, so a neighbor is emitted once per
+    # query and the reducer's one-row-per-neighbor step keeps every row
     return group_map(ds.map_batches(batch_topk, batch_format="pyarrow"),
-                     "query_id", reduce_topk)
+                     "query_id", functools.partial(_reduce_topk, k=k))
 
 
 def knn_sql(k: int = TOP_K, n_queries: int = N_QUERIES) -> str:
@@ -217,40 +229,16 @@ def knn_lsh(sf_dir: str, k: int = TOP_K, n_queries: int = N_QUERIES):
                 rows = codes == code
                 for qi in quis:
                     cand[rows, qi] = True
-        out_q, out_n, out_s = [], [], []
-        for qi, qid in enumerate(ids_q):
-            rows = cand[:, qi]
-            rows &= vids != qid
-            cid = vids[rows]
-            if len(cid) == 0:
-                continue
-            cs = nm[rows] @ qmat[qi]
-            take = min(k, len(cid))
-            idx = np.lexsort((cid, -cs))[:take]  # same tiebreak as reduce
-            out_q.extend([int(qid)] * take)
-            out_n.extend(cid[idx].tolist())
-            out_s.extend(cs[idx].tolist())
-        return pa.table(
-            {
-                "query_id": pa.array(out_q, pa.int64()),
-                "neighbor_id": pa.array(out_n, pa.int64()),
-                "sim": pa.array(out_s, pa.float64()),
-            }
-        )
 
-    def reduce_topk(group: pa.Table) -> pa.Table:
-        sim = group.column("sim").to_numpy(zero_copy_only=False)
-        nid = group.column("neighbor_id").to_numpy(zero_copy_only=False)
-        # duplicates of a neighbor (multi-table / multi-probe hits)
-        # carry the same sim — keep one per neighbor, then top-k
-        o1 = np.lexsort((-sim, nid))
-        keep = o1[np.r_[True, nid[o1][1:] != nid[o1][:-1]]]
-        order = keep[np.lexsort((nid[keep], -sim[keep]))[:k]]
-        return group.select(["query_id", "neighbor_id"]).take(
-            pa.array(order))
+        def per_query():
+            for qi, qid in enumerate(ids_q):
+                rows = cand[:, qi] & (vids != qid)
+                yield qid, vids[rows], nm[rows] @ qmat[qi]
+
+        return _candidates(per_query(), k)
 
     return group_map(ds.map_batches(batch_topk, batch_format="pyarrow"),
-                     "query_id", reduce_topk)
+                     "query_id", functools.partial(_reduce_topk, k=k))
 
 
 # ---------------------------------------------------------------------------
@@ -320,47 +308,23 @@ def knn_ivf(sf_dir: str, k: int = TOP_K, n_queries: int = N_QUERIES,
         norms[norms == 0] = 1.0
         nm = mat / norms
         assign = np.argmax(nm @ cents.T, axis=1)
-        out_q, out_n, out_s = [], [], []
-        for c in np.unique(assign):
-            quis = probe_map.get(int(c))
-            if not quis:
-                continue
-            rows = assign == c
-            sub_ids = vids[rows]
-            sims = nm[rows] @ qmat[quis].T
-            for ci, qi in enumerate(quis):
-                qid = int(ids_q[qi])
-                valid = sub_ids != qid
-                cid = sub_ids[valid]
-                cs = sims[valid, ci]
-                if len(cid) == 0:
-                    continue
-                take = min(k, len(cid))
-                idx = np.lexsort((cid, -cs))[:take]  # same tiebreak as reduce
-                out_q.extend([qid] * take)
-                out_n.extend(cid[idx].tolist())
-                out_s.extend(cs[idx].tolist())
-        return pa.table(
-            {
-                "query_id": pa.array(out_q, pa.int64()),
-                "neighbor_id": pa.array(out_n, pa.int64()),
-                "sim": pa.array(out_s, pa.float64()),
-            }
-        )
 
-    def reduce_topk(group: pa.Table) -> pa.Table:
-        sim = group.column("sim").to_numpy(zero_copy_only=False)
-        nid = group.column("neighbor_id").to_numpy(zero_copy_only=False)
-        # duplicates of a neighbor (multi-table / multi-probe hits)
-        # carry the same sim — keep one per neighbor, then top-k
-        o1 = np.lexsort((-sim, nid))
-        keep = o1[np.r_[True, nid[o1][1:] != nid[o1][:-1]]]
-        order = keep[np.lexsort((nid[keep], -sim[keep]))[:k]]
-        return group.select(["query_id", "neighbor_id"]).take(
-            pa.array(order))
+        def per_query():
+            for c in np.unique(assign):
+                quis = probe_map.get(int(c))
+                if not quis:
+                    continue
+                rows = assign == c
+                sub_ids = vids[rows]
+                sims = nm[rows] @ qmat[quis].T
+                for ci, qi in enumerate(quis):
+                    valid = sub_ids != ids_q[qi]
+                    yield ids_q[qi], sub_ids[valid], sims[valid, ci]
+
+        return _candidates(per_query(), k)
 
     return group_map(ds.map_batches(batch_topk, batch_format="pyarrow"),
-                     "query_id", reduce_topk)
+                     "query_id", functools.partial(_reduce_topk, k=k))
 
 
 def kmeans_assign(sf_dir: str, n_clusters: int = IVF_CLUSTERS):

@@ -24,7 +24,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
-from pd3f_ray.core.arrowkit import run_offsets
+from pd3f_ray.core.arrowkit import round_half_away, run_offsets
 from pd3f_ray.core.cluster import read_table
 from pd3f_ray.functions.textfns import mix64 as _mix64
 from pd3f_ray.stages.exchange import (
@@ -388,7 +388,7 @@ def hourly_unique_users(sf_dir: str):
         us = pc.cast(batch.column("ts"), pa.int64())
         window = pc.divide(us, pa.scalar(_HOUR_US, pa.int64()))
         v = batch.column("value").to_numpy(zero_copy_only=False) * 100.0
-        cents = (np.sign(v) * np.floor(np.abs(v) + 0.5)).astype(np.int64)
+        cents = round_half_away(v)
         return pa.table({
             "window_id": window,
             "user_id": batch.column("user_id"),

@@ -42,6 +42,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from pd3f_ray.core.arrowkit import runs, sort_runs
 from pd3f_ray.core.cluster import read_table
 from pd3f_ray.functions.textfns import shingle_hash_positions
 from pd3f_ray.stages.exchange import (
@@ -89,15 +90,13 @@ def _dup_table(sf_dir: str, w: int):
     def dup_hashes(group: pa.Table) -> pa.Table:
         sh = group.column("sh").to_numpy(zero_copy_only=False)
         did = group.column("doc_id").to_numpy(zero_copy_only=False)
-        order = np.lexsort((did, sh))
-        sh_s, did_s = sh[order], did[order]
-        new_pair = np.r_[True, (sh_s[1:] != sh_s[:-1])
-                         | (did_s[1:] != did_s[:-1])]
-        sh_u = sh_s[new_pair]
-        starts = np.flatnonzero(np.r_[True, sh_u[1:] != sh_u[:-1]])
-        n = np.diff(np.r_[starts, len(sh_u)])
+        # distinct (sh, doc_id) pairs, then a segment count per sh
+        order, pairs, _ = sort_runs((did, sh), by=2)
+        starts, ends = runs(sh[order[pairs]])
+        sh_u = sh[order[pairs[starts]]]
         return pa.table({"sh": pa.array(
-            sh_u[starts][n >= SPAN_MIN_DOCS].astype(np.int64), pa.int64())})
+            sh_u[ends - starts >= SPAN_MIN_DOCS].astype(np.int64),
+            pa.int64())})
 
     return bucket_exchange(
         docs.map_batches(hash_pairs, batch_format="pyarrow"),
@@ -138,10 +137,8 @@ def _doc_frames(group: pa.Table, w: int, emit: str) -> pa.Table:
     jj = group.column("j").to_numpy(zero_copy_only=False)
     kind = group.column("kind").to_numpy(zero_copy_only=False)
     toks = group.column("tok").to_numpy(zero_copy_only=False)
-    order = np.lexsort((jj, kind, did))
+    order, seg_s, seg_e = sort_runs((jj, kind, did))
     did, jj, kind, toks = did[order], jj[order], kind[order], toks[order]
-    seg_s = np.flatnonzero(np.r_[True, did[1:] != did[:-1]])
-    seg_e = np.r_[seg_s[1:], len(did)]
     for s, e in zip(seg_s, seg_e):
         m0 = kind[s:e] == 0
         starts = jj[s:e][~m0].astype(np.int64)

@@ -35,6 +35,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from pd3f_ray.core.arrowkit import run_rank, runs, sort_runs
 from pd3f_ray.core.cluster import read_table
 from pd3f_ray.functions.textfns import hash_bytes
 from pd3f_ray.stages.exchange import (
@@ -314,15 +315,12 @@ def line_dedup_docs(sf_dir: str, broadcast_max: int = LINE_BROADCAST_MAX):
         lh = group.column("lh").to_numpy(zero_copy_only=False)
         did = group.column("doc_id").to_numpy(zero_copy_only=False)
         # distinct (lh, doc_id) pairs, then a segment count per lh
-        order = np.lexsort((did, lh))
-        lh_s, did_s = lh[order], did[order]
-        new_pair = np.r_[True, (lh_s[1:] != lh_s[:-1])
-                         | (did_s[1:] != did_s[:-1])]
-        lh_u = lh_s[new_pair]
-        starts = np.flatnonzero(np.r_[True, lh_u[1:] != lh_u[:-1]])
-        n = np.diff(np.r_[starts, len(lh_u)])
+        order, pairs, _ = sort_runs((did, lh), by=2)
+        starts, ends = runs(lh[order[pairs]])
+        lh_u = lh[order[pairs[starts]]]
         return pa.table({"lh": pa.array(
-            lh_u[starts][n >= LINE_MIN_DOCS].astype(np.int64), pa.int64())})
+            lh_u[ends - starts >= LINE_MIN_DOCS].astype(np.int64),
+            pa.int64())})
 
     dup = bucket_exchange(
         docs.map_batches(hash_pairs, batch_format="pyarrow"),
@@ -397,12 +395,11 @@ def line_dedup_docs(sf_dir: str, broadcast_max: int = LINE_BROADCAST_MAX):
         did = group.column("doc_id").to_numpy(zero_copy_only=False)
         lno = group.column("line_no").to_numpy(zero_copy_only=False)
         lines = group.column("line").to_numpy(zero_copy_only=False)
-        order = np.lexsort((lno, did))
-        did, lines = did[order], lines[order]
-        starts = np.flatnonzero(np.r_[True, did[1:] != did[:-1]])
-        ends = np.r_[starts[1:], len(did)]
+        order, starts, ends = sort_runs((lno, did))
+        lines = lines[order]
         return pa.table({
-            "doc_id": pa.array(did[starts].astype(np.int64), pa.int64()),
+            "doc_id": pa.array(did[order[starts]].astype(np.int64),
+                               pa.int64()),
             "text": pa.array([" ".join(lines[s:e])
                               for s, e in zip(starts, ends)], pa.string()),
         })
@@ -767,12 +764,7 @@ def source_cap_sample(sf_dir: str, cap: int = SOURCE_CAP):
         did = batch.column("doc_id").to_numpy(zero_copy_only=False)
         src = batch.column("source").to_numpy(zero_copy_only=False)
         rank = np.array([md5_hex(str(i)) for i in did], object)
-        order = np.lexsort((did, rank, src))
-        src_s = src[order]
-        starts = np.flatnonzero(np.r_[True, src_s[1:] != src_s[:-1]])
-        counts = np.diff(np.r_[starts, len(src_s)])
-        pos = np.arange(len(src_s), dtype=np.int64) - np.repeat(starts,
-                                                                counts)
+        order, pos = run_rank((did, rank, src))
         keep = np.sort(order[pos < cap])
         return pa.table({
             "doc_id": pa.array(did[keep].astype(np.int64), pa.int64()),
@@ -922,9 +914,8 @@ def web_corpus_pipeline(sf_dir: str):
         ids = pc.cast(pc.utf8_slice_codeunits(group.column("url"), 6),
                       pa.int64()).to_numpy(zero_copy_only=False)
         digest = group.column("digest").to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, digest))
-        d_sorted = digest[order]
-        keep = order[np.r_[True, d_sorted[1:] != d_sorted[:-1]]]
+        order, starts, _ = sort_runs((ids, digest))
+        keep = order[starts]
         return group.select(["url", "text"]).take(pa.array(np.sort(keep)))
 
     gated = (

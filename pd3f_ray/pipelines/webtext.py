@@ -15,6 +15,7 @@ import html as _html
 
 import pyarrow as pa
 
+from pd3f_ray.core.arrowkit import sort_runs
 from pd3f_ray.core.cluster import read_table
 from pd3f_ray.stages.exchange import (
     bucket_exchange,
@@ -392,10 +393,8 @@ def crawl_consolidation_pipeline(sf_dir: str):
         # html BINARY payload never round-trips through a pandas block
         urls = t.column("url_norm").to_numpy(zero_copy_only=False)
         packed = t.column("packed").to_numpy(zero_copy_only=False)
-        order = np.lexsort((packed, urls))
-        u_s = urls[order]
-        last = np.flatnonzero(np.r_[u_s[1:] != u_s[:-1], True])
-        return t.take(pa.array(np.sort(order[last])))
+        order, _, ends = sort_runs((packed, urls))
+        return t.take(pa.array(np.sort(order[ends - 1])))
 
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
     p = input_partitions(ds)

@@ -17,12 +17,18 @@ belong to the engine-level training-data op families (SURVEY.md §8).
 from __future__ import annotations
 
 import functools
+import hashlib
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from pd3f_ray.core.arrowkit import run_rank
+from pd3f_ray.core.arrowkit import (
+    round_half_away,
+    run_rank,
+    runs,
+    sort_runs,
+)
 from pd3f_ray.core.cluster import read_table
 from pd3f_ray.stages.exchange import (
     bucket_exchange,
@@ -49,22 +55,41 @@ def _bucketed(ds, fn):
 
 def _col_np(tbl: pa.Table, name: str) -> np.ndarray:
     """Arrow column → numpy (chunk-merging; timestamps come back as
-    datetime64[us]). The entry point of the pyarrow-native reducers
+    int64 µs). The entry point of the pyarrow-native reducers
     below — the partition table is the reduce block itself, so only the
     columns actually touched are materialized, instead of the whole
     Arrow→pandas→Arrow block round-trip a pandas reducer pays."""
-    return tbl.column(name).to_numpy(zero_copy_only=False)
+    a = tbl.column(name).to_numpy(zero_copy_only=False)
+    if a.dtype.kind == "M":
+        return a.astype("datetime64[us]").astype(np.int64)
+    return a
 
 
-def _latest_idx(uid: np.ndarray, ts: np.ndarray,
-                eid: np.ndarray) -> np.ndarray:
-    """Row indices of each user's (ts, event_id)-argmax — the shared
-    keep-latest kernel of the map-side partial and the bucketed
-    reduce."""
-    order = np.lexsort((eid, ts, uid))
-    us = uid[order]
-    last = np.flatnonzero(np.r_[us[1:] != us[:-1], True])
-    return order[last]
+def _user_stream(t: pa.Table, *cols: str, by: str = "ts"):
+    """The window reducers' shared prologue: ``cols`` of ``t`` in
+    (user_id, ``by``, event_id) order, then the user runs' starts and
+    ends in that order."""
+    a = {c: _col_np(t, c) for c in {"event_id", by, "user_id", *cols}}
+    order, starts, ends = sort_runs((a["event_id"], a[by], a["user_id"]))
+    return (*(a[c][order] for c in cols), starts, ends)
+
+
+def _arrival(batch: pa.Table) -> pa.Table:
+    """Append the simulated arrival key of ``late_events`` and
+    ``ontime_hourly``: md5(event_id) hex, a deterministic permutation
+    the SQL oracle computes identically."""
+    ids = batch.column("event_id").to_pylist()
+    key = [hashlib.md5(str(i).encode()).hexdigest() for i in ids]
+    return batch.append_column("arrival", pa.array(key, pa.string()))
+
+
+def _prior_max(ts: np.ndarray, uid: np.ndarray) -> np.ndarray:
+    """Each row's strict-predecessor max of ``ts`` within its user in a
+    user-sorted stream: the running cummax shifted one row (garbage at
+    each user's first row, which callers mask). pandas Series groupby
+    over the already-extracted numpy columns, no block conversion."""
+    return np.roll(pd.Series(ts).groupby(uid, sort=False)
+                   .cummax().to_numpy(np.int64), 1)
 
 
 def session_rows(group: pa.Table,
@@ -77,28 +102,20 @@ def session_rows(group: pa.Table,
         return pa.table({"user_id": e, "session_id": e,
                          "session_start": et, "session_end": et,
                          "n_events": e, "sum_value_cents": e})
-    uid = _col_np(group, "user_id")
-    eid = _col_np(group, "event_id")
-    ts = _col_np(group, "ts").astype("datetime64[us]").astype(np.int64)
-    val = _col_np(group, "value")
-    order = np.lexsort((eid, ts, uid))
-    uid, ts, val = uid[order], ts[order], val[order]
-    v = val * 100
-    # DuckDB round() is half-away-from-zero (np.rint is half-even)
-    cents = (np.sign(v) * np.floor(np.abs(v) + 0.5)).astype(np.int64)
+    uid, ts, val, u_starts, _ = _user_stream(group, "user_id", "ts", "value")
+    cents = round_half_away(val * 100)
     # a session starts at each user's first row or after a gap; all
     # per-session stats are segment reduces over the sorted stream
-    new_sess = np.r_[True, uid[1:] != uid[:-1]]
-    new_sess[1:] |= ts[1:] - ts[:-1] > gap_min * 60 * 1_000_000
+    new_sess = np.r_[False, np.diff(ts) > gap_min * 60 * 1_000_000]
+    new_sess[u_starts] = True
     starts = np.flatnonzero(new_sess)
     ends = np.r_[starts[1:], len(uid)]
     # 1-based session number within each user: session index minus
     # the index of that user's first session
     s_user = uid[starts]
-    s_first = np.flatnonzero(np.r_[True, s_user[1:] != s_user[:-1]])
-    per_user = np.diff(np.r_[s_first, len(starts)])
+    s_first, s_end = runs(s_user)
     sid = (np.arange(len(starts), dtype=np.int64)
-           - np.repeat(s_first, per_user) + 1)
+           - np.repeat(s_first, s_end - s_first) + 1)
     return pa.table({
         "user_id": pa.array(s_user, pa.int64()),
         "session_id": pa.array(sid, pa.int64()),
@@ -159,13 +176,9 @@ def purchase_attribution(sf_dir: str):
                     ["event_id", "ts", "user_id", "event_type"])
 
     def attribute(group: pa.Table) -> pa.Table:
-        uid = _col_np(group, "user_id")
-        eid = _col_np(group, "event_id")
-        ts = _col_np(group, "ts")
-        etypes = _col_np(group, "event_type")
-        order = np.lexsort((eid, ts, uid))
-        uid, ids, etypes = uid[order], eid[order], etypes[order]
-        n = len(uid)
+        ids, etypes, starts, ends = _user_stream(group, "event_id",
+                                                 "event_type")
+        n = len(ids)
         if n == 0:
             e = pa.array(np.empty(0, np.int64), pa.int64())
             return pa.table({"event_id": e, "prior_event_id": e})
@@ -177,9 +190,7 @@ def purchase_attribution(sf_dir: str):
         non_p = etypes != "purchase"
         idx = np.where(non_p, np.arange(n), -1)
         last_np = np.maximum.accumulate(idx)
-        starts = np.flatnonzero(np.r_[True, uid[1:] != uid[:-1]])
-        counts = np.diff(np.r_[starts, n])
-        seg_start = np.repeat(starts, counts)
+        seg_start = np.repeat(starts, ends - starts)
         valid = last_np >= seg_start
         prior = np.where(valid, ids[np.maximum(last_np, 0)], -1)
         # a purchase row has idx = -1, so last_np at it is automatically
@@ -290,9 +301,10 @@ def latest_event_per_user(sf_dir: str):
                     ["event_id", "ts", "user_id", "event_type"])
 
     def keep_latest(batch: pa.Table) -> pa.Table:
-        idx = _latest_idx(_col_np(batch, "user_id"), _col_np(batch, "ts"),
-                          _col_np(batch, "event_id"))
-        return batch.take(pa.array(np.sort(idx)))
+        # each user's (ts, event_id)-argmax ends its run
+        order, _, ends = sort_runs(tuple(
+            _col_np(batch, c) for c in ("event_id", "ts", "user_id")))
+        return batch.take(pa.array(np.sort(order[ends - 1])))
 
     partial = ds.map_batches(keep_latest, batch_format="pyarrow")
 
@@ -329,22 +341,13 @@ def user_running_total(sf_dir: str):
     ds = read_table(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
 
     def running(group: pa.Table) -> pa.Table:
-        uid = _col_np(group, "user_id")
-        eid = _col_np(group, "event_id")
-        ts = _col_np(group, "ts")
-        val = _col_np(group, "value")
-        order = np.lexsort((eid, ts, uid))
-        uid, eid, val = uid[order], eid[order], val[order]
-        v = val * 100
-        # DuckDB round() is half-away-from-zero (np.rint is half-even)
-        cents = (np.sign(v) * np.floor(np.abs(v) + 0.5)).astype(np.int64)
+        uid, eid, val, starts, ends = _user_stream(
+            group, "user_id", "event_id", "value")
         # per-user cumsum = global cumsum minus the prefix total at each
         # user-segment start (one pass, no per-user loop)
-        cum = np.cumsum(cents)
-        starts = np.flatnonzero(np.r_[True, uid[1:] != uid[:-1]])
+        cum = np.cumsum(round_half_away(val * 100))
         seg_base = np.r_[np.zeros(1, np.int64), cum[starts[1:] - 1]]
-        counts = np.diff(np.r_[starts, len(uid)])
-        cum -= np.repeat(seg_base, counts)
+        cum -= np.repeat(seg_base, ends - starts)
         return pa.table({
             "event_id": pa.array(eid, pa.int64()),
             "user_id": pa.array(uid, pa.int64()),
@@ -375,33 +378,17 @@ def late_events(sf_dir: str):
     exchange; in-group vectorized scan (sort by (user, arrival), running
     cummax of ts per user, compare against the strict-predecessor max).
     Output one row per late event: (event_id, user_id, lateness_us)."""
-    import hashlib
-
     ds = read_table(sf_dir, "events", ["event_id", "ts", "user_id"])
 
-    def arrival(batch: pa.Table) -> pa.Table:
-        ids = batch.column("event_id").to_pylist()
-        key = [hashlib.md5(str(i).encode()).hexdigest() for i in ids]
-        return batch.append_column("arrival", pa.array(key, pa.string()))
-
     def detect(group: pa.Table) -> pa.Table:
-        uid = _col_np(group, "user_id")
-        eid = _col_np(group, "event_id")
-        arr = _col_np(group, "arrival")
-        ts = _col_np(group, "ts").astype("datetime64[us]").astype(np.int64)
-        order = np.lexsort((eid, arr, uid))
-        uid, eid, ts = uid[order], eid[order], ts[order]
-        n = len(uid)
-        if n == 0:
+        uid, eid, ts, starts, _ = _user_stream(
+            group, "user_id", "event_id", "ts", by="arrival")
+        if len(uid) == 0:
             e = pa.array(np.empty(0, np.int64), pa.int64())
             return pa.table({"event_id": e, "user_id": e, "lateness_us": e})
-        first = np.r_[True, uid[1:] != uid[:-1]]
-        # strict predecessor max within the user = running cummax shifted
-        # one row, masked at each user's first row (pandas Series groupby
-        # over the already-extracted numpy columns — no block conversion)
-        prev = np.roll(pd.Series(ts).groupby(uid, sort=False)
-                       .cummax().to_numpy(np.int64), 1)
-        late = (~first) & (ts < prev)
+        prev = _prior_max(ts, uid)
+        late = ts < prev
+        late[starts] = False
         return pa.table({
             "event_id": pa.array(eid[late], pa.int64()),
             "user_id": pa.array(uid[late], pa.int64()),
@@ -409,7 +396,7 @@ def late_events(sf_dir: str):
                                     pa.int64()),
         })
 
-    return _bucketed(ds.map_batches(arrival, batch_format="pyarrow"), detect)
+    return _bucketed(ds.map_batches(_arrival, batch_format="pyarrow"), detect)
 
 
 LATE_EVENTS_SQL = """
@@ -447,16 +434,10 @@ def event_sequences(sf_dir: str):
                     ["event_id", "ts", "user_id", "event_type"])
 
     def build(group: pa.Table) -> pa.Table:
-        uid = _col_np(group, "user_id")
-        eid = _col_np(group, "event_id")
-        ts = _col_np(group, "ts")
-        types = _col_np(group, "event_type")
-        order = np.lexsort((eid, ts, uid))
-        uid, types = uid[order], types[order]
-        # user boundaries in the sorted stream → one python join per user
+        # user runs in the sorted stream → one python join per user
         # (the string concat itself IS the computation here)
-        starts = np.flatnonzero(np.r_[True, uid[1:] != uid[:-1]])
-        ends = np.r_[starts[1:], len(uid)]
+        uid, types, starts, ends = _user_stream(group, "user_id",
+                                                "event_type")
         return pa.table({
             "user_id": pa.array(uid[starts], pa.int64()),
             "seq": pa.array([",".join(types[s:e])
@@ -513,8 +494,8 @@ def interval_join_events(sf_dir: str):
         eid = batch.column("event_id").to_numpy(zero_copy_only=False)
         ts = batch.column("ts").cast(pa.timestamp("us")).to_numpy(
             zero_copy_only=False).astype("datetime64[us]").astype(np.int64)
-        v = batch.column("value").to_numpy(zero_copy_only=False) * 100
-        cents = (np.sign(v) * np.floor(np.abs(v) + 0.5)).astype(np.int64)
+        cents = round_half_away(
+            batch.column("value").to_numpy(zero_copy_only=False) * 100)
 
         # probe side: every event in its own hour bucket
         out_bucket = [ts // IVAL_BUCKET_US]
@@ -647,15 +628,9 @@ def funnel_stages(sf_dir: str):
     deadlines_us = [m * 60 * 1_000_000 for m in FUNNEL_WINDOWS_MIN]
 
     def scan(group: pa.Table) -> pa.Table:
-        uid = _col_np(group, "user_id")
-        eid = _col_np(group, "event_id")
-        et = _col_np(group, "event_type")
-        ts = _col_np(group, "ts").astype("datetime64[us]").astype(np.int64)
-        order = np.lexsort((eid, ts, uid))
-        uid, et, ts = uid[order], et[order], ts[order]
+        uid, et, ts, starts, ends = _user_stream(
+            group, "user_id", "event_type", "ts")
         out_u, out_s = [], []
-        starts = np.flatnonzero(np.r_[True, uid[1:] != uid[:-1]])
-        ends = np.r_[starts[1:], len(uid)]
         # the three-probe forward scan per user IS the computation
         for s, e in zip(starts, ends):
             stage = _funnel_user_stage(et[s:e], ts[s:e], deadlines_us)
@@ -729,25 +704,21 @@ def event_gaps(sf_dir: str):
     ds = read_table(sf_dir, "events", ["event_id", "ts", "user_id"])
 
     def gaps(group: pa.Table) -> pa.Table:
-        uid = _col_np(group, "user_id")
-        eid = _col_np(group, "event_id")
-        ts = _col_np(group, "ts").astype("datetime64[us]").astype(np.int64)
-        order = np.lexsort((eid, ts, uid))
-        uid, ts = uid[order], ts[order]
-        d = np.diff(ts)
-        # rows where the user changes carry a cross-user diff — mask out
-        same = uid[1:] == uid[:-1]
-        gu, g = uid[1:][same], d[same]
+        uid, ts, u_starts, _ = _user_stream(group, "user_id", "ts")
+        # a user's gaps are the diffs after its first row: drop each
+        # first row's cross-user diff
+        same = np.ones(len(uid), bool)
+        same[u_starts] = False
+        gu, g = uid[same], np.diff(ts, prepend=0)[same]
         if len(gu) == 0:
             e = pa.array(np.empty(0, np.int64), pa.int64())
             return pa.table({"user_id": e, "n_gaps": e, "sum_gap_us": e,
                              "max_gap_us": e, "min_gap_us": e})
         # per-user segment reduce over the surviving gaps (gu is sorted)
-        starts = np.flatnonzero(np.r_[True, gu[1:] != gu[:-1]])
-        n = np.diff(np.r_[starts, len(gu)]).astype(np.int64)
+        starts, ends = runs(gu)
         return pa.table({
             "user_id": pa.array(gu[starts], pa.int64()),
-            "n_gaps": pa.array(n, pa.int64()),
+            "n_gaps": pa.array((ends - starts).astype(np.int64), pa.int64()),
             "sum_gap_us": pa.array(np.add.reduceat(g, starts), pa.int64()),
             "max_gap_us": pa.array(np.maximum.reduceat(g, starts),
                                    pa.int64()),
@@ -796,18 +767,14 @@ def next_event_label(sf_dir: str):
                     ["event_id", "ts", "user_id", "event_type"])
 
     def label(group: pa.Table) -> pa.Table:
-        uid = _col_np(group, "user_id")
-        eid = _col_np(group, "event_id")
-        ts = _col_np(group, "ts").astype("datetime64[us]").astype(np.int64)
-        et = _col_np(group, "event_type")
-        order = np.lexsort((eid, ts, uid))
-        uid, eid, ts, et = uid[order], eid[order], ts[order], et[order]
+        uid, eid, ts, et, _, ends = _user_stream(
+            group, "user_id", "event_id", "ts", "event_type")
+        # shift each column up one row, then blank each user's last row
         nxt = np.full(len(et), None, object)
-        gap = np.full(len(et), -1, np.int64)
-        if len(et) > 1:
-            same = uid[1:] == uid[:-1]
-            nxt[:-1] = np.where(same, et[1:], None)
-            gap[:-1] = np.where(same, ts[1:] - ts[:-1], -1)
+        nxt[:-1] = et[1:]
+        gap = np.diff(ts, append=0)
+        nxt[ends - 1] = None
+        gap[ends - 1] = -1
         return pa.table({
             "event_id": pa.array(eid, pa.int64()),
             "user_id": pa.array(uid, pa.int64()),
@@ -895,35 +862,20 @@ def ontime_hourly(sf_dir: str):
     (window_id, n_events, sum_value_cents). Precondition: ts ≥ epoch 0
     (floor division here vs DuckDB's truncate-toward-zero ``//`` — see
     hourly_unique_users)."""
-    import hashlib
-
     ds = read_table(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
 
-    def arrival(batch: pa.Table) -> pa.Table:
-        ids = batch.column("event_id").to_pylist()
-        key = [hashlib.md5(str(i).encode()).hexdigest() for i in ids]
-        return batch.append_column("arrival", pa.array(key, pa.string()))
-
     def ontime_events(group: pa.Table) -> pa.Table:
-        uid = _col_np(group, "user_id")
-        eid = _col_np(group, "event_id")
-        arr = _col_np(group, "arrival")
-        ts = _col_np(group, "ts").astype("datetime64[us]").astype(np.int64)
-        val = _col_np(group, "value")
-        order = np.lexsort((eid, arr, uid))
-        uid, ts, val = uid[order], ts[order], val[order]
-        prev = np.roll(pd.Series(ts).groupby(uid, sort=False)
-                       .cummax().to_numpy(np.int64), 1)
-        first = np.r_[True, uid[1:] != uid[:-1]]
-        ontime = first | (ts >= prev)
-        v = val[ontime] * 100
-        cents = (np.sign(v) * np.floor(np.abs(v) + 0.5)).astype(np.int64)
+        uid, ts, val, starts, _ = _user_stream(
+            group, "user_id", "ts", "value", by="arrival")
+        ontime = ts >= _prior_max(ts, uid)
+        ontime[starts] = True
         return pa.table({
             "window_id": pa.array(ts[ontime] // 3_600_000_000, pa.int64()),
-            "cents": pa.array(cents, pa.int64()),
+            "cents": pa.array(round_half_away(val[ontime] * 100),
+                              pa.int64()),
         })
 
-    ontime = _bucketed(ds.map_batches(arrival, batch_format="pyarrow"),
+    ontime = _bucketed(ds.map_batches(_arrival, batch_format="pyarrow"),
                        ontime_events)
     return hash_agg(ontime, ["window_id"],
                     {"n_events": ([], "count_all"),
@@ -973,8 +925,7 @@ def top_events_per_user(sf_dir: str, k: int = TOPK_PER_USER):
     def topk(batch: pa.Table) -> pa.Table:
         uid = _col_np(batch, "user_id")
         eid = _col_np(batch, "event_id")
-        v = _col_np(batch, "value") * 100
-        cents = (np.sign(v) * np.floor(np.abs(v) + 0.5)).astype(np.int64)
+        cents = round_half_away(_col_np(batch, "value") * 100)
         order, pos = run_rank((eid, -cents, uid))
         keep = order[pos < k]
         return pa.table({

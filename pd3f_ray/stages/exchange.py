@@ -106,7 +106,7 @@ def bucket_exchange(ds, key: str, fn):
     return shuffled.map_batches(fn, batch_size=None, batch_format="pyarrow")
 
 
-def _hash64(col) -> np.ndarray:
+def hash64(col) -> np.ndarray:
     """A uint64 hash per value of one key column (numpy or Arrow), the
     same in every process: Python's ``hash()`` is salted per process.
     Strings hash via ``pd.util.hash_array`` (a fixed-key siphash), other
@@ -141,9 +141,9 @@ def stable_bucket(keys, p: int) -> np.ndarray:
     row of one key column, or of a list of them (a multi-column key
     combines the per-column hashes). Null keys share one bucket."""
     cols = keys if isinstance(keys, list) else [keys]
-    h = _hash64(cols[0])
+    h = hash64(cols[0])
     for c in cols[1:]:
-        h = h * np.uint64(0x9E3779B97F4A7C15) + _hash64(c)
+        h = h * np.uint64(0x9E3779B97F4A7C15) + hash64(c)
     return (h % np.uint64(p)).astype(np.int32)
 
 

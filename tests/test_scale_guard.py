@@ -278,7 +278,6 @@ def test_no_pandas_batch_format_in_library():
 ALLOWED_PANDAS = {
     "windows.py": "pd.Series.groupby per-user running cummax in "
                   "late_events and ontime_hourly",
-    "dedup.py": "pd.util.hash_array: stable cross-process string hash",
     "exchange.py": "pd.util.hash_array in stable_bucket, the one key "
                    "hash of cogroup and hash_agg (string keys)",
 }
@@ -295,6 +294,38 @@ def test_pandas_imports_are_allowlisted():
             hits.append(f"{path.name}:{line}: imports pandas — not in "
                         "ALLOWED_PANDAS")
     assert not hits, "\n".join(hits)
+
+
+# A reducer finds its runs of equal keys with ``arrowkit.sort_runs`` (or
+# ``runs`` over columns already sorted), not with a hand-written
+# adjacent-inequality mask such as ``np.r_[True, x[1:] != x[:-1]]``.
+RUN_SCAN = re.compile(r"\[1:\]\s*!=")
+
+
+def test_run_scans_use_arrowkit():
+    hits = []
+    for path, src in _sources():
+        for m in RUN_SCAN.finditer(src):
+            line = src[: m.start()].count("\n") + 1
+            hits.append(f"{path.name}:{line}: hand-written run boundary — "
+                        "use arrowkit.sort_runs / arrowkit.runs")
+    assert not hits, "\n".join(hits)
+
+
+def test_run_scan_rule_sees_each_form():
+    flagged = [
+        "starts = np.flatnonzero(np.r_[True, uid[1:] != uid[:-1]])",
+        "last = np.flatnonzero(np.r_[us[1:] != us[:-1], True])",
+        "keep = order[np.r_[True, th[order][1:] != th[order][:-1]]]",
+        "new = (a[1:]!=a[:-1]) | (b[1:] != b[:-1])",
+    ]
+    passed = [
+        "order, starts, ends = sort_runs((eid, ts, uid))",
+        "same = uid[1:] == uid[:-1]",
+        "gap = np.diff(ts)",
+    ]
+    assert all(RUN_SCAN.search(f) for f in flagged)
+    assert not any(RUN_SCAN.search(p) for p in passed)
 
 
 # Every stage runs as plain tasks. An actor pool keeps its CPUs between
