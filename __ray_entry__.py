@@ -541,11 +541,20 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "pack_sequences": webcurate.pack_sequences,  # greedy → rows-only
     }
     # head-of-line rotation (see the ORDER MATTERS note above): the lead
-    # is the plans the last change touched most — every bucket_exchange
-    # caller now tags its rows over the exchange's input-sized P — then
+    # is the plans the last change touched most — the ten plans whose
+    # broadcast-or-exchange choice is ``exchange.fits_broadcast`` — then
     # the previous rotations in their order. Everything else follows in
     # its round-4 order.
     prefix = [
+        # -- one broadcast rule: the ten gated plans, then the plans whose
+        #    worker-side imports moved to module level and bm25's
+        #    rounding --
+        "segment_order_stats", "nation_revenue", "q3_shipping_priority",
+        "tfidf_terms", "pagerank", "line_dedup_docs", "dup_span_stats",
+        "strip_dup_spans", "dedup_clusters", "name_entity_clusters",
+        "jaccard_pairs", "minhash_pairs", "simhash_docs", "simhash_pairs",
+        "curate_neardup", "balanced_mixture", "parsr_ingest_roundtrip",
+        "bm25_scores",
         # -- one segment toolkit: every plan whose reducer moved onto
         #    arrowkit.sort_runs / runs / run_rank or round_half_away (all
         #    window queries; the dedup, curation, webcurate, spandedup,

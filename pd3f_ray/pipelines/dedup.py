@@ -27,6 +27,7 @@ from pd3f_ray.core.arrowkit import run_offsets, sort_runs
 from pd3f_ray.core.cluster import read_parquet, read_table
 from pd3f_ray.stages.exchange import (
     bucket_exchange,
+    fits_broadcast,
     group_map,
     hash64,
     hash_agg,
@@ -34,8 +35,12 @@ from pd3f_ray.stages.exchange import (
     stable_bucket,
 )
 from pd3f_ray.functions.textfns import (
+    band_hashes,
     masks_for,
     md5_hex,
+    minhash_signatures_batch,
+    popcount64,
+    token_hash,
     word_shingles,
 )
 
@@ -176,8 +181,6 @@ def jaccard_pairs(sf_dir: str, threshold: float = JACCARD_THRESHOLD):
     def block_pairs(group: pa.Table) -> pa.Table:
         ids, chars, texts, native = _banded_group_cols(group)
         masks = masks_for(list(texts))
-        from pd3f_ray.functions.textfns import popcount64
-
         sizes = popcount64(masks).sum(axis=1)
         out_a, out_b = [], []
         n = len(ids)
@@ -328,11 +331,6 @@ def minhash_pairs(sf_dir: str, threshold: float = VERIFY_THRESHOLD):
     p = input_partitions(ds)
 
     def band_rows(batch: pa.Table) -> pa.Table:
-        from pd3f_ray.functions.textfns import (
-            band_hashes,
-            minhash_signatures_batch,
-        )
-
         doc_ids = np.asarray(batch.column("doc_id").to_pylist(),
                              dtype=np.int64)
         texts = batch.column("text").to_pylist()
@@ -654,16 +652,12 @@ def embdup_lsh(sf_dir: str, threshold: float = EMB_THRESHOLD):
 CC_MAX_ITERS = 8
 
 
-CC_LOCAL_MAX_EDGES = 4_000_000  # ~64 MB of (node, peer) int64 pairs
-
-
 def _cc_local(edges_mat, out_cols: tuple = ("doc_id", "cluster_id"),
               key_type: "pa.DataType | None" = None):
-    """Exact connected components in ONE ray task — the AQE-style fast
-    path when the (pair-scale) edge table fits a worker (metadata row
-    count ≤ CC_LOCAL_MAX_EDGES, the same planner shape as
-    joins.should_broadcast). The edge blocks travel as object refs into
-    the task (never to the driver); inside, a vectorized
+    """Exact connected components in ONE ray task — the fast path when
+    the materialized (pair-scale) edge table ``fits_broadcast``, one
+    Ray block, the budget of one task. The edge blocks travel as object
+    refs into the task (never to the driver); inside, a vectorized
     Shiloach-Vishkin-style min-label loop (numpy minimum.at over the
     edge arrays + full pointer compression per round) reaches the exact
     fixpoint in O(log n) rounds regardless of component diameter — the
@@ -752,16 +746,16 @@ def _mat_label_sum(labels_mat) -> tuple[int, int]:
 
 
 def dedup_clusters(sf_dir: str, threshold: float = JACCARD_THRESHOLD,
-                   max_iters: int = CC_MAX_ITERS,
-                   local_max_edges: int = CC_LOCAL_MAX_EDGES):
+                   max_iters: int = CC_MAX_ITERS):
     """Canonical cluster id per near-duplicate document: connected
     components over the exact ``jaccard_pairs`` edge set.
 
-    Two plans behind one AQE-style gate on the materialized edge count
-    (the pair table is PAIR-scale — nodes with a near-dup — not corpus
-    scale, so it is usually orders of magnitude smaller than the input):
+    Two plans, chosen by ``exchange.fits_broadcast`` on the materialized
+    edge table (the pair table is PAIR-scale — nodes with a near-dup —
+    not corpus scale, so it is usually orders of magnitude smaller than
+    the input):
 
-    - **local** (edges ≤ ``local_max_edges``): exact union-find in one
+    - **local** (the edges fit one Ray block): exact union-find in one
       ray task (``_cc_local``) — immune to component diameter, which
       otherwise dictates the distributed round count (a 3000-long
       near-dup chain needs ~12 doubling rounds × the fixed exchange
@@ -800,13 +794,14 @@ def dedup_clusters(sf_dir: str, threshold: float = JACCARD_THRESHOLD,
 
     edges = pairs.map_batches(symmetrize, batch_format="pyarrow").materialize()
 
-    if edges.count() <= local_max_edges:  # metadata count: materialized
+    if fits_broadcast(edges):
         return _cc_local(edges)
 
     labels = _cc_propagate(edges, key_type=pa.int64(), max_iters=max_iters,
                            opname="dedup_clusters")
     return labels.map_batches(
-        lambda b: b.rename_columns(["doc_id", "cluster_id"]),
+        lambda b: pa.table({"doc_id": b.column("node"),
+                            "cluster_id": b.column("label")}),
         batch_format="pyarrow",
     )
 
@@ -846,7 +841,8 @@ def _cc_propagate(edges, *, key_type, max_iters: int = CC_MAX_ITERS,
     converged = False
     for _ in range(max_iters):
         lab_r = labels.map_batches(
-            lambda b: b.rename_columns(["lnode", "label"]),
+            lambda b: pa.table({"lnode": b.column("node"),
+                                "label": b.column("label")}),
             batch_format="pyarrow",
         )
         # ONE probe table for both moves — the union rides the join's
@@ -918,8 +914,6 @@ def simhash_docs(sf_dir: str, bits: int = 64):
     shifts = np.arange(bits, dtype=np.uint64)
 
     def sim(batch: pa.Table) -> pa.Table:
-        from pd3f_ray.functions.textfns import token_hash
-
         fps = []
         for t in batch.column("text").to_pylist():
             toks = t.split(" ")
@@ -983,8 +977,6 @@ def simhash_pairs(sf_dir: str, max_hamming: int = SIMHASH_MAX_HAMMING):
         return pa.concat_tables(parts)
 
     def group_pairs(group: pa.Table) -> pa.Table:
-        from pd3f_ray.functions.textfns import popcount64
-
         bk = group.column("band_key").to_numpy(zero_copy_only=False)
         did = group.column("doc_id").to_numpy(
             zero_copy_only=False).astype(np.int64)
@@ -1278,18 +1270,17 @@ WHERE levenshtein(a.p_name, b.p_name) <= {EDIT_MAX}
 # ---------------------------------------------------------------------------
 
 
-def name_entity_clusters(sf_dir: str, max_dist: int = EDIT_MAX,
-                         local_max_edges: int = CC_LOCAL_MAX_EDGES):
+def name_entity_clusters(sf_dir: str, max_dist: int = EDIT_MAX):
     """Fuzzy entity resolution END-TO-END: the :func:`fuzzy_name_pairs`
     edge list is closed into connected components and every distinct
     name is mapped to its component's canonical representative (the
     lexicographically smallest member) — the master-data table that
     turns 'red bolt'/'old bolt' variants into one entity key.
 
-    Same two-plan AQE gate as ``dedup_clusters``, on the materialized
-    edge count:
+    The same two plans as ``dedup_clusters``, chosen by
+    ``exchange.fits_broadcast`` on the materialized edge table:
 
-    - **local** (edges ≤ ``local_max_edges``): exact union-find in one
+    - **local** (the edges fit one Ray block): exact union-find in one
       ray task (``_cc_local`` — np.unique sorts names, so the min label
       index IS the lexicographic min). Edges are vocabulary-scale
       (distinct names + fuzzy pairs), so this is the usual path.
@@ -1326,14 +1317,15 @@ def name_entity_clusters(sf_dir: str, max_dist: int = EDIT_MAX,
     edges = (pairs.union(singles)
              .map_batches(symmetrize, batch_format="pyarrow").materialize())
 
-    if edges.count() <= local_max_edges:  # metadata count: materialized
+    if fits_broadcast(edges):
         return _cc_local(edges, out_cols=("name", "canonical"),
                          key_type=pa.string())
 
     labels = _cc_propagate(edges, key_type=pa.string(),
                            opname="name_entity_clusters")
     return labels.map_batches(
-        lambda b: b.rename_columns(["name", "canonical"]),
+        lambda b: pa.table({"name": b.column("node"),
+                            "canonical": b.column("label")}),
         batch_format="pyarrow",
     )
 

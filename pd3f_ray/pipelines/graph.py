@@ -46,6 +46,7 @@ from pd3f_ray.core.cluster import read_parquet, read_table
 from pd3f_ray.pipelines.joins import hash_join
 from pd3f_ray.stages.exchange import (
     bucket_exchange,
+    fits_broadcast,
     input_partitions,
     stable_bucket,
 )
@@ -54,7 +55,6 @@ PR_ITERS = 3
 PR_RANK0 = 1_000_000         # micro-rank units
 PR_BASE = 150_000            # (1 - d) * rank-unit with d = 0.85
 PR_DAMP_NUM, PR_DAMP_DEN = 85, 100
-PR_BROADCAST_MAX = 5_000_000  # rank rows; above this, hash_join path
 
 
 def _edges_with_outdeg(sf_dir: str):
@@ -168,19 +168,18 @@ def _commit_iteration(checkpoint_dir: str, sf_dir: str, k: int,
 
 
 def pagerank(sf_dir: str, iters: int = PR_ITERS,
-             broadcast_max: int = PR_BROADCAST_MAX,
              checkpoint_dir: str | None = None):
     """Integer PageRank over the customer↔supplier graph. Output
     (kind 'customer'|'supplier', key, rank_micros).
 
     The rank table is NODE-scale (graphs have orders of magnitude
-    fewer nodes than edges), so each iteration routes it behind an
-    AQE-style gate: ``ray.put`` the (sorted nodes, ranks) arrays once
-    and compute contributions map-only over the static edge table
+    fewer nodes than edges), so each iteration asks
+    ``exchange.fits_broadcast`` of the materialized rank table: if it
+    fits one Ray block, ``ray.put`` the (sorted nodes, ranks) arrays
+    once and compute contributions map-only over the static edge table
     (ONE small exchange per iteration — measured 110 s → ~13 s at
-    sf0.1), or, when the rank table exceeds the broadcast bound, a
-    bucketed ``hash_join`` per iteration (the scale path for graphs
-    whose node table itself outgrows a worker's heap).
+    sf0.1), else a bucketed ``hash_join`` per iteration (the scale path
+    for graphs whose node table itself outgrows a task's block).
 
     ``checkpoint_dir`` makes the ITERATIVE job resumable — the
     north_rule checkpoint story applied to a fixpoint loop, where
@@ -261,7 +260,7 @@ def pagerank(sf_dir: str, iters: int = PR_ITERS,
         })
 
     for it in range(start_iter, iters):
-        if ranks.count() <= broadcast_max:
+        if fits_broadcast(ranks):
             # ---- broadcast plan: contributions are map-only ----
             blocks = ray.get(ranks.to_arrow_refs())  # node-scale, small
             parts = [(b.column("node").to_numpy(zero_copy_only=False),

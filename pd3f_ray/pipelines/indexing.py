@@ -15,11 +15,11 @@ Ray-Data-first and oracle-checked against DuckDB:
   exists anywhere.
 - ``tfidf_terms`` — per document: the top ``TFIDF_K`` tokens by
   tf·ln(N/df). The document-frequency table is one aggregate exchange;
-  scoring then runs behind an AQE-style gate: broadcast the df table
-  (``ray.put`` once, map-only scoring — the default; a vocabulary is
-  orders of magnitude smaller than its corpus) or, when the vocabulary
-  exceeds the broadcast bound, a bucketed ``hash_join`` of (doc, token,
-  tf) pairs against the df table followed by a doc-bucketed top-k.
+  scoring then asks ``exchange.fits_broadcast``: broadcast the df table
+  (``ray.put`` once, map-only scoring; a vocabulary is orders of
+  magnitude smaller than its corpus) or, when the vocabulary outgrows
+  one Ray block, a bucketed ``hash_join`` of (doc, token, tf) pairs
+  against the df table followed by a doc-bucketed top-k.
   Scores travel as integer micros (``round(score * 1e6)``) — Python's
   and DuckDB's ``ln`` are both libm doubles, verified bit-identical,
   so ranking by the rounded integer is exact in both engines.
@@ -38,11 +38,12 @@ from collections import Counter
 import numpy as np
 import pyarrow as pa
 
-from pd3f_ray.core.arrowkit import sort_runs
+from pd3f_ray.core.arrowkit import round_half_away, sort_runs
 from pd3f_ray.core.cluster import read_table
 from pd3f_ray.functions.textfns import hash_bytes
 from pd3f_ray.stages.exchange import (
     bucket_exchange,
+    fits_broadcast,
     hash_agg,
     input_partitions,
     stable_bucket,
@@ -52,7 +53,6 @@ _MASK63 = 0x7FFFFFFFFFFFFFFF
 
 POSTINGS_K = 50          # posting-list head kept per token
 TFIDF_K = 3              # top terms kept per document
-TFIDF_BROADCAST_MAX = 5_000_000  # vocab rows; above this, join path
 
 
 def _tokens(text: str) -> list[str]:
@@ -155,10 +155,12 @@ TOKEN_POSTINGS_SQL = token_postings_sql()
 # ---------------------------------------------------------------------------
 
 
-def _score_micros(tf: int, df: int, n_docs: int) -> int:
-    s = tf * math.log(n_docs / df) * 1000000.0
-    # DuckDB round() is half-away-from-zero
-    return int(math.copysign(math.floor(abs(s) + 0.5), s))
+def _score_micros(tfs, dfs, n_docs: int) -> list[int]:
+    """tf·ln(N/df) per (tf, df) pair in integer micros, rounded as
+    DuckDB's ``round()`` rounds."""
+    return round_half_away(np.array(
+        [tf * math.log(n_docs / df) * 1000000.0 for tf, df in zip(tfs, dfs)],
+        np.float64)).tolist()
 
 
 def _df_table(sf_dir: str):
@@ -181,13 +183,13 @@ def _df_table(sf_dir: str):
 def _topk_frame(doc_ids, toks, tfs, dfs, n_docs: int, k: int
                 ) -> pa.Table:
     rows = sorted(
-        zip(doc_ids, toks, tfs, dfs),
-        key=lambda r: (r[0], -_score_micros(r[2], r[3], n_docs), r[1]),
+        zip(doc_ids, toks, tfs, dfs, _score_micros(tfs, dfs, n_docs)),
+        key=lambda r: (r[0], -r[4], r[1]),
     )
     out = {c: [] for c in ("doc_id", "token", "tf", "df", "score_micros")}
     kept = 0
     prev = None
-    for did, tok, tf, df in rows:
+    for did, tok, tf, df, score in rows:
         if did != prev:
             prev, kept = did, 0
         if kept < k:
@@ -196,7 +198,7 @@ def _topk_frame(doc_ids, toks, tfs, dfs, n_docs: int, k: int
             out["token"].append(tok)
             out["tf"].append(tf)
             out["df"].append(df)
-            out["score_micros"].append(_score_micros(tf, df, n_docs))
+            out["score_micros"].append(score)
     return pa.table({
         "doc_id": pa.array(out["doc_id"], pa.int64()),
         "token": pa.array(out["token"], pa.string()),
@@ -206,18 +208,17 @@ def _topk_frame(doc_ids, toks, tfs, dfs, n_docs: int, k: int
     })
 
 
-def tfidf_terms(sf_dir: str, k: int = TFIDF_K,
-                broadcast_max: int = TFIDF_BROADCAST_MAX):
+def tfidf_terms(sf_dir: str, k: int = TFIDF_K):
     """Per document: top-``k`` tokens by tf·ln(N/df) (ties:
     score desc, token asc). df table = one exchange; scoring is
-    map-only behind the vocabulary broadcast gate, or a bucketed
-    hash_join + doc-bucketed top-k on the scale path."""
+    map-only when the materialized df table ``fits_broadcast``, or a
+    bucketed hash_join + doc-bucketed top-k on the scale path."""
     import ray
 
     n_docs = _n_docs(sf_dir)
     df_tbl = _df_table(sf_dir).materialize()
 
-    if df_tbl.count() <= broadcast_max:
+    if fits_broadcast(df_tbl):
         # ---- broadcast plan: scoring never shuffles ----
         blocks = ray.get(df_tbl.to_arrow_refs())  # small side, block-wise
         df_map: dict[str, int] = {}
@@ -405,14 +406,13 @@ def bm25_scores(sf_dir: str, query: tuple[str, ...] = BM25_QUERY):
                 doc_ids.append(did)
                 toks_out.append(q)
                 tfs.append(tf)
-                # DuckDB round() is half-away-from-zero; scores are > 0
-                scores.append(int(math.floor(s * 1_000_000 + 0.5)))
+                scores.append(s * 1_000_000)
         return pa.table({
             "doc_id": pa.array(doc_ids, pa.int64()),
             "token": pa.array(toks_out, pa.string()),
             "tf": pa.array(np.asarray(tfs, np.int64), pa.int64()),
-            "score_micros": pa.array(np.asarray(scores, np.int64),
-                                     pa.int64()),
+            "score_micros": pa.array(
+                round_half_away(np.asarray(scores, np.float64)), pa.int64()),
         })
 
     return read_table(sf_dir, "documents", ["doc_id", "text"]).map_batches(

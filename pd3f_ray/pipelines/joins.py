@@ -7,9 +7,9 @@ own two join strategies, both oracle-checked:
 
 - **broadcast join** (small side ⋈ big side): the small table is
   ``ray.put`` once and probed as a dict inside ``map_batches`` — zero
-  shuffle, the pattern reserved for GENUINELY small dimension tables
-  (nation: 25 rows). Customer is a fact table at 100 TB-scale TPC-H
-  and goes through the bucketed join instead.
+  shuffle. The dimension tables (nation: 25 rows) always take it; a
+  customer side takes it only when ``exchange.fits_broadcast`` says it
+  fits one Ray block (customer is a fact table at 100 TB-scale TPC-H).
 - **cogroup** (big ⋈ big), the one co-partitioning plan: every side is
   tagged with a stable ``hash(key) % P`` bucket column and its side
   name, P sized over all the sides' input (``input_partitions``), the
@@ -46,7 +46,8 @@ Nothing executes while a plan is built.
 
 ``nation_revenue`` composes them: lineitem ⋈ orders and then
 per-custkey partials ⋈ customer via TWO bucketed exchanges (all three
-are fact tables), nation names via the one true broadcast (25 rows),
+are fact tables; customer is broadcast instead when it fits one Ray
+block), nation names via the 25-row broadcast,
 with revenue pre-aggregated before every exchange — the
 partial-aggregation pattern that keeps the wide exchanges small.
 """
@@ -66,6 +67,7 @@ from pd3f_ray.core.cluster import read_table
 from pd3f_ray.stages.exchange import (
     bucket_exchange,
     finish_agg,
+    fits_broadcast,
     input_partitions,
     stable_bucket,
     top_k,
@@ -253,46 +255,16 @@ def full_outer_join(left, right, key: str, left_schema=None,
                           left_schema, right_schema)
 
 
-BROADCAST_MAX_BYTES = 256 << 20  # AQE broadcast-vs-shuffle threshold
-BROADCAST_MAX_ROWS = 1_000_000  # fallback when metadata lacks byte sizes
-
-
-def _rows_of(sf_dir: str, table: str) -> int:
-    """Metadata-only row count — the planner input for the adaptive
-    broadcast decision (no data read)."""
-    import pyarrow.parquet as pq
-
-    return pq.read_metadata(
-        os.path.join(sf_dir, table + ".parquet")).num_rows
-
-
-def should_broadcast(sf_dir: str, table: str) -> bool:
-    """AQE-style planner gate: broadcast a join side only if it fits in
-    a worker's memory. The primary signal is the UNCOMPRESSED byte size
-    from parquet metadata (sum of row-group ``total_byte_size``) — the
-    honest proxy with wide rows, where a row-count gate lets a
-    million-row × 100 KB-blob table through; metadata row count is the
-    fallback when the writer recorded no sizes. No data is read."""
-    import pyarrow.parquet as pq
-
-    md = pq.read_metadata(os.path.join(sf_dir, table + ".parquet"))
-    total = sum(md.row_group(i).total_byte_size
-                for i in range(md.num_row_groups))
-    if total > 0:
-        return total <= BROADCAST_MAX_BYTES
-    return md.num_rows <= BROADCAST_MAX_ROWS
-
-
-def nation_revenue(sf_dir: str, broadcast_customer: bool | None = None):
+def nation_revenue(sf_dir: str):
     """Revenue by customer nation:
     lineitem ⋈ orders (bucketed hash join on orderkey, revenue
     pre-aggregated per order inside map_batches) → partial per-custkey
-    revenue → SECOND bucketed exchange against customer (at TPC-H
-    SF for 100 TB the customer table is terabytes — a fact table, NOT a
-    broadcastable side), each partition folded into per-nation partials
-    (the next-key fold) → the only broadcast is the 25-row nation name
-    map → ``finish_agg`` sums the partials in one task. Output (n_name,
-    revenue_cents)."""
+    revenue → customer: a broadcast custkey→nationkey dict when the
+    side ``fits_broadcast``, else (at TPC-H SF for 100 TB the customer
+    table is terabytes) a SECOND bucketed exchange, each partition
+    folded into per-nation partials (the next-key fold) → the 25-row
+    nation name map → ``finish_agg`` sums the partials in one task.
+    Output (n_name, revenue_cents)."""
     import pyarrow.parquet as pq
 
     nat = pq.read_table(os.path.join(sf_dir, "nation.parquet"),
@@ -300,9 +272,6 @@ def nation_revenue(sf_dir: str, broadcast_customer: bool | None = None):
     nkey_to_name = dict(zip(nat.column("n_nationkey").to_pylist(),
                             nat.column("n_name").to_pylist()))
     lookup_ref = ray.put(nkey_to_name)  # 25 rows — genuinely small
-
-    if broadcast_customer is None:
-        broadcast_customer = should_broadcast(sf_dir, "customer")
 
     orders = read_table(sf_dir, "orders", ["o_orderkey", "o_custkey"])
     customer = read_table(sf_dir, "customer", ["c_custkey", "c_nationkey"])
@@ -342,10 +311,9 @@ def nation_revenue(sf_dir: str, broadcast_customer: bool | None = None):
             "n_name": pa.array([lookup[n] for n in nationkeys], pa.string()),
             "revenue_cents": cents})
 
-    if broadcast_customer:
-        # AQE-style fast path: customer fits comfortably in memory at
-        # this scale (metadata byte size ≤ BROADCAST_MAX_BYTES), so probe
-        # a broadcast custkey→nationkey dict — zero extra shuffle
+    if fits_broadcast(customer):
+        # customer fits one task's block: probe a broadcast
+        # custkey→nationkey dict — zero extra shuffle
         ctbl = pq.read_table(os.path.join(sf_dir, "customer.parquet"),
                              columns=["c_custkey", "c_nationkey"])
         cmap = dict(zip(ctbl.column("c_custkey").to_pylist(),
@@ -643,7 +611,7 @@ Q3_CUTOFF = "1998-07-01"
 Q3_TOPK = 10
 
 
-def q3_shipping_priority(sf_dir: str, broadcast_customer: bool | None = None):
+def q3_shipping_priority(sf_dir: str):
     """TPC-H Q3-flavor: the k highest-revenue orders from one market
     segment that were placed before the cutoff but (partly) shipped
     after it. The plan is the selective-filter showcase:
@@ -651,9 +619,9 @@ def q3_shipping_priority(sf_dir: str, broadcast_customer: bool | None = None):
     - every filter is PUSHED INTO THE READ (segment on customer,
       orderdate on orders, shipdate on lineitem) — only qualifying
       row groups leave storage;
-    - the filtered customer side passes through the AQE gate: broadcast
-      its custkey set when parquet metadata says it fits, else the
-      bucketed SEMI join (both paths oracle-exact);
+    - the filtered customer side passes through ``fits_broadcast``:
+      broadcast its custkey set when its planned bytes fit one Ray
+      block, else the bucketed SEMI join (both paths oracle-exact);
     - lineitem revenue is pre-aggregated per orderkey inside
       map_batches BEFORE the orders hash join ships anything;
     - the orderkey join and the per-order totals share their key, so
@@ -674,10 +642,12 @@ def q3_shipping_priority(sf_dir: str, broadcast_customer: bool | None = None):
         filter=pads.field("o_orderdate") < cutoff,
     )
 
-    if broadcast_customer is None:
-        broadcast_customer = should_broadcast(sf_dir, "customer")
-
-    if broadcast_customer:
+    cust = read_table(
+        sf_dir, "customer",
+        columns=["c_custkey"],
+        filter=pads.field("c_mktsegment") == Q3_SEGMENT,
+    )
+    if fits_broadcast(cust):
         import pyarrow.parquet as pq
 
         ct = pq.read_table(
@@ -696,11 +666,6 @@ def q3_shipping_priority(sf_dir: str, broadcast_customer: bool | None = None):
 
         orders_seg = orders.map_batches(keep_segment, batch_format="pyarrow")
     else:
-        cust = read_table(
-            sf_dir, "customer",
-            columns=["c_custkey"],
-            filter=pads.field("c_mktsegment") == Q3_SEGMENT,
-        )
         orders_schema = pa.schema([("o_orderkey", pa.int64()),
                                    ("o_custkey", pa.int64()),
                                    ("o_orderdate", pa.timestamp("us"))])

@@ -32,6 +32,7 @@ from pd3f_ray.core.arrowkit import agg, round_half_away
 from pd3f_ray.core.cluster import read_table
 from pd3f_ray.stages.exchange import (
     finish_agg,
+    fits_broadcast,
     fold,
     group_map,
     hash_agg,
@@ -154,32 +155,29 @@ LIMIT 15
 # ---------------------------------------------------------------------------
 
 
-def segment_order_stats(sf_dir: str, broadcast: bool | None = None):
+def segment_order_stats(sf_dir: str):
     """Per-segment order stats. Customer is a FACT table at 100 TB-scale
     TPC-H (terabytes), so the scale plan co-partitions per-customer
     order partials against it in one ``cogroup`` and folds each
     partition's joined rows into per-segment partials (the next-key
-    fold); when the metadata byte size says customer fits in memory
-    (≤ BROADCAST_MAX_BYTES — AQE-style planner rule, row-count
-    fallback), the broadcast-dict fast path builds those partials
-    map-side instead. Either way ``finish_agg`` sums the ≤ P × 5
+    fold); when customer ``fits_broadcast`` (one Ray block of planned
+    bytes), the broadcast-dict fast path builds those partials map-side
+    instead. Either way ``finish_agg`` sums the ≤ P × 5
     segment partials in one task. Both paths oracle-exact."""
     from pd3f_ray.pipelines.joins import (
         _acero_join,
         _arrow_fields,
         cogroup,
-        should_broadcast,
     )
-
-    if broadcast is None:
-        broadcast = should_broadcast(sf_dir, "customer")
 
     orders = read_table(sf_dir, "orders",
                         columns=["o_custkey", "o_totalprice"])
+    cust = read_table(sf_dir, "customer",
+                      columns=["c_custkey", "c_mktsegment"])
     sums = {"n_orders": ("n_orders", "sum"),
             "sum_total_cents": ("sum_total_cents", "sum")}
 
-    if broadcast:
+    if fits_broadcast(cust):
         import pyarrow.parquet as pq
 
         ctbl = pq.read_table(os.path.join(sf_dir, "customer.parquet"),
@@ -210,8 +208,6 @@ def segment_order_stats(sf_dir: str, broadcast: bool | None = None):
         return _acero_join(sides["o"], sides["c"], "o_custkey", "c_custkey",
                            "inner").select(["c_mktsegment", *sums])
 
-    cust = read_table(sf_dir, "customer",
-                      columns=["c_custkey", "c_mktsegment"])
     parts = cogroup(
         {"o": (orders.map_batches(partial, batch_format="pyarrow"),
                "o_custkey", {"o_custkey": pa.int64(), "n_orders": pa.int64(),

@@ -13,9 +13,9 @@ needs no global ordered structure:
   never shuffles — through ONE bucketed exchange; the per-bucket fold
   keeps hashes seen in ≥ ``SPAN_MIN_DOCS`` distinct documents. The dup
   table is boilerplate-scale, orders of magnitude below corpus scale.
-- Pass 2, AQE-style gate on the materialized dup count (the
-  ``line_dedup_docs`` pattern):
-  - **broadcast** (dup rows ≤ ``broadcast_max``): dup hashes fetched
+- Pass 2 asks ``exchange.fits_broadcast`` of the materialized dup
+  table (the ``line_dedup_docs`` pattern):
+  - **broadcast** (the dup table fits one Ray block): dup hashes fetched
     block-wise, ``ray.put`` once; the corpus pass is map-only —
     positional hashes, ``np.isin`` membership, interval-union coverage
     via a vectorized diff-array, all per batch. ZERO text shuffles.
@@ -47,6 +47,7 @@ from pd3f_ray.core.cluster import read_table
 from pd3f_ray.functions.textfns import shingle_hash_positions
 from pd3f_ray.stages.exchange import (
     bucket_exchange,
+    fits_broadcast,
     input_partitions,
     stable_bucket,
 )
@@ -55,7 +56,6 @@ _MASK63 = 0x7FFFFFFFFFFFFFFF
 
 SPAN_W = 8               # shingle width in tokens
 SPAN_MIN_DOCS = 2        # duplicated = seen in >= this many docs
-SPAN_BROADCAST_MAX = 2_000_000  # dup rows; above this, union-join path
 
 
 def _pos_hashes(text: str, w: int) -> np.ndarray:
@@ -271,22 +271,20 @@ def _broadcast_plan(sf_dir: str, dup, w: int, emit: str):
     return docs.map_batches(fold, batch_format="pyarrow")
 
 
-def dup_span_stats(sf_dir: str, w: int = SPAN_W,
-                   broadcast_max: int = SPAN_BROADCAST_MAX):
+def dup_span_stats(sf_dir: str, w: int = SPAN_W):
     """Per document: (n_positions, n_dup_positions, n_dup_tokens) for
     ``w``-token shingles duplicated across documents."""
     dup = _dup_table(sf_dir, w)
-    if dup.count() <= broadcast_max:
+    if fits_broadcast(dup):
         return _broadcast_plan(sf_dir, dup, w, "stats")
     return _union_join_plan(sf_dir, dup, w, "stats")
 
 
-def strip_dup_spans(sf_dir: str, w: int = SPAN_W,
-                    broadcast_max: int = SPAN_BROADCAST_MAX):
+def strip_dup_spans(sf_dir: str, w: int = SPAN_W):
     """Per document: text with every token covered by a duplicated
     ``w``-token shingle removed; fully-covered documents disappear."""
     dup = _dup_table(sf_dir, w)
-    if dup.count() <= broadcast_max:
+    if fits_broadcast(dup):
         return _broadcast_plan(sf_dir, dup, w, "strip")
     return _union_join_plan(sf_dir, dup, w, "strip")
 

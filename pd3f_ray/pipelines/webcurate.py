@@ -22,8 +22,9 @@ only — SURVEY §2.8):
 - ``line_dedup_docs`` — CCNet-style repeated-line removal per source
   domain (Wenzek et al. 2020, CCNet): drop every line that occurs in
   ≥2 documents of the same source, keep each document's residue in
-  order. Two plans behind an AQE-style gate on the duplicate-line
-  count (broadcast filter vs bucketed anti-join + reassembly).
+  order. Two plans, chosen by ``exchange.fits_broadcast`` on the
+  duplicate-line table (broadcast filter vs bucketed anti-join +
+  reassembly).
 - ``pack_sequences`` — greedy fixed-token-budget sequence packing (the
   pre-tokenization batching step): deterministic per doc-id bucket, no
   document split across sequences; rows-only (greedy reset-cumsum is
@@ -37,10 +38,11 @@ import pyarrow as pa
 
 from pd3f_ray.core.arrowkit import run_rank, runs, sort_runs
 from pd3f_ray.core.cluster import read_table
-from pd3f_ray.functions.textfns import hash_bytes
+from pd3f_ray.functions.textfns import hash_bytes, md5_hex
 from pd3f_ray.stages.exchange import (
     bucket_exchange,
     finish_agg,
+    fits_broadcast,
     fold,
     group_map,
     hash_agg,
@@ -248,7 +250,6 @@ FROM documents
 
 LINE_TOKENS = 10          # tokens per "line" (the corpus has no \n)
 LINE_MIN_DOCS = 2         # a line in ≥ this many docs of a source is dup
-LINE_BROADCAST_MAX = 2_000_000  # dup-hash broadcast gate (rows)
 
 
 def _split_lines(text: str) -> list[str]:
@@ -261,7 +262,7 @@ def _line_hash(source: str, line: str) -> int:
     return hash_bytes((source + "\x00" + line).encode()) & _MASK63
 
 
-def line_dedup_docs(sf_dir: str, broadcast_max: int = LINE_BROADCAST_MAX):
+def line_dedup_docs(sf_dir: str):
     """CCNet-style boilerplate removal: drop every LINE (fixed
     LINE_TOKENS-token chunk — the corpus is newline-free) that appears
     in ≥ LINE_MIN_DOCS distinct documents of the same source; emit each
@@ -274,9 +275,10 @@ def line_dedup_docs(sf_dir: str, broadcast_max: int = LINE_BROADCAST_MAX):
     ≥ LINE_MIN_DOCS. The dup table is boilerplate-scale (distinct
     repeated lines), orders of magnitude below corpus scale.
 
-    Pass 2, AQE-style gate on the materialized dup count:
+    Pass 2 asks ``exchange.fits_broadcast`` of the materialized dup
+    table:
 
-    - **broadcast** (dup rows ≤ ``broadcast_max``): dup hashes fetched
+    - **broadcast** (the dup table fits one Ray block): dup hashes fetched
       block-wise (``ray.get`` per block ref — the justified small-side
       driver read, same class as the joins broadcast dict), ``ray.put``
       once, and the corpus pass is map-only: split, filter against the
@@ -326,7 +328,7 @@ def line_dedup_docs(sf_dir: str, broadcast_max: int = LINE_BROADCAST_MAX):
         docs.map_batches(hash_pairs, batch_format="pyarrow"),
         "bucket", dup_hashes).materialize()
 
-    if dup.count() <= broadcast_max:
+    if fits_broadcast(dup):
         # ---- broadcast plan: corpus pass is map-only ----
         blocks = ray.get(dup.to_arrow_refs())  # small side, block-wise
         parts = [b.column("lh").to_numpy(zero_copy_only=False)
@@ -564,8 +566,6 @@ def balanced_mixture(sf_dir: str, budget_fraction: float = MIX_BUDGET_FRACTION):
     thr_ref = ray.put(thresholds)
 
     def pick(batch: pa.Table) -> pa.Table:
-        from pd3f_ray.functions.textfns import md5_hex
-
         thr = ray.get(thr_ref)
         keep = []
         for lg, text in zip(batch.column("lang").to_pylist(),
@@ -657,8 +657,6 @@ def shuffle_assignment(sf_dir: str, num_shards: int = SHUF_SHARDS,
     Readers then stream shards in position order and see a reproducible
     pseudo-random document order. Output (doc_id, shard, pos)."""
     import ray
-
-    from pd3f_ray.functions.textfns import md5_hex
 
     docs = read_table(sf_dir, "documents", ["doc_id", "text"])
     n_bands = 16 ** band_chars
@@ -756,8 +754,6 @@ def source_cap_sample(sf_dir: str, cap: int = SOURCE_CAP):
     per source (vectorized groupby head after a sort), so the single
     ``group_map`` resolve per source sees ≤ blocks × cap rows per source,
     never the full per-domain document list. Output (doc_id, source)."""
-    from pd3f_ray.functions.textfns import md5_hex
-
     docs = read_table(sf_dir, "documents", ["doc_id", "source"])
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -856,7 +852,6 @@ def web_corpus_pipeline(sf_dir: str):
     text, and a md5-partitioned first-row dedup."""
     from pd3f_ray.stages.htmlmain import HtmlMainExtractor
     from pd3f_ray.stages.pii import PiiScrubber
-    from pd3f_ray.functions.textfns import md5_hex
     from pd3f_ray.pipelines.webtext import wrap_in_boilerplate
 
     stop = frozenset(GOPHER_STOPWORDS)

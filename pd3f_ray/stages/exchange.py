@@ -21,6 +21,12 @@ sources' bytes times what the maps before the exchange multiply them
 by (the band count for minhash's band explode, the table count for
 embdup's tables).
 
+The one broadcast rule, ``fits_broadcast(ds)``: a side whose bytes fit
+one Ray block, the budget of one reduce task, may be copied into every
+task or handled whole by one task instead of being exchanged. Every
+broadcast-or-exchange and local-or-distributed choice asks it, over the
+same planned bytes that size P.
+
 The entry points:
 
 - ``bucket_exchange(ds, key, fn)``: the plan already computed the
@@ -92,6 +98,20 @@ def input_partitions(*datasets) -> int:
     nbytes = sum(sizes)
     block = DataContext.get_current().target_max_block_size
     return max(min_block_partitions(nbytes), -(-nbytes // block))
+
+
+def fits_broadcast(ds) -> bool:
+    """Whether ``ds`` fits one Ray block (``target_max_block_size``), the
+    memory budget of one task: only then may a plan copy it into every
+    task (a broadcast) or hand it whole to one task (a local plan)
+    instead of exchanging it. The bytes are the planned bytes of its
+    sources, as ``input_partitions`` reads them, which for a
+    materialized dataset are its blocks' own. No size: it does not fit."""
+    from ray.data import DataContext
+
+    nbytes = _source_bytes(ds._logical_plan.dag)
+    return (nbytes is not None
+            and nbytes <= DataContext.get_current().target_max_block_size)
 
 
 def bucket_exchange(ds, key: str, fn):

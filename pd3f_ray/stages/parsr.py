@@ -45,6 +45,8 @@ from typing import Any, Callable
 
 import pyarrow as pa
 
+from pd3f_ray.sources.synth import identity_layout
+
 # the reference ships a pd3fConfig.json base; we carry the semantically
 # load-bearing subset (cleaner pipeline shape) so the builder's merge /
 # patch / drop rules are testable without the Parsr package
@@ -311,8 +313,6 @@ class IdentityLayoutTransport:
         return False
 
     def result_json(self, job_id: str) -> bytes:
-        from pd3f_ray.sources.synth import identity_layout
-
         return json.dumps(
             identity_layout(self._jobs[job_id].decode("utf-8")),
             ensure_ascii=False).encode()

@@ -36,3 +36,22 @@ def lower_min_block(monkeypatch, nbytes: int = 1):
 
     monkeypatch.setattr(rd.DataContext.get_current(), "target_min_block_size",
                         nbytes)
+
+
+def force_exchange(monkeypatch):
+    """Every gated plan takes its exchange side, with P > 1, through
+    ``monkeypatch``: each pipeline module's ``exchange.fits_broadcast``
+    answers False, and Ray's minimum block size is lowered
+    (``lower_min_block``). Lowering Ray's block size until the sf0.001
+    sides (96 B to 9 KB) stop fitting would instead split every input
+    into 25–250 partitions (a 0.2 s join plan took 16 s at 1 KiB)."""
+    import importlib
+    import pkgutil
+
+    import pd3f_ray.pipelines as pipelines
+
+    for info in pkgutil.iter_modules(pipelines.__path__):
+        mod = importlib.import_module(f"pd3f_ray.pipelines.{info.name}")
+        if hasattr(mod, "fits_broadcast"):
+            monkeypatch.setattr(mod, "fits_broadcast", lambda ds: False)
+    lower_min_block(monkeypatch)

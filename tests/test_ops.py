@@ -7,7 +7,7 @@ import duckdb
 import numpy as np
 import pandas as pd
 import pytest
-from conftest import lower_min_block
+from conftest import force_exchange, lower_min_block
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -568,7 +568,7 @@ def test_same_key_aggregates_fold_into_the_join_exchange(ray_session,
     Ray aggregate, customer_order_counts is that exchange plus its
     one-task finish on ``n_orders``, and q3_shipping_priority's orderkey
     totals ride its orderkey join (on both customer paths: the join,
-    then the one-task ``top_k``; the bucketed path adds its semi join).
+    then the one-task ``top_k``; the exchange path adds its semi join).
     At ``SF`` every join exchange is one partition; with Ray's minimum
     block size lowered, every join exchange sorts."""
     from pd3f_ray.pipelines.joins import (
@@ -583,9 +583,12 @@ def test_same_key_aggregates_fold_into_the_join_exchange(ray_session,
         assert _exchanges(click_purchase_matrix(SF).materialize()) == join
         assert _exchanges(customer_order_counts(SF).materialize()) == (
             join + ONE)
-        for broadcast, n in ((True, 1), (False, 2)):
-            ds = q3_shipping_priority(SF, broadcast_customer=broadcast)
-            assert _exchanges(ds.materialize()) == join * n + ONE, broadcast
+        # the customer side fits one block: broadcast
+        ds = q3_shipping_priority(SF)
+        assert _exchanges(ds.materialize()) == join + ONE
+    force_exchange(monkeypatch)
+    ds = q3_shipping_priority(SF)
+    assert _exchanges(ds.materialize()) == PAIR * 2 + ONE
 
 
 def test_small_final_aggregates_finish_in_one_task(ray_session, monkeypatch):
@@ -593,7 +596,8 @@ def test_small_final_aggregates_finish_in_one_task(ray_session, monkeypatch):
     partials on that key from its last exchange's reducer (the next-key
     fold) and finishes them in ONE task behind ``repartition(1)``: no
     Ray sort aggregate follows the joins, whether the joins are one
-    partition (``SF``) or sort (Ray's minimum block size lowered)."""
+    partition (``SF``) or sort (Ray's minimum block size lowered), and
+    whether customer is broadcast or exchanged."""
     import re
 
     from pd3f_ray.pipelines.joins import nation_revenue, supplier_part_join
@@ -602,21 +606,26 @@ def test_small_final_aggregates_finish_in_one_task(ray_session, monkeypatch):
         segment_order_stats,
     )
 
+    def check(ds, joins):
+        ds = ds.materialize()
+        assert _exchanges(ds) == joins + ONE
+        last = _executed_ops(ds._get_stats_summary())[-1]
+        assert last.operator_name == "MapBatches(finish)"
+        tasks = re.search(r"(\d+) tasks executed",
+                          last.block_execution_summary_str)
+        assert int(tasks.group(1)) == 1
+
     for join in (ONE, PAIR):
         if join == PAIR:
             lower_min_block(monkeypatch)
-        for ds, joins in ((supplier_part_join(SF), join),
-                          (customer_order_counts(SF), join),
-                          (segment_order_stats(SF, broadcast=False), join),
-                          (nation_revenue(SF, broadcast_customer=False),
-                           join * 2)):
-            ds = ds.materialize()
-            assert _exchanges(ds) == joins + ONE
-            last = _executed_ops(ds._get_stats_summary())[-1]
-            assert last.operator_name == "MapBatches(finish)"
-            tasks = re.search(r"(\d+) tasks executed",
-                              last.block_execution_summary_str)
-            assert int(tasks.group(1)) == 1
+        check(supplier_part_join(SF), join)
+        check(customer_order_counts(SF), join)
+        # customer fits one block: broadcast, no customer exchange
+        check(segment_order_stats(SF), [])
+        check(nation_revenue(SF), join)
+    force_exchange(monkeypatch)
+    check(segment_order_stats(SF), PAIR)
+    check(nation_revenue(SF), PAIR * 2)
 
 
 def test_join_side_behind_a_map_needs_a_declared_schema(ray_session):
@@ -663,8 +672,12 @@ def test_relational_plans_build_without_executing(ray_session, monkeypatch):
     monkeypatch.setattr(ExecutionPlan, "execute", refuse)
     monkeypatch.setattr(ExecutionPlan, "execute_to_iterator", refuse)
     supplier_part_join(SF)
-    segment_order_stats(SF, broadcast=False)
-    nation_revenue(SF, broadcast_customer=False)
+    segment_order_stats(SF)
+    nation_revenue(SF)
+    with pytest.MonkeyPatch.context() as mp:
+        force_exchange(mp)
+        segment_order_stats(SF)
+        nation_revenue(SF)
     nation_revenue_share(SF)
     region_brand_revenue(SF)
     q4_order_priority(SF)
@@ -1142,13 +1155,14 @@ def test_dedup_clusters_oracle(ray_session, con):
     _match(dedup_clusters(SF), dedup_clusters_sql(), con)
 
 
-def test_dedup_clusters_distributed_path_oracle(ray_session, con):
-    """The distributed doubling loop (the scale path behind the
-    local-union-find gate) must match the same reachability oracle —
-    forced by zeroing the local_max_edges gate."""
+def test_dedup_clusters_distributed_path_oracle(ray_session, con,
+                                                monkeypatch):
+    """The distributed doubling loop (the plan for an edge table that
+    does not fit one block) must match the same reachability oracle."""
     from pd3f_ray.pipelines.dedup import dedup_clusters, dedup_clusters_sql
 
-    _match(dedup_clusters(SF, local_max_edges=0), dedup_clusters_sql(), con)
+    force_exchange(monkeypatch)
+    _match(dedup_clusters(SF), dedup_clusters_sql(), con)
 
 
 def test_label_fingerprint_ignores_the_block_split(ray_session):
@@ -1193,9 +1207,12 @@ def test_dedup_clusters_chain_convergence(ray_session, tmp_path):
     d = str(tmp_path / "chain")
     os.makedirs(d, exist_ok=True)
     pq.write_table(tbl, os.path.join(d, "documents.parquet"))
-    for kw in ({}, {"local_max_edges": 0}):  # both plans
-        got = dedup_clusters(d, threshold=0.9, **kw).to_pandas()
-        assert set(got["cluster_id"]) == {10}, (kw, got)
+    for local in (True, False):  # both plans
+        with pytest.MonkeyPatch.context() as mp:
+            if not local:
+                force_exchange(mp)
+            got = dedup_clusters(d, threshold=0.9).to_pandas()
+        assert set(got["cluster_id"]) == {10}, (local, got)
         assert sorted(got["doc_id"]) == [10, 20, 30, 40, 50]
 
 
@@ -1530,28 +1547,37 @@ def test_top_tokens_per_lang_oracle(ray_session, con):
     _match(top_tokens_per_lang(SF), top_tokens_per_lang_sql(), con)
 
 
-def test_adaptive_join_paths_oracle(ray_session, con):
+def test_adaptive_join_paths_oracle(ray_session, con, monkeypatch):
     """Both the broadcast fast path and the co-partitioned shuffle path
-    of the customer joins must be oracle-exact (the AQE-style threshold
-    picks between them by metadata row count)."""
+    of the customer joins must be oracle-exact (``fits_broadcast`` picks
+    between them by the customer read's planned bytes)."""
     from pd3f_ray.pipelines.joins import NATION_REVENUE_SQL, nation_revenue
     from pd3f_ray.pipelines.relational import (
         SEGMENT_ORDER_SQL,
         segment_order_stats,
     )
 
-    _match(nation_revenue(SF, broadcast_customer=False), NATION_REVENUE_SQL,
-           con)
-    _match(segment_order_stats(SF, broadcast=False), SEGMENT_ORDER_SQL, con)
+    for exchanged in (False, True):
+        if exchanged:
+            force_exchange(monkeypatch)
+        _match(nation_revenue(SF), NATION_REVENUE_SQL, con)
+        _match(segment_order_stats(SF), SEGMENT_ORDER_SQL, con)
 
 
-def test_broadcast_planner_is_byte_based(tmp_path, monkeypatch):
-    """VERDICT r2: the AQE broadcast gate must consider byte size, not
-    just row count — a few wide rows can blow a worker's heap."""
+def test_broadcast_planner_is_byte_based(ray_session, tmp_path, monkeypatch):
+    """VERDICT r2: the broadcast rule must consider byte size, not row
+    count — a few wide rows can blow a worker's heap. ``fits_broadcast``
+    holds a side to one Ray block (``target_max_block_size``): the
+    footers' planned bytes for a read that has not run, the blocks' own
+    bytes for a materialized dataset, each tried on both sides of one
+    block."""
     import pyarrow as pa
     import pyarrow.parquet as pq
+    import ray.data as rd
 
-    import pd3f_ray.pipelines.joins as joins
+    from pd3f_ray.core.cluster import read_parquet
+    from pd3f_ray.core.parquet import FooterParquet
+    from pd3f_ray.stages.exchange import fits_broadcast
 
     wide = pa.table({
         "k": pa.array(range(200), pa.int64()),
@@ -1560,27 +1586,31 @@ def test_broadcast_planner_is_byte_based(tmp_path, monkeypatch):
         "blob": pa.array([("%05d" % i) * 2000 for i in range(200)],
                          pa.string()),
     })
-    pq.write_table(wide, str(tmp_path / "wide.parquet"))
+    path = str(tmp_path / "wide.parquet")
+    pq.write_table(wide, path)
+    planned = FooterParquet(path).estimate_inmemory_data_size()
+    assert planned > 1 << 20  # 200 rows, 2 MB
 
-    # row count alone would say broadcast (200 <= 1M rows)...
-    assert joins._rows_of(str(tmp_path), "wide") <= joins.BROADCAST_MAX_ROWS
-    # ...but under a 1 MB byte budget the planner must refuse
-    monkeypatch.setattr(joins, "BROADCAST_MAX_BYTES", 1 << 20)
-    assert joins.should_broadcast(str(tmp_path), "wide") is False
-    # and with the default budget the small fixture tables still pass
+    ctx = rd.DataContext.get_current()
+    for ds, nbytes in ((read_parquet(path), planned),
+                       (rd.from_arrow(wide).materialize(), wide.nbytes)):
+        monkeypatch.setattr(ctx, "target_max_block_size", nbytes)
+        assert fits_broadcast(ds) is True
+        monkeypatch.setattr(ctx, "target_max_block_size", nbytes - 1)
+        assert fits_broadcast(ds) is False
+    # with the default block the fixture's customer side fits
     monkeypatch.undo()
-    assert joins.should_broadcast(SF, "customer") is True
+    assert fits_broadcast(read_parquet(os.path.join(SF, "customer.parquet")))
 
 
-def test_dedup_clusters_warns_on_iter_exhaustion(ray_session):
+def test_dedup_clusters_warns_on_iter_exhaustion(ray_session, monkeypatch):
     """ADVICE r2: exhausting max_iters without the label-sum fixpoint
     must not exit silently."""
-    import warnings
-
     from pd3f_ray.pipelines.dedup import dedup_clusters
 
+    force_exchange(monkeypatch)
     with pytest.warns(RuntimeWarning, match="fixpoint"):
-        dedup_clusters(SF, max_iters=0, local_max_edges=0)
+        dedup_clusters(SF, max_iters=0)
 
 
 def test_hll_agg_matches_map_groups_form(ray_session):
@@ -1652,13 +1682,14 @@ def test_token_postings_head_exact_across_block_sizes(ray_session, monkeypatch):
         assert a.loc[t, "df"] == b.loc[t, "df"], t
 
 
-def test_tfidf_terms_oracle_both_paths(ray_session, con):
+def test_tfidf_terms_oracle_both_paths(ray_session, con, monkeypatch):
     from pd3f_ray.pipelines.indexing import TFIDF_TERMS_SQL, tfidf_terms
 
-    # broadcast (default) path
+    # broadcast path: the df table fits one block
     _match(tfidf_terms(SF), TFIDF_TERMS_SQL, con)
-    # forced hash-join scale path must produce the identical result
-    _match(tfidf_terms(SF, broadcast_max=0), TFIDF_TERMS_SQL, con)
+    # the hash-join scale path must produce the identical result
+    force_exchange(monkeypatch)
+    _match(tfidf_terms(SF), TFIDF_TERMS_SQL, con)
 
 
 def test_balanced_mixture_oracle_and_rebalance(ray_session, con):
@@ -1679,24 +1710,26 @@ def test_balanced_mixture_oracle_and_rebalance(ray_session, con):
     assert (kept <= 2 * budget).all()
 
 
-def test_dup_span_stats_oracle_both_paths(ray_session, con):
+def test_dup_span_stats_oracle_both_paths(ray_session, con, monkeypatch):
     from pd3f_ray.pipelines.spandedup import (
         DUP_SPAN_STATS_SQL,
         dup_span_stats,
     )
 
     _match(dup_span_stats(SF), DUP_SPAN_STATS_SQL, con)
-    _match(dup_span_stats(SF, broadcast_max=0), DUP_SPAN_STATS_SQL, con)
+    force_exchange(monkeypatch)
+    _match(dup_span_stats(SF), DUP_SPAN_STATS_SQL, con)
 
 
-def test_strip_dup_spans_oracle_both_paths(ray_session, con):
+def test_strip_dup_spans_oracle_both_paths(ray_session, con, monkeypatch):
     from pd3f_ray.pipelines.spandedup import (
         STRIP_DUP_SPANS_SQL,
         strip_dup_spans,
     )
 
     _match(strip_dup_spans(SF), STRIP_DUP_SPANS_SQL, con)
-    _match(strip_dup_spans(SF, broadcast_max=0), STRIP_DUP_SPANS_SQL, con)
+    force_exchange(monkeypatch)
+    _match(strip_dup_spans(SF), STRIP_DUP_SPANS_SQL, con)
 
 
 def test_strip_dup_spans_removes_injected_duplicate(ray_session, tmp_path):
@@ -1727,13 +1760,14 @@ def test_strip_dup_spans_removes_injected_duplicate(ray_session, tmp_path):
     assert out[3] == "solo doc with no duplicated content at all"
 
 
-def test_pagerank_oracle_both_paths(ray_session, con):
+def test_pagerank_oracle_both_paths(ray_session, con, monkeypatch):
     from pd3f_ray.pipelines.graph import PAGERANK_SQL, pagerank
 
-    # broadcast (default) rank routing
+    # broadcast rank routing: the rank table fits one block
     _match(pagerank(SF), PAGERANK_SQL, con)
-    # forced per-iteration hash_join scale path
-    _match(pagerank(SF, broadcast_max=0), PAGERANK_SQL, con)
+    # the per-iteration hash_join scale path
+    force_exchange(monkeypatch)
+    _match(pagerank(SF), PAGERANK_SQL, con)
 
 
 def test_pagerank_mass_and_kinds(ray_session, con):
@@ -2277,13 +2311,13 @@ def test_event_gaps_oracle(ray_session, con):
     _match(event_gaps(SF), EVENT_GAPS_SQL, con)
 
 
-def test_q3_shipping_priority_oracle_both_paths(ray_session, con):
+def test_q3_shipping_priority_oracle_both_paths(ray_session, con,
+                                                monkeypatch):
     from pd3f_ray.pipelines.joins import Q3_SHIPPING_SQL, q3_shipping_priority
 
-    _match(q3_shipping_priority(SF, broadcast_customer=True),
-           Q3_SHIPPING_SQL, con)
-    _match(q3_shipping_priority(SF, broadcast_customer=False),
-           Q3_SHIPPING_SQL, con)
+    _match(q3_shipping_priority(SF), Q3_SHIPPING_SQL, con)
+    force_exchange(monkeypatch)
+    _match(q3_shipping_priority(SF), Q3_SHIPPING_SQL, con)
 
 
 def test_url_dedup_latest_oracle(ray_session, con):
@@ -2756,18 +2790,18 @@ def test_name_entity_clusters_canonical_is_member_min(ray_session):
     assert (by.str.len() > 1).any()
 
 
-def test_name_entity_clusters_gate_flip(ray_session, con):
-    """``local_max_edges=0`` forces the DISTRIBUTED string-key
-    min-label-propagation plan (the gate `name_entity_clusters` flips
-    to when the fuzzy edge list outgrows one worker); the oracle must
-    stay byte-equal to the default local union-find path."""
+def test_name_entity_clusters_gate_flip(ray_session, con, monkeypatch):
+    """The DISTRIBUTED string-key min-label-propagation plan (the one
+    `name_entity_clusters` takes when the fuzzy edge list outgrows one
+    block) must stay byte-equal to the oracle, as the default local
+    union-find path is."""
     from pd3f_ray.pipelines.dedup import (
         NAME_ENTITY_CLUSTERS_SQL,
         name_entity_clusters,
     )
 
-    _match(name_entity_clusters(SF, local_max_edges=0),
-           NAME_ENTITY_CLUSTERS_SQL, con)
+    force_exchange(monkeypatch)
+    _match(name_entity_clusters(SF), NAME_ENTITY_CLUSTERS_SQL, con)
 
 
 def test_events_cube_oracle(ray_session, con):

@@ -34,9 +34,11 @@ ALLOWED_READS = {
     ("joins.py", "nation"): "25-row dimension broadcast",
     ("joins.py", "region"): "5-row dimension broadcast",
     ("joins.py", "customer"):
-        "AQE fast path, gated on metadata row count <= BROADCAST_MAX_ROWS",
+        "broadcast plan, taken only when exchange.fits_broadcast finds the "
+        "customer read's planned bytes within one Ray block",
     ("relational.py", "customer"):
-        "AQE fast path, gated on metadata row count <= BROADCAST_MAX_ROWS",
+        "broadcast plan, taken only when exchange.fits_broadcast finds the "
+        "customer read's planned bytes within one Ray block",
 }
 
 
@@ -209,6 +211,136 @@ run_resumable(d, out, num_buckets=8)
         "JOIN_BUCKETS", "MAX_BUCKETS_PER_PARTITION", "hash_join",
         "<lambda>"]
     assert not list(_bucket_counts(passed))
+
+
+# A plan chooses between its broadcast (or local) side and its exchange
+# side with ``exchange.fits_broadcast``, one block-size test, never with
+# a caller-set threshold: no module constant whose name holds BROADCAST
+# or LOCAL_MAX, and no parameter that forces a plan. (A bare ``_MAX``
+# would be too wide: ``EDIT_MAX`` is a threshold of its query.)
+PLAN_GATE_NAME = re.compile(r"BROADCAST|LOCAL_MAX")
+PLAN_FORCING_PARAMS = {"broadcast", "broadcast_max", "broadcast_customer",
+                       "local_max_edges"}
+
+
+def _plan_gates(src: str):
+    """(line, name) of every plan-gate module constant and every
+    function with a plan-forcing parameter in ``src``."""
+    tree = ast.parse(src)
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign)
+                   else [])
+        for t in targets:
+            if PLAN_GATE_NAME.search(getattr(t, "id", "")):
+                yield node.lineno, t.id
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            a = node.args
+            names = {x.arg for x in a.posonlyargs + a.args + a.kwonlyargs}
+            if names & PLAN_FORCING_PARAMS:
+                yield node.lineno, getattr(node, "name", "<lambda>")
+
+
+def test_plans_have_one_broadcast_rule():
+    hits = []
+    for path, src in _sources():
+        for line, name in _plan_gates(src):
+            hits.append(f"{path.name}:{line}: {name} — a caller-set plan "
+                        "gate; choose the plan with exchange.fits_broadcast")
+    assert not hits, "\n".join(hits)
+
+
+def test_plan_gate_rule_sees_each_form():
+    """The rule flags a gate constant in bytes, rows or edges and each
+    plan-forcing parameter, and passes the rule's call and the queries'
+    own thresholds."""
+    flagged = """
+BROADCAST_MAX_BYTES = 256 << 20
+SPAN_BROADCAST_MAX: int = 2_000_000
+CC_LOCAL_MAX_EDGES = 4_000_000
+def tfidf_terms(sf_dir, k=3, broadcast_max=5): pass
+def dedup_clusters(sf_dir, *, local_max_edges=0): pass
+def segment_order_stats(sf_dir, broadcast=None): pass
+force = lambda sf_dir, broadcast_customer: sf_dir
+"""
+    passed = """
+EDIT_MAX = 2
+DECON_BENCH_MAX = 1000
+def line_dedup_docs(sf_dir): pass
+if fits_broadcast(dup): pass
+ref = ray.put(broadcast)
+"""
+    assert [n for _, n in sorted(_plan_gates(flagged))] == [
+        "BROADCAST_MAX_BYTES", "SPAN_BROADCAST_MAX", "CC_LOCAL_MAX_EDGES",
+        "tfidf_terms", "dedup_clusters", "segment_order_stats", "<lambda>"]
+    assert not list(_plan_gates(passed))
+
+
+def _nested_package_imports(src: str):
+    """(line, module) of every ``pd3f_ray`` import in a function that is
+    not a module-level function: a closure or a method, which Ray
+    pickles by value and runs in a worker."""
+    def visit(node, depth):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Import, ast.ImportFrom)) and depth > 1:
+                mods = ([child.module or ""] if isinstance(child, ast.ImportFrom)
+                        else [a.name for a in child.names])
+                for m in mods:
+                    if (m.split(".")[0] == "pd3f_ray"
+                            or getattr(child, "level", 0)):
+                        yield child.lineno, m or "."
+            scope = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                       ast.Lambda, ast.ClassDef))
+            yield from visit(child, depth + scope)
+
+    yield from visit(ast.parse(src), 0)
+
+
+def test_workers_import_no_package_module():
+    """A worker has the pickled plan and not the package's import path
+    (``__ray_entry__`` ships every module by value), so a closure or a
+    method that imports from ``pd3f_ray`` fails in the worker when the
+    driver runs outside the repo. Such imports go at module level."""
+    hits = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for line, mod in _nested_package_imports(path.read_text()):
+            hits.append(f"{path.relative_to(PACKAGE)}:{line}: imports {mod} "
+                        "inside a closure or method — import it at module "
+                        "level")
+    assert not hits, "\n".join(hits)
+
+
+def test_nested_import_rule_sees_each_form():
+    """The rule flags a package import in a closure, a method and a
+    nested class, and passes module-level imports, imports in
+    module-level functions and third-party imports anywhere."""
+    flagged = """
+def plan(sf_dir):
+    def udf(batch):
+        from pd3f_ray.functions.textfns import md5_hex
+    return lambda b: udf(b)
+class Transport:
+    def result_json(self, job):
+        import pd3f_ray.sources.synth
+def outer():
+    class Local:
+        def m(self):
+            from . import arrowkit
+"""
+    passed = """
+from pd3f_ray.core import arrowkit
+import numpy as np
+def plan(sf_dir):
+    from pd3f_ray.pipelines.joins import hash_join
+    def udf(batch):
+        import pyarrow.compute as pc
+        from collections import Counter
+"""
+    assert [m for _, m in sorted(_nested_package_imports(flagged))] == [
+        "pd3f_ray.functions.textfns", "pd3f_ray.sources.synth", "."]
+    assert not list(_nested_package_imports(passed))
 
 
 # a group_map call: not its definition, nor a ``group_map(...)``

@@ -8,6 +8,7 @@ import duckdb
 import numpy as np
 import pandas as pd
 import pytest
+from conftest import force_exchange
 
 SF = "/root/testdata/sf0.001"
 
@@ -71,13 +72,14 @@ def test_line_dedup_oracle_broadcast_plan(ray_session, con):
     _match(line_dedup_docs(SF), LINE_DEDUP_SQL, con)
 
 
-def test_line_dedup_oracle_antijoin_plan(ray_session, con):
-    """The scale path behind the broadcast gate (bucketed anti-join +
-    doc-bucket reassembly) must match the same oracle — forced by
-    zeroing the broadcast gate."""
+def test_line_dedup_oracle_antijoin_plan(ray_session, con, monkeypatch):
+    """The scale path, taken when the dup table does not fit one block
+    (bucketed anti-join + doc-bucket reassembly), must match the same
+    oracle."""
     from pd3f_ray.pipelines.webcurate import LINE_DEDUP_SQL, line_dedup_docs
 
-    _match(line_dedup_docs(SF, broadcast_max=0), LINE_DEDUP_SQL, con)
+    force_exchange(monkeypatch)
+    _match(line_dedup_docs(SF), LINE_DEDUP_SQL, con)
 
 
 def test_line_dedup_actually_removes_lines(ray_session, con):
